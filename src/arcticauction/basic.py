@@ -19,60 +19,28 @@ solution anchors a buyer would wrongly accept the budget-balanced solve.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 
 from arcticauction.core import MarketInstance
 from arcticauction.errors import GenericityError
-from arcticauction.graph import Edge, MarketState, Node, buyer_node, good_node
+from arcticauction.graph import (
+    Component,
+    Edge,
+    MarketState,
+    Node,
+    buyer_node,
+    components_of_edges,
+    good_node,
+)
 
 
 class SupportError(ValueError):
     """The candidate support admits no consistent basic solution."""
 
 
-def forest_components(
-    inst: MarketInstance, edges: set[Edge]
-) -> list[tuple[list[Node], list[Edge]]]:
-    """Split ``B + G`` into connected components under ``edges``.
-
-    Raises :class:`GenericityError` if the edge set contains a cycle; the
-    callers only ever pass supports that genericity promises are forests.
-    Components are ordered by canonical smallest node, singletons included.
-    """
-    adjacency: dict[Node, list[tuple[Node, Edge]]] = {}
-    for edge in edges:
-        b, g = edge
-        adjacency.setdefault(buyer_node(b), []).append((good_node(g), edge))
-        adjacency.setdefault(good_node(g), []).append((buyer_node(b), edge))
-    all_nodes = [buyer_node(b) for b in inst.buyers] + [
-        good_node(g) for g in inst.goods
-    ]
-    seen: set[Node] = set()
-    out: list[tuple[list[Node], list[Edge]]] = []
-    for start in all_nodes:
-        if start in seen:
-            continue
-        seen.add(start)
-        nodes: list[Node] = []
-        comp_edges: list[Edge] = []
-        stack: list[tuple[Node, Edge | None]] = [(start, None)]
-        while stack:
-            node, via = stack.pop()
-            nodes.append(node)
-            for nxt, edge in adjacency.get(node, []):
-                if edge == via:
-                    continue
-                comp_edges.append(edge)
-                if nxt in seen:
-                    raise GenericityError(f"support contains a cycle through {edge}")
-                seen.add(nxt)
-                stack.append((nxt, edge))
-        out.append((nodes, comp_edges))
-    return out
-
-
 def solve_tree_flow(
-    edges: list[Edge],
+    edges: Sequence[Edge],
     supply: dict[str, Fraction],
     demand: dict[str, Fraction],
     root: Node,
@@ -120,7 +88,7 @@ def solve_tree_flow(
 
 
 def _price_multipliers(
-    inst: MarketInstance, nodes: list[Node], edges: list[Edge], root: Node
+    inst: MarketInstance, comp: Component, root: Node
 ) -> dict[str, Fraction]:
     """Express each good price in the component as a multiple of one scale.
 
@@ -131,7 +99,7 @@ def _price_multipliers(
     if root[0] != "G":
         raise ValueError("price propagation must start at a good")
     adjacency: dict[Node, list[Node]] = {}
-    for b, g in edges:
+    for b, g in comp.edges:
         adjacency.setdefault(buyer_node(b), []).append(good_node(g))
         adjacency.setdefault(good_node(g), []).append(buyer_node(b))
     multipliers: dict[str, Fraction] = {root[1]: Fraction(1)}
@@ -154,47 +122,36 @@ def _price_multipliers(
                     (node[1], nxt[1])
                 ]
             stack.append(nxt)
-    if len(multipliers) != sum(1 for n in nodes if n[0] == "G"):
+    if len(multipliers) != len(comp.goods):
         raise SupportError("component goods not connected through support")
     return multipliers
 
 
 def _component_solution(
-    inst: MarketInstance,
-    nodes: list[Node],
-    edges: list[Edge],
-    budgets: dict[str, Fraction],
+    inst: MarketInstance, comp: Component, budgets: dict[str, Fraction]
 ) -> tuple[dict[str, Fraction], dict[Edge, Fraction], dict[str, Fraction]]:
-    """Solve one support component; returns (prices, spending, refunds).
+    """Solve one support component holding a buyer; returns (prices,
+    spending, refunds).
 
     Tries the budget-balanced case, then anchor buyers in canonical order.
     Raises :class:`SupportError` when no case is consistent.
     """
-    buyers = sorted(
-        (name for kind, name in nodes if kind == "B"), key=lambda b: inst.buyer_pos[b]
-    )
-    goods = sorted(
-        (name for kind, name in nodes if kind == "G"), key=lambda g: inst.good_pos[g]
-    )
-    if not buyers:
-        # lone good with no incident support edge: would need price zero
-        raise SupportError(f"good {goods[0]} has no buyer in support")
+    buyers, goods, edges = comp.buyers, comp.goods, comp.edges
     if not goods:
         # lone buyer: anchored vacuously, full refund
         b = buyers[0]
         return {}, {}, {b: budgets[b]}
 
     root = good_node(goods[0])
-    multipliers = _price_multipliers(inst, nodes, edges, root)
+    multipliers = _price_multipliers(inst, comp, root)
     mult_total = sum(multipliers.values(), Fraction(0))
 
-    def ratios_for(prices: dict[str, Fraction]) -> dict[str, Fraction]:
-        # common support ratio per buyer; equal across the buyer's support
-        # edges by construction, so any one edge represents it
-        out: dict[str, Fraction] = {}
-        for b, g in edges:
-            out.setdefault(b, inst.utilities[(b, g)] / prices[g])
-        return out
+    def ratios_at_least_one(
+        prices: dict[str, Fraction], skip: str | None = None
+    ) -> bool:
+        # a buyer's support ratio u / p is equal across her support edges by
+        # construction, so checking every edge checks every buyer but ``skip``
+        return all(inst.utilities[e] >= prices[e[1]] for e in edges if e[0] != skip)
 
     # budget-balanced case: component budgets fix the scale
     budget_total = sum((budgets[b] for b in buyers), Fraction(0))
@@ -206,10 +163,7 @@ def _component_solution(
         flows, leftover = solve_tree_flow(edges, supply, demand, root)
         if leftover != 0:
             raise SupportError("budget-balanced system inconsistent")
-        ratios = ratios_for(prices)
-        if all(v >= 0 for v in flows.values()) and all(
-            ratios[b] >= 1 for b in buyers
-        ):
+        if all(v >= 0 for v in flows.values()) and ratios_at_least_one(prices):
             return prices, flows, {b: Fraction(0) for b in buyers}
 
     # anchored case: some buyer's support ratio is pinned to exactly one
@@ -227,11 +181,10 @@ def _component_solution(
         # is whatever the budget leaves after that spending
         anchor_spent = sum((flows[e] for e in anchor_edges), Fraction(0))
         refund = budgets[anchor] - anchor_spent
-        ratios = ratios_for(prices)
         if (
             all(v >= 0 for v in flows.values())
             and refund >= 0
-            and all(ratios[b] >= 1 for b in buyers if b != anchor)
+            and ratios_at_least_one(prices, skip=anchor)
         ):
             refunds = {b: Fraction(0) for b in buyers}
             refunds[anchor] = refund
@@ -259,8 +212,16 @@ def basic_solution(
     prices: dict[str, Fraction] = {}
     spending: dict[Edge, Fraction] = {}
     refunds: dict[str, Fraction] = {}
-    for nodes, edges in forest_components(inst, support):
-        c_prices, c_flows, c_refunds = _component_solution(inst, nodes, edges, budgets)
+    components, cycle = components_of_edges(inst, support)
+    if cycle is not None:
+        raise GenericityError(f"support contains a cycle through {cycle[0]}")
+    for comp in components:
+        # a good no support edge reaches would need price zero; checked
+        # before any component is solved, as it rejects the whole support
+        if not comp.buyers:
+            raise SupportError(f"good {comp.goods[0]} has no buyer in support")
+    for comp in components:
+        c_prices, c_flows, c_refunds = _component_solution(inst, comp, budgets)
         prices.update(c_prices)
         for edge, value in c_flows.items():
             if value != 0:

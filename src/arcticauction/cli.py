@@ -27,6 +27,7 @@ from arcticauction.core import (
 )
 from arcticauction.driver import GenericityExhausted, solve_instance
 from arcticauction.errors import SolverError
+from arcticauction.graph import edge_key
 from arcticauction.oracle import Certificate, Equilibrium, check_equilibrium
 from arcticauction.randgen import random_instance
 
@@ -35,15 +36,13 @@ def equilibrium_doc(inst: MarketInstance, eq: Equilibrium) -> dict:
     spending_rows = [
         [b, g, format_rational(v)]
         for (b, g), v in sorted(
-            eq.spending.items(),
-            key=lambda kv: (inst.buyer_pos[kv[0][0]], inst.good_pos[kv[0][1]]),
+            eq.spending.items(), key=lambda kv: edge_key(inst, kv[0])
         )
     ]
     quantity_rows = [
         [b, g, format_rational(v)]
         for (b, g), v in sorted(
-            eq.quantities.items(),
-            key=lambda kv: (inst.buyer_pos[kv[0][0]], inst.good_pos[kv[0][1]]),
+            eq.quantities.items(), key=lambda kv: edge_key(inst, kv[0])
         )
     ]
     return {
@@ -65,24 +64,17 @@ def certificate_doc(cert: Certificate) -> dict:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        inst = load_instance(args.input)
-        magnitude = (
-            parse_rational(args.perturb) if args.perturb is not None else None
-        )
-        outcome = solve_instance(
-            inst,
-            algorithm=args.algorithm,
-            magnitude=magnitude,
-            seed=args.seed,
-            max_retries=args.max_retries,
-        )
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GenericityExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.max_retries < 0:
+        raise InstanceError(f"--max-retries must be >= 0, not {args.max_retries}")
+    inst = load_instance(args.input)
+    magnitude = parse_rational(args.perturb) if args.perturb is not None else None
+    outcome = solve_instance(
+        inst,
+        algorithm=args.algorithm,
+        magnitude=magnitude,
+        seed=args.seed,
+        max_retries=args.max_retries,
+    )
 
     results = {}
     for name, (eq, trace) in sorted(outcome.results.items()):
@@ -116,37 +108,36 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    inst = load_instance(args.input)
     try:
-        inst = load_instance(args.input)
         with open(args.solution, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (InstanceError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InstanceError(f"cannot read {args.solution}: {exc}") from exc
     try:
         sigma = parse_rational(doc["perturbation"]["sigma"])
         seed = int(doc["perturbation"]["seed"])
-        results = doc["results"]
-    except (KeyError, TypeError) as exc:
-        print(f"error: malformed solution document ({exc})", file=sys.stderr)
-        return 1
+        results = dict(doc["results"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InstanceError(f"malformed solution document ({exc})") from exc
     target = perturb(inst, PerturbationConfig(magnitude=sigma, seed=seed))
 
     all_ok = True
     for name in sorted(results):
-        section = results[name]["equilibrium"]
         try:
+            section = results[name]["equilibrium"]
             prices = {g: parse_rational(v) for g, v in section["prices"].items()}
             spending = {
                 (row[0], row[1]): parse_rational(row[2])
                 for row in section["spending"]
             }
             refunds = {b: parse_rational(v) for b, v in section["refunds"].items()}
-        except (InstanceError, KeyError, IndexError, TypeError) as exc:
-            print(f"error: malformed equilibrium section ({exc})", file=sys.stderr)
-            return 1
-        cert = check_equilibrium(target, prices, spending, refunds)
+        except (InstanceError, AttributeError, KeyError, IndexError, TypeError) as exc:
+            raise InstanceError(f"malformed equilibrium section ({exc})") from exc
+        try:
+            cert = check_equilibrium(target, prices, spending, refunds)
+        except ValueError as exc:
+            raise InstanceError(f"malformed equilibrium section ({exc})") from exc
         all_ok = all_ok and cert.ok
         print(f"[{name}] {'PASS' if cert.ok else 'FAIL'}")
         for condition in cert.conditions:
@@ -158,7 +149,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError as exc:
+        raise InstanceError(f"--sizes: {exc}") from exc
+    if any(n < 2 for n in sizes):
+        raise InstanceError("--sizes: every node count must be at least 2")
     rows = []
     for n in sizes:
         for trial in range(args.trials):
@@ -246,9 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  Exit status 1 is an input error, 2 means no generic
+    perturbation was found, 3 is an internal solver error."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InstanceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except GenericityExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except SolverError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -21,7 +21,8 @@ from fractions import Fraction
 
 
 class InstanceError(ValueError):
-    """Raised when an instance document is malformed or inconsistent."""
+    """Raised when input is malformed or inconsistent: an instance or
+    solution document, or a command-line value."""
 
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -177,13 +178,10 @@ class PerturbationConfig:
     ``magnitude`` (sigma) must stay below ``1 / (2 * n * m * u_max)`` so the
     perturbed utilities remain within a factor two of the originals; zero
     disables the perturbation.  Draws are deterministic in ``seed``.
-    ``max_retries`` bounds how many fresh seeds the driver tries when a
-    genericity violation is detected at run time.
     """
 
     magnitude: Fraction
     seed: int
-    max_retries: int = 8
 
     def validate_for(self, inst: MarketInstance) -> None:
         if self.magnitude < 0:

@@ -58,10 +58,9 @@ def solve_instance(
         magnitude = default_magnitude(inst)
     last_error: GenericityError | None = None
     for attempt in range(max_retries + 1):
-        cfg = PerturbationConfig(
-            magnitude=magnitude, seed=seed + attempt, max_retries=max_retries
+        perturbed = perturb(
+            inst, PerturbationConfig(magnitude=magnitude, seed=seed + attempt)
         )
-        perturbed = perturb(inst, cfg)
         try:
             results: dict[str, tuple[Equilibrium, PhaseTrace]] = {}
             if algorithm in ("weak", "both"):

@@ -1,4 +1,4 @@
-"""Bang-per-buck, equality graph, residual networks, and reachability.
+"""Bang-per-buck, equality graph, reachability, and the forest walker.
 
 Nodes of the bipartite market graph are tagged tuples ``("B", buyer_id)``
 and ``("G", good_id)`` so buyer and good ids may collide without ambiguity.
@@ -36,6 +36,7 @@ def node_key(inst: MarketInstance, node: Node) -> tuple[int, int]:
 
 
 def edge_key(inst: MarketInstance, edge: Edge) -> tuple[int, int]:
+    """Canonical sort key: by buyer, then by good, in document order."""
     return (inst.buyer_pos[edge[0]], inst.good_pos[edge[1]])
 
 
@@ -66,13 +67,6 @@ class MarketState:
         for (b, g), v in self.spending.items():
             self._spent[b] = self._spent.get(b, Fraction(0)) + v
             self._inflow[g] = self._inflow.get(g, Fraction(0)) + v
-
-    def copy(self) -> "MarketState":
-        return MarketState(
-            prices=dict(self.prices),
-            spending=dict(self.spending),
-            refunds=dict(self.refunds),
-        )
 
     def spent_by(self, buyer: str) -> Fraction:
         return self._spent.get(buyer, Fraction(0))
@@ -215,30 +209,10 @@ class ResidualNetwork:
         return path
 
 
-def residual_network(inst: MarketInstance, state: MarketState) -> ResidualNetwork:
-    """Forward arcs on equality edges, backward arcs on positive spending."""
-    return ResidualNetwork(
-        inst=inst,
-        forward_arcs=equality_graph(inst, state.prices),
-        backward_arcs={e for e, v in state.spending.items() if v > 0},
-    )
-
-
 def abundant_edges(state: MarketState, n: int, delta: Fraction) -> set[Edge]:
     """Edges carrying at least ``3 * n * delta`` of spending (inclusive)."""
     threshold = 3 * n * delta
     return {e for e, v in state.spending.items() if v >= threshold}
-
-
-def delta_residual_network(
-    inst: MarketInstance, state: MarketState, n: int, delta: Fraction
-) -> ResidualNetwork:
-    """Forward arcs on equality edges, backward arcs on abundant edges only."""
-    return ResidualNetwork(
-        inst=inst,
-        forward_arcs=equality_graph(inst, state.prices),
-        backward_arcs=abundant_edges(state, n, delta),
-    )
 
 
 def active_set(network: ResidualNetwork, roots: list[Node]) -> set[Node]:
@@ -249,12 +223,13 @@ def active_set(network: ResidualNetwork, roots: list[Node]) -> set[Node]:
 
 @dataclass
 class Component:
-    """A connected component of the abundant graph.
+    """A connected component of ``B + G`` under some edge set.
 
     Roots are canonical: ``root_good`` is the smallest good (None for a
     pure-buyer component), ``buyer_root`` the smallest buyer and
     ``good_root`` the smallest good, each falling back to the lone node of
-    the other side when one side is empty.
+    the other side when one side is empty.  ``edges`` are the component's
+    edges in canonical order.
     """
 
     buyers: tuple[str, ...]
@@ -262,6 +237,7 @@ class Component:
     root_good: str | None
     buyer_root: Node
     good_root: Node
+    edges: tuple[Edge, ...]
 
     def is_singleton(self) -> bool:
         return len(self.buyers) + len(self.goods) == 1
@@ -279,59 +255,103 @@ class Component:
         return total
 
 
+def component_key(component: Component) -> str:
+    """Stable label of a component in traces and reports: its smallest node."""
+    kind, name = component.nodes()[0]
+    return f"{kind}:{name}"
+
+
 def components_of_abundant_graph(
     inst: MarketInstance, state: MarketState, n: int, delta: Fraction
 ) -> list[Component]:
-    """Connected components of the undirected graph on abundant edges.
+    """Components of the undirected graph on abundant edges, in the order
+    :func:`components_of_edges` gives them."""
+    return components_of_edges(inst, abundant_edges(state, n, delta))[0]
 
-    Singletons (isolated buyers and goods) are included.  Components are
-    returned sorted by their canonically smallest node.
+
+def components_of_edges(
+    inst: MarketInstance, edges: set[Edge]
+) -> tuple[list[Component], list[Edge] | None]:
+    """Connected components of ``B + G`` under an undirected edge set, and
+    the first cycle found.
+
+    Components come sorted by their canonically smallest node, singletons
+    included.  The cycle is a list of edges forming a closed walk, or None
+    when the edges form a forest.  Traversal runs in canonical order, so
+    the cycle reported for a given edge set is always the same.
     """
-    edges = abundant_edges(state, n, delta)
-    return components_of_edges(inst, edges)
-
-
-def components_of_edges(inst: MarketInstance, edges: set[Edge]) -> list[Component]:
-    """Connected components of ``B + G`` under an undirected edge set."""
-    adj: dict[Node, list[Node]] = {}
-    for b, g in edges:
-        adj.setdefault(buyer_node(b), []).append(good_node(g))
-        adj.setdefault(good_node(g), []).append(buyer_node(b))
-    all_nodes = [buyer_node(b) for b in inst.buyers] + [good_node(g) for g in inst.goods]
-    seen: set[Node] = set()
-    components: list[Component] = []
-    for start in all_nodes:
-        if start in seen:
+    ordered = sorted(edges, key=lambda e: edge_key(inst, e))
+    adjacency: dict[Node, list[tuple[Node, Edge]]] = {}
+    for edge in ordered:
+        b, g = ("B", edge[0]), ("G", edge[1])
+        adjacency.setdefault(b, []).append((g, edge))
+        adjacency.setdefault(g, []).append((b, edge))
+    buyer_nodes = [("B", b) for b in inst.buyers]
+    good_nodes = [("G", g) for g in inst.goods]
+    # component number and tree edge into each visited node (None at a DFS
+    # root); starting in canonical order makes each start the smallest node
+    # of its component, so the numbering is the canonical component order
+    index: dict[Node, int] = {}
+    parent: dict[Node, tuple[Node, Edge] | None] = {}
+    cycle: list[Edge] | None = None
+    count = 0
+    for start in buyer_nodes + good_nodes:
+        if start in index:
             continue
+        index[start] = k = count
+        count += 1
+        parent[start] = None
         stack = [start]
-        seen.add(start)
-        members: list[Node] = []
         while stack:
             node = stack.pop()
-            members.append(node)
-            for nxt in adj.get(node, []):
-                if nxt not in seen:
-                    seen.add(nxt)
+            via = parent[node]
+            for nxt, edge in adjacency.get(node, ()):
+                if via is not None and edge == via[1]:
+                    continue
+                if nxt not in index:
+                    index[nxt] = k
+                    parent[nxt] = (node, edge)
                     stack.append(nxt)
-        buyers = sorted(
-            (name for kind, name in members if kind == "B"),
-            key=lambda b: inst.buyer_pos[b],
+                elif cycle is None:
+                    cycle = _closed_walk(parent, node, nxt, edge)
+
+    buyers: list[list[str]] = [[] for _ in range(count)]
+    goods: list[list[str]] = [[] for _ in range(count)]
+    comp_edges: list[list[Edge]] = [[] for _ in range(count)]
+    for b, node in zip(inst.buyers, buyer_nodes):
+        buyers[index[node]].append(b)
+    for g, node in zip(inst.goods, good_nodes):
+        goods[index[node]].append(g)
+    for edge in ordered:
+        comp_edges[index[("B", edge[0])]].append(edge)
+    components = [
+        Component(
+            buyers=tuple(bs),
+            goods=tuple(gs),
+            root_good=gs[0] if gs else None,
+            buyer_root=buyer_node(bs[0]) if bs else good_node(gs[0]),
+            good_root=good_node(gs[0]) if gs else buyer_node(bs[0]),
+            edges=tuple(es),
         )
-        goods = sorted(
-            (name for kind, name in members if kind == "G"),
-            key=lambda g: inst.good_pos[g],
-        )
-        root_good = goods[0] if goods else None
-        buyer_root = buyer_node(buyers[0]) if buyers else good_node(goods[0])
-        good_root = good_node(goods[0]) if goods else buyer_node(buyers[0])
-        components.append(
-            Component(
-                buyers=tuple(buyers),
-                goods=tuple(goods),
-                root_good=root_good,
-                buyer_root=buyer_root,
-                good_root=good_root,
-            )
-        )
-    components.sort(key=lambda c: node_key(inst, c.nodes()[0]))
-    return components
+        for bs, gs, es in zip(buyers, goods, comp_edges)
+    ]
+    return components, cycle
+
+
+def _closed_walk(
+    parent: dict[Node, tuple[Node, Edge] | None], u: Node, w: Node, closing: Edge
+) -> list[Edge]:
+    """The cycle a non-tree edge ``u - w`` closes in the DFS forest: the
+    edge, then the tree paths from ``w`` and from ``u`` up to where they
+    meet."""
+    up_u: list[Edge] = []
+    up_w: list[Edge] = []
+    for node, path in ((u, up_u), (w, up_w)):
+        while (step := parent[node]) is not None:
+            node, edge = step
+            path.append(edge)
+    # both paths end at the same DFS root; drop the shared part above the meet
+    while up_u and up_w and up_u[-1] == up_w[-1]:
+        up_u.pop()
+        up_w.pop()
+    return [closing] + up_w + up_u[::-1]

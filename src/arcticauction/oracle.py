@@ -1,8 +1,11 @@
 """Independent verification: certification, brute force, genericity checks.
 
 Nothing here shares code paths with the scaling solvers beyond the basic
-tree solve, so a certified answer really is checked against the market
-definition rather than against the algorithm that produced it.
+tree solve and the forest walker it runs on (``graph.components_of_edges``,
+which also backs the genericity check), so a certified answer really is
+checked against the market definition rather than against the algorithm
+that produced it.  The auxiliary-network cycle check verifies a soundness
+property of solver states that the solvers themselves never need.
 """
 
 from __future__ import annotations
@@ -17,8 +20,12 @@ from arcticauction.errors import GenericityError
 from arcticauction.graph import (
     Edge,
     MarketState,
+    Node,
     bang_per_buck,
     buyer_node,
+    component_key,
+    components_of_edges,
+    edge_key,
     equality_graph,
     good_node,
 )
@@ -92,11 +99,17 @@ def check_equilibrium(
     on best bang-per-buck edges, refund complementarity) this also checks
     buyer optimality -- no spending below bang-per-buck one -- which rules
     out spurious fixed points the four literal conditions admit.
+
+    Raises :class:`ValueError` when a good lacks a positive price or a
+    spending entry names an unknown buyer: such a triple is no candidate.
     """
     eff = dict(inst.budgets) if budgets is None else budgets
     for g in inst.goods:
         if prices.get(g, Fraction(0)) <= 0:
             raise ValueError(f"non-positive price for good {g}")
+    for b, _ in spending:
+        if b not in inst.buyer_pos:
+            raise ValueError(f"spending by unknown buyer {b}")
 
     conditions: list[Condition] = []
 
@@ -162,38 +175,15 @@ def certify_state(inst: MarketInstance, state: MarketState) -> Certificate:
     return check_equilibrium(inst, state.prices, state.spending, state.refunds)
 
 
-def _cycle_free_subsets(inst: MarketInstance, edges: list[Edge]) -> "itertools.chain":
-    """All cycle-free edge subsets, by size then lexicographic order."""
-
-    def is_forest(subset: tuple[Edge, ...]) -> bool:
-        parent: dict[object, object] = {}
-
-        def find(x: object) -> object:
-            while parent.get(x, x) is not x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        for b, g in subset:
-            rb, rg = find(buyer_node(b)), find(good_node(g))
-            if rb == rg:
-                return False
-            parent[rb] = rg
-        return True
-
-    return itertools.chain.from_iterable(
-        (s for s in itertools.combinations(edges, size) if is_forest(s))
-        for size in range(len(edges) + 1)
-    )
-
-
 def brute_force_equilibrium(inst: MarketInstance) -> Equilibrium:
-    """Find the equilibrium by trying every cycle-free support.
+    """Find the equilibrium by trying every support, by size then
+    lexicographic order.
 
-    Guarded to small instances (the candidate count is exponential in the
-    edge count).  On a generic instance exactly one support passes; zero or
-    several passing supports mean the instance is degenerate and a fresh
-    perturbation is needed.
+    The tree solve rejects cyclic supports, so only cycle-free ones can
+    pass.  Guarded to small instances (the candidate count is exponential
+    in the edge count).  On a generic instance exactly one support passes;
+    zero or several passing supports mean the instance is degenerate and a
+    fresh perturbation is needed.
     """
     stats = compute_stats(inst)
     if stats.m > BRUTE_FORCE_MAX_EDGES or stats.n > BRUTE_FORCE_MAX_NODES:
@@ -202,7 +192,10 @@ def brute_force_equilibrium(inst: MarketInstance) -> Equilibrium:
         )
     edges = inst.edges()
     passing: list[tuple[set[Edge], MarketState, Certificate]] = []
-    for subset in _cycle_free_subsets(inst, edges):
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(edges, size) for size in range(len(edges) + 1)
+    )
+    for subset in subsets:
         try:
             state = basic_solution(inst, set(subset))
         except (SupportError, GenericityError):
@@ -239,71 +232,89 @@ def check_genericity(
 ) -> GenericityReport:
     """Verify the equality graph is a forest with at most one critical buyer
     per connected component."""
-    eq_edges = sorted(
-        equality_graph(inst, prices),
-        key=lambda e: (inst.buyer_pos[e[0]], inst.good_pos[e[1]]),
-    )
-    parent: dict[object, object] = {}
-
-    def find(x: object) -> object:
-        root = x
-        while parent.get(root, root) is not root:
-            root = parent[root]
-        while parent.get(x, x) is not x:
-            parent[x], x = root, parent[x]
-        return root
-
-    adjacency: dict[object, list[tuple[object, Edge]]] = {}
-    is_forest = True
-    offending: list[Edge] | None = None
-    for b, g in eq_edges:
-        nb, ng = buyer_node(b), good_node(g)
-        rb, rg = find(nb), find(ng)
-        if rb == rg and is_forest:
-            is_forest = False
-            offending = _recover_cycle(adjacency, nb, ng, (b, g))
-        else:
-            parent[rb] = rg
-        adjacency.setdefault(nb, []).append((ng, (b, g)))
-        adjacency.setdefault(ng, []).append((nb, (b, g)))
-
+    components, cycle = components_of_edges(inst, equality_graph(inst, prices))
     critical: dict[str, int] = {}
-    for b in inst.buyers:
-        if bang_per_buck(inst, prices, b) == 1:
-            root = find(buyer_node(b))
-            key = f"{root[0]}:{root[1]}"
-            critical[key] = critical.get(key, 0) + 1
+    for comp in components:
+        count = sum(1 for b in comp.buyers if bang_per_buck(inst, prices, b) == 1)
+        if count:
+            critical[component_key(comp)] = count
     return GenericityReport(
-        is_forest=is_forest,
-        offending_cycle=offending,
+        is_forest=cycle is None,
+        offending_cycle=cycle,
         critical_buyers_per_component=critical,
     )
 
 
-def _recover_cycle(
-    adjacency: dict[object, list[tuple[object, Edge]]],
-    start: object,
-    goal: object,
-    closing: Edge,
-) -> list[Edge]:
-    """Path start..goal in the already-inserted edges, plus the closing edge."""
-    from collections import deque
+@dataclass
+class AuxNetwork:
+    """Weighted digraph whose best path products match price ratios.
 
-    queue = deque([start])
-    via: dict[object, tuple[object, Edge]] = {}
-    seen = {start}
-    while queue:
-        node = queue.popleft()
-        if node == goal:
+    Forward arcs carry the utility, backward arcs (only on abundant edges)
+    its reciprocal; at any feasible state no directed cycle multiplies to
+    more than one, so best path products are well defined.
+    """
+
+    inst: MarketInstance
+    arcs: list[tuple[Node, Node, Fraction]]
+
+    @classmethod
+    def build(cls, inst: MarketInstance, abundant: set[Edge]) -> "AuxNetwork":
+        arcs: list[tuple[Node, Node, Fraction]] = []
+        for (b, g), u in sorted(
+            inst.utilities.items(), key=lambda kv: edge_key(inst, kv[0])
+        ):
+            arcs.append((buyer_node(b), good_node(g), u))
+        for b, g in sorted(abundant, key=lambda e: edge_key(inst, e)):
+            arcs.append((good_node(g), buyer_node(b), 1 / inst.utilities[(b, g)]))
+        return cls(inst=inst, arcs=arcs)
+
+    def node_count(self) -> int:
+        return len(self.inst.buyers) + len(self.inst.goods)
+
+
+def max_multiplier(aux: AuxNetwork, source: Node, sink: Node) -> Fraction | None:
+    """Maximum product of arc weights over directed paths source -> sink.
+
+    Computed by rounds of multiplicative relaxation; a round beyond the
+    longest simple path still improving something certifies a cycle with
+    product above one, which a sound state never contains.  Returns None
+    when the sink is unreachable; the empty path gives one for the source
+    itself.
+    """
+    n = aux.node_count()
+    best: dict[Node, Fraction] = {source: Fraction(1)}
+    for _ in range(n - 1):
+        changed = False
+        for tail, head, weight in aux.arcs:
+            if tail in best:
+                value = best[tail] * weight
+                if value > best.get(head, Fraction(-1)):
+                    best[head] = value
+                    changed = True
+        if not changed:
             break
-        for nxt, edge in adjacency.get(node, []):
-            if nxt not in seen:
-                seen.add(nxt)
-                via[nxt] = (node, edge)
-                queue.append(nxt)
-    cycle = [closing]
-    node = goal
-    while node != start:
-        node, edge = via[node]
-        cycle.append(edge)
-    return cycle
+    else:
+        for tail, head, weight in aux.arcs:
+            if tail in best and best[tail] * weight > best.get(head, Fraction(-1)):
+                raise GenericityError("cycle with weight product above one")
+    return best.get(sink)
+
+
+def assert_cycle_bound(aux: AuxNetwork) -> None:
+    """Verify no directed cycle has weight product above one."""
+    best: dict[Node, Fraction] = {}
+    for tail, head, _ in aux.arcs:
+        best.setdefault(tail, Fraction(1))
+        best.setdefault(head, Fraction(1))
+    n = max(aux.node_count(), 1)
+    for round_index in range(n):
+        changed = False
+        for tail, head, weight in aux.arcs:
+            value = best[tail] * weight
+            if value > best[head]:
+                best[head] = value
+                changed = True
+        if not changed:
+            return
+    if changed:
+        raise GenericityError("cycle with weight product above one")

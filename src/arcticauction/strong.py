@@ -26,51 +26,39 @@ from fractions import Fraction
 
 from arcticauction.basic import SupportError, basic_solution, solve_tree_flow
 from arcticauction.core import InstanceStats, MarketInstance, compute_stats
-from arcticauction.errors import GenericityError, SolverError
+from arcticauction.errors import SolverError
 from arcticauction.graph import (
     Component,
     Edge,
     MarketState,
-    Node,
     ResidualNetwork,
     abundant_edges,
     active_set,
     bang_per_buck,
     buyer_node,
+    component_key,
     components_of_abundant_graph,
     equality_graph,
     good_node,
     state_alphas,
 )
-from arcticauction.oracle import (
-    Certificate,
-    Equilibrium,
-    check_equilibrium,
-    check_genericity,
-)
-from arcticauction.trace import PhaseTrace, RestartRecord, TraceRow
+from arcticauction.oracle import Certificate, Equilibrium, check_equilibrium
+from arcticauction.trace import PhaseTrace, RestartRecord
 from arcticauction.weak import (
     ScalingState,
+    _augment,
+    check_phase_invariants,
     halve_and_repair,
     initialize,
     is_delta_feasible,
     network,
     potential,
+    record_step,
     run_inner_loop,
+    start_phase,
 )
 
 logger = logging.getLogger(__name__)
-
-
-def surplus(inst: MarketInstance, state: MarketState, component: Component) -> Fraction:
-    """Effective budgets of the component's buyers minus its good prices."""
-    return component.surplus(inst, state)
-
-
-def component_key(component: Component) -> str:
-    """Stable label for trace output."""
-    node = component.nodes()[0]
-    return f"{node[0]}:{node[1]}"
 
 
 def fertile_components(
@@ -94,7 +82,7 @@ def fertile_components(
             if alphas[b] > 1 and ss.market.effective_cash(inst, b) > margin:
                 out.append((comp, "singleton_cash"))
                 continue
-        if surplus(inst, ss.market, comp) <= -margin:
+        if comp.surplus(inst, ss.market) <= -margin:
             out.append((comp, "negative_surplus"))
     return out
 
@@ -140,13 +128,12 @@ def special_price(
     turning critical, in which case as much of her cash is committed as the
     target and barrier allow.  Runs for at most ``n + |B|`` iterations.
     """
-    stats = compute_stats(inst)
-    n = stats.n
+    n = len(inst.buyers) + len(inst.goods)
     market = ss.market
     if not root_component.buyers or not root_component.goods:
         # singleton root: surplus is constant (<= 0 for a lone good), so
         # the loop below would never run; return the state unchanged
-        if surplus(inst, market, root_component) > target:
+        if root_component.surplus(inst, market) > target:
             raise SolverError("cannot raise prices on a goodless component")
     prices = dict(market.prices)
     refunds = dict(market.refunds)
@@ -278,84 +265,6 @@ def special_price(
     return SpecialPriceResult(prices=prices, refunds=refunds, iterations=iterations)
 
 
-@dataclass
-class AuxNetwork:
-    """Weighted digraph whose best path products match price ratios.
-
-    Forward arcs carry the utility, backward arcs (only on abundant edges)
-    its reciprocal; at any feasible state no directed cycle multiplies to
-    more than one, so best path products are well defined.
-    """
-
-    inst: MarketInstance
-    arcs: list[tuple[Node, Node, Fraction]]
-
-    @classmethod
-    def build(cls, inst: MarketInstance, abundant: set[Edge]) -> "AuxNetwork":
-        arcs: list[tuple[Node, Node, Fraction]] = []
-        for (b, g), u in sorted(
-            inst.utilities.items(),
-            key=lambda kv: (inst.buyer_pos[kv[0][0]], inst.good_pos[kv[0][1]]),
-        ):
-            arcs.append((buyer_node(b), good_node(g), u))
-        for b, g in sorted(
-            abundant, key=lambda e: (inst.buyer_pos[e[0]], inst.good_pos[e[1]])
-        ):
-            arcs.append((good_node(g), buyer_node(b), 1 / inst.utilities[(b, g)]))
-        return cls(inst=inst, arcs=arcs)
-
-    def node_count(self) -> int:
-        return len(self.inst.buyers) + len(self.inst.goods)
-
-
-def max_multiplier(aux: AuxNetwork, source: Node, sink: Node) -> Fraction | None:
-    """Maximum product of arc weights over directed paths source -> sink.
-
-    Computed by rounds of multiplicative relaxation; a round beyond the
-    longest simple path still improving something certifies a cycle with
-    product above one, which a sound state never contains.  Returns None
-    when the sink is unreachable; the empty path gives one for the source
-    itself.
-    """
-    n = aux.node_count()
-    best: dict[Node, Fraction] = {source: Fraction(1)}
-    for _ in range(n - 1):
-        changed = False
-        for tail, head, weight in aux.arcs:
-            if tail in best:
-                value = best[tail] * weight
-                if value > best.get(head, Fraction(-1)):
-                    best[head] = value
-                    changed = True
-        if not changed:
-            break
-    else:
-        for tail, head, weight in aux.arcs:
-            if tail in best and best[tail] * weight > best.get(head, Fraction(-1)):
-                raise GenericityError("cycle with weight product above one")
-    return best.get(sink)
-
-
-def assert_cycle_bound(aux: AuxNetwork) -> None:
-    """Verify no directed cycle has weight product above one."""
-    best: dict[Node, Fraction] = {}
-    for tail, head, _ in aux.arcs:
-        best.setdefault(tail, Fraction(1))
-        best.setdefault(head, Fraction(1))
-    n = max(aux.node_count(), 1)
-    for round_index in range(n):
-        changed = False
-        for tail, head, weight in aux.arcs:
-            value = best[tail] * weight
-            if value > best[head]:
-                best[head] = value
-                changed = True
-        if not changed:
-            return
-    if changed:
-        raise GenericityError("cycle with weight product above one")
-
-
 def get_parameter(
     inst: MarketInstance,
     ss: ScalingState,
@@ -381,7 +290,7 @@ def get_parameter(
             state = MarketState(
                 prices=result.prices, spending=ss.market.spending, refunds=result.refunds
             )
-            per_component[component_key(comp)] = surplus(inst, state, comp)
+            per_component[component_key(comp)] = comp.surplus(inst, state)
     return max(per_component.values()), per_component
 
 
@@ -401,7 +310,7 @@ def get_prices(
     runs: list[tuple[dict[str, Fraction], dict[str, Fraction]]] = []
     run_surplus: dict[str, Fraction] = {}
     for comp in components:
-        if comp.is_singleton() or surplus(inst, ss.market, comp) <= new_delta:
+        if comp.is_singleton() or comp.surplus(inst, ss.market) <= new_delta:
             run_prices, run_refunds = dict(ss.market.prices), dict(ss.market.refunds)
         else:
             result = special_price(inst, ss, components, comp, new_delta)
@@ -412,7 +321,7 @@ def get_prices(
         state = MarketState(
             prices=run_prices, spending=ss.market.spending, refunds=run_refunds
         )
-        run_surplus[component_key(comp)] = surplus(inst, state, comp)
+        run_surplus[component_key(comp)] = comp.surplus(inst, state)
     merged_prices = {g: max(p[g] for p, _ in runs) for g in inst.goods}
     merged_refunds = {
         b: max(r.get(b, Fraction(0)) for _, r in runs) for b in inst.buyers
@@ -425,7 +334,6 @@ def get_allocations(
     new_prices: dict[str, Fraction],
     new_refunds: dict[str, Fraction],
     components: list[Component],
-    abundant: set[Edge],
 ) -> dict[Edge, Fraction]:
     """Rebuild spending as the unique tree flow on the abundant forest.
 
@@ -439,11 +347,7 @@ def get_allocations(
     for comp in components:
         if comp.is_singleton():
             continue
-        tau = surplus(inst, temp, comp)
-        edges = sorted(
-            (e for e in abundant if e[0] in comp.buyers and e[1] in comp.goods),
-            key=lambda e: (inst.buyer_pos[e[0]], inst.good_pos[e[1]]),
-        )
+        tau = comp.surplus(inst, temp)
         supply: dict[str, Fraction] = {}
         for b in comp.buyers:
             supply[b] = temp.effective_budget(inst, b)
@@ -454,7 +358,7 @@ def get_allocations(
             demand[g] = new_prices[g]
             if good_node(g) == comp.good_root:
                 demand[g] += min(Fraction(0), tau)
-        flows, leftover = solve_tree_flow(edges, supply, demand, comp.good_root)
+        flows, leftover = solve_tree_flow(comp.edges, supply, demand, comp.good_root)
         if leftover != 0:
             raise SolverError(f"unbalanced tree flow: leftover {leftover}")
         for edge, value in flows.items():
@@ -510,8 +414,7 @@ def make_fertile(
     new_prices, new_refunds, run_surplus = get_prices(
         inst, ss, components, new_scale, trace
     )
-    abundant = abundant_edges(ss.market, n, delta)
-    spending = get_allocations(inst, new_prices, new_refunds, components, abundant)
+    spending = get_allocations(inst, new_prices, new_refunds, components)
     state = MarketState(prices=new_prices, spending=spending, refunds=new_refunds)
     return RestartOutcome(
         branch="compressed",
@@ -545,7 +448,7 @@ def _assert_restart_invariants(
     for comp in components:
         if not comp.buyers:
             continue
-        value = surplus(inst, state, comp)
+        value = comp.surplus(inst, state)
         if value < floor:
             raise SolverError(
                 f"restart surplus {value} below {floor} at {component_key(comp)}"
@@ -553,7 +456,7 @@ def _assert_restart_invariants(
     for comp in components:
         if comp.is_singleton():
             continue
-        expected = min(surplus(inst, ss.market, comp), outcome.delta)
+        expected = min(comp.surplus(inst, ss.market), outcome.delta)
         got = outcome.run_surplus[component_key(comp)]
         if got != expected:
             raise SolverError(
@@ -580,8 +483,6 @@ def _repair_deficits(
     component.  Goods no buyer can reach yet stay flagged and are repaired
     by the ordinary steps once the graph connects to them.
     """
-    from arcticauction.weak import _augment
-
     market = ss.market
     components = components_of_abundant_graph(inst, market, stats.n, ss.delta)
     comp_of_good = {g: comp for comp in components for g in comp.goods}
@@ -602,20 +503,8 @@ def _repair_deficits(
         phi_before = potential(inst, ss)
         path = net.path_to([buyer_node(root)], good_node(g))
         _augment(ss, path, ss.delta)
-        phi_after = potential(inst, ss)
-        if phi_after != phi_before - 1:
-            raise SolverError("repair augmentation broke the potential discipline")
+        record_step(inst, ss, trace, phase, "restart_repair", g, phi_before)
         ss.allowed_deficit.pop(g, None)
-        trace.add_row(
-            TraceRow(
-                phase=phase,
-                delta=ss.delta,
-                kind="restart_repair",
-                subject=g,
-                phi_before=phi_before,
-                phi_after=phi_after,
-            )
-        )
 
 
 def _termination_candidate(
@@ -673,43 +562,14 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     phase = 0
     entry = "init"
     while phase <= budget:
-        report = check_genericity(inst, ss.market.prices)
-        if not report.ok:
-            raise GenericityError(f"degenerate prices at phase {phase}")
-        phi = potential(inst, ss)
-        if entry in ("init", "halve") and phi > n:
-            raise SolverError(f"phase {phase} starts with potential {phi} > n")
-        current_abundant = abundant_edges(ss.market, n, ss.delta)
-        if phase > 0:
-            prev = trace.phases[-1]
-            missing = prev.abundant_start - current_abundant
-            if missing:
-                raise SolverError(f"abundant edges lost: {sorted(missing)}")
-        _note_abundant(trace, phase, current_abundant)
-        mark = trace.begin_phase(
-            phase,
-            ss.delta,
-            entry,
-            phi,
-            ss.market.spending,
-            current_abundant,
-            prices=ss.market.prices,
-            refunds=ss.market.refunds,
-        )
+        mark = start_phase(inst, ss, stats, trace, phase, entry)
+        _note_abundant(trace, phase, mark.abundant_start)
         run_inner_loop(
             inst, ss, stats, trace, phase, check_iteration_bound=entry != "restart"
         )
         trace.end_phase(ss.market.spending)
         if entry != "restart":
-            drift_bound = n * ss.delta
-            end_spending = ss.market.spending
-            for edge in set(mark.spending_start) | set(end_spending):
-                change = abs(
-                    end_spending.get(edge, Fraction(0))
-                    - mark.spending_start.get(edge, Fraction(0))
-                )
-                if change > drift_bound:
-                    raise SolverError(f"edge {edge} drifted {change} > {drift_bound}")
+            check_phase_invariants(n, mark)
 
         _note_abundant(trace, phase, abundant_edges(ss.market, n, ss.delta))
         components = components_of_abundant_graph(inst, ss.market, n, ss.delta)

@@ -31,14 +31,13 @@ from arcticauction.graph import (
     ResidualNetwork,
     abundant_edges,
     active_set,
-    bang_per_buck,
     buyer_node,
     good_node,
     state_alphas,
     state_equality_graph,
 )
 from arcticauction.oracle import Equilibrium, certify_state, check_genericity
-from arcticauction.trace import PhaseTrace, TraceRow
+from arcticauction.trace import PhaseMark, PhaseTrace, TraceRow
 
 
 @dataclass
@@ -339,6 +338,79 @@ def halve_and_repair(inst: MarketInstance, ss: ScalingState) -> None:
     ss.delta = half
 
 
+def start_phase(
+    inst: MarketInstance,
+    ss: ScalingState,
+    stats: InstanceStats,
+    trace: PhaseTrace,
+    phase: int,
+    entry: str,
+) -> PhaseMark:
+    """Phase-start checks of both solvers, then the phase's trace mark.
+
+    The prices must be generic, a phase opened by initialization or halving
+    must start with potential at most ``n``, and every edge abundant at the
+    start of the previous phase must still be abundant.
+    """
+    if not check_genericity(inst, ss.market.prices).ok:
+        raise GenericityError(f"degenerate prices at phase {phase}")
+    phi = potential(inst, ss)
+    if entry in ("init", "halve") and phi > stats.n:
+        raise SolverError(f"phase {phase} starts with potential {phi} > n")
+    abundant = abundant_edges(ss.market, stats.n, ss.delta)
+    if trace.phases:
+        missing = trace.phases[-1].abundant_start - abundant
+        if missing:
+            raise SolverError(f"abundant edges lost: {sorted(missing)}")
+    return trace.begin_phase(
+        phase,
+        ss.delta,
+        entry,
+        phi,
+        ss.market.spending,
+        abundant,
+        prices=ss.market.prices,
+        refunds=ss.market.refunds,
+    )
+
+
+def check_phase_invariants(n: int, mark: PhaseMark) -> None:
+    """Drift bound of an ended phase: no edge moved more than ``n * delta``."""
+    drift_bound = n * mark.delta
+    start, end = mark.spending_start, mark.spending_end or {}
+    for edge in set(start) | set(end):
+        change = abs(end.get(edge, Fraction(0)) - start.get(edge, Fraction(0)))
+        if change > drift_bound:
+            raise SolverError(f"edge {edge} drifted {change} > {drift_bound}")
+
+
+def record_step(
+    inst: MarketInstance,
+    ss: ScalingState,
+    trace: PhaseTrace,
+    phase: int,
+    kind: str,
+    subject: str,
+    phi_before: int,
+) -> None:
+    """Check that a step lowered the potential by exactly one; trace it."""
+    phi_after = potential(inst, ss)
+    if phi_after != phi_before - 1:
+        raise SolverError(
+            f"potential moved {phi_before} -> {phi_after} in one {kind} step"
+        )
+    trace.add_row(
+        TraceRow(
+            phase=phase,
+            delta=ss.delta,
+            kind=kind,
+            subject=subject,
+            phi_before=phi_before,
+            phi_after=phi_after,
+        )
+    )
+
+
 def run_inner_loop(
     inst: MarketInstance,
     ss: ScalingState,
@@ -352,46 +424,13 @@ def run_inner_loop(
     while not is_delta_optimal(inst, ss):
         phi_before = potential(inst, ss)
         kind, subject = inner_step(inst, ss)
-        phi_after = potential(inst, ss)
-        if phi_after != phi_before - 1:
-            raise SolverError(
-                f"potential moved {phi_before} -> {phi_after} in one step"
-            )
+        record_step(inst, ss, trace, phase, kind, subject, phi_before)
         ok, violations = is_delta_feasible(inst, ss)
         if not ok:
             raise SolverError(f"infeasible after {kind} at {subject}: {violations}")
-        trace.add_row(
-            TraceRow(
-                phase=phase,
-                delta=ss.delta,
-                kind=kind,
-                subject=str(subject),
-                phi_before=phi_before,
-                phi_after=phi_after,
-            )
-        )
         iterations += 1
         if check_iteration_bound and iterations > stats.n:
             raise SolverError("phase exceeded its iteration bound")
-
-
-def check_phase_invariants(
-    stats: InstanceStats,
-    prev_start: dict[Edge, Fraction],
-    end: dict[Edge, Fraction],
-    prev_abundant: set[Edge],
-    next_abundant: set[Edge],
-    delta: Fraction,
-) -> None:
-    """Per-phase drift bound and abundance persistence."""
-    drift_bound = stats.n * delta
-    for edge in set(prev_start) | set(end):
-        change = abs(end.get(edge, Fraction(0)) - prev_start.get(edge, Fraction(0)))
-        if change > drift_bound:
-            raise SolverError(f"edge {edge} drifted {change} > {drift_bound}")
-    missing = prev_abundant - next_abundant
-    if missing:
-        raise SolverError(f"abundant edges lost: {sorted(missing)}")
 
 
 def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
@@ -410,36 +449,11 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     phase = 0
     entry = "init"
     while True:
-        report = check_genericity(inst, ss.market.prices)
-        if not report.ok:
-            raise GenericityError(f"degenerate prices at phase {phase}")
-        phi = potential(inst, ss)
-        if phi > stats.n:
-            raise SolverError(f"phase {phase} starts with potential {phi} > n")
-        current_abundant = abundant_edges(ss.market, stats.n, ss.delta)
-        if phase > 0:
-            prev = trace.phases[-1]
-            check_phase_invariants(
-                stats,
-                prev.spending_start,
-                prev.spending_end or {},
-                prev.abundant_start,
-                current_abundant,
-                prev.delta,
-            )
-        trace.abundant_discovered |= current_abundant
-        trace.begin_phase(
-            phase,
-            ss.delta,
-            entry,
-            phi,
-            ss.market.spending,
-            current_abundant,
-            prices=ss.market.prices,
-            refunds=ss.market.refunds,
-        )
+        mark = start_phase(inst, ss, stats, trace, phase, entry)
+        trace.abundant_discovered |= mark.abundant_start
         run_inner_loop(inst, ss, stats, trace, phase)
         trace.end_phase(ss.market.spending)
+        check_phase_invariants(stats.n, mark)
 
         if ss.delta < stop_below:
             support = recover_support(ss.market, stats.n, ss.delta)

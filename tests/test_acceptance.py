@@ -37,9 +37,8 @@ from arcticauction.core import (
 )
 from arcticauction.driver import solve_instance
 from arcticauction.errors import GenericityError
-from arcticauction.oracle import brute_force_equilibrium
+from arcticauction.oracle import AuxNetwork, assert_cycle_bound, brute_force_equilibrium
 from arcticauction.randgen import random_instance
-from arcticauction.strong import AuxNetwork, assert_cycle_bound
 from arcticauction.trace import PhaseTrace
 
 from conftest import lean_sigma

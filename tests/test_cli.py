@@ -233,3 +233,54 @@ def test_degenerate_unperturbed_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def edited_solution(edit):
+    """A ``verify`` command line for a weak solution document changed by ``edit``."""
+
+    def argv(instance_file, tmp_path):
+        out = tmp_path / "out.json"
+        solve = ["solve", "--input", str(instance_file), "--algorithm", "weak"]
+        assert main(solve + ["--output", str(out), "--seed", "7"]) == 0
+        doc = json.loads(out.read_text())
+        edit(doc)
+        out.write_text(json.dumps(doc))
+        return ["verify", "--input", str(instance_file), "--solution", str(out)]
+
+    return argv
+
+
+def weak_section(doc):
+    return doc["results"]["weak"]["equilibrium"]
+
+
+INPUT_ERRORS = {
+    "verify_zero_price": edited_solution(
+        lambda doc: weak_section(doc)["prices"].update(g1="0")
+    ),
+    "verify_missing_price": edited_solution(
+        lambda doc: weak_section(doc)["prices"].pop("g1")
+    ),
+    "verify_unknown_buyer": edited_solution(
+        lambda doc: weak_section(doc)["spending"].append(["b9", "g1", "1"])
+    ),
+    "verify_sigma_above_bound": edited_solution(
+        lambda doc: doc["perturbation"].update(sigma="1")
+    ),
+    "solve_negative_retries": lambda instance_file, _: [
+        "solve",
+        "--input",
+        str(instance_file),
+        "--max-retries",
+        "-1",
+    ],
+    "bench_size_one": lambda *_: ["bench", "--sizes", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_error_exits_one(case, instance_file, tmp_path, capsys):
+    argv = INPUT_ERRORS[case](instance_file, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -1,5 +1,6 @@
-"""Bang-per-buck, equality graph, residual networks, components."""
+"""Bang-per-buck, equality graph, residual networks, the forest walker."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,12 +14,15 @@ from arcticauction.graph import (
     active_set,
     bang_per_buck,
     buyer_node,
+    component_key,
     components_of_abundant_graph,
-    delta_residual_network,
+    components_of_edges,
+    edge_key,
     equality_graph,
     good_node,
-    residual_network,
+    node_key,
 )
+from arcticauction.weak import ScalingState, network
 
 from conftest import make_instance
 
@@ -54,6 +58,21 @@ class TestEqualityGraph:
     def test_exact_tie(self, two_goods):
         edges = equality_graph(two_goods, {"g1": Fraction(1), "g2": Fraction(3)})
         assert edges == {("b1", "g1"), ("b1", "g2")}
+
+
+def residual_network(inst, state):
+    """The solvers' residual network: backward arcs on positive spending."""
+    ss = ScalingState(market=state, delta=Fraction(1), initial_prices=dict(state.prices))
+    return network(inst, ss)
+
+
+def delta_residual_network(inst, state, n, delta):
+    """The price raiser's network: backward arcs on abundant edges only."""
+    return ResidualNetwork(
+        inst=inst,
+        forward_arcs=equality_graph(inst, state.prices),
+        backward_arcs=abundant_edges(state, n, delta),
+    )
 
 
 class TestResidualNetwork:
@@ -270,3 +289,88 @@ def test_abundant_edges_stay_equality_under_uniform_component_scaling():
         for g in ("g1", "g2"):
             scaled[g] = prices[g] * factor
         assert component_edges <= equality_graph(inst, scaled)
+
+
+class TestComponentsOfEdges:
+    def test_four_cycle_returns_its_edges(self):
+        inst = make_instance(
+            {"b1": 1, "b2": 1},
+            {("b1", "g1"): 1, ("b1", "g2"): 1, ("b2", "g1"): 1, ("b2", "g2"): 1},
+        )
+        edges = set(inst.utilities)
+        comps, cycle = components_of_edges(inst, edges)
+        assert len(comps) == 1
+        assert cycle is not None and len(cycle) == 4
+        assert set(cycle) == edges
+
+    def test_canonical_order(self):
+        inst = make_instance(
+            {"b1": 1, "b2": 1, "b3": 1},
+            {
+                ("b1", "g1"): 1,
+                ("b3", "g1"): 1,
+                ("b2", "g2"): 1,
+                ("b2", "g3"): 1,
+                ("b3", "g3"): 1,
+            },
+        )
+        edges = {("b3", "g3"), ("b3", "g1"), ("b2", "g3")}
+        comps, cycle = components_of_edges(inst, edges)
+        assert cycle is None
+        assert [component_key(c) for c in comps] == ["B:b1", "B:b2", "G:g2"]
+        assert comps[0].edges == comps[2].edges == ()
+        assert comps[1].buyers == ("b2", "b3") and comps[1].goods == ("g1", "g3")
+        assert comps[1].edges == (("b2", "g3"), ("b3", "g1"), ("b3", "g3"))
+
+
+def union_find_partition(nodes, edges):
+    """Reference: connected components by union-find, as a set of node sets."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for b, g in edges:
+        rb, rg = find(buyer_node(b)), find(good_node(g))
+        if rb != rg:
+            parent[rb] = rg
+    groups = {}
+    for node in nodes:
+        groups.setdefault(find(node), set()).add(node)
+    return {frozenset(group) for group in groups.values()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_buyers=st.integers(min_value=1, max_value=4),
+    n_goods=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_walker_matches_union_find(n_buyers, n_goods, data):
+    buyers = [f"b{i}" for i in range(n_buyers)]
+    goods = [f"g{j}" for j in range(n_goods)]
+    pairs = [(b, g) for b in buyers for g in goods]
+    inst = make_instance({b: 1 for b in buyers}, {pair: 1 for pair in pairs})
+    edges = data.draw(st.sets(st.sampled_from(pairs)))
+    comps, cycle = components_of_edges(inst, edges)
+
+    nodes = [buyer_node(b) for b in buyers] + [good_node(g) for g in goods]
+    assert {frozenset(c.nodes()) for c in comps} == union_find_partition(nodes, edges)
+    firsts = [node_key(inst, c.nodes()[0]) for c in comps]
+    assert firsts == sorted(firsts)
+    for comp in comps:
+        assert list(comp.edges) == sorted(comp.edges, key=lambda e: edge_key(inst, e))
+        assert all(b in comp.buyers and g in comp.goods for b, g in comp.edges)
+    assert sorted(e for c in comps for e in c.edges) == sorted(edges)
+
+    assert (cycle is None) == (len(edges) == len(nodes) - len(comps))
+    if cycle is not None:
+        # a closed walk over E: distinct edges of E, consecutive ones sharing
+        # a node, every node on it met exactly twice
+        assert len(set(cycle)) == len(cycle) >= 4 and set(cycle) <= edges
+        ends = [{buyer_node(b), good_node(g)} for b, g in cycle]
+        for here, there in zip(ends, ends[1:] + ends[:1]):
+            assert here & there
+        assert set(Counter(node for end in ends for node in end).values()) == {2}

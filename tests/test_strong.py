@@ -11,26 +11,27 @@ from arcticauction.graph import (
     abundant_edges,
     active_set,
     buyer_node,
+    component_key,
     components_of_abundant_graph,
     equality_graph,
     good_node,
     ResidualNetwork,
 )
-from arcticauction.oracle import brute_force_equilibrium
-from arcticauction.strong import (
+from arcticauction.oracle import (
     AuxNetwork,
     assert_cycle_bound,
+    brute_force_equilibrium,
+    max_multiplier,
+)
+from arcticauction.strong import (
     commit_refund,
-    component_key,
     fertile_components,
     get_allocations,
     get_parameter,
     get_prices,
     make_fertile,
-    max_multiplier,
     run_strong,
     special_price,
-    surplus,
 )
 from arcticauction.weak import ScalingState, run_weak
 
@@ -61,13 +62,13 @@ class TestSurplus:
         ss = scaling_state(inst, {"g1": 1}, {}, {"b1": 2}, delta=1)
         comps = components_of(inst, ss)
         buyer_comp = next(c for c in comps if c.buyers == ("b1",))
-        assert surplus(inst, ss.market, buyer_comp) == 3
+        assert buyer_comp.surplus(inst, ss.market) == 3
 
     def test_singleton_good(self):
         inst = make_instance({"b1": 5}, {("b1", "g1"): 1})
         ss = scaling_state(inst, {"g1": Fraction(7, 2)}, {}, {}, delta=1)
         good_comp = next(c for c in components_of(inst, ss) if c.goods)
-        assert surplus(inst, ss.market, good_comp) == Fraction(-7, 2)
+        assert good_comp.surplus(inst, ss.market) == Fraction(-7, 2)
 
     def test_mixed_component(self):
         inst = make_instance({"b1": 3}, {("b1", "g1"): 2})
@@ -75,7 +76,7 @@ class TestSurplus:
             inst, {"g1": 1}, {("b1", "g1"): Fraction(1)}, {}, delta=Fraction(1, 12)
         )
         comp = next(c for c in components_of(inst, ss) if not c.is_singleton())
-        assert surplus(inst, ss.market, comp) == 2
+        assert comp.surplus(inst, ss.market) == 2
 
 
 class TestFertileComponents:
@@ -132,9 +133,9 @@ class TestCommitRefund:
             market=state, delta=Fraction(1, 100), initial_prices=dict(state.prices)
         )
         comp = next(c for c in components_of(inst, ss) if not c.is_singleton())
-        before = surplus(inst, state, comp)
+        before = comp.surplus(inst, state)
         commit_refund(inst, state, "b1", Fraction(1))
-        assert surplus(inst, state, comp) == before - 1
+        assert comp.surplus(inst, state) == before - 1
 
     def test_requires_critical_buyer(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
@@ -151,7 +152,7 @@ class TestSpecialPrice:
         )
         comps = components_of(inst, ss)
         comp = next(c for c in comps if not c.is_singleton())
-        assert surplus(inst, ss.market, comp) == -1 <= 0
+        assert comp.surplus(inst, ss.market) == -1 <= 0
         result = special_price(inst, ss, comps, comp, Fraction(0))
         assert result.prices == ss.market.prices
         assert result.refunds == ss.market.refunds
@@ -172,7 +173,7 @@ class TestSpecialPrice:
         state = MarketState(
             prices=result.prices, spending=ss.market.spending, refunds=result.refunds
         )
-        assert surplus(inst, state, comp) == 0
+        assert comp.surplus(inst, state) == 0
 
     def test_exit_cases_are_exhaustive(self):
         # at exit, either the root surplus reached the target with every
@@ -197,8 +198,8 @@ class TestSpecialPrice:
         state = MarketState(
             prices=result.prices, spending=ss.market.spending, refunds=result.refunds
         )
-        s_root = surplus(inst, state, root)
-        others = [surplus(inst, state, c) for c in comps]
+        s_root = root.surplus(inst, state)
+        others = [c.surplus(inst, state) for c in comps]
         barrier = -s_root / (2 * n * n)
         case_target = s_root == target and all(
             s >= -target / (2 * n * n) for s in others
@@ -221,7 +222,7 @@ class TestSpecialPrice:
         state = MarketState(
             prices=result.prices, spending=ss.market.spending, refunds=result.refunds
         )
-        assert surplus(inst, state, comp) == 0
+        assert comp.surplus(inst, state) == 0
 
 
 class TestAuxNetwork:
@@ -361,14 +362,12 @@ class TestGetAllocations:
             {},
             delta=Fraction(1, 100),
         )
-        comps = components_of(inst, ss)
-        abundant = abundant_edges(ss.market, 3, ss.delta)
-        return inst, ss, comps, abundant
+        return inst, ss, components_of(inst, ss)
 
     def test_positive_surplus_at_buyer_root(self):
-        inst, ss, comps, abundant = self.base(5)
+        inst, ss, comps = self.base(5)
         spending = get_allocations(
-            inst, dict(ss.market.prices), {"b1": Fraction(0)}, comps, abundant
+            inst, dict(ss.market.prices), {"b1": Fraction(0)}, comps
         )
         assert spending == {("b1", "g1"): 2, ("b1", "g2"): 2}
         state = MarketState(
@@ -377,9 +376,9 @@ class TestGetAllocations:
         assert state.effective_cash(inst, "b1") == 1
 
     def test_negative_surplus_at_good_root(self):
-        inst, ss, comps, abundant = self.base(Fraction(7, 2))
+        inst, ss, comps = self.base(Fraction(7, 2))
         spending = get_allocations(
-            inst, dict(ss.market.prices), {"b1": Fraction(0)}, comps, abundant
+            inst, dict(ss.market.prices), {"b1": Fraction(0)}, comps
         )
         # deficit -1/2 lands on the canonical good root g1
         assert spending == {("b1", "g1"): Fraction(3, 2), ("b1", "g2"): 2}
@@ -506,7 +505,7 @@ class TestSpecialPriceMonotonicity:
         )
         comps = components_of(inst, ss)
         root = next(c for c in comps if "b1" in c.buyers)
-        before = surplus(inst, ss.market, root)
+        before = root.surplus(inst, ss.market)
         result = special_price(inst, ss, comps, root, Fraction(0))
         for g in inst.goods:
             assert result.prices[g] >= ss.market.prices[g]
@@ -517,7 +516,7 @@ class TestSpecialPriceMonotonicity:
         state = MarketState(
             prices=result.prices, spending=ss.market.spending, refunds=result.refunds
         )
-        assert surplus(inst, state, root) <= before
+        assert root.surplus(inst, state) <= before
 
 
 class TestStrongMonotonicity:

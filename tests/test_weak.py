@@ -8,8 +8,10 @@ from arcticauction.core import PerturbationConfig, ceil_log2, compute_stats, per
 from arcticauction.errors import SolverError
 from arcticauction.graph import MarketState
 from arcticauction.oracle import brute_force_equilibrium
+from arcticauction.trace import PhaseMark
 from arcticauction.weak import (
     ScalingState,
+    check_phase_invariants,
     halve_and_repair,
     initialize,
     inner_step,
@@ -301,6 +303,29 @@ class TestHalveAndRepair:
         )
         halve_and_repair(inst, ss)
         assert ss.market.spending[("b1", "g1")] == Fraction(7, 2) > 0
+
+
+class TestPhaseInvariants:
+    def mark(self, start, end):
+        return PhaseMark(
+            index=0,
+            delta=Fraction(1, 2),
+            entry="halve",
+            potential_start=0,
+            spending_start={e: Fraction(v) for e, v in start.items()},
+            abundant_start=set(),
+            spending_end={e: Fraction(v) for e, v in end.items()},
+        )
+
+    def test_drift_up_to_n_delta_passes(self):
+        # n * delta = 3/2: one edge rises by exactly that, another vanishes
+        mark = self.mark({("b1", "g1"): 1, ("b2", "g1"): 1}, {("b1", "g1"): "5/2"})
+        check_phase_invariants(3, mark)
+
+    def test_drift_above_n_delta_raises(self):
+        mark = self.mark({("b1", "g1"): 1}, {("b1", "g1"): 1, ("b2", "g1"): 2})
+        with pytest.raises(SolverError, match="drifted 2 > 3/2"):
+            check_phase_invariants(3, mark)
 
 
 class TestRunWeak:
