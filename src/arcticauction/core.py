@@ -56,8 +56,12 @@ def parse_rational(value: object) -> Fraction:
         match = _RATIONAL_RE.match(value.strip())
         if match is None:
             raise InstanceError(f"not a rational: {value!r}")
-        num = int(match.group(1))
-        den = int(match.group(2)) if match.group(2) else 1
+        try:
+            num = int(match.group(1))
+            den = int(match.group(2)) if match.group(2) else 1
+        except ValueError as exc:
+            # CPython refuses int strings beyond sys.get_int_max_str_digits()
+            raise InstanceError(f"number too long: {exc}") from None
         if den == 0:
             raise InstanceError(f"zero denominator: {value!r}")
         return Fraction(num, den)
@@ -71,12 +75,14 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarketInstance:
     """Immutable problem statement: buyers, goods, budgets, sparse utilities.
 
     ``buyers`` and ``goods`` keep document order; ``utilities`` holds only
-    strictly positive entries (absence means zero utility).
+    strictly positive entries (absence means zero utility).  The positions
+    and the adjacency tuples are derived once at construction, which is
+    sound only because the instance never changes afterwards.
     """
 
     buyers: tuple[str, ...]
@@ -85,11 +91,30 @@ class MarketInstance:
     utilities: dict[tuple[str, str], Fraction]
     buyer_pos: dict[str, int] = field(init=False, repr=False)
     good_pos: dict[str, int] = field(init=False, repr=False)
+    _goods_of: dict[str, tuple[str, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _buyers_of: dict[str, tuple[str, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        self.buyer_pos = {b: k for k, b in enumerate(self.buyers)}
-        self.good_pos = {g: k for k, g in enumerate(self.goods)}
+        buyer_pos = {b: k for k, b in enumerate(self.buyers)}
+        good_pos = {g: k for k, g in enumerate(self.goods)}
+        object.__setattr__(self, "buyer_pos", buyer_pos)
+        object.__setattr__(self, "good_pos", good_pos)
         self._validate()
+        goods_of: dict[str, list[str]] = {b: [] for b in self.buyers}
+        buyers_of: dict[str, list[str]] = {g: [] for g in self.goods}
+        for b, g in self.edges():
+            goods_of[b].append(g)
+            buyers_of[g].append(b)
+        object.__setattr__(
+            self, "_goods_of", {b: tuple(gs) for b, gs in goods_of.items()}
+        )
+        object.__setattr__(
+            self, "_buyers_of", {g: tuple(bs) for g, bs in buyers_of.items()}
+        )
 
     def _validate(self) -> None:
         if len(self.buyer_pos) != len(self.buyers):
@@ -117,13 +142,13 @@ class MarketInstance:
             if g not in valued_goods:
                 raise InstanceError(f"isolated good {g}")
 
-    def goods_of(self, buyer: str) -> list[str]:
+    def goods_of(self, buyer: str) -> tuple[str, ...]:
         """Goods this buyer values, in document order."""
-        return [g for g in self.goods if (buyer, g) in self.utilities]
+        return self._goods_of[buyer]
 
-    def buyers_of(self, good: str) -> list[str]:
+    def buyers_of(self, good: str) -> tuple[str, ...]:
         """Buyers valuing this good, in document order."""
-        return [b for b in self.buyers if (b, good) in self.utilities]
+        return self._buyers_of[good]
 
     def edges(self) -> list[tuple[str, str]]:
         """Positive-utility pairs in canonical (buyer, good) document order."""
@@ -203,10 +228,12 @@ def default_magnitude(inst: MarketInstance, divisor: int = 10**6) -> Fraction:
     return Fraction(1, 2 * stats.n * stats.m * divisor) / stats.u_max
 
 
-# Resolution of the random offsets drawn for the perturbation.  Must exceed
-# the number of utility entries (distinct draws); kept small because the
-# offsets' denominators feed the d_bound of the perturbed instance and thus
-# the number of halving phases the weak solver runs.
+# Resolution of the random offsets drawn for the perturbation.  Kept small
+# because the offsets' denominators feed the d_bound of the perturbed
+# instance and thus the number of halving phases the weak solver runs.  The
+# draws must be distinct, so a market with m >= 2**13 utility entries uses
+# the smallest power of two above m instead; below that every perturbed
+# instance is the same as with the fixed resolution.
 EPSILON_RESOLUTION = 1 << 13
 
 
@@ -222,11 +249,12 @@ def perturb(inst: MarketInstance, cfg: PerturbationConfig) -> MarketInstance:
     if cfg.magnitude == 0:
         return inst
     edges = inst.edges()
+    resolution = max(EPSILON_RESOLUTION, 1 << len(edges).bit_length())
     rng = random.Random(cfg.seed)
-    numerators = rng.sample(range(1, EPSILON_RESOLUTION), len(edges))
+    numerators = rng.sample(range(1, resolution), len(edges))
     utilities = dict(inst.utilities)
     for edge, a in zip(edges, numerators):
-        eps = Fraction(a, EPSILON_RESOLUTION)
+        eps = Fraction(a, resolution)
         utilities[edge] = inst.utilities[edge] * (1 + cfg.magnitude * eps)
     return MarketInstance(
         buyers=inst.buyers,
@@ -279,6 +307,6 @@ def load_instance(path: str) -> MarketInstance:
             doc = json.load(handle)
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long JSON integer
         raise InstanceError(f"cannot parse {path}: {exc}") from exc
     return instance_from_document(doc)

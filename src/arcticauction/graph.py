@@ -2,14 +2,17 @@
 
 Nodes of the bipartite market graph are tagged tuples ``("B", buyer_id)``
 and ``("G", good_id)`` so buyer and good ids may collide without ambiguity.
-Every function here is a pure function of immutable snapshots, and every
-traversal runs in canonical (document) order, which makes the solvers
-deterministic.
+The free functions on prices and edge sets are pure.  The state views
+(:func:`state_alphas`, :func:`state_equality_graph`) are not: they keep
+their data on the :class:`MarketState` and update it in place from the
+state's record of touched items.  Every traversal runs in canonical
+(document) order, which makes the solvers deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,42 +43,51 @@ def edge_key(inst: MarketInstance, edge: Edge) -> tuple[int, int]:
     return (inst.buyer_pos[edge[0]], inst.good_pos[edge[1]])
 
 
+_ZERO = Fraction(0)
+
+Touch = tuple[str, object]  # ("buyer", b) | ("good", g) | ("edge", e) | ("price", g)
+
+
 @dataclass
 class MarketState:
     """Evolving solver state: prices, sparse spending, refunds.
 
     ``spending`` stores only nonzero entries.  Per-buyer and per-good sums
-    are maintained incrementally, and prices carry a version counter so the
-    equality graph and bang-per-buck values can be cached between price
-    changes; mutate prices only through :meth:`scale_prices`.
+    are maintained incrementally.  Mutate the state only through
+    :meth:`add_spending`, :meth:`add_refund` and :meth:`scale_prices`: each
+    records what it touched, and the derived views (bang-per-buck, the
+    equality graph, the solvers' potential and feasibility checks) catch up
+    from that record through :meth:`changes` instead of re-deriving
+    everything.  A view keeps its data in ``views`` under its own name.
     """
 
     prices: dict[str, Fraction]
     spending: dict[Edge, Fraction]
     refunds: dict[str, Fraction]
-    price_version: int = field(default=0, repr=False)
     _spent: dict[str, Fraction] = field(default_factory=dict, repr=False)
     _inflow: dict[str, Fraction] = field(default_factory=dict, repr=False)
-    _eq_cache: tuple[int, set[Edge]] | None = field(default=None, repr=False)
-    _alpha_cache: tuple[int, dict[str, Fraction]] | None = field(
-        default=None, repr=False
-    )
+    views: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
+    # each touched item once, with the clock of its latest touch; a view's
+    # cursor is the clock value from which on it has not seen the record
+    _touched: dict[Touch, int] = field(default_factory=dict, repr=False, compare=False)
+    _clock: int = field(default=0, repr=False, compare=False)
+    _cursors: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._spent = {}
         self._inflow = {}
         for (b, g), v in self.spending.items():
-            self._spent[b] = self._spent.get(b, Fraction(0)) + v
-            self._inflow[g] = self._inflow.get(g, Fraction(0)) + v
+            self._spent[b] = self._spent.get(b, _ZERO) + v
+            self._inflow[g] = self._inflow.get(g, _ZERO) + v
 
     def spent_by(self, buyer: str) -> Fraction:
-        return self._spent.get(buyer, Fraction(0))
+        return self._spent.get(buyer, _ZERO)
 
     def inflow(self, good: str) -> Fraction:
-        return self._inflow.get(good, Fraction(0))
+        return self._inflow.get(good, _ZERO)
 
     def effective_budget(self, inst: MarketInstance, buyer: str) -> Fraction:
-        return inst.budgets[buyer] - self.refunds.get(buyer, Fraction(0))
+        return inst.budgets[buyer] - self.refunds.get(buyer, _ZERO)
 
     def effective_cash(self, inst: MarketInstance, buyer: str) -> Fraction:
         return self.effective_budget(inst, buyer) - self.spent_by(buyer)
@@ -84,7 +96,7 @@ class MarketState:
         return self.inflow(good) - self.prices[good]
 
     def add_spending(self, edge: Edge, delta: Fraction) -> None:
-        new = self.spending.get(edge, Fraction(0)) + delta
+        new = self.spending.get(edge, _ZERO) + delta
         if new < 0:
             raise ValueError(f"negative spending on {edge}")
         if new == 0:
@@ -92,63 +104,148 @@ class MarketState:
         else:
             self.spending[edge] = new
         b, g = edge
-        self._spent[b] = self._spent.get(b, Fraction(0)) + delta
-        self._inflow[g] = self._inflow.get(g, Fraction(0)) + delta
+        self._spent[b] = self._spent.get(b, _ZERO) + delta
+        self._inflow[g] = self._inflow.get(g, _ZERO) + delta
+        self._touch([("edge", edge), ("buyer", b), ("good", g)])
 
     def add_refund(self, buyer: str, delta: Fraction) -> None:
-        self.refunds[buyer] = self.refunds.get(buyer, Fraction(0)) + delta
+        self.refunds[buyer] = self.refunds.get(buyer, _ZERO) + delta
+        self._touch([("buyer", buyer)])
 
     def scale_prices(self, goods: list[str] | set[str], factor: Fraction) -> None:
         for g in goods:
             self.prices[g] *= factor
-        self.price_version += 1
+        self._touch([("price", g) for g in goods])
+
+    def _touch(self, items: list[Touch]) -> None:
+        if not self._cursors:
+            return  # no view reads the record yet
+        touched = self._touched
+        for item in items:
+            touched.pop(item, None)
+            touched[item] = self._clock
+        self._clock += 1
+
+    def changes(self, view: str) -> list[Touch] | None:
+        """Items touched since ``view`` last asked, each once; None on its
+        first call, when it must start over.
+
+        The record is trimmed once every view has caught up, and it never
+        holds an item twice, so it stays bounded by the size of the market.
+        """
+        since = self._cursors.get(view)
+        if since == self._clock:
+            return []
+        self._cursors[view] = self._clock
+        if since is None:
+            touched = None
+        else:
+            touched = [item for item, clock in self._touched.items() if clock >= since]
+        if all(cursor == self._clock for cursor in self._cursors.values()):
+            self._touched.clear()
+        return touched
+
+
+def _best_goods(ratios: Iterable[tuple[str, Fraction]]) -> tuple[Fraction, list[str]]:
+    """Best ratio among a buyer's ``(good, ratio)`` pairs and the goods
+    achieving it, in the pairs' order."""
+    best: Fraction | None = None
+    goods: list[str] = []
+    for g, ratio in ratios:
+        if best is None or ratio > best:
+            best, goods = ratio, [g]
+        elif ratio == best:
+            goods.append(g)
+    if best is None:
+        raise ValueError("buyer values no good")
+    return best, goods
+
+
+def _price_ratios(
+    inst: MarketInstance, prices: dict[str, Fraction], buyer: str
+) -> Iterator[tuple[str, Fraction]]:
+    for g in inst.goods_of(buyer):
+        yield g, inst.utilities[(buyer, g)] / prices[g]
 
 
 def bang_per_buck(inst: MarketInstance, prices: dict[str, Fraction], buyer: str) -> Fraction:
     """Best utility-per-dollar of ``buyer`` at the given prices."""
-    best: Fraction | None = None
-    for g in inst.goods_of(buyer):
-        ratio = inst.utilities[(buyer, g)] / prices[g]
-        if best is None or ratio > best:
-            best = ratio
-    if best is None:
-        raise ValueError(f"buyer {buyer} values no good")
-    return best
+    return _best_goods(_price_ratios(inst, prices, buyer))[0]
 
 
 def equality_graph(inst: MarketInstance, prices: dict[str, Fraction]) -> set[Edge]:
     """Pairs achieving the buyer's best bang-per-buck, compared exactly."""
-    edges: set[Edge] = set()
-    for b in inst.buyers:
-        best: Fraction | None = None
-        row: list[tuple[str, Fraction]] = []
-        for g in inst.goods_of(b):
-            ratio = inst.utilities[(b, g)] / prices[g]
-            row.append((g, ratio))
-            if best is None or ratio > best:
-                best = ratio
-        for g, ratio in row:
-            if ratio == best:
-                edges.add((b, g))
-    return edges
+    return {
+        (b, g)
+        for b in inst.buyers
+        for g in _best_goods(_price_ratios(inst, prices, b))[1]
+    }
+
+
+class _BangPerBuckView:
+    """Every edge's ratio, every buyer's best ratio and equality edges, and
+    the equality graph they make up, kept current with the prices."""
+
+    __slots__ = ("ratios", "alphas", "rows", "edges")
+
+    def __init__(self, ratios: dict[Edge, Fraction]) -> None:
+        self.ratios = ratios
+        self.alphas: dict[str, Fraction] = {}
+        self.rows: dict[str, tuple[Edge, ...]] = {}
+        self.edges: set[Edge] = set()
+
+
+_BANG_PER_BUCK = "bang_per_buck"
+
+
+def _bang_per_buck_view(inst: MarketInstance, state: MarketState) -> _BangPerBuckView:
+    """The state's bang-per-buck view, updated for the buyers next to the
+    goods re-priced since the last call (all buyers on the first call)."""
+    touched = state.changes(_BANG_PER_BUCK)
+    prices = state.prices
+    utilities = inst.utilities
+    if touched is None:
+        view = _BangPerBuckView({e: u / prices[e[1]] for e, u in utilities.items()})
+        state.views[_BANG_PER_BUCK] = view
+        buyers: Iterable[str] = inst.buyers
+    else:
+        view = state.views[_BANG_PER_BUCK]
+        repriced = [g for kind, g in touched if kind == "price"]
+        if not repriced:
+            return view
+        buyers = set()
+        for g in repriced:
+            price = prices[g]
+            for b in inst.buyers_of(g):
+                view.ratios[(b, g)] = utilities[(b, g)] / price
+                buyers.add(b)
+    ratios = view.ratios
+    for b in buyers:
+        alpha, goods = _best_goods((g, ratios[(b, g)]) for g in inst.goods_of(b))
+        row = tuple((b, g) for g in goods)
+        view.alphas[b] = alpha
+        view.edges.difference_update(view.rows.get(b, ()))
+        view.edges.update(row)
+        view.rows[b] = row
+    return view
 
 
 def state_equality_graph(inst: MarketInstance, state: MarketState) -> set[Edge]:
-    """Equality graph of the state's prices, cached until prices change."""
-    if state._eq_cache is not None and state._eq_cache[0] == state.price_version:
-        return state._eq_cache[1]
-    edges = equality_graph(inst, state.prices)
-    state._eq_cache = (state.price_version, edges)
-    return edges
+    """Equality graph of the state's prices.
+
+    The set is the view itself, updated in place as prices change; copy it
+    to keep a snapshot.
+    """
+    return _bang_per_buck_view(inst, state).edges
 
 
 def state_alphas(inst: MarketInstance, state: MarketState) -> dict[str, Fraction]:
-    """Every buyer's best bang-per-buck, cached until prices change."""
-    if state._alpha_cache is not None and state._alpha_cache[0] == state.price_version:
-        return state._alpha_cache[1]
-    alphas = {b: bang_per_buck(inst, state.prices, b) for b in inst.buyers}
-    state._alpha_cache = (state.price_version, alphas)
-    return alphas
+    """Every buyer's best bang-per-buck at the state's prices.
+
+    The dict is the view itself, updated in place as prices change; copy it
+    to keep a snapshot.
+    """
+    return _bang_per_buck_view(inst, state).alphas
 
 
 @dataclass

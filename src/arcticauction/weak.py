@@ -18,6 +18,7 @@ iterations; both facts are asserted at run time.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -52,6 +53,12 @@ class ScalingState:
     capacity ``delta`` to serve as backward arcs), and flagged goods may
     temporarily hold a small negative backorder until one augmentation
     repairs them.
+
+    The feasibility check and the potential keep data on ``market`` that
+    is valid for one ``delta``; replacing ``market`` or ``delta`` makes
+    their next call start over.  The other fields change only
+    together with those two, or for a good a mutator touched since the
+    last check (as the deficit repair does).
     """
 
     market: MarketState
@@ -112,21 +119,68 @@ def network(inst: MarketInstance, ss: ScalingState) -> ResidualNetwork:
     }
     return ResidualNetwork(
         inst=inst,
-        forward_arcs=state_equality_graph(inst, ss.market),
+        forward_arcs=set(state_equality_graph(inst, ss.market)),
         backward_arcs=backward,
     )
 
 
+_FEASIBLE = "feasible"
+
+
 def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, list[str]]:
-    """Check all feasibility conditions exactly; collect violations."""
+    """Check all feasibility conditions exactly; collect violations.
+
+    After a passing check at the same scale on the same market object, only
+    what the market's mutators touched since is checked again: touched
+    buyers and goods, touched edges, and every spending edge of a buyer next
+    to a re-priced good (a price change can take it off the equality
+    graph).  Everything else is unchanged and passed before.  Any other
+    call, and any call that finds a violation, sweeps the whole state, so
+    the report is always that of a full sweep.
+    """
+    market = ss.market
+    touched = market.changes(_FEASIBLE)
+    if touched is not None and market.views.get(_FEASIBLE) is ss.delta:
+        buyers: list[str] = []
+        goods: list[str] = []
+        edges: set[Edge] = set()
+        for kind, item in touched:
+            if kind == "buyer":
+                buyers.append(item)
+            elif kind == "edge":
+                edges.add(item)
+            else:
+                goods.append(item)
+                if kind == "price":
+                    for b in inst.buyers_of(item):
+                        edges.update(
+                            (b, h) for h in inst.goods_of(b) if (b, h) in market.spending
+                        )
+        if not _violations(inst, ss, buyers, goods, edges):
+            return (True, [])
+    violations = _violations(inst, ss, inst.buyers, inst.goods, market.spending)
+    # the scale the state last passed at; None after a failure
+    market.views[_FEASIBLE] = None if violations else ss.delta
+    return (not violations, violations)
+
+
+def _violations(
+    inst: MarketInstance,
+    ss: ScalingState,
+    buyers: Iterable[str],
+    goods: Iterable[str],
+    edges: Iterable[Edge],
+) -> list[str]:
+    """Feasibility violations of the given buyers, goods and edges, in the
+    order given; edges without spending are skipped."""
     violations: list[str] = []
     market = ss.market
-    for b in inst.buyers:
+    for b in buyers:
         if market.refunds.get(b, Fraction(0)) < 0:
             violations.append(f"negative refund at buyer {b}")
         if market.effective_cash(inst, b) < 0:
             violations.append(f"negative effective cash at buyer {b}")
-    for g in inst.goods:
+    for g in goods:
         price = market.prices[g]
         if price < 0:
             violations.append(f"negative price at good {g}")
@@ -137,35 +191,77 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
                 violations.append(f"backorder {backorder} below bound at good {g}")
             if backorder > ss.delta:
                 violations.append(f"backorder {backorder} above delta at good {g}")
-    eq_edges = state_equality_graph(inst, market)
     delta = ss.delta
-    for edge, value in market.spending.items():
+    eq_edges: set[Edge] | None = None
+    for edge in edges:
+        value = market.spending.get(edge)
+        if value is None:
+            continue
         if value < 0:
             violations.append(f"negative spending on {edge}")
         if value > 0:
+            if eq_edges is None:
+                eq_edges = state_equality_graph(inst, market)
             if edge not in eq_edges:
                 violations.append(f"spending off equality graph on {edge}")
             if edge not in ss.exempt_edges and (
                 value.numerator * delta.denominator
             ) % (value.denominator * delta.numerator) != 0:
                 violations.append(f"spending on {edge} not a multiple of delta")
-    return (not violations, violations)
+    return violations
+
+
+class _CashTerms:
+    """``floor(cash / delta)`` of every buyer at one scale, their sum, and
+    the buyers whose term is positive (cash at least ``delta``)."""
+
+    __slots__ = ("delta", "terms", "total", "holding")
+
+    def __init__(self, delta: Fraction) -> None:
+        self.delta = delta
+        self.terms: dict[str, int] = {}
+        self.total = 0
+        self.holding: set[str] = set()
+
+
+_CASH_TERMS = "cash_terms"
+
+
+def _cash_terms(inst: MarketInstance, ss: ScalingState) -> _CashTerms:
+    """The potential's terms, recomputed for the buyers touched since the
+    last call; for every buyer after a change of scale or market."""
+    market = ss.market
+    touched = market.changes(_CASH_TERMS)
+    if touched is None or market.views[_CASH_TERMS].delta is not ss.delta:
+        view = market.views[_CASH_TERMS] = _CashTerms(ss.delta)
+        buyers: Iterable[str] = inst.buyers
+    else:
+        view = market.views[_CASH_TERMS]
+        buyers = [b for kind, b in touched if kind == "buyer"]
+    for b in buyers:
+        term = market.effective_cash(inst, b) // ss.delta
+        view.total += term - view.terms.get(b, 0)
+        view.terms[b] = term
+        if term > 0:
+            view.holding.add(b)
+        else:
+            view.holding.discard(b)
+    return view
+
+
+def _buyers_holding_delta(inst: MarketInstance, ss: ScalingState) -> list[str]:
+    """Buyers with effective cash at least ``delta``, in canonical order."""
+    return sorted(_cash_terms(inst, ss).holding, key=inst.buyer_pos.__getitem__)
 
 
 def is_delta_optimal(inst: MarketInstance, ss: ScalingState) -> bool:
     """All effective cash strictly below the scale."""
-    return all(
-        ss.market.effective_cash(inst, b) < ss.delta for b in inst.buyers
-    )
+    return not _cash_terms(inst, ss).holding
 
 
 def potential(inst: MarketInstance, ss: ScalingState) -> int:
     """Sum over buyers of ``floor(cash / delta)``; drops by one per step."""
-    total = 0
-    for b in inst.buyers:
-        cash = ss.market.effective_cash(inst, b)
-        total += cash // ss.delta
-    return int(total)
+    return _cash_terms(inst, ss).total
 
 
 def update_price_star(
@@ -248,11 +344,7 @@ def price_and_augment(inst: MarketInstance, ss: ScalingState) -> tuple[str, str]
     """
     market = ss.market
     alphas = state_alphas(inst, market)
-    roots = [
-        b
-        for b in inst.buyers
-        if market.effective_cash(inst, b) >= ss.delta and alphas[b] > 1
-    ]
+    roots = [b for b in _buyers_holding_delta(inst, ss) if alphas[b] > 1]
     if not roots:
         raise SolverError("no eligible root buyer for price-and-augment")
     root = roots[0]
@@ -304,11 +396,7 @@ def refund_step(inst: MarketInstance, ss: ScalingState, buyer: str) -> None:
 def inner_step(inst: MarketInstance, ss: ScalingState) -> tuple[str, str]:
     """One inner-loop iteration: refund step if possible, else augment."""
     alphas = state_alphas(inst, ss.market)
-    refundable = [
-        b
-        for b in inst.buyers
-        if ss.market.effective_cash(inst, b) >= ss.delta and alphas[b] <= 1
-    ]
+    refundable = [b for b in _buyers_holding_delta(inst, ss) if alphas[b] <= 1]
     if refundable:
         refund_step(inst, ss, refundable[0])
         return "refund", refundable[0]
@@ -329,7 +417,7 @@ def halve_and_repair(inst: MarketInstance, ss: ScalingState) -> None:
         if ss.market.backorder(g) > half:
             donors = [
                 b
-                for b in inst.buyers
+                for b in inst.buyers_of(g)
                 if ss.market.spending.get((b, g), Fraction(0)) >= half
             ]
             if not donors:

@@ -250,6 +250,22 @@ def edited_solution(edit):
     return argv
 
 
+def long_budget(budget):
+    """A ``solve`` command line for an instance whose budget is ``budget``."""
+
+    def argv(_, tmp_path):
+        path = tmp_path / "long.json"
+        doc = {
+            "buyers": [{"id": "b1", "budget": "BUDGET"}],
+            "goods": ["g1"],
+            "utilities": [["b1", "g1", "2"]],
+        }
+        path.write_text(json.dumps(doc).replace('"BUDGET"', budget))
+        return ["solve", "--input", str(path)]
+
+    return argv
+
+
 def weak_section(doc):
     return doc["results"]["weak"]["equilibrium"]
 
@@ -275,6 +291,9 @@ INPUT_ERRORS = {
         "-1",
     ],
     "bench_size_one": lambda *_: ["bench", "--sizes", "1"],
+    # one digit past CPython's default int-string limit of 4300 digits
+    "solve_budget_string_4301_digits": long_budget('"' + "1" * 4301 + '"'),
+    "solve_budget_number_4301_digits": long_budget("1" * 4301),
 }
 
 

@@ -1,5 +1,7 @@
 """Instance loading, derived constants, and the perturbation layer."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,6 +40,11 @@ class TestParseRational:
     def test_roundtrip(self):
         for v in [Fraction(3), Fraction(-7, 2), Fraction(0)]:
             assert parse_rational(format_rational(v)) == v
+
+    @pytest.mark.parametrize("text", ["1" * 4301, "1/" + "1" * 4301])
+    def test_rejects_numbers_past_the_int_string_limit(self, text):
+        with pytest.raises(InstanceError, match="too long"):
+            parse_rational(text)
 
 
 class TestLoadInstance:
@@ -164,6 +171,31 @@ class TestPerturb:
         with pytest.raises(InstanceError, match="too large"):
             perturb(inst, cfg)
 
+    def test_offsets_match_the_fixed_resolution_below_its_size(self):
+        inst = make_instance({"b1": 4}, {("b1", "g1"): 2, ("b1", "g2"): 6})
+        sigma = Fraction(1, 1000)
+        out = perturb(inst, PerturbationConfig(magnitude=sigma, seed=7))
+        draws = random.Random(7).sample(range(1, EPSILON_RESOLUTION), 2)
+        for edge, a in zip(inst.edges(), draws):
+            expected = inst.utilities[edge] * (1 + sigma * Fraction(a, EPSILON_RESOLUTION))
+            assert out.utilities[edge] == expected
+
+    def test_dense_market_beyond_the_resolution(self):
+        # 91 x 91 = 8281 edges, more than EPSILON_RESOLUTION - 1 distinct draws
+        buyers = tuple(f"b{k}" for k in range(91))
+        goods = tuple(f"g{k}" for k in range(91))
+        inst = MarketInstance(
+            buyers=buyers,
+            goods=goods,
+            budgets={b: Fraction(1) for b in buyers},
+            utilities={(b, g): Fraction(1) for b in buyers for g in goods},
+        )
+        sigma = Fraction(1, 10**9)
+        out = perturb(inst, PerturbationConfig(magnitude=sigma, seed=0))
+        offsets = {(u - 1) / sigma for u in out.utilities.values()}
+        assert len(offsets) == len(inst.utilities) == 8281
+        assert all(0 < eps < 1 for eps in offsets)
+
     def test_offsets_have_bounded_denominator(self):
         inst = make_instance({"b1": 1}, {("b1", "g1"): 2})
         cfg = PerturbationConfig(magnitude=Fraction(1, 100), seed=3)
@@ -201,6 +233,20 @@ def test_document_order_is_canonical():
     )
     assert inst.buyer_pos == {"z": 0, "a": 1}
     assert inst.good_pos == {"g2": 0, "g1": 1}
+
+
+def test_instance_is_frozen_with_adjacency_in_document_order():
+    inst = make_instance(
+        {"b2": 1, "b1": 1},
+        {("b1", "g2"): 1, ("b2", "g1"): 1, ("b1", "g1"): 1},
+    )
+    assert inst.goods == ("g2", "g1")
+    assert inst.goods_of("b1") == ("g2", "g1")
+    assert inst.goods_of("b2") == ("g1",)
+    assert inst.buyers_of("g1") == ("b2", "b1")
+    assert inst.buyers_of("g2") == ("b1",)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.buyers = ("b1",)
 
 
 def test_duplicate_good_rejected():

@@ -1,0 +1,283 @@
+"""Incremental views of the market state against direct recomputations.
+
+The potential, the optimality test, bang-per-buck, the equality graph and
+the feasibility check catch up from the record of what the state's
+mutators touched.  These tests recompute each of them from the raw state
+after every solver step and after random mutation sequences, and drive bad
+changes through the mutators to check that the incremental feasibility
+check reports exactly what a full sweep reports.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from arcticauction import strong, weak
+from arcticauction.core import MarketInstance, PerturbationConfig, default_magnitude, perturb
+from arcticauction.graph import MarketState, state_alphas, state_equality_graph
+from arcticauction.randgen import random_instance
+from arcticauction.weak import (
+    ScalingState,
+    is_delta_feasible,
+    is_delta_optimal,
+    potential,
+)
+
+from conftest import lean_sigma, make_instance
+
+
+# --- direct recomputations from the raw state --------------------------------
+
+
+def direct_cash(inst, market, buyer):
+    spent = sum(
+        (v for (b, _), v in market.spending.items() if b == buyer), Fraction(0)
+    )
+    return inst.budgets[buyer] - market.refunds.get(buyer, Fraction(0)) - spent
+
+
+def direct_potential(inst, ss):
+    return sum(
+        (direct_cash(inst, ss.market, b) // ss.delta for b in inst.buyers), 0
+    )
+
+
+def direct_alphas(inst, prices):
+    return {
+        b: max(u / prices[g] for (b2, g), u in inst.utilities.items() if b2 == b)
+        for b in inst.buyers
+    }
+
+
+def direct_equality_graph(inst, prices):
+    alphas = direct_alphas(inst, prices)
+    return {(b, g) for (b, g), u in inst.utilities.items() if u / prices[g] == alphas[b]}
+
+
+def fresh_copy(ss):
+    """The same state in new objects, so its first check is a full sweep."""
+    market = MarketState(
+        prices=dict(ss.market.prices),
+        spending=dict(ss.market.spending),
+        refunds=dict(ss.market.refunds),
+    )
+    return ScalingState(
+        market=market,
+        delta=Fraction(ss.delta),
+        initial_prices=dict(ss.initial_prices),
+        exempt_edges=set(ss.exempt_edges),
+        allowed_deficit=dict(ss.allowed_deficit),
+    )
+
+
+def assert_views_match(inst, ss):
+    prices = ss.market.prices
+    assert potential(inst, ss) == direct_potential(inst, ss)
+    assert is_delta_optimal(inst, ss) == all(
+        direct_cash(inst, ss.market, b) < ss.delta for b in inst.buyers
+    )
+    assert state_alphas(inst, ss.market) == direct_alphas(inst, prices)
+    assert state_equality_graph(inst, ss.market) == direct_equality_graph(inst, prices)
+    assert is_delta_feasible(inst, ss) == is_delta_feasible(inst, fresh_copy(ss))
+
+
+# --- differential: both solvers, checked after every step --------------------
+
+
+@pytest.fixture
+def checked_steps(monkeypatch):
+    """Compare every view with its reference after each recorded step of
+    either solver; yields the list of step kinds seen."""
+    kinds = []
+    original = weak.record_step
+
+    def checked(inst, ss, trace, phase, kind, subject, phi_before):
+        original(inst, ss, trace, phase, kind, subject, phi_before)
+        assert_views_match(inst, ss)
+        kinds.append(kind)
+
+    monkeypatch.setattr(weak, "record_step", checked)
+    monkeypatch.setattr(strong, "record_step", checked)
+    return kinds
+
+
+def wide_instance(seed, n_range=(10, 20), max_exp=14):
+    """A random market with budgets in ``2^0 .. 2^max_exp``; such spreads
+    drive the strong solver into a compressed restart."""
+    rng = random.Random(seed)
+    base = random_instance(rng.randint(*n_range), rng)
+    budgets = {b: Fraction(2 ** rng.randint(0, max_exp)) for b in base.buyers}
+    return MarketInstance(
+        buyers=base.buyers, goods=base.goods, budgets=budgets, utilities=base.utilities
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_views_match_after_every_weak_and_strong_step(seed, checked_steps):
+    rng = random.Random(seed)
+    inst = random_instance(rng.randint(4, 6), rng)
+    inst = perturb(inst, PerturbationConfig(magnitude=lean_sigma(inst), seed=seed))
+    weak_eq, _ = weak.run_weak(inst)
+    weak_steps = len(checked_steps)
+    strong_eq, _ = strong.run_strong(inst)
+    assert weak_steps > 0 and len(checked_steps) > weak_steps
+    assert weak_eq.prices == strong_eq.prices
+
+
+def test_views_match_through_a_compressed_restart(checked_steps):
+    inst = wide_instance(14)
+    inst = perturb(inst, PerturbationConfig(magnitude=default_magnitude(inst), seed=0))
+    _, trace = strong.run_strong(inst)
+    assert trace.restart_count >= 1
+    assert "restart_repair" in checked_steps
+    assert any(mark.entry == "restart" and mark.iterations for mark in trace.phases)
+
+
+# --- random mutation sequences, views read at random moments ------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_views_catch_up_over_any_number_of_mutations(seed):
+    rng = random.Random(100 + seed)
+    inst = random_instance(rng.randint(4, 8), rng)
+    edges = inst.edges()
+    market = MarketState(
+        prices={g: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for g in inst.goods},
+        spending={},
+        refunds={},
+    )
+    ss = ScalingState(market=market, delta=Fraction(1, 4), initial_prices={})
+    ss.initial_prices = dict(market.prices)
+    for step in range(300):
+        move = rng.randrange(4)
+        if move == 0:
+            market.add_spending(rng.choice(edges), Fraction(rng.randint(1, 3), 4))
+        elif move == 1 and market.spending:
+            edge = rng.choice(sorted(market.spending))
+            market.add_spending(edge, -min(market.spending[edge], Fraction(1, 4)))
+        elif move == 2:
+            market.add_refund(rng.choice(inst.buyers), Fraction(rng.randint(0, 2), 8))
+        else:
+            goods = rng.sample(inst.goods, rng.randint(1, len(inst.goods)))
+            market.scale_prices(goods, Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+        if step % 50 == 49:
+            ss.delta = ss.delta / 2
+        if rng.random() < 0.3:
+            assert_views_match(inst, ss)
+        # the record never holds an item twice
+        assert len(market._touched) <= len(inst.buyers) + 2 * len(inst.goods) + len(edges)
+    assert_views_match(inst, ss)
+
+
+def test_record_is_trimmed_once_every_view_caught_up():
+    inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
+    ss = ScalingState(
+        market=MarketState(prices={"g1": Fraction(1)}, spending={}, refunds={}),
+        delta=Fraction(1),
+        initial_prices={"g1": Fraction(1)},
+    )
+    assert_views_match(inst, ss)
+    ss.market.add_spending(("b1", "g1"), Fraction(1))
+    ss.market.add_refund("b1", Fraction(1))
+    assert ss.market._touched
+    assert_views_match(inst, ss)
+    assert not ss.market._touched
+
+
+# --- fault injection through the public mutators ------------------------------
+
+
+def checked_state(inst, prices, spending, delta, initial=None):
+    """A feasible state whose feasibility check has run once, so the next
+    check is incremental."""
+    market = MarketState(
+        prices={g: Fraction(v) for g, v in prices.items()},
+        spending={e: Fraction(v) for e, v in spending.items()},
+        refunds={},
+    )
+    ss = ScalingState(
+        market=market,
+        delta=Fraction(delta),
+        initial_prices={g: Fraction(v) for g, v in (initial or prices).items()},
+    )
+    assert is_delta_feasible(inst, ss) == (True, [])
+    return ss
+
+
+def assert_reported_like_full_sweep(inst, ss, expected):
+    ok, violations = is_delta_feasible(inst, ss)
+    assert not ok
+    assert expected in violations
+    assert (ok, violations) == is_delta_feasible(inst, fresh_copy(ss))
+    # a second call on the unchanged state reports the same again
+    assert is_delta_feasible(inst, ss) == (ok, violations)
+
+
+def test_non_multiple_spending_on_touched_edge():
+    inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g2"): 2})
+    ss = checked_state(inst, {"g1": 1, "g2": 1}, {("b1", "g1"): 1}, delta=1)
+    ss.market.add_spending(("b1", "g1"), Fraction(1, 2))
+    assert_reported_like_full_sweep(
+        inst, ss, "spending on ('b1', 'g1') not a multiple of delta"
+    )
+
+
+def two_buyer_market():
+    # b1 is indifferent between g1 and g2, b2 between g1 and g3
+    inst = make_instance(
+        {"b1": 4, "b2": 4},
+        {("b1", "g1"): 2, ("b1", "g2"): 2, ("b2", "g1"): 1, ("b2", "g3"): 1},
+    )
+    ss = checked_state(
+        inst,
+        {"g1": 1, "g2": 1, "g3": 1},
+        {("b1", "g1"): 1, ("b1", "g2"): 1, ("b2", "g3"): 1},
+        delta=1,
+        initial={"g1": 4, "g2": 4, "g3": 4},
+    )
+    return inst, ss
+
+
+def test_price_raise_takes_untouched_spending_edge_off_equality_graph():
+    inst, ss = two_buyer_market()
+    # raising g1 leaves b1's spending on g1 off her best ratio; no mutator
+    # touched that edge, only the price of its good
+    ss.market.scale_prices(["g1"], Fraction(2))
+    assert_reported_like_full_sweep(
+        inst, ss, "spending off equality graph on ('b1', 'g1')"
+    )
+
+
+def test_price_change_at_another_good_of_the_buyer():
+    inst, ss = two_buyer_market()
+    # cheaper g2 lifts b1's best ratio, so her spending on g1, whose price
+    # did not move, leaves the equality graph
+    ss.market.scale_prices(["g2"], Fraction(1, 2))
+    assert_reported_like_full_sweep(
+        inst, ss, "spending off equality graph on ('b1', 'g1')"
+    )
+
+
+def test_raised_good_backorder_drops_below_bound_by_spending():
+    inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
+    ss = checked_state(inst, {"g1": 2}, {("b1", "g1"): 2}, delta=1, initial={"g1": 1})
+    ss.market.add_spending(("b1", "g1"), Fraction(-1))
+    assert_reported_like_full_sweep(inst, ss, "backorder -1 below bound at good g1")
+
+
+def test_raised_good_backorder_drops_below_bound_by_price():
+    inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
+    ss = checked_state(inst, {"g1": 2}, {("b1", "g1"): 2}, delta=1, initial={"g1": 1})
+    ss.market.scale_prices(["g1"], Fraction(3, 2))
+    assert_reported_like_full_sweep(inst, ss, "backorder -1 below bound at good g1")
+
+
+def test_change_of_scale_sweeps_everything():
+    inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g2"): 2})
+    ss = checked_state(inst, {"g1": 1, "g2": 1}, {("b2", "g2"): 1}, delta=1)
+    # nothing is touched, but the untouched spending is no multiple of 3/4
+    ss.delta = Fraction(3, 4)
+    assert_reported_like_full_sweep(
+        inst, ss, "spending on ('b2', 'g2') not a multiple of delta"
+    )
