@@ -1,17 +1,18 @@
-"""Bang-per-buck, equality graph, reachability, and the forest walker.
+"""Bang-per-buck, equality graph, residual reachability, and the forest walker.
 
 Nodes of the bipartite market graph are tagged tuples ``("B", buyer_id)``
 and ``("G", good_id)`` so buyer and good ids may collide without ambiguity.
 The free functions on prices and edge sets are pure.  The state views
 (:func:`state_alphas`, :func:`state_equality_graph`) are not: they keep
 their data on the :class:`MarketState` and update it in place from the
-state's record of touched items.  Every traversal runs in canonical
-(document) order, which makes the solvers deterministic.
+state's record of touched items.  The residual search (:func:`reach`)
+builds no graph of its own: it walks the instance's adjacency and keeps
+the arcs whose edges lie in the sets the caller passes.  Every traversal
+runs in canonical (document) order, which makes the solvers deterministic.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,14 +29,6 @@ def buyer_node(buyer: str) -> Node:
 
 def good_node(good: str) -> Node:
     return ("G", good)
-
-
-def node_key(inst: MarketInstance, node: Node) -> tuple[int, int]:
-    """Canonical sort key: buyers first, then goods, each in document order."""
-    kind, name = node
-    if kind == "B":
-        return (0, inst.buyer_pos[name])
-    return (1, inst.good_pos[name])
 
 
 def edge_key(inst: MarketInstance, edge: Edge) -> tuple[int, int]:
@@ -248,74 +241,52 @@ def state_alphas(inst: MarketInstance, state: MarketState) -> dict[str, Fraction
     return _bang_per_buck_view(inst, state).alphas
 
 
-@dataclass
-class ResidualNetwork:
-    """Directed graph used for augmentation and reachability.
+def reach(
+    inst: MarketInstance, roots: list[Node], forward: set[Edge], backward: set[Edge]
+) -> dict[Node, Node | None]:
+    """Breadth-first search of the residual graph from ``roots``.
 
-    Forward arcs run buyer -> good along equality edges; backward arcs run
-    good -> buyer along edges that can give back spending (positive in the
-    weak variant, abundant in the scale-restricted variant).
+    Arcs run buyer -> good along ``forward`` edges and good -> buyer along
+    ``backward`` edges; both are read straight off the instance's adjacency,
+    so with ``roots`` in canonical order (buyers, then goods, each in
+    document order) the search visits in canonical order too.  Returns the
+    predecessor map of the BFS tree: its keys are the reached nodes, and
+    the roots map to None.
     """
-
-    inst: MarketInstance
-    forward_arcs: set[Edge]
-    backward_arcs: set[Edge]
-    _adjacency: dict[Node, list[Node]] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        adj: dict[Node, list[Node]] = {}
-        for b, g in self.forward_arcs:
-            adj.setdefault(buyer_node(b), []).append(good_node(g))
-        for b, g in self.backward_arcs:
-            adj.setdefault(good_node(g), []).append(buyer_node(b))
-        for node in adj:
-            adj[node].sort(key=lambda v: node_key(self.inst, v))
-        self._adjacency = adj
-
-    def neighbors(self, node: Node) -> list[Node]:
-        return self._adjacency.get(node, [])
-
-    def bfs(self, roots: list[Node]) -> tuple[set[Node], dict[Node, Node]]:
-        """Breadth-first search from ``roots`` in canonical node order.
-
-        Returns the reachable set and the predecessor map of the BFS tree
-        (roots have no predecessor), which downstream code uses to extract
-        deterministic shortest augmenting paths.
-        """
-        seen: set[Node] = set(roots)
-        parent: dict[Node, Node] = {}
-        queue = deque(sorted(roots, key=lambda v: node_key(self.inst, v)))
-        while queue:
-            node = queue.popleft()
-            for nxt in self.neighbors(node):
-                if nxt not in seen:
-                    seen.add(nxt)
+    parent: dict[Node, Node | None] = dict.fromkeys(roots)
+    queue = list(parent)
+    for node in queue:  # the list grows while it is walked
+        kind, name = node
+        if kind == "B":
+            for g in inst.goods_of(name):
+                nxt = ("G", g)
+                if nxt not in parent and (name, g) in forward:
                     parent[nxt] = node
                     queue.append(nxt)
-        return seen, parent
+        else:
+            for b in inst.buyers_of(name):
+                nxt = ("B", b)
+                if nxt not in parent and (b, name) in backward:
+                    parent[nxt] = node
+                    queue.append(nxt)
+    return parent
 
-    def path_to(self, roots: list[Node], target: Node) -> list[Node]:
-        """BFS-tree path from the root set to ``target`` (inclusive)."""
-        seen, parent = self.bfs(roots)
-        if target not in seen:
-            raise ValueError(f"{target} unreachable from roots")
-        path = [target]
-        while path[-1] in parent:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
+
+def path_to(parent: dict[Node, Node | None], target: Node) -> list[Node]:
+    """Path of a :func:`reach` tree from its root to ``target`` (inclusive)."""
+    if target not in parent:
+        raise ValueError(f"{target} unreachable from roots")
+    path = [target]
+    while (prev := parent[path[-1]]) is not None:
+        path.append(prev)
+    path.reverse()
+    return path
 
 
 def abundant_edges(state: MarketState, n: int, delta: Fraction) -> set[Edge]:
     """Edges carrying at least ``3 * n * delta`` of spending (inclusive)."""
     threshold = 3 * n * delta
     return {e for e, v in state.spending.items() if v >= threshold}
-
-
-def active_set(network: ResidualNetwork, roots: list[Node]) -> set[Node]:
-    """All nodes reachable from any root by directed arcs (roots included)."""
-    seen, _ = network.bfs(roots)
-    return seen
 
 
 @dataclass

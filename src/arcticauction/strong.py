@@ -31,16 +31,18 @@ from arcticauction.graph import (
     Component,
     Edge,
     MarketState,
-    ResidualNetwork,
+    Node,
     abundant_edges,
-    active_set,
     bang_per_buck,
     buyer_node,
     component_key,
     components_of_abundant_graph,
     equality_graph,
     good_node,
+    path_to,
+    reach,
     state_alphas,
+    state_equality_graph,
 )
 from arcticauction.oracle import Certificate, Equilibrium, check_equilibrium
 from arcticauction.trace import PhaseTrace, RestartRecord
@@ -51,9 +53,9 @@ from arcticauction.weak import (
     halve_and_repair,
     initialize,
     is_delta_feasible,
-    network,
     potential,
     record_step,
+    returnable_edges,
     run_inner_loop,
     start_phase,
 )
@@ -178,8 +180,7 @@ def special_price(
                         edge[0],
                         edge[1],
                     )
-        net = ResidualNetwork(inst=inst, forward_arcs=eq, backward_arcs=abundant)
-        active = active_set(net, root_component.nodes())
+        active = reach(inst, root_component.nodes(), eq, abundant)
         active_buyer_set = {name for kind, name in active if kind == "B"}
         active_good_set = {name for kind, name in active if kind == "G"}
         for comp in components:
@@ -488,21 +489,21 @@ def _repair_deficits(
     comp_of_good = {g: comp for comp in components for g in comp.goods}
     deficits = [g for g in inst.goods if market.backorder(g) < 0]
     for g in deficits:
-        net = network(inst, ss)
-        reachable: list[tuple[int, int, str]] = []
+        forward, backward = state_equality_graph(inst, market), returnable_edges(ss)
+        trees: dict[str, dict[Node, Node | None]] = {}
         for b in inst.buyers:
             if market.effective_cash(inst, b) < ss.delta:
                 continue
-            seen = active_set(net, [buyer_node(b)])
-            if good_node(g) in seen:
-                same = 0 if b in comp_of_good[g].buyers else 1
-                reachable.append((same, inst.buyer_pos[b], b))
-        if not reachable:
+            tree = reach(inst, [buyer_node(b)], forward, backward)
+            if good_node(g) in tree:
+                trees[b] = tree
+        if not trees:
             continue
-        _, _, root = min(reachable)
+        root = min(
+            trees, key=lambda b: (b not in comp_of_good[g].buyers, inst.buyer_pos[b])
+        )
         phi_before = potential(inst, ss)
-        path = net.path_to([buyer_node(root)], good_node(g))
-        _augment(ss, path, ss.delta)
+        _augment(ss, path_to(trees[root], good_node(g)), ss.delta)
         record_step(inst, ss, trace, phase, "restart_repair", g, phi_before)
         ss.allowed_deficit.pop(g, None)
 

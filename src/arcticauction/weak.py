@@ -29,11 +29,11 @@ from arcticauction.graph import (
     Edge,
     MarketState,
     Node,
-    ResidualNetwork,
     abundant_edges,
-    active_set,
     buyer_node,
     good_node,
+    path_to,
+    reach,
     state_alphas,
     state_equality_graph,
 )
@@ -110,18 +110,15 @@ def initialize(inst: MarketInstance) -> ScalingState:
     return ScalingState(market=market, delta=stats.e_max, initial_prices=dict(prices))
 
 
-def network(inst: MarketInstance, ss: ScalingState) -> ResidualNetwork:
-    """Residual network; exempt edges need capacity ``delta`` to reverse."""
-    backward = {
+def returnable_edges(ss: ScalingState) -> set[Edge]:
+    """Edges whose spending can give ``delta`` back, the good -> buyer arcs
+    of the residual graph: positive, and at least ``delta`` on an exempt
+    edge."""
+    return {
         e
         for e, v in ss.market.spending.items()
         if v > 0 and (e not in ss.exempt_edges or v >= ss.delta)
     }
-    return ResidualNetwork(
-        inst=inst,
-        forward_arcs=set(state_equality_graph(inst, ss.market)),
-        backward_arcs=backward,
-    )
 
 
 _FEASIBLE = "feasible"
@@ -265,10 +262,13 @@ def potential(inst: MarketInstance, ss: ScalingState) -> int:
 
 
 def update_price_star(
-    inst: MarketInstance, ss: ScalingState, root: str
+    inst: MarketInstance, ss: ScalingState, active: dict[Node, Node | None]
 ) -> StopEvent:
     """Scale active-good prices by the smallest multiplier firing an event.
 
+    ``active`` is the residual search tree of the root buyer at the
+    current state, as :func:`price_and_augment` gets it from
+    :func:`~arcticauction.graph.reach`; its nodes are the active set.
     Candidate events, each an exact root of a linear equation in the
     multiplier ``q``: a new equality edge from an active buyer to an
     inactive good, an active good's backorder reaching zero, or an active
@@ -276,8 +276,6 @@ def update_price_star(
     then by canonical subject.  Prices are updated in place.
     """
     market = ss.market
-    net = network(inst, ss)
-    active = active_set(net, [buyer_node(root)])
     active_buyers = sorted(
         (name for kind, name in active if kind == "B"),
         key=lambda b: inst.buyer_pos[b],
@@ -347,11 +345,12 @@ def price_and_augment(inst: MarketInstance, ss: ScalingState) -> tuple[str, str]
     roots = [b for b in _buyers_holding_delta(inst, ss) if alphas[b] > 1]
     if not roots:
         raise SolverError("no eligible root buyer for price-and-augment")
-    root = roots[0]
+    start = [buyer_node(roots[0])]
 
     while True:
-        net = network(inst, ss)
-        active = active_set(net, [buyer_node(root)])
+        active = reach(
+            inst, start, state_equality_graph(inst, market), returnable_edges(ss)
+        )
         alphas = state_alphas(inst, market)
         critical = sorted(
             (name for kind, name in active if kind == "B" and alphas[name] == 1),
@@ -367,17 +366,15 @@ def price_and_augment(inst: MarketInstance, ss: ScalingState) -> tuple[str, str]
         )
         if critical or exhausted:
             break
-        update_price_star(inst, ss, root)
+        update_price_star(inst, ss, active)
 
     if critical:
         terminal = critical[0]
-        path = net.path_to([buyer_node(root)], buyer_node(terminal))
-        _augment(ss, path, ss.delta)
+        _augment(ss, path_to(active, buyer_node(terminal)), ss.delta)
         market.add_refund(terminal, ss.delta)
         return "augment_buyer", terminal
     terminal = exhausted[0]
-    path = net.path_to([buyer_node(root)], good_node(terminal))
-    _augment(ss, path, ss.delta)
+    _augment(ss, path_to(active, good_node(terminal)), ss.delta)
     return "augment_good", terminal
 
 

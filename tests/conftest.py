@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from arcticauction.core import MarketInstance, compute_stats
+from arcticauction.randgen import random_instance
 
 
 def make_instance(budgets, utilities) -> MarketInstance:
@@ -21,6 +23,17 @@ def make_instance(budgets, utilities) -> MarketInstance:
         goods=tuple(goods_seen),
         budgets={b: Fraction(v) for b, v in budgets.items()},
         utilities={k: Fraction(v) for k, v in utilities.items()},
+    )
+
+
+def wide_instance(seed, n_range=(10, 20), max_exp=14):
+    """A random market with budgets in ``2^0 .. 2^max_exp``; such spreads
+    drive the strong solver into a compressed restart."""
+    rng = random.Random(seed)
+    base = random_instance(rng.randint(*n_range), rng)
+    budgets = {b: Fraction(2 ** rng.randint(0, max_exp)) for b in base.buyers}
+    return MarketInstance(
+        buyers=base.buyers, goods=base.goods, budgets=budgets, utilities=base.utilities
     )
 
 

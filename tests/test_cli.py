@@ -1,11 +1,30 @@
 """Command-line interface: solve, verify, bench, determinism."""
 
 import csv
+import hashlib
 import json
+import random
 
 import pytest
 
 from arcticauction.cli import main
+from arcticauction.core import format_rational
+from arcticauction.randgen import random_instance
+
+from conftest import wide_instance
+
+
+def instance_doc(inst):
+    """The instance document of a market, every number written exactly."""
+    return {
+        "buyers": [
+            {"id": b, "budget": format_rational(inst.budgets[b])} for b in inst.buyers
+        ],
+        "goods": list(inst.goods),
+        "utilities": [
+            [b, g, format_rational(inst.utilities[(b, g)])] for b, g in inst.edges()
+        ],
+    }
 
 
 @pytest.fixture
@@ -177,6 +196,41 @@ class TestDeterminism:
             assert code == 0
             paths.append((out.read_bytes(), trace.read_bytes()))
         assert paths[0] == paths[1]
+
+    # SHA-256 of the result document and of the trace.  The wide-budget
+    # market makes a compressed restart and restart_repair steps.  A change
+    # that moves these digests changes the solver's output, not only its
+    # speed.
+    @pytest.mark.parametrize(
+        "market, algorithm, digests",
+        [
+            (
+                lambda: wide_instance(14),
+                "strong",
+                (
+                    "e2c5928e37705ccb9e02c47d090aa3ca37bfe7aa43d988bbddaf5b5125fb563d",
+                    "0da56f980270be9c65bdb2a661a294327bc86d2776c1321d0bf7e216b3b64bb2",
+                ),
+            ),
+            (
+                lambda: random_instance(6, random.Random(0)),
+                "both",
+                (
+                    "2a483d59dfece955cbc972ebb900f2b17823e3e8a68adc688f3a351cb74d8d19",
+                    "8c50d737081cffc202cb1782b43ff52e58f92e9fec0bf187a1d4132d3a5b18ce",
+                ),
+            ),
+        ],
+        ids=["wide14_strong", "random6_both"],
+    )
+    def test_output_and_trace_bytes_are_pinned(self, market, algorithm, digests, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance_doc(market())))
+        out, trace = tmp_path / "out.json", tmp_path / "trace.jsonl"
+        argv = ["solve", "--input", str(path), "--algorithm", algorithm, "--seed", "0"]
+        assert main(argv + ["--output", str(out), "--trace", str(trace)]) == 0
+        got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, trace))
+        assert got == digests
 
 
 class TestBench:

@@ -1,17 +1,17 @@
-"""Bang-per-buck, equality graph, residual networks, the forest walker."""
+"""Bang-per-buck, equality graph, residual search, the forest walker."""
 
-from collections import Counter
+import random
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcticauction.core import MarketInstance
 from arcticauction.graph import (
     MarketState,
-    ResidualNetwork,
     abundant_edges,
-    active_set,
     bang_per_buck,
     buyer_node,
     component_key,
@@ -20,9 +20,12 @@ from arcticauction.graph import (
     edge_key,
     equality_graph,
     good_node,
-    node_key,
+    path_to,
+    reach,
+    state_equality_graph,
 )
-from arcticauction.weak import ScalingState, network
+from arcticauction.randgen import random_instance
+from arcticauction.weak import ScalingState, returnable_edges
 
 from conftest import make_instance
 
@@ -60,19 +63,29 @@ class TestEqualityGraph:
         assert edges == {("b1", "g1"), ("b1", "g2")}
 
 
-def residual_network(inst, state):
-    """The solvers' residual network: backward arcs on positive spending."""
+def canonical_key(inst, node):
+    """Buyers first, then goods, each in document order."""
+    kind, name = node
+    return (0, inst.buyer_pos[name]) if kind == "B" else (1, inst.good_pos[name])
+
+
+def residual_tree(inst, state, roots):
+    """The solvers' residual search: backward arcs on positive spending."""
     ss = ScalingState(market=state, delta=Fraction(1), initial_prices=dict(state.prices))
-    return network(inst, ss)
+    return reach(inst, roots, state_equality_graph(inst, state), returnable_edges(ss))
 
 
-def delta_residual_network(inst, state, n, delta):
-    """The price raiser's network: backward arcs on abundant edges only."""
-    return ResidualNetwork(
-        inst=inst,
-        forward_arcs=equality_graph(inst, state.prices),
-        backward_arcs=abundant_edges(state, n, delta),
+def delta_residual_tree(inst, state, n, delta, roots):
+    """The price raiser's search: backward arcs on abundant edges only."""
+    return reach(
+        inst, roots, equality_graph(inst, state.prices), abundant_edges(state, n, delta)
     )
+
+
+def out_arcs(tree, node):
+    """Arcs leaving ``node`` in a search rooted at ``node`` alone: its
+    neighbours, every one of them first reached from the root."""
+    return [v for v, p in tree.items() if p == node]
 
 
 class TestResidualNetwork:
@@ -80,8 +93,8 @@ class TestResidualNetwork:
         state = MarketState(
             prices={"g1": Fraction(1), "g2": Fraction(2)}, spending={}, refunds={}
         )
-        net = residual_network(two_goods, state)
-        assert net.backward_arcs == set()
+        goods = [good_node("g1"), good_node("g2")]
+        assert set(residual_tree(two_goods, state, goods)) == set(goods)
 
     def test_positive_spending_gives_backward_arc(self, two_goods):
         state = MarketState(
@@ -89,8 +102,8 @@ class TestResidualNetwork:
             spending={("b1", "g2"): Fraction(1, 2)},
             refunds={},
         )
-        net = residual_network(two_goods, state)
-        assert ("b1", "g2") in net.backward_arcs
+        tree = residual_tree(two_goods, state, [good_node("g2")])
+        assert tree[buyer_node("b1")] == good_node("g2")
 
     def test_arc_count(self, two_goods):
         state = MarketState(
@@ -98,8 +111,13 @@ class TestResidualNetwork:
             spending={("b1", "g1"): Fraction(1, 4)},
             refunds={},
         )
-        net = residual_network(two_goods, state)
-        assert len(net.forward_arcs) + len(net.backward_arcs) == 2 + 1
+        nodes = [buyer_node("b1"), good_node("g1"), good_node("g2")]
+        arcs = [
+            (node, v)
+            for node in nodes
+            for v in out_arcs(residual_tree(two_goods, state, [node]), node)
+        ]
+        assert len(arcs) == 2 + 1
 
 
 class TestDeltaResidualNetwork:
@@ -114,77 +132,130 @@ class TestDeltaResidualNetwork:
 
     def test_threshold_inclusive(self):
         inst, state = self.setup_state(Fraction(6))  # 3*n*delta = 6
-        net = delta_residual_network(inst, state, 2, Fraction(1))
-        assert ("b1", "g1") in net.backward_arcs
+        tree = delta_residual_tree(inst, state, 2, Fraction(1), [good_node("g1")])
+        assert buyer_node("b1") in tree
 
     def test_below_threshold_excluded(self):
         inst, state = self.setup_state(Fraction(5))
-        net = delta_residual_network(inst, state, 2, Fraction(1))
-        assert ("b1", "g1") not in net.backward_arcs
+        tree = delta_residual_tree(inst, state, 2, Fraction(1), [good_node("g1")])
+        assert buyer_node("b1") not in tree
 
     def test_halving_delta_grows_arcs(self):
         inst, state = self.setup_state(Fraction(5))
-        small = delta_residual_network(inst, state, 2, Fraction(1, 2))
-        assert ("b1", "g1") in small.backward_arcs
+        tree = delta_residual_tree(inst, state, 2, Fraction(1, 2), [good_node("g1")])
+        assert buyer_node("b1") in tree
 
 
 class TestActiveSet:
     def test_no_arcs(self):
         inst = make_instance({"b1": 1}, {("b1", "g1"): 1})
-        net = ResidualNetwork(inst=inst, forward_arcs=set(), backward_arcs=set())
         roots = [buyer_node("b1")]
-        assert active_set(net, roots) == set(roots)
+        assert reach(inst, roots, set(), set()) == {buyer_node("b1"): None}
 
     def test_chain(self):
         inst = make_instance(
             {"b1": 1, "b2": 1}, {("b1", "g1"): 1, ("b2", "g1"): 1}
         )
-        net = ResidualNetwork(
-            inst=inst,
-            forward_arcs={("b1", "g1")},
-            backward_arcs={("b2", "g1")},
-        )
-        reached = active_set(net, [buyer_node("b1")])
-        assert reached == {buyer_node("b1"), good_node("g1"), buyer_node("b2")}
+        tree = reach(inst, [buyer_node("b1")], {("b1", "g1")}, {("b2", "g1")})
+        assert tree == {
+            buyer_node("b1"): None,
+            good_node("g1"): buyer_node("b1"),
+            buyer_node("b2"): good_node("g1"),
+        }
 
     def test_idempotent(self):
         inst = make_instance(
             {"b1": 1, "b2": 1}, {("b1", "g1"): 1, ("b2", "g1"): 1}
         )
-        net = ResidualNetwork(
-            inst=inst, forward_arcs={("b1", "g1")}, backward_arcs={("b2", "g1")}
-        )
-        once = active_set(net, [buyer_node("b1")])
-        again = active_set(net, sorted(once))
-        assert once == again
+        forward, backward = {("b1", "g1")}, {("b2", "g1")}
+        once = reach(inst, [buyer_node("b1")], forward, backward)
+        roots = sorted(once, key=lambda v: canonical_key(inst, v))
+        assert set(reach(inst, roots, forward, backward)) == set(once)
 
     def test_monotone_in_arcs(self):
         inst = make_instance(
             {"b1": 1, "b2": 1}, {("b1", "g1"): 1, ("b2", "g1"): 1}
         )
-        small = ResidualNetwork(
-            inst=inst, forward_arcs={("b1", "g1")}, backward_arcs=set()
-        )
-        large = ResidualNetwork(
-            inst=inst, forward_arcs={("b1", "g1")}, backward_arcs={("b2", "g1")}
-        )
-        assert active_set(small, [buyer_node("b1")]) <= active_set(
-            large, [buyer_node("b1")]
-        )
+        small = reach(inst, [buyer_node("b1")], {("b1", "g1")}, set())
+        large = reach(inst, [buyer_node("b1")], {("b1", "g1")}, {("b2", "g1")})
+        assert set(small) <= set(large)
 
     def test_bfs_path_deterministic(self):
         inst = make_instance(
             {"b1": 1, "b2": 1},
             {("b1", "g1"): 1, ("b1", "g2"): 1, ("b2", "g1"): 1, ("b2", "g2"): 1},
         )
-        net = ResidualNetwork(
-            inst=inst,
-            forward_arcs={("b1", "g1"), ("b1", "g2"), ("b2", "g2")},
-            backward_arcs={("b2", "g1"), ("b2", "g2")},
+        tree = reach(
+            inst,
+            [buyer_node("b1")],
+            {("b1", "g1"), ("b1", "g2"), ("b2", "g2")},
+            {("b2", "g1"), ("b2", "g2")},
         )
-        path = net.path_to([buyer_node("b1")], buyer_node("b2"))
         # two shortest paths exist; canonical order picks the one through g1
-        assert path == [buyer_node("b1"), good_node("g1"), buyer_node("b2")]
+        assert path_to(tree, buyer_node("b2")) == [
+            buyer_node("b1"),
+            good_node("g1"),
+            buyer_node("b2"),
+        ]
+        with pytest.raises(ValueError):
+            path_to(reach(inst, [buyer_node("b1")], set(), set()), buyer_node("b2"))
+
+
+def reference_reach(inst, roots, forward, backward):
+    """The search ``reach`` replaced: arcs copied into adjacency lists
+    sorted by canonical key, roots sorted the same way.  Returns the
+    reached set and the predecessor map of the non-root nodes."""
+    adjacency = {}
+    for b, g in forward:
+        adjacency.setdefault(buyer_node(b), []).append(good_node(g))
+    for b, g in backward:
+        adjacency.setdefault(good_node(g), []).append(buyer_node(b))
+    for targets in adjacency.values():
+        targets.sort(key=lambda v: canonical_key(inst, v))
+    seen = set(roots)
+    parent = {}
+    queue = deque(sorted(roots, key=lambda v: canonical_key(inst, v)))
+    while queue:
+        node = queue.popleft()
+        for nxt in adjacency.get(node, []):
+            if nxt not in seen:
+                seen.add(nxt)
+                parent[nxt] = node
+                queue.append(nxt)
+    return seen, parent
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=24),
+    seed=st.integers(min_value=0, max_value=10**6),
+    data=st.data(),
+)
+def test_reach_matches_sorted_adjacency_search(n, seed, data):
+    # document order is shuffled away from the ids' string order, so only
+    # the instance's own order can give the reference's tie-breaks
+    base = random_instance(n, random.Random(seed))
+    inst = MarketInstance(
+        buyers=tuple(data.draw(st.permutations(base.buyers))),
+        goods=tuple(data.draw(st.permutations(base.goods))),
+        budgets=base.budgets,
+        utilities=base.utilities,
+    )
+    edges = sorted(inst.utilities)
+    forward = data.draw(st.sets(st.sampled_from(edges)))
+    backward = data.draw(st.sets(st.sampled_from(edges)))
+    nodes = [buyer_node(b) for b in inst.buyers] + [good_node(g) for g in inst.goods]
+    picked = data.draw(st.sets(st.sampled_from(nodes), min_size=1))
+    roots = [v for v in nodes if v in picked]  # canonical order
+
+    tree = reach(inst, roots, forward, backward)
+    seen, parent = reference_reach(inst, roots, forward, backward)
+    assert set(tree) == seen
+    assert {v: p for v, p in tree.items() if p is not None} == parent
+    assert all(tree[root] is None for root in roots)
+    for node in tree:
+        path = path_to(tree, node)
+        assert path[0] in picked and path[-1] == node
 
 
 class TestComponents:
@@ -358,7 +429,7 @@ def test_walker_matches_union_find(n_buyers, n_goods, data):
 
     nodes = [buyer_node(b) for b in buyers] + [good_node(g) for g in goods]
     assert {frozenset(c.nodes()) for c in comps} == union_find_partition(nodes, edges)
-    firsts = [node_key(inst, c.nodes()[0]) for c in comps]
+    firsts = [canonical_key(inst, c.nodes()[0]) for c in comps]
     assert firsts == sorted(firsts)
     for comp in comps:
         assert list(comp.edges) == sorted(comp.edges, key=lambda e: edge_key(inst, e))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from arcticauction import strong, weak
-from arcticauction.core import MarketInstance, PerturbationConfig, default_magnitude, perturb
+from arcticauction.core import PerturbationConfig, default_magnitude, perturb
 from arcticauction.graph import MarketState, state_alphas, state_equality_graph
 from arcticauction.randgen import random_instance
 from arcticauction.weak import (
@@ -24,7 +24,7 @@ from arcticauction.weak import (
     potential,
 )
 
-from conftest import lean_sigma, make_instance
+from conftest import lean_sigma, make_instance, wide_instance
 
 
 # --- direct recomputations from the raw state --------------------------------
@@ -100,17 +100,6 @@ def checked_steps(monkeypatch):
     monkeypatch.setattr(weak, "record_step", checked)
     monkeypatch.setattr(strong, "record_step", checked)
     return kinds
-
-
-def wide_instance(seed, n_range=(10, 20), max_exp=14):
-    """A random market with budgets in ``2^0 .. 2^max_exp``; such spreads
-    drive the strong solver into a compressed restart."""
-    rng = random.Random(seed)
-    base = random_instance(rng.randint(*n_range), rng)
-    budgets = {b: Fraction(2 ** rng.randint(0, max_exp)) for b in base.buyers}
-    return MarketInstance(
-        buyers=base.buyers, goods=base.goods, budgets=budgets, utilities=base.utilities
-    )
 
 
 @pytest.mark.parametrize("seed", range(4))

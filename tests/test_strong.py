@@ -9,13 +9,12 @@ from arcticauction.errors import SolverError
 from arcticauction.graph import (
     MarketState,
     abundant_edges,
-    active_set,
     buyer_node,
     component_key,
     components_of_abundant_graph,
     equality_graph,
     good_node,
-    ResidualNetwork,
+    reach,
 )
 from arcticauction.oracle import (
     AuxNetwork,
@@ -266,13 +265,8 @@ class TestAuxNetwork:
         other = next(c for c in comps if "b2" in c.buyers)
         result = special_price(inst, ss, comps, root, Fraction(0))
         eq = equality_graph(inst, result.prices)
-        net = ResidualNetwork(
-            inst=inst,
-            forward_arcs=eq,
-            backward_arcs=abundant_edges(ss.market, n, ss.delta),
-        )
-        reached = active_set(net, root.nodes())
-        assert set(other.nodes()) <= reached, "run must have activated the other component"
+        reached = reach(inst, root.nodes(), eq, abundant_edges(ss.market, n, ss.delta))
+        assert set(other.nodes()) <= set(reached), "run must have activated the other component"
         aux = AuxNetwork.build(inst, abundant_edges(ss.market, n, ss.delta))
         mu = max_multiplier(aux, good_node(root.root_good), good_node(other.root_good))
         assert mu == result.prices[other.root_good] / result.prices[root.root_good]

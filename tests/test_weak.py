@@ -6,7 +6,7 @@ import pytest
 
 from arcticauction.core import PerturbationConfig, ceil_log2, compute_stats, perturb
 from arcticauction.errors import SolverError
-from arcticauction.graph import MarketState
+from arcticauction.graph import MarketState, buyer_node, reach, state_equality_graph
 from arcticauction.oracle import brute_force_equilibrium
 from arcticauction.trace import PhaseMark
 from arcticauction.weak import (
@@ -20,6 +20,7 @@ from arcticauction.weak import (
     potential,
     price_and_augment,
     refund_step,
+    returnable_edges,
     run_weak,
     update_price_star,
 )
@@ -148,6 +149,13 @@ class TestPotential:
         assert potential(inst, ss) == 0
 
 
+def active_tree(inst, ss, root):
+    """The root buyer's residual search tree, as price_and_augment gets it."""
+    return reach(
+        inst, [buyer_node(root)], state_equality_graph(inst, ss.market), returnable_edges(ss)
+    )
+
+
 class TestUpdatePriceStar:
     def test_buyer_critical_event(self):
         # active good's backorder event sits at q = 4, the buyer's
@@ -156,7 +164,7 @@ class TestUpdatePriceStar:
         ss = scaling_state(
             inst, {"g1": 1}, {("b1", "g1"): 4}, {}, delta=1, initial={"g1": 1}
         )
-        event = update_price_star(inst, ss, "b1")
+        event = update_price_star(inst, ss, active_tree(inst, ss, "b1"))
         assert event.kind == "buyer_critical"
         assert event.multiplier == 3
         assert ss.market.prices["g1"] == 3
@@ -165,7 +173,7 @@ class TestUpdatePriceStar:
         # inflow twice the price and bang-per-buck far away: q = 2
         inst = make_instance({"b1": 16}, {("b1", "g1"): 12})
         ss = scaling_state(inst, {"g1": 1}, {("b1", "g1"): 2}, {}, delta=1)
-        event = update_price_star(inst, ss, "b1")
+        event = update_price_star(inst, ss, active_tree(inst, ss, "b1"))
         assert event.kind == "good_backorder_zero"
         assert event.multiplier == 2
 
@@ -182,7 +190,7 @@ class TestUpdatePriceStar:
             {},
             delta=1,
         )
-        event = update_price_star(inst, ss, "b1")
+        event = update_price_star(inst, ss, active_tree(inst, ss, "b1"))
         assert event.kind == "new_equality_edge"
         assert event.subject == ("b1", "g2")
         assert event.multiplier == Fraction(3, 2)
