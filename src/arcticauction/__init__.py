@@ -15,8 +15,9 @@ exact market equilibria (prices, spending, refunds) over rational numbers:
 * :mod:`arcticauction.oracle` -- an independent certifier and a brute-force
   support-enumeration solver used to cross-check both algorithms.
 
-All arithmetic is exact (``fractions.Fraction``); there is no floating
-point anywhere in the solver path.
+All arithmetic is exact (:class:`arcticauction.rational.Q`, a
+``fractions.Fraction`` with faster operators); there is no floating point
+anywhere in the solver path.
 """
 
 from arcticauction.core import (

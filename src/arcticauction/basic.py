@@ -33,6 +33,7 @@ from arcticauction.graph import (
     components_of_edges,
     good_node,
 )
+from arcticauction.rational import ONE, ZERO
 
 
 class SupportError(ValueError):
@@ -102,7 +103,7 @@ def _price_multipliers(
     for b, g in comp.edges:
         adjacency.setdefault(buyer_node(b), []).append(good_node(g))
         adjacency.setdefault(good_node(g), []).append(buyer_node(b))
-    multipliers: dict[str, Fraction] = {root[1]: Fraction(1)}
+    multipliers: dict[str, Fraction] = {root[1]: ONE}
     # inverse ratio per buyer: m_j / U_ij, equal over the buyer's edges
     inverse_ratio: dict[str, Fraction] = {}
     stack = [root]
@@ -144,7 +145,7 @@ def _component_solution(
 
     root = good_node(goods[0])
     multipliers = _price_multipliers(inst, comp, root)
-    mult_total = sum(multipliers.values(), Fraction(0))
+    mult_total = sum(multipliers.values(), ZERO)
 
     def ratios_at_least_one(
         prices: dict[str, Fraction], skip: str | None = None
@@ -154,7 +155,7 @@ def _component_solution(
         return all(inst.utilities[e] >= prices[e[1]] for e in edges if e[0] != skip)
 
     # budget-balanced case: component budgets fix the scale
-    budget_total = sum((budgets[b] for b in buyers), Fraction(0))
+    budget_total = sum((budgets[b] for b in buyers), ZERO)
     scale = budget_total / mult_total
     if scale > 0:
         prices = {g: multipliers[g] * scale for g in goods}
@@ -164,7 +165,7 @@ def _component_solution(
         if leftover != 0:
             raise SupportError("budget-balanced system inconsistent")
         if all(v >= 0 for v in flows.values()) and ratios_at_least_one(prices):
-            return prices, flows, {b: Fraction(0) for b in buyers}
+            return prices, flows, {b: ZERO for b in buyers}
 
     # anchored case: some buyer's support ratio is pinned to exactly one
     for anchor in buyers:
@@ -175,18 +176,18 @@ def _component_solution(
         supply = {b: budgets[b] for b in buyers if b != anchor}
         demand = {g: prices[g] for g in goods}
         flows, leftover = solve_tree_flow(
-            edges, {**supply, anchor: Fraction(0)}, demand, buyer_node(anchor)
+            edges, {**supply, anchor: ZERO}, demand, buyer_node(anchor)
         )
         # leftover at the anchor is -sum of its support spending; its refund
         # is whatever the budget leaves after that spending
-        anchor_spent = sum((flows[e] for e in anchor_edges), Fraction(0))
+        anchor_spent = sum((flows[e] for e in anchor_edges), ZERO)
         refund = budgets[anchor] - anchor_spent
         if (
             all(v >= 0 for v in flows.values())
             and refund >= 0
             and ratios_at_least_one(prices, skip=anchor)
         ):
-            refunds = {b: Fraction(0) for b in buyers}
+            refunds = {b: ZERO for b in buyers}
             refunds[anchor] = refund
             return prices, flows, refunds
     raise SupportError("no consistent case for support component")

@@ -1,8 +1,12 @@
 """Market instances, exact rational parsing, derived constants, perturbation.
 
-Every numeric quantity in the package is a :class:`fractions.Fraction`:
-arbitrary precision, always normalized, exact comparisons.  There is no
-floating-point fallback anywhere.
+Every numeric quantity in the package is exact: a
+:class:`~arcticauction.rational.Q`, the package's subclass of
+:class:`fractions.Fraction` with the same values and faster operators.
+Instances convert their budgets and utilities to ``Q`` and
+:func:`parse_rational` returns one, so every number derived from them is a
+``Q`` too: arbitrary precision, always normalized, exact comparisons.
+There is no floating-point fallback anywhere.
 
 A market instance consists of buyers with positive budgets, goods with unit
 supply, and a sparse positive utility matrix.  The document order of buyers
@@ -18,6 +22,8 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from arcticauction.rational import Q
 
 
 class InstanceError(ValueError):
@@ -42,7 +48,7 @@ def ceil_log2(value: Fraction) -> int:
     return k
 
 
-def parse_rational(value: object) -> Fraction:
+def parse_rational(value: object) -> Q:
     """Parse an exact rational from an int or a ``"p"`` / ``"p/q"`` string.
 
     Floats are rejected: accepting them would silently launder binary
@@ -51,7 +57,7 @@ def parse_rational(value: object) -> Fraction:
     if isinstance(value, bool):
         raise InstanceError(f"not a rational: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return Q(value)
     if isinstance(value, str):
         match = _RATIONAL_RE.match(value.strip())
         if match is None:
@@ -64,8 +70,16 @@ def parse_rational(value: object) -> Fraction:
             raise InstanceError(f"number too long: {exc}") from None
         if den == 0:
             raise InstanceError(f"zero denominator: {value!r}")
-        return Fraction(num, den)
+        return Q(num, den)
     raise InstanceError(f"not a rational: {value!r}")
+
+
+def _exact(value: object) -> Q:
+    """An int or ``Fraction`` value as a ``Q``; anything else is no exact
+    rational."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise InstanceError(f"not an exact rational: {value!r}")
+    return Q(value)
 
 
 def format_rational(value: Fraction) -> str:
@@ -80,7 +94,9 @@ class MarketInstance:
     """Immutable problem statement: buyers, goods, budgets, sparse utilities.
 
     ``buyers`` and ``goods`` keep document order; ``utilities`` holds only
-    strictly positive entries (absence means zero utility).  The positions
+    strictly positive entries (absence means zero utility).  Budgets and
+    utilities may be given as ints or ``Fraction`` values; the instance
+    keeps them as ``Q``, in dicts of its own.  The positions
     and the adjacency tuples are derived once at construction, which is
     sound only because the instance never changes afterwards.
     """
@@ -99,6 +115,9 @@ class MarketInstance:
     )
 
     def __post_init__(self) -> None:
+        for name in ("budgets", "utilities"):
+            values = getattr(self, name)
+            object.__setattr__(self, name, {k: _exact(v) for k, v in values.items()})
         buyer_pos = {b: k for k, b in enumerate(self.buyers)}
         good_pos = {g: k for k, g in enumerate(self.goods)}
         object.__setattr__(self, "buyer_pos", buyer_pos)
@@ -192,7 +211,7 @@ def compute_stats(inst: MarketInstance) -> InstanceStats:
         lcm_den = math.lcm(lcm_den, u.denominator)
     for e in inst.budgets.values():
         lcm_den = math.lcm(lcm_den, e.denominator)
-    d_bound = Fraction(n) * (u_max * lcm_den) ** n
+    d_bound = Q(n) * (u_max * lcm_den) ** n
     return InstanceStats(n=n, m=m, u_max=u_max, e_max=e_max, d_bound=d_bound)
 
 
@@ -214,7 +233,7 @@ class PerturbationConfig:
         if self.magnitude == 0:
             return
         stats = compute_stats(inst)
-        bound = Fraction(1, 2 * stats.n * stats.m) / stats.u_max
+        bound = Q(1, 2 * stats.n * stats.m) / stats.u_max
         if self.magnitude >= bound:
             raise InstanceError(
                 f"perturbation magnitude {self.magnitude} too large;"
@@ -225,7 +244,7 @@ class PerturbationConfig:
 def default_magnitude(inst: MarketInstance, divisor: int = 10**6) -> Fraction:
     """Default sigma: the invariant bound ``1/(2*n*m*u_max)`` scaled down."""
     stats = compute_stats(inst)
-    return Fraction(1, 2 * stats.n * stats.m * divisor) / stats.u_max
+    return Q(1, 2 * stats.n * stats.m * divisor) / stats.u_max
 
 
 # Resolution of the random offsets drawn for the perturbation.  Kept small
@@ -254,7 +273,7 @@ def perturb(inst: MarketInstance, cfg: PerturbationConfig) -> MarketInstance:
     numerators = rng.sample(range(1, resolution), len(edges))
     utilities = dict(inst.utilities)
     for edge, a in zip(edges, numerators):
-        eps = Fraction(a, resolution)
+        eps = Q(a, resolution)
         utilities[edge] = inst.utilities[edge] * (1 + cfg.magnitude * eps)
     return MarketInstance(
         buyers=inst.buyers,

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from arcticauction.core import MarketInstance
+from arcticauction.rational import ZERO
 
 Node = tuple[str, str]
 Edge = tuple[str, str]  # (buyer_id, good_id)
@@ -35,8 +36,6 @@ def edge_key(inst: MarketInstance, edge: Edge) -> tuple[int, int]:
     """Canonical sort key: by buyer, then by good, in document order."""
     return (inst.buyer_pos[edge[0]], inst.good_pos[edge[1]])
 
-
-_ZERO = Fraction(0)
 
 Touch = tuple[str, object]  # ("buyer", b) | ("good", g) | ("edge", e) | ("price", g)
 
@@ -70,17 +69,17 @@ class MarketState:
         self._spent = {}
         self._inflow = {}
         for (b, g), v in self.spending.items():
-            self._spent[b] = self._spent.get(b, _ZERO) + v
-            self._inflow[g] = self._inflow.get(g, _ZERO) + v
+            self._spent[b] = self._spent.get(b, ZERO) + v
+            self._inflow[g] = self._inflow.get(g, ZERO) + v
 
     def spent_by(self, buyer: str) -> Fraction:
-        return self._spent.get(buyer, _ZERO)
+        return self._spent.get(buyer, ZERO)
 
     def inflow(self, good: str) -> Fraction:
-        return self._inflow.get(good, _ZERO)
+        return self._inflow.get(good, ZERO)
 
     def effective_budget(self, inst: MarketInstance, buyer: str) -> Fraction:
-        return inst.budgets[buyer] - self.refunds.get(buyer, _ZERO)
+        return inst.budgets[buyer] - self.refunds.get(buyer, ZERO)
 
     def effective_cash(self, inst: MarketInstance, buyer: str) -> Fraction:
         return self.effective_budget(inst, buyer) - self.spent_by(buyer)
@@ -89,7 +88,7 @@ class MarketState:
         return self.inflow(good) - self.prices[good]
 
     def add_spending(self, edge: Edge, delta: Fraction) -> None:
-        new = self.spending.get(edge, _ZERO) + delta
+        new = self.spending.get(edge, ZERO) + delta
         if new < 0:
             raise ValueError(f"negative spending on {edge}")
         if new == 0:
@@ -97,12 +96,12 @@ class MarketState:
         else:
             self.spending[edge] = new
         b, g = edge
-        self._spent[b] = self._spent.get(b, _ZERO) + delta
-        self._inflow[g] = self._inflow.get(g, _ZERO) + delta
+        self._spent[b] = self._spent.get(b, ZERO) + delta
+        self._inflow[g] = self._inflow.get(g, ZERO) + delta
         self._touch([("edge", edge), ("buyer", b), ("good", g)])
 
     def add_refund(self, buyer: str, delta: Fraction) -> None:
-        self.refunds[buyer] = self.refunds.get(buyer, _ZERO) + delta
+        self.refunds[buyer] = self.refunds.get(buyer, ZERO) + delta
         self._touch([("buyer", buyer)])
 
     def scale_prices(self, goods: list[str] | set[str], factor: Fraction) -> None:
@@ -315,7 +314,7 @@ class Component:
 
     def surplus(self, inst: MarketInstance, state: MarketState) -> Fraction:
         """Effective budgets of the component's buyers minus its good prices."""
-        total = Fraction(0)
+        total = ZERO
         for b in self.buyers:
             total += state.effective_budget(inst, b)
         for g in self.goods:

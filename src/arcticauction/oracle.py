@@ -29,6 +29,7 @@ from arcticauction.graph import (
     equality_graph,
     good_node,
 )
+from arcticauction.rational import ONE, ZERO
 
 BRUTE_FORCE_MAX_EDGES = 12
 BRUTE_FORCE_MAX_NODES = 8
@@ -74,7 +75,7 @@ class Equilibrium:
         quantities = {
             e: v / state.prices[e[1]] for e, v in state.spending.items() if v != 0
         }
-        refunds = {b: state.refunds.get(b, Fraction(0)) for b in inst.buyers}
+        refunds = {b: state.refunds.get(b, ZERO) for b in inst.buyers}
         return cls(
             prices=dict(state.prices),
             spending={e: v for e, v in state.spending.items() if v != 0},
@@ -105,7 +106,7 @@ def check_equilibrium(
     """
     eff = dict(inst.budgets) if budgets is None else budgets
     for g in inst.goods:
-        if prices.get(g, Fraction(0)) <= 0:
+        if prices.get(g, ZERO) <= 0:
             raise ValueError(f"non-positive price for good {g}")
     for b, _ in spending:
         if b not in inst.buyer_pos:
@@ -116,11 +117,11 @@ def check_equilibrium(
     refund_ok = Condition("refunds_nonnegative", True)
     cash_ok = Condition("budgets_exhausted", True)
     for b in inst.buyers:
-        r = refunds.get(b, Fraction(0))
+        r = refunds.get(b, ZERO)
         if r < 0:
             refund_ok.ok = False
             refund_ok.violations.append(f"buyer {b}: refund {r}")
-        spent = sum((v for (i, _), v in spending.items() if i == b), Fraction(0))
+        spent = sum((v for (i, _), v in spending.items() if i == b), ZERO)
         cash = eff[b] - r - spent
         if cash != 0:
             cash_ok.ok = False
@@ -131,7 +132,7 @@ def check_equilibrium(
     clearing = Condition("market_clearing", True)
     for g in inst.goods:
         backorder = (
-            sum((v for (_, j), v in spending.items() if j == g), Fraction(0))
+            sum((v for (_, j), v in spending.items() if j == g), ZERO)
             - prices[g]
         )
         if backorder != 0:
@@ -159,7 +160,7 @@ def check_equilibrium(
 
     complementarity = Condition("refund_complementarity", True)
     for b in inst.buyers:
-        r = refunds.get(b, Fraction(0))
+        r = refunds.get(b, ZERO)
         if r > 0 and alphas[b] > 1:
             complementarity.ok = False
             complementarity.violations.append(
@@ -282,20 +283,21 @@ def max_multiplier(aux: AuxNetwork, source: Node, sink: Node) -> Fraction | None
     itself.
     """
     n = aux.node_count()
-    best: dict[Node, Fraction] = {source: Fraction(1)}
+    unreached = -ONE
+    best: dict[Node, Fraction] = {source: ONE}
     for _ in range(n - 1):
         changed = False
         for tail, head, weight in aux.arcs:
             if tail in best:
                 value = best[tail] * weight
-                if value > best.get(head, Fraction(-1)):
+                if value > best.get(head, unreached):
                     best[head] = value
                     changed = True
         if not changed:
             break
     else:
         for tail, head, weight in aux.arcs:
-            if tail in best and best[tail] * weight > best.get(head, Fraction(-1)):
+            if tail in best and best[tail] * weight > best.get(head, unreached):
                 raise GenericityError("cycle with weight product above one")
     return best.get(sink)
 
@@ -304,8 +306,8 @@ def assert_cycle_bound(aux: AuxNetwork) -> None:
     """Verify no directed cycle has weight product above one."""
     best: dict[Node, Fraction] = {}
     for tail, head, _ in aux.arcs:
-        best.setdefault(tail, Fraction(1))
-        best.setdefault(head, Fraction(1))
+        best.setdefault(tail, ONE)
+        best.setdefault(head, ONE)
     n = max(aux.node_count(), 1)
     for round_index in range(n):
         changed = False

@@ -45,6 +45,7 @@ from arcticauction.graph import (
     state_equality_graph,
 )
 from arcticauction.oracle import Certificate, Equilibrium, check_equilibrium
+from arcticauction.rational import Q, ZERO
 from arcticauction.trace import PhaseTrace, RestartRecord
 from arcticauction.weak import (
     ScalingState,
@@ -140,19 +141,19 @@ def special_price(
     prices = dict(market.prices)
     refunds = dict(market.refunds)
     abundant = abundant_edges(market, n, ss.delta)
-    barrier_scale = Fraction(2 * n * n)
+    barrier_scale = Q(2 * n * n)
 
     spent = {b: market.spent_by(b) for b in inst.buyers}
 
     def eff_budget(b: str) -> Fraction:
-        return inst.budgets[b] - refunds.get(b, Fraction(0))
+        return inst.budgets[b] - refunds.get(b, ZERO)
 
     def cash(b: str) -> Fraction:
         return eff_budget(b) - spent[b]
 
     def comp_surplus(comp: Component) -> Fraction:
-        total = sum((eff_budget(b) for b in comp.buyers), Fraction(0))
-        return total - sum((prices[g] for g in comp.goods), Fraction(0))
+        total = sum((eff_budget(b) for b in comp.buyers), ZERO)
+        return total - sum((prices[g] for g in comp.goods), ZERO)
 
     max_iterations = n + len(inst.buyers)
     iterations = 0
@@ -199,10 +200,10 @@ def special_price(
             b: bang_per_buck(inst, prices, b) for b in sorted(active_buyer_set)
         }
         root_goods_price = sum(
-            (prices[g] for g in root_component.goods), Fraction(0)
+            (prices[g] for g in root_component.goods), ZERO
         )
         root_budget = sum(
-            (eff_budget(b) for b in root_component.buyers), Fraction(0)
+            (eff_budget(b) for b in root_component.buyers), ZERO
         )
 
         candidates: list[tuple[Fraction, int, tuple, str, object]] = []
@@ -221,8 +222,8 @@ def special_price(
         candidates.append((q2, 2, (), "target", None))
         # (3) some component reaches the barrier
         for comp in components:
-            comp_budget = sum((eff_budget(b) for b in comp.buyers), Fraction(0))
-            comp_price = sum((prices[g] for g in comp.goods), Fraction(0))
+            comp_budget = sum((eff_budget(b) for b in comp.buyers), ZERO)
+            comp_price = sum((prices[g] for g in comp.goods), ZERO)
             goods_active = bool(comp.goods) and comp.goods[0] in active_good_set
             if goods_active or not comp.goods:
                 num = comp_budget + root_budget / barrier_scale
@@ -261,7 +262,7 @@ def special_price(
                 raise SolverError(f"negative commit amount {amount}")
             if bang_per_buck(inst, prices, b) != 1:
                 raise SolverError("critical event fired off bang-per-buck one")
-            refunds[b] = refunds.get(b, Fraction(0)) + amount
+            refunds[b] = refunds.get(b, ZERO) + amount
 
     return SpecialPriceResult(prices=prices, refunds=refunds, iterations=iterations)
 
@@ -285,9 +286,9 @@ def get_parameter(
             if alphas[b] > 1:
                 per_component[component_key(comp)] = ss.market.effective_cash(inst, b)
             else:
-                per_component[component_key(comp)] = Fraction(0)
+                per_component[component_key(comp)] = ZERO
         else:
-            result = special_price(inst, ss, components, comp, Fraction(0))
+            result = special_price(inst, ss, components, comp, ZERO)
             state = MarketState(
                 prices=result.prices, spending=ss.market.spending, refunds=result.refunds
             )
@@ -325,7 +326,7 @@ def get_prices(
         run_surplus[component_key(comp)] = comp.surplus(inst, state)
     merged_prices = {g: max(p[g] for p, _ in runs) for g in inst.goods}
     merged_refunds = {
-        b: max(r.get(b, Fraction(0)) for _, r in runs) for b in inst.buyers
+        b: max(r.get(b, ZERO) for _, r in runs) for b in inst.buyers
     }
     return merged_prices, merged_refunds, run_surplus
 
@@ -353,12 +354,12 @@ def get_allocations(
         for b in comp.buyers:
             supply[b] = temp.effective_budget(inst, b)
             if buyer_node(b) == comp.buyer_root:
-                supply[b] -= max(Fraction(0), tau)
+                supply[b] -= max(ZERO, tau)
         demand: dict[str, Fraction] = {}
         for g in comp.goods:
             demand[g] = new_prices[g]
             if good_node(g) == comp.good_root:
-                demand[g] += min(Fraction(0), tau)
+                demand[g] += min(ZERO, tau)
         flows, leftover = solve_tree_flow(comp.edges, supply, demand, comp.good_root)
         if leftover != 0:
             raise SolverError(f"unbalanced tree flow: leftover {leftover}")
@@ -406,7 +407,7 @@ def make_fertile(
         return RestartOutcome(
             branch="delayed",
             delta=delta,
-            threshold=delta / Fraction(n) ** 5,
+            threshold=delta / n**5,
             state=None,
             new_scale=new_scale,
             per_component=per_component,
@@ -420,7 +421,7 @@ def make_fertile(
     return RestartOutcome(
         branch="compressed",
         delta=new_scale,
-        threshold=new_scale / Fraction(n) ** 5,
+        threshold=new_scale / n**5,
         state=state,
         new_scale=new_scale,
         per_component=per_component,
@@ -466,7 +467,7 @@ def _assert_restart_invariants(
             )
     threshold = 3 * n * outcome.delta
     for edge in old_abundant:
-        if state.spending.get(edge, Fraction(0)) <= threshold:
+        if state.spending.get(edge, ZERO) <= threshold:
             raise SolverError(f"old abundant edge {edge} not kept above {threshold}")
 
 
@@ -586,8 +587,8 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
         if finished is not None:
             candidate, _ = finished
             total_refunds = {
-                b: candidate.refunds.get(b, Fraction(0))
-                + ss.market.refunds.get(b, Fraction(0))
+                b: candidate.refunds.get(b, ZERO)
+                + ss.market.refunds.get(b, ZERO)
                 for b in inst.buyers
             }
             final = MarketState(

@@ -38,6 +38,7 @@ from arcticauction.graph import (
     state_equality_graph,
 )
 from arcticauction.oracle import Equilibrium, certify_state, check_genericity
+from arcticauction.rational import Q, ZERO
 from arcticauction.trace import PhaseMark, PhaseTrace, TraceRow
 
 
@@ -94,7 +95,7 @@ def initialize(inst: MarketInstance) -> ScalingState:
     stats = compute_stats(inst)
     prices: dict[str, Fraction] = {}
     row_total = {
-        b: sum((inst.utilities[(b, g)] for g in inst.goods_of(b)), Fraction(0))
+        b: sum((inst.utilities[(b, g)] for g in inst.goods_of(b)), ZERO)
         for b in inst.buyers
     }
     for g in inst.goods:
@@ -173,7 +174,7 @@ def _violations(
     violations: list[str] = []
     market = ss.market
     for b in buyers:
-        if market.refunds.get(b, Fraction(0)) < 0:
+        if market.refunds.get(b, ZERO) < 0:
             violations.append(f"negative refund at buyer {b}")
         if market.effective_cash(inst, b) < 0:
             violations.append(f"negative effective cash at buyer {b}")
@@ -183,7 +184,7 @@ def _violations(
             violations.append(f"negative price at good {g}")
         if price > ss.initial_prices[g]:
             backorder = market.backorder(g)
-            floor = -ss.allowed_deficit.get(g, Fraction(0))
+            floor = -ss.allowed_deficit.get(g, ZERO)
             if backorder < floor:
                 violations.append(f"backorder {backorder} below bound at good {g}")
             if backorder > ss.delta:
@@ -346,11 +347,11 @@ def price_and_augment(inst: MarketInstance, ss: ScalingState) -> tuple[str, str]
     if not roots:
         raise SolverError("no eligible root buyer for price-and-augment")
     start = [buyer_node(roots[0])]
+    # a price raise moves prices only, so the returnable edges stay the same
+    returnable = returnable_edges(ss)
 
     while True:
-        active = reach(
-            inst, start, state_equality_graph(inst, market), returnable_edges(ss)
-        )
+        active = reach(inst, start, state_equality_graph(inst, market), returnable)
         alphas = state_alphas(inst, market)
         critical = sorted(
             (name for kind, name in active if kind == "B" and alphas[name] == 1),
@@ -415,7 +416,7 @@ def halve_and_repair(inst: MarketInstance, ss: ScalingState) -> None:
             donors = [
                 b
                 for b in inst.buyers_of(g)
-                if ss.market.spending.get((b, g), Fraction(0)) >= half
+                if ss.market.spending.get((b, g), ZERO) >= half
             ]
             if not donors:
                 raise SolverError(f"oversubscribed good {g} has no donor")
@@ -464,7 +465,7 @@ def check_phase_invariants(n: int, mark: PhaseMark) -> None:
     drift_bound = n * mark.delta
     start, end = mark.spending_start, mark.spending_end or {}
     for edge in set(start) | set(end):
-        change = abs(end.get(edge, Fraction(0)) - start.get(edge, Fraction(0)))
+        change = abs(end.get(edge, ZERO) - start.get(edge, ZERO))
         if change > drift_bound:
             raise SolverError(f"edge {edge} drifted {change} > {drift_bound}")
 
@@ -528,7 +529,7 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     stats = compute_stats(inst)
     ss = initialize(inst)
     trace = PhaseTrace(algorithm="weak")
-    stop_below = Fraction(1, 8 * stats.n) / stats.d_bound
+    stop_below = Q(1, 8 * stats.n) / stats.d_bound
     max_phases = ceil_log2(stats.e_max * 8 * stats.n * stats.d_bound) + 1
 
     phase = 0

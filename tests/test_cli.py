@@ -198,9 +198,10 @@ class TestDeterminism:
         assert paths[0] == paths[1]
 
     # SHA-256 of the result document and of the trace.  The wide-budget
-    # market makes a compressed restart and restart_repair steps.  A change
-    # that moves these digests changes the solver's output, not only its
-    # speed.
+    # market makes a compressed restart and restart_repair steps; the n = 8
+    # market under the halving solver runs hundreds of phases whose numbers
+    # grow to hundreds of bits.  A change that moves these digests changes
+    # the solver's output, not only its speed.
     @pytest.mark.parametrize(
         "market, algorithm, digests",
         [
@@ -220,8 +221,16 @@ class TestDeterminism:
                     "8c50d737081cffc202cb1782b43ff52e58f92e9fec0bf187a1d4132d3a5b18ce",
                 ),
             ),
+            (
+                lambda: random_instance(8, random.Random(1)),
+                "weak",
+                (
+                    "403ab37bf90eaa85c055e7f33267272d6fe6b91e15faae96d93f61b2bb6e3275",
+                    "74e45883c744aeef4bfa732a5aaee66f7a9e85da635cd6b5996209b522aa0171",
+                ),
+            ),
         ],
-        ids=["wide14_strong", "random6_both"],
+        ids=["wide14_strong", "random6_both", "random8_weak"],
     )
     def test_output_and_trace_bytes_are_pinned(self, market, algorithm, digests, tmp_path):
         path = tmp_path / "inst.json"

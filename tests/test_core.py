@@ -19,6 +19,8 @@ from arcticauction.core import (
     perturb,
 )
 
+from arcticauction.rational import Q
+
 from conftest import make_instance
 
 
@@ -233,6 +235,31 @@ def test_document_order_is_canonical():
     )
     assert inst.buyer_pos == {"z": 0, "a": 1}
     assert inst.good_pos == {"g2": 0, "g1": 1}
+
+
+def test_instance_keeps_its_numbers_as_q_in_dicts_of_its_own():
+    budgets = {"b1": Fraction(3, 2), "b2": 2}
+    utilities = {("b1", "g1"): Fraction(1), ("b2", "g1"): 5}
+    inst = MarketInstance(
+        buyers=("b1", "b2"), goods=("g1",), budgets=budgets, utilities=utilities
+    )
+    values = [*inst.budgets.values(), *inst.utilities.values()]
+    assert all(type(v) is Q for v in values)
+    assert inst.budgets == {"b1": Fraction(3, 2), "b2": 2}
+    assert inst.budgets is not budgets and type(budgets["b1"]) is Fraction
+    assert type(parse_rational("3/2")) is Q and type(parse_rational(4)) is Q
+
+
+@pytest.mark.parametrize("bad", [0.5, "1", True, None])
+def test_instance_rejects_numbers_that_are_not_exact(bad):
+    for budget, utility in ((bad, Fraction(1)), (Fraction(1), bad)):
+        with pytest.raises(InstanceError, match="not an exact rational"):
+            MarketInstance(
+                buyers=("b1",),
+                goods=("g1",),
+                budgets={"b1": budget},
+                utilities={("b1", "g1"): utility},
+            )
 
 
 def test_instance_is_frozen_with_adjacency_in_document_order():
