@@ -1,24 +1,19 @@
-"""Command-line front end: solve, verify, bench.
+"""Command-line front end: solve, verify.
 
 Documents are JSON with every number an exact integer or ``p/q`` string;
 outputs are deterministic for a fixed input and seed (no timestamps, keys
-sorted), so repeated runs are byte-identical.  The only inexact field
-anywhere is the wall-time column of the benchmark CSV.
+sorted), so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import random
 import sys
-import time
 
 from arcticauction.core import (
     InstanceError,
     MarketInstance,
-    compute_stats,
     format_rational,
     load_instance,
     parse_rational,
@@ -29,7 +24,6 @@ from arcticauction.driver import GenericityExhausted, solve_instance
 from arcticauction.errors import SolverError
 from arcticauction.graph import edge_key
 from arcticauction.oracle import Certificate, Equilibrium, check_equilibrium
-from arcticauction.randgen import random_instance
 
 
 def equilibrium_doc(inst: MarketInstance, eq: Equilibrium) -> dict:
@@ -148,63 +142,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-    except ValueError as exc:
-        raise InstanceError(f"--sizes: {exc}") from exc
-    if any(n < 2 for n in sizes):
-        raise InstanceError("--sizes: every node count must be at least 2")
-    rows = []
-    for n in sizes:
-        for trial in range(args.trials):
-            rng = random.Random(args.seed * 1000003 + n * 1009 + trial)
-            inst = random_instance(n, rng)
-            stats = compute_stats(inst)
-            started = time.perf_counter()
-            outcome = solve_instance(
-                inst, algorithm="both", seed=args.seed + trial
-            )
-            wall_ms = int(1000 * (time.perf_counter() - started))
-            strong_trace = outcome.results["strong"][1]
-            rows.append(
-                {
-                    "n": stats.n,
-                    "m": stats.m,
-                    "trial": trial,
-                    "algorithm": "both",
-                    "phases": strong_trace.phase_count,
-                    "augmentations": strong_trace.augmentations,
-                    "restarts": strong_trace.restart_count,
-                    "abundant_edges": len(strong_trace.abundant_discovered),
-                    "wall_ms": wall_ms,
-                }
-            )
-    fieldnames = [
-        "n",
-        "m",
-        "trial",
-        "algorithm",
-        "phases",
-        "augmentations",
-        "restarts",
-        "abundant_edges",
-        "wall_ms",
-    ]
-    if args.csv:
-        handle = open(args.csv, "w", newline="", encoding="utf-8")
-    else:
-        handle = sys.stdout
-    try:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.csv:
-            handle.close()
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arctic-auction",
@@ -232,12 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--solution", required=True)
     verify.set_defaults(func=cmd_verify)
 
-    bench = sub.add_parser("bench", help="random-instance benchmark sweep")
-    bench.add_argument("--sizes", required=True, help="comma-separated node counts")
-    bench.add_argument("--trials", type=int, default=3)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--csv", help="write CSV here (default: stdout)")
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

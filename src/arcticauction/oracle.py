@@ -4,8 +4,7 @@ Nothing here shares code paths with the scaling solvers beyond the basic
 tree solve and the forest walker it runs on (``graph.components_of_edges``,
 which also backs the genericity check), so a certified answer really is
 checked against the market definition rather than against the algorithm
-that produced it.  The auxiliary-network cycle check verifies a soundness
-property of solver states that the solvers themselves never need.
+that produced it.
 """
 
 from __future__ import annotations
@@ -20,16 +19,12 @@ from arcticauction.errors import GenericityError
 from arcticauction.graph import (
     Edge,
     MarketState,
-    Node,
     bang_per_buck,
-    buyer_node,
     component_key,
     components_of_edges,
-    edge_key,
     equality_graph,
-    good_node,
 )
-from arcticauction.rational import ONE, ZERO
+from arcticauction.rational import ZERO
 
 BRUTE_FORCE_MAX_EDGES = 12
 BRUTE_FORCE_MAX_NODES = 8
@@ -244,79 +239,3 @@ def check_genericity(
         offending_cycle=cycle,
         critical_buyers_per_component=critical,
     )
-
-
-@dataclass
-class AuxNetwork:
-    """Weighted digraph whose best path products match price ratios.
-
-    Forward arcs carry the utility, backward arcs (only on abundant edges)
-    its reciprocal; at any feasible state no directed cycle multiplies to
-    more than one, so best path products are well defined.
-    """
-
-    inst: MarketInstance
-    arcs: list[tuple[Node, Node, Fraction]]
-
-    @classmethod
-    def build(cls, inst: MarketInstance, abundant: set[Edge]) -> "AuxNetwork":
-        arcs: list[tuple[Node, Node, Fraction]] = []
-        for (b, g), u in sorted(
-            inst.utilities.items(), key=lambda kv: edge_key(inst, kv[0])
-        ):
-            arcs.append((buyer_node(b), good_node(g), u))
-        for b, g in sorted(abundant, key=lambda e: edge_key(inst, e)):
-            arcs.append((good_node(g), buyer_node(b), 1 / inst.utilities[(b, g)]))
-        return cls(inst=inst, arcs=arcs)
-
-    def node_count(self) -> int:
-        return len(self.inst.buyers) + len(self.inst.goods)
-
-
-def max_multiplier(aux: AuxNetwork, source: Node, sink: Node) -> Fraction | None:
-    """Maximum product of arc weights over directed paths source -> sink.
-
-    Computed by rounds of multiplicative relaxation; a round beyond the
-    longest simple path still improving something certifies a cycle with
-    product above one, which a sound state never contains.  Returns None
-    when the sink is unreachable; the empty path gives one for the source
-    itself.
-    """
-    n = aux.node_count()
-    unreached = -ONE
-    best: dict[Node, Fraction] = {source: ONE}
-    for _ in range(n - 1):
-        changed = False
-        for tail, head, weight in aux.arcs:
-            if tail in best:
-                value = best[tail] * weight
-                if value > best.get(head, unreached):
-                    best[head] = value
-                    changed = True
-        if not changed:
-            break
-    else:
-        for tail, head, weight in aux.arcs:
-            if tail in best and best[tail] * weight > best.get(head, unreached):
-                raise GenericityError("cycle with weight product above one")
-    return best.get(sink)
-
-
-def assert_cycle_bound(aux: AuxNetwork) -> None:
-    """Verify no directed cycle has weight product above one."""
-    best: dict[Node, Fraction] = {}
-    for tail, head, _ in aux.arcs:
-        best.setdefault(tail, ONE)
-        best.setdefault(head, ONE)
-    n = max(aux.node_count(), 1)
-    for round_index in range(n):
-        changed = False
-        for tail, head, weight in aux.arcs:
-            value = best[tail] * weight
-            if value > best[head]:
-                best[head] = value
-                changed = True
-        if not changed:
-            return
-    if changed:
-        raise GenericityError("cycle with weight product above one")

@@ -19,7 +19,6 @@ checking it against the compressed instance's equilibrium conditions.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,11 +32,9 @@ from arcticauction.graph import (
     MarketState,
     Node,
     abundant_edges,
-    bang_per_buck,
     buyer_node,
     component_key,
     components_of_abundant_graph,
-    equality_graph,
     good_node,
     path_to,
     reach,
@@ -60,8 +57,6 @@ from arcticauction.weak import (
     run_inner_loop,
     start_phase,
 )
-
-logger = logging.getLogger(__name__)
 
 
 def fertile_components(
@@ -98,19 +93,12 @@ def commit_refund(
     Only legal at bang-per-buck exactly one; prices, spending, and hence
     the equality graph and abundant set are untouched.
     """
-    if bang_per_buck(inst, state.prices, buyer) != 1:
+    if state_alphas(inst, state)[buyer] != 1:
         raise SolverError(f"commit at {buyer} without bang-per-buck one")
     cash = state.effective_cash(inst, buyer)
     if amount < 0 or amount > cash:
         raise SolverError(f"commit of {amount} exceeds cash {cash} at {buyer}")
     state.add_refund(buyer, amount)
-
-
-@dataclass
-class SpecialPriceResult:
-    prices: dict[str, Fraction]
-    refunds: dict[str, Fraction]
-    iterations: int
 
 
 def special_price(
@@ -119,17 +107,20 @@ def special_price(
     components: list[Component],
     root_component: Component,
     target: Fraction,
-) -> SpecialPriceResult:
+) -> tuple[MarketState, int]:
     """Raise prices on the root component's active set until its surplus
     falls to ``target`` or some component nears the barrier.
 
-    Spending stays frozen; only a private copy of prices and refunds moves.
-    Four events can end an iteration: a new equality edge from an active
-    buyer to an inactive good (the active set then grows), the root surplus
-    reaching the target, some component's surplus reaching the barrier
-    ``-root surplus / (2 n^2)``, or an active buyer with positive cash
-    turning critical, in which case as much of her cash is committed as the
-    target and barrier allow.  Runs for at most ``n + |B|`` iterations.
+    Runs on a private copy of the market state, so ``ss`` is untouched:
+    spending stays frozen, and only the copy's prices and refunds move,
+    seen through the same incremental bang-per-buck view as the inner
+    steps.  Four events can end an iteration: a new equality edge from an
+    active buyer to an inactive good (the active set then grows), the root
+    surplus reaching the target, some component's surplus reaching the
+    barrier ``-root surplus / (2 n^2)``, or an active buyer with positive
+    cash turning critical, in which case as much of her cash is committed
+    as the target and barrier allow.  Runs for at most ``n + |B|``
+    iterations.  Returns the private state and the iteration count.
     """
     n = len(inst.buyers) + len(inst.goods)
     market = ss.market
@@ -138,49 +129,29 @@ def special_price(
         # the loop below would never run; return the state unchanged
         if root_component.surplus(inst, market) > target:
             raise SolverError("cannot raise prices on a goodless component")
-    prices = dict(market.prices)
-    refunds = dict(market.refunds)
+    state = MarketState(
+        prices=dict(market.prices),
+        spending=dict(market.spending),
+        refunds=dict(market.refunds),
+    )
+    prices = state.prices
     abundant = abundant_edges(market, n, ss.delta)
     barrier_scale = Q(2 * n * n)
 
-    spent = {b: market.spent_by(b) for b in inst.buyers}
-
-    def eff_budget(b: str) -> Fraction:
-        return inst.budgets[b] - refunds.get(b, ZERO)
-
-    def cash(b: str) -> Fraction:
-        return eff_budget(b) - spent[b]
-
-    def comp_surplus(comp: Component) -> Fraction:
-        total = sum((eff_budget(b) for b in comp.buyers), ZERO)
-        return total - sum((prices[g] for g in comp.goods), ZERO)
-
     max_iterations = n + len(inst.buyers)
     iterations = 0
-    prev_eq: set[Edge] | None = None
-    prev_active_buyers: set[str] = set()
-    prev_active_goods: set[str] = set()
     while True:
-        root_surplus = comp_surplus(root_component)
+        root_surplus = root_component.surplus(inst, state)
         if root_surplus <= target:
             break
         barrier = -root_surplus / barrier_scale
-        if any(comp_surplus(j) <= barrier for j in components):
+        if any(comp.surplus(inst, state) <= barrier for comp in components):
             break
         if iterations >= max_iterations:
             raise SolverError("price raising exceeded its iteration bound")
         iterations += 1
 
-        eq = equality_graph(inst, prices)
-        if prev_eq is not None:
-            for edge in eq - prev_eq:
-                if edge[0] not in prev_active_buyers and edge[1] in prev_active_goods:
-                    logger.warning(
-                        "anomalous equality edge from inactive buyer %s to"
-                        " active good %s",
-                        edge[0],
-                        edge[1],
-                    )
+        eq = state_equality_graph(inst, state)
         active = reach(inst, root_component.nodes(), eq, abundant)
         active_buyer_set = {name for kind, name in active if kind == "B"}
         active_good_set = {name for kind, name in active if kind == "G"}
@@ -192,19 +163,10 @@ def special_price(
                 touched = side & active_side
                 if touched and touched != side:
                     raise SolverError("component partially active")
-        prev_eq = eq
-        prev_active_buyers = active_buyer_set
-        prev_active_goods = active_good_set
 
-        alphas = {
-            b: bang_per_buck(inst, prices, b) for b in sorted(active_buyer_set)
-        }
-        root_goods_price = sum(
-            (prices[g] for g in root_component.goods), ZERO
-        )
-        root_budget = sum(
-            (eff_budget(b) for b in root_component.buyers), ZERO
-        )
+        alphas = state_alphas(inst, state)
+        root_goods_price = sum((prices[g] for g in root_component.goods), ZERO)
+        root_budget = root_surplus + root_goods_price
 
         candidates: list[tuple[Fraction, int, tuple, str, object]] = []
         # (1) new equality edge: active buyer toward an inactive good
@@ -222,21 +184,20 @@ def special_price(
         candidates.append((q2, 2, (), "target", None))
         # (3) some component reaches the barrier
         for comp in components:
-            comp_budget = sum((eff_budget(b) for b in comp.buyers), ZERO)
-            comp_price = sum((prices[g] for g in comp.goods), ZERO)
+            comp_surplus = comp.surplus(inst, state)
             goods_active = bool(comp.goods) and comp.goods[0] in active_good_set
             if goods_active or not comp.goods:
-                num = comp_budget + root_budget / barrier_scale
+                comp_price = sum((prices[g] for g in comp.goods), ZERO)
+                num = comp_surplus + comp_price + root_budget / barrier_scale
                 den = comp_price + root_goods_price / barrier_scale
                 q = num / den
             else:
-                s_j = comp_budget - comp_price
-                q = (root_budget + barrier_scale * s_j) / root_goods_price
+                q = (root_budget + barrier_scale * comp_surplus) / root_goods_price
             if q >= 1:
                 candidates.append((q, 3, (component_key(comp),), "barrier", comp))
         # (4) an active buyer with positive cash turns critical
         for b in sorted(active_buyer_set, key=lambda x: inst.buyer_pos[x]):
-            if alphas[b] >= 1 and cash(b) > 0:
+            if alphas[b] >= 1 and state.effective_cash(inst, b) > 0:
                 candidates.append(
                     (alphas[b], 4, (inst.buyer_pos[b],), "critical", b)
                 )
@@ -246,25 +207,19 @@ def special_price(
         )
         if q < 1:
             raise SolverError(f"price-raise event at multiplier {q} < 1")
-        for g in active_good_set:
-            prices[g] *= q
+        state.scale_prices(active_good_set, q)
 
         if kind == "critical":
             b = subject
-            root_surplus = comp_surplus(root_component)
+            root_surplus = root_component.surplus(inst, state)
             if b in root_component.buyers:
                 slack = root_surplus - target
             else:
                 container = next(c for c in components if b in c.buyers)
-                slack = comp_surplus(container) + root_surplus / barrier_scale
-            amount = min(cash(b), slack)
-            if amount < 0:
-                raise SolverError(f"negative commit amount {amount}")
-            if bang_per_buck(inst, prices, b) != 1:
-                raise SolverError("critical event fired off bang-per-buck one")
-            refunds[b] = refunds.get(b, ZERO) + amount
+                slack = container.surplus(inst, state) + root_surplus / barrier_scale
+            commit_refund(inst, state, b, min(state.effective_cash(inst, b), slack))
 
-    return SpecialPriceResult(prices=prices, refunds=refunds, iterations=iterations)
+    return state, iterations
 
 
 def get_parameter(
@@ -288,10 +243,7 @@ def get_parameter(
             else:
                 per_component[component_key(comp)] = ZERO
         else:
-            result = special_price(inst, ss, components, comp, ZERO)
-            state = MarketState(
-                prices=result.prices, spending=ss.market.spending, refunds=result.refunds
-            )
+            state, _ = special_price(inst, ss, components, comp, ZERO)
             per_component[component_key(comp)] = comp.surplus(inst, state)
     return max(per_component.values()), per_component
 
@@ -309,24 +261,20 @@ def get_prices(
     stay at the baseline.  Returns the merged prices and refunds plus each
     run's own root surplus for invariant checking.
     """
-    runs: list[tuple[dict[str, Fraction], dict[str, Fraction]]] = []
+    states: list[MarketState] = []
     run_surplus: dict[str, Fraction] = {}
     for comp in components:
         if comp.is_singleton() or comp.surplus(inst, ss.market) <= new_delta:
-            run_prices, run_refunds = dict(ss.market.prices), dict(ss.market.refunds)
+            state = ss.market
         else:
-            result = special_price(inst, ss, components, comp, new_delta)
-            run_prices, run_refunds = result.prices, result.refunds
+            state, iterations = special_price(inst, ss, components, comp, new_delta)
             if trace is not None:
-                trace.special_price_iterations.append(result.iterations)
-        runs.append((run_prices, run_refunds))
-        state = MarketState(
-            prices=run_prices, spending=ss.market.spending, refunds=run_refunds
-        )
+                trace.special_price_iterations.append(iterations)
+        states.append(state)
         run_surplus[component_key(comp)] = comp.surplus(inst, state)
-    merged_prices = {g: max(p[g] for p, _ in runs) for g in inst.goods}
+    merged_prices = {g: max(s.prices[g] for s in states) for g in inst.goods}
     merged_refunds = {
-        b: max(r.get(b, ZERO) for _, r in runs) for b in inst.buyers
+        b: max(s.refunds.get(b, ZERO) for s in states) for b in inst.buyers
     }
     return merged_prices, merged_refunds, run_surplus
 

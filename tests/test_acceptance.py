@@ -37,10 +37,11 @@ from arcticauction.core import (
 )
 from arcticauction.driver import solve_instance
 from arcticauction.errors import GenericityError
-from arcticauction.oracle import AuxNetwork, assert_cycle_bound, brute_force_equilibrium
+from arcticauction.oracle import brute_force_equilibrium
 from arcticauction.randgen import random_instance
 from arcticauction.trace import PhaseTrace
 
+from auxnet import AuxNetwork, assert_cycle_bound
 from conftest import lean_sigma
 
 

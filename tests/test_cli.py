@@ -1,6 +1,5 @@
-"""Command-line interface: solve, verify, bench, determinism."""
+"""Command-line interface: solve, verify, determinism."""
 
-import csv
 import hashlib
 import json
 import random
@@ -197,8 +196,9 @@ class TestDeterminism:
             paths.append((out.read_bytes(), trace.read_bytes()))
         assert paths[0] == paths[1]
 
-    # SHA-256 of the result document and of the trace.  The wide-budget
-    # market makes a compressed restart and restart_repair steps; the n = 8
+    # SHA-256 of the result document and of the trace.  wide_instance(14)
+    # makes a compressed restart and restart_repair steps; wide_instance(33)
+    # runs 16 price-raising iterations over two delayed restarts; the n = 8
     # market under the halving solver runs hundreds of phases whose numbers
     # grow to hundreds of bits.  A change that moves these digests changes
     # the solver's output, not only its speed.
@@ -211,6 +211,14 @@ class TestDeterminism:
                 (
                     "e2c5928e37705ccb9e02c47d090aa3ca37bfe7aa43d988bbddaf5b5125fb563d",
                     "0da56f980270be9c65bdb2a661a294327bc86d2776c1321d0bf7e216b3b64bb2",
+                ),
+            ),
+            (
+                lambda: wide_instance(33),
+                "strong",
+                (
+                    "f309b7af900c4c4560eaeaba7e7b12b39bb428d5c88e0a6f64cb1b2404bbd9e4",
+                    "5bce4e05f4ca9aabe2d2eb9b3ff637251281e587a68134192a64aa636d4d2eea",
                 ),
             ),
             (
@@ -230,7 +238,7 @@ class TestDeterminism:
                 ),
             ),
         ],
-        ids=["wide14_strong", "random6_both", "random8_weak"],
+        ids=["wide14_strong", "wide33_strong", "random6_both", "random8_weak"],
     )
     def test_output_and_trace_bytes_are_pinned(self, market, algorithm, digests, tmp_path):
         path = tmp_path / "inst.json"
@@ -240,35 +248,6 @@ class TestDeterminism:
         assert main(argv + ["--output", str(out), "--trace", str(trace)]) == 0
         got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, trace))
         assert got == digests
-
-
-class TestBench:
-    def test_row_count_and_header(self, tmp_path):
-        csv_path = tmp_path / "bench.csv"
-        code = main(
-            [
-                "bench",
-                "--sizes",
-                "4,6",
-                "--trials",
-                "2",
-                "--seed",
-                "1",
-                "--csv",
-                str(csv_path),
-            ]
-        )
-        assert code == 0
-        with open(csv_path, newline="") as handle:
-            text = handle.read()
-        assert text.splitlines()[0] == (
-            "n,m,trial,algorithm,phases,augmentations,restarts,abundant_edges,wall_ms"
-        )
-        with open(csv_path, newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 4  # sizes x trials
-        for row in rows:
-            assert int(row["abundant_edges"]) <= int(row["n"]) - 1
 
 
 def test_degenerate_unperturbed_exits_two(tmp_path, capsys):
@@ -353,7 +332,6 @@ INPUT_ERRORS = {
         "--max-retries",
         "-1",
     ],
-    "bench_size_one": lambda *_: ["bench", "--sizes", "1"],
     # one digit past CPython's default int-string limit of 4300 digits
     "solve_budget_string_4301_digits": long_budget('"' + "1" * 4301 + '"'),
     "solve_budget_number_4301_digits": long_budget("1" * 4301),

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from arcticauction.core import PerturbationConfig, compute_stats, perturb
+from arcticauction.driver import solve_instance
 from arcticauction.errors import SolverError
 from arcticauction.graph import (
     MarketState,
@@ -16,12 +17,7 @@ from arcticauction.graph import (
     good_node,
     reach,
 )
-from arcticauction.oracle import (
-    AuxNetwork,
-    assert_cycle_bound,
-    brute_force_equilibrium,
-    max_multiplier,
-)
+from arcticauction.oracle import brute_force_equilibrium
 from arcticauction.strong import (
     commit_refund,
     fertile_components,
@@ -34,7 +30,8 @@ from arcticauction.strong import (
 )
 from arcticauction.weak import ScalingState, run_weak
 
-from conftest import lean_sigma, make_instance
+from auxnet import AuxNetwork, assert_cycle_bound, max_multiplier
+from conftest import lean_sigma, make_instance, wide_instance
 
 
 def scaling_state(inst, prices, spending, refunds, delta, initial=None):
@@ -152,10 +149,10 @@ class TestSpecialPrice:
         comps = components_of(inst, ss)
         comp = next(c for c in comps if not c.is_singleton())
         assert comp.surplus(inst, ss.market) == -1 <= 0
-        result = special_price(inst, ss, comps, comp, Fraction(0))
-        assert result.prices == ss.market.prices
-        assert result.refunds == ss.market.refunds
-        assert result.iterations == 0
+        state, iterations = special_price(inst, ss, comps, comp, Fraction(0))
+        assert state.prices == ss.market.prices
+        assert state.refunds == ss.market.refunds
+        assert iterations == 0
 
     def test_whole_market_run_triples_prices(self):
         # one component holding every node, budget 3 against price 1 with no
@@ -166,12 +163,9 @@ class TestSpecialPrice:
         )
         comps = components_of(inst, ss)
         comp = next(c for c in comps if not c.is_singleton())
-        result = special_price(inst, ss, comps, comp, Fraction(0))
-        assert result.prices["g1"] == 3
-        assert result.iterations == 1
-        state = MarketState(
-            prices=result.prices, spending=ss.market.spending, refunds=result.refunds
-        )
+        state, iterations = special_price(inst, ss, comps, comp, Fraction(0))
+        assert state.prices["g1"] == 3
+        assert iterations == 1
         assert comp.surplus(inst, state) == 0
 
     def test_exit_cases_are_exhaustive(self):
@@ -193,10 +187,7 @@ class TestSpecialPrice:
         n = compute_stats(inst).n
         root = next(c for c in comps if "b1" in c.buyers)
         target = Fraction(0)
-        result = special_price(inst, ss, comps, root, target)
-        state = MarketState(
-            prices=result.prices, spending=ss.market.spending, refunds=result.refunds
-        )
+        state, _ = special_price(inst, ss, comps, root, target)
         s_root = root.surplus(inst, state)
         others = [c.surplus(inst, state) for c in comps]
         barrier = -s_root / (2 * n * n)
@@ -215,12 +206,9 @@ class TestSpecialPrice:
         )
         comps = components_of(inst, ss)
         comp = next(c for c in comps if not c.is_singleton())
-        result = special_price(inst, ss, comps, comp, Fraction(0))
+        state, _ = special_price(inst, ss, comps, comp, Fraction(0))
         # critical at q=2 commits the remaining cash 5, surplus = 6-5-2p = ...
-        assert result.refunds["b1"] > 0
-        state = MarketState(
-            prices=result.prices, spending=ss.market.spending, refunds=result.refunds
-        )
+        assert state.refunds["b1"] > 0
         assert comp.surplus(inst, state) == 0
 
 
@@ -263,13 +251,13 @@ class TestAuxNetwork:
         n = compute_stats(inst).n
         root = next(c for c in comps if "b1" in c.buyers)
         other = next(c for c in comps if "b2" in c.buyers)
-        result = special_price(inst, ss, comps, root, Fraction(0))
-        eq = equality_graph(inst, result.prices)
+        state, _ = special_price(inst, ss, comps, root, Fraction(0))
+        eq = equality_graph(inst, state.prices)
         reached = reach(inst, root.nodes(), eq, abundant_edges(ss.market, n, ss.delta))
         assert set(other.nodes()) <= set(reached), "run must have activated the other component"
         aux = AuxNetwork.build(inst, abundant_edges(ss.market, n, ss.delta))
         mu = max_multiplier(aux, good_node(root.root_good), good_node(other.root_good))
-        assert mu == result.prices[other.root_good] / result.prices[root.root_good]
+        assert mu == state.prices[other.root_good] / state.prices[root.root_good]
 
 
 class TestGetParameter:
@@ -483,6 +471,22 @@ class TestRunStrong:
         assert eq.spending == oracle.spending
         assert eq.refunds == oracle.refunds
 
+    # Known defect: on these complete 3 x 3 wide-budget markets, which weak
+    # solves in about 0.1 s, strong raises instead.  On 198 and 281 the
+    # restarted state is infeasible ("backorder ... below bound"): the
+    # deficit repair drops a good's allowed deficit after one delta-sized
+    # augmentation while its backorder is still negative.  On 364 strong
+    # exceeds its phase budget.
+    @pytest.mark.xfail(strict=True, raises=SolverError)
+    @pytest.mark.parametrize("seed", [198, 281, 364])
+    def test_matches_weak_on_wide_three_by_three(self, seed):
+        inst = wide_instance(seed, (6, 14))
+        weak_eq, _ = solve_instance(inst, "weak", seed=0).results["weak"]
+        strong_eq, _ = solve_instance(inst, "strong", seed=0).results["strong"]
+        assert strong_eq.prices == weak_eq.prices
+        assert strong_eq.spending == weak_eq.spending
+        assert strong_eq.refunds == weak_eq.refunds
+
 
 class TestSpecialPriceMonotonicity:
     def test_prices_up_root_surplus_down(self):
@@ -500,16 +504,13 @@ class TestSpecialPriceMonotonicity:
         comps = components_of(inst, ss)
         root = next(c for c in comps if "b1" in c.buyers)
         before = root.surplus(inst, ss.market)
-        result = special_price(inst, ss, comps, root, Fraction(0))
+        state, _ = special_price(inst, ss, comps, root, Fraction(0))
         for g in inst.goods:
-            assert result.prices[g] >= ss.market.prices[g]
+            assert state.prices[g] >= ss.market.prices[g]
         for b in inst.buyers:
-            assert result.refunds.get(b, Fraction(0)) >= ss.market.refunds.get(
+            assert state.refunds.get(b, Fraction(0)) >= ss.market.refunds.get(
                 b, Fraction(0)
             )
-        state = MarketState(
-            prices=result.prices, spending=ss.market.spending, refunds=result.refunds
-        )
         assert root.surplus(inst, state) <= before
 
 
