@@ -106,7 +106,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.solution, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InstanceError(f"cannot read {args.solution}: {exc}") from exc
     try:
         sigma = parse_rational(doc["perturbation"]["sigma"])

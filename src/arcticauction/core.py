@@ -326,6 +326,8 @@ def load_instance(path: str) -> MarketInstance:
             doc = json.load(handle)
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an over-long JSON integer
+    # JSONDecodeError or an over-long JSON integer; RecursionError on
+    # arrays or objects nested too deep for the decoder
+    except (ValueError, RecursionError) as exc:
         raise InstanceError(f"cannot parse {path}: {exc}") from exc
     return instance_from_document(doc)

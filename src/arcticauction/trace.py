@@ -1,10 +1,12 @@
 """Structured per-phase trace of a solver run.
 
 Each outer round (a scaling phase) gets a :class:`PhaseMark` with start and
-end snapshots of the spending vector, and each inner-loop step gets a
-:class:`TraceRow` recording the potential before and after.  The acceptance
-suite replays these records to verify the potential, drift, and abundance
-disciplines independently of the in-run assertions.
+end snapshots of the spending vector, and each inner-loop call gets a
+:class:`TraceRow` recording the potential before and after; a buyer's run
+of refund steps is one row, which :meth:`PhaseTrace.to_lines` writes as one
+line per step.  The acceptance suite replays these records to verify the
+potential, drift, and abundance disciplines independently of the in-run
+assertions.
 """
 
 from __future__ import annotations
@@ -19,22 +21,34 @@ Edge = tuple[str, str]
 
 @dataclass
 class TraceRow:
+    """``steps`` consecutive steps of one kind and subject, each lowering
+    the potential by one, from ``phi_before`` to ``phi_after``.  Only a run
+    of refund steps has ``steps > 1``."""
+
     phase: int
     delta: Fraction
     kind: str  # refund | augment_buyer | augment_good | restart_repair
     subject: str
     phi_before: int
     phi_after: int
+    steps: int = 1
 
-    def to_doc(self) -> dict:
-        return {
+    def to_docs(self) -> list[dict]:
+        """One document per step."""
+        doc = {
             "phase": self.phase,
             "delta": format_rational(self.delta),
             "kind": self.kind,
             "subject": self.subject,
             "phi_before": self.phi_before,
-            "phi_after": self.phi_after,
+            "phi_after": self.phi_before - 1,
         }
+        if self.steps == 1:
+            return [doc]
+        return [
+            {**doc, "phi_before": phi, "phi_after": phi - 1}
+            for phi in range(self.phi_before, self.phi_after, -1)
+        ]
 
 
 @dataclass
@@ -97,13 +111,11 @@ class PhaseTrace:
 
     @property
     def augmentations(self) -> int:
-        return sum(1 for r in self.rows if r.kind.startswith("augment")) + sum(
-            1 for r in self.rows if r.kind == "restart_repair"
-        )
+        return sum(r.steps for r in self.rows if r.kind != "refund")
 
     @property
     def refund_steps(self) -> int:
-        return sum(1 for r in self.rows if r.kind == "refund")
+        return sum(r.steps for r in self.rows if r.kind == "refund")
 
     @property
     def phase_count(self) -> int:
@@ -142,7 +154,7 @@ class PhaseTrace:
 
     def add_row(self, row: TraceRow) -> None:
         self.rows.append(row)
-        self.phases[-1].iterations += 1
+        self.phases[-1].iterations += row.steps
 
     def stats_doc(self) -> dict:
         return {
@@ -159,7 +171,7 @@ class PhaseTrace:
         inlined."""
         by_phase: dict[int, list[dict]] = {}
         for row in self.rows:
-            by_phase.setdefault(row.phase, []).append(row.to_doc())
+            by_phase.setdefault(row.phase, []).extend(row.to_docs())
         restarts_by_phase = {r.phase: r for r in self.restarts}
         progress_by_phase: dict[int, list[tuple[str, str]]] = {}
         for phase, kind, subject in self.progress_events:

@@ -11,9 +11,10 @@ the denominator floor of the instance, the support of the equilibrium is
 exactly the set of edges spending more than ``4 * n * delta``, and the
 equilibrium is recovered from it by a tree solve.
 
-Each inner iteration lowers the integer potential (the sum of
+Each inner step lowers the integer potential (the sum of
 ``floor(cash / delta)``) by exactly one, which bounds every phase by ``n``
-iterations; both facts are asserted at run time.
+steps; both facts are asserted at run time.  A buyer's consecutive refund
+steps are booked and checked as one call.
 """
 
 from __future__ import annotations
@@ -379,8 +380,17 @@ def price_and_augment(inst: MarketInstance, ss: ScalingState) -> tuple[str, str]
     return "augment_good", terminal
 
 
-def refund_step(inst: MarketInstance, ss: ScalingState, buyer: str) -> None:
-    """Book one ``delta`` of a weakly-uninterested buyer's cash as refund."""
+def refund_step(inst: MarketInstance, ss: ScalingState, buyer: str) -> int:
+    """Book a weakly-uninterested buyer's run of refund steps; return its
+    length.
+
+    A refund moves no price and no spending and touches only ``buyer``, so
+    once ``buyer`` is the canonically first refundable buyer it stays so for
+    ``k = floor(cash / delta)`` steps.  All ``k`` are booked in one
+    ``add_refund`` of ``k * delta``.  The preconditions (bang-per-buck at
+    most one, cash at least ``delta``) together with that ``k`` imply those
+    of each step of the run.
+    """
     alpha = state_alphas(inst, ss.market)[buyer]
     cash = ss.market.effective_cash(inst, buyer)
     if alpha > 1 or cash < ss.delta:
@@ -388,17 +398,23 @@ def refund_step(inst: MarketInstance, ss: ScalingState, buyer: str) -> None:
             f"refund step preconditions violated at {buyer}:"
             f" bang-per-buck {alpha}, cash {cash}"
         )
-    ss.market.add_refund(buyer, ss.delta)
+    steps = _cash_terms(inst, ss).terms[buyer]
+    ss.market.add_refund(buyer, ss.delta * steps if steps > 1 else ss.delta)
+    return steps
 
 
-def inner_step(inst: MarketInstance, ss: ScalingState) -> tuple[str, str]:
-    """One inner-loop iteration: refund step if possible, else augment."""
+def inner_step(inst: MarketInstance, ss: ScalingState) -> tuple[str, str, int]:
+    """One inner-loop iteration: refund step if possible, else augment.
+
+    Returns (step kind, subject, number of steps); only a run of refund
+    steps is longer than one.
+    """
     alphas = state_alphas(inst, ss.market)
     refundable = [b for b in _buyers_holding_delta(inst, ss) if alphas[b] <= 1]
     if refundable:
-        refund_step(inst, ss, refundable[0])
-        return "refund", refundable[0]
-    return price_and_augment(inst, ss)
+        return "refund", refundable[0], refund_step(inst, ss, refundable[0])
+    kind, subject = price_and_augment(inst, ss)
+    return kind, subject, 1
 
 
 def halve_and_repair(inst: MarketInstance, ss: ScalingState) -> None:
@@ -478,12 +494,14 @@ def record_step(
     kind: str,
     subject: str,
     phi_before: int,
+    steps: int = 1,
 ) -> None:
-    """Check that a step lowered the potential by exactly one; trace it."""
+    """Check that ``steps`` steps of one kind and subject lowered the
+    potential by exactly ``steps``, one per step; trace them as one row."""
     phi_after = potential(inst, ss)
-    if phi_after != phi_before - 1:
+    if phi_after != phi_before - steps:
         raise SolverError(
-            f"potential moved {phi_before} -> {phi_after} in one {kind} step"
+            f"potential moved {phi_before} -> {phi_after} in {steps} {kind} step(s)"
         )
     trace.add_row(
         TraceRow(
@@ -493,6 +511,7 @@ def record_step(
             subject=subject,
             phi_before=phi_before,
             phi_after=phi_after,
+            steps=steps,
         )
     )
 
@@ -505,16 +524,23 @@ def run_inner_loop(
     phase: int,
     check_iteration_bound: bool = True,
 ) -> None:
-    """Drive the state to optimality, asserting the potential discipline."""
+    """Drive the state to optimality, asserting the potential discipline.
+
+    A run of refund steps is checked for feasibility once, after its last
+    step: within the run the buyer's refund only grows from a non-negative
+    value and its cash only falls to a value that is still non-negative,
+    so if the end state is feasible, so is every state of the run.  The
+    iteration bound counts steps, not calls.
+    """
     iterations = 0
     while not is_delta_optimal(inst, ss):
         phi_before = potential(inst, ss)
-        kind, subject = inner_step(inst, ss)
-        record_step(inst, ss, trace, phase, kind, subject, phi_before)
+        kind, subject, steps = inner_step(inst, ss)
+        record_step(inst, ss, trace, phase, kind, subject, phi_before, steps)
         ok, violations = is_delta_feasible(inst, ss)
         if not ok:
             raise SolverError(f"infeasible after {kind} at {subject}: {violations}")
-        iterations += 1
+        iterations += steps
         if check_iteration_bound and iterations > stats.n:
             raise SolverError("phase exceeded its iteration bound")
 

@@ -73,9 +73,18 @@ def wide_instance(n: int, rng: random.Random) -> MarketInstance:
 def check_potential_discipline(trace: PhaseTrace, n: int) -> None:
     """Criterion 3 checks for one run."""
     for row in trace.rows:
-        assert row.phi_after == row.phi_before - 1, (
+        assert row.phi_after == row.phi_before - row.steps, (
             f"potential moved {row.phi_before} -> {row.phi_after}"
+            f" in {row.steps} step(s)"
         )
+        assert row.steps == 1 or row.kind == "refund", (
+            f"{row.kind} row of {row.steps} steps"
+        )
+    for line in trace.to_lines():
+        if line["event"] == "step":
+            assert line["phi_after"] == line["phi_before"] - 1, (
+                f"step line moved {line['phi_before']} -> {line['phi_after']}"
+            )
     for mark in trace.phases:
         if mark.entry in ("init", "halve", "delayed"):
             assert mark.potential_start <= n, (

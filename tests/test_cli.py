@@ -308,6 +308,21 @@ def long_budget(budget):
     return argv
 
 
+def nested_arrays(command):
+    """A command line whose input (``solve``) or solution (``verify``)
+    document is 100,000 arrays deep, past the JSON decoder's recursion
+    limit."""
+
+    def argv(instance_file, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        if command == "solve":
+            return ["solve", "--input", str(path)]
+        return ["verify", "--input", str(instance_file), "--solution", str(path)]
+
+    return argv
+
+
 def weak_section(doc):
     return doc["results"]["weak"]["equilibrium"]
 
@@ -335,6 +350,8 @@ INPUT_ERRORS = {
     # one digit past CPython's default int-string limit of 4300 digits
     "solve_budget_string_4301_digits": long_budget('"' + "1" * 4301 + '"'),
     "solve_budget_number_4301_digits": long_budget("1" * 4301),
+    "solve_nested_100000_deep": nested_arrays("solve"),
+    "verify_nested_100000_deep": nested_arrays("verify"),
 }
 
 

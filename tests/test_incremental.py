@@ -92,8 +92,8 @@ def checked_steps(monkeypatch):
     kinds = []
     original = weak.record_step
 
-    def checked(inst, ss, trace, phase, kind, subject, phi_before):
-        original(inst, ss, trace, phase, kind, subject, phi_before)
+    def checked(inst, ss, trace, phase, kind, subject, phi_before, steps=1):
+        original(inst, ss, trace, phase, kind, subject, phi_before, steps)
         assert_views_match(inst, ss)
         kinds.append(kind)
 

@@ -8,7 +8,7 @@ from arcticauction.core import PerturbationConfig, ceil_log2, compute_stats, per
 from arcticauction.errors import SolverError
 from arcticauction.graph import MarketState, buyer_node, reach, state_equality_graph
 from arcticauction.oracle import brute_force_equilibrium
-from arcticauction.trace import PhaseMark
+from arcticauction.trace import PhaseMark, PhaseTrace, TraceRow
 from arcticauction.weak import (
     ScalingState,
     check_phase_invariants,
@@ -245,7 +245,7 @@ class TestRefundStep:
     def test_cash_drops_by_delta(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
         ss = scaling_state(inst, {"g1": 2}, {}, {"b1": 3}, delta=1)
-        refund_step(inst, ss, "b1")
+        assert refund_step(inst, ss, "b1") == 1
         assert ss.market.effective_cash(inst, "b1") == 0
         assert ss.market.refunds["b1"] == 4
 
@@ -256,15 +256,70 @@ class TestRefundStep:
         ss = scaling_state(inst, {"g1": 2}, {}, {}, delta=1)
         cash_b2 = ss.market.effective_cash(inst, "b2")
         phi = potential(inst, ss)
-        refund_step(inst, ss, "b1")
+        # cash 4 at delta 1: a run of four refund steps, booked at once
+        assert refund_step(inst, ss, "b1") == 4
         assert ss.market.effective_cash(inst, "b2") == cash_b2
-        assert potential(inst, ss) == phi - 1
+        assert potential(inst, ss) == phi - 4
+
+    def test_books_floor_of_cash_over_delta(self):
+        # cash 23/6 at delta 1/2: floor(23/3) = 7 steps, 1/3 left over
+        inst = make_instance({"b1": Fraction(23, 6)}, {("b1", "g1"): 2})
+        ss = scaling_state(inst, {"g1": 2}, {}, {}, delta=Fraction(1, 2))
+        assert refund_step(inst, ss, "b1") == 7
+        assert ss.market.refunds["b1"] == Fraction(7, 2)
+        assert ss.market.effective_cash(inst, "b1") == Fraction(1, 3)
+        assert is_delta_optimal(inst, ss)
 
     def test_precondition_enforced(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
         ss = scaling_state(inst, {"g1": 2}, {}, {}, delta=1)
         with pytest.raises(SolverError):
             refund_step(inst, ss, "b1")  # bang-per-buck is 4 > 1
+
+    def test_cash_below_delta_rejected(self):
+        inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
+        ss = scaling_state(inst, {"g1": 2}, {}, {"b1": Fraction(7, 2)}, delta=1)
+        with pytest.raises(SolverError):
+            refund_step(inst, ss, "b1")  # cash 1/2 < delta
+        assert ss.market.refunds["b1"] == Fraction(7, 2)
+
+    def test_inner_step_reports_the_run(self):
+        inst = make_instance(
+            {"b1": 3, "b2": 5}, {("b1", "g1"): 2, ("b2", "g1"): 2}
+        )
+        ss = scaling_state(inst, {"g1": 2}, {}, {}, delta=1)
+        # both buyers are at bang-per-buck one; b1 comes first canonically
+        assert inner_step(inst, ss) == ("refund", "b1", 3)
+        assert inner_step(inst, ss) == ("refund", "b2", 5)
+        assert is_delta_optimal(inst, ss)
+
+
+class TestTraceRuns:
+    def trace_with_rows(self):
+        trace = PhaseTrace(algorithm="weak")
+        trace.begin_phase(0, Fraction(1, 2), "init", 5, {}, set())
+        trace.add_row(TraceRow(0, Fraction(1, 2), "augment_good", "g1", 5, 4))
+        trace.add_row(TraceRow(0, Fraction(1, 2), "refund", "b2", 4, 1, steps=3))
+        return trace
+
+    def test_run_row_expands_to_one_line_per_step(self):
+        lines = self.trace_with_rows().to_lines()
+        steps = [line for line in lines if line["event"] == "step"]
+        assert [
+            (s["kind"], s["subject"], s["phi_before"], s["phi_after"]) for s in steps
+        ] == [
+            ("augment_good", "g1", 5, 4),
+            ("refund", "b2", 4, 3),
+            ("refund", "b2", 3, 2),
+            ("refund", "b2", 2, 1),
+        ]
+        assert all(s["delta"] == "1/2" and s["phase"] == 0 for s in steps)
+
+    def test_counts_are_steps_not_rows(self):
+        trace = self.trace_with_rows()
+        assert trace.phases[0].iterations == 4
+        assert trace.stats_doc()["refund_steps"] == 3
+        assert trace.stats_doc()["augmentations"] == 1
 
 
 class TestHalveAndRepair:
@@ -371,7 +426,11 @@ class TestRunWeak:
         _, trace = run_weak(pert)
         stats = compute_stats(pert)
         for row in trace.rows:
-            assert row.phi_after == row.phi_before - 1
+            assert row.phi_after == row.phi_before - row.steps
+            assert row.steps == 1 or row.kind == "refund"
+        for line in trace.to_lines():
+            if line["event"] == "step":
+                assert line["phi_after"] == line["phi_before"] - 1
         for mark in trace.phases:
             assert mark.potential_start <= stats.n
             assert mark.iterations <= stats.n
