@@ -34,20 +34,19 @@ class TraceRow:
     steps: int = 1
 
     def to_docs(self) -> list[dict]:
-        """One document per step."""
-        doc = {
-            "phase": self.phase,
-            "delta": format_rational(self.delta),
-            "kind": self.kind,
-            "subject": self.subject,
-            "phi_before": self.phi_before,
-            "phi_after": self.phi_before - 1,
-        }
-        if self.steps == 1:
-            return [doc]
+        """One document per step, each lowering the potential by one from
+        ``phi_before``."""
+        delta = format_rational(self.delta)
         return [
-            {**doc, "phi_before": phi, "phi_after": phi - 1}
-            for phi in range(self.phi_before, self.phi_after, -1)
+            {
+                "phase": self.phase,
+                "delta": delta,
+                "kind": self.kind,
+                "subject": self.subject,
+                "phi_before": phi,
+                "phi_after": phi - 1,
+            }
+            for phi in range(self.phi_before, self.phi_before - self.steps, -1)
         ]
 
 

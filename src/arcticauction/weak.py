@@ -399,7 +399,7 @@ def refund_step(inst: MarketInstance, ss: ScalingState, buyer: str) -> int:
             f" bang-per-buck {alpha}, cash {cash}"
         )
     steps = _cash_terms(inst, ss).terms[buyer]
-    ss.market.add_refund(buyer, ss.delta * steps if steps > 1 else ss.delta)
+    ss.market.add_refund(buyer, ss.delta * steps)
     return steps
 
 

@@ -44,6 +44,29 @@ def lean_sigma(inst: MarketInstance) -> Fraction:
     return Fraction(1, 4 * stats.n * stats.m) / stats.u_max
 
 
+def check_step_lines(trace) -> None:
+    """The step lines of ``trace.to_lines()`` are the trace rows in order:
+    ``row.steps`` lines each, chaining from ``row.phi_before`` down to
+    ``row.phi_after`` by one per line."""
+    lines = iter(line for line in trace.to_lines() if line["event"] == "step")
+    for row in trace.rows:
+        phi = row.phi_before
+        for _ in range(row.steps):
+            line = next(lines)
+            assert (line["phase"], line["kind"], line["subject"]) == (
+                row.phase,
+                row.kind,
+                row.subject,
+            )
+            assert (line["phi_before"], line["phi_after"]) == (phi, phi - 1)
+            phi -= 1
+        assert phi == row.phi_after, (
+            f"{row.kind} row {row.phi_before} -> {row.phi_after}"
+            f" published as {row.steps} step(s) ending at {phi}"
+        )
+    assert next(lines, None) is None, "step line without a row"
+
+
 @pytest.fixture
 def one_buyer_one_good():
     return make_instance({"b1": 1}, {("b1", "g1"): 2})

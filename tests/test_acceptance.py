@@ -42,7 +42,7 @@ from arcticauction.randgen import random_instance
 from arcticauction.trace import PhaseTrace
 
 from auxnet import AuxNetwork, assert_cycle_bound
-from conftest import lean_sigma
+from conftest import check_step_lines, lean_sigma
 
 
 def wide_instance(n: int, rng: random.Random) -> MarketInstance:
@@ -80,11 +80,7 @@ def check_potential_discipline(trace: PhaseTrace, n: int) -> None:
         assert row.steps == 1 or row.kind == "refund", (
             f"{row.kind} row of {row.steps} steps"
         )
-    for line in trace.to_lines():
-        if line["event"] == "step":
-            assert line["phi_after"] == line["phi_before"] - 1, (
-                f"step line moved {line['phi_before']} -> {line['phi_after']}"
-            )
+    check_step_lines(trace)
     for mark in trace.phases:
         if mark.entry in ("init", "halve", "delayed"):
             assert mark.potential_start <= n, (

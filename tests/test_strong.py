@@ -489,10 +489,8 @@ class TestRunStrong:
         assert strong_eq.spending == weak_eq.spending
         assert strong_eq.refunds == weak_eq.refunds
 
-    # Post-restart refund tails: after a compressed restart one buyer holds
-    # cash worth tens of thousands to millions of deltas and refunds it one
-    # delta per step.  Each run of such steps is booked by one inner-loop
-    # call, so these finish in about a second; weak and strong must agree.
+    # Post-restart refund tails of tens of thousands to millions of steps;
+    # weak and strong must agree.
     @pytest.mark.parametrize(
         "make, seed, tail",
         [
@@ -513,10 +511,8 @@ class TestRunStrong:
             row.steps for row in trace.rows
         )
 
-    # Known defect: with the refund tail booked in runs, strong reaches a
-    # final basic solution on this market that fails certification
-    # (refund_complementarity); before, it ran for minutes without finishing.
-    # Weak certifies the same perturbed market.
+    # Known defect (ROADMAP item 1): strong's final state on this market
+    # fails refund_complementarity, while weak certifies it.
     @pytest.mark.xfail(strict=True, raises=SolverError)
     def test_certifies_random_34_2008(self):
         solve_instance(random_instance(34, random.Random(2008)), "strong", seed=7)

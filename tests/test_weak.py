@@ -25,7 +25,7 @@ from arcticauction.weak import (
     update_price_star,
 )
 
-from conftest import lean_sigma, make_instance
+from conftest import check_step_lines, lean_sigma, make_instance
 
 
 def scaling_state(inst, prices, spending, refunds, delta, initial=None):
@@ -315,6 +315,13 @@ class TestTraceRuns:
         ]
         assert all(s["delta"] == "1/2" and s["phase"] == 0 for s in steps)
 
+    def test_step_lines_expose_a_row_that_dropped_the_wrong_amount(self):
+        check_step_lines(self.trace_with_rows())
+        trace = self.trace_with_rows()
+        trace.add_row(TraceRow(0, Fraction(1, 2), "refund", "b1", 1, -2, steps=2))
+        with pytest.raises(AssertionError):
+            check_step_lines(trace)
+
     def test_counts_are_steps_not_rows(self):
         trace = self.trace_with_rows()
         assert trace.phases[0].iterations == 4
@@ -428,9 +435,7 @@ class TestRunWeak:
         for row in trace.rows:
             assert row.phi_after == row.phi_before - row.steps
             assert row.steps == 1 or row.kind == "refund"
-        for line in trace.to_lines():
-            if line["event"] == "step":
-                assert line["phi_after"] == line["phi_before"] - 1
+        check_step_lines(trace)
         for mark in trace.phases:
             assert mark.potential_start <= stats.n
             assert mark.iterations <= stats.n
