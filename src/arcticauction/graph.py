@@ -290,20 +290,11 @@ def abundant_edges(state: MarketState, n: int, delta: Fraction) -> set[Edge]:
 
 @dataclass
 class Component:
-    """A connected component of ``B + G`` under some edge set.
-
-    Roots are canonical: ``root_good`` is the smallest good (None for a
-    pure-buyer component), ``buyer_root`` the smallest buyer and
-    ``good_root`` the smallest good, each falling back to the lone node of
-    the other side when one side is empty.  ``edges`` are the component's
-    edges in canonical order.
-    """
+    """A connected component of ``B + G`` under some edge set: its buyers,
+    goods and edges, each in canonical order."""
 
     buyers: tuple[str, ...]
     goods: tuple[str, ...]
-    root_good: str | None
-    buyer_root: Node
-    good_root: Node
     edges: tuple[Edge, ...]
 
     def is_singleton(self) -> bool:
@@ -326,14 +317,6 @@ def component_key(component: Component) -> str:
     """Stable label of a component in traces and reports: its smallest node."""
     kind, name = component.nodes()[0]
     return f"{kind}:{name}"
-
-
-def components_of_abundant_graph(
-    inst: MarketInstance, state: MarketState, n: int, delta: Fraction
-) -> list[Component]:
-    """Components of the undirected graph on abundant edges, in the order
-    :func:`components_of_edges` gives them."""
-    return components_of_edges(inst, abundant_edges(state, n, delta))[0]
 
 
 def components_of_edges(
@@ -392,14 +375,7 @@ def components_of_edges(
     for edge in ordered:
         comp_edges[index[("B", edge[0])]].append(edge)
     components = [
-        Component(
-            buyers=tuple(bs),
-            goods=tuple(gs),
-            root_good=gs[0] if gs else None,
-            buyer_root=buyer_node(bs[0]) if bs else good_node(gs[0]),
-            good_root=good_node(gs[0]) if gs else buyer_node(bs[0]),
-            edges=tuple(es),
-        )
+        Component(buyers=tuple(bs), goods=tuple(gs), edges=tuple(es))
         for bs, gs, es in zip(buyers, goods, comp_edges)
     ]
     return components, cycle

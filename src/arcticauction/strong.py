@@ -20,7 +20,6 @@ checking it against the compressed instance's equilibrium conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from arcticauction.basic import SupportError, basic_solution, solve_tree_flow
@@ -34,7 +33,7 @@ from arcticauction.graph import (
     abundant_edges,
     buyer_node,
     component_key,
-    components_of_abundant_graph,
+    components_of_edges,
     good_node,
     path_to,
     reach,
@@ -120,7 +119,9 @@ def special_price(
     barrier ``-root surplus / (2 n^2)``, or an active buyer with positive
     cash turning critical, in which case as much of her cash is committed
     as the target and barrier allow.  Runs for at most ``n + |B|``
-    iterations.  Returns the private state and the iteration count.
+    iterations.  ``components`` must be the abundant forest of ``ss``;
+    their edges are the backward arcs of the search for the active set.
+    Returns the private state and the iteration count.
     """
     n = len(inst.buyers) + len(inst.goods)
     market = ss.market
@@ -135,7 +136,7 @@ def special_price(
         refunds=dict(market.refunds),
     )
     prices = state.prices
-    abundant = abundant_edges(market, n, ss.delta)
+    abundant = {e for comp in components for e in comp.edges}
     barrier_scale = Q(2 * n * n)
 
     max_iterations = n + len(inst.buyers)
@@ -174,11 +175,11 @@ def special_price(
             for g in inst.goods_of(b):
                 if g in active_good_set:
                     continue
+                # at least 1, as alphas[b] is b's best ratio at these prices
                 q = alphas[b] * prices[g] / inst.utilities[(b, g)]
-                if q >= 1:
-                    candidates.append(
-                        (q, 1, (inst.buyer_pos[b], inst.good_pos[g]), "edge", (b, g))
-                    )
+                candidates.append(
+                    (q, 1, (inst.buyer_pos[b], inst.good_pos[g]), "edge", (b, g))
+                )
         # (2) root surplus reaches the target
         q2 = (root_budget - target) / root_goods_price
         candidates.append((q2, 2, (), "target", None))
@@ -253,7 +254,7 @@ def get_prices(
     ss: ScalingState,
     components: list[Component],
     new_delta: Fraction,
-    trace: PhaseTrace | None = None,
+    trace: PhaseTrace,
 ) -> tuple[dict[str, Fraction], dict[str, Fraction], dict[str, Fraction]]:
     """Coordinatewise maxima of the per-component price-raising runs.
 
@@ -268,8 +269,7 @@ def get_prices(
             state = ss.market
         else:
             state, iterations = special_price(inst, ss, components, comp, new_delta)
-            if trace is not None:
-                trace.special_price_iterations.append(iterations)
+            trace.special_price_iterations.append(iterations)
         states.append(state)
         run_surplus[component_key(comp)] = comp.surplus(inst, state)
     merged_prices = {g: max(s.prices[g] for s in states) for g in inst.goods}
@@ -287,10 +287,11 @@ def get_allocations(
 ) -> dict[Edge, Fraction]:
     """Rebuild spending as the unique tree flow on the abundant forest.
 
-    Within each non-singleton component the buyer root keeps the positive
-    part of the component surplus as cash and the good root absorbs the
-    negative part as backorder; everyone else is exactly balanced.  A
-    negative tree flow means the restart invariants failed upstream.
+    Within each non-singleton component (which has both buyers and goods)
+    the first buyer keeps the positive part of the component surplus as
+    cash and the first good, the tree's root, absorbs the negative part as
+    backorder; everyone else is exactly balanced.  A negative tree flow
+    means the restart invariants failed upstream.
     """
     spending: dict[Edge, Fraction] = {}
     temp = MarketState(prices=new_prices, spending={}, refunds=new_refunds)
@@ -298,17 +299,12 @@ def get_allocations(
         if comp.is_singleton():
             continue
         tau = comp.surplus(inst, temp)
-        supply: dict[str, Fraction] = {}
-        for b in comp.buyers:
-            supply[b] = temp.effective_budget(inst, b)
-            if buyer_node(b) == comp.buyer_root:
-                supply[b] -= max(ZERO, tau)
-        demand: dict[str, Fraction] = {}
-        for g in comp.goods:
-            demand[g] = new_prices[g]
-            if good_node(g) == comp.good_root:
-                demand[g] += min(ZERO, tau)
-        flows, leftover = solve_tree_flow(comp.edges, supply, demand, comp.good_root)
+        supply = {b: temp.effective_budget(inst, b) for b in comp.buyers}
+        supply[comp.buyers[0]] -= max(ZERO, tau)
+        demand = {g: new_prices[g] for g in comp.goods}
+        demand[comp.goods[0]] += min(ZERO, tau)
+        root = good_node(comp.goods[0])
+        flows, leftover = solve_tree_flow(comp.edges, supply, demand, root)
         if leftover != 0:
             raise SolverError(f"unbalanced tree flow: leftover {leftover}")
         for edge, value in flows.items():
@@ -319,29 +315,22 @@ def get_allocations(
     return spending
 
 
-@dataclass
-class RestartOutcome:
-    branch: str  # delayed | compressed
-    delta: Fraction
-    threshold: Fraction
-    state: MarketState | None
-    new_scale: Fraction
-    per_component: dict[str, Fraction]
-    run_surplus: dict[str, Fraction]
-
-
 def make_fertile(
     inst: MarketInstance,
     ss: ScalingState,
     components: list[Component],
-    trace: PhaseTrace | None = None,
-) -> RestartOutcome:
+    trace: PhaseTrace,
+    phase: int,
+) -> RestartRecord:
     """Restart subroutine for an optimal, non-fertile state.
 
     If the next scale is still large relative to the current one, keep the
     state and just lower the threshold (a new abundant edge is then due
     within a logarithmic number of phases).  Otherwise jump to the small
-    scale with rebuilt prices, refunds, and a tree-flow allocation.
+    scale: rebuild prices, refunds, and a tree-flow allocation, check the
+    restart invariants, and install the rebuilt state into ``ss``, its
+    spending exempt from the multiple-of-delta rule and its backorders
+    allowed as deficits.  Either way the decision is booked in the trace.
     """
     n = len(inst.buyers) + len(inst.goods)
     delta = ss.delta
@@ -352,49 +341,61 @@ def make_fertile(
     # threshold instead; the termination test ends the run once the abundant
     # support pins the equilibrium.
     if new_scale > delta / (n * n) or new_scale <= 0:
-        return RestartOutcome(
+        record = RestartRecord(
+            phase=phase,
             branch="delayed",
-            delta=delta,
+            delta_before=delta,
+            delta_after=delta,
             threshold=delta / n**5,
-            state=None,
-            new_scale=new_scale,
-            per_component=per_component,
-            run_surplus={},
+            surpluses=per_component,
         )
-    new_prices, new_refunds, run_surplus = get_prices(
-        inst, ss, components, new_scale, trace
-    )
-    spending = get_allocations(inst, new_prices, new_refunds, components)
-    state = MarketState(prices=new_prices, spending=spending, refunds=new_refunds)
-    return RestartOutcome(
-        branch="compressed",
-        delta=new_scale,
-        threshold=new_scale / n**5,
-        state=state,
-        new_scale=new_scale,
-        per_component=per_component,
-        run_surplus=run_surplus,
-    )
+    else:
+        new_prices, new_refunds, run_surplus = get_prices(
+            inst, ss, components, new_scale, trace
+        )
+        spending = get_allocations(inst, new_prices, new_refunds, components)
+        state = MarketState(prices=new_prices, spending=spending, refunds=new_refunds)
+        _assert_restart_invariants(inst, ss, components, state, new_scale, run_surplus)
+        ss.market = state
+        ss.delta = new_scale
+        ss.exempt_edges = set(spending)
+        ss.allowed_deficit = {}
+        for g in inst.goods:
+            backorder = state.backorder(g)
+            if backorder < 0:
+                ss.allowed_deficit[g] = -backorder
+        record = RestartRecord(
+            phase=phase,
+            branch="compressed",
+            delta_before=delta,
+            delta_after=new_scale,
+            threshold=new_scale / n**5,
+            surpluses=run_surplus,
+        )
+    trace.restarts.append(record)
+    return record
 
 
 def _assert_restart_invariants(
     inst: MarketInstance,
     ss: ScalingState,
     components: list[Component],
-    outcome: RestartOutcome,
-    old_abundant: set[Edge],
+    state: MarketState,
+    new_scale: Fraction,
+    run_surplus: dict[str, Fraction],
 ) -> None:
-    """Promised restart guarantees, checked after every compressed restart.
+    """Promised restart guarantees, checked on the rebuilt ``state`` before
+    it replaces ``ss.market``.
 
     The surplus floor ``-delta' / n^2`` holds for every component with a
     buyer; a singleton good's surplus is just the negative of its price,
     which no price-raising run can lift, so those are exempt (their
     backorder is likewise carried as an explicit allowance until repaired).
+    Every edge of the old abundant forest keeps spending above
+    ``3 n delta'``.
     """
     n = len(inst.buyers) + len(inst.goods)
-    state = outcome.state
-    assert state is not None
-    floor = -outcome.delta / (n * n)
+    floor = -new_scale / (n * n)
     for comp in components:
         if not comp.buyers:
             continue
@@ -406,17 +407,20 @@ def _assert_restart_invariants(
     for comp in components:
         if comp.is_singleton():
             continue
-        expected = min(comp.surplus(inst, ss.market), outcome.delta)
-        got = outcome.run_surplus[component_key(comp)]
+        expected = min(comp.surplus(inst, ss.market), new_scale)
+        got = run_surplus[component_key(comp)]
         if got != expected:
             raise SolverError(
                 f"run surplus {got} != min(old surplus, new scale) {expected}"
                 f" at {component_key(comp)}"
             )
-    threshold = 3 * n * outcome.delta
-    for edge in old_abundant:
-        if state.spending.get(edge, ZERO) <= threshold:
-            raise SolverError(f"old abundant edge {edge} not kept above {threshold}")
+    threshold = 3 * n * new_scale
+    for comp in components:
+        for edge in comp.edges:
+            if state.spending.get(edge, ZERO) <= threshold:
+                raise SolverError(
+                    f"old abundant edge {edge} not kept above {threshold}"
+                )
 
 
 def _repair_deficits(
@@ -434,7 +438,7 @@ def _repair_deficits(
     by the ordinary steps once the graph connects to them.
     """
     market = ss.market
-    components = components_of_abundant_graph(inst, market, stats.n, ss.delta)
+    components = components_of_edges(inst, abundant_edges(market, stats.n, ss.delta))[0]
     comp_of_good = {g: comp for comp in components for g in comp.goods}
     deficits = [g for g in inst.goods if market.backorder(g) < 0]
     for g in deficits:
@@ -458,11 +462,10 @@ def _repair_deficits(
 
 
 def _termination_candidate(
-    inst: MarketInstance, ss: ScalingState, stats: InstanceStats
+    inst: MarketInstance, ss: ScalingState, support: set[Edge]
 ) -> tuple[MarketState, Certificate] | None:
-    """Basic solution of the abundant support, if it certifies as an
+    """Basic solution of the abundant ``support``, if it certifies as an
     equilibrium of the compressed instance."""
-    support = abundant_edges(ss.market, stats.n, ss.delta)
     effective = {
         b: ss.market.effective_budget(inst, b) for b in inst.buyers
     }
@@ -521,8 +524,9 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
         if entry != "restart":
             check_phase_invariants(n, mark)
 
-        _note_abundant(trace, phase, abundant_edges(ss.market, n, ss.delta))
-        components = components_of_abundant_graph(inst, ss.market, n, ss.delta)
+        abundant = abundant_edges(ss.market, n, ss.delta)
+        _note_abundant(trace, phase, abundant)
+        components = components_of_edges(inst, abundant)[0]
         alphas = state_alphas(inst, ss.market)
         for comp in components:
             if comp.is_singleton() and comp.buyers:
@@ -531,7 +535,7 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
                     singleton_crossed.add(b)
                     trace.progress_events.append((phase, "buyer_uninterested", b))
 
-        finished = _termination_candidate(inst, ss, stats)
+        finished = _termination_candidate(inst, ss, abundant)
         if finished is not None:
             candidate, _ = finished
             total_refunds = {
@@ -556,44 +560,11 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
 
         fertile = fertile_components(inst, ss, components)
         if not fertile and ss.delta <= threshold:
-            outcome = make_fertile(inst, ss, components, trace)
-            if outcome.branch == "delayed":
-                threshold = outcome.threshold
-                trace.restarts.append(
-                    RestartRecord(
-                        phase=phase,
-                        branch="delayed",
-                        delta_before=ss.delta,
-                        delta_after=ss.delta,
-                        threshold=threshold,
-                        surpluses=outcome.per_component,
-                    )
-                )
+            record = make_fertile(inst, ss, components, trace, phase)
+            threshold = record.threshold
+            if record.branch == "delayed":
                 entry = "delayed"
             else:
-                old_abundant = abundant_edges(ss.market, n, ss.delta)
-                old_delta = ss.delta
-                _assert_restart_invariants(inst, ss, components, outcome, old_abundant)
-                assert outcome.state is not None
-                ss.market = outcome.state
-                ss.delta = outcome.delta
-                threshold = outcome.threshold
-                ss.exempt_edges = set(outcome.state.spending)
-                ss.allowed_deficit = {}
-                for g in inst.goods:
-                    backorder = outcome.state.backorder(g)
-                    if backorder < 0:
-                        ss.allowed_deficit[g] = -backorder
-                trace.restarts.append(
-                    RestartRecord(
-                        phase=phase,
-                        branch="compressed",
-                        delta_before=old_delta,
-                        delta_after=ss.delta,
-                        threshold=threshold,
-                        surpluses=outcome.run_surplus,
-                    )
-                )
                 _repair_deficits(inst, ss, stats, trace, phase)
                 ok, violations = is_delta_feasible(inst, ss)
                 if not ok:

@@ -60,8 +60,6 @@ class PhaseMark:
     potential_start: int
     spending_start: dict[Edge, Fraction]
     abundant_start: set[Edge]
-    prices_start: dict[str, Fraction] = field(default_factory=dict)
-    refunds_start: dict[str, Fraction] = field(default_factory=dict)
     spending_end: dict[Edge, Fraction] | None = None
     iterations: int = 0
 
@@ -132,8 +130,6 @@ class PhaseTrace:
         potential: int,
         spending: dict[Edge, Fraction],
         abundant: set[Edge],
-        prices: dict[str, Fraction] | None = None,
-        refunds: dict[str, Fraction] | None = None,
     ) -> PhaseMark:
         mark = PhaseMark(
             index=index,
@@ -142,8 +138,6 @@ class PhaseTrace:
             potential_start=potential,
             spending_start=dict(spending),
             abundant_start=set(abundant),
-            prices_start=dict(prices or {}),
-            refunds_start=dict(refunds or {}),
         )
         self.phases.append(mark)
         return mark

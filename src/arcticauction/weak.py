@@ -464,16 +464,7 @@ def start_phase(
         missing = trace.phases[-1].abundant_start - abundant
         if missing:
             raise SolverError(f"abundant edges lost: {sorted(missing)}")
-    return trace.begin_phase(
-        phase,
-        ss.delta,
-        entry,
-        phi,
-        ss.market.spending,
-        abundant,
-        prices=ss.market.prices,
-        refunds=ss.market.refunds,
-    )
+    return trace.begin_phase(phase, ss.delta, entry, phi, ss.market.spending, abundant)
 
 
 def check_phase_invariants(n: int, mark: PhaseMark) -> None:

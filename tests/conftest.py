@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from arcticauction import strong, weak
 from arcticauction.core import MarketInstance, compute_stats
 from arcticauction.randgen import random_instance
 
@@ -44,6 +45,15 @@ def lean_sigma(inst: MarketInstance) -> Fraction:
     return Fraction(1, 4 * stats.n * stats.m) / stats.u_max
 
 
+def check_nondecreasing(starts) -> None:
+    """No price and no refund falls from one phase start to the next."""
+    for (prices, refunds), (later_prices, later_refunds) in zip(starts, starts[1:]):
+        for g, p in prices.items():
+            assert later_prices[g] >= p
+        for b, r in refunds.items():
+            assert later_refunds.get(b, Fraction(0)) >= r
+
+
 def check_step_lines(trace) -> None:
     """The step lines of ``trace.to_lines()`` are the trace rows in order:
     ``row.steps`` lines each, chaining from ``row.phi_before`` down to
@@ -65,6 +75,24 @@ def check_step_lines(trace) -> None:
             f" published as {row.steps} step(s) ending at {phi}"
         )
     assert next(lines, None) is None, "step line without a row"
+
+
+@pytest.fixture
+def phase_starts(monkeypatch):
+    """Copies of ``ss.market.prices`` and ``ss.market.refunds`` at each
+    phase start of the solver runs in a test, in order, collected by
+    wrapping ``start_phase`` where both solvers call it."""
+    starts: list[tuple[dict, dict]] = []
+    original = weak.start_phase
+
+    def recording(inst, ss, *args):
+        mark = original(inst, ss, *args)
+        starts.append((dict(ss.market.prices), dict(ss.market.refunds)))
+        return mark
+
+    for module in (weak, strong):
+        monkeypatch.setattr(module, "start_phase", recording)
+    return starts
 
 
 @pytest.fixture

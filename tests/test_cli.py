@@ -75,6 +75,28 @@ class TestSolve:
         )
         assert doc["results"]["weak"]["certificate"]["pass"]
 
+    def test_integer_ids_are_read_as_strings(self, tmp_path):
+        # JSON integers as buyer and good ids name the same market as the
+        # strings of their digits
+        path = tmp_path / "ints.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "buyers": [{"id": 1, "budget": 3}],
+                    "goods": [2],
+                    "utilities": [[1, 2, "2"]],
+                }
+            )
+        )
+        out = tmp_path / "out.json"
+        assert main(["solve", "--input", str(path), "--output", str(out)]) == 0
+        for section in json.loads(out.read_text())["results"].values():
+            eq = section["equilibrium"]
+            assert list(eq["prices"]) == ["2"]
+            assert list(eq["refunds"]) == ["1"]
+            assert [row[:2] for row in eq["spending"]] == [["1", "2"]]
+            assert section["certificate"]["pass"]
+
     def test_weak_budget_balanced_prices_exact(self, pair_instance_file, tmp_path):
         # budget-balanced component: the price equals the budget exactly,
         # untouched by the perturbation

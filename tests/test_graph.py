@@ -15,7 +15,6 @@ from arcticauction.graph import (
     bang_per_buck,
     buyer_node,
     component_key,
-    components_of_abundant_graph,
     components_of_edges,
     edge_key,
     equality_graph,
@@ -266,7 +265,7 @@ class TestComponents:
         state = MarketState(
             prices={"g1": Fraction(1), "g2": Fraction(1)}, spending={}, refunds={}
         )
-        comps = components_of_abundant_graph(inst, state, 4, Fraction(1))
+        comps = components_of_edges(inst, abundant_edges(state, 4, Fraction(1)))[0]
         assert len(comps) == 4
         assert all(c.is_singleton() for c in comps)
 
@@ -279,14 +278,11 @@ class TestComponents:
             spending={("b1", "g1"): Fraction(20)},
             refunds={},
         )
-        comps = components_of_abundant_graph(inst, state, 4, Fraction(1))
+        comps = components_of_edges(inst, abundant_edges(state, 4, Fraction(1)))[0]
         sizes = sorted(len(c.buyers) + len(c.goods) for c in comps)
         assert sizes == [1, 1, 2]
         pair = next(c for c in comps if not c.is_singleton())
         assert pair.buyers == ("b1",) and pair.goods == ("g1",)
-        assert pair.buyer_root == buyer_node("b1")
-        assert pair.good_root == good_node("g1")
-        assert pair.root_good == "g1"
 
     def test_forest_component_count(self):
         # on a forest, every abundant edge merges two components
@@ -301,19 +297,8 @@ class TestComponents:
         )
         n = 4
         edges = abundant_edges(state, n, Fraction(1))
-        comps = components_of_abundant_graph(inst, state, n, Fraction(1))
+        comps = components_of_edges(inst, edges)[0]
         assert len(comps) == n - len(edges)
-
-    def test_singleton_roots_reuse_lone_node(self):
-        inst = make_instance({"b1": 1}, {("b1", "g1"): 1})
-        state = MarketState(prices={"g1": Fraction(1)}, spending={}, refunds={})
-        comps = components_of_abundant_graph(inst, state, 2, Fraction(1))
-        good_comp = next(c for c in comps if c.goods)
-        assert good_comp.buyer_root == good_comp.good_root == good_node("g1")
-        assert good_comp.root_good == "g1"
-        buyer_comp = next(c for c in comps if c.buyers)
-        assert buyer_comp.buyer_root == buyer_comp.good_root == buyer_node("b1")
-        assert buyer_comp.root_good is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -188,8 +188,9 @@ def non_q(values, where):
     return [f"{where}: {v!r}" for v in values if type(v) is not Q]
 
 
-def all_numbers_are_q(eq, trace):
-    """Every number of a result and of its trace that is not ``Q``."""
+def all_numbers_are_q(eq, trace, starts):
+    """Every number of a result, of its trace and of its phase-start
+    prices and refunds that is not ``Q``."""
     bad = []
     for label, mapping in (
         ("prices", eq.prices),
@@ -204,10 +205,11 @@ def all_numbers_are_q(eq, trace):
         for label, snapshot in (
             ("spending_start", mark.spending_start),
             ("spending_end", mark.spending_end or {}),
-            ("prices_start", mark.prices_start),
-            ("refunds_start", mark.refunds_start),
         ):
             bad += non_q(snapshot.values(), f"{where} {label}")
+    for index, (prices, refunds) in enumerate(starts):
+        bad += non_q(prices.values(), f"phase {index} prices_start")
+        bad += non_q(refunds.values(), f"phase {index} refunds_start")
     bad += non_q([row.delta for row in trace.rows], "step delta")
     for record in trace.restarts:
         where = f"restart at phase {record.phase}"
@@ -217,19 +219,21 @@ def all_numbers_are_q(eq, trace):
 
 
 @pytest.mark.parametrize("solver", [run_weak, run_strong], ids=["weak", "strong"])
-def test_solver_numbers_are_q_on_a_random_market(solver):
+def test_solver_numbers_are_q_on_a_random_market(solver, phase_starts):
     rng = random.Random(5)
     inst = random_instance(6, rng)
     inst = perturb(inst, PerturbationConfig(magnitude=lean_sigma(inst), seed=5))
     eq, trace = solver(inst)
     assert trace.phases and trace.rows
-    assert all_numbers_are_q(eq, trace) == []
+    assert len(phase_starts) == trace.phase_count
+    assert all_numbers_are_q(eq, trace, phase_starts) == []
 
 
-def test_solver_numbers_are_q_through_a_compressed_restart():
+def test_solver_numbers_are_q_through_a_compressed_restart(phase_starts):
     inst = wide_instance(14)
     inst = perturb(inst, PerturbationConfig(magnitude=default_magnitude(inst), seed=0))
     eq, trace = run_strong(inst)
     assert trace.restart_count >= 1
     assert any(mark.entry == "restart" for mark in trace.phases)
-    assert all_numbers_are_q(eq, trace) == []
+    assert len(phase_starts) == trace.phase_count
+    assert all_numbers_are_q(eq, trace, phase_starts) == []

@@ -13,7 +13,7 @@ from arcticauction.graph import (
     abundant_edges,
     buyer_node,
     component_key,
-    components_of_abundant_graph,
+    components_of_edges,
     equality_graph,
     good_node,
     reach,
@@ -30,10 +30,11 @@ from arcticauction.strong import (
     run_strong,
     special_price,
 )
+from arcticauction.trace import PhaseTrace
 from arcticauction.weak import ScalingState, run_weak
 
 from auxnet import AuxNetwork, assert_cycle_bound, max_multiplier
-from conftest import lean_sigma, make_instance, wide_instance
+from conftest import check_nondecreasing, lean_sigma, make_instance, wide_instance
 
 
 def scaling_state(inst, prices, spending, refunds, delta, initial=None):
@@ -51,7 +52,7 @@ def scaling_state(inst, prices, spending, refunds, delta, initial=None):
 
 def components_of(inst, ss):
     n = len(inst.buyers) + len(inst.goods)
-    return components_of_abundant_graph(inst, ss.market, n, ss.delta)
+    return components_of_edges(inst, abundant_edges(ss.market, n, ss.delta))[0]
 
 
 class TestSurplus:
@@ -258,8 +259,8 @@ class TestAuxNetwork:
         reached = reach(inst, root.nodes(), eq, abundant_edges(ss.market, n, ss.delta))
         assert set(other.nodes()) <= set(reached), "run must have activated the other component"
         aux = AuxNetwork.build(inst, abundant_edges(ss.market, n, ss.delta))
-        mu = max_multiplier(aux, good_node(root.root_good), good_node(other.root_good))
-        assert mu == state.prices[other.root_good] / state.prices[root.root_good]
+        mu = max_multiplier(aux, good_node(root.goods[0]), good_node(other.goods[0]))
+        assert mu == state.prices[other.goods[0]] / state.prices[root.goods[0]]
 
 
 class TestGetParameter:
@@ -308,9 +309,11 @@ class TestGetPrices:
         inst = make_instance({"b1": 1}, {("b1", "g1"): 8})
         ss = scaling_state(inst, {"g1": Fraction(1, 4)}, {}, {}, delta=64)
         comps = components_of(inst, ss)
-        prices, refunds, _ = get_prices(inst, ss, comps, Fraction(1))
+        trace = PhaseTrace("strong")
+        prices, refunds, _ = get_prices(inst, ss, comps, Fraction(1), trace)
         assert prices == ss.market.prices
         assert refunds == {"b1": 0}
+        assert trace.special_price_iterations == []
 
     def test_raised_run_wins_max(self):
         # the pair component runs to target 1/2 (factor 5/2 on its good);
@@ -327,7 +330,11 @@ class TestGetPrices:
             delta=Fraction(1, 12),
         )
         comps = components_of(inst, ss)
-        prices, refunds, run_surplus = get_prices(inst, ss, comps, Fraction(1, 2))
+        trace = PhaseTrace("strong")
+        prices, refunds, run_surplus = get_prices(
+            inst, ss, comps, Fraction(1, 2), trace
+        )
+        assert len(trace.special_price_iterations) == 1
         assert prices["g1"] == Fraction(5, 2)
         assert prices["g2"] == Fraction(1, 100)
         pair_key = component_key(next(c for c in comps if not c.is_singleton()))
@@ -386,11 +393,14 @@ class TestMakeFertile:
             "get_parameter",
             lambda *a, **k: (ss.delta / n, {}),
         )
-        outcome = make_fertile(inst, ss, comps)
-        assert outcome.branch == "delayed"
-        assert outcome.delta == ss.delta
-        assert outcome.threshold == ss.delta / Fraction(n) ** 5
-        assert outcome.state is None
+        market, delta = ss.market, ss.delta
+        trace = PhaseTrace("strong")
+        record = make_fertile(inst, ss, comps, trace, 3)
+        assert record.branch == "delayed"
+        assert record.delta_after == record.delta_before == delta == ss.delta
+        assert record.threshold == delta / Fraction(n) ** 5
+        assert ss.market is market
+        assert trace.restarts == [record] and record.phase == 3
 
     def test_compressed_branch(self):
         # interested singleton buyer with cash delta/n^3 drives the jump
@@ -407,11 +417,16 @@ class TestMakeFertile:
         comps = components_of(inst, ss)
         n = compute_stats(inst).n
         assert not fertile_components(inst, ss, comps)
-        outcome = make_fertile(inst, ss, comps)
-        assert outcome.branch == "compressed"
-        assert outcome.delta == 1 == 64 / Fraction(n) ** 3
-        assert outcome.threshold == Fraction(1) / Fraction(n) ** 5
-        assert outcome.state is not None
+        market = ss.market
+        trace = PhaseTrace("strong")
+        record = make_fertile(inst, ss, comps, trace, 0)
+        assert record.branch == "compressed"
+        assert record.delta_before == 64
+        assert record.delta_after == ss.delta == 1 == 64 / Fraction(n) ** 3
+        assert record.threshold == Fraction(1) / Fraction(n) ** 5
+        assert ss.market is not market
+        assert ss.exempt_edges == set(ss.market.spending)
+        assert trace.restarts == [record]
 
     def test_zero_scale_falls_back_to_delayed(self):
         # every buyer uninterested and every singleton good negative: the
@@ -424,9 +439,11 @@ class TestMakeFertile:
         ss.market.scale_prices(["g1"], Fraction(8))
         ss.initial_prices["g1"] = ss.market.prices["g1"]
         comps = components_of(inst, ss)
-        outcome = make_fertile(inst, ss, comps)
-        assert outcome.branch == "delayed"
-        assert outcome.new_scale == 0
+        market = ss.market
+        record = make_fertile(inst, ss, comps, PhaseTrace("strong"), 0)
+        assert record.branch == "delayed"
+        assert max(record.surpluses.values()) == 0
+        assert ss.market is market
 
 
 class TestRunStrong:
@@ -545,7 +562,7 @@ class TestSpecialPriceMonotonicity:
 
 
 class TestStrongMonotonicity:
-    def test_prices_nondecreasing_across_phases_and_restarts(self):
+    def test_prices_nondecreasing_across_phases_and_restarts(self, phase_starts):
         # wide budgets force a compressed restart; merged restart prices are
         # coordinatewise maxima, so monotonicity must survive the jump
         inst = make_instance(
@@ -560,8 +577,5 @@ class TestStrongMonotonicity:
         )
         pert = perturb(inst, PerturbationConfig(magnitude=lean_sigma(inst), seed=3))
         _, trace = run_strong(pert)
-        for earlier, later in zip(trace.phases, trace.phases[1:]):
-            for g, p in earlier.prices_start.items():
-                assert later.prices_start[g] >= p
-            for b, r in earlier.refunds_start.items():
-                assert later.refunds_start.get(b, Fraction(0)) >= r
+        assert len(phase_starts) == trace.phase_count
+        check_nondecreasing(phase_starts)

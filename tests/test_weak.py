@@ -25,7 +25,7 @@ from arcticauction.weak import (
     update_price_star,
 )
 
-from conftest import check_step_lines, lean_sigma, make_instance
+from conftest import check_nondecreasing, check_step_lines, lean_sigma, make_instance
 
 
 def scaling_state(inst, prices, spending, refunds, delta, initial=None):
@@ -442,14 +442,11 @@ class TestRunWeak:
         bound = ceil_log2(stats.e_max * 8 * stats.n * stats.d_bound) + 1
         assert trace.phase_count <= bound
 
-    def test_prices_and_refunds_nondecreasing(self):
+    def test_prices_and_refunds_nondecreasing(self, phase_starts):
         inst = make_instance(
             {"b1": 4, "b2": 2}, {("b1", "g1"): 2, ("b1", "g2"): 6, ("b2", "g2"): 1}
         )
         pert = perturb(inst, PerturbationConfig(magnitude=lean_sigma(inst), seed=3))
         _, trace = run_weak(pert)
-        for earlier, later in zip(trace.phases, trace.phases[1:]):
-            for g, p in earlier.prices_start.items():
-                assert later.prices_start[g] >= p
-            for b, r in earlier.refunds_start.items():
-                assert later.refunds_start.get(b, Fraction(0)) >= r
+        assert len(phase_starts) == trace.phase_count
+        check_nondecreasing(phase_starts)
