@@ -241,10 +241,10 @@ class PerturbationConfig:
             )
 
 
-def default_magnitude(inst: MarketInstance, divisor: int = 10**6) -> Fraction:
-    """Default sigma: the invariant bound ``1/(2*n*m*u_max)`` scaled down."""
+def default_magnitude(inst: MarketInstance) -> Fraction:
+    """Default sigma: the invariant bound ``1/(2*n*m*u_max)`` divided by ``10**6``."""
     stats = compute_stats(inst)
-    return Q(1, 2 * stats.n * stats.m * divisor) / stats.u_max
+    return Q(1, 2 * stats.n * stats.m * 10**6) / stats.u_max
 
 
 # Resolution of the random offsets drawn for the perturbation.  Kept small

@@ -2,10 +2,13 @@
 
 Nodes of the bipartite market graph are tagged tuples ``("B", buyer_id)``
 and ``("G", good_id)`` so buyer and good ids may collide without ambiguity.
-The free functions on prices and edge sets are pure.  The state views
-(:func:`state_alphas`, :func:`state_equality_graph`) are not: they keep
-their data on the :class:`MarketState` and update it in place from the
-state's record of touched items.  The residual search (:func:`reach`)
+The free functions on edge sets are pure.  Bang-per-buck and the equality
+graph come from one place, the state views (:func:`state_alphas`,
+:func:`state_equality_graph`): they keep their data on the
+:class:`MarketState` and update it in place from the state's record of
+touched items, and a fresh state's first call computes them all.  The
+solvers, the genericity check and the certifier all read them.  The
+residual search (:func:`reach`)
 builds no graph of its own: it walks the instance's adjacency and keeps
 the arcs whose edges lie in the sets the caller passes.  Every traversal
 runs in canonical (document) order, which makes the solvers deterministic.
@@ -13,7 +16,7 @@ runs in canonical (document) order, which makes the solvers deterministic.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -151,27 +154,6 @@ def _best_goods(ratios: Iterable[tuple[str, Fraction]]) -> tuple[Fraction, list[
     if best is None:
         raise ValueError("buyer values no good")
     return best, goods
-
-
-def _price_ratios(
-    inst: MarketInstance, prices: dict[str, Fraction], buyer: str
-) -> Iterator[tuple[str, Fraction]]:
-    for g in inst.goods_of(buyer):
-        yield g, inst.utilities[(buyer, g)] / prices[g]
-
-
-def bang_per_buck(inst: MarketInstance, prices: dict[str, Fraction], buyer: str) -> Fraction:
-    """Best utility-per-dollar of ``buyer`` at the given prices."""
-    return _best_goods(_price_ratios(inst, prices, buyer))[0]
-
-
-def equality_graph(inst: MarketInstance, prices: dict[str, Fraction]) -> set[Edge]:
-    """Pairs achieving the buyer's best bang-per-buck, compared exactly."""
-    return {
-        (b, g)
-        for b in inst.buyers
-        for g in _best_goods(_price_ratios(inst, prices, b))[1]
-    }
 
 
 class _BangPerBuckView:

@@ -1,10 +1,14 @@
 """Independent verification: certification, brute force, genericity checks.
 
-Nothing here shares code paths with the scaling solvers beyond the basic
-tree solve and the forest walker it runs on (``graph.components_of_edges``,
-which also backs the genericity check), so a certified answer really is
-checked against the market definition rather than against the algorithm
-that produced it.
+The checks share three things with the scaling solvers: the basic tree
+solve, the forest walker (``graph.components_of_edges``) and the state's
+bang-per-buck view (``graph.state_alphas``, ``graph.state_equality_graph``),
+the one place bang-per-buck and the equality graph are computed.  The
+genericity check reads the solver's live view; the certifier builds a
+:class:`~arcticauction.graph.MarketState` of its own, whose first view
+call computes every ratio afresh from the prices it is given.  So a
+certified answer is checked against the market definition rather than
+against the steps of the algorithm that produced it.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from arcticauction.errors import GenericityError
 from arcticauction.graph import (
     Edge,
     MarketState,
-    bang_per_buck,
     component_key,
     components_of_edges,
-    equality_graph,
+    state_alphas,
+    state_equality_graph,
 )
 from arcticauction.rational import ZERO
 
@@ -108,6 +112,7 @@ def check_equilibrium(
             raise ValueError(f"spending by unknown buyer {b}")
 
     conditions: list[Condition] = []
+    state = MarketState(prices=prices, spending=spending, refunds=refunds)
 
     refund_ok = Condition("refunds_nonnegative", True)
     cash_ok = Condition("budgets_exhausted", True)
@@ -116,8 +121,7 @@ def check_equilibrium(
         if r < 0:
             refund_ok.ok = False
             refund_ok.violations.append(f"buyer {b}: refund {r}")
-        spent = sum((v for (i, _), v in spending.items() if i == b), ZERO)
-        cash = eff[b] - r - spent
+        cash = eff[b] - r - state.spent_by(b)
         if cash != 0:
             cash_ok.ok = False
             cash_ok.violations.append(f"buyer {b}: leftover cash {cash}")
@@ -126,19 +130,16 @@ def check_equilibrium(
 
     clearing = Condition("market_clearing", True)
     for g in inst.goods:
-        backorder = (
-            sum((v for (_, j), v in spending.items() if j == g), ZERO)
-            - prices[g]
-        )
+        backorder = state.backorder(g)
         if backorder != 0:
             clearing.ok = False
             clearing.violations.append(f"good {g}: backorder {backorder}")
     conditions.append(clearing)
 
-    eq_edges = equality_graph(inst, prices)
+    eq_edges = state_equality_graph(inst, state)
+    alphas = state_alphas(inst, state)
     support = Condition("spending_on_equality_edges", True)
     optimality = Condition("buyer_optimality", True)
-    alphas = {b: bang_per_buck(inst, prices, b) for b in inst.buyers}
     for edge, value in spending.items():
         if value < 0:
             support.ok = False
@@ -223,15 +224,14 @@ class GenericityReport:
         )
 
 
-def check_genericity(
-    inst: MarketInstance, prices: dict[str, Fraction]
-) -> GenericityReport:
-    """Verify the equality graph is a forest with at most one critical buyer
-    per connected component."""
-    components, cycle = components_of_edges(inst, equality_graph(inst, prices))
+def check_genericity(inst: MarketInstance, state: MarketState) -> GenericityReport:
+    """Verify the equality graph at the state's prices is a forest with at
+    most one critical buyer per connected component."""
+    components, cycle = components_of_edges(inst, state_equality_graph(inst, state))
+    alphas = state_alphas(inst, state)
     critical: dict[str, int] = {}
     for comp in components:
-        count = sum(1 for b in comp.buyers if bang_per_buck(inst, prices, b) == 1)
+        count = sum(1 for b in comp.buyers if alphas[b] == 1)
         if count:
             critical[component_key(comp)] = count
     return GenericityReport(

@@ -70,15 +70,6 @@ class ScalingState:
     allowed_deficit: dict[str, Fraction] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class StopEvent:
-    """Earliest event halting a price raise, at exact multiplier ``q``."""
-
-    kind: str  # new_equality_edge | good_backorder_zero | buyer_critical
-    subject: object
-    multiplier: Fraction
-
-
 def initialize(inst: MarketInstance) -> ScalingState:
     """Coarsest-scale start: zero spending, zero refunds, low prices.
 
@@ -265,7 +256,7 @@ def potential(inst: MarketInstance, ss: ScalingState) -> int:
 
 def update_price_star(
     inst: MarketInstance, ss: ScalingState, active: dict[Node, Node | None]
-) -> StopEvent:
+) -> None:
     """Scale active-good prices by the smallest multiplier firing an event.
 
     ``active`` is the residual search tree of the root buyer at the
@@ -274,52 +265,31 @@ def update_price_star(
     Candidate events, each an exact root of a linear equation in the
     multiplier ``q``: a new equality edge from an active buyer to an
     inactive good, an active good's backorder reaching zero, or an active
-    buyer's bang-per-buck reaching one.  Ties break by that event order,
-    then by canonical subject.  Prices are updated in place.
+    buyer's bang-per-buck reaching one.  Prices are updated in place.
     """
     market = ss.market
-    active_buyers = sorted(
-        (name for kind, name in active if kind == "B"),
-        key=lambda b: inst.buyer_pos[b],
-    )
+    active_buyers = [name for kind, name in active if kind == "B"]
     active_goods = sorted(
         (name for kind, name in active if kind == "G"),
         key=lambda g: inst.good_pos[g],
     )
     active_good_set = set(active_goods)
-    all_alphas = state_alphas(inst, market)
-    alphas = {b: all_alphas[b] for b in active_buyers}
+    alphas = state_alphas(inst, market)
 
-    candidates: list[tuple[Fraction, int, tuple, str, object]] = []
-    for b in active_buyers:
-        alpha = alphas[b]
-        for g in inst.goods_of(b):
-            if g in active_good_set:
-                continue
-            q = alpha * market.prices[g] / inst.utilities[(b, g)]
-            candidates.append(
-                (
-                    q,
-                    0,
-                    (inst.buyer_pos[b], inst.good_pos[g]),
-                    "new_equality_edge",
-                    (b, g),
-                )
-            )
-    for g in active_goods:
-        inflow = market.inflow(g)
-        q = inflow / market.prices[g]
-        candidates.append((q, 1, (inst.good_pos[g],), "good_backorder_zero", g))
-    for b in active_buyers:
-        if alphas[b] > 1:
-            candidates.append((alphas[b], 2, (inst.buyer_pos[b],), "buyer_critical", b))
+    candidates = [
+        alphas[b] * market.prices[g] / inst.utilities[(b, g)]
+        for b in active_buyers
+        for g in inst.goods_of(b)
+        if g not in active_good_set
+    ]
+    candidates += [market.inflow(g) / market.prices[g] for g in active_goods]
+    candidates += [alphas[b] for b in active_buyers if alphas[b] > 1]
     if not candidates:
         raise SolverError("price raise has no stopping event")
-    q, _, _, kind, subject = min(candidates)
+    q = min(candidates)
     if q < 1:
         raise SolverError(f"stopping event at multiplier {q} < 1")
     market.scale_prices(active_goods, q)
-    return StopEvent(kind=kind, subject=subject, multiplier=q)
 
 
 def _augment(ss: ScalingState, path: list[Node], delta: Fraction) -> None:
@@ -454,7 +424,7 @@ def start_phase(
     must start with potential at most ``n``, and every edge abundant at the
     start of the previous phase must still be abundant.
     """
-    if not check_genericity(inst, ss.market.prices).ok:
+    if not check_genericity(inst, ss.market).ok:
         raise GenericityError(f"degenerate prices at phase {phase}")
     phi = potential(inst, ss)
     if entry in ("init", "halve") and phi > stats.n:

@@ -9,6 +9,7 @@ import pytest
 
 from arcticauction import strong, weak
 from arcticauction.core import MarketInstance, compute_stats
+from arcticauction.graph import MarketState, state_alphas, state_equality_graph
 from arcticauction.randgen import random_instance
 
 
@@ -25,6 +26,22 @@ def make_instance(budgets, utilities) -> MarketInstance:
         budgets={b: Fraction(v) for b, v in budgets.items()},
         utilities={k: Fraction(v) for k, v in utilities.items()},
     )
+
+
+def priced(prices) -> MarketState:
+    """A state with the given prices and no spending or refunds; its first
+    bang-per-buck view call computes every ratio afresh."""
+    return MarketState(prices=dict(prices), spending={}, refunds={})
+
+
+def alphas_at(inst: MarketInstance, prices) -> dict:
+    """Every buyer's bang-per-buck at ``prices``, read off a fresh view."""
+    return state_alphas(inst, priced(prices))
+
+
+def equality_graph_at(inst: MarketInstance, prices) -> set:
+    """The equality graph at ``prices``, read off a fresh view."""
+    return state_equality_graph(inst, priced(prices))
 
 
 def wide_instance(seed, n_range=(10, 20), max_exp=14):

@@ -12,12 +12,10 @@ from arcticauction.core import MarketInstance
 from arcticauction.graph import (
     MarketState,
     abundant_edges,
-    bang_per_buck,
     buyer_node,
     component_key,
     components_of_edges,
     edge_key,
-    equality_graph,
     good_node,
     path_to,
     reach,
@@ -26,7 +24,7 @@ from arcticauction.graph import (
 from arcticauction.randgen import random_instance
 from arcticauction.weak import ScalingState, returnable_edges
 
-from conftest import make_instance
+from conftest import alphas_at, equality_graph_at, make_instance
 
 
 @pytest.fixture
@@ -37,28 +35,28 @@ def two_goods():
 class TestBangPerBuck:
     def test_max_ratio(self, two_goods):
         prices = {"g1": Fraction(1), "g2": Fraction(2)}
-        assert bang_per_buck(two_goods, prices, "b1") == 3
+        assert alphas_at(two_goods, prices)["b1"] == 3
 
     def test_single_good(self):
         inst = make_instance({"b1": 1}, {("b1", "g1"): 2})
-        assert bang_per_buck(inst, {"g1": Fraction(2)}, "b1") == 1
+        assert alphas_at(inst, {"g1": Fraction(2)})["b1"] == 1
 
     def test_homogeneous_in_prices(self, two_goods):
         prices = {"g1": Fraction(1), "g2": Fraction(2)}
         doubled = {g: 2 * p for g, p in prices.items()}
         assert (
-            bang_per_buck(two_goods, doubled, "b1")
-            == bang_per_buck(two_goods, prices, "b1") / 2
+            alphas_at(two_goods, doubled)["b1"]
+            == alphas_at(two_goods, prices)["b1"] / 2
         )
 
 
 class TestEqualityGraph:
     def test_unique_best(self, two_goods):
-        edges = equality_graph(two_goods, {"g1": Fraction(1), "g2": Fraction(2)})
+        edges = equality_graph_at(two_goods, {"g1": Fraction(1), "g2": Fraction(2)})
         assert edges == {("b1", "g2")}
 
     def test_exact_tie(self, two_goods):
-        edges = equality_graph(two_goods, {"g1": Fraction(1), "g2": Fraction(3)})
+        edges = equality_graph_at(two_goods, {"g1": Fraction(1), "g2": Fraction(3)})
         assert edges == {("b1", "g1"), ("b1", "g2")}
 
 
@@ -77,7 +75,7 @@ def residual_tree(inst, state, roots):
 def delta_residual_tree(inst, state, n, delta, roots):
     """The price raiser's search: backward arcs on abundant edges only."""
     return reach(
-        inst, roots, equality_graph(inst, state.prices), abundant_edges(state, n, delta)
+        inst, roots, equality_graph_at(inst, state.prices), abundant_edges(state, n, delta)
     )
 
 
@@ -320,7 +318,7 @@ def test_bang_per_buck_antitone_in_prices(utilities, base, bumps):
     )
     low = {f"g{k}": base[k] for k in range(3)}
     high = {f"g{k}": base[k] + bumps[k] for k in range(3)}
-    assert bang_per_buck(inst, high, "b1") <= bang_per_buck(inst, low, "b1")
+    assert alphas_at(inst, high)["b1"] <= alphas_at(inst, low)["b1"]
 
 
 def test_abundant_edges_stay_equality_under_uniform_component_scaling():
@@ -339,12 +337,12 @@ def test_abundant_edges_stay_equality_under_uniform_component_scaling():
     n = 5
     component_edges = abundant_edges(state, n, Fraction(1, 100))
     assert component_edges == {("b1", "g1"), ("b1", "g2")}
-    assert component_edges <= equality_graph(inst, prices)
+    assert component_edges <= equality_graph_at(inst, prices)
     for factor in (Fraction(3, 2), Fraction(4)):
         scaled = dict(prices)
         for g in ("g1", "g2"):
             scaled[g] = prices[g] * factor
-        assert component_edges <= equality_graph(inst, scaled)
+        assert component_edges <= equality_graph_at(inst, scaled)
 
 
 class TestComponentsOfEdges:

@@ -5,7 +5,9 @@ the feasibility check catch up from the record of what the state's
 mutators touched.  These tests recompute each of them from the raw state
 after every solver step and after random mutation sequences, and drive bad
 changes through the mutators to check that the incremental feasibility
-check reports exactly what a full sweep reports.
+check reports exactly what a full sweep reports.  The genericity check,
+which reads the solver's live bang-per-buck view, must report the same on
+a fresh copy of the state.
 """
 
 import random
@@ -16,6 +18,7 @@ import pytest
 from arcticauction import strong, weak
 from arcticauction.core import PerturbationConfig, default_magnitude, perturb
 from arcticauction.graph import MarketState, state_alphas, state_equality_graph
+from arcticauction.oracle import check_genericity
 from arcticauction.randgen import random_instance
 from arcticauction.weak import (
     ScalingState,
@@ -80,6 +83,7 @@ def assert_views_match(inst, ss):
     assert state_alphas(inst, ss.market) == direct_alphas(inst, prices)
     assert state_equality_graph(inst, ss.market) == direct_equality_graph(inst, prices)
     assert is_delta_feasible(inst, ss) == is_delta_feasible(inst, fresh_copy(ss))
+    assert check_genericity(inst, ss.market) == check_genericity(inst, fresh_copy(ss).market)
 
 
 # --- differential: both solvers, checked after every step --------------------

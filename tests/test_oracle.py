@@ -14,7 +14,7 @@ from arcticauction.oracle import (
 )
 from arcticauction.randgen import random_instance
 
-from conftest import make_instance
+from conftest import make_instance, priced
 
 
 class TestCheckEquilibrium:
@@ -70,6 +70,56 @@ class TestCheckEquilibrium:
             {"b1": Fraction(0)},
         )
         assert "market_clearing" in cert.failed()
+
+    def test_pins_every_condition_and_violation(self):
+        # b1 exhausts her budget but holds a refund at bang-per-buck 4 and
+        # spends off her best good; b2 has a negative refund and spends at
+        # bang-per-buck 1/2; b3 spends on g1, which she does not value, and
+        # a negative amount on g2
+        inst = make_instance(
+            {"b1": 2, "b2": 2, "b3": 1},
+            {("b1", "g1"): 4, ("b1", "g2"): 1, ("b2", "g1"): Fraction(1, 2), ("b3", "g2"): 3},
+        )
+        cert = check_equilibrium(
+            inst,
+            {"g1": Fraction(1), "g2": Fraction(2)},
+            {
+                ("b1", "g2"): Fraction(1),
+                ("b2", "g1"): Fraction(1),
+                ("b3", "g1"): Fraction(1),
+                ("b3", "g2"): Fraction(-1),
+            },
+            {"b1": Fraction(1), "b2": Fraction(-1)},
+        )
+        assert [(c.name, c.ok, c.violations) for c in cert.conditions] == [
+            ("refunds_nonnegative", False, ["buyer b2: refund -1"]),
+            (
+                "budgets_exhausted",
+                False,
+                ["buyer b2: leftover cash 2", "buyer b3: leftover cash 1"],
+            ),
+            ("market_clearing", False, ["good g1: backorder 1", "good g2: backorder -2"]),
+            (
+                "spending_on_equality_edges",
+                False,
+                [
+                    "edge ('b1', 'g2'): spending off equality graph",
+                    "edge ('b3', 'g1'): spending off equality graph",
+                    "edge ('b3', 'g2'): negative spending -1",
+                ],
+            ),
+            (
+                "refund_complementarity",
+                False,
+                ["buyer b1: refund 1 with bang-per-buck 4 > 1"],
+            ),
+            (
+                "buyer_optimality",
+                False,
+                ["edge ('b2', 'g1'): spending at bang-per-buck below one"],
+            ),
+        ]
+        assert not cert.ok
 
     def test_rejects_nonpositive_price(self):
         inst = make_instance({"b1": 2}, {("b1", "g1"): 4})
@@ -145,7 +195,7 @@ class TestCheckGenericity:
             {"b1": 1, "b2": 1},
             {("b1", "g1"): 2, ("b1", "g2"): 5, ("b2", "g1"): 3},
         )
-        report = check_genericity(inst, {"g1": Fraction(1), "g2": Fraction(7, 3)})
+        report = check_genericity(inst, priced({"g1": Fraction(1), "g2": Fraction(7, 3)}))
         assert report.ok
         assert report.is_forest
 
@@ -156,7 +206,7 @@ class TestCheckGenericity:
             {"b1": 1, "b2": 1},
             {("b1", "g1"): 2, ("b1", "g2"): 4, ("b2", "g1"): 3, ("b2", "g2"): 6},
         )
-        report = check_genericity(inst, {"g1": Fraction(1), "g2": Fraction(2)})
+        report = check_genericity(inst, priced({"g1": Fraction(1), "g2": Fraction(2)}))
         assert not report.is_forest
         assert report.offending_cycle is not None
         assert len(report.offending_cycle) == 4
@@ -165,8 +215,8 @@ class TestCheckGenericity:
         inst = make_instance(
             {"b1": 1, "b2": 1}, {("b1", "g1"): 2, ("b2", "g1"): 2}
         )
-        one = check_genericity(inst, {"g1": Fraction(4)})
+        one = check_genericity(inst, priced({"g1": Fraction(4)}))
         assert one.ok  # nobody critical
-        both = check_genericity(inst, {"g1": Fraction(2)})
+        both = check_genericity(inst, priced({"g1": Fraction(2)}))
         assert not both.ok  # two critical buyers share a component
         assert max(both.critical_buyers_per_component.values()) == 2

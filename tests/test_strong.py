@@ -14,7 +14,6 @@ from arcticauction.graph import (
     buyer_node,
     component_key,
     components_of_edges,
-    equality_graph,
     good_node,
     reach,
 )
@@ -34,7 +33,13 @@ from arcticauction.trace import PhaseTrace
 from arcticauction.weak import ScalingState, run_weak
 
 from auxnet import AuxNetwork, assert_cycle_bound, max_multiplier
-from conftest import check_nondecreasing, lean_sigma, make_instance, wide_instance
+from conftest import (
+    check_nondecreasing,
+    equality_graph_at,
+    lean_sigma,
+    make_instance,
+    wide_instance,
+)
 
 
 def scaling_state(inst, prices, spending, refunds, delta, initial=None):
@@ -255,7 +260,7 @@ class TestAuxNetwork:
         root = next(c for c in comps if "b1" in c.buyers)
         other = next(c for c in comps if "b2" in c.buyers)
         state, _ = special_price(inst, ss, comps, root, Fraction(0))
-        eq = equality_graph(inst, state.prices)
+        eq = equality_graph_at(inst, state.prices)
         reached = reach(inst, root.nodes(), eq, abundant_edges(ss.market, n, ss.delta))
         assert set(other.nodes()) <= set(reached), "run must have activated the other component"
         aux = AuxNetwork.build(inst, abundant_edges(ss.market, n, ss.delta))

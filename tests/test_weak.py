@@ -6,7 +6,13 @@ import pytest
 
 from arcticauction.core import PerturbationConfig, ceil_log2, compute_stats, perturb
 from arcticauction.errors import SolverError
-from arcticauction.graph import MarketState, buyer_node, reach, state_equality_graph
+from arcticauction.graph import (
+    MarketState,
+    buyer_node,
+    reach,
+    state_alphas,
+    state_equality_graph,
+)
 from arcticauction.oracle import brute_force_equilibrium
 from arcticauction.trace import PhaseMark, PhaseTrace, TraceRow
 from arcticauction.weak import (
@@ -164,18 +170,17 @@ class TestUpdatePriceStar:
         ss = scaling_state(
             inst, {"g1": 1}, {("b1", "g1"): 4}, {}, delta=1, initial={"g1": 1}
         )
-        event = update_price_star(inst, ss, active_tree(inst, ss, "b1"))
-        assert event.kind == "buyer_critical"
-        assert event.multiplier == 3
+        update_price_star(inst, ss, active_tree(inst, ss, "b1"))
         assert ss.market.prices["g1"] == 3
+        assert state_alphas(inst, ss.market)["b1"] == 1
 
     def test_backorder_zero_event(self):
         # inflow twice the price and bang-per-buck far away: q = 2
         inst = make_instance({"b1": 16}, {("b1", "g1"): 12})
         ss = scaling_state(inst, {"g1": 1}, {("b1", "g1"): 2}, {}, delta=1)
-        event = update_price_star(inst, ss, active_tree(inst, ss, "b1"))
-        assert event.kind == "good_backorder_zero"
-        assert event.multiplier == 2
+        update_price_star(inst, ss, active_tree(inst, ss, "b1"))
+        assert ss.market.prices["g1"] == 2
+        assert ss.market.backorder("g1") == 0
 
     def test_new_equality_edge_event(self):
         # bang-per-buck 3 on the active good, ratio 2 on the inactive one:
@@ -190,11 +195,9 @@ class TestUpdatePriceStar:
             {},
             delta=1,
         )
-        event = update_price_star(inst, ss, active_tree(inst, ss, "b1"))
-        assert event.kind == "new_equality_edge"
-        assert event.subject == ("b1", "g2")
-        assert event.multiplier == Fraction(3, 2)
+        update_price_star(inst, ss, active_tree(inst, ss, "b1"))
         assert ss.market.prices == {"g1": Fraction(3, 2), "g2": Fraction(1)}
+        assert ("b1", "g2") in state_equality_graph(inst, ss.market)
 
 
 class TestPriceAndAugment:
