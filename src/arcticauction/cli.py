@@ -92,12 +92,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(payload)
     if args.trace:
-        lines = []
-        for name, (_, trace) in sorted(outcome.results.items()):
-            for line in trace.to_lines():
-                lines.append(json.dumps({"algorithm": name, **line}, sort_keys=True))
+        # one line at a time: a long run of refund steps is one trace row
+        # but a line per step
         with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+            for name, (_, trace) in sorted(outcome.results.items()):
+                for line in trace.iter_lines():
+                    handle.write(
+                        json.dumps({"algorithm": name, **line}, sort_keys=True) + "\n"
+                    )
     return 0
 
 

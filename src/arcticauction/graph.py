@@ -7,8 +7,20 @@ graph come from one place, the state views (:func:`state_alphas`,
 :func:`state_equality_graph`): they keep their data on the
 :class:`MarketState` and update it in place from the state's record of
 touched items, and a fresh state's first call computes them all.  The
-solvers, the genericity check and the certifier all read them.  The
-residual search (:func:`reach`)
+solvers, the genericity check and the certifier all read them.
+
+Inside the view a ratio ``u / p`` is the unnormalized integer pair
+``(u.numerator * p.denominator, u.denominator * p.numerator)``; prices
+are positive, so the second entry is, and two ratios compare by
+cross-multiplication, with no gcd and no object per ratio.  A buyer's
+best pair is the ratio of the first edge of her row (her equality edges);
+only her best bang-per-buck leaves the view as a ``Q``, built once per
+rescan.  When a good is re-priced, each of its buyers is rescanned only
+if the good is in her row or its new ratio is at least her best:
+otherwise every ratio in her row is unchanged and still strictly above
+the re-priced one, so her best and her row are exactly as before, whichever
+way the price moved.  The price raise's edge event (:func:`edge_event`)
+reads the same pairs.  The residual search (:func:`reach`)
 builds no graph of its own: it walks the instance's adjacency and keeps
 the arcs whose edges lie in the sets the caller passes.  Every traversal
 runs in canonical (document) order, which makes the solvers deterministic.
@@ -141,29 +153,19 @@ class MarketState:
         return touched
 
 
-def _best_goods(ratios: Iterable[tuple[str, Fraction]]) -> tuple[Fraction, list[str]]:
-    """Best ratio among a buyer's ``(good, ratio)`` pairs and the goods
-    achieving it, in the pairs' order."""
-    best: Fraction | None = None
-    goods: list[str] = []
-    for g, ratio in ratios:
-        if best is None or ratio > best:
-            best, goods = ratio, [g]
-        elif ratio == best:
-            goods.append(g)
-    if best is None:
-        raise ValueError("buyer values no good")
-    return best, goods
-
-
 class _BangPerBuckView:
-    """Every edge's ratio, every buyer's best ratio and equality edges, and
-    the equality graph they make up, kept current with the prices."""
+    """Every edge's ratio as an integer pair, every buyer's best ratio and
+    equality edges, and the equality graph they make up, kept current with
+    the prices.  A buyer's best pair is the ratio of the first edge of her
+    row."""
 
-    __slots__ = ("ratios", "alphas", "rows", "edges")
+    __slots__ = ("utilities", "ratios", "alphas", "rows", "edges")
 
-    def __init__(self, ratios: dict[Edge, Fraction]) -> None:
-        self.ratios = ratios
+    def __init__(self, inst: MarketInstance) -> None:
+        self.utilities = {
+            e: (u.numerator, u.denominator) for e, u in inst.utilities.items()
+        }
+        self.ratios: dict[Edge, tuple[int, int]] = {}
         self.alphas: dict[str, Fraction] = {}
         self.rows: dict[str, tuple[Edge, ...]] = {}
         self.edges: set[Edge] = set()
@@ -173,35 +175,91 @@ _BANG_PER_BUCK = "bang_per_buck"
 
 
 def _bang_per_buck_view(inst: MarketInstance, state: MarketState) -> _BangPerBuckView:
-    """The state's bang-per-buck view, updated for the buyers next to the
-    goods re-priced since the last call (all buyers on the first call)."""
+    """The state's bang-per-buck view, updated for the buyers whose best
+    can have changed since the last call (all buyers on the first call)."""
     touched = state.changes(_BANG_PER_BUCK)
     prices = state.prices
-    utilities = inst.utilities
     if touched is None:
-        view = _BangPerBuckView({e: u / prices[e[1]] for e, u in utilities.items()})
-        state.views[_BANG_PER_BUCK] = view
+        view = state.views[_BANG_PER_BUCK] = _BangPerBuckView(inst)
+        ratios = view.ratios
+        price_pairs = {g: (p.numerator, p.denominator) for g, p in prices.items()}
+        for e, (un, ud) in view.utilities.items():
+            pn, pd = price_pairs[e[1]]
+            ratios[e] = (un * pd, ud * pn)
         buyers: Iterable[str] = inst.buyers
     else:
         view = state.views[_BANG_PER_BUCK]
-        repriced = [g for kind, g in touched if kind == "price"]
-        if not repriced:
-            return view
+        utility_pairs = view.utilities
+        ratios = view.ratios
+        rows = view.rows
         buyers = set()
-        for g in repriced:
+        for kind, g in touched:
+            if kind != "price":
+                continue
             price = prices[g]
+            pn, pd = price.numerator, price.denominator
             for b in inst.buyers_of(g):
-                view.ratios[(b, g)] = utilities[(b, g)] / price
-                buyers.add(b)
-    ratios = view.ratios
+                edge = (b, g)
+                un, ud = utility_pairs[edge]
+                ratios[edge] = n, d = (un * pd, ud * pn)
+                if b in buyers:
+                    continue
+                row = rows[b]
+                # the row's ratios are as at the last rescan unless one of
+                # its goods was re-priced, which rescans b anyway
+                best_n, best_d = ratios[row[0]]
+                if edge in row or n * best_d >= best_n * d:
+                    buyers.add(b)
+        if not buyers:
+            return view
     for b in buyers:
-        alpha, goods = _best_goods((g, ratios[(b, g)]) for g in inst.goods_of(b))
-        row = tuple((b, g) for g in goods)
-        view.alphas[b] = alpha
+        best_n, best_d = 0, 1
+        row = []
+        for g in inst.goods_of(b):
+            edge = (b, g)
+            n, d = ratios[edge]
+            lhs, rhs = n * best_d, best_n * d
+            if lhs > rhs:
+                best_n, best_d = n, d
+                row = [edge]
+            elif lhs == rhs:
+                row.append(edge)
+        if not row:
+            raise ValueError("buyer values no good")
+        first = row[0]
+        view.alphas[b] = inst.utilities[first] / prices[first[1]]
         view.edges.difference_update(view.rows.get(b, ()))
         view.edges.update(row)
-        view.rows[b] = row
+        view.rows[b] = tuple(row)
     return view
+
+
+def edge_event(
+    inst: MarketInstance,
+    state: MarketState,
+    buyers: Iterable[str],
+    active_goods: set[str],
+) -> tuple[int, int, Edge] | None:
+    """The smallest price-raise multiplier that makes a new equality edge
+    from one of ``buyers`` to a good outside ``active_goods``, as an
+    unnormalized pair, and that edge; None when there is no such edge.
+
+    The multiplier of edge ``(b, g)`` is ``best_b / ratio_bg``.  Ties go to
+    the smallest buyer position, then the smallest good position.
+    """
+    view = _bang_per_buck_view(inst, state)
+    ratios, rows = view.ratios, view.rows
+    event: tuple[int, int, Edge] | None = None
+    for b in sorted(buyers, key=inst.buyer_pos.__getitem__):
+        best_n, best_d = ratios[rows[b][0]]
+        for g in inst.goods_of(b):
+            if g in active_goods:
+                continue
+            n, d = ratios[(b, g)]
+            n, d = best_n * d, best_d * n
+            if event is None or n * event[1] < event[0] * d:
+                event = (n, d, (b, g))
+    return event
 
 
 def state_equality_graph(inst: MarketInstance, state: MarketState) -> set[Edge]:

@@ -34,6 +34,7 @@ from arcticauction.graph import (
     buyer_node,
     component_key,
     components_of_edges,
+    edge_event,
     good_node,
     path_to,
     reach,
@@ -170,16 +171,15 @@ def special_price(
         root_budget = root_surplus + root_goods_price
 
         candidates: list[tuple[Fraction, int, tuple, str, object]] = []
-        # (1) new equality edge: active buyer toward an inactive good
-        for b in sorted(active_buyer_set, key=lambda x: inst.buyer_pos[x]):
-            for g in inst.goods_of(b):
-                if g in active_good_set:
-                    continue
-                # at least 1, as alphas[b] is b's best ratio at these prices
-                q = alphas[b] * prices[g] / inst.utilities[(b, g)]
-                candidates.append(
-                    (q, 1, (inst.buyer_pos[b], inst.good_pos[g]), "edge", (b, g))
-                )
+        # (1) new equality edge: active buyer toward an inactive good; the
+        # smallest such multiplier is at least 1, and ties go to the
+        # canonically first edge
+        event = edge_event(inst, state, active_buyer_set, active_good_set)
+        if event is not None:
+            num, den, (b, g) = event
+            candidates.append(
+                (Q(num, den), 1, (inst.buyer_pos[b], inst.good_pos[g]), "edge", (b, g))
+            )
         # (2) root surplus reaches the target
         q2 = (root_budget - target) / root_goods_price
         candidates.append((q2, 2, (), "target", None))

@@ -3,14 +3,15 @@
 Each outer round (a scaling phase) gets a :class:`PhaseMark` with start and
 end snapshots of the spending vector, and each inner-loop call gets a
 :class:`TraceRow` recording the potential before and after; a buyer's run
-of refund steps is one row, which :meth:`PhaseTrace.to_lines` writes as one
-line per step.  The acceptance suite replays these records to verify the
-potential, drift, and abundance disciplines independently of the in-run
-assertions.
+of refund steps is one row, which :meth:`PhaseTrace.iter_lines` yields as
+one line per step, building each line only when it is asked for.  The
+acceptance suite replays these records to verify the potential, drift,
+and abundance disciplines independently of the in-run assertions.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,12 +34,12 @@ class TraceRow:
     phi_after: int
     steps: int = 1
 
-    def to_docs(self) -> list[dict]:
+    def iter_docs(self) -> Iterator[dict]:
         """One document per step, each lowering the potential by one from
         ``phi_before``."""
         delta = format_rational(self.delta)
-        return [
-            {
+        for phi in range(self.phi_before, self.phi_before - self.steps, -1):
+            yield {
                 "phase": self.phase,
                 "delta": delta,
                 "kind": self.kind,
@@ -46,8 +47,6 @@ class TraceRow:
                 "phi_before": phi,
                 "phi_after": phi - 1,
             }
-            for phi in range(self.phi_before, self.phi_before - self.steps, -1)
-        ]
 
 
 @dataclass
@@ -159,32 +158,31 @@ class PhaseTrace:
             "progress_events": len(self.progress_events),
         }
 
-    def to_lines(self) -> list[dict]:
+    def iter_lines(self) -> Iterator[dict]:
         """Row-per-step documents, with phase, restart, and progress markers
-        inlined."""
-        by_phase: dict[int, list[dict]] = {}
+        inlined, each built as it is yielded."""
+        rows_by_phase: dict[int, list[TraceRow]] = {}
         for row in self.rows:
-            by_phase.setdefault(row.phase, []).extend(row.to_docs())
+            rows_by_phase.setdefault(row.phase, []).append(row)
         restarts_by_phase = {r.phase: r for r in self.restarts}
         progress_by_phase: dict[int, list[tuple[str, str]]] = {}
         for phase, kind, subject in self.progress_events:
             progress_by_phase.setdefault(phase, []).append((kind, subject))
-        lines: list[dict] = []
         for mark in self.phases:
-            lines.append({"event": "phase", **mark.to_doc()})
+            yield {"event": "phase", **mark.to_doc()}
             for kind, subject in progress_by_phase.get(mark.index, []):
-                lines.append(
-                    {
-                        "event": "progress",
-                        "phase": mark.index,
-                        "kind": kind,
-                        "subject": subject,
-                    }
-                )
-            for doc in by_phase.get(mark.index, []):
-                lines.append({"event": "step", **doc})
+                yield {
+                    "event": "progress",
+                    "phase": mark.index,
+                    "kind": kind,
+                    "subject": subject,
+                }
+            for row in rows_by_phase.get(mark.index, []):
+                for doc in row.iter_docs():
+                    yield {"event": "step", **doc}
             if mark.index in restarts_by_phase:
-                lines.append(
-                    {"event": "restart", **restarts_by_phase[mark.index].to_doc()}
-                )
-        return lines
+                yield {"event": "restart", **restarts_by_phase[mark.index].to_doc()}
+
+    def to_lines(self) -> list[dict]:
+        """All of :meth:`iter_lines` in one list."""
+        return list(self.iter_lines())

@@ -32,6 +32,7 @@ from arcticauction.graph import (
     Node,
     abundant_edges,
     buyer_node,
+    edge_event,
     good_node,
     path_to,
     reach,
@@ -103,15 +104,49 @@ def initialize(inst: MarketInstance) -> ScalingState:
     return ScalingState(market=market, delta=stats.e_max, initial_prices=dict(prices))
 
 
+class _Returnable:
+    """The returnable edges at one scale and one set of exempt edges."""
+
+    __slots__ = ("delta", "exempt", "edges")
+
+    def __init__(self, delta: Fraction, exempt: set[Edge]) -> None:
+        self.delta = delta
+        self.exempt = exempt
+        self.edges: set[Edge] = set()
+
+
+_RETURNABLE = "returnable"
+
+
 def returnable_edges(ss: ScalingState) -> set[Edge]:
     """Edges whose spending can give ``delta`` back, the good -> buyer arcs
     of the residual graph: positive, and at least ``delta`` on an exempt
-    edge."""
-    return {
-        e
-        for e, v in ss.market.spending.items()
-        if v > 0 and (e not in ss.exempt_edges or v >= ss.delta)
-    }
+    edge.
+
+    Only the edges the market's mutators touched since the last call are
+    tested again; replacing ``ss.market``, ``ss.delta`` or
+    ``ss.exempt_edges`` makes the next call test all of spending.  The set
+    is the view itself, updated in place; copy it to keep a snapshot.
+    """
+    market = ss.market
+    touched = market.changes(_RETURNABLE)
+    view = market.views.get(_RETURNABLE)
+    if (
+        touched is None
+        or view.delta is not ss.delta
+        or view.exempt is not ss.exempt_edges
+    ):
+        view = market.views[_RETURNABLE] = _Returnable(ss.delta, ss.exempt_edges)
+        edges: Iterable[Edge] = market.spending
+    else:
+        edges = [e for kind, e in touched if kind == "edge"]
+    for e in edges:
+        value = market.spending.get(e, ZERO)
+        if value > 0 and (e not in ss.exempt_edges or value >= ss.delta):
+            view.edges.add(e)
+        else:
+            view.edges.discard(e)
+    return view.edges
 
 
 _FEASIBLE = "feasible"
@@ -122,11 +157,15 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
 
     After a passing check at the same scale on the same market object, only
     what the market's mutators touched since is checked again: touched
-    buyers and goods, touched edges, and every spending edge of a buyer next
-    to a re-priced good (a price change can take it off the equality
-    graph).  Everything else is unchanged and passed before.  Any other
-    call, and any call that finds a violation, sweeps the whole state, so
-    the report is always that of a full sweep.
+    buyers and goods get every check, and so do touched edges.  A spending
+    edge of a buyer next to a re-priced good gets only the equality-graph
+    test, because a price change can take it off the equality graph but
+    cannot change anything else the check reads: its value and ``delta``
+    are the same as when it last passed (a new value touches the edge, a new
+    scale sweeps everything), so its sign and multiple-of-delta tests
+    would only repeat a pass.  Everything else is unchanged and passed
+    before.  Any other call, and any call that finds a violation, sweeps
+    the whole state, so the report is always that of a full sweep.
     """
     market = ss.market
     touched = market.changes(_FEASIBLE)
@@ -134,6 +173,7 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
         buyers: list[str] = []
         goods: list[str] = []
         edges: set[Edge] = set()
+        near_repriced: set[str] = set()  # buyers next to a re-priced good
         for kind, item in touched:
             if kind == "buyer":
                 buyers.append(item)
@@ -142,16 +182,30 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
             else:
                 goods.append(item)
                 if kind == "price":
-                    for b in inst.buyers_of(item):
-                        edges.update(
-                            (b, h) for h in inst.goods_of(b) if (b, h) in market.spending
-                        )
-        if not _violations(inst, ss, buyers, goods, edges):
+                    near_repriced.update(inst.buyers_of(item))
+        if not _violations(inst, ss, buyers, goods, edges) and (
+            not near_repriced
+            or _spending_on_equality_graph(inst, market, near_repriced)
+        ):
             return (True, [])
     violations = _violations(inst, ss, inst.buyers, inst.goods, market.spending)
     # the scale the state last passed at; None after a failure
     market.views[_FEASIBLE] = None if violations else ss.delta
     return (not violations, violations)
+
+
+def _spending_on_equality_graph(
+    inst: MarketInstance, market: MarketState, buyers: Iterable[str]
+) -> bool:
+    """Whether every spending edge of ``buyers`` is an equality edge."""
+    spending = market.spending
+    eq_edges = state_equality_graph(inst, market)
+    return all(
+        (b, g) in eq_edges
+        for b in buyers
+        for g in inst.goods_of(b)
+        if (b, g) in spending
+    )
 
 
 def _violations(
@@ -264,8 +318,11 @@ def update_price_star(
     :func:`~arcticauction.graph.reach`; its nodes are the active set.
     Candidate events, each an exact root of a linear equation in the
     multiplier ``q``: a new equality edge from an active buyer to an
-    inactive good, an active good's backorder reaching zero, or an active
-    buyer's bang-per-buck reaching one.  Prices are updated in place.
+    inactive good (:func:`~arcticauction.graph.edge_event`), an active
+    good's backorder reaching zero, or an active buyer's bang-per-buck
+    reaching one.  Candidates are compared as integer pairs by
+    cross-multiplication; only the winner becomes a ``Q``.  Prices are
+    updated in place.
     """
     market = ss.market
     active_buyers = [name for kind, name in active if kind == "B"]
@@ -273,20 +330,29 @@ def update_price_star(
         (name for kind, name in active if kind == "G"),
         key=lambda g: inst.good_pos[g],
     )
-    active_good_set = set(active_goods)
     alphas = state_alphas(inst, market)
 
-    candidates = [
-        alphas[b] * market.prices[g] / inst.utilities[(b, g)]
-        for b in active_buyers
-        for g in inst.goods_of(b)
-        if g not in active_good_set
-    ]
-    candidates += [market.inflow(g) / market.prices[g] for g in active_goods]
-    candidates += [alphas[b] for b in active_buyers if alphas[b] > 1]
+    # each candidate is an unnormalized pair (numerator, positive denominator)
+    candidates: list[tuple[int, int]] = []
+    event = edge_event(inst, market, active_buyers, set(active_goods))
+    if event is not None:
+        candidates.append(event[:2])
+    for g in active_goods:
+        inflow, price = market.inflow(g), market.prices[g]
+        candidates.append(
+            (inflow.numerator * price.denominator, inflow.denominator * price.numerator)
+        )
+    for b in active_buyers:
+        alpha = alphas[b]
+        if alpha > 1:
+            candidates.append((alpha.numerator, alpha.denominator))
     if not candidates:
         raise SolverError("price raise has no stopping event")
-    q = min(candidates)
+    n, d = candidates[0]
+    for cn, cd in candidates[1:]:
+        if cn * d < n * cd:
+            n, d = cn, cd
+    q = Q(n, d)
     if q < 1:
         raise SolverError(f"stopping event at multiplier {q} < 1")
     market.scale_prices(active_goods, q)
@@ -332,7 +398,7 @@ def price_and_augment(inst: MarketInstance, ss: ScalingState) -> tuple[str, str]
             (
                 name
                 for kind, name in active
-                if kind == "G" and market.backorder(name) <= 0
+                if kind == "G" and market.inflow(name) <= market.prices[name]
             ),
             key=lambda g: inst.good_pos[g],
         )

@@ -15,6 +15,7 @@ from arcticauction.graph import (
     buyer_node,
     component_key,
     components_of_edges,
+    edge_event,
     edge_key,
     good_node,
     path_to,
@@ -58,6 +59,42 @@ class TestEqualityGraph:
     def test_exact_tie(self, two_goods):
         edges = equality_graph_at(two_goods, {"g1": Fraction(1), "g2": Fraction(3)})
         assert edges == {("b1", "g1"), ("b1", "g2")}
+
+
+class TestEdgeEvent:
+    def market(self):
+        # b1 and b2 both see their best at g1 (ratio 2); at price 1 each of
+        # g2, g3 and g4 gives the buyers valuing it ratio 1, so every edge
+        # event is the multiplier 2
+        inst = make_instance(
+            {"b1": 1, "b2": 1},
+            {
+                ("b1", "g1"): 2,
+                ("b1", "g3"): 1,
+                ("b1", "g2"): 1,
+                ("b2", "g1"): 2,
+                ("b2", "g4"): 1,
+            },
+        )
+        prices = {g: Fraction(1) for g in inst.goods}
+        return inst, MarketState(prices=prices, spending={}, refunds={})
+
+    def test_smallest_multiplier_as_pair(self):
+        inst, state = self.market()
+        state.scale_prices(["g4"], Fraction(2, 3))
+        num, den, edge = edge_event(inst, state, ["b1", "b2"], {"g1"})
+        # b2's ratio on g4 rose to 3/2, so her event 2 / (3/2) comes first
+        assert (Fraction(num, den), edge) == (Fraction(4, 3), ("b2", "g4"))
+
+    def test_ties_go_to_the_first_buyer_then_the_first_good(self):
+        inst, state = self.market()
+        # goods in document order are g1, g3, g2, g4
+        assert edge_event(inst, state, ["b2", "b1"], {"g1"})[2] == ("b1", "g3")
+        assert edge_event(inst, state, ["b2"], {"g1"})[2] == ("b2", "g4")
+
+    def test_no_inactive_good(self):
+        inst, state = self.market()
+        assert edge_event(inst, state, ["b2"], {"g1", "g4"}) is None
 
 
 def canonical_key(inst, node):

@@ -1,13 +1,16 @@
 """Incremental views of the market state against direct recomputations.
 
-The potential, the optimality test, bang-per-buck, the equality graph and
-the feasibility check catch up from the record of what the state's
-mutators touched.  These tests recompute each of them from the raw state
-after every solver step and after random mutation sequences, and drive bad
-changes through the mutators to check that the incremental feasibility
-check reports exactly what a full sweep reports.  The genericity check,
-which reads the solver's live bang-per-buck view, must report the same on
-a fresh copy of the state.
+The potential, the optimality test, bang-per-buck, the equality graph, the
+returnable edges and the feasibility check catch up from the record of
+what the state's mutators touched.  These tests recompute each of them
+from the raw state after every solver step and after random mutation
+sequences, and drive bad changes through the mutators to check that the
+incremental feasibility check reports exactly what a full sweep reports.
+The genericity check, which reads the solver's live bang-per-buck view,
+must report the same on a fresh copy of the state.  Every price raise of
+both solvers is checked against the multiplier formula written with
+``Q`` arithmetic, and named cases pin when a re-priced good rescans a
+buyer.
 """
 
 import random
@@ -17,14 +20,21 @@ import pytest
 
 from arcticauction import strong, weak
 from arcticauction.core import PerturbationConfig, default_magnitude, perturb
-from arcticauction.graph import MarketState, state_alphas, state_equality_graph
+from arcticauction.graph import (
+    MarketState,
+    _bang_per_buck_view,
+    state_alphas,
+    state_equality_graph,
+)
 from arcticauction.oracle import check_genericity
 from arcticauction.randgen import random_instance
+from arcticauction.rational import Q
 from arcticauction.weak import (
     ScalingState,
     is_delta_feasible,
     is_delta_optimal,
     potential,
+    returnable_edges,
 )
 
 from conftest import lean_sigma, make_instance, wide_instance
@@ -58,6 +68,14 @@ def direct_equality_graph(inst, prices):
     return {(b, g) for (b, g), u in inst.utilities.items() if u / prices[g] == alphas[b]}
 
 
+def direct_returnable(ss):
+    return {
+        e
+        for e, v in ss.market.spending.items()
+        if v > 0 and (e not in ss.exempt_edges or v >= ss.delta)
+    }
+
+
 def fresh_copy(ss):
     """The same state in new objects, so its first check is a full sweep."""
     market = MarketState(
@@ -82,6 +100,7 @@ def assert_views_match(inst, ss):
     )
     assert state_alphas(inst, ss.market) == direct_alphas(inst, prices)
     assert state_equality_graph(inst, ss.market) == direct_equality_graph(inst, prices)
+    assert returnable_edges(ss) == direct_returnable(ss)
     assert is_delta_feasible(inst, ss) == is_delta_feasible(inst, fresh_copy(ss))
     assert check_genericity(inst, ss.market) == check_genericity(inst, fresh_copy(ss).market)
 
@@ -125,6 +144,134 @@ def test_views_match_through_a_compressed_restart(checked_steps):
     assert trace.restart_count >= 1
     assert "restart_repair" in checked_steps
     assert any(mark.entry == "restart" and mark.iterations for mark in trace.phases)
+
+
+# --- every price raise against the Q multiplier formula -----------------------
+
+
+def reference_multiplier(inst, ss, active):
+    """The smallest event multiplier of a price raise, each candidate a
+    ``Q``: a new equality edge, an active good's backorder reaching zero,
+    an active buyer's bang-per-buck reaching one."""
+    prices = ss.market.prices
+    alphas = direct_alphas(inst, prices)
+    active_buyers = [name for kind, name in active if kind == "B"]
+    active_goods = {name for kind, name in active if kind == "G"}
+    inflow = {g: Fraction(0) for g in inst.goods}
+    for (_, g), v in ss.market.spending.items():
+        inflow[g] += v
+    candidates = [
+        alphas[b] * prices[g] / inst.utilities[(b, g)]
+        for b in active_buyers
+        for g in inst.goods_of(b)
+        if g not in active_goods
+    ]
+    candidates += [inflow[g] / prices[g] for g in active_goods]
+    candidates += [alphas[b] for b in active_buyers if alphas[b] > 1]
+    return min(candidates), active_goods
+
+
+@pytest.fixture
+def checked_price_raises(monkeypatch):
+    """After each price raise of either solver, the prices are the old
+    prices with the active goods scaled by the reference multiplier;
+    yields the list of multipliers seen."""
+    seen = []
+    original = weak.update_price_star
+
+    def checked(inst, ss, active):
+        before = dict(ss.market.prices)
+        q, active_goods = reference_multiplier(inst, ss, active)
+        original(inst, ss, active)
+        assert ss.market.prices == {
+            g: p * q if g in active_goods else p for g, p in before.items()
+        }
+        seen.append(q)
+
+    monkeypatch.setattr(weak, "update_price_star", checked)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_price_raises_match_reference_in_random_markets(seed, checked_price_raises):
+    rng = random.Random(200 + seed)
+    inst = random_instance(rng.randint(4, 7), rng)
+    inst = perturb(inst, PerturbationConfig(magnitude=lean_sigma(inst), seed=seed))
+    weak.run_weak(inst)
+    weak_raises = len(checked_price_raises)
+    strong.run_strong(inst)
+    assert weak_raises > 0 and len(checked_price_raises) > weak_raises
+
+
+@pytest.mark.parametrize("seed", [14, 33])
+def test_price_raises_match_reference_in_wide_markets(seed, checked_price_raises):
+    inst = wide_instance(seed)
+    inst = perturb(inst, PerturbationConfig(magnitude=default_magnitude(inst), seed=0))
+    strong.run_strong(inst)
+    assert checked_price_raises
+
+
+# --- which re-priced goods rescan a buyer --------------------------------------
+
+
+def rescan_market(price_type):
+    """b1's best good is g1 (ratio 2); g2 and g3 sit below it (ratio 1).
+    b2 values only g2."""
+    inst = make_instance(
+        {"b1": 4, "b2": 4},
+        {("b1", "g1"): 4, ("b1", "g2"): 2, ("b1", "g3"): 3, ("b2", "g2"): 1},
+    )
+    market = MarketState(
+        prices={"g1": price_type(2), "g2": price_type(2), "g3": price_type(3)},
+        spending={},
+        refunds={},
+    )
+    assert _bang_per_buck_view(inst, market).rows["b1"] == (("b1", "g1"),)
+    return inst, market
+
+
+def assert_view_is_direct(inst, market):
+    assert state_alphas(inst, market) == direct_alphas(inst, market.prices)
+    assert state_equality_graph(inst, market) == direct_equality_graph(
+        inst, market.prices
+    )
+
+
+PRICE_TYPES = [int, Fraction, Q]
+
+
+@pytest.mark.parametrize("price_type", PRICE_TYPES)
+def test_raising_a_good_off_the_row_rescans_nothing(price_type):
+    inst, market = rescan_market(price_type)
+    alpha = state_alphas(inst, market)["b1"]
+    market.scale_prices(["g2"], Fraction(2))
+    view = _bang_per_buck_view(inst, market)
+    assert view.rows["b1"] == (("b1", "g1"),)
+    # b1 was not rescanned: her alpha is the very object built before
+    assert view.alphas["b1"] is alpha
+    assert_view_is_direct(inst, market)
+
+
+@pytest.mark.parametrize("price_type", PRICE_TYPES)
+def test_lowering_a_good_off_the_row_to_a_tie_grows_the_row(price_type):
+    inst, market = rescan_market(price_type)
+    market.scale_prices(["g2"], Fraction(1, 2))
+    view = _bang_per_buck_view(inst, market)
+    assert view.rows["b1"] == (("b1", "g1"), ("b1", "g2"))
+    assert view.alphas["b1"] == 2
+    assert_view_is_direct(inst, market)
+
+
+@pytest.mark.parametrize("price_type", PRICE_TYPES)
+def test_lowering_a_good_past_the_best_makes_it_the_row(price_type):
+    inst, market = rescan_market(price_type)
+    market.scale_prices(["g2"], Fraction(1, 2))
+    assert_view_is_direct(inst, market)
+    market.scale_prices(["g2"], Fraction(1, 2))
+    view = _bang_per_buck_view(inst, market)
+    assert view.rows["b1"] == (("b1", "g2"),)
+    assert view.alphas["b1"] == 4
+    assert_view_is_direct(inst, market)
 
 
 # --- random mutation sequences, views read at random moments ------------------
