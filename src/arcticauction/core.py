@@ -293,6 +293,13 @@ def instance_from_document(doc: object) -> MarketInstance:
         utility_rows = doc["utilities"]
     except KeyError as exc:
         raise InstanceError(f"missing field {exc.args[0]!r}") from None
+    for name, rows in (
+        ("buyers", buyer_rows),
+        ("goods", good_rows),
+        ("utilities", utility_rows),
+    ):
+        if not isinstance(rows, list):
+            raise InstanceError(f"field {name!r} must be an array")
     buyers: list[str] = []
     budgets: dict[str, Fraction] = {}
     for row in buyer_rows:

@@ -50,14 +50,19 @@ def solve_instance(
 
     ``algorithm`` is ``weak``, ``strong``, or ``both``; with ``both`` the
     two equilibria are also cross-checked for exact equality (the perturbed
-    instance has a unique equilibrium, so any mismatch is a bug).
+    instance has a unique equilibrium, so any mismatch is a bug).  At
+    magnitude zero every seed gives the same instance, so there are no
+    retries.
     """
     if algorithm not in ("weak", "strong", "both"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if magnitude is None:
         magnitude = default_magnitude(inst)
+    attempts = max_retries + 1
+    if magnitude == 0:
+        attempts = min(attempts, 1)  # every seed gives the same instance
     last_error: GenericityError | None = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(attempts):
         perturbed = perturb(
             inst, PerturbationConfig(magnitude=magnitude, seed=seed + attempt)
         )
@@ -81,7 +86,7 @@ def solve_instance(
             results=results,
         )
     raise GenericityExhausted(
-        f"no generic perturbation found in {max_retries + 1} attempts:"
+        f"no generic perturbation found in {attempts} attempts:"
         f" {last_error}"
     )
 

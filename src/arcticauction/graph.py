@@ -5,9 +5,10 @@ and ``("G", good_id)`` so buyer and good ids may collide without ambiguity.
 The free functions on edge sets are pure.  Bang-per-buck and the equality
 graph come from one place, the state views (:func:`state_alphas`,
 :func:`state_equality_graph`): they keep their data on the
-:class:`MarketState` and update it in place from the state's record of
-touched items, and a fresh state's first call computes them all.  The
-solvers, the genericity check and the certifier all read them.
+:class:`MarketState` and update it in place from the items the state's
+mutators touched since their last call, and a fresh state's first call
+computes them all.  The solvers, the genericity check and the certifier
+all read them.
 
 Inside the view a ratio ``u / p`` is the unnormalized integer pair
 ``(u.numerator * p.denominator, u.denominator * p.numerator)``; prices
@@ -62,10 +63,11 @@ class MarketState:
     ``spending`` stores only nonzero entries.  Per-buyer and per-good sums
     are maintained incrementally.  Mutate the state only through
     :meth:`add_spending`, :meth:`add_refund` and :meth:`scale_prices`: each
-    records what it touched, and the derived views (bang-per-buck, the
-    equality graph, the solvers' potential and feasibility checks) catch up
-    from that record through :meth:`changes` instead of re-deriving
-    everything.  A view keeps its data in ``views`` under its own name.
+    adds what it touched to the pending items of every view, and the
+    derived views (bang-per-buck, the equality graph, the solvers'
+    potential and feasibility checks) catch up from their own pending
+    items through :meth:`changes` instead of re-deriving everything.  A
+    view keeps its data in ``views`` under its own name.
     """
 
     prices: dict[str, Fraction]
@@ -74,11 +76,11 @@ class MarketState:
     _spent: dict[str, Fraction] = field(default_factory=dict, repr=False)
     _inflow: dict[str, Fraction] = field(default_factory=dict, repr=False)
     views: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
-    # each touched item once, with the clock of its latest touch; a view's
-    # cursor is the clock value from which on it has not seen the record
-    _touched: dict[Touch, int] = field(default_factory=dict, repr=False, compare=False)
-    _clock: int = field(default=0, repr=False, compare=False)
-    _cursors: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+    # per view: the scale it last passed to changes(), and each item touched
+    # since that call, once
+    _pending: dict[str, tuple[Fraction | None, dict[Touch, None]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._spent = {}
@@ -125,32 +127,25 @@ class MarketState:
         self._touch([("price", g) for g in goods])
 
     def _touch(self, items: list[Touch]) -> None:
-        if not self._cursors:
-            return  # no view reads the record yet
-        touched = self._touched
-        for item in items:
-            touched.pop(item, None)
-            touched[item] = self._clock
-        self._clock += 1
+        touched = dict.fromkeys(items)
+        for _, pending in self._pending.values():
+            pending.update(touched)
 
-    def changes(self, view: str) -> list[Touch] | None:
-        """Items touched since ``view`` last asked, each once; None on its
-        first call, when it must start over.
+    def changes(
+        self, view: str, scale: Fraction | None = None
+    ) -> dict[Touch, None] | None:
+        """Items touched since ``view`` last asked, each once; None when the
+        view must start over: on its first call, and when ``scale`` is not
+        the object it passed last time.
 
-        The record is trimmed once every view has caught up, and it never
-        holds an item twice, so it stays bounded by the size of the market.
+        A view's pending items never hold an item twice and are handed over
+        whole, so they stay bounded by the size of the market.
         """
-        since = self._cursors.get(view)
-        if since == self._clock:
-            return []
-        self._cursors[view] = self._clock
-        if since is None:
-            touched = None
-        else:
-            touched = [item for item, clock in self._touched.items() if clock >= since]
-        if all(cursor == self._clock for cursor in self._cursors.values()):
-            self._touched.clear()
-        return touched
+        last = self._pending.get(view)
+        self._pending[view] = (scale, {})
+        if last is None or last[0] is not scale:
+            return None
+        return last[1]
 
 
 class _BangPerBuckView:

@@ -57,11 +57,13 @@ class ScalingState:
     temporarily hold a small negative backorder until one augmentation
     repairs them.
 
-    The feasibility check and the potential keep data on ``market`` that
-    is valid for one ``delta``; replacing ``market`` or ``delta`` makes
-    their next call start over.  The other fields change only
-    together with those two, or for a good a mutator touched since the
-    last check (as the deficit repair does).
+    The feasibility check, the potential and the returnable edges keep
+    data on ``market`` that is valid for one ``delta``: each passes
+    ``delta`` as the scale to :meth:`MarketState.changes`, so replacing
+    ``market`` or ``delta`` makes their next call start over.  The other
+    fields change only together with ``market``, or, for
+    ``allowed_deficit``, at a good a mutator touched since the last check
+    (as the deficit repair does).
     """
 
     market: MarketState
@@ -104,17 +106,6 @@ def initialize(inst: MarketInstance) -> ScalingState:
     return ScalingState(market=market, delta=stats.e_max, initial_prices=dict(prices))
 
 
-class _Returnable:
-    """The returnable edges at one scale and one set of exempt edges."""
-
-    __slots__ = ("delta", "exempt", "edges")
-
-    def __init__(self, delta: Fraction, exempt: set[Edge]) -> None:
-        self.delta = delta
-        self.exempt = exempt
-        self.edges: set[Edge] = set()
-
-
 _RETURNABLE = "returnable"
 
 
@@ -124,29 +115,25 @@ def returnable_edges(ss: ScalingState) -> set[Edge]:
     edge.
 
     Only the edges the market's mutators touched since the last call are
-    tested again; replacing ``ss.market``, ``ss.delta`` or
-    ``ss.exempt_edges`` makes the next call test all of spending.  The set
-    is the view itself, updated in place; copy it to keep a snapshot.
+    tested again; replacing ``ss.market`` (and with it ``ss.exempt_edges``)
+    or ``ss.delta`` makes the next call test all of spending.  The set is
+    the view itself, updated in place; copy it to keep a snapshot.
     """
     market = ss.market
-    touched = market.changes(_RETURNABLE)
-    view = market.views.get(_RETURNABLE)
-    if (
-        touched is None
-        or view.delta is not ss.delta
-        or view.exempt is not ss.exempt_edges
-    ):
-        view = market.views[_RETURNABLE] = _Returnable(ss.delta, ss.exempt_edges)
+    touched = market.changes(_RETURNABLE, ss.delta)
+    if touched is None:
+        view = market.views[_RETURNABLE] = set()
         edges: Iterable[Edge] = market.spending
     else:
+        view = market.views[_RETURNABLE]
         edges = [e for kind, e in touched if kind == "edge"]
     for e in edges:
         value = market.spending.get(e, ZERO)
         if value > 0 and (e not in ss.exempt_edges or value >= ss.delta):
-            view.edges.add(e)
+            view.add(e)
         else:
-            view.edges.discard(e)
-    return view.edges
+            view.discard(e)
+    return view
 
 
 _FEASIBLE = "feasible"
@@ -168,8 +155,8 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
     the whole state, so the report is always that of a full sweep.
     """
     market = ss.market
-    touched = market.changes(_FEASIBLE)
-    if touched is not None and market.views.get(_FEASIBLE) is ss.delta:
+    touched = market.changes(_FEASIBLE, ss.delta)
+    if touched is not None and market.views[_FEASIBLE]:
         buyers: list[str] = []
         goods: list[str] = []
         edges: set[Edge] = set()
@@ -189,8 +176,8 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
         ):
             return (True, [])
     violations = _violations(inst, ss, inst.buyers, inst.goods, market.spending)
-    # the scale the state last passed at; None after a failure
-    market.views[_FEASIBLE] = None if violations else ss.delta
+    # whether the last sweep passed
+    market.views[_FEASIBLE] = not violations
     return (not violations, violations)
 
 
@@ -259,10 +246,9 @@ class _CashTerms:
     """``floor(cash / delta)`` of every buyer at one scale, their sum, and
     the buyers whose term is positive (cash at least ``delta``)."""
 
-    __slots__ = ("delta", "terms", "total", "holding")
+    __slots__ = ("terms", "total", "holding")
 
-    def __init__(self, delta: Fraction) -> None:
-        self.delta = delta
+    def __init__(self) -> None:
         self.terms: dict[str, int] = {}
         self.total = 0
         self.holding: set[str] = set()
@@ -275,9 +261,9 @@ def _cash_terms(inst: MarketInstance, ss: ScalingState) -> _CashTerms:
     """The potential's terms, recomputed for the buyers touched since the
     last call; for every buyer after a change of scale or market."""
     market = ss.market
-    touched = market.changes(_CASH_TERMS)
-    if touched is None or market.views[_CASH_TERMS].delta is not ss.delta:
-        view = market.views[_CASH_TERMS] = _CashTerms(ss.delta)
+    touched = market.changes(_CASH_TERMS, ss.delta)
+    if touched is None:
+        view = market.views[_CASH_TERMS] = _CashTerms()
         buyers: Iterable[str] = inst.buyers
     else:
         view = market.views[_CASH_TERMS]

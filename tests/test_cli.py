@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from arcticauction import driver
 from arcticauction.cli import main
 from arcticauction.core import format_rational
 from arcticauction.randgen import random_instance
@@ -26,15 +27,18 @@ def instance_doc(inst):
     }
 
 
+# one buyer valuing one good
+ONE_EDGE = {
+    "buyers": [{"id": "b1", "budget": 3}],
+    "goods": ["g1"],
+    "utilities": [["b1", "g1", "2"]],
+}
+
+
 @pytest.fixture
 def instance_file(tmp_path):
-    doc = {
-        "buyers": [{"id": "b1", "budget": 3}],
-        "goods": ["g1"],
-        "utilities": [["b1", "g1", "2"]],
-    }
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(ONE_EDGE))
     return path
 
 
@@ -272,9 +276,18 @@ class TestDeterminism:
         assert got == digests
 
 
-def test_degenerate_unperturbed_exits_two(tmp_path, capsys):
+def test_degenerate_unperturbed_exits_two(tmp_path, capsys, monkeypatch):
     # two identical buyers on one good: with the perturbation disabled every
-    # retry sees the same degenerate instance and the solver gives up
+    # seed gives the same degenerate instance, so the solver gives up after
+    # one run however many retries are allowed
+    calls = []
+    run_weak = driver.run_weak
+
+    def counted(inst):
+        calls.append(inst)
+        return run_weak(inst)
+
+    monkeypatch.setattr(driver, "run_weak", counted)
     doc = {
         "buyers": [{"id": "b1", "budget": 3}, {"id": "b2", "budget": 3}],
         "goods": ["g1"],
@@ -292,11 +305,12 @@ def test_degenerate_unperturbed_exits_two(tmp_path, capsys):
             "--perturb",
             "0",
             "--max-retries",
-            "1",
+            "8",
         ]
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
+    assert len(calls) == 1
 
 
 def edited_solution(edit):
@@ -314,20 +328,27 @@ def edited_solution(edit):
     return argv
 
 
-def long_budget(budget):
-    """A ``solve`` command line for an instance whose budget is ``budget``."""
+def instance_text(text):
+    """A ``solve`` command line for an input document of JSON text ``text``."""
 
     def argv(_, tmp_path):
-        path = tmp_path / "long.json"
-        doc = {
-            "buyers": [{"id": "b1", "budget": "BUDGET"}],
-            "goods": ["g1"],
-            "utilities": [["b1", "g1", "2"]],
-        }
-        path.write_text(json.dumps(doc).replace('"BUDGET"', budget))
+        path = tmp_path / "input.json"
+        path.write_text(text)
         return ["solve", "--input", str(path)]
 
     return argv
+
+
+def edited_instance(**fields):
+    """A ``solve`` command line for the one-edge instance with ``fields``
+    replaced."""
+    return instance_text(json.dumps({**ONE_EDGE, **fields}))
+
+
+def long_budget(budget):
+    """A ``solve`` command line for an instance whose budget is ``budget``."""
+    doc = {**ONE_EDGE, "buyers": [{"id": "b1", "budget": "BUDGET"}]}
+    return instance_text(json.dumps(doc).replace('"BUDGET"', budget))
 
 
 def nested_arrays(command):
@@ -373,6 +394,17 @@ INPUT_ERRORS = {
     "solve_budget_string_4301_digits": long_budget('"' + "1" * 4301 + '"'),
     "solve_budget_number_4301_digits": long_budget("1" * 4301),
     "solve_nested_100000_deep": nested_arrays("solve"),
+    "solve_buyers_number": edited_instance(buyers=5),
+    "solve_buyers_null": edited_instance(buyers=None),
+    "solve_buyers_string": edited_instance(buyers="b1"),
+    "solve_goods_number": edited_instance(goods=7),
+    "solve_goods_string": edited_instance(goods="g1"),
+    "solve_utilities_null": edited_instance(utilities=None),
+    "solve_empty_lists": edited_instance(buyers=[], goods=[], utilities=[]),
+    "solve_top_level_array": instance_text(json.dumps([ONE_EDGE])),
+    "solve_budget_zero_denominator": edited_instance(
+        buyers=[{"id": "b1", "budget": "3/0"}]
+    ),
     "verify_nested_100000_deep": nested_arrays("verify"),
 }
 

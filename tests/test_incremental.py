@@ -1,10 +1,11 @@
 """Incremental views of the market state against direct recomputations.
 
 The potential, the optimality test, bang-per-buck, the equality graph, the
-returnable edges and the feasibility check catch up from the record of
-what the state's mutators touched.  These tests recompute each of them
-from the raw state after every solver step and after random mutation
-sequences, and drive bad changes through the mutators to check that the
+returnable edges and the feasibility check each catch up from the items
+the state's mutators touched since that view last read them.  These tests
+recompute each of them from the raw state after every solver step and
+after random mutation sequences in which each view is read at its own
+moments, and drive bad changes through the mutators to check that the
 incremental feasibility check reports exactly what a full sweep reports.
 The genericity check, which reads the solver's live bang-per-buck view,
 must report the same on a fresh copy of the state.  Every price raise of
@@ -92,17 +93,41 @@ def fresh_copy(ss):
     )
 
 
-def assert_views_match(inst, ss):
-    prices = ss.market.prices
+def assert_cash_terms_match(inst, ss):
     assert potential(inst, ss) == direct_potential(inst, ss)
     assert is_delta_optimal(inst, ss) == all(
         direct_cash(inst, ss.market, b) < ss.delta for b in inst.buyers
     )
+
+
+def assert_bang_per_buck_matches(inst, ss):
+    prices = ss.market.prices
     assert state_alphas(inst, ss.market) == direct_alphas(inst, prices)
     assert state_equality_graph(inst, ss.market) == direct_equality_graph(inst, prices)
-    assert returnable_edges(ss) == direct_returnable(ss)
-    assert is_delta_feasible(inst, ss) == is_delta_feasible(inst, fresh_copy(ss))
     assert check_genericity(inst, ss.market) == check_genericity(inst, fresh_copy(ss).market)
+
+
+def assert_returnable_matches(inst, ss):
+    assert returnable_edges(ss) == direct_returnable(ss)
+
+
+def assert_feasibility_matches(inst, ss):
+    assert is_delta_feasible(inst, ss) == is_delta_feasible(inst, fresh_copy(ss))
+
+
+# each view of the market state, under the name it keeps its pending items
+# in, with the check that reads it and compares it with its reference
+VIEW_CHECKS = {
+    "cash_terms": assert_cash_terms_match,
+    "bang_per_buck": assert_bang_per_buck_matches,
+    "returnable": assert_returnable_matches,
+    "feasible": assert_feasibility_matches,
+}
+
+
+def assert_views_match(inst, ss):
+    for check in VIEW_CHECKS.values():
+        check(inst, ss)
 
 
 # --- differential: both solvers, checked after every step --------------------
@@ -277,6 +302,11 @@ def test_lowering_a_good_past_the_best_makes_it_the_row(price_type):
 # --- random mutation sequences, views read at random moments ------------------
 
 
+def pending_items(market, view):
+    """The items ``view`` has not seen yet."""
+    return market._pending[view][1]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_views_catch_up_over_any_number_of_mutations(seed):
     rng = random.Random(100 + seed)
@@ -289,6 +319,10 @@ def test_views_catch_up_over_any_number_of_mutations(seed):
     )
     ss = ScalingState(market=market, delta=Fraction(1, 4), initial_prices={})
     ss.initial_prices = dict(market.prices)
+    # every item a mutator can touch, once
+    distinct = len(inst.buyers) + 2 * len(inst.goods) + len(edges)
+    assert_views_match(inst, ss)
+    assert set(market._pending) == set(VIEW_CHECKS)
     for step in range(300):
         move = rng.randrange(4)
         if move == 0:
@@ -304,13 +338,19 @@ def test_views_catch_up_over_any_number_of_mutations(seed):
         if step % 50 == 49:
             ss.delta = ss.delta / 2
         if rng.random() < 0.3:
-            assert_views_match(inst, ss)
-        # the record never holds an item twice
-        assert len(market._touched) <= len(inst.buyers) + 2 * len(inst.goods) + len(edges)
+            # views catch up at different moments: each is read or not
+            polled = [view for view in VIEW_CHECKS if rng.random() < 0.5]
+            for view in polled:
+                VIEW_CHECKS[view](inst, ss)
+            for view in polled:
+                assert not pending_items(market, view)
+        for view in VIEW_CHECKS:
+            # a view's pending items never hold an item twice
+            assert len(pending_items(market, view)) <= distinct
     assert_views_match(inst, ss)
 
 
-def test_record_is_trimmed_once_every_view_caught_up():
+def test_pending_items_are_cleared_once_each_view_caught_up():
     inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
     ss = ScalingState(
         market=MarketState(prices={"g1": Fraction(1)}, spending={}, refunds={}),
@@ -320,9 +360,18 @@ def test_record_is_trimmed_once_every_view_caught_up():
     assert_views_match(inst, ss)
     ss.market.add_spending(("b1", "g1"), Fraction(1))
     ss.market.add_refund("b1", Fraction(1))
-    assert ss.market._touched
+    for view in VIEW_CHECKS:
+        assert list(pending_items(ss.market, view)) == [
+            ("edge", ("b1", "g1")),
+            ("buyer", "b1"),
+            ("good", "g1"),
+        ]
+    assert_returnable_matches(inst, ss)
+    assert not pending_items(ss.market, "returnable")
+    for view in VIEW_CHECKS:
+        assert bool(pending_items(ss.market, view)) == (view != "returnable")
     assert_views_match(inst, ss)
-    assert not ss.market._touched
+    assert not any(pending_items(ss.market, view) for view in VIEW_CHECKS)
 
 
 # --- fault injection through the public mutators ------------------------------
