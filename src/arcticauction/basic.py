@@ -27,6 +27,7 @@ from arcticauction.errors import GenericityError
 from arcticauction.graph import (
     Component,
     Edge,
+    Forest,
     MarketState,
     Node,
     buyer_node,
@@ -195,25 +196,33 @@ def _component_solution(
 
 def basic_solution(
     inst: MarketInstance,
-    support: set[Edge],
+    support: set[Edge] | Forest,
     effective_budgets: dict[str, Fraction] | None = None,
 ) -> MarketState:
     """The unique state determined by a cycle-free support.
 
-    ``effective_budgets`` substitutes for the instance budgets when solving
-    compressed states (budgets already reduced by committed refunds); they
-    may be zero for fully refunded buyers.  Raises :class:`SupportError`
-    when the support admits no consistent solution and
-    :class:`GenericityError` when it contains a cycle.
+    The support is a set of edges, or the :class:`~arcticauction.graph.Forest`
+    that :func:`~arcticauction.graph.components_of_edges` found for it,
+    which spares walking it again.  ``effective_budgets`` substitutes for
+    the instance budgets when solving compressed states (budgets already
+    reduced by committed refunds); they may be zero for fully refunded
+    buyers.  Raises :class:`SupportError` when the support admits no
+    consistent solution and :class:`GenericityError` when it contains a
+    cycle, in that order: an edge of zero utility, then a cycle, then a
+    component without a good.
     """
     budgets = dict(inst.budgets) if effective_budgets is None else effective_budgets
-    for edge in support:
+    if isinstance(support, Forest):
+        forest, edges = support, [e for c in support.components for e in c.edges]
+    else:
+        forest, edges = None, support
+    for edge in edges:
         if edge not in inst.utilities:
             raise SupportError(f"support edge {edge} has zero utility")
     prices: dict[str, Fraction] = {}
     spending: dict[Edge, Fraction] = {}
     refunds: dict[str, Fraction] = {}
-    components, cycle = components_of_edges(inst, support)
+    components, cycle = forest or components_of_edges(inst, edges)
     if cycle is not None:
         raise GenericityError(f"support contains a cycle through {cycle[0]}")
     for comp in components:

@@ -82,6 +82,15 @@ def _exact(value: object) -> Q:
     return Q(value)
 
 
+def _id(value: object) -> str:
+    """A buyer or good id: a string, or an integer read as its digits."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise InstanceError(f"id must be a string or an integer: {value!r}")
+
+
 def format_rational(value: Fraction) -> str:
     """Serialize exactly: decimal string for integers, ``p/q`` otherwise."""
     if value.denominator == 1:
@@ -305,19 +314,17 @@ def instance_from_document(doc: object) -> MarketInstance:
     for row in buyer_rows:
         if not isinstance(row, dict) or "id" not in row or "budget" not in row:
             raise InstanceError(f"malformed buyer row: {row!r}")
-        bid = str(row["id"])
+        bid = _id(row["id"])
         if bid in budgets:
             raise InstanceError(f"duplicate buyer id {bid}")
         buyers.append(bid)
         budgets[bid] = parse_rational(row["budget"])
-    goods: list[str] = []
-    for gid in good_rows:
-        goods.append(str(gid))
+    goods = [_id(gid) for gid in good_rows]
     utilities: dict[tuple[str, str], Fraction] = {}
     for row in utility_rows:
         if not isinstance(row, (list, tuple)) or len(row) != 3:
             raise InstanceError(f"malformed utility row: {row!r}")
-        key = (str(row[0]), str(row[1]))
+        key = (_id(row[0]), _id(row[1]))
         if key in utilities:
             raise InstanceError(f"duplicate utility entry for {key}")
         utilities[key] = parse_rational(row[2])

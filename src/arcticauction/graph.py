@@ -1,26 +1,28 @@
-"""Bang-per-buck, equality graph, residual reachability, and the forest walker.
+"""The market state, bang-per-buck, equality graph, residual reachability,
+and the forest walker.
 
 Nodes of the bipartite market graph are tagged tuples ``("B", buyer_id)``
 and ``("G", good_id)`` so buyer and good ids may collide without ambiguity.
 The free functions on edge sets are pure.  Bang-per-buck and the equality
-graph come from one place, the state views (:func:`state_alphas`,
-:func:`state_equality_graph`): they keep their data on the
-:class:`MarketState` and update it in place from the items the state's
-mutators touched since their last call, and a fresh state's first call
-computes them all.  The solvers, the genericity check and the certifier
-all read them.
+graph come from one place, the state view (:func:`bang_per_buck_view`,
+read also through :func:`state_alphas` and :func:`state_equality_graph`):
+it keeps its data on the :class:`MarketState` and updates it in place
+from the items the state's mutators touched since its last call, and a
+fresh state's first call computes it all.  The solvers, the genericity
+check and the certifier all read it.
 
 Inside the view a ratio ``u / p`` is the unnormalized integer pair
 ``(u.numerator * p.denominator, u.denominator * p.numerator)``; prices
 are positive, so the second entry is, and two ratios compare by
 cross-multiplication, with no gcd and no object per ratio.  A buyer's
-best pair is the ratio of the first edge of her row (her equality edges);
-only her best bang-per-buck leaves the view as a ``Q``, built once per
-rescan.  When a good is re-priced, each of its buyers is rescanned only
-if the good is in her row or its new ratio is at least her best:
-otherwise every ratio in her row is unchanged and still strictly above
-the re-priced one, so her best and her row are exactly as before, whichever
-way the price moved.  The price raise's edge event (:func:`edge_event`)
+best pair is the ratio of the first edge of her row (her equality edges),
+and the view keeps its sign against one for the steps' tests; only her
+best bang-per-buck leaves the view as a ``Q``, normalized by one gcd when
+it is read after a rescan.  When a good is re-priced, each of its buyers
+is rescanned only if the good is in her row or its new ratio is at least
+her best: otherwise every ratio in her row is unchanged and still
+strictly above the re-priced one, so her best and her row are exactly as
+before, whichever way the price moved.  The price raise's edge event (:func:`edge_event`)
 reads the same pairs.  The residual search (:func:`reach`)
 builds no graph of its own: it walks the instance's adjacency and keeps
 the arcs whose edges lie in the sets the caller passes.  Every traversal
@@ -30,11 +32,12 @@ runs in canonical (document) order, which makes the solvers deterministic.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from arcticauction.core import MarketInstance
-from arcticauction.rational import ZERO
+from arcticauction.rational import ZERO, reduced
 
 Node = tuple[str, str]
 Edge = tuple[str, str]  # (buyer_id, good_id)
@@ -55,48 +58,115 @@ def edge_key(inst: MarketInstance, edge: Edge) -> tuple[int, int]:
 
 Touch = tuple[str, object]  # ("buyer", b) | ("good", g) | ("edge", e) | ("price", g)
 
+_VALUES = "values"
 
-@dataclass
+
 class MarketState:
     """Evolving solver state: prices, sparse spending, refunds.
 
-    ``spending`` stores only nonzero entries.  Per-buyer and per-good sums
-    are maintained incrementally.  Mutate the state only through
-    :meth:`add_spending`, :meth:`add_refund` and :meth:`scale_prices`: each
-    adds what it touched to the pending items of every view, and the
-    derived views (bang-per-buck, the equality graph, the solvers'
-    potential and feasibility checks) catch up from their own pending
-    items through :meth:`changes` instead of re-deriving everything.  A
-    view keeps its data in ``views`` under its own name.
+    Each edge's spending and each buyer's refund is an ``int`` count of the
+    scale ``unit`` plus a rational fixed part, with the counts and the fixed
+    parts also summed per buyer (spending) and per good (inflow).  A state
+    built from dicts holds every amount as a fixed part, with no scale;
+    :meth:`rescale` sets the scale, and the solvers' steps move whole
+    units through :meth:`add_spending_units` and :meth:`add_refund_units`,
+    so the fixed parts stay zero except for amounts set from rationals
+    (the dicts a state is built from, :meth:`add_spending` and
+    :meth:`add_refund`).  Halving the scale doubles every count.  The
+    per-step tests compare counts and cross-multiply integer pairs
+    (:meth:`cash_term`, :meth:`spending_sign`, and the unnormalized pairs
+    (numerator, positive denominator) of :meth:`inflow_pair` and
+    :meth:`backorder_pair`) instead of building rationals.  The count and
+    fixed dicts are read-only outside the mutators; an edge is in either
+    only while its spending is non-zero.
+
+    ``spending`` and ``refunds`` are read-only rational views, kept up to
+    date from the items touched since they were last read.  Mutate the
+    state only through the mutators: each adds what it touched to the
+    pending items of every view, and the derived views (bang-per-buck, the
+    equality graph, the solvers' potential and feasibility checks) catch up
+    from their own pending items through :meth:`changes` instead of
+    re-deriving everything.  A view keeps its data in ``views`` under its
+    own name.
     """
 
-    prices: dict[str, Fraction]
-    spending: dict[Edge, Fraction]
-    refunds: dict[str, Fraction]
-    _spent: dict[str, Fraction] = field(default_factory=dict, repr=False)
-    _inflow: dict[str, Fraction] = field(default_factory=dict, repr=False)
-    views: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
-    # per view: the scale it last passed to changes(), and each item touched
-    # since that call, once
-    _pending: dict[str, tuple[Fraction | None, dict[Touch, None]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        prices: dict[str, Fraction],
+        spending: dict[Edge, Fraction],
+        refunds: dict[str, Fraction],
+    ) -> None:
+        self.prices = prices
+        self.unit: Fraction | None = None
+        self.edge_units: dict[Edge, int] = {}
+        self.edge_fixed: dict[Edge, Fraction] = {}
+        self.spent_units: dict[str, int] = {}
+        self.spent_fixed: dict[str, Fraction] = {}
+        self.inflow_units: dict[str, int] = {}
+        self.inflow_fixed: dict[str, Fraction] = {}
+        self.refund_units: dict[str, int] = {}
+        self.refund_fixed: dict[str, Fraction] = dict(refunds)
+        self.views: dict[str, object] = {}
+        # per view: the scale it last passed to changes(), and each item
+        # touched since that call, once
+        self._pending: dict[str, tuple[Fraction | None, dict[Touch, None]]] = {}
+        for edge, value in spending.items():
+            self.add_spending(edge, value)
+        # the rational views start out current
+        self._spending = dict(self.edge_fixed)
+        self._refunds = dict(refunds)
+        self._pending[_VALUES] = (None, {})
 
-    def __post_init__(self) -> None:
-        self._spent = {}
-        self._inflow = {}
-        for (b, g), v in self.spending.items():
-            self._spent[b] = self._spent.get(b, ZERO) + v
-            self._inflow[g] = self._inflow.get(g, ZERO) + v
+    # --- rational reads ---------------------------------------------------
+
+    def _value(self, units: int, fixed: Fraction | None) -> Fraction:
+        if not units:
+            return ZERO if fixed is None else fixed
+        value = self.unit * units
+        return value if fixed is None else fixed + value
+
+    @property
+    def spending(self) -> dict[Edge, Fraction]:
+        """Every non-zero spending as a rational, updated in place."""
+        self._catch_up_values()
+        return self._spending
+
+    @property
+    def refunds(self) -> dict[str, Fraction]:
+        """Every booked refund as a rational, updated in place."""
+        self._catch_up_values()
+        return self._refunds
+
+    def _catch_up_values(self) -> None:
+        for kind, item in self.changes(_VALUES) or ():
+            if kind == "edge":
+                if self.has_spending(item):
+                    self._spending[item] = self._value(
+                        self.edge_units.get(item, 0), self.edge_fixed.get(item)
+                    )
+                else:
+                    self._spending.pop(item, None)
+            elif kind == "buyer" and (
+                item in self.refund_fixed or item in self.refund_units
+            ):
+                self._refunds[item] = self.refund(item)
+
+    def has_spending(self, edge: Edge) -> bool:
+        return edge in self.edge_units or edge in self.edge_fixed
 
     def spent_by(self, buyer: str) -> Fraction:
-        return self._spent.get(buyer, ZERO)
+        return self._value(self.spent_units.get(buyer, 0), self.spent_fixed.get(buyer))
 
     def inflow(self, good: str) -> Fraction:
-        return self._inflow.get(good, ZERO)
+        return self._value(self.inflow_units.get(good, 0), self.inflow_fixed.get(good))
+
+    def refund(self, buyer: str) -> Fraction:
+        return self._value(
+            self.refund_units.get(buyer, 0), self.refund_fixed.get(buyer)
+        )
 
     def effective_budget(self, inst: MarketInstance, buyer: str) -> Fraction:
-        return inst.budgets[buyer] - self.refunds.get(buyer, ZERO)
+        return inst.budgets[buyer] - self.refund(buyer)
 
     def effective_cash(self, inst: MarketInstance, buyer: str) -> Fraction:
         return self.effective_budget(inst, buyer) - self.spent_by(buyer)
@@ -104,27 +174,141 @@ class MarketState:
     def backorder(self, good: str) -> Fraction:
         return self.inflow(good) - self.prices[good]
 
-    def add_spending(self, edge: Edge, delta: Fraction) -> None:
-        new = self.spending.get(edge, ZERO) + delta
-        if new < 0:
-            raise ValueError(f"negative spending on {edge}")
-        if new == 0:
-            self.spending.pop(edge, None)
-        else:
-            self.spending[edge] = new
+    # --- integer tests ----------------------------------------------------
+
+    def _pair(self, units: int, fixed: Fraction | None) -> tuple[int, int]:
+        """``units * unit + fixed`` as an unnormalized pair (numerator,
+        positive denominator)."""
+        if not units:
+            return (fixed.numerator, fixed.denominator) if fixed else (0, 1)
+        unit = self.unit
+        if not fixed:
+            return (units * unit.numerator, unit.denominator)
+        return (
+            units * unit.numerator * fixed.denominator
+            + fixed.numerator * unit.denominator,
+            unit.denominator * fixed.denominator,
+        )
+
+    def _sign(self, units: int, fixed: Fraction | None) -> int:
+        """Sign of ``units * unit + fixed``."""
+        num = self._pair(units, fixed)[0] if fixed else units
+        return (num > 0) - (num < 0)
+
+    def spending_sign(self, edge: Edge, units: int) -> int:
+        """Sign of the edge's spending minus ``units`` units."""
+        return self._sign(self.edge_units.get(edge, 0) - units, self.edge_fixed.get(edge))
+
+    def refund_sign(self, buyer: str) -> int:
+        return self._sign(self.refund_units.get(buyer, 0), self.refund_fixed.get(buyer))
+
+    def cash_term(self, inst: MarketInstance, buyer: str) -> int:
+        """``floor(effective cash / unit)``: the fixed parts' floor minus
+        the buyer's counts."""
+        free = inst.budgets[buyer]
+        refund = self.refund_fixed.get(buyer)
+        if refund:
+            free = free - refund
+        spent = self.spent_fixed.get(buyer)
+        if spent:
+            free = free - spent
+        unit = self.unit
+        return (
+            (free.numerator * unit.denominator) // (free.denominator * unit.numerator)
+            - self.refund_units.get(buyer, 0)
+            - self.spent_units.get(buyer, 0)
+        )
+
+    def inflow_pair(self, good: str) -> tuple[int, int]:
+        return self._pair(self.inflow_units.get(good, 0), self.inflow_fixed.get(good))
+
+    def backorder_pair(self, good: str) -> tuple[int, int]:
+        n, d = self.inflow_pair(good)
+        price = self.prices[good]
+        pd = price.denominator
+        return (n * pd - price.numerator * d, d * pd)
+
+    # --- mutators ---------------------------------------------------------
+
+    def _put(self, edge: Edge, units: int, fixed: Fraction | None, sign: int) -> None:
+        """Store an edge's new count and fixed part, whose sum has ``sign``;
+        a zero sum drops the edge, and its parts from the sums."""
+        if sign:
+            for part, parts in ((units, self.edge_units), (fixed, self.edge_fixed)):
+                if part:
+                    parts[edge] = part
+                else:
+                    parts.pop(edge, None)
+            return
+        self.edge_units.pop(edge, None)
+        self.edge_fixed.pop(edge, None)
         b, g = edge
-        self._spent[b] = self._spent.get(b, ZERO) + delta
-        self._inflow[g] = self._inflow.get(g, ZERO) + delta
+        if units:
+            self.spent_units[b] -= units
+            self.inflow_units[g] -= units
+        if fixed:
+            self.spent_fixed[b] -= fixed
+            self.inflow_fixed[g] -= fixed
+
+    def add_spending_units(self, edge: Edge, count: int) -> None:
+        """Add ``count`` units of the scale to the edge's spending, which
+        must stay non-negative."""
+        units = self.edge_units.get(edge, 0) + count
+        fixed = self.edge_fixed.get(edge)
+        sign = self._sign(units, fixed)
+        if sign < 0:
+            raise ValueError(f"negative spending on {edge}")
+        b, g = edge
+        self.spent_units[b] = self.spent_units.get(b, 0) + count
+        self.inflow_units[g] = self.inflow_units.get(g, 0) + count
+        self._put(edge, units, fixed, sign)
         self._touch([("edge", edge), ("buyer", b), ("good", g)])
 
-    def add_refund(self, buyer: str, delta: Fraction) -> None:
-        self.refunds[buyer] = self.refunds.get(buyer, ZERO) + delta
+    def add_spending(self, edge: Edge, amount: Fraction) -> None:
+        """Add a rational ``amount`` to the edge's fixed part, as given: a
+        state built from dicts books its spending this way, and may hold
+        negative spending, which the checks report."""
+        units = self.edge_units.get(edge, 0)
+        fixed = self.edge_fixed.get(edge)
+        fixed = amount if fixed is None else fixed + amount
+        b, g = edge
+        self.spent_fixed[b] = self.spent_fixed.get(b, ZERO) + amount
+        self.inflow_fixed[g] = self.inflow_fixed.get(g, ZERO) + amount
+        self._put(edge, units, fixed, self._sign(units, fixed))
+        self._touch([("edge", edge), ("buyer", b), ("good", g)])
+
+    def add_refund_units(self, buyer: str, count: int) -> None:
+        self.refund_units[buyer] = self.refund_units.get(buyer, 0) + count
+        self._touch([("buyer", buyer)])
+
+    def add_refund(self, buyer: str, amount: Fraction) -> None:
+        self.refund_fixed[buyer] = self.refund_fixed.get(buyer, ZERO) + amount
         self._touch([("buyer", buyer)])
 
     def scale_prices(self, goods: list[str] | set[str], factor: Fraction) -> None:
         for g in goods:
             self.prices[g] *= factor
         self._touch([("price", g) for g in goods])
+
+    def rescale(self, unit: Fraction) -> None:
+        """Count in ``unit`` from now on.  Every count is multiplied by the
+        old unit over the new one, which must be a whole number while any
+        count is non-zero; amounts do not change, so nothing is touched."""
+        old = self.unit
+        if old is not None and (self.edge_units or any(self.refund_units.values())):
+            factor = old / unit
+            if factor.denominator != 1:
+                raise ValueError(f"cannot recount units of {old} in units of {unit}")
+            k = factor.numerator
+            for counts in (
+                self.edge_units,
+                self.spent_units,
+                self.inflow_units,
+                self.refund_units,
+            ):
+                for key in counts:
+                    counts[key] *= k
+        self.unit = unit
 
     def _touch(self, items: list[Touch]) -> None:
         touched = dict.fromkeys(items)
@@ -148,34 +332,49 @@ class MarketState:
         return last[1]
 
 
-class _BangPerBuckView:
+class BangPerBuckView:
     """Every edge's ratio as an integer pair, every buyer's best ratio and
     equality edges, and the equality graph they make up, kept current with
     the prices.  A buyer's best pair is the ratio of the first edge of her
-    row."""
+    row; ``signs`` holds its sign against one (1 above, 0 at, -1 below).
+    ``alphas`` normalizes a best pair to a ``Q`` only for the buyers
+    rescanned since it was last read."""
 
-    __slots__ = ("utilities", "ratios", "alphas", "rows", "edges")
+    __slots__ = ("utilities", "ratios", "rows", "signs", "edges", "_alphas", "_stale")
 
     def __init__(self, inst: MarketInstance) -> None:
         self.utilities = {
             e: (u.numerator, u.denominator) for e, u in inst.utilities.items()
         }
         self.ratios: dict[Edge, tuple[int, int]] = {}
-        self.alphas: dict[str, Fraction] = {}
         self.rows: dict[str, tuple[Edge, ...]] = {}
+        self.signs: dict[str, int] = {}
         self.edges: set[Edge] = set()
+        self._alphas: dict[str, Fraction] = {}
+        self._stale: dict[str, None] = {}
+
+    def best_pair(self, buyer: str) -> tuple[int, int]:
+        return self.ratios[self.rows[buyer][0]]
+
+    @property
+    def alphas(self) -> dict[str, Fraction]:
+        alphas = self._alphas
+        for b in self._stale:
+            alphas[b] = reduced(*self.best_pair(b))
+        self._stale.clear()
+        return alphas
 
 
 _BANG_PER_BUCK = "bang_per_buck"
 
 
-def _bang_per_buck_view(inst: MarketInstance, state: MarketState) -> _BangPerBuckView:
+def bang_per_buck_view(inst: MarketInstance, state: MarketState) -> BangPerBuckView:
     """The state's bang-per-buck view, updated for the buyers whose best
     can have changed since the last call (all buyers on the first call)."""
     touched = state.changes(_BANG_PER_BUCK)
     prices = state.prices
     if touched is None:
-        view = state.views[_BANG_PER_BUCK] = _BangPerBuckView(inst)
+        view = state.views[_BANG_PER_BUCK] = BangPerBuckView(inst)
         ratios = view.ratios
         price_pairs = {g: (p.numerator, p.denominator) for g, p in prices.items()}
         for e, (un, ud) in view.utilities.items():
@@ -221,8 +420,8 @@ def _bang_per_buck_view(inst: MarketInstance, state: MarketState) -> _BangPerBuc
                 row.append(edge)
         if not row:
             raise ValueError("buyer values no good")
-        first = row[0]
-        view.alphas[b] = inst.utilities[first] / prices[first[1]]
+        view.signs[b] = (best_n > best_d) - (best_n < best_d)
+        view._stale[b] = None
         view.edges.difference_update(view.rows.get(b, ()))
         view.edges.update(row)
         view.rows[b] = tuple(row)
@@ -242,7 +441,7 @@ def edge_event(
     The multiplier of edge ``(b, g)`` is ``best_b / ratio_bg``.  Ties go to
     the smallest buyer position, then the smallest good position.
     """
-    view = _bang_per_buck_view(inst, state)
+    view = bang_per_buck_view(inst, state)
     ratios, rows = view.ratios, view.rows
     event: tuple[int, int, Edge] | None = None
     for b in sorted(buyers, key=inst.buyer_pos.__getitem__):
@@ -263,7 +462,7 @@ def state_equality_graph(inst: MarketInstance, state: MarketState) -> set[Edge]:
     The set is the view itself, updated in place as prices change; copy it
     to keep a snapshot.
     """
-    return _bang_per_buck_view(inst, state).edges
+    return bang_per_buck_view(inst, state).edges
 
 
 def state_alphas(inst: MarketInstance, state: MarketState) -> dict[str, Fraction]:
@@ -272,7 +471,7 @@ def state_alphas(inst: MarketInstance, state: MarketState) -> dict[str, Fraction
     The dict is the view itself, updated in place as prices change; copy it
     to keep a snapshot.
     """
-    return _bang_per_buck_view(inst, state).alphas
+    return bang_per_buck_view(inst, state).alphas
 
 
 def reach(
@@ -354,9 +553,15 @@ def component_key(component: Component) -> str:
     return f"{kind}:{name}"
 
 
-def components_of_edges(
-    inst: MarketInstance, edges: set[Edge]
-) -> tuple[list[Component], list[Edge] | None]:
+class Forest(NamedTuple):
+    """What :func:`components_of_edges` finds for an edge set: every edge
+    lies in one of the components."""
+
+    components: list[Component]
+    cycle: list[Edge] | None
+
+
+def components_of_edges(inst: MarketInstance, edges: set[Edge]) -> Forest:
     """Connected components of ``B + G`` under an undirected edge set, and
     the first cycle found.
 
@@ -413,7 +618,7 @@ def components_of_edges(
         Component(buyers=tuple(bs), goods=tuple(gs), edges=tuple(es))
         for bs, gs, es in zip(buyers, goods, comp_edges)
     ]
-    return components, cycle
+    return Forest(components, cycle)
 
 
 def _closed_walk(

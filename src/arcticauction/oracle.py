@@ -2,9 +2,10 @@
 
 The checks share three things with the scaling solvers: the basic tree
 solve, the forest walker (``graph.components_of_edges``) and the state's
-bang-per-buck view (``graph.state_alphas``, ``graph.state_equality_graph``),
-the one place bang-per-buck and the equality graph are computed.  The
-genericity check reads the solver's live view; the certifier builds a
+bang-per-buck view (``graph.bang_per_buck_view``, also read through
+``graph.state_alphas`` and ``graph.state_equality_graph``), the one place
+bang-per-buck and the equality graph are computed.  The genericity check
+reads the solver's live view; the certifier builds a
 :class:`~arcticauction.graph.MarketState` of its own, whose first view
 call computes every ratio afresh from the prices it is given.  So a
 certified answer is checked against the market definition rather than
@@ -23,6 +24,7 @@ from arcticauction.errors import GenericityError
 from arcticauction.graph import (
     Edge,
     MarketState,
+    bang_per_buck_view,
     component_key,
     components_of_edges,
     state_alphas,
@@ -228,10 +230,10 @@ def check_genericity(inst: MarketInstance, state: MarketState) -> GenericityRepo
     """Verify the equality graph at the state's prices is a forest with at
     most one critical buyer per connected component."""
     components, cycle = components_of_edges(inst, state_equality_graph(inst, state))
-    alphas = state_alphas(inst, state)
+    signs = bang_per_buck_view(inst, state).signs
     critical: dict[str, int] = {}
     for comp in components:
-        count = sum(1 for b in comp.buyers if alphas[b] == 1)
+        count = sum(1 for b in comp.buyers if signs[b] == 0)
         if count:
             critical[component_key(comp)] = count
     return GenericityReport(

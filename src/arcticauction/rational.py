@@ -13,6 +13,9 @@ with ``Fraction``).  Any other operand
 (float, complex, bool, another ``Rational``) goes to ``Fraction``'s method
 and gets exactly what a ``Fraction`` would.
 
+:func:`reduced` builds a ``Q`` from an unnormalized integer pair with one
+gcd, for callers that compare ratios as pairs and keep only a winner.
+
 Because ``Q`` subclasses ``Fraction`` and overrides the reflected
 operators, ``Fraction op Q`` and ``int op Q`` also land here, so once the
 inputs of a computation are ``Q`` every number derived from them is too.
@@ -29,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["Q", "ZERO", "ONE"]
+__all__ = ["Q", "ZERO", "ONE", "reduced"]
 
 
 _new = object.__new__
@@ -41,6 +44,13 @@ def _make(numerator: int, denominator: int) -> Q:
     q._numerator = numerator
     q._denominator = denominator
     return q
+
+
+def reduced(numerator: int, denominator: int) -> Q:
+    """A ``Q`` from an integer pair with a positive denominator, put in
+    lowest terms by one gcd."""
+    g = gcd(numerator, denominator)
+    return _make(numerator // g, denominator // g)
 
 
 # The kernels below take both operands as (numerator, denominator) pairs in

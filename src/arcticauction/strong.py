@@ -28,9 +28,11 @@ from arcticauction.errors import SolverError
 from arcticauction.graph import (
     Component,
     Edge,
+    Forest,
     MarketState,
     Node,
     abundant_edges,
+    bang_per_buck_view,
     buyer_node,
     component_key,
     components_of_edges,
@@ -72,12 +74,12 @@ def fertile_components(
     """
     n = len(inst.buyers) + len(inst.goods)
     margin = ss.delta / (3 * n * n)
-    alphas = state_alphas(inst, ss.market)
+    signs = bang_per_buck_view(inst, ss.market).signs
     out: list[tuple[Component, str]] = []
     for comp in components:
         if comp.is_singleton() and comp.buyers:
             b = comp.buyers[0]
-            if alphas[b] > 1 and ss.market.effective_cash(inst, b) > margin:
+            if signs[b] > 0 and ss.market.effective_cash(inst, b) > margin:
                 out.append((comp, "singleton_cash"))
                 continue
         if comp.surplus(inst, ss.market) <= -margin:
@@ -93,7 +95,7 @@ def commit_refund(
     Only legal at bang-per-buck exactly one; prices, spending, and hence
     the equality graph and abundant set are untouched.
     """
-    if state_alphas(inst, state)[buyer] != 1:
+    if bang_per_buck_view(inst, state).signs[buyer] != 0:
         raise SolverError(f"commit at {buyer} without bang-per-buck one")
     cash = state.effective_cash(inst, buyer)
     if amount < 0 or amount > cash:
@@ -235,11 +237,11 @@ def get_parameter(
     price raiser at target zero and contributes the surplus it stops at.
     """
     per_component: dict[str, Fraction] = {}
-    alphas = state_alphas(inst, ss.market)
+    signs = bang_per_buck_view(inst, ss.market).signs
     for comp in components:
         if comp.is_singleton() and comp.buyers:
             b = comp.buyers[0]
-            if alphas[b] > 1:
+            if signs[b] > 0:
                 per_component[component_key(comp)] = ss.market.effective_cash(inst, b)
             else:
                 per_component[component_key(comp)] = ZERO
@@ -440,12 +442,12 @@ def _repair_deficits(
     market = ss.market
     components = components_of_edges(inst, abundant_edges(market, stats.n, ss.delta))[0]
     comp_of_good = {g: comp for comp in components for g in comp.goods}
-    deficits = [g for g in inst.goods if market.backorder(g) < 0]
+    deficits = [g for g in inst.goods if market.backorder_pair(g)[0] < 0]
     for g in deficits:
         forward, backward = state_equality_graph(inst, market), returnable_edges(ss)
         trees: dict[str, dict[Node, Node | None]] = {}
         for b in inst.buyers:
-            if market.effective_cash(inst, b) < ss.delta:
+            if market.cash_term(inst, b) < 1:
                 continue
             tree = reach(inst, [buyer_node(b)], forward, backward)
             if good_node(g) in tree:
@@ -456,21 +458,21 @@ def _repair_deficits(
             trees, key=lambda b: (b not in comp_of_good[g].buyers, inst.buyer_pos[b])
         )
         phi_before = potential(inst, ss)
-        _augment(ss, path_to(trees[root], good_node(g)), ss.delta)
+        _augment(ss, path_to(trees[root], good_node(g)))
         record_step(inst, ss, trace, phase, "restart_repair", g, phi_before)
         ss.allowed_deficit.pop(g, None)
 
 
 def _termination_candidate(
-    inst: MarketInstance, ss: ScalingState, support: set[Edge]
+    inst: MarketInstance, ss: ScalingState, forest: Forest
 ) -> tuple[MarketState, Certificate] | None:
-    """Basic solution of the abundant ``support``, if it certifies as an
-    equilibrium of the compressed instance."""
+    """Basic solution of the abundant support, given as its ``forest``, if
+    it certifies as an equilibrium of the compressed instance."""
     effective = {
         b: ss.market.effective_budget(inst, b) for b in inst.buyers
     }
     try:
-        candidate = basic_solution(inst, support, effective)
+        candidate = basic_solution(inst, forest, effective)
     except SupportError:
         return None
     certificate = check_equilibrium(
@@ -526,16 +528,17 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
 
         abundant = abundant_edges(ss.market, n, ss.delta)
         _note_abundant(trace, phase, abundant)
-        components = components_of_edges(inst, abundant)[0]
-        alphas = state_alphas(inst, ss.market)
+        forest = components_of_edges(inst, abundant)
+        components = forest.components
+        signs = bang_per_buck_view(inst, ss.market).signs
         for comp in components:
             if comp.is_singleton() and comp.buyers:
                 b = comp.buyers[0]
-                if b not in singleton_crossed and alphas[b] <= 1:
+                if b not in singleton_crossed and signs[b] <= 0:
                     singleton_crossed.add(b)
                     trace.progress_events.append((phase, "buyer_uninterested", b))
 
-        finished = _termination_candidate(inst, ss, abundant)
+        finished = _termination_candidate(inst, ss, forest)
         if finished is not None:
             candidate, _ = finished
             total_refunds = {

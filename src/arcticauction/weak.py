@@ -20,7 +20,6 @@ steps are booked and checked as one call.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from arcticauction.basic import basic_solution, recover_support
@@ -31,6 +30,7 @@ from arcticauction.graph import (
     MarketState,
     Node,
     abundant_edges,
+    bang_per_buck_view,
     buyer_node,
     edge_event,
     good_node,
@@ -40,19 +40,21 @@ from arcticauction.graph import (
     state_equality_graph,
 )
 from arcticauction.oracle import Equilibrium, certify_state, check_genericity
-from arcticauction.rational import Q, ZERO
+from arcticauction.rational import Q, ZERO, reduced
 from arcticauction.trace import PhaseMark, PhaseTrace, TraceRow
 
 
-@dataclass
 class ScalingState:
     """Mutable solver state: the market triple plus the scaling context.
 
-    ``initial_prices`` are frozen at initialization; the backorder bounds
-    only apply to goods whose price has been raised above them.
-    ``exempt_edges`` and ``allowed_deficit`` are only populated by the
-    strongly polynomial solver after a compressed restart: exempt edges
-    carry values that are not multiples of ``delta`` (and need residual
+    ``delta`` is the market's scale (``market.unit``): the market counts
+    spending and refunds in units of it, and setting ``delta`` recounts
+    them (halving doubles every count).  ``initial_prices`` are frozen at
+    initialization; the backorder bounds only apply to goods whose price
+    has been raised above them.  ``exempt_edges`` and ``allowed_deficit``
+    are only populated by the strongly polynomial solver after a
+    compressed restart: exempt edges carry values that are not multiples
+    of ``delta`` (the fixed parts of the rebuilt state, which need residual
     capacity ``delta`` to serve as backward arcs), and flagged goods may
     temporarily hold a small negative backorder until one augmentation
     repairs them.
@@ -66,11 +68,27 @@ class ScalingState:
     (as the deficit repair does).
     """
 
-    market: MarketState
-    delta: Fraction
-    initial_prices: dict[str, Fraction]
-    exempt_edges: set[Edge] = field(default_factory=set)
-    allowed_deficit: dict[str, Fraction] = field(default_factory=dict)
+    def __init__(
+        self,
+        market: MarketState,
+        delta: Fraction,
+        initial_prices: dict[str, Fraction],
+        exempt_edges: set[Edge] | None = None,
+        allowed_deficit: dict[str, Fraction] | None = None,
+    ) -> None:
+        self.market = market
+        market.rescale(delta)
+        self.initial_prices = initial_prices
+        self.exempt_edges = set() if exempt_edges is None else exempt_edges
+        self.allowed_deficit = {} if allowed_deficit is None else allowed_deficit
+
+    @property
+    def delta(self) -> Fraction:
+        return self.market.unit
+
+    @delta.setter
+    def delta(self, value: Fraction) -> None:
+        self.market.rescale(value)
 
 
 def initialize(inst: MarketInstance) -> ScalingState:
@@ -123,13 +141,17 @@ def returnable_edges(ss: ScalingState) -> set[Edge]:
     touched = market.changes(_RETURNABLE, ss.delta)
     if touched is None:
         view = market.views[_RETURNABLE] = set()
-        edges: Iterable[Edge] = market.spending
+        edges: Iterable[Edge] = [*market.edge_fixed, *market.edge_units]
     else:
         view = market.views[_RETURNABLE]
         edges = [e for kind, e in touched if kind == "edge"]
+    exempt = ss.exempt_edges
     for e in edges:
-        value = market.spending.get(e, ZERO)
-        if value > 0 and (e not in ss.exempt_edges or value >= ss.delta):
+        if (
+            market.spending_sign(e, 1) >= 0
+            if e in exempt
+            else market.spending_sign(e, 0) > 0
+        ):
             view.add(e)
         else:
             view.discard(e)
@@ -185,13 +207,13 @@ def _spending_on_equality_graph(
     inst: MarketInstance, market: MarketState, buyers: Iterable[str]
 ) -> bool:
     """Whether every spending edge of ``buyers`` is an equality edge."""
-    spending = market.spending
     eq_edges = state_equality_graph(inst, market)
+    units, fixed = market.edge_units, market.edge_fixed
     return all(
         (b, g) in eq_edges
         for b in buyers
         for g in inst.goods_of(b)
-        if (b, g) in spending
+        if (b, g) in units or (b, g) in fixed
     )
 
 
@@ -203,41 +225,54 @@ def _violations(
     edges: Iterable[Edge],
 ) -> list[str]:
     """Feasibility violations of the given buyers, goods and edges, in the
-    order given; edges without spending are skipped."""
+    order given; edges without spending are skipped.
+
+    Each test compares counts or cross-multiplies integer pairs; a
+    rational is built only for a deficit allowance or a report.  A
+    spending of ``count * delta + fixed`` is a multiple of ``delta``
+    exactly when its fixed part is.
+    """
     violations: list[str] = []
     market = ss.market
     for b in buyers:
-        if market.refunds.get(b, ZERO) < 0:
+        if market.refund_sign(b) < 0:
             violations.append(f"negative refund at buyer {b}")
-        if market.effective_cash(inst, b) < 0:
+        if market.cash_term(inst, b) < 0:
             violations.append(f"negative effective cash at buyer {b}")
+    delta = ss.delta
+    dn, dd = delta.numerator, delta.denominator
     for g in goods:
         price = market.prices[g]
         if price < 0:
             violations.append(f"negative price at good {g}")
         if price > ss.initial_prices[g]:
-            backorder = market.backorder(g)
-            floor = -ss.allowed_deficit.get(g, ZERO)
-            if backorder < floor:
-                violations.append(f"backorder {backorder} below bound at good {g}")
-            if backorder > ss.delta:
-                violations.append(f"backorder {backorder} above delta at good {g}")
-    delta = ss.delta
+            num, den = market.backorder_pair(g)
+            allowed = ss.allowed_deficit.get(g)
+            if market.backorder(g) < -allowed if allowed else num < 0:
+                violations.append(
+                    f"backorder {market.backorder(g)} below bound at good {g}"
+                )
+            if num * dd > dn * den:
+                violations.append(
+                    f"backorder {market.backorder(g)} above delta at good {g}"
+                )
     eq_edges: set[Edge] | None = None
     for edge in edges:
-        value = market.spending.get(edge)
-        if value is None:
-            continue
-        if value < 0:
+        sign = market.spending_sign(edge, 0)
+        if sign < 0:
             violations.append(f"negative spending on {edge}")
-        if value > 0:
+        elif sign > 0:
             if eq_edges is None:
                 eq_edges = state_equality_graph(inst, market)
             if edge not in eq_edges:
                 violations.append(f"spending off equality graph on {edge}")
-            if edge not in ss.exempt_edges and (
-                value.numerator * delta.denominator
-            ) % (value.denominator * delta.numerator) != 0:
+            fixed = market.edge_fixed.get(edge)
+            if (
+                fixed
+                and edge not in ss.exempt_edges
+                and (fixed.numerator * delta.denominator)
+                % (fixed.denominator * delta.numerator)
+            ):
                 violations.append(f"spending on {edge} not a multiple of delta")
     return violations
 
@@ -269,7 +304,7 @@ def _cash_terms(inst: MarketInstance, ss: ScalingState) -> _CashTerms:
         view = market.views[_CASH_TERMS]
         buyers = [b for kind, b in touched if kind == "buyer"]
     for b in buyers:
-        term = market.effective_cash(inst, b) // ss.delta
+        term = market.cash_term(inst, b)
         view.total += term - view.terms.get(b, 0)
         view.terms[b] = term
         if term > 0:
@@ -296,8 +331,9 @@ def potential(inst: MarketInstance, ss: ScalingState) -> int:
 
 def update_price_star(
     inst: MarketInstance, ss: ScalingState, active: dict[Node, Node | None]
-) -> None:
-    """Scale active-good prices by the smallest multiplier firing an event.
+) -> bool:
+    """Scale active-good prices by the smallest multiplier firing an event;
+    return whether the edge event tied that multiplier.
 
     ``active`` is the residual search tree of the root buyer at the
     current state, as :func:`price_and_augment` gets it from
@@ -307,8 +343,14 @@ def update_price_star(
     inactive good (:func:`~arcticauction.graph.edge_event`), an active
     good's backorder reaching zero, or an active buyer's bang-per-buck
     reaching one.  Candidates are compared as integer pairs by
-    cross-multiplication; only the winner becomes a ``Q``.  Prices are
-    updated in place.
+    cross-multiplication; only the winner becomes a ``Q``, by one gcd.
+    Prices are updated in place.
+
+    Every equality edge of an active buyer leads to an active good, and a
+    raise below the edge event's multiplier scales all of them alike and
+    brings no other good level with them, so the equality edges the search
+    follows, and with them its tree, change only when the edge event ties
+    the winner.
     """
     market = ss.market
     active_buyers = [name for kind, name in active if kind == "B"]
@@ -316,41 +358,45 @@ def update_price_star(
         (name for kind, name in active if kind == "G"),
         key=lambda g: inst.good_pos[g],
     )
-    alphas = state_alphas(inst, market)
+    view = bang_per_buck_view(inst, market)
 
     # each candidate is an unnormalized pair (numerator, positive denominator)
     candidates: list[tuple[int, int]] = []
     event = edge_event(inst, market, active_buyers, set(active_goods))
     if event is not None:
         candidates.append(event[:2])
+    prices = market.prices
     for g in active_goods:
-        inflow, price = market.inflow(g), market.prices[g]
-        candidates.append(
-            (inflow.numerator * price.denominator, inflow.denominator * price.numerator)
-        )
+        n, d = market.inflow_pair(g)
+        price = prices[g]
+        candidates.append((n * price.denominator, d * price.numerator))
     for b in active_buyers:
-        alpha = alphas[b]
-        if alpha > 1:
-            candidates.append((alpha.numerator, alpha.denominator))
+        if view.signs[b] > 0:
+            candidates.append(view.best_pair(b))
     if not candidates:
         raise SolverError("price raise has no stopping event")
     n, d = candidates[0]
     for cn, cd in candidates[1:]:
         if cn * d < n * cd:
             n, d = cn, cd
-    q = Q(n, d)
-    if q < 1:
-        raise SolverError(f"stopping event at multiplier {q} < 1")
+    q = reduced(n, d)
+    # the search tree holds every equality edge of the active buyers and no
+    # exhausted good, so every candidate exceeds one; a raise by one or less
+    # means the tree is stale, and would repeat for ever
+    if n <= d:
+        raise SolverError(f"stopping event at multiplier {q} <= 1")
     market.scale_prices(active_goods, q)
+    return event is not None and event[0] * d == n * event[1]
 
 
-def _augment(ss: ScalingState, path: list[Node], delta: Fraction) -> None:
-    """Shift ``delta`` along a residual path (forward +, backward -)."""
+def _augment(ss: ScalingState, path: list[Node]) -> None:
+    """Shift one unit of ``delta`` along a residual path (forward +,
+    backward -)."""
     for a, b in zip(path, path[1:]):
         if a[0] == "B" and b[0] == "G":
-            ss.market.add_spending((a[1], b[1]), delta)
+            ss.market.add_spending_units((a[1], b[1]), 1)
         elif a[0] == "G" and b[0] == "B":
-            ss.market.add_spending((b[1], a[1]), -delta)
+            ss.market.add_spending_units((b[1], a[1]), -1)
         else:
             raise SolverError("augmenting path does not alternate sides")
 
@@ -362,43 +408,46 @@ def price_and_augment(inst: MarketInstance, ss: ScalingState) -> tuple[str, str]
     and bang-per-buck above one.  Prices on the root's active set rise
     until some active buyer becomes critical or some active good stops
     being oversubscribed; one unit of ``delta`` then flows from the root to
-    that terminal (a critical buyer books it as a refund).
+    that terminal (a critical buyer books it as a refund).  The residual
+    search runs again after a raise only when the raise's edge event tied
+    (see :func:`update_price_star`).
     """
     market = ss.market
-    alphas = state_alphas(inst, market)
-    roots = [b for b in _buyers_holding_delta(inst, ss) if alphas[b] > 1]
+    signs = bang_per_buck_view(inst, market).signs
+    roots = [b for b in _buyers_holding_delta(inst, ss) if signs[b] > 0]
     if not roots:
         raise SolverError("no eligible root buyer for price-and-augment")
     start = [buyer_node(roots[0])]
     # a price raise moves prices only, so the returnable edges stay the same
     returnable = returnable_edges(ss)
+    active = reach(inst, start, state_equality_graph(inst, market), returnable)
 
     while True:
-        active = reach(inst, start, state_equality_graph(inst, market), returnable)
-        alphas = state_alphas(inst, market)
+        signs = bang_per_buck_view(inst, market).signs
         critical = sorted(
-            (name for kind, name in active if kind == "B" and alphas[name] == 1),
+            (name for kind, name in active if kind == "B" and signs[name] == 0),
             key=lambda b: inst.buyer_pos[b],
         )
         exhausted = sorted(
             (
                 name
                 for kind, name in active
-                if kind == "G" and market.inflow(name) <= market.prices[name]
+                if kind == "G" and market.backorder_pair(name)[0] <= 0
             ),
             key=lambda g: inst.good_pos[g],
         )
         if critical or exhausted:
             break
-        update_price_star(inst, ss, active)
+        if update_price_star(inst, ss, active):
+            active = reach(inst, start, state_equality_graph(inst, market), returnable)
 
     if critical:
         terminal = critical[0]
-        _augment(ss, path_to(active, buyer_node(terminal)), ss.delta)
-        market.add_refund(terminal, ss.delta)
+        _augment(ss, path_to(active, buyer_node(terminal)))
+        market.add_refund_units(terminal, 1)
         return "augment_buyer", terminal
     terminal = exhausted[0]
-    _augment(ss, path_to(active, good_node(terminal)), ss.delta)
+    _augment(ss, path_to(active, good_node(terminal)))
     return "augment_good", terminal
 
 
@@ -409,19 +458,20 @@ def refund_step(inst: MarketInstance, ss: ScalingState, buyer: str) -> int:
     A refund moves no price and no spending and touches only ``buyer``, so
     once ``buyer`` is the canonically first refundable buyer it stays so for
     ``k = floor(cash / delta)`` steps.  All ``k`` are booked in one
-    ``add_refund`` of ``k * delta``.  The preconditions (bang-per-buck at
+    ``add_refund_units`` of ``k``.  The preconditions (bang-per-buck at
     most one, cash at least ``delta``) together with that ``k`` imply those
     of each step of the run.
     """
-    alpha = state_alphas(inst, ss.market)[buyer]
-    cash = ss.market.effective_cash(inst, buyer)
-    if alpha > 1 or cash < ss.delta:
+    market = ss.market
+    sign = bang_per_buck_view(inst, market).signs[buyer]
+    steps = _cash_terms(inst, ss).terms[buyer]
+    if sign > 0 or steps < 1:
         raise SolverError(
             f"refund step preconditions violated at {buyer}:"
-            f" bang-per-buck {alpha}, cash {cash}"
+            f" bang-per-buck {state_alphas(inst, market)[buyer]},"
+            f" cash {market.effective_cash(inst, buyer)}"
         )
-    steps = _cash_terms(inst, ss).terms[buyer]
-    ss.market.add_refund(buyer, ss.delta * steps)
+    market.add_refund_units(buyer, steps)
     return steps
 
 
@@ -431,8 +481,8 @@ def inner_step(inst: MarketInstance, ss: ScalingState) -> tuple[str, str, int]:
     Returns (step kind, subject, number of steps); only a run of refund
     steps is longer than one.
     """
-    alphas = state_alphas(inst, ss.market)
-    refundable = [b for b in _buyers_holding_delta(inst, ss) if alphas[b] <= 1]
+    signs = bang_per_buck_view(inst, ss.market).signs
+    refundable = [b for b in _buyers_holding_delta(inst, ss) if signs[b] <= 0]
     if refundable:
         return "refund", refundable[0], refund_step(inst, ss, refundable[0])
     kind, subject = price_and_augment(inst, ss)
@@ -442,24 +492,25 @@ def inner_step(inst: MarketInstance, ss: ScalingState) -> tuple[str, str, int]:
 def halve_and_repair(inst: MarketInstance, ss: ScalingState) -> None:
     """Halve the scale; bleed backorders above the new scale back down.
 
-    For each good oversubscribed beyond the halved scale, the canonically
-    smallest buyer with enough spending on it gives half the old scale
-    back.  The repaired state is feasible at the new scale.
+    Halving doubles every count of the market.  For each good
+    oversubscribed beyond the halved scale, the canonically smallest buyer
+    with at least one unit of spending on it gives that unit back.  The
+    repaired state is feasible at the new scale.
     """
     if not is_delta_optimal(inst, ss):
         raise SolverError("halving requires an optimal state")
-    half = ss.delta / 2
+    market = ss.market
+    ss.delta = half = ss.delta / 2
+    hn, hd = half.numerator, half.denominator
     for g in inst.goods:
-        if ss.market.backorder(g) > half:
+        num, den = market.backorder_pair(g)
+        if num * hd > hn * den:
             donors = [
-                b
-                for b in inst.buyers_of(g)
-                if ss.market.spending.get((b, g), ZERO) >= half
+                b for b in inst.buyers_of(g) if market.spending_sign((b, g), 1) >= 0
             ]
             if not donors:
                 raise SolverError(f"oversubscribed good {g} has no donor")
-            ss.market.add_spending((donors[0], g), -half)
-    ss.delta = half
+            market.add_spending_units((donors[0], g), -1)
 
 
 def start_phase(

@@ -226,8 +226,10 @@ class TestDeterminism:
     # makes a compressed restart and restart_repair steps; wide_instance(33)
     # runs 16 price-raising iterations over two delayed restarts; the n = 8
     # market under the halving solver runs hundreds of phases whose numbers
-    # grow to hundreds of bits.  A change that moves these digests changes
-    # the solver's output, not only its speed.
+    # grow to hundreds of bits; the n = 40 market is a strong_random draw
+    # whose price raises stop on new equality edges as well as on
+    # backorders.  A change that moves these digests changes the solver's
+    # output, not only its speed.
     @pytest.mark.parametrize(
         "market, algorithm, digests",
         [
@@ -263,8 +265,22 @@ class TestDeterminism:
                     "74e45883c744aeef4bfa732a5aaee66f7a9e85da635cd6b5996209b522aa0171",
                 ),
             ),
+            (
+                lambda: random_instance(40, random.Random(1)),
+                "strong",
+                (
+                    "d29ffb42cffd0a720e03d806f899aa2d3010b7c2a97f15a442416e97d4181b3d",
+                    "39cd2fb9728c24626be39fb80477e655bb3e56ae83fe59f5f59a383d62149c13",
+                ),
+            ),
         ],
-        ids=["wide14_strong", "wide33_strong", "random6_both", "random8_weak"],
+        ids=[
+            "wide14_strong",
+            "wide33_strong",
+            "random6_both",
+            "random8_weak",
+            "random40_strong",
+        ],
     )
     def test_output_and_trace_bytes_are_pinned(self, market, algorithm, digests, tmp_path):
         path = tmp_path / "inst.json"
@@ -405,6 +421,14 @@ INPUT_ERRORS = {
     "solve_budget_zero_denominator": edited_instance(
         buyers=[{"id": "b1", "budget": "3/0"}]
     ),
+    "solve_buyer_id_null": edited_instance(buyers=[{"id": None, "budget": 3}]),
+    "solve_buyer_id_object": edited_instance(buyers=[{"id": {"a": 1}, "budget": 3}]),
+    "solve_buyer_id_boolean": edited_instance(buyers=[{"id": True, "budget": 3}]),
+    "solve_good_id_list": edited_instance(goods=[[1]]),
+    "solve_good_id_float": edited_instance(goods=[1.5]),
+    "solve_good_id_boolean": edited_instance(goods=[False]),
+    "solve_utility_buyer_id_null": edited_instance(utilities=[[None, "g1", "2"]]),
+    "solve_utility_good_id_float": edited_instance(utilities=[["b1", 1.0, "2"]]),
     "verify_nested_100000_deep": nested_arrays("verify"),
 }
 

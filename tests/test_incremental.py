@@ -1,17 +1,19 @@
 """Incremental views of the market state against direct recomputations.
 
-The potential, the optimality test, bang-per-buck, the equality graph, the
+The rational spending and refunds, the potential, the optimality test,
+bang-per-buck with its signs against one, the equality graph, the
 returnable edges and the feasibility check each catch up from the items
 the state's mutators touched since that view last read them.  These tests
-recompute each of them from the raw state after every solver step and
-after random mutation sequences in which each view is read at its own
-moments, and drive bad changes through the mutators to check that the
-incremental feasibility check reports exactly what a full sweep reports.
-The genericity check, which reads the solver's live bang-per-buck view,
-must report the same on a fresh copy of the state.  Every price raise of
-both solvers is checked against the multiplier formula written with
-``Q`` arithmetic, and named cases pin when a re-priced good rescans a
-buyer.
+recompute each of them from the raw state (each amount a count of the
+scale plus a fixed part) after every solver step and after random
+mutation sequences in which each view is read at its own moments, and
+drive bad changes through the mutators to check that the incremental
+feasibility check reports exactly what a full sweep reports.  The
+genericity check, which reads the solver's live bang-per-buck view, must
+report the same on a fresh copy of the state.  Every price raise of both
+solvers is checked against the multiplier formula written with ``Q``
+arithmetic, every residual search tree a raise keeps against a fresh
+search, and named cases pin when a re-priced good rescans a buyer.
 """
 
 import random
@@ -23,7 +25,8 @@ from arcticauction import strong, weak
 from arcticauction.core import PerturbationConfig, default_magnitude, perturb
 from arcticauction.graph import (
     MarketState,
-    _bang_per_buck_view,
+    bang_per_buck_view,
+    reach,
     state_alphas,
     state_equality_graph,
 )
@@ -44,11 +47,35 @@ from conftest import lean_sigma, make_instance, wide_instance
 # --- direct recomputations from the raw state --------------------------------
 
 
+def amount(market, units, fixed):
+    """``units`` of the market's scale plus ``fixed``, as a ``Fraction``."""
+    value = Fraction(fixed or 0)
+    return value + units * market.unit if units else value
+
+
+def raw_spending(market):
+    """Every edge's spending, from its count and fixed part."""
+    edges = {**market.edge_fixed, **market.edge_units}
+    return {
+        e: amount(market, market.edge_units.get(e, 0), market.edge_fixed.get(e))
+        for e in edges
+    }
+
+
+def raw_refunds(market):
+    """Every booked refund, from its count and fixed part."""
+    buyers = {**market.refund_fixed, **market.refund_units}
+    return {
+        b: amount(market, market.refund_units.get(b, 0), market.refund_fixed.get(b))
+        for b in buyers
+    }
+
+
 def direct_cash(inst, market, buyer):
     spent = sum(
-        (v for (b, _), v in market.spending.items() if b == buyer), Fraction(0)
+        (v for (b, _), v in raw_spending(market).items() if b == buyer), Fraction(0)
     )
-    return inst.budgets[buyer] - market.refunds.get(buyer, Fraction(0)) - spent
+    return inst.budgets[buyer] - raw_refunds(market).get(buyer, Fraction(0)) - spent
 
 
 def direct_potential(inst, ss):
@@ -72,9 +99,13 @@ def direct_equality_graph(inst, prices):
 def direct_returnable(ss):
     return {
         e
-        for e, v in ss.market.spending.items()
+        for e, v in raw_spending(ss.market).items()
         if v > 0 and (e not in ss.exempt_edges or v >= ss.delta)
     }
+
+
+def direct_sign(value):
+    return (value > 0) - (value < 0)
 
 
 def fresh_copy(ss):
@@ -93,6 +124,30 @@ def fresh_copy(ss):
     )
 
 
+def assert_values_match(inst, ss):
+    """The rational views are ``count * delta + fixed`` of every edge and
+    buyer, no edge holds zero, and each buyer's and good's count and fixed
+    sums are those of its edges, with the rational sums to match."""
+    market = ss.market
+    spending = raw_spending(market)
+    assert market.spending == spending
+    assert 0 not in spending.values()
+    assert market.refunds == raw_refunds(market)
+    for side, units, fixed, rational in (
+        (0, market.spent_units, market.spent_fixed, market.spent_by),
+        (1, market.inflow_units, market.inflow_fixed, market.inflow),
+    ):
+        for node in inst.goods if side else inst.buyers:
+            edges = [e for e in spending if e[side] == node]
+            assert units.get(node, 0) == sum(market.edge_units.get(e, 0) for e in edges)
+            assert fixed.get(node, 0) == sum(
+                (market.edge_fixed.get(e, Fraction(0)) for e in edges), Fraction(0)
+            )
+            assert rational(node) == sum((spending[e] for e in edges), Fraction(0))
+    for g in inst.goods:
+        assert Fraction(*market.inflow_pair(g)) == market.inflow(g)
+
+
 def assert_cash_terms_match(inst, ss):
     assert potential(inst, ss) == direct_potential(inst, ss)
     assert is_delta_optimal(inst, ss) == all(
@@ -102,7 +157,11 @@ def assert_cash_terms_match(inst, ss):
 
 def assert_bang_per_buck_matches(inst, ss):
     prices = ss.market.prices
-    assert state_alphas(inst, ss.market) == direct_alphas(inst, prices)
+    alphas = direct_alphas(inst, prices)
+    assert state_alphas(inst, ss.market) == alphas
+    view = bang_per_buck_view(inst, ss.market)
+    assert view.signs == {b: direct_sign(a - 1) for b, a in alphas.items()}
+    assert {b: Fraction(*view.best_pair(b)) for b in inst.buyers} == alphas
     assert state_equality_graph(inst, ss.market) == direct_equality_graph(inst, prices)
     assert check_genericity(inst, ss.market) == check_genericity(inst, fresh_copy(ss).market)
 
@@ -118,6 +177,7 @@ def assert_feasibility_matches(inst, ss):
 # each view of the market state, under the name it keeps its pending items
 # in, with the check that reads it and compares it with its reference
 VIEW_CHECKS = {
+    "values": assert_values_match,
     "cash_terms": assert_cash_terms_match,
     "bang_per_buck": assert_bang_per_buck_matches,
     "returnable": assert_returnable_matches,
@@ -183,7 +243,7 @@ def reference_multiplier(inst, ss, active):
     active_buyers = [name for kind, name in active if kind == "B"]
     active_goods = {name for kind, name in active if kind == "G"}
     inflow = {g: Fraction(0) for g in inst.goods}
-    for (_, g), v in ss.market.spending.items():
+    for (_, g), v in raw_spending(ss.market).items():
         inflow[g] += v
     candidates = [
         alphas[b] * prices[g] / inst.utilities[(b, g)]
@@ -207,11 +267,12 @@ def checked_price_raises(monkeypatch):
     def checked(inst, ss, active):
         before = dict(ss.market.prices)
         q, active_goods = reference_multiplier(inst, ss, active)
-        original(inst, ss, active)
+        tied = original(inst, ss, active)
         assert ss.market.prices == {
             g: p * q if g in active_goods else p for g, p in before.items()
         }
         seen.append(q)
+        return tied
 
     monkeypatch.setattr(weak, "update_price_star", checked)
     return seen
@@ -236,6 +297,63 @@ def test_price_raises_match_reference_in_wide_markets(seed, checked_price_raises
     assert checked_price_raises
 
 
+# --- every residual search tree a price raise keeps ---------------------------
+
+
+def fresh_tree(inst, ss, active):
+    """A fresh residual search from the roots of ``active``."""
+    roots = [node for node, parent in active.items() if parent is None]
+    return reach(
+        inst, roots, state_equality_graph(inst, ss.market), weak.returnable_edges(ss)
+    )
+
+
+@pytest.fixture
+def kept_trees(monkeypatch):
+    """Each price raise of either solver gets the residual search tree of
+    the current state, and after a raise that reports no edge-event tie a
+    fresh search from the same roots returns the same parent map, in the
+    same order; yields, per raise, whether it tied."""
+    ties = []
+    original = weak.update_price_star
+
+    def checked(inst, ss, active):
+        assert list(fresh_tree(inst, ss, active).items()) == list(active.items())
+        tied = original(inst, ss, active)
+        if not tied:
+            assert list(fresh_tree(inst, ss, active).items()) == list(active.items())
+        ties.append(tied)
+        return tied
+
+    monkeypatch.setattr(weak, "update_price_star", checked)
+    return ties
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kept_trees_match_a_fresh_search_in_random_markets(seed, kept_trees):
+    rng = random.Random(300 + seed)
+    inst = random_instance(rng.randint(5, 8), rng)
+    inst = perturb(inst, PerturbationConfig(magnitude=lean_sigma(inst), seed=seed))
+    weak.run_weak(inst)
+    strong.run_strong(inst)
+    assert False in kept_trees
+
+
+def test_raises_keep_and_rebuild_trees_in_a_mid_size_market(kept_trees):
+    inst = random_instance(40, random.Random(1))
+    inst = perturb(inst, PerturbationConfig(magnitude=default_magnitude(inst), seed=0))
+    strong.run_strong(inst)
+    assert False in kept_trees and True in kept_trees
+
+
+@pytest.mark.parametrize("seed", [14, 33])
+def test_kept_trees_match_a_fresh_search_in_wide_markets(seed, kept_trees):
+    inst = wide_instance(seed)
+    inst = perturb(inst, PerturbationConfig(magnitude=default_magnitude(inst), seed=0))
+    strong.run_strong(inst)
+    assert False in kept_trees
+
+
 # --- which re-priced goods rescan a buyer --------------------------------------
 
 
@@ -251,7 +369,7 @@ def rescan_market(price_type):
         spending={},
         refunds={},
     )
-    assert _bang_per_buck_view(inst, market).rows["b1"] == (("b1", "g1"),)
+    assert bang_per_buck_view(inst, market).rows["b1"] == (("b1", "g1"),)
     return inst, market
 
 
@@ -270,7 +388,7 @@ def test_raising_a_good_off_the_row_rescans_nothing(price_type):
     inst, market = rescan_market(price_type)
     alpha = state_alphas(inst, market)["b1"]
     market.scale_prices(["g2"], Fraction(2))
-    view = _bang_per_buck_view(inst, market)
+    view = bang_per_buck_view(inst, market)
     assert view.rows["b1"] == (("b1", "g1"),)
     # b1 was not rescanned: her alpha is the very object built before
     assert view.alphas["b1"] is alpha
@@ -281,7 +399,7 @@ def test_raising_a_good_off_the_row_rescans_nothing(price_type):
 def test_lowering_a_good_off_the_row_to_a_tie_grows_the_row(price_type):
     inst, market = rescan_market(price_type)
     market.scale_prices(["g2"], Fraction(1, 2))
-    view = _bang_per_buck_view(inst, market)
+    view = bang_per_buck_view(inst, market)
     assert view.rows["b1"] == (("b1", "g1"), ("b1", "g2"))
     assert view.alphas["b1"] == 2
     assert_view_is_direct(inst, market)
@@ -293,7 +411,7 @@ def test_lowering_a_good_past_the_best_makes_it_the_row(price_type):
     market.scale_prices(["g2"], Fraction(1, 2))
     assert_view_is_direct(inst, market)
     market.scale_prices(["g2"], Fraction(1, 2))
-    view = _bang_per_buck_view(inst, market)
+    view = bang_per_buck_view(inst, market)
     assert view.rows["b1"] == (("b1", "g2"),)
     assert view.alphas["b1"] == 4
     assert_view_is_direct(inst, market)
@@ -347,6 +465,54 @@ def test_views_catch_up_over_any_number_of_mutations(seed):
         for view in VIEW_CHECKS:
             # a view's pending items never hold an item twice
             assert len(pending_items(market, view)) <= distinct
+    assert_views_match(inst, ss)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_views_catch_up_over_counts_fixed_parts_and_halvings(seed):
+    # counts and fixed parts on the same edges, edges zeroed through their
+    # fixed part, and halvings that double every count
+    rng = random.Random(400 + seed)
+    inst = random_instance(rng.randint(4, 8), rng)
+    edges = inst.edges()
+    prices = {g: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for g in inst.goods}
+    market = MarketState(
+        prices=dict(prices),
+        spending={e: Fraction(rng.randint(1, 3), 8) for e in rng.sample(edges, 2)},
+        refunds={inst.buyers[0]: Fraction(1, 8)},
+    )
+    ss = ScalingState(market=market, delta=Fraction(1, 2), initial_prices=prices)
+    assert_views_match(inst, ss)
+    for step in range(240):
+        edge = rng.choice(edges)
+        spending = raw_spending(market).get(edge, Fraction(0))
+        move = rng.randrange(6)
+        if move == 0:
+            market.add_spending_units(edge, rng.randint(1, 3))
+        elif move == 1 and spending >= ss.delta:
+            market.add_spending_units(edge, -1)
+        elif move == 2:
+            market.add_spending(edge, Fraction(rng.randint(1, 3), 8))
+        elif move == 3 and spending:
+            market.add_spending(edge, -spending)
+            assert not market.has_spending(edge)
+        elif move == 4:
+            buyer = rng.choice(inst.buyers)
+            if rng.random() < 0.5:
+                market.add_refund_units(buyer, rng.randint(0, 2))
+            else:
+                market.add_refund(buyer, Fraction(rng.randint(0, 2), 8))
+        else:
+            goods = rng.sample(inst.goods, rng.randint(1, len(inst.goods)))
+            market.scale_prices(goods, Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+        if step % 60 == 59:
+            before = raw_spending(market), raw_refunds(market)
+            ss.delta = ss.delta / 2
+            assert (raw_spending(market), raw_refunds(market)) == before
+        if rng.random() < 0.3:
+            for view in [view for view in VIEW_CHECKS if rng.random() < 0.5]:
+                VIEW_CHECKS[view](inst, ss)
+    assert market.edge_units and market.edge_fixed
     assert_views_match(inst, ss)
 
 

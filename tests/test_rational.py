@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from arcticauction.core import PerturbationConfig, default_magnitude, perturb
 from arcticauction.randgen import random_instance
-from arcticauction.rational import ONE, ZERO, Q
+from arcticauction.rational import ONE, ZERO, Q, reduced
 from arcticauction.strong import run_strong
 from arcticauction.weak import run_weak
 
@@ -109,6 +109,14 @@ def test_binary_operators_match_fraction(name, left, right, x, y, same):
 def test_unary_operators_match_fraction(name, x):
     fn = {"neg": operator.neg, "abs": operator.abs}[name]
     assert outcome(fn, Q(x)) == expected(fn, Q(x))
+
+
+@given(x=rationals, k=st.integers(min_value=1, max_value=2**70))
+def test_reduced_pair_is_the_fraction_in_lowest_terms(x, k):
+    # an unnormalized pair: both entries scaled by the same k
+    result = reduced(x.numerator * k, x.denominator * k)
+    assert type(result) is Q
+    assert (result.numerator, result.denominator) == (x.numerator, x.denominator)
 
 
 @given(x=rationals)

@@ -378,6 +378,40 @@ class TestHalveAndRepair:
         assert ss.market.spending[("b1", "g1")] == Fraction(7, 2) > 0
 
 
+    def test_donor_holding_exactly_the_new_scale_gives_it_back(self):
+        # b1's spending, left by a restart, is exactly the halved scale: it
+        # is the canonically first donor and gives all of it back
+        inst = make_instance({"b1": 1, "b2": 5}, {("b1", "g1"): 2, ("b2", "g1"): 2})
+        ss = scaling_state(
+            inst,
+            {"g1": 4},
+            {("b1", "g1"): Fraction(1, 2), ("b2", "g1"): Fraction(9, 2)},
+            {},
+            delta=1,
+            initial={"g1": 1},
+        )
+        halve_and_repair(inst, ss)
+        assert ss.market.spending == {("b2", "g1"): Fraction(9, 2)}
+
+
+class TestReturnableEdges:
+    def test_exempt_edge_returns_from_exactly_delta(self):
+        inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g1"): 2})
+        ss = scaling_state(
+            inst,
+            {"g1": 2},
+            {("b1", "g1"): Fraction(1, 2), ("b2", "g1"): 1},
+            {},
+            delta=1,
+        )
+        ss.exempt_edges = {("b1", "g1"), ("b2", "g1")}
+        assert returnable_edges(ss) == {("b2", "g1")}
+        ss.market.add_spending(("b1", "g1"), Fraction(1, 2))
+        assert returnable_edges(ss) == {("b1", "g1"), ("b2", "g1")}
+        ss.market.add_spending_units(("b2", "g1"), -1)
+        assert returnable_edges(ss) == {("b1", "g1")}
+
+
 class TestPhaseInvariants:
     def mark(self, start, end):
         return PhaseMark(
