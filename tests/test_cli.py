@@ -361,6 +361,20 @@ def edited_instance(**fields):
     return instance_text(json.dumps({**ONE_EDGE, **fields}))
 
 
+def buyer_id(value):
+    """A ``solve`` command line for the one-edge instance whose buyer id is
+    ``value``, in its buyer row and its utility row."""
+    return edited_instance(
+        buyers=[{"id": value, "budget": 3}], utilities=[[value, "g1", "2"]]
+    )
+
+
+def good_id(value):
+    """A ``solve`` command line for the one-edge instance whose good id is
+    ``value``, in its goods list and its utility row."""
+    return edited_instance(goods=[value], utilities=[["b1", value, "2"]])
+
+
 def long_budget(budget):
     """A ``solve`` command line for an instance whose budget is ``budget``."""
     doc = {**ONE_EDGE, "buyers": [{"id": "b1", "budget": "BUDGET"}]}
@@ -421,14 +435,20 @@ INPUT_ERRORS = {
     "solve_budget_zero_denominator": edited_instance(
         buyers=[{"id": "b1", "budget": "3/0"}]
     ),
-    "solve_buyer_id_null": edited_instance(buyers=[{"id": None, "budget": 3}]),
-    "solve_buyer_id_object": edited_instance(buyers=[{"id": {"a": 1}, "budget": 3}]),
-    "solve_buyer_id_boolean": edited_instance(buyers=[{"id": True, "budget": 3}]),
-    "solve_good_id_list": edited_instance(goods=[[1]]),
-    "solve_good_id_float": edited_instance(goods=[1.5]),
-    "solve_good_id_boolean": edited_instance(goods=[False]),
-    "solve_utility_buyer_id_null": edited_instance(utilities=[[None, "g1", "2"]]),
-    "solve_utility_good_id_float": edited_instance(utilities=[["b1", 1.0, "2"]]),
+    # ids that are neither strings nor integers, each used consistently, so
+    # that only its type is wrong (str() would make each a valid id)
+    "solve_buyer_id_null": buyer_id(None),
+    "solve_buyer_id_object": buyer_id({"a": 1}),
+    "solve_buyer_id_boolean": buyer_id(True),
+    "solve_good_id_list": good_id([1]),
+    "solve_good_id_float": good_id(1.5),
+    "solve_good_id_boolean": good_id(False),
+    "solve_utility_buyer_id_null": edited_instance(
+        buyers=[{"id": "None", "budget": 3}], utilities=[[None, "g1", "2"]]
+    ),
+    "solve_utility_good_id_float": edited_instance(
+        goods=["1.0"], utilities=[["b1", 1.0, "2"]]
+    ),
     "verify_nested_100000_deep": nested_arrays("verify"),
 }
 

@@ -303,9 +303,7 @@ def test_price_raises_match_reference_in_wide_markets(seed, checked_price_raises
 def fresh_tree(inst, ss, active):
     """A fresh residual search from the roots of ``active``."""
     roots = [node for node, parent in active.items() if parent is None]
-    return reach(
-        inst, roots, state_equality_graph(inst, ss.market), weak.returnable_edges(ss)
-    )
+    return reach(inst, roots, state_equality_graph(inst, ss.market), returnable_edges(ss))
 
 
 @pytest.fixture
