@@ -71,12 +71,12 @@ class MarketState:
     :meth:`rescale` sets the scale, and the solvers' steps move whole
     units through :meth:`add_spending_units` and :meth:`add_refund_units`,
     so the fixed parts stay zero except for amounts set from rationals
-    (the dicts a state is built from, :meth:`add_spending` and
-    :meth:`add_refund`).  Halving the scale doubles every count.  The
-    per-step tests compare counts and cross-multiply integer pairs
-    (:meth:`cash_term`, :meth:`spending_sign`, and the unnormalized pairs
-    (numerator, positive denominator) of :meth:`inflow_pair` and
-    :meth:`backorder_pair`) instead of building rationals.  The count and
+    (the dicts a state is built from, and :meth:`add_refund`).  Halving
+    the scale doubles every count.  The per-step tests compare counts and
+    cross-multiply integer pairs (:meth:`cash_term`, :meth:`spending_sign`,
+    and the unnormalized pairs (numerator, positive denominator) of
+    :meth:`inflow_pair` and :meth:`backorder_pair`) instead of building
+    rationals.  The count and
     fixed dicts are read-only outside the mutators; an edge is in either
     only while its spending is non-zero.
 
@@ -110,8 +110,14 @@ class MarketState:
         # per view: the scale it last passed to changes(), and each item
         # touched since that call, once
         self._pending: dict[str, tuple[Fraction | None, dict[Touch, None]]] = {}
+        # every amount given is a fixed part, kept as given (a state built
+        # from dicts may hold negative spending, which the checks report)
         for edge, value in spending.items():
-            self.add_spending(edge, value)
+            if value:
+                b, g = edge
+                self.edge_fixed[edge] = value
+                self.spent_fixed[b] = self.spent_fixed.get(b, ZERO) + value
+                self.inflow_fixed[g] = self.inflow_fixed.get(g, ZERO) + value
         # the rational views start out current
         self._spending = dict(self.edge_fixed)
         self._refunds = dict(refunds)
@@ -262,19 +268,6 @@ class MarketState:
         self.spent_units[b] = self.spent_units.get(b, 0) + count
         self.inflow_units[g] = self.inflow_units.get(g, 0) + count
         self._put(edge, units, fixed, sign)
-        self._touch([("edge", edge), ("buyer", b), ("good", g)])
-
-    def add_spending(self, edge: Edge, amount: Fraction) -> None:
-        """Add a rational ``amount`` to the edge's fixed part, as given: a
-        state built from dicts books its spending this way, and may hold
-        negative spending, which the checks report."""
-        units = self.edge_units.get(edge, 0)
-        fixed = self.edge_fixed.get(edge)
-        fixed = amount if fixed is None else fixed + amount
-        b, g = edge
-        self.spent_fixed[b] = self.spent_fixed.get(b, ZERO) + amount
-        self.inflow_fixed[g] = self.inflow_fixed.get(g, ZERO) + amount
-        self._put(edge, units, fixed, self._sign(units, fixed))
         self._touch([("edge", edge), ("buyer", b), ("good", g)])
 
     def add_refund_units(self, buyer: str, count: int) -> None:
@@ -438,13 +431,14 @@ def edge_event(
     from one of ``buyers`` to a good outside ``active_goods``, as an
     unnormalized pair, and that edge; None when there is no such edge.
 
-    The multiplier of edge ``(b, g)`` is ``best_b / ratio_bg``.  Ties go to
-    the smallest buyer position, then the smallest good position.
+    The multiplier of edge ``(b, g)`` is ``best_b / ratio_bg``.  ``buyers``
+    come in canonical order, and ties go to the first of them, then to the
+    smallest good position.
     """
     view = bang_per_buck_view(inst, state)
     ratios, rows = view.ratios, view.rows
     event: tuple[int, int, Edge] | None = None
-    for b in sorted(buyers, key=inst.buyer_pos.__getitem__):
+    for b in buyers:
         best_n, best_d = ratios[rows[b][0]]
         for g in inst.goods_of(b):
             if g in active_goods:

@@ -157,7 +157,11 @@ def special_price(
 
         eq = state_equality_graph(inst, state)
         active = reach(inst, root_component.nodes(), eq, abundant)
-        active_buyer_set = {name for kind, name in active if kind == "B"}
+        active_buyers = sorted(
+            (name for kind, name in active if kind == "B"),
+            key=inst.buyer_pos.__getitem__,
+        )
+        active_buyer_set = set(active_buyers)
         active_good_set = {name for kind, name in active if kind == "G"}
         for comp in components:
             for side, active_side in (
@@ -176,7 +180,7 @@ def special_price(
         # (1) new equality edge: active buyer toward an inactive good; the
         # smallest such multiplier is at least 1, and ties go to the
         # canonically first edge
-        event = edge_event(inst, state, active_buyer_set, active_good_set)
+        event = edge_event(inst, state, active_buyers, active_good_set)
         if event is not None:
             num, den, (b, g) = event
             candidates.append(
@@ -199,7 +203,7 @@ def special_price(
             if q >= 1:
                 candidates.append((q, 3, (component_key(comp),), "barrier", comp))
         # (4) an active buyer with positive cash turns critical
-        for b in sorted(active_buyer_set, key=lambda x: inst.buyer_pos[x]):
+        for b in active_buyers:
             if alphas[b] >= 1 and state.effective_cash(inst, b) > 0:
                 candidates.append(
                     (alphas[b], 4, (inst.buyer_pos[b],), "critical", b)

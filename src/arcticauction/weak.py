@@ -329,50 +329,94 @@ def potential(inst: MarketInstance, ss: ScalingState) -> int:
     return _cash_terms(inst, ss).total
 
 
-def update_price_star(
-    inst: MarketInstance, ss: ScalingState, active: dict[Node, Node | None]
-) -> bool:
-    """Scale active-good prices by the smallest multiplier firing an event;
-    return whether the edge event tied that multiplier.
+class SearchTree:
+    """One residual search of a price-and-augment round, summed up for the
+    raises that follow it.
 
-    ``active`` is the residual search tree of the root buyer at the
-    current state, as :func:`price_and_augment` gets it from
-    :func:`~arcticauction.graph.reach`; its nodes are the active set.
-    Candidate events, each an exact root of a linear equation in the
-    multiplier ``q``: a new equality edge from an active buyer to an
-    inactive good (:func:`~arcticauction.graph.edge_event`), an active
-    good's backorder reaching zero, or an active buyer's bang-per-buck
-    reaching one.  Candidates are compared as integer pairs by
-    cross-multiplication; only the winner becomes a ``Q``, by one gcd.
-    Prices are updated in place.
+    ``parent`` is the :func:`~arcticauction.graph.reach` tree of the root
+    buyer; its nodes are the active set.  ``buyers`` and ``goods`` list
+    them in canonical order, ``good_set`` holds the goods again, and
+    ``inflow`` each active good's :meth:`MarketState.inflow_pair`.  A
+    price raise moves prices only, so the pairs stay valid until the next
+    search.
+    """
+
+    __slots__ = ("parent", "buyers", "goods", "good_set", "inflow")
+
+    def __init__(
+        self, inst: MarketInstance, market: MarketState, root: Node, returnable: set[Edge]
+    ) -> None:
+        self.parent = reach(inst, [root], state_equality_graph(inst, market), returnable)
+        self.buyers: list[str] = []
+        self.goods: list[str] = []
+        for kind, name in self.parent:
+            (self.buyers if kind == "B" else self.goods).append(name)
+        self.buyers.sort(key=inst.buyer_pos.__getitem__)
+        self.goods.sort(key=inst.good_pos.__getitem__)
+        self.good_set = set(self.goods)
+        self.inflow = {g: market.inflow_pair(g) for g in self.goods}
+
+    def terminal(self, inst: MarketInstance, market: MarketState) -> Node | None:
+        """The first critical buyer, else the first exhausted good, in
+        canonical order; None while there is neither."""
+        signs = bang_per_buck_view(inst, market).signs
+        for b in self.buyers:
+            if signs[b] == 0:
+                return buyer_node(b)
+        prices = market.prices
+        for g in self.goods:
+            n, d = self.inflow[g]
+            price = prices[g]
+            if n * price.denominator <= price.numerator * d:
+                return good_node(g)
+        return None
+
+
+def update_price_star(
+    inst: MarketInstance, ss: ScalingState, tree: SearchTree
+) -> tuple[bool, Node | None]:
+    """Scale active-good prices by the smallest multiplier firing an event;
+    return whether the edge event tied that multiplier, and the terminal
+    the raise reached.
+
+    ``tree`` is the search of the current state that
+    :func:`price_and_augment` made; its nodes are the active set, and none
+    of them is a terminal.  Candidate events, each an exact root of a
+    linear equation in the multiplier ``q``: a new equality edge from an
+    active buyer to an inactive good
+    (:func:`~arcticauction.graph.edge_event`), an active good's backorder
+    reaching zero, or an active buyer's bang-per-buck reaching one.
+    Candidates are compared as integer pairs by cross-multiplication; only
+    the winner becomes a ``Q``, by one gcd.  Prices are updated in place.
 
     Every equality edge of an active buyer leads to an active good, and a
     raise below the edge event's multiplier scales all of them alike and
     brings no other good level with them, so the equality edges the search
     follows, and with them its tree, change only when the edge event ties
-    the winner.
+    the winner.  For the same reason an active buyer's bang-per-buck
+    reaches one exactly when her candidate ties the winner, and an active
+    good, whose backorder was positive, is exhausted exactly when its
+    candidate does.  So the terminal is the first tying buyer in canonical
+    order, else the first tying good, else None: what a rescan of the tree
+    after the raise finds.
     """
     market = ss.market
-    active_buyers = [name for kind, name in active if kind == "B"]
-    active_goods = sorted(
-        (name for kind, name in active if kind == "G"),
-        key=lambda g: inst.good_pos[g],
-    )
     view = bang_per_buck_view(inst, market)
-
+    signs = view.signs
+    prices = market.prices
+    inflow = tree.inflow
     # each candidate is an unnormalized pair (numerator, positive denominator)
-    candidates: list[tuple[int, int]] = []
-    event = edge_event(inst, market, active_buyers, set(active_goods))
+    good_pairs: list[tuple[int, int]] = []
+    for g in tree.goods:
+        n, d = inflow[g]
+        price = prices[g]
+        good_pairs.append((n * price.denominator, d * price.numerator))
+    buyers = [b for b in tree.buyers if signs[b] > 0]
+    buyer_pairs = [view.best_pair(b) for b in buyers]
+    candidates = good_pairs + buyer_pairs
+    event = edge_event(inst, market, tree.buyers, tree.good_set)
     if event is not None:
         candidates.append(event[:2])
-    prices = market.prices
-    for g in active_goods:
-        n, d = market.inflow_pair(g)
-        price = prices[g]
-        candidates.append((n * price.denominator, d * price.numerator))
-    for b in active_buyers:
-        if view.signs[b] > 0:
-            candidates.append(view.best_pair(b))
     if not candidates:
         raise SolverError("price raise has no stopping event")
     n, d = candidates[0]
@@ -385,8 +429,15 @@ def update_price_star(
     # means the tree is stale, and would repeat for ever
     if n <= d:
         raise SolverError(f"stopping event at multiplier {q} <= 1")
-    market.scale_prices(active_goods, q)
-    return event is not None and event[0] * d == n * event[1]
+    market.scale_prices(tree.goods, q)
+    tied = event is not None and event[0] * d == n * event[1]
+    for b, (cn, cd) in zip(buyers, buyer_pairs):
+        if cn * d == n * cd:
+            return tied, buyer_node(b)
+    for g, (cn, cd) in zip(tree.goods, good_pairs):
+        if cn * d == n * cd:
+            return tied, good_node(g)
+    return tied, None
 
 
 def _augment(ss: ScalingState, path: list[Node]) -> None:
@@ -401,54 +452,39 @@ def _augment(ss: ScalingState, path: list[Node]) -> None:
             raise SolverError("augmenting path does not alternate sides")
 
 
-def price_and_augment(inst: MarketInstance, ss: ScalingState) -> tuple[str, str]:
-    """One price-raise-and-augment round; returns (step kind, subject).
+def price_and_augment(
+    inst: MarketInstance, ss: ScalingState, root: str
+) -> tuple[str, str]:
+    """One price-raise-and-augment round from ``root``, a buyer with cash
+    at least ``delta`` and bang-per-buck above one; returns (step kind,
+    subject).
 
-    The root is the canonically smallest buyer with cash at least ``delta``
-    and bang-per-buck above one.  Prices on the root's active set rise
-    until some active buyer becomes critical or some active good stops
-    being oversubscribed; one unit of ``delta`` then flows from the root to
-    that terminal (a critical buyer books it as a refund).  The residual
-    search runs again after a raise only when the raise's edge event tied
-    (see :func:`update_price_star`).
+    Prices on the root's active set rise until some active buyer becomes
+    critical or some active good stops being oversubscribed; one unit of
+    ``delta`` then flows from the root to that terminal (a critical buyer
+    books it as a refund).  The residual search runs once, and again after
+    a raise whose edge event tied; each search is scanned for a terminal,
+    and each raise names the one it reached (see
+    :func:`update_price_star`).
     """
     market = ss.market
-    signs = bang_per_buck_view(inst, market).signs
-    roots = [b for b in _buyers_holding_delta(inst, ss) if signs[b] > 0]
-    if not roots:
-        raise SolverError("no eligible root buyer for price-and-augment")
-    start = [buyer_node(roots[0])]
+    start = buyer_node(root)
     # a price raise moves prices only, so the returnable edges stay the same
     returnable = returnable_edges(ss)
-    active = reach(inst, start, state_equality_graph(inst, market), returnable)
+    tree = SearchTree(inst, market, start, returnable)
+    terminal = tree.terminal(inst, market)
+    while terminal is None:
+        tied, terminal = update_price_star(inst, ss, tree)
+        if tied:
+            tree = SearchTree(inst, market, start, returnable)
+            terminal = tree.terminal(inst, market)
 
-    while True:
-        signs = bang_per_buck_view(inst, market).signs
-        critical = sorted(
-            (name for kind, name in active if kind == "B" and signs[name] == 0),
-            key=lambda b: inst.buyer_pos[b],
-        )
-        exhausted = sorted(
-            (
-                name
-                for kind, name in active
-                if kind == "G" and market.backorder_pair(name)[0] <= 0
-            ),
-            key=lambda g: inst.good_pos[g],
-        )
-        if critical or exhausted:
-            break
-        if update_price_star(inst, ss, active):
-            active = reach(inst, start, state_equality_graph(inst, market), returnable)
-
-    if critical:
-        terminal = critical[0]
-        _augment(ss, path_to(active, buyer_node(terminal)))
-        market.add_refund_units(terminal, 1)
-        return "augment_buyer", terminal
-    terminal = exhausted[0]
-    _augment(ss, path_to(active, good_node(terminal)))
-    return "augment_good", terminal
+    _augment(ss, path_to(tree.parent, terminal))
+    kind, name = terminal
+    if kind == "B":
+        market.add_refund_units(name, 1)
+        return "augment_buyer", name
+    return "augment_good", name
 
 
 def refund_step(inst: MarketInstance, ss: ScalingState, buyer: str) -> int:
@@ -482,10 +518,14 @@ def inner_step(inst: MarketInstance, ss: ScalingState) -> tuple[str, str, int]:
     steps is longer than one.
     """
     signs = bang_per_buck_view(inst, ss.market).signs
-    refundable = [b for b in _buyers_holding_delta(inst, ss) if signs[b] <= 0]
-    if refundable:
-        return "refund", refundable[0], refund_step(inst, ss, refundable[0])
-    kind, subject = price_and_augment(inst, ss)
+    holding = _buyers_holding_delta(inst, ss)
+    for b in holding:
+        if signs[b] <= 0:
+            return "refund", b, refund_step(inst, ss, b)
+    if not holding:
+        raise SolverError("no eligible root buyer for price-and-augment")
+    # every buyer holding delta is above one: the first is the root
+    kind, subject = price_and_augment(inst, ss, holding[0])
     return kind, subject, 1
 
 

@@ -89,7 +89,7 @@ class TestEdgeEvent:
     def test_ties_go_to_the_first_buyer_then_the_first_good(self):
         inst, state = self.market()
         # goods in document order are g1, g3, g2, g4
-        assert edge_event(inst, state, ["b2", "b1"], {"g1"})[2] == ("b1", "g3")
+        assert edge_event(inst, state, ["b1", "b2"], {"g1"})[2] == ("b1", "g3")
         assert edge_event(inst, state, ["b2"], {"g1"})[2] == ("b2", "g4")
 
     def test_no_inactive_good(self):

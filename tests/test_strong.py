@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from arcticauction.core import PerturbationConfig, compute_stats, perturb
+from arcticauction.core import MarketInstance, PerturbationConfig, compute_stats, perturb
 from arcticauction.driver import solve_instance
 from arcticauction.errors import SolverError
 from arcticauction.graph import (
@@ -584,3 +584,38 @@ class TestStrongMonotonicity:
         _, trace = run_strong(pert)
         assert len(phase_starts) == trace.phase_count
         check_nondecreasing(phase_starts)
+
+
+def relabelled(inst, rng):
+    """The same market with its buyers, goods and utility rows listed in a
+    new order; ids, budgets and utilities are unchanged."""
+    buyers, goods = list(inst.buyers), list(inst.goods)
+    while (tuple(buyers), tuple(goods)) == (inst.buyers, inst.goods):
+        rng.shuffle(buyers)
+        rng.shuffle(goods)
+    rows = list(inst.utilities.items())
+    rng.shuffle(rows)
+    return MarketInstance(
+        buyers=tuple(buyers),
+        goods=tuple(goods),
+        budgets={b: inst.budgets[b] for b in buyers},
+        utilities=dict(rows),
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_document_order_does_not_change_the_equilibrium(seed):
+    # the perturbed market is generic, so solving it unperturbed gives its
+    # unique equilibrium, whatever order the document lists it in; the
+    # solvers' canonical orders, and with them their steps, do change
+    rng = random.Random(500 + seed)
+    inst = random_instance(4 + seed % 9, rng)
+    inst = perturb(inst, PerturbationConfig(magnitude=lean_sigma(inst), seed=seed))
+    first = solve_instance(inst, "both", magnitude=Fraction(0))
+    second = solve_instance(relabelled(inst, rng), "both", magnitude=Fraction(0))
+    for algorithm in ("weak", "strong"):
+        eq, _ = first.results[algorithm]
+        other, _ = second.results[algorithm]
+        assert other.prices == eq.prices
+        assert other.spending == eq.spending
+        assert other.refunds == eq.refunds

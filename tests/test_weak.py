@@ -9,7 +9,7 @@ from arcticauction.errors import SolverError
 from arcticauction.graph import (
     MarketState,
     buyer_node,
-    reach,
+    good_node,
     state_alphas,
     state_equality_graph,
 )
@@ -17,6 +17,7 @@ from arcticauction.oracle import brute_force_equilibrium
 from arcticauction.trace import PhaseMark, PhaseTrace, TraceRow
 from arcticauction.weak import (
     ScalingState,
+    SearchTree,
     check_phase_invariants,
     halve_and_repair,
     initialize,
@@ -157,9 +158,7 @@ class TestPotential:
 
 def active_tree(inst, ss, root):
     """The root buyer's residual search tree, as price_and_augment gets it."""
-    return reach(
-        inst, [buyer_node(root)], state_equality_graph(inst, ss.market), returnable_edges(ss)
-    )
+    return SearchTree(inst, ss.market, buyer_node(root), returnable_edges(ss))
 
 
 class TestUpdatePriceStar:
@@ -170,7 +169,10 @@ class TestUpdatePriceStar:
         ss = scaling_state(
             inst, {"g1": 1}, {("b1", "g1"): 4}, {}, delta=1, initial={"g1": 1}
         )
-        update_price_star(inst, ss, active_tree(inst, ss, "b1"))
+        assert update_price_star(inst, ss, active_tree(inst, ss, "b1")) == (
+            False,
+            buyer_node("b1"),
+        )
         assert ss.market.prices["g1"] == 3
         assert state_alphas(inst, ss.market)["b1"] == 1
 
@@ -178,7 +180,10 @@ class TestUpdatePriceStar:
         # inflow twice the price and bang-per-buck far away: q = 2
         inst = make_instance({"b1": 16}, {("b1", "g1"): 12})
         ss = scaling_state(inst, {"g1": 1}, {("b1", "g1"): 2}, {}, delta=1)
-        update_price_star(inst, ss, active_tree(inst, ss, "b1"))
+        assert update_price_star(inst, ss, active_tree(inst, ss, "b1")) == (
+            False,
+            good_node("g1"),
+        )
         assert ss.market.prices["g1"] == 2
         assert ss.market.backorder("g1") == 0
 
@@ -195,7 +200,8 @@ class TestUpdatePriceStar:
             {},
             delta=1,
         )
-        update_price_star(inst, ss, active_tree(inst, ss, "b1"))
+        # the tie needs a new search; the raised tree has no terminal
+        assert update_price_star(inst, ss, active_tree(inst, ss, "b1")) == (True, None)
         assert ss.market.prices == {"g1": Fraction(3, 2), "g2": Fraction(1)}
         assert ("b1", "g2") in state_equality_graph(inst, ss.market)
 
@@ -212,7 +218,7 @@ class TestPriceAndAugment:
         )
         before_g2 = ss.market.backorder("g2")
         phi_before = potential(inst, ss)
-        kind, subject = price_and_augment(inst, ss)
+        kind, subject = price_and_augment(inst, ss, "b1")
         assert (kind, subject) == ("augment_good", "g1")
         assert ss.market.backorder("g1") == -1 + 1
         assert ss.market.backorder("g2") == before_g2
@@ -234,7 +240,7 @@ class TestPriceAndAugment:
         )
         backorders = {g: ss.market.backorder(g) for g in inst.goods}
         phi_before = potential(inst, ss)
-        kind, subject = price_and_augment(inst, ss)
+        kind, subject = price_and_augment(inst, ss, "b1")
         assert (kind, subject) == ("augment_buyer", "b2")
         assert ss.market.refunds["b2"] == 7
         assert {g: ss.market.backorder(g) for g in inst.goods} == backorders
@@ -242,6 +248,70 @@ class TestPriceAndAugment:
         # the unit moved along b1 -> g1 -> b2
         assert ss.market.spending[("b1", "g1")] == 1
         assert ss.market.spending[("b2", "g1")] == 1
+
+
+class TestPriceRaiseTies:
+    """Raises whose winning multiplier several events reach at once: the
+    step goes to the first critical buyer in canonical order, else to the
+    first exhausted good; a tied edge event searches again first."""
+
+    def test_critical_buyer_beats_exhausted_good(self):
+        # at q = 2, b2's bang-per-buck reaches one and g1's backorder zero
+        inst = make_instance({"b1": 4, "b2": 2}, {("b1", "g1"): 4, ("b2", "g1"): 2})
+        ss = scaling_state(inst, {"g1": 1}, {("b2", "g1"): 2}, {}, delta=1)
+        assert inner_step(inst, ss) == ("augment_buyer", "b2", 1)
+        assert ss.market.prices == {"g1": 2}
+        assert ss.market.spending == {("b1", "g1"): 1, ("b2", "g1"): 1}
+        assert ss.market.refunds == {"b2": 1}
+
+    def test_two_critical_buyers_go_to_the_first_in_document_order(self):
+        # the search reaches b2 before b3, but b3 comes first in the
+        # document; both reach bang-per-buck one at q = 2
+        inst = make_instance(
+            {"b1": 4, "b3": 3, "b2": 3},
+            {("b1", "g1"): 4, ("b2", "g1"): 2, ("b2", "g2"): 2, ("b3", "g2"): 2},
+        )
+        ss = scaling_state(
+            inst, {"g1": 1, "g2": 1}, {("b2", "g1"): 3, ("b3", "g2"): 3}, {}, delta=1
+        )
+        assert inner_step(inst, ss) == ("augment_buyer", "b3", 1)
+        assert ss.market.prices == {"g1": 2, "g2": 2}
+        assert ss.market.spending == {
+            ("b1", "g1"): 1,
+            ("b2", "g1"): 2,
+            ("b2", "g2"): 1,
+            ("b3", "g2"): 2,
+        }
+        assert ss.market.refunds == {"b3": 1}
+
+    def test_two_exhausted_goods_go_to_the_first_in_document_order(self):
+        # the search reaches g2 before g1, but g1 comes first in the
+        # document; both backorders reach zero at q = 2
+        inst = make_instance(
+            {"b1": 4, "b2": 4}, {("b2", "g1"): 3, ("b1", "g2"): 4, ("b2", "g2"): 3}
+        )
+        ss = scaling_state(
+            inst, {"g1": 1, "g2": 1}, {("b2", "g1"): 2, ("b2", "g2"): 2}, {}, delta=1
+        )
+        assert inner_step(inst, ss) == ("augment_good", "g1", 1)
+        assert ss.market.prices == {"g1": 2, "g2": 2}
+        assert ss.market.spending == {
+            ("b1", "g2"): 1,
+            ("b2", "g1"): 3,
+            ("b2", "g2"): 1,
+        }
+
+    def test_edge_event_tie_searches_again(self):
+        # at q = 2 g2's backorder reaches zero and b1's edge to g1 joins
+        # the equality graph; the new search reaches the unsold g1, which
+        # comes first in the document, so the unit goes there, not to g2
+        inst = make_instance(
+            {"b1": 4, "b2": 2}, {("b1", "g1"): 2, ("b1", "g2"): 4, ("b2", "g2"): 8}
+        )
+        ss = scaling_state(inst, {"g1": 1, "g2": 1}, {("b2", "g2"): 2}, {}, delta=1)
+        assert inner_step(inst, ss) == ("augment_good", "g1", 1)
+        assert ss.market.prices == {"g1": 1, "g2": 2}
+        assert ss.market.spending == {("b1", "g1"): 1, ("b2", "g2"): 2}
 
 
 class TestRefundStep:
@@ -406,9 +476,10 @@ class TestReturnableEdges:
         )
         ss.exempt_edges = {("b1", "g1"), ("b2", "g1")}
         assert returnable_edges(ss) == {("b2", "g1")}
-        ss.market.add_spending(("b1", "g1"), Fraction(1, 2))
+        # halved, the scale is exactly b1's spending
+        ss.delta = Fraction(1, 2)
         assert returnable_edges(ss) == {("b1", "g1"), ("b2", "g1")}
-        ss.market.add_spending_units(("b2", "g1"), -1)
+        ss.market.add_spending_units(("b2", "g1"), -2)
         assert returnable_edges(ss) == {("b1", "g1")}
 
 
