@@ -7,32 +7,34 @@ the scale is fixed either by "component budgets equal component prices"
 (no refunds) or by anchoring one buyer whose bang-per-buck is exactly one
 (that buyer absorbs the component's slack as a refund).  With the scale
 fixed, spending is the unique flow on the support tree meeting the budget
-and clearing equations.
+and clearing equations.  Both the multipliers and the flow are read off
+the spanning tree that :func:`~arcticauction.graph.components_of_edges`
+recorded for the component, so this module walks no graph of its own.
 
 ``basic_solution`` tries the budget-balanced case first and falls back to
-anchoring each buyer in canonical order.  A case is accepted only when it
-could be part of an equilibrium: spending nonnegative, prices positive,
-refunds nonnegative, and every buyer's support ratio at least one (exactly
-one for an anchor).  Without the ratio conditions, a support whose true
-solution anchors a buyer would wrongly accept the budget-balanced solve.
+anchoring each buyer in canonical order.  An anchor spends what the other
+buyers' budgets leave of the component's prices: that is its supply in
+the tree solve, which balances the data, and its refund is its budget
+minus that supply.  A case is accepted only when it could be part of an
+equilibrium: spending nonnegative, prices positive, refunds nonnegative,
+and every buyer's support ratio at least one (exactly one for an anchor).
+Without the ratio conditions, a support whose true solution anchors a
+buyer would wrongly accept the budget-balanced solve.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 
 from arcticauction.core import MarketInstance
-from arcticauction.errors import GenericityError
+from arcticauction.errors import GenericityError, SolverError
 from arcticauction.graph import (
     Component,
     Edge,
     Forest,
     MarketState,
     Node,
-    buyer_node,
     components_of_edges,
-    good_node,
 )
 from arcticauction.rational import ONE, ZERO
 
@@ -42,90 +44,57 @@ class SupportError(ValueError):
 
 
 def solve_tree_flow(
-    edges: Sequence[Edge],
-    supply: dict[str, Fraction],
-    demand: dict[str, Fraction],
-    root: Node,
-) -> tuple[dict[Edge, Fraction], Fraction]:
-    """Unique flow on a tree meeting buyer supplies and good demands.
+    comp: Component, supply: dict[str, Fraction], demand: dict[str, Fraction]
+) -> dict[Edge, Fraction]:
+    """Unique flow on a tree component meeting buyer supplies and good
+    demands, keyed in ``comp.edges`` order.
 
-    Every node except ``root`` has its equation enforced exactly by leaf
-    elimination; the function returns the flows together with the leftover
-    imbalance at the root (root supply-or-demand minus what the tree flow
-    delivered there).  Flows may come out negative; callers decide whether
-    that is an error or grounds to reject a candidate.
+    Walking ``comp.tree`` leaves first, each node but the root sends what
+    it has left along its tree edge.  Raises :class:`SolverError` when the
+    component is not a tree or the data are unbalanced (the root is left
+    with a nonzero excess).  Flows may come out negative; callers decide
+    whether that is an error or grounds to reject a candidate.
     """
-    degree: dict[Node, int] = {}
-    incident: dict[Node, list[Edge]] = {}
-    for edge in edges:
-        for node in (buyer_node(edge[0]), good_node(edge[1])):
-            degree[node] = degree.get(node, 0) + 1
-            incident.setdefault(node, []).append(edge)
-    pending_supply = dict(supply)
-    pending_demand = dict(demand)
+    tree = comp.tree
+    if len(comp.edges) != len(tree) - 1:
+        raise SolverError(f"component {tree[0][0]} is not a tree")
+    # what each node has left: a buyer's supply not yet sent, or minus a
+    # good's demand not yet met
+    excess: dict[Node, Fraction] = {
+        node: supply[node[1]] if node[0] == "B" else -demand[node[1]]
+        for node, _ in tree
+    }
     flows: dict[Edge, Fraction] = {}
-    resolved: set[Edge] = set()
-    leaves = [node for node, d in degree.items() if d == 1 and node != root]
-    while leaves:
-        node = leaves.pop()
-        edge = next(e for e in incident[node] if e not in resolved)
+    for node, edge in reversed(tree[1:]):
+        left = excess[node]
         b, g = edge
         if node[0] == "B":
-            value = pending_supply[b]
-            pending_demand[g] -= value
+            flows[edge] = left
+            excess[("G", g)] += left
         else:
-            value = pending_demand[g]
-            pending_supply[b] -= value
-        flows[edge] = value
-        resolved.add(edge)
-        other = good_node(g) if node[0] == "B" else buyer_node(b)
-        degree[other] -= 1
-        degree[node] -= 1
-        if degree[other] == 1 and other != root:
-            leaves.append(other)
-    if len(resolved) != len(edges):
-        raise SupportError("support component is not a tree")
-    leftover = pending_supply[root[1]] if root[0] == "B" else pending_demand[root[1]]
-    return flows, leftover
+            flows[edge] = -left
+            excess[("B", b)] += left
+    leftover = excess[tree[0][0]]
+    if leftover != 0:
+        raise SolverError(f"unbalanced tree flow: leftover {leftover}")
+    return {e: flows[e] for e in comp.edges}
 
 
-def _price_multipliers(
-    inst: MarketInstance, comp: Component, root: Node
-) -> dict[str, Fraction]:
+def _price_multipliers(inst: MarketInstance, comp: Component) -> dict[str, Fraction]:
     """Express each good price in the component as a multiple of one scale.
 
-    Walking the tree from ``root``, two support edges of the same buyer
-    force ``p_k = p_j * U_ik / U_ij``, so every price is the root scale
-    times a product of utility ratios.
+    Walking the tree from its root buyer, whose inverse ratio is one, two
+    support edges of the same buyer force ``p_k = p_j * U_ik / U_ij``, so
+    every price is the scale times a product of utility ratios.
     """
-    if root[0] != "G":
-        raise ValueError("price propagation must start at a good")
-    adjacency: dict[Node, list[Node]] = {}
-    for b, g in comp.edges:
-        adjacency.setdefault(buyer_node(b), []).append(good_node(g))
-        adjacency.setdefault(good_node(g), []).append(buyer_node(b))
-    multipliers: dict[str, Fraction] = {root[1]: ONE}
+    multipliers: dict[str, Fraction] = {}
     # inverse ratio per buyer: m_j / U_ij, equal over the buyer's edges
-    inverse_ratio: dict[str, Fraction] = {}
-    stack = [root]
-    seen = {root}
-    while stack:
-        node = stack.pop()
-        for nxt in adjacency.get(node, []):
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if nxt[0] == "B":
-                inverse_ratio[nxt[1]] = multipliers[node[1]] / inst.utilities[
-                    (nxt[1], node[1])
-                ]
-            else:
-                multipliers[nxt[1]] = inverse_ratio[node[1]] * inst.utilities[
-                    (node[1], nxt[1])
-                ]
-            stack.append(nxt)
-    if len(multipliers) != len(comp.goods):
-        raise SupportError("component goods not connected through support")
+    inverse_ratio: dict[str, Fraction] = {comp.buyers[0]: ONE}
+    for (kind, name), edge in comp.tree[1:]:
+        if kind == "B":
+            inverse_ratio[name] = multipliers[edge[1]] / inst.utilities[edge]
+        else:
+            multipliers[name] = inverse_ratio[edge[0]] * inst.utilities[edge]
     return multipliers
 
 
@@ -144,8 +113,7 @@ def _component_solution(
         b = buyers[0]
         return {}, {}, {b: budgets[b]}
 
-    root = good_node(goods[0])
-    multipliers = _price_multipliers(inst, comp, root)
+    multipliers = _price_multipliers(inst, comp)
     mult_total = sum(multipliers.values(), ZERO)
 
     def ratios_at_least_one(
@@ -156,33 +124,24 @@ def _component_solution(
         return all(inst.utilities[e] >= prices[e[1]] for e in edges if e[0] != skip)
 
     # budget-balanced case: component budgets fix the scale
-    budget_total = sum((budgets[b] for b in buyers), ZERO)
+    supply = {b: budgets[b] for b in buyers}
+    budget_total = sum(supply.values(), ZERO)
     scale = budget_total / mult_total
     if scale > 0:
         prices = {g: multipliers[g] * scale for g in goods}
-        supply = {b: budgets[b] for b in buyers}
-        demand = {g: prices[g] for g in goods}
-        flows, leftover = solve_tree_flow(edges, supply, demand, root)
-        if leftover != 0:
-            raise SupportError("budget-balanced system inconsistent")
+        flows = solve_tree_flow(comp, supply, prices)
         if all(v >= 0 for v in flows.values()) and ratios_at_least_one(prices):
             return prices, flows, {b: ZERO for b in buyers}
 
-    # anchored case: some buyer's support ratio is pinned to exactly one
+    # anchored case: some buyer's support ratio is pinned to exactly one,
+    # and she spends what the other budgets leave of the prices
     for anchor in buyers:
-        anchor_edges = [e for e in edges if e[0] == anchor]
-        g0 = anchor_edges[0][1]
+        g0 = next(e[1] for e in edges if e[0] == anchor)
         scale = inst.utilities[(anchor, g0)] / multipliers[g0]
         prices = {g: multipliers[g] * scale for g in goods}
-        supply = {b: budgets[b] for b in buyers if b != anchor}
-        demand = {g: prices[g] for g in goods}
-        flows, leftover = solve_tree_flow(
-            edges, {**supply, anchor: ZERO}, demand, buyer_node(anchor)
-        )
-        # leftover at the anchor is -sum of its support spending; its refund
-        # is whatever the budget leaves after that spending
-        anchor_spent = sum((flows[e] for e in anchor_edges), ZERO)
-        refund = budgets[anchor] - anchor_spent
+        spent = sum(prices.values(), ZERO) - (budget_total - budgets[anchor])
+        flows = solve_tree_flow(comp, {**supply, anchor: spent}, prices)
+        refund = budgets[anchor] - spent
         if (
             all(v >= 0 for v in flows.values())
             and refund >= 0
@@ -209,7 +168,7 @@ def basic_solution(
     buyers.  Raises :class:`SupportError` when the support admits no
     consistent solution and :class:`GenericityError` when it contains a
     cycle, in that order: an edge of zero utility, then a cycle, then a
-    component without a good.
+    good with no buyer in the support.
     """
     budgets = dict(inst.budgets) if effective_budgets is None else effective_budgets
     if isinstance(support, Forest):

@@ -423,7 +423,7 @@ def bang_per_buck_view(inst: MarketInstance, state: MarketState) -> BangPerBuckV
 
 def edge_event(
     inst: MarketInstance,
-    state: MarketState,
+    view: BangPerBuckView,
     buyers: Iterable[str],
     active_goods: set[str],
 ) -> tuple[int, int, Edge] | None:
@@ -431,11 +431,11 @@ def edge_event(
     from one of ``buyers`` to a good outside ``active_goods``, as an
     unnormalized pair, and that edge; None when there is no such edge.
 
-    The multiplier of edge ``(b, g)`` is ``best_b / ratio_bg``.  ``buyers``
-    come in canonical order, and ties go to the first of them, then to the
-    smallest good position.
+    ``view`` is the caller's current :func:`bang_per_buck_view` of the
+    state.  The multiplier of edge ``(b, g)`` is ``best_b / ratio_bg``.
+    ``buyers`` come in canonical order, and ties go to the first of them,
+    then to the smallest good position.
     """
-    view = bang_per_buck_view(inst, state)
     ratios, rows = view.ratios, view.rows
     event: tuple[int, int, Edge] | None = None
     for b in buyers:
@@ -519,11 +519,19 @@ def abundant_edges(state: MarketState, n: int, delta: Fraction) -> set[Edge]:
 @dataclass
 class Component:
     """A connected component of ``B + G`` under some edge set: its buyers,
-    goods and edges, each in canonical order."""
+    goods and edges, each in canonical order, and the walker's spanning
+    tree of it.
+
+    ``tree`` lists every node once, in the walk's discovery order, with
+    the tree edge that reached it: the root, the component's smallest
+    node (its first buyer when it has one), comes first with None, and
+    every other node after the node its edge joins it to.
+    """
 
     buyers: tuple[str, ...]
     goods: tuple[str, ...]
     edges: tuple[Edge, ...]
+    tree: tuple[tuple[Node, Edge | None], ...]
 
     def is_singleton(self) -> bool:
         return len(self.buyers) + len(self.goods) == 1
@@ -543,7 +551,7 @@ class Component:
 
 def component_key(component: Component) -> str:
     """Stable label of a component in traces and reports: its smallest node."""
-    kind, name = component.nodes()[0]
+    kind, name = component.tree[0][0]
     return f"{kind}:{name}"
 
 
@@ -577,14 +585,15 @@ def components_of_edges(inst: MarketInstance, edges: set[Edge]) -> Forest:
     # of its component, so the numbering is the canonical component order
     index: dict[Node, int] = {}
     parent: dict[Node, tuple[Node, Edge] | None] = {}
+    trees: list[list[tuple[Node, Edge | None]]] = []
     cycle: list[Edge] | None = None
-    count = 0
     for start in buyer_nodes + good_nodes:
         if start in index:
             continue
-        index[start] = k = count
-        count += 1
+        index[start] = k = len(trees)
         parent[start] = None
+        tree: list[tuple[Node, Edge | None]] = [(start, None)]
+        trees.append(tree)
         stack = [start]
         while stack:
             node = stack.pop()
@@ -595,13 +604,14 @@ def components_of_edges(inst: MarketInstance, edges: set[Edge]) -> Forest:
                 if nxt not in index:
                     index[nxt] = k
                     parent[nxt] = (node, edge)
+                    tree.append((nxt, edge))
                     stack.append(nxt)
                 elif cycle is None:
                     cycle = _closed_walk(parent, node, nxt, edge)
 
-    buyers: list[list[str]] = [[] for _ in range(count)]
-    goods: list[list[str]] = [[] for _ in range(count)]
-    comp_edges: list[list[Edge]] = [[] for _ in range(count)]
+    buyers: list[list[str]] = [[] for _ in trees]
+    goods: list[list[str]] = [[] for _ in trees]
+    comp_edges: list[list[Edge]] = [[] for _ in trees]
     for b, node in zip(inst.buyers, buyer_nodes):
         buyers[index[node]].append(b)
     for g, node in zip(inst.goods, good_nodes):
@@ -609,8 +619,8 @@ def components_of_edges(inst: MarketInstance, edges: set[Edge]) -> Forest:
     for edge in ordered:
         comp_edges[index[("B", edge[0])]].append(edge)
     components = [
-        Component(buyers=tuple(bs), goods=tuple(gs), edges=tuple(es))
-        for bs, gs, es in zip(buyers, goods, comp_edges)
+        Component(buyers=tuple(bs), goods=tuple(gs), edges=tuple(es), tree=tuple(t))
+        for bs, gs, es, t in zip(buyers, goods, comp_edges, trees)
     ]
     return Forest(components, cycle)
 

@@ -40,7 +40,6 @@ from arcticauction.graph import (
     good_node,
     path_to,
     reach,
-    state_alphas,
     state_equality_graph,
 )
 from arcticauction.oracle import Certificate, Equilibrium, check_equilibrium
@@ -155,8 +154,8 @@ def special_price(
             raise SolverError("price raising exceeded its iteration bound")
         iterations += 1
 
-        eq = state_equality_graph(inst, state)
-        active = reach(inst, root_component.nodes(), eq, abundant)
+        view = bang_per_buck_view(inst, state)
+        active = reach(inst, root_component.nodes(), view.edges, abundant)
         active_buyers = sorted(
             (name for kind, name in active if kind == "B"),
             key=inst.buyer_pos.__getitem__,
@@ -172,7 +171,7 @@ def special_price(
                 if touched and touched != side:
                     raise SolverError("component partially active")
 
-        alphas = state_alphas(inst, state)
+        alphas = view.alphas
         root_goods_price = sum((prices[g] for g in root_component.goods), ZERO)
         root_budget = root_surplus + root_goods_price
 
@@ -180,7 +179,7 @@ def special_price(
         # (1) new equality edge: active buyer toward an inactive good; the
         # smallest such multiplier is at least 1, and ties go to the
         # canonically first edge
-        event = edge_event(inst, state, active_buyers, active_good_set)
+        event = edge_event(inst, view, active_buyers, active_good_set)
         if event is not None:
             num, den, (b, g) = event
             candidates.append(
@@ -295,25 +294,20 @@ def get_allocations(
 
     Within each non-singleton component (which has both buyers and goods)
     the first buyer keeps the positive part of the component surplus as
-    cash and the first good, the tree's root, absorbs the negative part as
-    backorder; everyone else is exactly balanced.  A negative tree flow
-    means the restart invariants failed upstream.
+    cash and the first good absorbs the negative part as backorder;
+    everyone else is exactly balanced.  A negative tree flow means the
+    restart invariants failed upstream.
     """
     spending: dict[Edge, Fraction] = {}
-    temp = MarketState(prices=new_prices, spending={}, refunds=new_refunds)
     for comp in components:
         if comp.is_singleton():
             continue
-        tau = comp.surplus(inst, temp)
-        supply = {b: temp.effective_budget(inst, b) for b in comp.buyers}
-        supply[comp.buyers[0]] -= max(ZERO, tau)
+        supply = {b: inst.budgets[b] - new_refunds.get(b, ZERO) for b in comp.buyers}
         demand = {g: new_prices[g] for g in comp.goods}
+        tau = sum(supply.values(), ZERO) - sum(demand.values(), ZERO)
+        supply[comp.buyers[0]] -= max(ZERO, tau)
         demand[comp.goods[0]] += min(ZERO, tau)
-        root = good_node(comp.goods[0])
-        flows, leftover = solve_tree_flow(comp.edges, supply, demand, root)
-        if leftover != 0:
-            raise SolverError(f"unbalanced tree flow: leftover {leftover}")
-        for edge, value in flows.items():
+        for edge, value in solve_tree_flow(comp, supply, demand).items():
             if value < 0:
                 raise SolverError(f"negative tree flow on {edge}")
             if value != 0:

@@ -414,7 +414,7 @@ def update_price_star(
     buyers = [b for b in tree.buyers if signs[b] > 0]
     buyer_pairs = [view.best_pair(b) for b in buyers]
     candidates = good_pairs + buyer_pairs
-    event = edge_event(inst, market, tree.buyers, tree.good_set)
+    event = edge_event(inst, view, tree.buyers, tree.good_set)
     if event is not None:
         candidates.append(event[:2])
     if not candidates:

@@ -12,8 +12,8 @@ from arcticauction.basic import (
     recover_support,
     solve_tree_flow,
 )
-from arcticauction.errors import GenericityError
-from arcticauction.graph import MarketState, buyer_node, good_node
+from arcticauction.errors import GenericityError, SolverError
+from arcticauction.graph import MarketState, components_of_edges
 
 from conftest import make_instance
 
@@ -138,26 +138,50 @@ class TestRecoverSupport:
         assert recover_support(state, 2, Fraction(1)) == {("b1", "g1")}
 
 
+def tree_component(edges):
+    """The walker's component of a connected bipartite edge list."""
+    inst = make_instance(
+        {b: 1 for b, _ in edges}, {edge: 1 for edge in edges}
+    )
+    (comp,) = components_of_edges(inst, set(edges)).components
+    return comp
+
+
+def assert_flow_meets_data(comp, flows, supply, demand):
+    assert list(flows) == list(comp.edges)
+    for b in comp.buyers:
+        assert sum((v for e, v in flows.items() if e[0] == b), Fraction(0)) == supply[b]
+    for g in comp.goods:
+        assert sum((v for e, v in flows.items() if e[1] == g), Fraction(0)) == demand[g]
+
+
 class TestSolveTreeFlow:
     def test_single_edge(self):
-        flows, leftover = solve_tree_flow(
-            [("b1", "g1")],
-            {"b1": Fraction(5)},
-            {"g1": Fraction(5)},
-            good_node("g1"),
-        )
+        comp = tree_component([("b1", "g1")])
+        flows = solve_tree_flow(comp, {"b1": Fraction(5)}, {"g1": Fraction(5)})
         assert flows == {("b1", "g1"): 5}
-        assert leftover == 0
 
     def test_star(self):
-        flows, leftover = solve_tree_flow(
-            [("b1", "g1"), ("b1", "g2")],
-            {"b1": Fraction(5)},
-            {"g1": Fraction(2), "g2": Fraction(3)},
-            buyer_node("b1"),
-        )
+        comp = tree_component([("b1", "g1"), ("b1", "g2")])
+        supply = {"b1": Fraction(5)}
+        demand = {"g1": Fraction(2), "g2": Fraction(3)}
+        flows = solve_tree_flow(comp, supply, demand)
         assert flows == {("b1", "g1"): 2, ("b1", "g2"): 3}
-        assert leftover == 0
+        assert_flow_meets_data(comp, flows, supply, demand)
+
+    def test_unbalanced_data_raises(self):
+        comp = tree_component([("b1", "g1"), ("b2", "g1")])
+        supply = {"b1": Fraction(1), "b2": Fraction(1)}
+        with pytest.raises(SolverError, match="unbalanced"):
+            solve_tree_flow(comp, supply, {"g1": Fraction(3)})
+
+    def test_cycle_raises(self):
+        comp = tree_component(
+            [("b1", "g1"), ("b1", "g2"), ("b2", "g1"), ("b2", "g2")]
+        )
+        supply = {"b1": Fraction(1), "b2": Fraction(1)}
+        with pytest.raises(SolverError, match="not a tree"):
+            solve_tree_flow(comp, supply, {"g1": Fraction(1), "g2": Fraction(1)})
 
 
 def _tree_strategy():
@@ -205,13 +229,15 @@ def _tree_strategy():
 @settings(max_examples=60, deadline=None)
 @given(data=_tree_strategy())
 def test_tree_flow_stability(data):
-    # two balanced data vectors on the same tree: each edge flow moves by at
-    # most half the total variation of the node data
+    # two balanced data vectors on the same tree: each edge flow meets every
+    # node's equation exactly and moves by at most half the total variation
+    # of the node data
     buyers, goods, edges, (s1, d1), (s2, d2) = data
-    root = good_node(goods[0])
-    f1, left1 = solve_tree_flow(edges, s1, d1, root)
-    f2, left2 = solve_tree_flow(edges, s2, d2, root)
-    assert left1 == 0 and left2 == 0
+    comp = tree_component(edges)
+    f1 = solve_tree_flow(comp, s1, d1)
+    f2 = solve_tree_flow(comp, s2, d2)
+    assert_flow_meets_data(comp, f1, s1, d1)
+    assert_flow_meets_data(comp, f2, s2, d2)
     variation = sum((abs(s1[b] - s2[b]) for b in buyers), Fraction(0)) + sum(
         (abs(d1[g] - d2[g]) for g in goods), Fraction(0)
     )

@@ -12,6 +12,7 @@ from arcticauction.core import MarketInstance
 from arcticauction.graph import (
     MarketState,
     abundant_edges,
+    bang_per_buck_view,
     buyer_node,
     component_key,
     components_of_edges,
@@ -82,19 +83,22 @@ class TestEdgeEvent:
     def test_smallest_multiplier_as_pair(self):
         inst, state = self.market()
         state.scale_prices(["g4"], Fraction(2, 3))
-        num, den, edge = edge_event(inst, state, ["b1", "b2"], {"g1"})
+        view = bang_per_buck_view(inst, state)
+        num, den, edge = edge_event(inst, view, ["b1", "b2"], {"g1"})
         # b2's ratio on g4 rose to 3/2, so her event 2 / (3/2) comes first
         assert (Fraction(num, den), edge) == (Fraction(4, 3), ("b2", "g4"))
 
     def test_ties_go_to_the_first_buyer_then_the_first_good(self):
         inst, state = self.market()
+        view = bang_per_buck_view(inst, state)
         # goods in document order are g1, g3, g2, g4
-        assert edge_event(inst, state, ["b1", "b2"], {"g1"})[2] == ("b1", "g3")
-        assert edge_event(inst, state, ["b2"], {"g1"})[2] == ("b2", "g4")
+        assert edge_event(inst, view, ["b1", "b2"], {"g1"})[2] == ("b1", "g3")
+        assert edge_event(inst, view, ["b2"], {"g1"})[2] == ("b2", "g4")
 
     def test_no_inactive_good(self):
         inst, state = self.market()
-        assert edge_event(inst, state, ["b2"], {"g1", "g4"}) is None
+        view = bang_per_buck_view(inst, state)
+        assert edge_event(inst, view, ["b2"], {"g1", "g4"}) is None
 
 
 def canonical_key(inst, node):
@@ -454,6 +458,17 @@ def test_walker_matches_union_find(n_buyers, n_goods, data):
     for comp in comps:
         assert list(comp.edges) == sorted(comp.edges, key=lambda e: edge_key(inst, e))
         assert all(b in comp.buyers and g in comp.goods for b, g in comp.edges)
+        # the recorded spanning tree: every node once, rooted at the smallest
+        # node, each later node joined by its edge to a node listed earlier
+        tree_nodes = [node for node, _ in comp.tree]
+        assert sorted(tree_nodes) == sorted(comp.nodes())
+        assert comp.tree[0] == (comp.nodes()[0], None)
+        for k, (node, edge) in enumerate(comp.tree[1:], start=1):
+            ends = {buyer_node(edge[0]), good_node(edge[1])}
+            assert edge in edges and node in ends
+            assert (ends - {node}) <= set(tree_nodes[:k])
+        if cycle is None:
+            assert sorted(edge for _, edge in comp.tree[1:]) == sorted(comp.edges)
     assert sorted(e for c in comps for e in c.edges) == sorted(edges)
 
     assert (cycle is None) == (len(edges) == len(nodes) - len(comps))
