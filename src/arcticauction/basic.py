@@ -7,9 +7,10 @@ the scale is fixed either by "component budgets equal component prices"
 (no refunds) or by anchoring one buyer whose bang-per-buck is exactly one
 (that buyer absorbs the component's slack as a refund).  With the scale
 fixed, spending is the unique flow on the support tree meeting the budget
-and clearing equations.  Both the multipliers and the flow are read off
-the spanning tree that :func:`~arcticauction.graph.components_of_edges`
-recorded for the component, so this module walks no graph of its own.
+and clearing equations.  The support comes as the forest the caller got
+from :func:`~arcticauction.graph.components_of_edges`, and both the
+multipliers and the flow are read off the spanning tree it recorded for
+each component, so this module walks no graph of its own.
 
 ``basic_solution`` tries the budget-balanced case first and falls back to
 anchoring each buyer in canonical order.  An anchor spends what the other
@@ -19,7 +20,9 @@ minus that supply.  A case is accepted only when it could be part of an
 equilibrium: spending nonnegative, prices positive, refunds nonnegative,
 and every buyer's support ratio at least one (exactly one for an anchor).
 Without the ratio conditions, a support whose true solution anchors a
-buyer would wrongly accept the budget-balanced solve.
+buyer would wrongly accept the budget-balanced solve.  ``recover_support``
+reads a support off a solver state by counting its spending in units of
+the state's own scale.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from arcticauction.graph import (
     Forest,
     MarketState,
     Node,
-    components_of_edges,
 )
 from arcticauction.rational import ONE, ZERO
 
@@ -155,33 +157,27 @@ def _component_solution(
 
 def basic_solution(
     inst: MarketInstance,
-    support: set[Edge] | Forest,
+    forest: Forest,
     effective_budgets: dict[str, Fraction] | None = None,
 ) -> MarketState:
-    """The unique state determined by a cycle-free support.
+    """The unique state determined by a cycle-free support, given as the
+    :class:`~arcticauction.graph.Forest` that
+    :func:`~arcticauction.graph.components_of_edges` found for it.
 
-    The support is a set of edges, or the :class:`~arcticauction.graph.Forest`
-    that :func:`~arcticauction.graph.components_of_edges` found for it,
-    which spares walking it again.  ``effective_budgets`` substitutes for
-    the instance budgets when solving compressed states (budgets already
-    reduced by committed refunds); they may be zero for fully refunded
-    buyers.  Raises :class:`SupportError` when the support admits no
-    consistent solution and :class:`GenericityError` when it contains a
-    cycle, in that order: an edge of zero utility, then a cycle, then a
-    good with no buyer in the support.
+    ``effective_budgets`` substitutes for the instance budgets when solving
+    compressed states (budgets already reduced by committed refunds); they
+    may be zero for fully refunded buyers.  Raises :class:`SupportError`
+    when the support admits no consistent solution and
+    :class:`GenericityError` when it contains a cycle, in that order: an
+    edge of zero utility, then a cycle, then a good with no buyer in the
+    support.
     """
     budgets = dict(inst.budgets) if effective_budgets is None else effective_budgets
-    if isinstance(support, Forest):
-        forest, edges = support, [e for c in support.components for e in c.edges]
-    else:
-        forest, edges = None, support
-    for edge in edges:
-        if edge not in inst.utilities:
-            raise SupportError(f"support edge {edge} has zero utility")
-    prices: dict[str, Fraction] = {}
-    spending: dict[Edge, Fraction] = {}
-    refunds: dict[str, Fraction] = {}
-    components, cycle = forest or components_of_edges(inst, edges)
+    components, cycle = forest
+    for comp in components:
+        for edge in comp.edges:
+            if edge not in inst.utilities:
+                raise SupportError(f"support edge {edge} has zero utility")
     if cycle is not None:
         raise GenericityError(f"support contains a cycle through {cycle[0]}")
     for comp in components:
@@ -189,6 +185,9 @@ def basic_solution(
         # before any component is solved, as it rejects the whole support
         if not comp.buyers:
             raise SupportError(f"good {comp.goods[0]} has no buyer in support")
+    prices: dict[str, Fraction] = {}
+    spending: dict[Edge, Fraction] = {}
+    refunds: dict[str, Fraction] = {}
     for comp in components:
         c_prices, c_flows, c_refunds = _component_solution(inst, comp, budgets)
         prices.update(c_prices)
@@ -199,11 +198,12 @@ def basic_solution(
     return MarketState(prices=prices, spending=spending, refunds=refunds)
 
 
-def recover_support(state: MarketState, n: int, delta: Fraction) -> set[Edge]:
-    """Edges whose spending strictly exceeds ``4 * n * delta``.
+def recover_support(state: MarketState, n: int) -> set[Edge]:
+    """Edges whose spending strictly exceeds ``4 * n`` units of the state's
+    scale; the state must have a scale.
 
     Once the scale is below ``1 / (8 * n * d_bound)`` these are exactly the
     support of the equilibrium.
     """
-    threshold = 4 * n * delta
-    return {e for e, v in state.spending.items() if v > threshold}
+    units = 4 * n
+    return {e for e in state.spending if state.spending_sign(e, units) > 0}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 
 from arcticauction.core import (
     InstanceError,
@@ -57,6 +58,16 @@ def certificate_doc(cert: Certificate) -> dict:
     }
 
 
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` one at a time; failing to open or write
+    it is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+    except OSError as exc:
+        raise InstanceError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.max_retries < 0:
         raise InstanceError(f"--max-retries must be >= 0, not {args.max_retries}")
@@ -87,19 +98,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
     payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        _write(args.output, [payload])
     else:
         sys.stdout.write(payload)
     if args.trace:
         # one line at a time: a long run of refund steps is one trace row
         # but a line per step
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            for name, (_, trace) in sorted(outcome.results.items()):
-                for line in trace.iter_lines():
-                    handle.write(
-                        json.dumps({"algorithm": name, **line}, sort_keys=True) + "\n"
-                    )
+        lines = (
+            json.dumps({"algorithm": name, **line}, sort_keys=True) + "\n"
+            for name, (_, trace) in sorted(outcome.results.items())
+            for line in trace.iter_lines()
+        )
+        _write(args.trace, lines)
     return 0
 
 
@@ -112,7 +122,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InstanceError(f"cannot read {args.solution}: {exc}") from exc
     try:
         sigma = parse_rational(doc["perturbation"]["sigma"])
-        seed = int(doc["perturbation"]["seed"])
+        seed = doc["perturbation"]["seed"]
+        if type(seed) is not int:
+            raise TypeError(f"seed {seed!r} is not an integer")
         results = dict(doc["results"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed solution document ({exc})") from exc

@@ -4,8 +4,7 @@ and the forest walker.
 Nodes of the bipartite market graph are tagged tuples ``("B", buyer_id)``
 and ``("G", good_id)`` so buyer and good ids may collide without ambiguity.
 The free functions on edge sets are pure.  Bang-per-buck and the equality
-graph come from one place, the state view (:func:`bang_per_buck_view`,
-read also through :func:`state_alphas` and :func:`state_equality_graph`):
+graph come from one place, the state view (:func:`bang_per_buck_view`):
 it keeps its data on the :class:`MarketState` and updates it in place
 from the items the state's mutators touched since its last call, and a
 fresh state's first call computes it all.  The solvers, the genericity
@@ -16,17 +15,21 @@ Inside the view a ratio ``u / p`` is the unnormalized integer pair
 are positive, so the second entry is, and two ratios compare by
 cross-multiplication, with no gcd and no object per ratio.  A buyer's
 best pair is the ratio of the first edge of her row (her equality edges),
-and the view keeps its sign against one for the steps' tests; only her
-best bang-per-buck leaves the view as a ``Q``, normalized by one gcd when
-it is read after a rescan.  When a good is re-priced, each of its buyers
-is rescanned only if the good is in her row or its new ratio is at least
-her best: otherwise every ratio in her row is unchanged and still
-strictly above the re-priced one, so her best and her row are exactly as
-before, whichever way the price moved.  The price raise's edge event (:func:`edge_event`)
-reads the same pairs.  The residual search (:func:`reach`)
-builds no graph of its own: it walks the instance's adjacency and keeps
-the arcs whose edges lie in the sets the caller passes.  Every traversal
-runs in canonical (document) order, which makes the solvers deterministic.
+and the view keeps its sign against one: the equilibrium conditions and
+the steps' tests compare bang-per-buck only with one, so only a caller
+that needs the value itself (the restart's price raise, a report)
+normalizes the best pair to a ``Q``, by one gcd.  When a good is
+re-priced, each of its buyers is rescanned only if the good is in her
+row or its new ratio is at least her best: otherwise every ratio in her
+row is unchanged and still strictly above the re-priced one, so her best
+and her row are exactly as before, whichever way the price moved.  The
+price raise's edge event (:func:`edge_event`) reads the same pairs.  The
+residual search (:func:`reach`) builds no graph of its own: it walks the
+instance's adjacency and keeps the arcs whose edges lie in the sets the
+caller passes.  The spending thresholds (:func:`abundant_edges`, and
+:func:`~arcticauction.basic.recover_support`) count in the state's own
+scale.  Every traversal runs in canonical (document) order, which makes
+the solvers deterministic.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from arcticauction.core import MarketInstance
-from arcticauction.rational import ZERO, reduced
+from arcticauction.rational import ZERO
 
 Node = tuple[str, str]
 Edge = tuple[str, str]  # (buyer_id, good_id)
@@ -330,10 +333,10 @@ class BangPerBuckView:
     equality edges, and the equality graph they make up, kept current with
     the prices.  A buyer's best pair is the ratio of the first edge of her
     row; ``signs`` holds its sign against one (1 above, 0 at, -1 below).
-    ``alphas`` normalizes a best pair to a ``Q`` only for the buyers
-    rescanned since it was last read."""
+    The dicts and the set are updated in place; copy one to keep a
+    snapshot."""
 
-    __slots__ = ("utilities", "ratios", "rows", "signs", "edges", "_alphas", "_stale")
+    __slots__ = ("utilities", "ratios", "rows", "signs", "edges")
 
     def __init__(self, inst: MarketInstance) -> None:
         self.utilities = {
@@ -343,19 +346,9 @@ class BangPerBuckView:
         self.rows: dict[str, tuple[Edge, ...]] = {}
         self.signs: dict[str, int] = {}
         self.edges: set[Edge] = set()
-        self._alphas: dict[str, Fraction] = {}
-        self._stale: dict[str, None] = {}
 
     def best_pair(self, buyer: str) -> tuple[int, int]:
         return self.ratios[self.rows[buyer][0]]
-
-    @property
-    def alphas(self) -> dict[str, Fraction]:
-        alphas = self._alphas
-        for b in self._stale:
-            alphas[b] = reduced(*self.best_pair(b))
-        self._stale.clear()
-        return alphas
 
 
 _BANG_PER_BUCK = "bang_per_buck"
@@ -414,7 +407,6 @@ def bang_per_buck_view(inst: MarketInstance, state: MarketState) -> BangPerBuckV
         if not row:
             raise ValueError("buyer values no good")
         view.signs[b] = (best_n > best_d) - (best_n < best_d)
-        view._stale[b] = None
         view.edges.difference_update(view.rows.get(b, ()))
         view.edges.update(row)
         view.rows[b] = tuple(row)
@@ -448,24 +440,6 @@ def edge_event(
             if event is None or n * event[1] < event[0] * d:
                 event = (n, d, (b, g))
     return event
-
-
-def state_equality_graph(inst: MarketInstance, state: MarketState) -> set[Edge]:
-    """Equality graph of the state's prices.
-
-    The set is the view itself, updated in place as prices change; copy it
-    to keep a snapshot.
-    """
-    return bang_per_buck_view(inst, state).edges
-
-
-def state_alphas(inst: MarketInstance, state: MarketState) -> dict[str, Fraction]:
-    """Every buyer's best bang-per-buck at the state's prices.
-
-    The dict is the view itself, updated in place as prices change; copy it
-    to keep a snapshot.
-    """
-    return bang_per_buck_view(inst, state).alphas
 
 
 def reach(
@@ -510,10 +484,11 @@ def path_to(parent: dict[Node, Node | None], target: Node) -> list[Node]:
     return path
 
 
-def abundant_edges(state: MarketState, n: int, delta: Fraction) -> set[Edge]:
-    """Edges carrying at least ``3 * n * delta`` of spending (inclusive)."""
-    threshold = 3 * n * delta
-    return {e for e, v in state.spending.items() if v >= threshold}
+def abundant_edges(state: MarketState, n: int) -> set[Edge]:
+    """Edges carrying at least ``3 * n`` units of the state's scale
+    (inclusive); the state must have a scale."""
+    units = 3 * n
+    return {e for e in state.spending if state.spending_sign(e, units) >= 0}
 
 
 @dataclass

@@ -2,10 +2,11 @@
 
 The checks share three things with the scaling solvers: the basic tree
 solve, the forest walker (``graph.components_of_edges``) and the state's
-bang-per-buck view (``graph.bang_per_buck_view``, also read through
-``graph.state_alphas`` and ``graph.state_equality_graph``), the one place
-bang-per-buck and the equality graph are computed.  The genericity check
-reads the solver's live view; the certifier builds a
+bang-per-buck view (``graph.bang_per_buck_view``), the one place
+bang-per-buck and the equality graph are computed; the checks read its
+equality edges and each buyer's sign against one, and normalize a best
+ratio only to report it.  The genericity check reads the solver's live
+view; the certifier builds a
 :class:`~arcticauction.graph.MarketState` of its own, whose first view
 call computes every ratio afresh from the prices it is given.  So a
 certified answer is checked against the market definition rather than
@@ -27,10 +28,8 @@ from arcticauction.graph import (
     bang_per_buck_view,
     component_key,
     components_of_edges,
-    state_alphas,
-    state_equality_graph,
 )
-from arcticauction.rational import ZERO
+from arcticauction.rational import ZERO, reduced
 
 BRUTE_FORCE_MAX_EDGES = 12
 BRUTE_FORCE_MAX_NODES = 8
@@ -38,11 +37,15 @@ BRUTE_FORCE_MAX_NODES = 8
 
 @dataclass
 class Condition:
-    """One checked equilibrium condition with its violations."""
+    """One checked equilibrium condition with its violations; it holds
+    when there are none."""
 
     name: str
-    ok: bool
     violations: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 @dataclass
@@ -116,53 +119,46 @@ def check_equilibrium(
     conditions: list[Condition] = []
     state = MarketState(prices=prices, spending=spending, refunds=refunds)
 
-    refund_ok = Condition("refunds_nonnegative", True)
-    cash_ok = Condition("budgets_exhausted", True)
+    refund_ok = Condition("refunds_nonnegative")
+    cash_ok = Condition("budgets_exhausted")
     for b in inst.buyers:
         r = refunds.get(b, ZERO)
         if r < 0:
-            refund_ok.ok = False
             refund_ok.violations.append(f"buyer {b}: refund {r}")
         cash = eff[b] - r - state.spent_by(b)
         if cash != 0:
-            cash_ok.ok = False
             cash_ok.violations.append(f"buyer {b}: leftover cash {cash}")
     conditions.append(refund_ok)
     conditions.append(cash_ok)
 
-    clearing = Condition("market_clearing", True)
+    clearing = Condition("market_clearing")
     for g in inst.goods:
         backorder = state.backorder(g)
         if backorder != 0:
-            clearing.ok = False
             clearing.violations.append(f"good {g}: backorder {backorder}")
     conditions.append(clearing)
 
-    eq_edges = state_equality_graph(inst, state)
-    alphas = state_alphas(inst, state)
-    support = Condition("spending_on_equality_edges", True)
-    optimality = Condition("buyer_optimality", True)
+    view = bang_per_buck_view(inst, state)
+    support = Condition("spending_on_equality_edges")
+    optimality = Condition("buyer_optimality")
     for edge, value in spending.items():
         if value < 0:
-            support.ok = False
             support.violations.append(f"edge {edge}: negative spending {value}")
-        if value > 0 and edge not in eq_edges:
-            support.ok = False
+        if value > 0 and edge not in view.edges:
             support.violations.append(f"edge {edge}: spending off equality graph")
-        if value > 0 and alphas[edge[0]] < 1:
-            optimality.ok = False
+        if value > 0 and view.signs[edge[0]] < 0:
             optimality.violations.append(
                 f"edge {edge}: spending at bang-per-buck below one"
             )
     conditions.append(support)
 
-    complementarity = Condition("refund_complementarity", True)
+    complementarity = Condition("refund_complementarity")
     for b in inst.buyers:
         r = refunds.get(b, ZERO)
-        if r > 0 and alphas[b] > 1:
-            complementarity.ok = False
+        if r > 0 and view.signs[b] > 0:
             complementarity.violations.append(
-                f"buyer {b}: refund {r} with bang-per-buck {alphas[b]} > 1"
+                f"buyer {b}: refund {r} with bang-per-buck"
+                f" {reduced(*view.best_pair(b))} > 1"
             )
     conditions.append(complementarity)
     conditions.append(optimality)
@@ -196,7 +192,7 @@ def brute_force_equilibrium(inst: MarketInstance) -> Equilibrium:
     )
     for subset in subsets:
         try:
-            state = basic_solution(inst, set(subset))
+            state = basic_solution(inst, components_of_edges(inst, set(subset)))
         except (SupportError, GenericityError):
             continue
         cert = certify_state(inst, state)
@@ -229,11 +225,11 @@ class GenericityReport:
 def check_genericity(inst: MarketInstance, state: MarketState) -> GenericityReport:
     """Verify the equality graph at the state's prices is a forest with at
     most one critical buyer per connected component."""
-    components, cycle = components_of_edges(inst, state_equality_graph(inst, state))
-    signs = bang_per_buck_view(inst, state).signs
+    view = bang_per_buck_view(inst, state)
+    components, cycle = components_of_edges(inst, view.edges)
     critical: dict[str, int] = {}
     for comp in components:
-        count = sum(1 for b in comp.buyers if signs[b] == 0)
+        count = sum(1 for b in comp.buyers if view.signs[b] == 0)
         if count:
             critical[component_key(comp)] = count
     return GenericityReport(

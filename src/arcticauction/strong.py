@@ -40,10 +40,9 @@ from arcticauction.graph import (
     good_node,
     path_to,
     reach,
-    state_equality_graph,
 )
 from arcticauction.oracle import Certificate, Equilibrium, check_equilibrium
-from arcticauction.rational import Q, ZERO
+from arcticauction.rational import Q, ZERO, reduced
 from arcticauction.trace import PhaseTrace, RestartRecord
 from arcticauction.weak import (
     ScalingState,
@@ -123,19 +122,19 @@ def special_price(
     as the target and barrier allow.  Runs for at most ``n + |B|``
     iterations.  ``components`` must be the abundant forest of ``ss``;
     their edges are the backward arcs of the search for the active set.
-    Returns the private state and the iteration count.
+    The root must hold a buyer and a good: a singleton's surplus does not
+    move with prices, and its callers read it directly.  Returns the
+    private state and the iteration count.
     """
+    if root_component.is_singleton():
+        raise SolverError(
+            f"cannot raise prices on singleton {component_key(root_component)}"
+        )
     n = len(inst.buyers) + len(inst.goods)
-    market = ss.market
-    if not root_component.buyers or not root_component.goods:
-        # singleton root: surplus is constant (<= 0 for a lone good), so
-        # the loop below would never run; return the state unchanged
-        if root_component.surplus(inst, market) > target:
-            raise SolverError("cannot raise prices on a goodless component")
     state = MarketState(
-        prices=dict(market.prices),
-        spending=dict(market.spending),
-        refunds=dict(market.refunds),
+        prices=dict(ss.market.prices),
+        spending=dict(ss.market.spending),
+        refunds=dict(ss.market.refunds),
     )
     prices = state.prices
     abundant = {e for comp in components for e in comp.edges}
@@ -171,7 +170,6 @@ def special_price(
                 if touched and touched != side:
                     raise SolverError("component partially active")
 
-        alphas = view.alphas
         root_goods_price = sum((prices[g] for g in root_component.goods), ZERO)
         root_budget = root_surplus + root_goods_price
 
@@ -203,10 +201,9 @@ def special_price(
                 candidates.append((q, 3, (component_key(comp),), "barrier", comp))
         # (4) an active buyer with positive cash turns critical
         for b in active_buyers:
-            if alphas[b] >= 1 and state.effective_cash(inst, b) > 0:
-                candidates.append(
-                    (alphas[b], 4, (inst.buyer_pos[b],), "critical", b)
-                )
+            if view.signs[b] >= 0 and state.effective_cash(inst, b) > 0:
+                alpha = reduced(*view.best_pair(b))
+                candidates.append((alpha, 4, (inst.buyer_pos[b],), "critical", b))
 
         q, _, _, kind, subject = min(
             candidates, key=lambda c: (c[0], c[1], c[2])
@@ -236,21 +233,24 @@ def get_parameter(
     """Next scale: the largest component surplus reachable by price raising.
 
     Singleton buyers contribute their cash while still interested (bang-
-    per-buck above one) and zero afterwards; every other component runs the
-    price raiser at target zero and contributes the surplus it stops at.
+    per-buck above one) and zero afterwards; a singleton good contributes
+    its surplus, minus its price, which no price raise moves; every other
+    component runs the price raiser at target zero and contributes the
+    surplus it stops at.
     """
     per_component: dict[str, Fraction] = {}
-    signs = bang_per_buck_view(inst, ss.market).signs
+    market = ss.market
+    signs = bang_per_buck_view(inst, market).signs
     for comp in components:
-        if comp.is_singleton() and comp.buyers:
-            b = comp.buyers[0]
-            if signs[b] > 0:
-                per_component[component_key(comp)] = ss.market.effective_cash(inst, b)
-            else:
-                per_component[component_key(comp)] = ZERO
-        else:
+        if not comp.is_singleton():
             state, _ = special_price(inst, ss, components, comp, ZERO)
-            per_component[component_key(comp)] = comp.surplus(inst, state)
+            value = comp.surplus(inst, state)
+        elif comp.goods:
+            value = comp.surplus(inst, market)
+        else:
+            b = comp.buyers[0]
+            value = market.effective_cash(inst, b) if signs[b] > 0 else ZERO
+        per_component[component_key(comp)] = value
     return max(per_component.values()), per_component
 
 
@@ -438,11 +438,11 @@ def _repair_deficits(
     by the ordinary steps once the graph connects to them.
     """
     market = ss.market
-    components = components_of_edges(inst, abundant_edges(market, stats.n, ss.delta))[0]
+    components = components_of_edges(inst, abundant_edges(market, stats.n))[0]
     comp_of_good = {g: comp for comp in components for g in comp.goods}
     deficits = [g for g in inst.goods if market.backorder_pair(g)[0] < 0]
     for g in deficits:
-        forward, backward = state_equality_graph(inst, market), returnable_edges(ss)
+        forward, backward = bang_per_buck_view(inst, market).edges, returnable_edges(ss)
         trees: dict[str, dict[Node, Node | None]] = {}
         for b in inst.buyers:
             if market.cash_term(inst, b) < 1:
@@ -524,7 +524,7 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
         if entry != "restart":
             check_phase_invariants(n, mark)
 
-        abundant = abundant_edges(ss.market, n, ss.delta)
+        abundant = abundant_edges(ss.market, n)
         _note_abundant(trace, phase, abundant)
         forest = components_of_edges(inst, abundant)
         components = forest.components

@@ -32,12 +32,11 @@ from arcticauction.graph import (
     abundant_edges,
     bang_per_buck_view,
     buyer_node,
+    components_of_edges,
     edge_event,
     good_node,
     path_to,
     reach,
-    state_alphas,
-    state_equality_graph,
 )
 from arcticauction.oracle import Equilibrium, certify_state, check_genericity
 from arcticauction.rational import Q, ZERO, reduced
@@ -52,12 +51,12 @@ class ScalingState:
     them (halving doubles every count).  ``initial_prices`` are frozen at
     initialization; the backorder bounds only apply to goods whose price
     has been raised above them.  ``exempt_edges`` and ``allowed_deficit``
-    are only populated by the strongly polynomial solver after a
-    compressed restart: exempt edges carry values that are not multiples
-    of ``delta`` (the fixed parts of the rebuilt state, which need residual
-    capacity ``delta`` to serve as backward arcs), and flagged goods may
-    temporarily hold a small negative backorder until one augmentation
-    repairs them.
+    start empty; only the strongly polynomial solver's compressed restart
+    (:func:`~arcticauction.strong.make_fertile`) sets them: exempt edges
+    carry values that are not multiples of ``delta`` (the fixed parts of
+    the rebuilt state, which need residual capacity ``delta`` to serve as
+    backward arcs), and flagged goods may temporarily hold a small
+    negative backorder until one augmentation repairs them.
 
     The feasibility check, the potential and the returnable edges keep
     data on ``market`` that is valid for one ``delta``: each passes
@@ -73,14 +72,12 @@ class ScalingState:
         market: MarketState,
         delta: Fraction,
         initial_prices: dict[str, Fraction],
-        exempt_edges: set[Edge] | None = None,
-        allowed_deficit: dict[str, Fraction] | None = None,
     ) -> None:
         self.market = market
         market.rescale(delta)
         self.initial_prices = initial_prices
-        self.exempt_edges = set() if exempt_edges is None else exempt_edges
-        self.allowed_deficit = {} if allowed_deficit is None else allowed_deficit
+        self.exempt_edges: set[Edge] = set()
+        self.allowed_deficit: dict[str, Fraction] = {}
 
     @property
     def delta(self) -> Fraction:
@@ -207,7 +204,7 @@ def _spending_on_equality_graph(
     inst: MarketInstance, market: MarketState, buyers: Iterable[str]
 ) -> bool:
     """Whether every spending edge of ``buyers`` is an equality edge."""
-    eq_edges = state_equality_graph(inst, market)
+    eq_edges = bang_per_buck_view(inst, market).edges
     units, fixed = market.edge_units, market.edge_fixed
     return all(
         (b, g) in eq_edges
@@ -263,7 +260,7 @@ def _violations(
             violations.append(f"negative spending on {edge}")
         elif sign > 0:
             if eq_edges is None:
-                eq_edges = state_equality_graph(inst, market)
+                eq_edges = bang_per_buck_view(inst, market).edges
             if edge not in eq_edges:
                 violations.append(f"spending off equality graph on {edge}")
             fixed = market.edge_fixed.get(edge)
@@ -346,7 +343,8 @@ class SearchTree:
     def __init__(
         self, inst: MarketInstance, market: MarketState, root: Node, returnable: set[Edge]
     ) -> None:
-        self.parent = reach(inst, [root], state_equality_graph(inst, market), returnable)
+        eq_edges = bang_per_buck_view(inst, market).edges
+        self.parent = reach(inst, [root], eq_edges, returnable)
         self.buyers: list[str] = []
         self.goods: list[str] = []
         for kind, name in self.parent:
@@ -499,12 +497,12 @@ def refund_step(inst: MarketInstance, ss: ScalingState, buyer: str) -> int:
     of each step of the run.
     """
     market = ss.market
-    sign = bang_per_buck_view(inst, market).signs[buyer]
+    view = bang_per_buck_view(inst, market)
     steps = _cash_terms(inst, ss).terms[buyer]
-    if sign > 0 or steps < 1:
+    if view.signs[buyer] > 0 or steps < 1:
         raise SolverError(
             f"refund step preconditions violated at {buyer}:"
-            f" bang-per-buck {state_alphas(inst, market)[buyer]},"
+            f" bang-per-buck {reduced(*view.best_pair(buyer))},"
             f" cash {market.effective_cash(inst, buyer)}"
         )
     market.add_refund_units(buyer, steps)
@@ -572,7 +570,7 @@ def start_phase(
     phi = potential(inst, ss)
     if entry in ("init", "halve") and phi > stats.n:
         raise SolverError(f"phase {phase} starts with potential {phi} > n")
-    abundant = abundant_edges(ss.market, stats.n, ss.delta)
+    abundant = abundant_edges(ss.market, stats.n)
     if trace.phases:
         missing = trace.phases[-1].abundant_start - abundant
         if missing:
@@ -672,8 +670,8 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
         check_phase_invariants(stats.n, mark)
 
         if ss.delta < stop_below:
-            support = recover_support(ss.market, stats.n, ss.delta)
-            final = basic_solution(inst, support)
+            support = recover_support(ss.market, stats.n)
+            final = basic_solution(inst, components_of_edges(inst, support))
             certificate = certify_state(inst, final)
             if not certificate.ok:
                 raise SolverError(

@@ -9,7 +9,7 @@ import pytest
 
 from arcticauction import strong, weak
 from arcticauction.core import MarketInstance, compute_stats
-from arcticauction.graph import MarketState, state_alphas, state_equality_graph
+from arcticauction.graph import MarketState, bang_per_buck_view
 from arcticauction.randgen import random_instance
 
 
@@ -34,14 +34,21 @@ def priced(prices) -> MarketState:
     return MarketState(prices=dict(prices), spending={}, refunds={})
 
 
+def alphas_of(inst: MarketInstance, state: MarketState) -> dict:
+    """Every buyer's best bang-per-buck, normalized from the pairs of the
+    state's bang-per-buck view."""
+    view = bang_per_buck_view(inst, state)
+    return {b: Fraction(*view.best_pair(b)) for b in inst.buyers}
+
+
 def alphas_at(inst: MarketInstance, prices) -> dict:
     """Every buyer's bang-per-buck at ``prices``, read off a fresh view."""
-    return state_alphas(inst, priced(prices))
+    return alphas_of(inst, priced(prices))
 
 
 def equality_graph_at(inst: MarketInstance, prices) -> set:
     """The equality graph at ``prices``, read off a fresh view."""
-    return state_equality_graph(inst, priced(prices))
+    return bang_per_buck_view(inst, priced(prices)).edges
 
 
 def wide_instance(seed, n_range=(10, 20), max_exp=14):

@@ -23,7 +23,7 @@ class TestBasicSolution:
         # budget 1 against utility 2: selling the good at the budget keeps
         # bang-per-buck 2 >= 1, so the budget-balanced case stands
         inst = make_instance({"b1": 1}, {("b1", "g1"): 2})
-        state = basic_solution(inst, {("b1", "g1")})
+        state = basic_solution(inst, components_of_edges(inst, {("b1", "g1")}))
         assert state.prices == {"g1": 1}
         assert state.spending == {("b1", "g1"): 1}
         assert state.refunds["b1"] == 0
@@ -32,7 +32,7 @@ class TestBasicSolution:
         # budget 3: the budget-balanced solve would price at 3 and push
         # bang-per-buck to 2/3 < 1, so the buyer anchors at price 2
         inst = make_instance({"b1": 3}, {("b1", "g1"): 2})
-        state = basic_solution(inst, {("b1", "g1")})
+        state = basic_solution(inst, components_of_edges(inst, {("b1", "g1")}))
         assert state.prices == {"g1": 2}
         assert state.spending == {("b1", "g1"): 2}
         assert state.refunds["b1"] == 1
@@ -43,7 +43,9 @@ class TestBasicSolution:
         inst = make_instance(
             {"b1": 1, "b2": 1}, {("b1", "g1"): 3, ("b2", "g1"): 3}
         )
-        state = basic_solution(inst, {("b1", "g1"), ("b2", "g1")})
+        state = basic_solution(
+            inst, components_of_edges(inst, {("b1", "g1"), ("b2", "g1")})
+        )
         assert state.prices == {"g1": 2}
         assert state.spending == {("b1", "g1"): 1, ("b2", "g1"): 1}
         assert all(v == 0 for v in state.refunds.values())
@@ -55,7 +57,7 @@ class TestBasicSolution:
             {("b1", "g1"): 2, ("b1", "g2"): 6, ("b2", "g2"): 3},
         )
         support = {("b1", "g1"), ("b1", "g2"), ("b2", "g2")}
-        state = basic_solution(inst, support)
+        state = basic_solution(inst, components_of_edges(inst, support))
         # equal bang-per-buck on each buyer's support edges
         r1 = [
             inst.utilities[e] / state.prices[e[1]] for e in support if e[0] == "b1"
@@ -83,8 +85,8 @@ class TestBasicSolution:
             {("b1", "g1"): 2, ("b1", "g2"): 6, ("b2", "g2"): 3},
         )
         support = {("b1", "g1"), ("b1", "g2"), ("b2", "g2")}
-        first = basic_solution(inst, support)
-        second = basic_solution(inst, support)
+        first = basic_solution(inst, components_of_edges(inst, support))
+        second = basic_solution(inst, components_of_edges(inst, support))
         assert first.prices == second.prices
         assert first.spending == second.spending
         assert first.refunds == second.refunds
@@ -92,7 +94,8 @@ class TestBasicSolution:
     def test_isolated_good_fails(self):
         inst = make_instance({"b1": 1}, {("b1", "g1"): 1, ("b1", "g2"): 1})
         with pytest.raises(SupportError):
-            basic_solution(inst, {("b1", "g1")})  # g2 left without a buyer
+            # g2 left without a buyer
+            basic_solution(inst, components_of_edges(inst, {("b1", "g1")}))
 
     def test_cycle_rejected(self):
         inst = make_instance(
@@ -102,20 +105,24 @@ class TestBasicSolution:
         with pytest.raises(GenericityError):
             basic_solution(
                 inst,
-                {("b1", "g1"), ("b1", "g2"), ("b2", "g1"), ("b2", "g2")},
+                components_of_edges(
+                    inst, {("b1", "g1"), ("b1", "g2"), ("b2", "g1"), ("b2", "g2")}
+                ),
             )
 
     def test_singleton_buyer_fully_refunded(self):
         inst = make_instance(
             {"b1": 5, "b2": 1}, {("b1", "g1"): 1, ("b2", "g1"): 9}
         )
-        state = basic_solution(inst, {("b2", "g1")})
+        state = basic_solution(inst, components_of_edges(inst, {("b2", "g1")}))
         assert state.refunds["b1"] == 5
         assert state.spending == {("b2", "g1"): 1}
 
     def test_effective_budgets_override(self):
         inst = make_instance({"b1": 3}, {("b1", "g1"): 2})
-        state = basic_solution(inst, {("b1", "g1")}, {"b1": Fraction(1)})
+        state = basic_solution(
+            inst, components_of_edges(inst, {("b1", "g1")}), {"b1": Fraction(1)}
+        )
         assert state.prices == {"g1": 1}
         assert state.refunds["b1"] == 0
 
@@ -127,7 +134,8 @@ class TestRecoverSupport:
             spending={("b1", "g1"): Fraction(8)},  # exactly 4*n*delta
             refunds={},
         )
-        assert recover_support(state, 2, Fraction(1)) == set()
+        state.rescale(Fraction(1))
+        assert recover_support(state, 2) == set()
 
     def test_above_boundary_included(self):
         state = MarketState(
@@ -135,7 +143,8 @@ class TestRecoverSupport:
             spending={("b1", "g1"): Fraction(9)},
             refunds={},
         )
-        assert recover_support(state, 2, Fraction(1)) == {("b1", "g1")}
+        state.rescale(Fraction(1))
+        assert recover_support(state, 2) == {("b1", "g1")}
 
 
 def tree_component(edges):

@@ -329,19 +329,43 @@ def test_degenerate_unperturbed_exits_two(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def edited_solution(edit):
-    """A ``verify`` command line for a weak solution document changed by ``edit``."""
+def edited_solution(edit, seed=7):
+    """A ``verify`` command line for a weak solution document, solved at
+    ``seed``, changed by ``edit``."""
 
     def argv(instance_file, tmp_path):
         out = tmp_path / "out.json"
         solve = ["solve", "--input", str(instance_file), "--algorithm", "weak"]
-        assert main(solve + ["--output", str(out), "--seed", "7"]) == 0
+        assert main(solve + ["--output", str(out), "--seed", str(seed)]) == 0
         doc = json.loads(out.read_text())
         edit(doc)
         out.write_text(json.dumps(doc))
         return ["verify", "--input", str(instance_file), "--solution", str(out)]
 
     return argv
+
+
+def seed_written_as(value):
+    """A ``verify`` command line for a weak solution document solved at seed
+    1, its seed then written as ``value``, which ``int()`` reads as 1."""
+
+    def edit(doc):
+        assert doc["perturbation"]["seed"] == 1
+        doc["perturbation"]["seed"] = value
+
+    return edited_solution(edit, seed=1)
+
+
+def unwritable(option):
+    """A ``solve`` command line whose ``option`` (``--output`` or
+    ``--trace``) names a file in a directory that does not exist."""
+    return lambda instance_file, tmp_path: [
+        "solve",
+        "--input",
+        str(instance_file),
+        option,
+        str(tmp_path / "missing" / "out.json"),
+    ]
 
 
 def instance_text(text):
@@ -413,6 +437,11 @@ INPUT_ERRORS = {
     "verify_sigma_above_bound": edited_solution(
         lambda doc: doc["perturbation"].update(sigma="1")
     ),
+    "verify_seed_float": seed_written_as(1.9),
+    "verify_seed_boolean": seed_written_as(True),
+    "verify_seed_string": seed_written_as("1"),
+    "solve_output_in_missing_dir": unwritable("--output"),
+    "solve_trace_in_missing_dir": unwritable("--trace"),
     "solve_negative_retries": lambda instance_file, _: [
         "solve",
         "--input",

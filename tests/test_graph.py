@@ -21,7 +21,6 @@ from arcticauction.graph import (
     good_node,
     path_to,
     reach,
-    state_equality_graph,
 )
 from arcticauction.randgen import random_instance
 from arcticauction.weak import ScalingState, returnable_edges
@@ -110,13 +109,16 @@ def canonical_key(inst, node):
 def residual_tree(inst, state, roots):
     """The solvers' residual search: backward arcs on positive spending."""
     ss = ScalingState(market=state, delta=Fraction(1), initial_prices=dict(state.prices))
-    return reach(inst, roots, state_equality_graph(inst, state), returnable_edges(ss))
+    return reach(
+        inst, roots, bang_per_buck_view(inst, state).edges, returnable_edges(ss)
+    )
 
 
 def delta_residual_tree(inst, state, n, delta, roots):
     """The price raiser's search: backward arcs on abundant edges only."""
+    state.rescale(delta)
     return reach(
-        inst, roots, equality_graph_at(inst, state.prices), abundant_edges(state, n, delta)
+        inst, roots, equality_graph_at(inst, state.prices), abundant_edges(state, n)
     )
 
 
@@ -304,7 +306,8 @@ class TestComponents:
         state = MarketState(
             prices={"g1": Fraction(1), "g2": Fraction(1)}, spending={}, refunds={}
         )
-        comps = components_of_edges(inst, abundant_edges(state, 4, Fraction(1)))[0]
+        state.rescale(Fraction(1))
+        comps = components_of_edges(inst, abundant_edges(state, 4))[0]
         assert len(comps) == 4
         assert all(c.is_singleton() for c in comps)
 
@@ -317,7 +320,8 @@ class TestComponents:
             spending={("b1", "g1"): Fraction(20)},
             refunds={},
         )
-        comps = components_of_edges(inst, abundant_edges(state, 4, Fraction(1)))[0]
+        state.rescale(Fraction(1))
+        comps = components_of_edges(inst, abundant_edges(state, 4))[0]
         sizes = sorted(len(c.buyers) + len(c.goods) for c in comps)
         assert sizes == [1, 1, 2]
         pair = next(c for c in comps if not c.is_singleton())
@@ -335,7 +339,8 @@ class TestComponents:
             refunds={},
         )
         n = 4
-        edges = abundant_edges(state, n, Fraction(1))
+        state.rescale(Fraction(1))
+        edges = abundant_edges(state, n)
         comps = components_of_edges(inst, edges)[0]
         assert len(comps) == n - len(edges)
 
@@ -376,7 +381,8 @@ def test_abundant_edges_stay_equality_under_uniform_component_scaling():
         refunds={},
     )
     n = 5
-    component_edges = abundant_edges(state, n, Fraction(1, 100))
+    state.rescale(Fraction(1, 100))
+    component_edges = abundant_edges(state, n)
     assert component_edges == {("b1", "g1"), ("b1", "g2")}
     assert component_edges <= equality_graph_at(inst, prices)
     for factor in (Fraction(3, 2), Fraction(4)):

@@ -29,8 +29,6 @@ from arcticauction.graph import (
     MarketState,
     bang_per_buck_view,
     reach,
-    state_alphas,
-    state_equality_graph,
 )
 from arcticauction.oracle import check_genericity
 from arcticauction.randgen import random_instance
@@ -44,7 +42,7 @@ from arcticauction.weak import (
 )
 
 import test_weak
-from conftest import lean_sigma, make_instance, wide_instance
+from conftest import alphas_of, lean_sigma, make_instance, wide_instance
 
 
 # --- direct recomputations from the raw state --------------------------------
@@ -118,13 +116,12 @@ def fresh_copy(ss):
         spending=dict(ss.market.spending),
         refunds=dict(ss.market.refunds),
     )
-    return ScalingState(
-        market=market,
-        delta=Fraction(ss.delta),
-        initial_prices=dict(ss.initial_prices),
-        exempt_edges=set(ss.exempt_edges),
-        allowed_deficit=dict(ss.allowed_deficit),
+    copy = ScalingState(
+        market=market, delta=Fraction(ss.delta), initial_prices=dict(ss.initial_prices)
     )
+    copy.exempt_edges = set(ss.exempt_edges)
+    copy.allowed_deficit = dict(ss.allowed_deficit)
+    return copy
 
 
 def assert_values_match(inst, ss):
@@ -161,11 +158,10 @@ def assert_cash_terms_match(inst, ss):
 def assert_bang_per_buck_matches(inst, ss):
     prices = ss.market.prices
     alphas = direct_alphas(inst, prices)
-    assert state_alphas(inst, ss.market) == alphas
     view = bang_per_buck_view(inst, ss.market)
     assert view.signs == {b: direct_sign(a - 1) for b, a in alphas.items()}
-    assert {b: Fraction(*view.best_pair(b)) for b in inst.buyers} == alphas
-    assert state_equality_graph(inst, ss.market) == direct_equality_graph(inst, prices)
+    assert alphas_of(inst, ss.market) == alphas
+    assert view.edges == direct_equality_graph(inst, prices)
     assert check_genericity(inst, ss.market) == check_genericity(inst, fresh_copy(ss).market)
 
 
@@ -306,7 +302,9 @@ def test_price_raises_match_reference_in_wide_markets(seed, checked_price_raises
 def fresh_tree(inst, ss, active):
     """A fresh residual search from the roots of ``active``."""
     roots = [node for node, parent in active.items() if parent is None]
-    return reach(inst, roots, state_equality_graph(inst, ss.market), returnable_edges(ss))
+    return reach(
+        inst, roots, bang_per_buck_view(inst, ss.market).edges, returnable_edges(ss)
+    )
 
 
 def rescanned_terminal(inst, ss, active):
@@ -420,8 +418,8 @@ def rescan_market(price_type):
 
 
 def assert_view_is_direct(inst, market):
-    assert state_alphas(inst, market) == direct_alphas(inst, market.prices)
-    assert state_equality_graph(inst, market) == direct_equality_graph(
+    assert alphas_of(inst, market) == direct_alphas(inst, market.prices)
+    assert bang_per_buck_view(inst, market).edges == direct_equality_graph(
         inst, market.prices
     )
 
@@ -432,12 +430,13 @@ PRICE_TYPES = [int, Fraction, Q]
 @pytest.mark.parametrize("price_type", PRICE_TYPES)
 def test_raising_a_good_off_the_row_rescans_nothing(price_type):
     inst, market = rescan_market(price_type)
-    alpha = state_alphas(inst, market)["b1"]
+    row = bang_per_buck_view(inst, market).rows["b1"]
     market.scale_prices(["g2"], Fraction(2))
     view = bang_per_buck_view(inst, market)
     assert view.rows["b1"] == (("b1", "g1"),)
-    # b1 was not rescanned: her alpha is the very object built before
-    assert view.alphas["b1"] is alpha
+    # b1 was not rescanned: a rescan builds a new row, and this is the
+    # very tuple built before
+    assert view.rows["b1"] is row
     assert_view_is_direct(inst, market)
 
 
@@ -447,7 +446,7 @@ def test_lowering_a_good_off_the_row_to_a_tie_grows_the_row(price_type):
     market.scale_prices(["g2"], Fraction(1, 2))
     view = bang_per_buck_view(inst, market)
     assert view.rows["b1"] == (("b1", "g1"), ("b1", "g2"))
-    assert view.alphas["b1"] == 2
+    assert Fraction(*view.best_pair("b1")) == 2
     assert_view_is_direct(inst, market)
 
 
@@ -459,7 +458,7 @@ def test_lowering_a_good_past_the_best_makes_it_the_row(price_type):
     market.scale_prices(["g2"], Fraction(1, 2))
     view = bang_per_buck_view(inst, market)
     assert view.rows["b1"] == (("b1", "g2"),)
-    assert view.alphas["b1"] == 4
+    assert Fraction(*view.best_pair("b1")) == 4
     assert_view_is_direct(inst, market)
 
 

@@ -57,7 +57,7 @@ def scaling_state(inst, prices, spending, refunds, delta, initial=None):
 
 def components_of(inst, ss):
     n = len(inst.buyers) + len(inst.goods)
-    return components_of_edges(inst, abundant_edges(ss.market, n, ss.delta))[0]
+    return components_of_edges(inst, abundant_edges(ss.market, n))[0]
 
 
 class TestSurplus:
@@ -219,6 +219,17 @@ class TestSpecialPrice:
         assert state.refunds["b1"] > 0
         assert comp.surplus(inst, state) == 0
 
+    def test_singleton_root_rejected(self):
+        # a singleton's surplus does not move with prices: its callers read
+        # it directly, and the raiser refuses it
+        inst = make_instance({"b1": 5, "b2": 1}, {("b1", "g1"): 1, ("b2", "g2"): 1})
+        ss = scaling_state(inst, {"g1": 1, "g2": 1}, {}, {}, delta=1)
+        comps = components_of(inst, ss)
+        assert all(c.is_singleton() for c in comps)
+        for comp in comps:
+            with pytest.raises(SolverError, match="singleton"):
+                special_price(inst, ss, comps, comp, Fraction(0))
+
 
 class TestAuxNetwork:
     def test_identity_multiplier(self):
@@ -261,9 +272,9 @@ class TestAuxNetwork:
         other = next(c for c in comps if "b2" in c.buyers)
         state, _ = special_price(inst, ss, comps, root, Fraction(0))
         eq = equality_graph_at(inst, state.prices)
-        reached = reach(inst, root.nodes(), eq, abundant_edges(ss.market, n, ss.delta))
+        reached = reach(inst, root.nodes(), eq, abundant_edges(ss.market, n))
         assert set(other.nodes()) <= set(reached), "run must have activated the other component"
-        aux = AuxNetwork.build(inst, abundant_edges(ss.market, n, ss.delta))
+        aux = AuxNetwork.build(inst, abundant_edges(ss.market, n))
         mu = max_multiplier(aux, good_node(root.goods[0]), good_node(other.goods[0]))
         assert mu == state.prices[other.goods[0]] / state.prices[root.goods[0]]
 

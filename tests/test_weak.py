@@ -8,10 +8,9 @@ from arcticauction.core import PerturbationConfig, ceil_log2, compute_stats, per
 from arcticauction.errors import SolverError
 from arcticauction.graph import (
     MarketState,
+    bang_per_buck_view,
     buyer_node,
     good_node,
-    state_alphas,
-    state_equality_graph,
 )
 from arcticauction.oracle import brute_force_equilibrium
 from arcticauction.trace import PhaseMark, PhaseTrace, TraceRow
@@ -32,7 +31,13 @@ from arcticauction.weak import (
     update_price_star,
 )
 
-from conftest import check_nondecreasing, check_step_lines, lean_sigma, make_instance
+from conftest import (
+    alphas_of,
+    check_nondecreasing,
+    check_step_lines,
+    lean_sigma,
+    make_instance,
+)
 
 
 def scaling_state(inst, prices, spending, refunds, delta, initial=None):
@@ -174,7 +179,7 @@ class TestUpdatePriceStar:
             buyer_node("b1"),
         )
         assert ss.market.prices["g1"] == 3
-        assert state_alphas(inst, ss.market)["b1"] == 1
+        assert alphas_of(inst, ss.market)["b1"] == 1
 
     def test_backorder_zero_event(self):
         # inflow twice the price and bang-per-buck far away: q = 2
@@ -203,7 +208,7 @@ class TestUpdatePriceStar:
         # the tie needs a new search; the raised tree has no terminal
         assert update_price_star(inst, ss, active_tree(inst, ss, "b1")) == (True, None)
         assert ss.market.prices == {"g1": Fraction(3, 2), "g2": Fraction(1)}
-        assert ("b1", "g2") in state_equality_graph(inst, ss.market)
+        assert ("b1", "g2") in bang_per_buck_view(inst, ss.market).edges
 
 
 class TestPriceAndAugment:
@@ -346,7 +351,7 @@ class TestRefundStep:
     def test_precondition_enforced(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
         ss = scaling_state(inst, {"g1": 2}, {}, {}, delta=1)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="bang-per-buck 4, cash 4"):
             refund_step(inst, ss, "b1")  # bang-per-buck is 4 > 1
 
     def test_cash_below_delta_rejected(self):
