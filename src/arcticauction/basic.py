@@ -191,9 +191,7 @@ def basic_solution(
     for comp in components:
         c_prices, c_flows, c_refunds = _component_solution(inst, comp, budgets)
         prices.update(c_prices)
-        for edge, value in c_flows.items():
-            if value != 0:
-                spending[edge] = value
+        spending.update(c_flows)
         refunds.update(c_refunds)
     return MarketState(prices=prices, spending=spending, refunds=refunds)
 

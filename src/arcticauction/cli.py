@@ -135,11 +135,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         try:
             section = results[name]["equilibrium"]
             prices = {g: parse_rational(v) for g, v in section["prices"].items()}
-            spending = {
-                (row[0], row[1]): parse_rational(row[2])
-                for row in section["spending"]
-            }
+            spending = {}
+            for row in section["spending"]:
+                edge = (row[0], row[1])
+                if edge in spending:
+                    raise InstanceError(f"second spending row for {edge}")
+                spending[edge] = parse_rational(row[2])
             refunds = {b: parse_rational(v) for b, v in section["refunds"].items()}
+            for g in [*prices, *(g for _, g in spending)]:
+                if g not in inst.good_pos:
+                    raise InstanceError(f"unknown good {g}")
+            for b in refunds:
+                if b not in inst.buyer_pos:
+                    raise InstanceError(f"unknown buyer {b}")
         except (InstanceError, AttributeError, KeyError, IndexError, TypeError) as exc:
             raise InstanceError(f"malformed equilibrium section ({exc})") from exc
         try:

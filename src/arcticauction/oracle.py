@@ -76,13 +76,11 @@ class Equilibrium:
     def from_state(
         cls, inst: MarketInstance, state: MarketState, certificate: Certificate
     ) -> "Equilibrium":
-        quantities = {
-            e: v / state.prices[e[1]] for e, v in state.spending.items() if v != 0
-        }
+        quantities = {e: v / state.prices[e[1]] for e, v in state.spending.items()}
         refunds = {b: state.refunds.get(b, ZERO) for b in inst.buyers}
         return cls(
             prices=dict(state.prices),
-            spending={e: v for e, v in state.spending.items() if v != 0},
+            spending=dict(state.spending),
             refunds=refunds,
             quantities=quantities,
             certificate=certificate,

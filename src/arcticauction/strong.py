@@ -23,14 +23,13 @@ import math
 from fractions import Fraction
 
 from arcticauction.basic import SupportError, basic_solution, solve_tree_flow
-from arcticauction.core import InstanceStats, MarketInstance, compute_stats
+from arcticauction.core import MarketInstance, compute_stats
 from arcticauction.errors import SolverError
 from arcticauction.graph import (
     Component,
     Edge,
     Forest,
     MarketState,
-    Node,
     abundant_edges,
     bang_per_buck_view,
     buyer_node,
@@ -46,6 +45,7 @@ from arcticauction.rational import Q, ZERO, reduced
 from arcticauction.trace import PhaseTrace, RestartRecord
 from arcticauction.weak import (
     ScalingState,
+    SearchTree,
     _augment,
     check_phase_invariants,
     halve_and_repair,
@@ -114,17 +114,21 @@ def special_price(
     Runs on a private copy of the market state, so ``ss`` is untouched:
     spending stays frozen, and only the copy's prices and refunds move,
     seen through the same incremental bang-per-buck view as the inner
-    steps.  Four events can end an iteration: a new equality edge from an
-    active buyer to an inactive good (the active set then grows), the root
-    surplus reaching the target, some component's surplus reaching the
-    barrier ``-root surplus / (2 n^2)``, or an active buyer with positive
-    cash turning critical, in which case as much of her cash is committed
-    as the target and barrier allow.  Runs for at most ``n + |B|``
-    iterations.  ``components`` must be the abundant forest of ``ss``;
-    their edges are the backward arcs of the search for the active set.
-    The root must hold a buyer and a good: a singleton's surplus does not
-    move with prices, and its callers read it directly.  Returns the
-    private state and the iteration count.
+    steps.  Each iteration reads the active set off one
+    :class:`~arcticauction.weak.SearchTree` from the root component's
+    nodes, whose backward arcs are the edges of ``components``, the
+    abundant forest of ``ss``.  Four events can end an iteration: a new
+    equality edge from an active buyer to an inactive good (the active set
+    then grows), the root surplus reaching the target, some component's
+    surplus reaching the barrier ``-root surplus / (2 n^2)``, or an active
+    buyer with positive cash turning critical, in which case as much of
+    her cash is committed as the target and barrier allow.  A component
+    whose goods are active loses their price sum times the multiplier
+    minus one; one that is inactive or has no goods keeps its surplus,
+    and counts as a price sum of 0 in the same barrier formula.  Runs for
+    at most ``n + |B|`` iterations.  The root must hold a buyer and a
+    good: a singleton's surplus does not move with prices, and its callers
+    read it directly.  Returns the private state and the iteration count.
     """
     if root_component.is_singleton():
         raise SolverError(
@@ -138,6 +142,7 @@ def special_price(
     )
     prices = state.prices
     abundant = {e for comp in components for e in comp.edges}
+    roots = root_component.nodes()
     barrier_scale = Q(2 * n * n)
 
     max_iterations = n + len(inst.buyers)
@@ -147,23 +152,19 @@ def special_price(
         if root_surplus <= target:
             break
         barrier = -root_surplus / barrier_scale
-        if any(comp.surplus(inst, state) <= barrier for comp in components):
+        surpluses = [comp.surplus(inst, state) for comp in components]
+        if any(value <= barrier for value in surpluses):
             break
         if iterations >= max_iterations:
             raise SolverError("price raising exceeded its iteration bound")
         iterations += 1
 
         view = bang_per_buck_view(inst, state)
-        active = reach(inst, root_component.nodes(), view.edges, abundant)
-        active_buyers = sorted(
-            (name for kind, name in active if kind == "B"),
-            key=inst.buyer_pos.__getitem__,
-        )
-        active_buyer_set = set(active_buyers)
-        active_good_set = {name for kind, name in active if kind == "G"}
+        tree = SearchTree(inst, state, roots, abundant)
+        active_buyer_set = set(tree.buyers)
         for comp in components:
             for side, active_side in (
-                (set(comp.goods), active_good_set),
+                (set(comp.goods), tree.good_set),
                 (set(comp.buyers), active_buyer_set),
             ):
                 touched = side & active_side
@@ -177,7 +178,7 @@ def special_price(
         # (1) new equality edge: active buyer toward an inactive good; the
         # smallest such multiplier is at least 1, and ties go to the
         # canonically first edge
-        event = edge_event(inst, view, active_buyers, active_good_set)
+        event = edge_event(inst, view, tree.buyers, tree.good_set)
         if event is not None:
             num, den, (b, g) = event
             candidates.append(
@@ -187,20 +188,17 @@ def special_price(
         q2 = (root_budget - target) / root_goods_price
         candidates.append((q2, 2, (), "target", None))
         # (3) some component reaches the barrier
-        for comp in components:
-            comp_surplus = comp.surplus(inst, state)
-            goods_active = bool(comp.goods) and comp.goods[0] in active_good_set
-            if goods_active or not comp.goods:
+        for comp, comp_surplus in zip(components, surpluses):
+            comp_price = ZERO
+            if comp.goods and comp.goods[0] in tree.good_set:
                 comp_price = sum((prices[g] for g in comp.goods), ZERO)
-                num = comp_surplus + comp_price + root_budget / barrier_scale
-                den = comp_price + root_goods_price / barrier_scale
-                q = num / den
-            else:
-                q = (root_budget + barrier_scale * comp_surplus) / root_goods_price
+            q = (comp_surplus + comp_price + root_budget / barrier_scale) / (
+                comp_price + root_goods_price / barrier_scale
+            )
             if q >= 1:
                 candidates.append((q, 3, (component_key(comp),), "barrier", comp))
         # (4) an active buyer with positive cash turns critical
-        for b in active_buyers:
+        for b in tree.buyers:
             if view.signs[b] >= 0 and state.effective_cash(inst, b) > 0:
                 alpha = reduced(*view.best_pair(b))
                 candidates.append((alpha, 4, (inst.buyer_pos[b],), "critical", b))
@@ -210,7 +208,7 @@ def special_price(
         )
         if q < 1:
             raise SolverError(f"price-raise event at multiplier {q} < 1")
-        state.scale_prices(active_good_set, q)
+        state.scale_prices(tree.good_set, q)
 
         if kind == "critical":
             b = subject
@@ -426,37 +424,41 @@ def _assert_restart_invariants(
 def _repair_deficits(
     inst: MarketInstance,
     ss: ScalingState,
-    stats: InstanceStats,
+    components: list[Component],
     trace: PhaseTrace,
     phase: int,
 ) -> None:
     """One augmentation per negative-backorder good after a restart.
 
-    Routed from the canonically smallest buyer holding at least ``delta``
-    of cash that can reach the good, preferring buyers inside the good's
-    component.  Goods no buyer can reach yet stay flagged and are repaired
-    by the ordinary steps once the graph connects to them.
+    ``components`` is the restart's abundant forest.  The installed state
+    spends only on its edges, each above ``3 n delta``, so it is the
+    installed state's abundant forest too.  The buyers that can reach a
+    deficit good are found by one search from the good over the reversed
+    residual arcs; the canonically smallest of them holding at least
+    ``delta`` of cash, preferring buyers inside the good's component,
+    sends one unit along the path of a search from it.  Goods no buyer can
+    reach yet stay flagged and are repaired by the ordinary steps once the
+    graph connects to them.
     """
     market = ss.market
-    components = components_of_edges(inst, abundant_edges(market, stats.n))[0]
     comp_of_good = {g: comp for comp in components for g in comp.goods}
     deficits = [g for g in inst.goods if market.backorder_pair(g)[0] < 0]
     for g in deficits:
         forward, backward = bang_per_buck_view(inst, market).edges, returnable_edges(ss)
-        trees: dict[str, dict[Node, Node | None]] = {}
-        for b in inst.buyers:
-            if market.cash_term(inst, b) < 1:
-                continue
-            tree = reach(inst, [buyer_node(b)], forward, backward)
-            if good_node(g) in tree:
-                trees[b] = tree
-        if not trees:
+        target = good_node(g)
+        sources = [
+            name
+            for kind, name in reach(inst, [target], backward, forward)
+            if kind == "B" and market.cash_term(inst, name) >= 1
+        ]
+        if not sources:
             continue
         root = min(
-            trees, key=lambda b: (b not in comp_of_good[g].buyers, inst.buyer_pos[b])
+            sources, key=lambda b: (b not in comp_of_good[g].buyers, inst.buyer_pos[b])
         )
         phi_before = potential(inst, ss)
-        _augment(ss, path_to(trees[root], good_node(g)))
+        tree = reach(inst, [buyer_node(root)], forward, backward)
+        _augment(ss, path_to(tree, target))
         record_step(inst, ss, trace, phase, "restart_repair", g, phi_before)
         ss.allowed_deficit.pop(g, None)
 
@@ -517,9 +519,7 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     while phase <= budget:
         mark = start_phase(inst, ss, stats, trace, phase, entry)
         _note_abundant(trace, phase, mark.abundant_start)
-        run_inner_loop(
-            inst, ss, stats, trace, phase, check_iteration_bound=entry != "restart"
-        )
+        run_inner_loop(inst, ss, trace, phase)
         trace.end_phase(ss.market.spending)
         if entry != "restart":
             check_phase_invariants(n, mark)
@@ -566,7 +566,7 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
             if record.branch == "delayed":
                 entry = "delayed"
             else:
-                _repair_deficits(inst, ss, stats, trace, phase)
+                _repair_deficits(inst, ss, components, trace, phase)
                 ok, violations = is_delta_feasible(inst, ss)
                 if not ok:
                     raise SolverError(f"restarted state infeasible: {violations}")

@@ -12,9 +12,10 @@ exactly the set of edges spending more than ``4 * n * delta``, and the
 equilibrium is recovered from it by a tree solve.
 
 Each inner step lowers the integer potential (the sum of
-``floor(cash / delta)``) by exactly one, which bounds every phase by ``n``
-steps; both facts are asserted at run time.  A buyer's consecutive refund
-steps are booked and checked as one call.
+``floor(cash / delta)``) by exactly one, and every phase but one opened by
+a compressed restart starts with potential at most ``n``; both facts are
+asserted at run time, and together they bound the phase by ``n`` steps.
+A buyer's consecutive refund steps are booked and checked as one call.
 """
 
 from __future__ import annotations
@@ -327,24 +328,31 @@ def potential(inst: MarketInstance, ss: ScalingState) -> int:
 
 
 class SearchTree:
-    """One residual search of a price-and-augment round, summed up for the
-    raises that follow it.
+    """One residual search of a price raise, summed up for the raises that
+    follow it.
 
-    ``parent`` is the :func:`~arcticauction.graph.reach` tree of the root
-    buyer; its nodes are the active set.  ``buyers`` and ``goods`` list
-    them in canonical order, ``good_set`` holds the goods again, and
-    ``inflow`` each active good's :meth:`MarketState.inflow_pair`.  A
-    price raise moves prices only, so the pairs stay valid until the next
-    search.
+    ``parent`` is the :func:`~arcticauction.graph.reach` forest of
+    ``roots`` (in canonical order) along the equality edges and the
+    ``backward`` edges; its nodes are the active set.  A price-and-augment
+    round searches from its root buyer over the returnable edges, and the
+    restart's price raiser from a component over the abundant forest.
+    ``buyers`` and ``goods`` list the active set in canonical order,
+    ``good_set`` holds the goods again, and ``inflow`` each active good's
+    :meth:`MarketState.inflow_pair`.  A price raise moves prices only, so
+    the pairs stay valid until the next search.
     """
 
     __slots__ = ("parent", "buyers", "goods", "good_set", "inflow")
 
     def __init__(
-        self, inst: MarketInstance, market: MarketState, root: Node, returnable: set[Edge]
+        self,
+        inst: MarketInstance,
+        market: MarketState,
+        roots: list[Node],
+        backward: set[Edge],
     ) -> None:
         eq_edges = bang_per_buck_view(inst, market).edges
-        self.parent = reach(inst, [root], eq_edges, returnable)
+        self.parent = reach(inst, roots, eq_edges, backward)
         self.buyers: list[str] = []
         self.goods: list[str] = []
         for kind, name in self.parent:
@@ -469,12 +477,12 @@ def price_and_augment(
     start = buyer_node(root)
     # a price raise moves prices only, so the returnable edges stay the same
     returnable = returnable_edges(ss)
-    tree = SearchTree(inst, market, start, returnable)
+    tree = SearchTree(inst, market, [start], returnable)
     terminal = tree.terminal(inst, market)
     while terminal is None:
         tied, terminal = update_price_star(inst, ss, tree)
         if tied:
-            tree = SearchTree(inst, market, start, returnable)
+            tree = SearchTree(inst, market, [start], returnable)
             terminal = tree.terminal(inst, market)
 
     _augment(ss, path_to(tree.parent, terminal))
@@ -561,14 +569,19 @@ def start_phase(
 ) -> PhaseMark:
     """Phase-start checks of both solvers, then the phase's trace mark.
 
-    The prices must be generic, a phase opened by initialization or halving
-    must start with potential at most ``n``, and every edge abundant at the
-    start of the previous phase must still be abundant.
+    The prices must be generic, every phase must start with potential at
+    most ``n`` except one opened by a compressed restart (``entry`` of
+    ``restart``), which frees non-abundant spending back into cash, and
+    every edge abundant at the start of the previous phase must still be
+    abundant.  The potential check is the phase's step bound: each step
+    lowers the potential by exactly one (:func:`record_step`) and no
+    feasible state has negative cash, so a phase it admits takes at most
+    ``n`` steps.
     """
     if not check_genericity(inst, ss.market).ok:
         raise GenericityError(f"degenerate prices at phase {phase}")
     phi = potential(inst, ss)
-    if entry in ("init", "halve") and phi > stats.n:
+    if entry != "restart" and phi > stats.n:
         raise SolverError(f"phase {phase} starts with potential {phi} > n")
     abundant = abundant_edges(ss.market, stats.n)
     if trace.phases:
@@ -619,22 +632,19 @@ def record_step(
 
 
 def run_inner_loop(
-    inst: MarketInstance,
-    ss: ScalingState,
-    stats: InstanceStats,
-    trace: PhaseTrace,
-    phase: int,
-    check_iteration_bound: bool = True,
+    inst: MarketInstance, ss: ScalingState, trace: PhaseTrace, phase: int
 ) -> None:
     """Drive the state to optimality, asserting the potential discipline.
 
-    A run of refund steps is checked for feasibility once, after its last
-    step: within the run the buyer's refund only grows from a non-negative
-    value and its cash only falls to a value that is still non-negative,
-    so if the end state is feasible, so is every state of the run.  The
-    iteration bound counts steps, not calls.
+    Every row must lower the potential by exactly its number of steps, and
+    the state must stay feasible, so no cash goes negative: the potential
+    the phase started with bounds its steps, and :func:`start_phase`
+    bounds that by ``n``.  A run of refund steps is checked for
+    feasibility once, after its last step: within the run the buyer's
+    refund only grows from a non-negative value and its cash only falls to
+    a value that is still non-negative, so if the end state is feasible,
+    so is every state of the run.
     """
-    iterations = 0
     while not is_delta_optimal(inst, ss):
         phi_before = potential(inst, ss)
         kind, subject, steps = inner_step(inst, ss)
@@ -642,9 +652,6 @@ def run_inner_loop(
         ok, violations = is_delta_feasible(inst, ss)
         if not ok:
             raise SolverError(f"infeasible after {kind} at {subject}: {violations}")
-        iterations += steps
-        if check_iteration_bound and iterations > stats.n:
-            raise SolverError("phase exceeded its iteration bound")
 
 
 def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
@@ -665,7 +672,7 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     while True:
         mark = start_phase(inst, ss, stats, trace, phase, entry)
         trace.abundant_discovered |= mark.abundant_start
-        run_inner_loop(inst, ss, stats, trace, phase)
+        run_inner_loop(inst, ss, trace, phase)
         trace.end_phase(ss.market.spending)
         check_phase_invariants(stats.n, mark)
 

@@ -7,8 +7,9 @@ the criteria that inspect the same runs.
 Scoping notes, fixed up front:
 
 * The potential bound ``phi <= n`` and the per-phase iteration bound are
-  stated for ordinary scaling phases (initialization and halving
-  transitions); a compressed restart legitimately frees non-abundant
+  stated for ordinary phases: those opened by initialization, by halving,
+  and by a ``delayed`` restart (which keeps the optimal state and starts
+  at potential 0).  A compressed restart legitimately frees non-abundant
   spending back into buyer cash, so the phase it opens can start with a
   larger potential.  The per-iteration drop by exactly one is asserted for
   every iteration of every phase, restarts included.

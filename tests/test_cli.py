@@ -434,6 +434,19 @@ INPUT_ERRORS = {
     "verify_unknown_buyer": edited_solution(
         lambda doc: weak_section(doc)["spending"].append(["b9", "g1", "1"])
     ),
+    "verify_unknown_good_price": edited_solution(
+        lambda doc: weak_section(doc)["prices"].update(g9="-3")
+    ),
+    "verify_unknown_buyer_refund": edited_solution(
+        lambda doc: weak_section(doc)["refunds"].update(b9="5")
+    ),
+    "verify_unknown_good_spending": edited_solution(
+        lambda doc: weak_section(doc)["spending"].append(["b1", "g9", "0"])
+    ),
+    # a wrong row before the right one, which would overwrite it
+    "verify_second_spending_row": edited_solution(
+        lambda doc: weak_section(doc)["spending"].insert(0, ["b1", "g1", "7"])
+    ),
     "verify_sigma_above_bound": edited_solution(
         lambda doc: doc["perturbation"].update(sigma="1")
     ),

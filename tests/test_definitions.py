@@ -1,10 +1,16 @@
-"""Every function, class and method of the package is referenced somewhere.
+"""Every function, class and method of the package is referenced somewhere,
+and none takes a flag.
 
 A definition counts as live when its name is read (as a name, an
 attribute, or inside a string annotation) anywhere in the package's
 sources or in ``perfbench/``.  Tests do not count: library code that only
 the tests call is dead weight.  Dunders and the names the package lists in
 ``__all__`` (its public interface) are exempt.
+
+A parameter annotated ``bool`` (alone or in a union such as ``bool |
+None``) is a flag that switches a function between two behaviours; each
+behaviour belongs in a function of its own, or the check it skips in one
+place.
 """
 
 import ast
@@ -78,4 +84,52 @@ def test_check_catches_a_planted_unused_function():
     assert unreferenced({"mod.py": source}, [source], {"exported"}) == [
         "mod.py:4 unused_method",
         "mod.py:8 planted",
+    ]
+
+
+def _is_bool(annotation: ast.expr | None) -> bool:
+    """Whether an annotation is ``bool`` or a union with a ``bool`` member."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        return _is_bool(annotation.left) or _is_bool(annotation.right)
+    return isinstance(annotation, ast.Name) and annotation.id == "bool"
+
+
+def flag_parameters(sources: dict[str, str]) -> list[str]:
+    """``file:line function(parameter)`` of each parameter of a function or
+    method in ``sources`` (file name -> source) annotated ``bool``."""
+    flags = []
+    for name, source in sorted(sources.items()):
+        nodes = [
+            n
+            for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for node in sorted(nodes, key=lambda n: n.lineno):
+            a = node.args
+            for arg in [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]:
+                if arg is not None and _is_bool(arg.annotation):
+                    flags.append(f"{name}:{arg.lineno} {node.name}({arg.arg})")
+    return flags
+
+
+def test_no_function_takes_a_flag():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert flag_parameters(sources) == []
+
+
+def test_check_catches_a_planted_flag():
+    source = (
+        "def run(steps: int, verbose: bool = False) -> bool:\n"
+        "    return verbose\n"
+        "class Loop:\n"
+        "    def step(self, *, strict: 'bool | None' = None, table: dict[str, bool]):\n"
+        "        return strict\n"
+        "def ok(count: int) -> bool:\n"
+        "    return count > 0\n"
+    )
+    assert flag_parameters({"mod.py": source}) == [
+        "mod.py:1 run(verbose)",
+        "mod.py:4 step(strict)",
     ]

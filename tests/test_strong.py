@@ -20,6 +20,7 @@ from arcticauction.graph import (
 from arcticauction.oracle import brute_force_equilibrium
 from arcticauction.randgen import random_instance
 from arcticauction.strong import (
+    _repair_deficits,
     commit_refund,
     fertile_components,
     get_allocations,
@@ -219,6 +220,52 @@ class TestSpecialPrice:
         assert state.refunds["b1"] > 0
         assert comp.surplus(inst, state) == 0
 
+    # root {b1, g1}: budget 10, price 2, surplus 8; b1 turns critical at
+    # q = 5 and the root surplus reaches 0 at q = 5.  A component that no
+    # raise moves, with surplus s < 0, meets the barrier -surplus / K of
+    # the raised root (K = 2 n^2) at q = (10 + K s) / 2, before either.
+
+    def test_stops_at_an_inactive_components_barrier(self):
+        # {b2, g2} keeps surplus 1 - 9/8 = -1/8, as b1 values no other good;
+        # n = 4, K = 32, q = (10 - 4) / 2 = 3
+        inst = make_instance(
+            {"b1": 10, "b2": 1}, {("b1", "g1"): 10, ("b2", "g2"): 1}
+        )
+        ss = scaling_state(
+            inst,
+            {"g1": 2, "g2": Fraction(9, 8)},
+            {("b1", "g1"): 2, ("b2", "g2"): 1},
+            {},
+            delta=Fraction(1, 100),
+        )
+        comps = components_of_edges(inst, {("b1", "g1"), ("b2", "g2")}).components
+        root, other = comps
+        state, iterations = special_price(inst, ss, comps, root, Fraction(0))
+        assert iterations == 1
+        assert state.prices == {"g1": 6, "g2": Fraction(9, 8)}
+        assert other.surplus(inst, state) == -root.surplus(inst, state) / 32
+
+    def test_stops_at_a_lone_buyers_barrier(self):
+        # b3 holds no good and a refund 1/8 above the budget: surplus -1/8;
+        # n = 3, K = 18, q = (10 - 9/4) / 2 = 31/8
+        inst = make_instance(
+            {"b1": 10, "b3": 1}, {("b1", "g1"): 10, ("b3", "g1"): 1}
+        )
+        ss = scaling_state(
+            inst,
+            {"g1": 2},
+            {("b1", "g1"): 2},
+            {"b3": Fraction(9, 8)},
+            delta=Fraction(1, 100),
+        )
+        comps = components_of_edges(inst, {("b1", "g1")}).components
+        root, lone = comps
+        assert lone.buyers == ("b3",) and not lone.goods
+        state, iterations = special_price(inst, ss, comps, root, Fraction(0))
+        assert iterations == 1
+        assert state.prices == {"g1": Fraction(31, 4)}
+        assert lone.surplus(inst, state) == -root.surplus(inst, state) / 18
+
     def test_singleton_root_rejected(self):
         # a singleton's surplus does not move with prices: its callers read
         # it directly, and the raiser refuses it
@@ -277,6 +324,44 @@ class TestAuxNetwork:
         aux = AuxNetwork.build(inst, abundant_edges(ss.market, n))
         mu = max_multiplier(aux, good_node(root.goods[0]), good_node(other.goods[0]))
         assert mu == state.prices[other.goods[0]] / state.prices[root.goods[0]]
+
+
+def repair_rows(inst, ss, forest_edges):
+    """Run the deficit repair on a restarted state whose abundant forest
+    has ``forest_edges``; return the (kind, subject) of its trace rows."""
+    comps = components_of_edges(inst, forest_edges).components
+    trace = PhaseTrace("strong")
+    trace.begin_phase(0, ss.delta, "restart", 0, ss.market.spending, set())
+    _repair_deficits(inst, ss, comps, trace, 0)
+    return [(r.kind, r.subject) for r in trace.rows]
+
+
+class TestRepairDeficits:
+    def test_repairs_from_a_buyer_that_reaches_the_good(self):
+        # Every buyer holds delta = 1 of cash, and g1 is 2 short.  b1 comes
+        # first but reaches only g2; b2 (outside g1's component) and b3
+        # (inside it) both reach g1.
+        inst = make_instance(
+            {"b1": 2, "b2": 1, "b3": 5},
+            {("b2", "g1"): 12, ("b3", "g1"): 12, ("b1", "g2"): 2},
+        )
+        ss = scaling_state(
+            inst, {"g1": 6, "g2": 1}, {("b3", "g1"): 4, ("b1", "g2"): 1}, {}, delta=1
+        )
+        ss.allowed_deficit = {"g1": Fraction(2)}
+        rows = repair_rows(inst, ss, {("b3", "g1"), ("b1", "g2")})
+        assert rows == [("restart_repair", "g1")]
+        assert ss.market.spending == {("b3", "g1"): 5, ("b1", "g2"): 1}
+        assert ss.allowed_deficit == {}
+
+    def test_skips_a_buyer_that_cannot_reach_the_good(self):
+        # g1, a component of its own, is 1 short; b1 holds delta first but
+        # reaches only g2, and b2 reaches g1
+        inst = make_instance({"b1": 2, "b2": 1}, {("b2", "g1"): 2, ("b1", "g2"): 2})
+        ss = scaling_state(inst, {"g1": 1, "g2": 1}, {("b1", "g2"): 1}, {}, delta=1)
+        rows = repair_rows(inst, ss, {("b1", "g2")})
+        assert rows == [("restart_repair", "g1")]
+        assert ss.market.spending == {("b1", "g2"): 1, ("b2", "g1"): 1}
 
 
 class TestGetParameter:

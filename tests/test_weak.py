@@ -28,6 +28,7 @@ from arcticauction.weak import (
     refund_step,
     returnable_edges,
     run_weak,
+    start_phase,
     update_price_star,
 )
 
@@ -163,7 +164,7 @@ class TestPotential:
 
 def active_tree(inst, ss, root):
     """The root buyer's residual search tree, as price_and_augment gets it."""
-    return SearchTree(inst, ss.market, buyer_node(root), returnable_edges(ss))
+    return SearchTree(inst, ss.market, [buyer_node(root)], returnable_edges(ss))
 
 
 class TestUpdatePriceStar:
@@ -509,6 +510,24 @@ class TestPhaseInvariants:
         mark = self.mark({("b1", "g1"): 1}, {("b1", "g1"): 1, ("b2", "g1"): 2})
         with pytest.raises(SolverError, match="drifted 2 > 3/2"):
             check_phase_invariants(3, mark)
+
+
+class TestStartPhase:
+    # one buyer holding 5 deltas of cash: potential 5 > n = 2
+    inst = make_instance({"b1": 5}, {("b1", "g1"): 2})
+
+    def start(self, entry):
+        ss = scaling_state(self.inst, {"g1": 1}, {}, {}, delta=1)
+        trace = PhaseTrace(algorithm="strong")
+        return start_phase(self.inst, ss, compute_stats(self.inst), trace, 3, entry)
+
+    @pytest.mark.parametrize("entry", ["init", "halve", "delayed"])
+    def test_potential_above_n_raises(self, entry):
+        with pytest.raises(SolverError, match="phase 3 starts with potential 5 > n"):
+            self.start(entry)
+
+    def test_restart_may_start_above_n(self):
+        assert self.start("restart").potential_start == 5
 
 
 class TestRunWeak:
