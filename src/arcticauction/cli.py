@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
+from fractions import Fraction
 
 from arcticauction.core import (
     InstanceError,
@@ -134,13 +135,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name in sorted(results):
         try:
             section = results[name]["equilibrium"]
+            stored = results[name]["certificate"]
             prices = {g: parse_rational(v) for g, v in section["prices"].items()}
-            spending = {}
-            for row in section["spending"]:
-                edge = (row[0], row[1])
-                if edge in spending:
-                    raise InstanceError(f"second spending row for {edge}")
-                spending[edge] = parse_rational(row[2])
+            spending = _edge_rows(section["spending"], "spending")
+            quantities = _edge_rows(section["quantities"], "quantity")
             refunds = {b: parse_rational(v) for b, v in section["refunds"].items()}
             for g in [*prices, *(g for _, g in spending)]:
                 if g not in inst.good_pos:
@@ -154,6 +152,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             cert = check_equilibrium(target, prices, spending, refunds)
         except ValueError as exc:
             raise InstanceError(f"malformed equilibrium section ({exc})") from exc
+        # prices are positive now: each quantity is spending / price
+        if quantities.keys() != spending.keys():
+            raise InstanceError(f"quantity rows of {name} are not the spending rows")
+        for (b, g), value in spending.items():
+            if quantities[(b, g)] * prices[g] != value:
+                raise InstanceError(f"quantity of {(b, g)} is not spending / price")
         all_ok = all_ok and cert.ok
         print(f"[{name}] {'PASS' if cert.ok else 'FAIL'}")
         for condition in cert.conditions:
@@ -161,7 +165,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"  {condition.name}: {status}")
             for violation in condition.violations:
                 print(f"    {violation}")
+        if stored != certificate_doc(cert):
+            raise InstanceError(f"stored certificate of {name} is not the recomputed one")
     return 0 if all_ok else 1
+
+
+def _edge_rows(rows: list, what: str) -> dict[tuple[str, str], Fraction]:
+    """``[buyer, good, value]`` rows as a dict by edge; a second row for an
+    edge is an input error."""
+    values: dict[tuple[str, str], Fraction] = {}
+    for row in rows:
+        edge = (row[0], row[1])
+        if edge in values:
+            raise InstanceError(f"second {what} row for {edge}")
+        values[edge] = parse_rational(row[2])
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -61,6 +61,9 @@ def edge_key(inst: MarketInstance, edge: Edge) -> tuple[int, int]:
 
 Touch = tuple[str, object]  # ("buyer", b) | ("good", g) | ("edge", e) | ("price", g)
 
+# the pending item of a rescale by a whole factor (see MarketState.changes)
+RESCALED: Touch = ("scale", None)
+
 _VALUES = "values"
 
 
@@ -289,12 +292,16 @@ class MarketState:
     def rescale(self, unit: Fraction) -> None:
         """Count in ``unit`` from now on.  Every count is multiplied by the
         old unit over the new one, which must be a whole number while any
-        count is non-zero; amounts do not change, so nothing is touched."""
+        count is non-zero.  Amounts, prices and rows do not change, so no
+        buyer, good or edge is touched; after a whole factor each view that
+        read the old unit gets the pending item ``RESCALED`` and the new
+        unit as its scale (see :meth:`changes`)."""
         old = self.unit
-        if old is not None and (self.edge_units or any(self.refund_units.values())):
-            factor = old / unit
-            if factor.denominator != 1:
-                raise ValueError(f"cannot recount units of {old} in units of {unit}")
+        if old is None:
+            self.unit = unit
+            return
+        factor = old / unit
+        if factor.denominator == 1:
             k = factor.numerator
             for counts in (
                 self.edge_units,
@@ -304,6 +311,12 @@ class MarketState:
             ):
                 for key in counts:
                     counts[key] *= k
+            for view, (scale, pending) in list(self._pending.items()):
+                if scale is old:
+                    pending[RESCALED] = None
+                    self._pending[view] = (unit, pending)
+        elif self.edge_units or any(self.refund_units.values()):
+            raise ValueError(f"cannot recount units of {old} in units of {unit}")
         self.unit = unit
 
     def _touch(self, items: list[Touch]) -> None:
@@ -316,7 +329,12 @@ class MarketState:
     ) -> dict[Touch, None] | None:
         """Items touched since ``view`` last asked, each once; None when the
         view must start over: on its first call, and when ``scale`` is not
-        the object it passed last time.
+        the object it passed last time or the unit a rescale by a whole
+        factor moved it to.  Such a rescale leaves the item ``RESCALED``:
+        amounts, prices and rows are as before, and only the tests that
+        read the scale itself need repeating.  A rescale by any other factor
+        (possible only while every count is zero) leaves the view's scale
+        behind, so its next call starts over.
 
         A view's pending items never hold an item twice and are handed over
         whole, so they stay bounded by the size of the market.
@@ -334,9 +352,11 @@ class BangPerBuckView:
     the prices.  A buyer's best pair is the ratio of the first edge of her
     row; ``signs`` holds its sign against one (1 above, 0 at, -1 below).
     The dicts and the set are updated in place; copy one to keep a
-    snapshot."""
+    snapshot.  ``version`` goes up whenever a buyer's row or sign changes,
+    so while it stands still the equality graph and the signs are as they
+    were."""
 
-    __slots__ = ("utilities", "ratios", "rows", "signs", "edges")
+    __slots__ = ("utilities", "ratios", "rows", "signs", "edges", "version")
 
     def __init__(self, inst: MarketInstance) -> None:
         self.utilities = {
@@ -346,6 +366,7 @@ class BangPerBuckView:
         self.rows: dict[str, tuple[Edge, ...]] = {}
         self.signs: dict[str, int] = {}
         self.edges: set[Edge] = set()
+        self.version = 0
 
     def best_pair(self, buyer: str) -> tuple[int, int]:
         return self.ratios[self.rows[buyer][0]]
@@ -406,10 +427,15 @@ def bang_per_buck_view(inst: MarketInstance, state: MarketState) -> BangPerBuckV
                 row.append(edge)
         if not row:
             raise ValueError("buyer values no good")
-        view.signs[b] = (best_n > best_d) - (best_n < best_d)
-        view.edges.difference_update(view.rows.get(b, ()))
-        view.edges.update(row)
-        view.rows[b] = tuple(row)
+        sign = (best_n > best_d) - (best_n < best_d)
+        row = tuple(row)
+        old = view.rows.get(b)
+        view.rows[b] = row
+        if row != old or sign != view.signs.get(b):
+            view.signs[b] = sign
+            view.edges.difference_update(old or ())
+            view.edges.update(row)
+            view.version += 1
     return view
 
 

@@ -6,7 +6,8 @@ bang-per-buck view (``graph.bang_per_buck_view``), the one place
 bang-per-buck and the equality graph are computed; the checks read its
 equality edges and each buyer's sign against one, and normalize a best
 ratio only to report it.  The genericity check reads the solver's live
-view; the certifier builds a
+view, and walks the graph again only after the view's rows or signs
+changed; the certifier builds a
 :class:`~arcticauction.graph.MarketState` of its own, whose first view
 call computes every ratio afresh from the prices it is given.  So a
 certified answer is checked against the market definition rather than
@@ -16,8 +17,10 @@ against the steps of the algorithm that produced it.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from arcticauction.basic import SupportError, basic_solution
 from arcticauction.core import MarketInstance, compute_stats
@@ -205,13 +208,15 @@ def brute_force_equilibrium(inst: MarketInstance) -> Equilibrium:
     return Equilibrium.from_state(inst, state, cert)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenericityReport:
-    """Result of checking the two generic-position properties at a price vector."""
+    """Result of checking the two generic-position properties at a price
+    vector.  It is immutable, because :func:`check_genericity` hands the
+    same report out again while the state's equality graph stands still."""
 
     is_forest: bool
-    offending_cycle: list[Edge] | None
-    critical_buyers_per_component: dict[str, int]
+    offending_cycle: tuple[Edge, ...] | None
+    critical_buyers_per_component: Mapping[str, int]
 
     @property
     def ok(self) -> bool:
@@ -220,18 +225,32 @@ class GenericityReport:
         )
 
 
+_GENERICITY = "genericity"
+
+
 def check_genericity(inst: MarketInstance, state: MarketState) -> GenericityReport:
     """Verify the equality graph at the state's prices is a forest with at
-    most one critical buyer per connected component."""
+    most one critical buyer per connected component.
+
+    The report reads only the equality edges and the buyers' signs, so
+    while the ``version`` of the state's bang-per-buck view is the one the
+    state's last report was made at, that report is returned again; a new
+    state, or any change of a buyer's row or sign, walks the graph anew.
+    """
     view = bang_per_buck_view(inst, state)
+    last = state.views.get(_GENERICITY)
+    if last is not None and last[0] == view.version:
+        return last[1]
     components, cycle = components_of_edges(inst, view.edges)
     critical: dict[str, int] = {}
     for comp in components:
         count = sum(1 for b in comp.buyers if view.signs[b] == 0)
         if count:
             critical[component_key(comp)] = count
-    return GenericityReport(
+    report = GenericityReport(
         is_forest=cycle is None,
-        offending_cycle=cycle,
-        critical_buyers_per_component=critical,
+        offending_cycle=None if cycle is None else tuple(cycle),
+        critical_buyers_per_component=MappingProxyType(critical),
     )
+    state.views[_GENERICITY] = (view.version, report)
+    return report

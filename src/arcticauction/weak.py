@@ -27,6 +27,7 @@ from arcticauction.basic import basic_solution, recover_support
 from arcticauction.core import InstanceStats, MarketInstance, ceil_log2, compute_stats
 from arcticauction.errors import GenericityError, SolverError
 from arcticauction.graph import (
+    RESCALED,
     Edge,
     MarketState,
     Node,
@@ -60,9 +61,11 @@ class ScalingState:
     negative backorder until one augmentation repairs them.
 
     The feasibility check, the potential and the returnable edges keep
-    data on ``market`` that is valid for one ``delta``: each passes
-    ``delta`` as the scale to :meth:`MarketState.changes`, so replacing
-    ``market`` or ``delta`` makes their next call start over.  The other
+    data on ``market`` that reads ``delta``: each passes ``delta`` as the
+    scale to :meth:`MarketState.changes`, so replacing ``market``, or
+    ``delta`` by anything but a whole fraction of it, makes their next
+    call start over, and dividing ``delta`` by a whole number (halving)
+    makes each repeat only its tests that read the scale.  The other
     fields change only together with ``market``, or, for
     ``allowed_deficit``, at a good a mutator touched since the last check
     (as the deficit repair does).
@@ -131,11 +134,14 @@ def returnable_edges(ss: ScalingState) -> set[Edge]:
     edge.
 
     Only the edges the market's mutators touched since the last call are
-    tested again; replacing ``ss.market`` (and with it ``ss.exempt_edges``)
-    or ``ss.delta`` makes the next call test all of spending.  The set is
+    tested again, and after a halving (a rescale by a whole factor) the
+    exempt edges too, the only ones whose test reads ``delta``.  Replacing
+    ``ss.market`` (and with it ``ss.exempt_edges``), or ``ss.delta`` by
+    any other value, makes the next call test all of spending.  The set is
     the view itself, updated in place; copy it to keep a snapshot.
     """
     market = ss.market
+    exempt = ss.exempt_edges
     touched = market.changes(_RETURNABLE, ss.delta)
     if touched is None:
         view = market.views[_RETURNABLE] = set()
@@ -143,7 +149,8 @@ def returnable_edges(ss: ScalingState) -> set[Edge]:
     else:
         view = market.views[_RETURNABLE]
         edges = [e for kind, e in touched if kind == "edge"]
-    exempt = ss.exempt_edges
+        if RESCALED in touched:
+            edges.extend(exempt)
     for e in edges:
         if (
             market.spending_sign(e, 1) >= 0
@@ -162,21 +169,28 @@ _FEASIBLE = "feasible"
 def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, list[str]]:
     """Check all feasibility conditions exactly; collect violations.
 
-    After a passing check at the same scale on the same market object, only
-    what the market's mutators touched since is checked again: touched
-    buyers and goods get every check, and so do touched edges.  A spending
-    edge of a buyer next to a re-priced good gets only the equality-graph
-    test, because a price change can take it off the equality graph but
-    cannot change anything else the check reads: its value and ``delta``
-    are the same as when it last passed (a new value touches the edge, a new
-    scale sweeps everything), so its sign and multiple-of-delta tests
-    would only repeat a pass.  Everything else is unchanged and passed
+    After a passing check on the same market object, at the same scale or
+    one a halving (a rescale by a whole factor) reached, only what the
+    market's mutators touched since is checked again: touched buyers and
+    goods get every check, and so do touched edges.  After a halving every
+    good is checked too, for its ``backorder <= delta`` bound: amounts,
+    prices and rows are unchanged, and a multiple of ``delta`` stays a
+    multiple of a whole fraction of it.  A spending edge of a buyer next to
+    a re-priced good gets only the equality-graph test, because a price
+    change can take it off the equality graph but cannot change anything
+    else the check reads: its value is the same as when it last passed (a
+    new value touches the edge), so its sign and multiple-of-delta tests
+    would only repeat a pass.  Even that test is skipped while the
+    bang-per-buck view's ``version`` is the one of the last pass, since
+    then no row has changed.  Everything else is unchanged and passed
     before.  Any other call, and any call that finds a violation, sweeps
     the whole state, so the report is always that of a full sweep.
     """
     market = ss.market
     touched = market.changes(_FEASIBLE, ss.delta)
-    if touched is not None and market.views[_FEASIBLE]:
+    # the bang-per-buck view's version at the last pass; None after a violation
+    passed = market.views.get(_FEASIBLE)
+    if touched is not None and passed is not None:
         buyers: list[str] = []
         goods: list[str] = []
         edges: set[Edge] = set()
@@ -186,26 +200,35 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
                 buyers.append(item)
             elif kind == "edge":
                 edges.add(item)
-            else:
+            elif kind != "scale":
                 goods.append(item)
                 if kind == "price":
                     near_repriced.update(inst.buyers_of(item))
-        if not _violations(inst, ss, buyers, goods, edges) and (
-            not near_repriced
-            or _spending_on_equality_graph(inst, market, near_repriced)
-        ):
-            return (True, [])
+        if RESCALED in touched:
+            goods = list(inst.goods)
+        if not _violations(inst, ss, buyers, goods, edges):
+            if not near_repriced:
+                return (True, [])
+            view = bang_per_buck_view(inst, market)
+            if view.version == passed or _spending_on_equality_graph(
+                inst, market, view.edges, near_repriced
+            ):
+                market.views[_FEASIBLE] = view.version
+                return (True, [])
     violations = _violations(inst, ss, inst.buyers, inst.goods, market.spending)
-    # whether the last sweep passed
-    market.views[_FEASIBLE] = not violations
+    market.views[_FEASIBLE] = (
+        None if violations else bang_per_buck_view(inst, market).version
+    )
     return (not violations, violations)
 
 
 def _spending_on_equality_graph(
-    inst: MarketInstance, market: MarketState, buyers: Iterable[str]
+    inst: MarketInstance,
+    market: MarketState,
+    eq_edges: set[Edge],
+    buyers: Iterable[str],
 ) -> bool:
-    """Whether every spending edge of ``buyers`` is an equality edge."""
-    eq_edges = bang_per_buck_view(inst, market).edges
+    """Whether every spending edge of ``buyers`` is in ``eq_edges``."""
     units, fixed = market.edge_units, market.edge_fixed
     return all(
         (b, g) in eq_edges
@@ -226,16 +249,18 @@ def _violations(
     order given; edges without spending are skipped.
 
     Each test compares counts or cross-multiplies integer pairs; a
-    rational is built only for a deficit allowance or a report.  A
-    spending of ``count * delta + fixed`` is a multiple of ``delta``
-    exactly when its fixed part is.
+    rational is built only for a deficit allowance or a report.  A buyer's
+    cash is negative exactly when her potential term is.  A spending of
+    ``count * delta + fixed`` is a multiple of ``delta`` exactly when its
+    fixed part is.
     """
     violations: list[str] = []
     market = ss.market
+    terms = _cash_terms(inst, ss).terms
     for b in buyers:
         if market.refund_sign(b) < 0:
             violations.append(f"negative refund at buyer {b}")
-        if market.cash_term(inst, b) < 0:
+        if terms[b] < 0:
             violations.append(f"negative effective cash at buyer {b}")
     delta = ss.delta
     dn, dd = delta.numerator, delta.denominator
@@ -300,7 +325,10 @@ def _cash_terms(inst: MarketInstance, ss: ScalingState) -> _CashTerms:
         buyers: Iterable[str] = inst.buyers
     else:
         view = market.views[_CASH_TERMS]
-        buyers = [b for kind, b in touched if kind == "buyer"]
+        if RESCALED in touched:
+            buyers = inst.buyers
+        else:
+            buyers = [b for kind, b in touched if kind == "buyer"]
     for b in buyers:
         term = market.cash_term(inst, b)
         view.total += term - view.terms.get(b, 0)
@@ -592,13 +620,21 @@ def start_phase(
 
 
 def check_phase_invariants(n: int, mark: PhaseMark) -> None:
-    """Drift bound of an ended phase: no edge moved more than ``n * delta``."""
+    """Drift bound of an ended phase: no edge moved more than ``n * delta``.
+
+    The snapshots share the value objects of the state's rational
+    spending, which gets a new value only for an edge a mutator touched,
+    so an edge whose value is the very object it started with did not move
+    and its drift is not computed.
+    """
     drift_bound = n * mark.delta
     start, end = mark.spending_start, mark.spending_end or {}
-    for edge in set(start) | set(end):
-        change = abs(end.get(edge, ZERO) - start.get(edge, ZERO))
-        if change > drift_bound:
-            raise SolverError(f"edge {edge} drifted {change} > {drift_bound}")
+    for edge in start.keys() | end.keys():
+        before, after = start.get(edge, ZERO), end.get(edge, ZERO)
+        if after is not before:
+            change = abs(after - before)
+            if change > drift_bound:
+                raise SolverError(f"edge {edge} drifted {change} > {drift_bound}")
 
 
 def record_step(
@@ -654,6 +690,12 @@ def run_inner_loop(
             raise SolverError(f"infeasible after {kind} at {subject}: {violations}")
 
 
+def max_phases(stats: InstanceStats) -> int:
+    """The halving solver's last phase index: halvings from the largest
+    budget down past the stopping scale ``1 / (8 n D)``, plus one."""
+    return ceil_log2(stats.e_max * 8 * stats.n * stats.d_bound) + 1
+
+
 def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     """Run the halving-scale algorithm to a certified equilibrium.
 
@@ -665,7 +707,7 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     ss = initialize(inst)
     trace = PhaseTrace(algorithm="weak")
     stop_below = Q(1, 8 * stats.n) / stats.d_bound
-    max_phases = ceil_log2(stats.e_max * 8 * stats.n * stats.d_bound) + 1
+    last_phase = max_phases(stats)
 
     phase = 0
     entry = "init"
@@ -690,5 +732,5 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
         halve_and_repair(inst, ss)
         phase += 1
         entry = "halve"
-        if phase > max_phases:
+        if phase > last_phase:
             raise SolverError("phase budget exceeded")

@@ -62,6 +62,21 @@ def wide_instance(seed, n_range=(10, 20), max_exp=14):
     )
 
 
+def kbit_instance(seed, k):
+    """The market of ``random_instance(10, Random(seed))`` with its budgets
+    and utilities redrawn from ``1 .. 2^k``: the same buyers, goods and
+    edges, written with numbers of up to ``k`` bits."""
+    base = random_instance(10, random.Random(seed))
+    rng = random.Random(seed * 1000 + k)
+    top = 2**k
+    return MarketInstance(
+        buyers=base.buyers,
+        goods=base.goods,
+        budgets={b: Fraction(rng.randint(1, top)) for b in base.buyers},
+        utilities={e: Fraction(rng.randint(1, top)) for e in base.utilities},
+    )
+
+
 def lean_sigma(inst: MarketInstance) -> Fraction:
     """A perturbation magnitude well inside the invariant bound but with a
     small denominator, keeping the halving solver's phase count down."""

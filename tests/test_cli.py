@@ -447,6 +447,18 @@ INPUT_ERRORS = {
     "verify_second_spending_row": edited_solution(
         lambda doc: weak_section(doc)["spending"].insert(0, ["b1", "g1", "7"])
     ),
+    "verify_quantity_999": edited_solution(
+        lambda doc: weak_section(doc)["quantities"][0].__setitem__(2, "999")
+    ),
+    "verify_quantity_unknown_good": edited_solution(
+        lambda doc: weak_section(doc)["quantities"].append(["b1", "g9", "1"])
+    ),
+    "verify_quantities_empty": edited_solution(
+        lambda doc: weak_section(doc).update(quantities=[])
+    ),
+    "verify_certificate_pass_false": edited_solution(
+        lambda doc: doc["results"]["weak"]["certificate"].update({"pass": False})
+    ),
     "verify_sigma_above_bound": edited_solution(
         lambda doc: doc["perturbation"].update(sigma="1")
     ),

@@ -5,12 +5,15 @@ bang-per-buck with its signs against one, the equality graph, the
 returnable edges and the feasibility check each catch up from the items
 the state's mutators touched since that view last read them.  These tests
 recompute each of them from the raw state (each amount a count of the
-scale plus a fixed part) after every solver step and after random
-mutation sequences in which each view is read at its own moments, and
-drive bad changes through the mutators to check that the incremental
-feasibility check reports exactly what a full sweep reports.  The
-genericity check, which reads the solver's live bang-per-buck view, must
-report the same on a fresh copy of the state.  Every price raise of both
+scale plus a fixed part) after every solver step, right after every
+halving, and after random mutation sequences in which each view is read
+at its own moments, and drive bad changes through the mutators and
+through halvings (a rescale by a whole factor, which each view follows
+instead of starting over) to check that the incremental feasibility check
+reports exactly what a full sweep reports.  The genericity check, which
+reads the solver's live bang-per-buck view and hands out its last
+immutable report while the view's version stands still, must report the
+same on a fresh copy of the state.  Every price raise of both
 solvers is checked against the multiplier formula written with ``Q``
 arithmetic, and every residual search tree a raise keeps against a fresh
 search: its cached inflow pairs against the state's, and the terminal the
@@ -18,6 +21,7 @@ raise names against a rescan of the tree.  Named cases pin when a
 re-priced good rescans a buyer.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -26,6 +30,7 @@ import pytest
 from arcticauction import strong, weak
 from arcticauction.core import PerturbationConfig, default_magnitude, perturb
 from arcticauction.graph import (
+    RESCALED,
     MarketState,
     bang_per_buck_view,
     reach,
@@ -189,7 +194,7 @@ def assert_views_match(inst, ss):
         check(inst, ss)
 
 
-# --- differential: both solvers, checked after every step --------------------
+# --- differential: both solvers, checked after every step and halving --------
 
 
 @pytest.fixture
@@ -209,25 +214,47 @@ def checked_steps(monkeypatch):
     return kinds
 
 
+@pytest.fixture
+def checked_halvings(monkeypatch):
+    """Compare every view with its reference right after each halving of
+    either solver, before the next step; yields the scales halved to."""
+    scales = []
+    original = weak.halve_and_repair
+
+    def checked(inst, ss):
+        original(inst, ss)
+        assert_views_match(inst, ss)
+        scales.append(ss.delta)
+
+    monkeypatch.setattr(weak, "halve_and_repair", checked)
+    monkeypatch.setattr(strong, "halve_and_repair", checked)
+    return scales
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_views_match_after_every_weak_and_strong_step(seed, checked_steps):
+def test_views_match_after_every_weak_and_strong_step(
+    seed, checked_steps, checked_halvings
+):
     rng = random.Random(seed)
     inst = random_instance(rng.randint(4, 6), rng)
     inst = perturb(inst, PerturbationConfig(magnitude=lean_sigma(inst), seed=seed))
     weak_eq, _ = weak.run_weak(inst)
-    weak_steps = len(checked_steps)
+    weak_steps, weak_halvings = len(checked_steps), len(checked_halvings)
     strong_eq, _ = strong.run_strong(inst)
     assert weak_steps > 0 and len(checked_steps) > weak_steps
+    assert weak_halvings > 0 and len(checked_halvings) > weak_halvings
     assert weak_eq.prices == strong_eq.prices
 
 
-def test_views_match_through_a_compressed_restart(checked_steps):
+def test_views_match_through_a_compressed_restart(checked_steps, checked_halvings):
     inst = wide_instance(14)
     inst = perturb(inst, PerturbationConfig(magnitude=default_magnitude(inst), seed=0))
     _, trace = strong.run_strong(inst)
     assert trace.restart_count >= 1
     assert "restart_repair" in checked_steps
     assert any(mark.entry == "restart" and mark.iterations for mark in trace.phases)
+    restart = next(mark.index for mark in trace.phases if mark.entry == "restart")
+    assert any(mark.entry == "halve" for mark in trace.phases[restart:])
 
 
 # --- every price raise against the Q multiplier formula -----------------------
@@ -482,8 +509,8 @@ def test_views_catch_up_over_any_number_of_mutations(seed):
     )
     ss = ScalingState(market=market, delta=Fraction(1, 4), initial_prices={})
     ss.initial_prices = dict(market.prices)
-    # every item a mutator can touch, once
-    distinct = len(inst.buyers) + 2 * len(inst.goods) + len(edges)
+    # every item a mutator can touch, and the mark of a halving, once
+    distinct = len(inst.buyers) + 2 * len(inst.goods) + len(edges) + 1
     assert_views_match(inst, ss)
     assert set(market._pending) == set(VIEW_CHECKS)
     for step in range(300):
@@ -686,6 +713,84 @@ def test_raised_good_backorder_drops_below_bound_by_price():
     ss = checked_state(inst, {"g1": 2}, {("b1", "g1"): 2}, delta=1, initial={"g1": 1})
     ss.market.scale_prices(["g1"], Fraction(3, 2))
     assert_reported_like_full_sweep(inst, ss, "backorder -1 below bound at good g1")
+
+
+def test_halving_leaves_a_raised_good_above_the_new_scale():
+    inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
+    ss = checked_state(inst, {"g1": 2}, {("b1", "g1"): 3}, delta=1, initial={"g1": 1})
+    # a halving with no repair: the backorder of 1 passed at delta 1
+    ss.delta = Fraction(1, 2)
+    # a rescale by a whole factor is no start-over, just a mark
+    assert list(pending_items(ss.market, "feasible")) == [RESCALED]
+    assert_reported_like_full_sweep(inst, ss, "backorder 1 above delta at good g1")
+
+
+def test_halving_makes_an_exempt_edge_returnable():
+    # an exempt edge gives back delta only while it holds a whole unit: 3/4
+    # does not at delta 1, and does at delta 1/2; no mutator touches it
+    inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g2"): 2})
+    prices = {"g1": Fraction(1), "g2": Fraction(1)}
+    ss = ScalingState(
+        market=MarketState(
+            prices=dict(prices),
+            spending={("b1", "g1"): Fraction(3), ("b2", "g2"): Fraction(3, 4)},
+            refunds={},
+        ),
+        delta=Fraction(1),
+        initial_prices=prices,
+    )
+    ss.exempt_edges = {("b2", "g2")}
+    assert returnable_edges(ss) == {("b1", "g1")}
+    ss.delta = Fraction(1, 2)
+    assert list(pending_items(ss.market, "returnable")) == [RESCALED]
+    assert returnable_edges(ss) == {("b1", "g1"), ("b2", "g2")} == direct_returnable(ss)
+
+
+def test_sign_change_with_the_same_row_gives_a_fresh_genericity_report():
+    # b1 values only g1, so doubling its price keeps her row and only moves
+    # her bang-per-buck from 2 to exactly 1: she becomes critical
+    inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
+    ss = checked_state(inst, {"g1": 1}, {}, delta=1)
+    before = check_genericity(inst, ss.market)
+    assert before.ok and not before.critical_buyers_per_component
+    row = bang_per_buck_view(inst, ss.market).rows["b1"]
+    ss.market.scale_prices(["g1"], Fraction(2))
+    after = check_genericity(inst, ss.market)
+    assert bang_per_buck_view(inst, ss.market).rows["b1"] == row
+    assert dict(after.critical_buyers_per_component) == {"B:b1": 1}
+    assert after == check_genericity(inst, fresh_copy(ss).market)
+
+
+def test_genericity_report_is_reused_only_by_its_own_state():
+    inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
+    above = MarketState(prices={"g1": Fraction(1)}, spending={}, refunds={})
+    at_one = MarketState(prices={"g1": Fraction(2)}, spending={}, refunds={})
+    report = check_genericity(inst, above)
+    # nothing moved: the very same report again
+    assert check_genericity(inst, above) is report
+    # a new state, whose view has the same version, gets its own report
+    assert bang_per_buck_view(inst, at_one).version == bang_per_buck_view(inst, above).version
+    assert dict(check_genericity(inst, at_one).critical_buyers_per_component) == {"B:b1": 1}
+    assert not check_genericity(inst, above).critical_buyers_per_component
+
+
+def test_genericity_report_cannot_be_changed():
+    inst = make_instance(
+        {"b1": 4, "b2": 4},
+        {("b1", "g1"): 1, ("b1", "g2"): 1, ("b2", "g1"): 1, ("b2", "g2"): 1},
+    )
+    state = MarketState(
+        prices={"g1": Fraction(1, 2), "g2": Fraction(1, 2)}, spending={}, refunds={}
+    )
+    report = check_genericity(inst, state)
+    assert not report.is_forest and report.offending_cycle
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.is_forest = True
+    with pytest.raises(TypeError):
+        report.critical_buyers_per_component["B:b1"] = 0
+    with pytest.raises(AttributeError):
+        report.offending_cycle.clear()
+    assert check_genericity(inst, state) is report
 
 
 def test_change_of_scale_sweeps_everything():

@@ -27,16 +27,18 @@ from arcticauction.strong import (
     get_parameter,
     get_prices,
     make_fertile,
+    phase_budget,
     run_strong,
     special_price,
 )
 from arcticauction.trace import PhaseTrace
-from arcticauction.weak import ScalingState, run_weak
+from arcticauction.weak import ScalingState, max_phases, run_weak
 
 from auxnet import AuxNetwork, assert_cycle_bound, max_multiplier
 from conftest import (
     check_nondecreasing,
     equality_graph_at,
+    kbit_instance,
     lean_sigma,
     make_instance,
     wide_instance,
@@ -715,3 +717,25 @@ def test_document_order_does_not_change_the_equilibrium(seed):
         assert other.prices == eq.prices
         assert other.spending == eq.spending
         assert other.refunds == eq.refunds
+
+
+# --- phase counts against the bit length of the data ----------------------------
+
+KBITS = (4, 16, 64, 256)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_strong_phase_count_does_not_grow_with_the_bits_of_the_data(seed):
+    # the paper's claim: strong's phase count is bounded in the number of
+    # buyers and goods, whatever the numbers; weak's grows with their bits
+    phases = {}
+    for k in KBITS:
+        inst = kbit_instance(seed, k)
+        outcome = solve_instance(inst, "strong")
+        phases[k] = outcome.results["strong"][1].phase_count
+        assert phases[k] <= phase_budget(compute_stats(outcome.perturbed).n), (k, phases)
+    assert phases[256] <= 2 * max(phases[4], phases[16]), phases
+    for k in (4, 16):
+        outcome = solve_instance(kbit_instance(seed, k), "weak")
+        last_phase = max_phases(compute_stats(outcome.perturbed))
+        assert outcome.results["weak"][1].phase_count <= last_phase + 1, k
