@@ -31,13 +31,7 @@ from fractions import Fraction
 
 from arcticauction.core import MarketInstance
 from arcticauction.errors import GenericityError, SolverError
-from arcticauction.graph import (
-    Component,
-    Edge,
-    Forest,
-    MarketState,
-    Node,
-)
+from arcticauction.graph import Component, Edge, Forest, MarketState, node_name
 from arcticauction.rational import ONE, ZERO
 
 
@@ -46,10 +40,13 @@ class SupportError(ValueError):
 
 
 def solve_tree_flow(
-    comp: Component, supply: dict[str, Fraction], demand: dict[str, Fraction]
+    inst: MarketInstance,
+    comp: Component,
+    supply: dict[int, Fraction],
+    demand: dict[int, Fraction],
 ) -> dict[Edge, Fraction]:
     """Unique flow on a tree component meeting buyer supplies and good
-    demands, keyed in ``comp.edges`` order.
+    demands (each by buyer or good index), keyed in ``comp.edges`` order.
 
     Walking ``comp.tree`` leaves first, each node but the root sends what
     it has left along its tree edge.  Raises :class:`SolverError` when the
@@ -59,50 +56,53 @@ def solve_tree_flow(
     """
     tree = comp.tree
     if len(comp.edges) != len(tree) - 1:
-        raise SolverError(f"component {tree[0][0]} is not a tree")
+        raise SolverError(f"component {node_name(inst, tree[0][0])} is not a tree")
+    n_buyers = len(inst.buyers)
     # what each node has left: a buyer's supply not yet sent, or minus a
     # good's demand not yet met
-    excess: dict[Node, Fraction] = {
-        node: supply[node[1]] if node[0] == "B" else -demand[node[1]]
+    excess = {
+        node: supply[node] if node < n_buyers else -demand[node - n_buyers]
         for node, _ in tree
     }
     flows: dict[Edge, Fraction] = {}
     for node, edge in reversed(tree[1:]):
         left = excess[node]
-        b, g = edge
-        if node[0] == "B":
+        if node < n_buyers:
             flows[edge] = left
-            excess[("G", g)] += left
+            excess[n_buyers + inst.edge_good[edge]] += left
         else:
             flows[edge] = -left
-            excess[("B", b)] += left
+            excess[inst.edge_buyer[edge]] += left
     leftover = excess[tree[0][0]]
     if leftover != 0:
         raise SolverError(f"unbalanced tree flow: leftover {leftover}")
     return {e: flows[e] for e in comp.edges}
 
 
-def _price_multipliers(inst: MarketInstance, comp: Component) -> dict[str, Fraction]:
+def _price_multipliers(inst: MarketInstance, comp: Component) -> dict[int, Fraction]:
     """Express each good price in the component as a multiple of one scale.
 
     Walking the tree from its root buyer, whose inverse ratio is one, two
     support edges of the same buyer force ``p_k = p_j * U_ik / U_ij``, so
     every price is the scale times a product of utility ratios.
     """
-    multipliers: dict[str, Fraction] = {}
+    n_buyers = len(inst.buyers)
+    multipliers: dict[int, Fraction] = {}
     # inverse ratio per buyer: m_j / U_ij, equal over the buyer's edges
-    inverse_ratio: dict[str, Fraction] = {comp.buyers[0]: ONE}
-    for (kind, name), edge in comp.tree[1:]:
-        if kind == "B":
-            inverse_ratio[name] = multipliers[edge[1]] / inst.utilities[edge]
+    inverse_ratio: dict[int, Fraction] = {comp.buyers[0]: ONE}
+    for node, edge in comp.tree[1:]:
+        if node < n_buyers:
+            inverse_ratio[node] = multipliers[inst.edge_good[edge]] / inst.utility[edge]
         else:
-            multipliers[name] = inverse_ratio[edge[0]] * inst.utilities[edge]
+            multipliers[node - n_buyers] = (
+                inverse_ratio[inst.edge_buyer[edge]] * inst.utility[edge]
+            )
     return multipliers
 
 
 def _component_solution(
-    inst: MarketInstance, comp: Component, budgets: dict[str, Fraction]
-) -> tuple[dict[str, Fraction], dict[Edge, Fraction], dict[str, Fraction]]:
+    inst: MarketInstance, comp: Component, budgets: tuple[Fraction, ...]
+) -> tuple[dict[int, Fraction], dict[Edge, Fraction], dict[int, Fraction]]:
     """Solve one support component holding a buyer; returns (prices,
     spending, refunds).
 
@@ -118,12 +118,14 @@ def _component_solution(
     multipliers = _price_multipliers(inst, comp)
     mult_total = sum(multipliers.values(), ZERO)
 
-    def ratios_at_least_one(
-        prices: dict[str, Fraction], skip: str | None = None
-    ) -> bool:
+    utility, edge_buyer, edge_good = inst.utility, inst.edge_buyer, inst.edge_good
+
+    def ratios_at_least_one(prices: dict[int, Fraction], skip: int = -1) -> bool:
         # a buyer's support ratio u / p is equal across her support edges by
         # construction, so checking every edge checks every buyer but ``skip``
-        return all(inst.utilities[e] >= prices[e[1]] for e in edges if e[0] != skip)
+        return all(
+            utility[e] >= prices[edge_good[e]] for e in edges if edge_buyer[e] != skip
+        )
 
     # budget-balanced case: component budgets fix the scale
     supply = {b: budgets[b] for b in buyers}
@@ -131,18 +133,18 @@ def _component_solution(
     scale = budget_total / mult_total
     if scale > 0:
         prices = {g: multipliers[g] * scale for g in goods}
-        flows = solve_tree_flow(comp, supply, prices)
+        flows = solve_tree_flow(inst, comp, supply, prices)
         if all(v >= 0 for v in flows.values()) and ratios_at_least_one(prices):
             return prices, flows, {b: ZERO for b in buyers}
 
     # anchored case: some buyer's support ratio is pinned to exactly one,
     # and she spends what the other budgets leave of the prices
     for anchor in buyers:
-        g0 = next(e[1] for e in edges if e[0] == anchor)
-        scale = inst.utilities[(anchor, g0)] / multipliers[g0]
+        e0 = next(e for e in edges if edge_buyer[e] == anchor)
+        scale = utility[e0] / multipliers[edge_good[e0]]
         prices = {g: multipliers[g] * scale for g in goods}
         spent = sum(prices.values(), ZERO) - (budget_total - budgets[anchor])
-        flows = solve_tree_flow(comp, {**supply, anchor: spent}, prices)
+        flows = solve_tree_flow(inst, comp, {**supply, anchor: spent}, prices)
         refund = budgets[anchor] - spent
         if (
             all(v >= 0 for v in flows.values())
@@ -158,42 +160,43 @@ def _component_solution(
 def basic_solution(
     inst: MarketInstance,
     forest: Forest,
-    effective_budgets: dict[str, Fraction] | None = None,
+    effective_budgets: tuple[Fraction, ...] | list[Fraction] | None = None,
 ) -> MarketState:
     """The unique state determined by a cycle-free support, given as the
     :class:`~arcticauction.graph.Forest` that
     :func:`~arcticauction.graph.components_of_edges` found for it.
 
-    ``effective_budgets`` substitutes for the instance budgets when solving
-    compressed states (budgets already reduced by committed refunds); they
-    may be zero for fully refunded buyers.  Raises :class:`SupportError`
-    when the support admits no consistent solution and
-    :class:`GenericityError` when it contains a cycle, in that order: an
-    edge of zero utility, then a cycle, then a good with no buyer in the
-    support.
+    ``effective_budgets`` (by buyer) substitutes for the instance budgets
+    when solving compressed states (budgets already reduced by committed
+    refunds); they may be zero for fully refunded buyers.  Raises
+    :class:`GenericityError` when the support contains a cycle and
+    :class:`SupportError` when it admits no consistent solution, a good
+    with no buyer in the support first.
     """
-    budgets = dict(inst.budgets) if effective_budgets is None else effective_budgets
+    budgets = inst.budget if effective_budgets is None else effective_budgets
     components, cycle = forest
-    for comp in components:
-        for edge in comp.edges:
-            if edge not in inst.utilities:
-                raise SupportError(f"support edge {edge} has zero utility")
     if cycle is not None:
-        raise GenericityError(f"support contains a cycle through {cycle[0]}")
+        raise GenericityError(
+            f"support contains a cycle through {inst.edge_names[cycle[0]]}"
+        )
     for comp in components:
         # a good no support edge reaches would need price zero; checked
         # before any component is solved, as it rejects the whole support
         if not comp.buyers:
-            raise SupportError(f"good {comp.goods[0]} has no buyer in support")
-    prices: dict[str, Fraction] = {}
+            raise SupportError(
+                f"good {inst.goods[comp.goods[0]]} has no buyer in support"
+            )
+    prices: list[Fraction] = [ZERO] * len(inst.goods)
     spending: dict[Edge, Fraction] = {}
-    refunds: dict[str, Fraction] = {}
+    refunds: list[Fraction] = [ZERO] * len(inst.buyers)
     for comp in components:
         c_prices, c_flows, c_refunds = _component_solution(inst, comp, budgets)
-        prices.update(c_prices)
+        for g, price in c_prices.items():
+            prices[g] = price
         spending.update(c_flows)
-        refunds.update(c_refunds)
-    return MarketState(prices=prices, spending=spending, refunds=refunds)
+        for b, refund in c_refunds.items():
+            refunds[b] = refund
+    return MarketState(inst, prices, spending, refunds)
 
 
 def recover_support(state: MarketState, n: int) -> set[Edge]:

@@ -8,6 +8,7 @@ sorted), so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Iterable
@@ -24,22 +25,20 @@ from arcticauction.core import (
 )
 from arcticauction.driver import GenericityExhausted, solve_instance
 from arcticauction.errors import SolverError
-from arcticauction.graph import edge_key
 from arcticauction.oracle import Certificate, Equilibrium, check_equilibrium
 
 
 def equilibrium_doc(inst: MarketInstance, eq: Equilibrium) -> dict:
+    """The result document's equilibrium section; edge rows come in
+    canonical (buyer, good) document order."""
+    edge_id = inst.edge_id
     spending_rows = [
         [b, g, format_rational(v)]
-        for (b, g), v in sorted(
-            eq.spending.items(), key=lambda kv: edge_key(inst, kv[0])
-        )
+        for (b, g), v in sorted(eq.spending.items(), key=lambda kv: edge_id[kv[0]])
     ]
     quantity_rows = [
         [b, g, format_rational(v)]
-        for (b, g), v in sorted(
-            eq.quantities.items(), key=lambda kv: edge_key(inst, kv[0])
-        )
+        for (b, g), v in sorted(eq.quantities.items(), key=lambda kv: edge_id[kv[0]])
     ]
     return {
         "prices": {g: format_rational(eq.prices[g]) for g in inst.goods},
@@ -182,8 +181,19 @@ def _edge_rows(rows: list, what: str) -> dict[tuple[str, str], Fraction]:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (exit 1),
+    for it and for its subcommands' parsers."""
+
+    def error(self, message: str):
+        raise InstanceError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process: parsing keeps no
+    state on it."""
+    parser = _Parser(
         prog="arctic-auction",
         description="Exact equilibrium solver for the Arctic Auction",
     )
@@ -202,22 +212,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--max-retries", type=int, default=8)
-    solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="check a solution document")
     verify.add_argument("--input", required=True)
     verify.add_argument("--solution", required=True)
-    verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command.  Exit status 1 is an input error, 2 means no generic
-    perturbation was found, 3 is an internal solver error."""
-    args = build_parser().parse_args(argv)
+    """Run one command.  Exit status 1 is an input error (a usage error
+    too), 2 means no generic perturbation was found, 3 is an internal
+    solver error; ``--help`` exits 0."""
     try:
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help, after printing it
+            return exc.code or 0
+        # the command functions are looked up at each call, not kept on the
+        # parser, which lives as long as the process
+        return (cmd_solve if args.command == "solve" else cmd_verify)(args)
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

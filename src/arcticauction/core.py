@@ -105,9 +105,20 @@ class MarketInstance:
     ``buyers`` and ``goods`` keep document order; ``utilities`` holds only
     strictly positive entries (absence means zero utility).  Budgets and
     utilities may be given as ints or ``Fraction`` values; the instance
-    keeps them as ``Q``, in dicts of its own.  The positions
-    and the adjacency tuples are derived once at construction, which is
-    sound only because the instance never changes afterwards.
+    keeps them as ``Q``, in dicts of its own.
+
+    The solvers never touch an id string: they run on a dense index,
+    derived once at construction, which is sound only because the instance
+    never changes afterwards.  Buyer ``i`` is ``buyers[i]`` and good ``j``
+    is ``goods[j]``; edge ``e`` is ``edge_names[e]``, the edges numbered in
+    canonical (buyer, good) document order, so sorting edge ids sorts
+    edges canonically.  ``edge_buyer``, ``edge_good`` and ``utility`` give
+    each edge's buyer, good and utility, ``utility_pair`` the utility as
+    its (numerator, denominator), and ``budget`` each buyer's budget.
+    ``buyer_edges[i]`` lists buyer ``i``'s edges (a contiguous run of ids,
+    by good) and ``good_edges[j]`` good ``j``'s edges (by buyer).
+    ``edge_id`` maps an edge's names to its id and ``pair_edge`` its
+    (buyer, good) positions.
     """
 
     buyers: tuple[str, ...]
@@ -116,10 +127,24 @@ class MarketInstance:
     utilities: dict[tuple[str, str], Fraction]
     buyer_pos: dict[str, int] = field(init=False, repr=False)
     good_pos: dict[str, int] = field(init=False, repr=False)
-    _goods_of: dict[str, tuple[str, ...]] = field(
+    edge_names: tuple[tuple[str, str], ...] = field(
         init=False, repr=False, compare=False
     )
-    _buyers_of: dict[str, tuple[str, ...]] = field(
+    edge_id: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    pair_edge: dict[tuple[int, int], int] = field(
+        init=False, repr=False, compare=False
+    )
+    edge_buyer: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    edge_good: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    utility: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    utility_pair: tuple[tuple[int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    budget: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    buyer_edges: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    good_edges: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False
     )
 
@@ -132,17 +157,38 @@ class MarketInstance:
         object.__setattr__(self, "buyer_pos", buyer_pos)
         object.__setattr__(self, "good_pos", good_pos)
         self._validate()
-        goods_of: dict[str, list[str]] = {b: [] for b in self.buyers}
-        buyers_of: dict[str, list[str]] = {g: [] for g in self.goods}
-        for b, g in self.edges():
-            goods_of[b].append(g)
-            buyers_of[g].append(b)
-        object.__setattr__(
-            self, "_goods_of", {b: tuple(gs) for b, gs in goods_of.items()}
+        # each edge as (buyer, good, utility), in canonical order
+        edge_buyer, edge_good, utility = zip(
+            *sorted(
+                (buyer_pos[b], good_pos[g], u) for (b, g), u in self.utilities.items()
+            )
         )
-        object.__setattr__(
-            self, "_buyers_of", {g: tuple(bs) for g, bs in buyers_of.items()}
+        names = tuple(
+            zip(
+                map(self.buyers.__getitem__, edge_buyer),
+                map(self.goods.__getitem__, edge_good),
+            )
         )
+        buyer_edges: list[list[int]] = [[] for _ in self.buyers]
+        good_edges: list[list[int]] = [[] for _ in self.goods]
+        for e, b in enumerate(edge_buyer):
+            buyer_edges[b].append(e)
+        for e, g in enumerate(edge_good):
+            good_edges[g].append(e)
+        derived = {
+            "edge_names": names,
+            "edge_id": dict(zip(names, range(len(names)))),
+            "pair_edge": dict(zip(zip(edge_buyer, edge_good), range(len(names)))),
+            "edge_buyer": edge_buyer,
+            "edge_good": edge_good,
+            "utility": utility,
+            "utility_pair": tuple(map(Fraction.as_integer_ratio, utility)),
+            "budget": tuple(map(self.budgets.__getitem__, self.buyers)),
+            "buyer_edges": tuple(map(tuple, buyer_edges)),
+            "good_edges": tuple(map(tuple, good_edges)),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def _validate(self) -> None:
         if len(self.buyer_pos) != len(self.buyers):
@@ -170,19 +216,9 @@ class MarketInstance:
             if g not in valued_goods:
                 raise InstanceError(f"isolated good {g}")
 
-    def goods_of(self, buyer: str) -> tuple[str, ...]:
-        """Goods this buyer values, in document order."""
-        return self._goods_of[buyer]
-
-    def buyers_of(self, good: str) -> tuple[str, ...]:
-        """Buyers valuing this good, in document order."""
-        return self._buyers_of[good]
-
     def edges(self) -> list[tuple[str, str]]:
         """Positive-utility pairs in canonical (buyer, good) document order."""
-        return sorted(
-            self.utilities, key=lambda e: (self.buyer_pos[e[0]], self.good_pos[e[1]])
-        )
+        return list(self.edge_names)
 
 
 @dataclass(frozen=True)

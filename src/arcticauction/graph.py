@@ -1,14 +1,21 @@
 """The market state, bang-per-buck, equality graph, residual reachability,
 and the forest walker.
 
-Nodes of the bipartite market graph are tagged tuples ``("B", buyer_id)``
-and ``("G", good_id)`` so buyer and good ids may collide without ambiguity.
+Everything here runs on the instance's dense index
+(:class:`~arcticauction.core.MarketInstance`): buyer ``i``, good ``j`` and
+edge ``e`` are ints in document order, with edge ids in canonical (buyer,
+good) order.  A node of the bipartite market graph is an int too: buyer
+``i`` is node ``i`` and good ``j`` is node ``B + j``, where ``B`` is the
+number of buyers, so sorting nodes sorts them canonically (buyers, then
+goods).  Id strings appear only where a caller names something for
+output (:func:`component_key`).
+
 The free functions on edge sets are pure.  Bang-per-buck and the equality
 graph come from one place, the state view (:func:`bang_per_buck_view`):
 it keeps its data on the :class:`MarketState` and updates it in place
-from the items the state's mutators touched since its last call, and a
-fresh state's first call computes it all.  The solvers, the genericity
-check and the certifier all read it.
+from the goods whose prices the state's mutators changed since its last
+call, and a fresh state's first call computes it all.  The solvers, the
+genericity check and the certifier all read it.
 
 Inside the view a ratio ``u / p`` is the unnormalized integer pair
 ``(u.numerator * p.denominator, u.denominator * p.numerator)``; prices
@@ -42,27 +49,52 @@ from typing import NamedTuple
 from arcticauction.core import MarketInstance
 from arcticauction.rational import ZERO
 
-Node = tuple[str, str]
-Edge = tuple[str, str]  # (buyer_id, good_id)
+Node = int  # buyer i, or good j as B + j
+Edge = int  # an edge id of the instance
+
+# the kinds of item a view reads (see MarketState.changes): buyers whose
+# amounts changed, goods whose inflow changed, edges whose spending
+# changed, and goods whose price changed
+BUYERS, GOODS, EDGES, PRICES = 1, 2, 4, 8
 
 
-def buyer_node(buyer: str) -> Node:
-    return ("B", buyer)
+class Changes:
+    """What the mutators touched since a view last asked: one set of ids
+    for each kind the view reads (None for the others), and whether a
+    rescale by a whole factor happened meanwhile."""
+
+    __slots__ = ("scale", "buyers", "goods", "edges", "prices", "rescaled")
+
+    def __init__(self, kinds: int, scale: Fraction | None) -> None:
+        self.scale = scale
+        self.buyers: set[int] | None = set() if kinds & BUYERS else None
+        self.goods: set[int] | None = set() if kinds & GOODS else None
+        self.edges: set[int] | None = set() if kinds & EDGES else None
+        self.prices: set[int] | None = set() if kinds & PRICES else None
+        self.rescaled = False
+
+    def take(self) -> Changes:
+        """The items so far, handed over; this object starts empty again."""
+        if not (
+            self.rescaled or self.buyers or self.goods or self.edges or self.prices
+        ):
+            return _NOTHING
+        out = Changes(0, self.scale)
+        if self.buyers is not None:
+            out.buyers, self.buyers = self.buyers, set()
+        if self.goods is not None:
+            out.goods, self.goods = self.goods, set()
+        if self.edges is not None:
+            out.edges, self.edges = self.edges, set()
+        if self.prices is not None:
+            out.prices, self.prices = self.prices, set()
+        out.rescaled, self.rescaled = self.rescaled, False
+        return out
 
 
-def good_node(good: str) -> Node:
-    return ("G", good)
+# what a view gets when nothing was touched since its last call
+_NOTHING = Changes(BUYERS | GOODS | EDGES | PRICES, None)
 
-
-def edge_key(inst: MarketInstance, edge: Edge) -> tuple[int, int]:
-    """Canonical sort key: by buyer, then by good, in document order."""
-    return (inst.buyer_pos[edge[0]], inst.good_pos[edge[1]])
-
-
-Touch = tuple[str, object]  # ("buyer", b) | ("good", g) | ("edge", e) | ("price", g)
-
-# the pending item of a rescale by a whole factor (see MarketState.changes)
-RESCALED: Touch = ("scale", None)
 
 _VALUES = "values"
 
@@ -70,64 +102,71 @@ _VALUES = "values"
 class MarketState:
     """Evolving solver state: prices, sparse spending, refunds.
 
-    Each edge's spending and each buyer's refund is an ``int`` count of the
-    scale ``unit`` plus a rational fixed part, with the counts and the fixed
-    parts also summed per buyer (spending) and per good (inflow).  A state
-    built from dicts holds every amount as a fixed part, with no scale;
-    :meth:`rescale` sets the scale, and the solvers' steps move whole
-    units through :meth:`add_spending_units` and :meth:`add_refund_units`,
-    so the fixed parts stay zero except for amounts set from rationals
-    (the dicts a state is built from, and :meth:`add_refund`).  Halving
-    the scale doubles every count.  The per-step tests compare counts and
-    cross-multiply integer pairs (:meth:`cash_term`, :meth:`spending_sign`,
-    and the unnormalized pairs (numerator, positive denominator) of
-    :meth:`inflow_pair` and :meth:`backorder_pair`) instead of building
-    rationals.  The count and
-    fixed dicts are read-only outside the mutators; an edge is in either
-    only while its spending is non-zero.
+    ``prices`` is a list by good.  Each edge's spending and each buyer's
+    refund is an ``int`` count of the scale ``unit`` plus a rational fixed
+    part, with the counts and the fixed parts also summed per buyer
+    (spending) and per good (inflow), in lists by buyer and by good.  A
+    state built from amounts holds every amount as a fixed part, with no
+    scale; :meth:`rescale` sets the scale, and the solvers' steps move
+    whole units through :meth:`add_spending_units` and
+    :meth:`add_refund_units`, so the fixed parts stay zero except for
+    amounts set from rationals (the amounts a state is built from, and
+    :meth:`add_refund`).  Halving the scale doubles every count.  The
+    per-step tests compare counts and cross-multiply integer pairs
+    (:meth:`cash_term`, :meth:`spending_sign`, and the unnormalized pairs
+    (numerator, positive denominator) of :meth:`inflow_pair` and
+    :meth:`backorder_pair`) instead of building rationals.  The count and
+    fixed containers are read-only outside the mutators; an edge is in
+    ``edge_units`` or ``edge_fixed`` only while its spending is non-zero.
 
-    ``spending`` and ``refunds`` are read-only rational views, kept up to
-    date from the items touched since they were last read.  Mutate the
-    state only through the mutators: each adds what it touched to the
-    pending items of every view, and the derived views (bang-per-buck, the
-    equality graph, the solvers' potential and feasibility checks) catch up
-    from their own pending items through :meth:`changes` instead of
-    re-deriving everything.  A view keeps its data in ``views`` under its
-    own name.
+    ``spending`` (by edge) and ``refunds`` (by buyer) are read-only
+    rational views.  Mutate the state only through the mutators: each adds
+    what it touched to the pending items of every view that reads that
+    kind, and the derived views (bang-per-buck, the equality graph, the
+    solvers' potential and feasibility checks) catch up from their own
+    pending items through :meth:`changes` instead of re-deriving
+    everything.  A view keeps its data in ``views`` under its own name.
     """
 
     def __init__(
         self,
-        prices: dict[str, Fraction],
-        spending: dict[Edge, Fraction],
-        refunds: dict[str, Fraction],
+        inst: MarketInstance,
+        prices: list[Fraction],
+        spending: dict[Edge, Fraction] | None = None,
+        refunds: list[Fraction] | None = None,
     ) -> None:
+        n_buyers, n_goods = len(inst.buyers), len(inst.goods)
+        self._edge_buyer = inst.edge_buyer
+        self._edge_good = inst.edge_good
         self.prices = prices
         self.unit: Fraction | None = None
         self.edge_units: dict[Edge, int] = {}
         self.edge_fixed: dict[Edge, Fraction] = {}
-        self.spent_units: dict[str, int] = {}
-        self.spent_fixed: dict[str, Fraction] = {}
-        self.inflow_units: dict[str, int] = {}
-        self.inflow_fixed: dict[str, Fraction] = {}
-        self.refund_units: dict[str, int] = {}
-        self.refund_fixed: dict[str, Fraction] = dict(refunds)
+        self.spent_units = [0] * n_buyers
+        self.spent_fixed = [ZERO] * n_buyers
+        self.inflow_units = [0] * n_goods
+        self.inflow_fixed = [ZERO] * n_goods
+        self.refund_units = [0] * n_buyers
+        self.refund_fixed = [ZERO] * n_buyers if refunds is None else list(refunds)
         self.views: dict[str, object] = {}
-        # per view: the scale it last passed to changes(), and each item
-        # touched since that call, once
-        self._pending: dict[str, tuple[Fraction | None, dict[Touch, None]]] = {}
+        # per view: what the mutators touched since its last changes() call
+        self._pending: dict[str, Changes] = {}
+        # per kind: the pending items of every view that reads it
+        self._watch_buyers: list[Changes] = []
+        self._watch_goods: list[Changes] = []
+        self._watch_edges: list[Changes] = []
+        self._watch_prices: list[Changes] = []
         # every amount given is a fixed part, kept as given (a state built
-        # from dicts may hold negative spending, which the checks report)
-        for edge, value in spending.items():
+        # from amounts may hold negative spending, which the checks report)
+        for e, value in (spending or {}).items():
             if value:
-                b, g = edge
-                self.edge_fixed[edge] = value
-                self.spent_fixed[b] = self.spent_fixed.get(b, ZERO) + value
-                self.inflow_fixed[g] = self.inflow_fixed.get(g, ZERO) + value
-        # the rational views start out current
+                b, g = self._edge_buyer[e], self._edge_good[e]
+                self.edge_fixed[e] = value
+                self.spent_fixed[b] += value
+                self.inflow_fixed[g] += value
+        # the rational spending starts out current
         self._spending = dict(self.edge_fixed)
-        self._refunds = dict(refunds)
-        self._pending[_VALUES] = (None, {})
+        self.changes(_VALUES, EDGES)
 
     # --- rational reads ---------------------------------------------------
 
@@ -135,55 +174,46 @@ class MarketState:
         if not units:
             return ZERO if fixed is None else fixed
         value = self.unit * units
-        return value if fixed is None else fixed + value
+        return value + fixed if fixed else value
 
     @property
     def spending(self) -> dict[Edge, Fraction]:
-        """Every non-zero spending as a rational, updated in place."""
-        self._catch_up_values()
+        """Every non-zero spending as a rational, by edge, updated in
+        place."""
+        touched = self.changes(_VALUES, EDGES)
+        for e in touched.edges:
+            if self.has_spending(e):
+                self._spending[e] = self._value(
+                    self.edge_units.get(e, 0), self.edge_fixed.get(e)
+                )
+            else:
+                self._spending.pop(e, None)
         return self._spending
 
     @property
-    def refunds(self) -> dict[str, Fraction]:
-        """Every booked refund as a rational, updated in place."""
-        self._catch_up_values()
-        return self._refunds
-
-    def _catch_up_values(self) -> None:
-        for kind, item in self.changes(_VALUES) or ():
-            if kind == "edge":
-                if self.has_spending(item):
-                    self._spending[item] = self._value(
-                        self.edge_units.get(item, 0), self.edge_fixed.get(item)
-                    )
-                else:
-                    self._spending.pop(item, None)
-            elif kind == "buyer" and (
-                item in self.refund_fixed or item in self.refund_units
-            ):
-                self._refunds[item] = self.refund(item)
+    def refunds(self) -> list[Fraction]:
+        """Every buyer's refund as a rational, in a new list."""
+        return [self.refund(b) for b in range(len(self.refund_units))]
 
     def has_spending(self, edge: Edge) -> bool:
         return edge in self.edge_units or edge in self.edge_fixed
 
-    def spent_by(self, buyer: str) -> Fraction:
-        return self._value(self.spent_units.get(buyer, 0), self.spent_fixed.get(buyer))
+    def spent_by(self, buyer: int) -> Fraction:
+        return self._value(self.spent_units[buyer], self.spent_fixed[buyer])
 
-    def inflow(self, good: str) -> Fraction:
-        return self._value(self.inflow_units.get(good, 0), self.inflow_fixed.get(good))
+    def inflow(self, good: int) -> Fraction:
+        return self._value(self.inflow_units[good], self.inflow_fixed[good])
 
-    def refund(self, buyer: str) -> Fraction:
-        return self._value(
-            self.refund_units.get(buyer, 0), self.refund_fixed.get(buyer)
-        )
+    def refund(self, buyer: int) -> Fraction:
+        return self._value(self.refund_units[buyer], self.refund_fixed[buyer])
 
-    def effective_budget(self, inst: MarketInstance, buyer: str) -> Fraction:
-        return inst.budgets[buyer] - self.refund(buyer)
+    def effective_budget(self, inst: MarketInstance, buyer: int) -> Fraction:
+        return inst.budget[buyer] - self.refund(buyer)
 
-    def effective_cash(self, inst: MarketInstance, buyer: str) -> Fraction:
+    def effective_cash(self, inst: MarketInstance, buyer: int) -> Fraction:
         return self.effective_budget(inst, buyer) - self.spent_by(buyer)
 
-    def backorder(self, good: str) -> Fraction:
+    def backorder(self, good: int) -> Fraction:
         return self.inflow(good) - self.prices[good]
 
     # --- integer tests ----------------------------------------------------
@@ -211,30 +241,30 @@ class MarketState:
         """Sign of the edge's spending minus ``units`` units."""
         return self._sign(self.edge_units.get(edge, 0) - units, self.edge_fixed.get(edge))
 
-    def refund_sign(self, buyer: str) -> int:
-        return self._sign(self.refund_units.get(buyer, 0), self.refund_fixed.get(buyer))
+    def refund_sign(self, buyer: int) -> int:
+        return self._sign(self.refund_units[buyer], self.refund_fixed[buyer])
 
-    def cash_term(self, inst: MarketInstance, buyer: str) -> int:
+    def cash_term(self, inst: MarketInstance, buyer: int) -> int:
         """``floor(effective cash / unit)``: the fixed parts' floor minus
         the buyer's counts."""
-        free = inst.budgets[buyer]
-        refund = self.refund_fixed.get(buyer)
+        free = inst.budget[buyer]
+        refund = self.refund_fixed[buyer]
         if refund:
             free = free - refund
-        spent = self.spent_fixed.get(buyer)
+        spent = self.spent_fixed[buyer]
         if spent:
             free = free - spent
         unit = self.unit
         return (
             (free.numerator * unit.denominator) // (free.denominator * unit.numerator)
-            - self.refund_units.get(buyer, 0)
-            - self.spent_units.get(buyer, 0)
+            - self.refund_units[buyer]
+            - self.spent_units[buyer]
         )
 
-    def inflow_pair(self, good: str) -> tuple[int, int]:
-        return self._pair(self.inflow_units.get(good, 0), self.inflow_fixed.get(good))
+    def inflow_pair(self, good: int) -> tuple[int, int]:
+        return self._pair(self.inflow_units[good], self.inflow_fixed[good])
 
-    def backorder_pair(self, good: str) -> tuple[int, int]:
+    def backorder_pair(self, good: int) -> tuple[int, int]:
         n, d = self.inflow_pair(good)
         price = self.prices[good]
         pd = price.denominator
@@ -242,60 +272,63 @@ class MarketState:
 
     # --- mutators ---------------------------------------------------------
 
-    def _put(self, edge: Edge, units: int, fixed: Fraction | None, sign: int) -> None:
-        """Store an edge's new count and fixed part, whose sum has ``sign``;
-        a zero sum drops the edge, and its parts from the sums."""
-        if sign:
-            for part, parts in ((units, self.edge_units), (fixed, self.edge_fixed)):
-                if part:
-                    parts[edge] = part
-                else:
-                    parts.pop(edge, None)
-            return
-        self.edge_units.pop(edge, None)
-        self.edge_fixed.pop(edge, None)
-        b, g = edge
-        if units:
-            self.spent_units[b] -= units
-            self.inflow_units[g] -= units
-        if fixed:
-            self.spent_fixed[b] -= fixed
-            self.inflow_fixed[g] -= fixed
-
     def add_spending_units(self, edge: Edge, count: int) -> None:
         """Add ``count`` units of the scale to the edge's spending, which
-        must stay non-negative."""
+        must stay non-negative; a zero sum drops the edge, and its parts
+        from the sums."""
         units = self.edge_units.get(edge, 0) + count
         fixed = self.edge_fixed.get(edge)
         sign = self._sign(units, fixed)
         if sign < 0:
-            raise ValueError(f"negative spending on {edge}")
-        b, g = edge
-        self.spent_units[b] = self.spent_units.get(b, 0) + count
-        self.inflow_units[g] = self.inflow_units.get(g, 0) + count
-        self._put(edge, units, fixed, sign)
-        self._touch([("edge", edge), ("buyer", b), ("good", g)])
+            raise ValueError(f"negative spending on edge {edge}")
+        b, g = self._edge_buyer[edge], self._edge_good[edge]
+        self.spent_units[b] += count
+        self.inflow_units[g] += count
+        if sign:
+            if units:
+                self.edge_units[edge] = units
+            else:
+                self.edge_units.pop(edge, None)
+        else:
+            self.edge_units.pop(edge, None)
+            self.edge_fixed.pop(edge, None)
+            if units:
+                self.spent_units[b] -= units
+                self.inflow_units[g] -= units
+            if fixed:
+                self.spent_fixed[b] -= fixed
+                self.inflow_fixed[g] -= fixed
+        for pending in self._watch_edges:
+            pending.edges.add(edge)
+        for pending in self._watch_buyers:
+            pending.buyers.add(b)
+        for pending in self._watch_goods:
+            pending.goods.add(g)
 
-    def add_refund_units(self, buyer: str, count: int) -> None:
-        self.refund_units[buyer] = self.refund_units.get(buyer, 0) + count
-        self._touch([("buyer", buyer)])
+    def add_refund_units(self, buyer: int, count: int) -> None:
+        self.refund_units[buyer] += count
+        for pending in self._watch_buyers:
+            pending.buyers.add(buyer)
 
-    def add_refund(self, buyer: str, amount: Fraction) -> None:
-        self.refund_fixed[buyer] = self.refund_fixed.get(buyer, ZERO) + amount
-        self._touch([("buyer", buyer)])
+    def add_refund(self, buyer: int, amount: Fraction) -> None:
+        self.refund_fixed[buyer] += amount
+        for pending in self._watch_buyers:
+            pending.buyers.add(buyer)
 
-    def scale_prices(self, goods: list[str] | set[str], factor: Fraction) -> None:
+    def scale_prices(self, goods: Iterable[int], factor: Fraction) -> None:
+        prices = self.prices
         for g in goods:
-            self.prices[g] *= factor
-        self._touch([("price", g) for g in goods])
+            prices[g] *= factor
+        for pending in self._watch_prices:
+            pending.prices.update(goods)
 
     def rescale(self, unit: Fraction) -> None:
         """Count in ``unit`` from now on.  Every count is multiplied by the
         old unit over the new one, which must be a whole number while any
         count is non-zero.  Amounts, prices and rows do not change, so no
         buyer, good or edge is touched; after a whole factor each view that
-        read the old unit gets the pending item ``RESCALED`` and the new
-        unit as its scale (see :meth:`changes`)."""
+        read the old unit is marked ``rescaled`` and gets the new unit as
+        its scale (see :meth:`changes`)."""
         old = self.unit
         if old is None:
             self.unit = unit
@@ -303,72 +336,76 @@ class MarketState:
         factor = old / unit
         if factor.denominator == 1:
             k = factor.numerator
-            for counts in (
-                self.edge_units,
-                self.spent_units,
-                self.inflow_units,
-                self.refund_units,
-            ):
-                for key in counts:
-                    counts[key] *= k
-            for view, (scale, pending) in list(self._pending.items()):
-                if scale is old:
-                    pending[RESCALED] = None
-                    self._pending[view] = (unit, pending)
-        elif self.edge_units or any(self.refund_units.values()):
+            edge_units = self.edge_units
+            for e in edge_units:
+                edge_units[e] *= k
+            self.spent_units = [k * u for u in self.spent_units]
+            self.inflow_units = [k * u for u in self.inflow_units]
+            self.refund_units = [k * u for u in self.refund_units]
+            for pending in self._pending.values():
+                if pending.scale is old:
+                    pending.rescaled = True
+                    pending.scale = unit
+        elif self.edge_units or any(self.refund_units):
             raise ValueError(f"cannot recount units of {old} in units of {unit}")
         self.unit = unit
 
-    def _touch(self, items: list[Touch]) -> None:
-        touched = dict.fromkeys(items)
-        for _, pending in self._pending.values():
-            pending.update(touched)
-
     def changes(
-        self, view: str, scale: Fraction | None = None
-    ) -> dict[Touch, None] | None:
-        """Items touched since ``view`` last asked, each once; None when the
-        view must start over: on its first call, and when ``scale`` is not
-        the object it passed last time or the unit a rescale by a whole
-        factor moved it to.  Such a rescale leaves the item ``RESCALED``:
-        amounts, prices and rows are as before, and only the tests that
-        read the scale itself need repeating.  A rescale by any other factor
-        (possible only while every count is zero) leaves the view's scale
-        behind, so its next call starts over.
+        self, view: str, kinds: int, scale: Fraction | None = None
+    ) -> Changes | None:
+        """The items of ``kinds`` (the same on every call of a view)
+        touched since ``view`` last asked, each once, in a set per kind;
+        None when the view must start over: on its first call, and
+        when ``scale`` is not the object it passed last time or the unit a
+        rescale by a whole factor moved it to.  Such a rescale leaves the
+        mark ``rescaled``: amounts, prices and rows are as before, and only
+        the tests that read the scale itself need repeating.  A rescale by
+        any other factor (possible only while every count is zero) leaves
+        the view's scale behind, so its next call starts over.
 
         A view's pending items never hold an item twice and are handed over
         whole, so they stay bounded by the size of the market.
         """
-        last = self._pending.get(view)
-        self._pending[view] = (scale, {})
-        if last is None or last[0] is not scale:
+        pending = self._pending.get(view)
+        if pending is None:
+            self._pending[view] = pending = Changes(kinds, scale)
+            for kind, watchers in (
+                (BUYERS, self._watch_buyers),
+                (GOODS, self._watch_goods),
+                (EDGES, self._watch_edges),
+                (PRICES, self._watch_prices),
+            ):
+                if kinds & kind:
+                    watchers.append(pending)
             return None
-        return last[1]
+        if pending.scale is not scale:
+            pending.take()
+            pending.scale = scale
+            return None
+        return pending.take()
 
 
 class BangPerBuckView:
     """Every edge's ratio as an integer pair, every buyer's best ratio and
     equality edges, and the equality graph they make up, kept current with
-    the prices.  A buyer's best pair is the ratio of the first edge of her
-    row; ``signs`` holds its sign against one (1 above, 0 at, -1 below).
-    The dicts and the set are updated in place; copy one to keep a
-    snapshot.  ``version`` goes up whenever a buyer's row or sign changes,
-    so while it stands still the equality graph and the signs are as they
-    were."""
+    the prices.  ``ratios`` is a list by edge, ``rows`` and ``signs``
+    lists by buyer.  A buyer's best pair is the ratio of the first edge of
+    her row; ``signs`` holds its sign against one (1 above, 0 at, -1
+    below).  The lists and the set are updated in place; copy one to keep
+    a snapshot.  ``version`` goes up whenever a buyer's row or sign
+    changes, so while it stands still the equality graph and the signs are
+    as they were."""
 
-    __slots__ = ("utilities", "ratios", "rows", "signs", "edges", "version")
+    __slots__ = ("ratios", "rows", "signs", "edges", "version")
 
     def __init__(self, inst: MarketInstance) -> None:
-        self.utilities = {
-            e: (u.numerator, u.denominator) for e, u in inst.utilities.items()
-        }
-        self.ratios: dict[Edge, tuple[int, int]] = {}
-        self.rows: dict[str, tuple[Edge, ...]] = {}
-        self.signs: dict[str, int] = {}
+        self.ratios: list[tuple[int, int]] = []
+        self.rows: list[tuple[Edge, ...] | None] = [None] * len(inst.buyers)
+        self.signs: list[int | None] = [None] * len(inst.buyers)
         self.edges: set[Edge] = set()
         self.version = 0
 
-    def best_pair(self, buyer: str) -> tuple[int, int]:
+    def best_pair(self, buyer: int) -> tuple[int, int]:
         return self.ratios[self.rows[buyer][0]]
 
 
@@ -378,60 +415,61 @@ _BANG_PER_BUCK = "bang_per_buck"
 def bang_per_buck_view(inst: MarketInstance, state: MarketState) -> BangPerBuckView:
     """The state's bang-per-buck view, updated for the buyers whose best
     can have changed since the last call (all buyers on the first call)."""
-    touched = state.changes(_BANG_PER_BUCK)
+    touched = state.changes(_BANG_PER_BUCK, PRICES)
     prices = state.prices
     if touched is None:
         view = state.views[_BANG_PER_BUCK] = BangPerBuckView(inst)
+        price_pairs = [(p.numerator, p.denominator) for p in prices]
         ratios = view.ratios
-        price_pairs = {g: (p.numerator, p.denominator) for g, p in prices.items()}
-        for e, (un, ud) in view.utilities.items():
-            pn, pd = price_pairs[e[1]]
-            ratios[e] = (un * pd, ud * pn)
-        buyers: Iterable[str] = inst.buyers
+        for (un, ud), g in zip(inst.utility_pair, inst.edge_good):
+            pn, pd = price_pairs[g]
+            ratios.append((un * pd, ud * pn))
+        buyers: Iterable[int] = range(len(inst.buyers))
     else:
         view = state.views[_BANG_PER_BUCK]
-        utility_pairs = view.utilities
+        if not touched.prices:
+            return view
+        utility_pairs = inst.utility_pair
+        edge_buyer = inst.edge_buyer
         ratios = view.ratios
         rows = view.rows
         buyers = set()
-        for kind, g in touched:
-            if kind != "price":
-                continue
+        for g in touched.prices:
             price = prices[g]
             pn, pd = price.numerator, price.denominator
-            for b in inst.buyers_of(g):
-                edge = (b, g)
-                un, ud = utility_pairs[edge]
-                ratios[edge] = n, d = (un * pd, ud * pn)
+            for e in inst.good_edges[g]:
+                un, ud = utility_pairs[e]
+                ratios[e] = n, d = (un * pd, ud * pn)
+                b = edge_buyer[e]
                 if b in buyers:
                     continue
                 row = rows[b]
                 # the row's ratios are as at the last rescan unless one of
                 # its goods was re-priced, which rescans b anyway
                 best_n, best_d = ratios[row[0]]
-                if edge in row or n * best_d >= best_n * d:
+                if e in row or n * best_d >= best_n * d:
                     buyers.add(b)
         if not buyers:
             return view
+    ratios = view.ratios
     for b in buyers:
         best_n, best_d = 0, 1
         row = []
-        for g in inst.goods_of(b):
-            edge = (b, g)
-            n, d = ratios[edge]
+        for e in inst.buyer_edges[b]:
+            n, d = ratios[e]
             lhs, rhs = n * best_d, best_n * d
             if lhs > rhs:
                 best_n, best_d = n, d
-                row = [edge]
+                row = [e]
             elif lhs == rhs:
-                row.append(edge)
+                row.append(e)
         if not row:
             raise ValueError("buyer values no good")
         sign = (best_n > best_d) - (best_n < best_d)
         row = tuple(row)
-        old = view.rows.get(b)
+        old = view.rows[b]
         view.rows[b] = row
-        if row != old or sign != view.signs.get(b):
+        if row != old or sign != view.signs[b]:
             view.signs[b] = sign
             view.edges.difference_update(old or ())
             view.edges.update(row)
@@ -442,8 +480,8 @@ def bang_per_buck_view(inst: MarketInstance, state: MarketState) -> BangPerBuckV
 def edge_event(
     inst: MarketInstance,
     view: BangPerBuckView,
-    buyers: Iterable[str],
-    active_goods: set[str],
+    buyers: Iterable[int],
+    active_goods: set[int],
 ) -> tuple[int, int, Edge] | None:
     """The smallest price-raise multiplier that makes a new equality edge
     from one of ``buyers`` to a good outside ``active_goods``, as an
@@ -455,16 +493,17 @@ def edge_event(
     then to the smallest good position.
     """
     ratios, rows = view.ratios, view.rows
+    edge_good = inst.edge_good
     event: tuple[int, int, Edge] | None = None
     for b in buyers:
         best_n, best_d = ratios[rows[b][0]]
-        for g in inst.goods_of(b):
-            if g in active_goods:
+        for e in inst.buyer_edges[b]:
+            if edge_good[e] in active_goods:
                 continue
-            n, d = ratios[(b, g)]
+            n, d = ratios[e]
             n, d = best_n * d, best_d * n
             if event is None or n * event[1] < event[0] * d:
-                event = (n, d, (b, g))
+                event = (n, d, e)
     return event
 
 
@@ -475,34 +514,37 @@ def reach(
 
     Arcs run buyer -> good along ``forward`` edges and good -> buyer along
     ``backward`` edges; both are read straight off the instance's adjacency,
-    so with ``roots`` in canonical order (buyers, then goods, each in
-    document order) the search visits in canonical order too.  Returns the
-    predecessor map of the BFS tree: its keys are the reached nodes, and
-    the roots map to None.
+    so with ``roots`` in canonical order (sorted) the search visits in
+    canonical order too.  Returns the predecessor map of the BFS tree: its
+    keys are the reached nodes, and the roots map to None.
     """
+    n_buyers = len(inst.buyers)
+    buyer_edges, good_edges = inst.buyer_edges, inst.good_edges
+    edge_buyer, edge_good = inst.edge_buyer, inst.edge_good
     parent: dict[Node, Node | None] = dict.fromkeys(roots)
     queue = list(parent)
     for node in queue:  # the list grows while it is walked
-        kind, name = node
-        if kind == "B":
-            for g in inst.goods_of(name):
-                nxt = ("G", g)
-                if nxt not in parent and (name, g) in forward:
-                    parent[nxt] = node
-                    queue.append(nxt)
+        if node < n_buyers:
+            for e in buyer_edges[node]:
+                if e in forward:
+                    nxt = n_buyers + edge_good[e]
+                    if nxt not in parent:
+                        parent[nxt] = node
+                        queue.append(nxt)
         else:
-            for b in inst.buyers_of(name):
-                nxt = ("B", b)
-                if nxt not in parent and (b, name) in backward:
-                    parent[nxt] = node
-                    queue.append(nxt)
+            for e in good_edges[node - n_buyers]:
+                if e in backward:
+                    nxt = edge_buyer[e]
+                    if nxt not in parent:
+                        parent[nxt] = node
+                        queue.append(nxt)
     return parent
 
 
 def path_to(parent: dict[Node, Node | None], target: Node) -> list[Node]:
     """Path of a :func:`reach` tree from its root to ``target`` (inclusive)."""
     if target not in parent:
-        raise ValueError(f"{target} unreachable from roots")
+        raise ValueError(f"node {target} unreachable from roots")
     path = [target]
     while (prev := parent[path[-1]]) is not None:
         path.append(prev)
@@ -529,16 +571,17 @@ class Component:
     every other node after the node its edge joins it to.
     """
 
-    buyers: tuple[str, ...]
-    goods: tuple[str, ...]
+    buyers: tuple[int, ...]
+    goods: tuple[int, ...]
     edges: tuple[Edge, ...]
     tree: tuple[tuple[Node, Edge | None], ...]
 
     def is_singleton(self) -> bool:
-        return len(self.buyers) + len(self.goods) == 1
+        return len(self.tree) == 1
 
     def nodes(self) -> list[Node]:
-        return [buyer_node(b) for b in self.buyers] + [good_node(g) for g in self.goods]
+        """The component's nodes in canonical order."""
+        return sorted(node for node, _ in self.tree)
 
     def surplus(self, inst: MarketInstance, state: MarketState) -> Fraction:
         """Effective budgets of the component's buyers minus its good prices."""
@@ -550,10 +593,17 @@ class Component:
         return total
 
 
-def component_key(component: Component) -> str:
+def node_name(inst: MarketInstance, node: Node) -> str:
+    """A node as ``B:<buyer id>`` or ``G:<good id>``."""
+    n_buyers = len(inst.buyers)
+    if node < n_buyers:
+        return f"B:{inst.buyers[node]}"
+    return f"G:{inst.goods[node - n_buyers]}"
+
+
+def component_key(inst: MarketInstance, component: Component) -> str:
     """Stable label of a component in traces and reports: its smallest node."""
-    kind, name = component.tree[0][0]
-    return f"{kind}:{name}"
+    return node_name(inst, component.tree[0][0])
 
 
 class Forest(NamedTuple):
@@ -564,7 +614,7 @@ class Forest(NamedTuple):
     cycle: list[Edge] | None
 
 
-def components_of_edges(inst: MarketInstance, edges: set[Edge]) -> Forest:
+def components_of_edges(inst: MarketInstance, edges: Iterable[Edge]) -> Forest:
     """Connected components of ``B + G`` under an undirected edge set, and
     the first cycle found.
 
@@ -573,52 +623,51 @@ def components_of_edges(inst: MarketInstance, edges: set[Edge]) -> Forest:
     when the edges form a forest.  Traversal runs in canonical order, so
     the cycle reported for a given edge set is always the same.
     """
-    ordered = sorted(edges, key=lambda e: edge_key(inst, e))
-    adjacency: dict[Node, list[tuple[Node, Edge]]] = {}
-    for edge in ordered:
-        b, g = ("B", edge[0]), ("G", edge[1])
-        adjacency.setdefault(b, []).append((g, edge))
-        adjacency.setdefault(g, []).append((b, edge))
-    buyer_nodes = [("B", b) for b in inst.buyers]
-    good_nodes = [("G", g) for g in inst.goods]
+    n_buyers, n_goods = len(inst.buyers), len(inst.goods)
+    edge_buyer, edge_good = inst.edge_buyer, inst.edge_good
+    ordered = sorted(edges)
+    adjacency: list[list[tuple[Node, Edge]]] = [[] for _ in range(n_buyers + n_goods)]
+    for e in ordered:
+        b, g = edge_buyer[e], n_buyers + edge_good[e]
+        adjacency[b].append((g, e))
+        adjacency[g].append((b, e))
     # component number and tree edge into each visited node (None at a DFS
     # root); starting in canonical order makes each start the smallest node
     # of its component, so the numbering is the canonical component order
-    index: dict[Node, int] = {}
-    parent: dict[Node, tuple[Node, Edge] | None] = {}
+    index: list[int] = [-1] * (n_buyers + n_goods)
+    parent: list[tuple[Node, Edge] | None] = [None] * (n_buyers + n_goods)
     trees: list[list[tuple[Node, Edge | None]]] = []
     cycle: list[Edge] | None = None
-    for start in buyer_nodes + good_nodes:
-        if start in index:
+    for start in range(n_buyers + n_goods):
+        if index[start] >= 0:
             continue
         index[start] = k = len(trees)
-        parent[start] = None
         tree: list[tuple[Node, Edge | None]] = [(start, None)]
         trees.append(tree)
         stack = [start]
         while stack:
             node = stack.pop()
             via = parent[node]
-            for nxt, edge in adjacency.get(node, ()):
-                if via is not None and edge == via[1]:
+            for nxt, e in adjacency[node]:
+                if via is not None and e == via[1]:
                     continue
-                if nxt not in index:
+                if index[nxt] < 0:
                     index[nxt] = k
-                    parent[nxt] = (node, edge)
-                    tree.append((nxt, edge))
+                    parent[nxt] = (node, e)
+                    tree.append((nxt, e))
                     stack.append(nxt)
                 elif cycle is None:
-                    cycle = _closed_walk(parent, node, nxt, edge)
+                    cycle = _closed_walk(parent, node, nxt, e)
 
-    buyers: list[list[str]] = [[] for _ in trees]
-    goods: list[list[str]] = [[] for _ in trees]
+    buyers: list[list[int]] = [[] for _ in trees]
+    goods: list[list[int]] = [[] for _ in trees]
     comp_edges: list[list[Edge]] = [[] for _ in trees]
-    for b, node in zip(inst.buyers, buyer_nodes):
-        buyers[index[node]].append(b)
-    for g, node in zip(inst.goods, good_nodes):
-        goods[index[node]].append(g)
-    for edge in ordered:
-        comp_edges[index[("B", edge[0])]].append(edge)
+    for b in range(n_buyers):
+        buyers[index[b]].append(b)
+    for g in range(n_goods):
+        goods[index[n_buyers + g]].append(g)
+    for e in ordered:
+        comp_edges[index[edge_buyer[e]]].append(e)
     components = [
         Component(buyers=tuple(bs), goods=tuple(gs), edges=tuple(es), tree=tuple(t))
         for bs, gs, es, t in zip(buyers, goods, comp_edges, trees)
@@ -627,7 +676,7 @@ def components_of_edges(inst: MarketInstance, edges: set[Edge]) -> Forest:
 
 
 def _closed_walk(
-    parent: dict[Node, tuple[Node, Edge] | None], u: Node, w: Node, closing: Edge
+    parent: list[tuple[Node, Edge] | None], u: Node, w: Node, closing: Edge
 ) -> list[Edge]:
     """The cycle a non-tree edge ``u - w`` closes in the DFS forest: the
     edge, then the tree paths from ``w`` and from ``u`` up to where they

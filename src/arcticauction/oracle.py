@@ -7,11 +7,13 @@ bang-per-buck and the equality graph are computed; the checks read its
 equality edges and each buyer's sign against one, and normalize a best
 ratio only to report it.  The genericity check reads the solver's live
 view, and walks the graph again only after the view's rows or signs
-changed; the certifier builds a
-:class:`~arcticauction.graph.MarketState` of its own, whose first view
-call computes every ratio afresh from the prices it is given.  So a
-certified answer is checked against the market definition rather than
-against the steps of the algorithm that produced it.
+changed; the certifier takes prices, spending and refunds keyed by id
+strings and builds a :class:`~arcticauction.graph.MarketState` of its
+own, whose first view call computes every ratio afresh from the prices
+it is given.  So a certified answer is checked against the market
+definition rather than against the steps of the algorithm that produced
+it.  :class:`Equilibrium`, the certificate and the genericity report
+name buyers, goods and edges by their id strings.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ from arcticauction.basic import SupportError, basic_solution
 from arcticauction.core import MarketInstance, compute_stats
 from arcticauction.errors import GenericityError
 from arcticauction.graph import (
-    Edge,
     MarketState,
     bang_per_buck_view,
     component_key,
     components_of_edges,
 )
+
+Edge = tuple[str, str]  # (buyer id, good id)
 from arcticauction.rational import ZERO, reduced
 
 BRUTE_FORCE_MAX_EDGES = 12
@@ -67,7 +70,8 @@ class Certificate:
 
 @dataclass
 class Equilibrium:
-    """Certified output: prices, spending, refunds, derived quantities."""
+    """Certified output: prices, spending, refunds, derived quantities,
+    keyed by id strings."""
 
     prices: dict[str, Fraction]
     spending: dict[Edge, Fraction]
@@ -79,13 +83,13 @@ class Equilibrium:
     def from_state(
         cls, inst: MarketInstance, state: MarketState, certificate: Certificate
     ) -> "Equilibrium":
-        quantities = {e: v / state.prices[e[1]] for e, v in state.spending.items()}
-        refunds = {b: state.refunds.get(b, ZERO) for b in inst.buyers}
+        names, edge_good = inst.edge_names, inst.edge_good
+        spending = sorted(state.spending.items())
         return cls(
-            prices=dict(state.prices),
-            spending=dict(state.spending),
-            refunds=refunds,
-            quantities=quantities,
+            prices=dict(zip(inst.goods, state.prices)),
+            spending={names[e]: v for e, v in spending},
+            refunds=dict(zip(inst.buyers, state.refunds)),
+            quantities={names[e]: v / state.prices[edge_good[e]] for e, v in spending},
             certificate=certificate,
         )
 
@@ -109,7 +113,7 @@ def check_equilibrium(
     Raises :class:`ValueError` when a good lacks a positive price or a
     spending entry names an unknown buyer: such a triple is no candidate.
     """
-    eff = dict(inst.budgets) if budgets is None else budgets
+    eff = inst.budgets if budgets is None else budgets
     for g in inst.goods:
         if prices.get(g, ZERO) <= 0:
             raise ValueError(f"non-positive price for good {g}")
@@ -118,7 +122,12 @@ def check_equilibrium(
             raise ValueError(f"spending by unknown buyer {b}")
 
     conditions: list[Condition] = []
-    state = MarketState(prices=prices, spending=spending, refunds=refunds)
+    spent = dict.fromkeys(inst.buyers, ZERO)
+    inflow = dict.fromkeys(inst.goods, ZERO)
+    for (b, g), value in spending.items():
+        spent[b] += value
+        if g in inflow:
+            inflow[g] += value
 
     refund_ok = Condition("refunds_nonnegative")
     cash_ok = Condition("budgets_exhausted")
@@ -126,7 +135,7 @@ def check_equilibrium(
         r = refunds.get(b, ZERO)
         if r < 0:
             refund_ok.violations.append(f"buyer {b}: refund {r}")
-        cash = eff[b] - r - state.spent_by(b)
+        cash = eff[b] - r - spent[b]
         if cash != 0:
             cash_ok.violations.append(f"buyer {b}: leftover cash {cash}")
     conditions.append(refund_ok)
@@ -134,32 +143,32 @@ def check_equilibrium(
 
     clearing = Condition("market_clearing")
     for g in inst.goods:
-        backorder = state.backorder(g)
+        backorder = inflow[g] - prices[g]
         if backorder != 0:
             clearing.violations.append(f"good {g}: backorder {backorder}")
     conditions.append(clearing)
 
-    view = bang_per_buck_view(inst, state)
+    view = bang_per_buck_view(inst, MarketState(inst, [prices[g] for g in inst.goods]))
     support = Condition("spending_on_equality_edges")
     optimality = Condition("buyer_optimality")
     for edge, value in spending.items():
         if value < 0:
             support.violations.append(f"edge {edge}: negative spending {value}")
-        if value > 0 and edge not in view.edges:
+        if value > 0 and inst.edge_id.get(edge) not in view.edges:
             support.violations.append(f"edge {edge}: spending off equality graph")
-        if value > 0 and view.signs[edge[0]] < 0:
+        if value > 0 and view.signs[inst.buyer_pos[edge[0]]] < 0:
             optimality.violations.append(
                 f"edge {edge}: spending at bang-per-buck below one"
             )
     conditions.append(support)
 
     complementarity = Condition("refund_complementarity")
-    for b in inst.buyers:
+    for k, b in enumerate(inst.buyers):
         r = refunds.get(b, ZERO)
-        if r > 0 and view.signs[b] > 0:
+        if r > 0 and view.signs[k] > 0:
             complementarity.violations.append(
                 f"buyer {b}: refund {r} with bang-per-buck"
-                f" {reduced(*view.best_pair(b))} > 1"
+                f" {reduced(*view.best_pair(k))} > 1"
             )
     conditions.append(complementarity)
     conditions.append(optimality)
@@ -167,8 +176,20 @@ def check_equilibrium(
     return Certificate(conditions=conditions)
 
 
+def names_of(
+    inst: MarketInstance, state: MarketState
+) -> tuple[dict[str, Fraction], dict[Edge, Fraction], dict[str, Fraction]]:
+    """A state's prices, spending and refunds keyed by id strings."""
+    names = inst.edge_names
+    return (
+        dict(zip(inst.goods, state.prices)),
+        {names[e]: v for e, v in state.spending.items()},
+        dict(zip(inst.buyers, state.refunds)),
+    )
+
+
 def certify_state(inst: MarketInstance, state: MarketState) -> Certificate:
-    return check_equilibrium(inst, state.prices, state.spending, state.refunds)
+    return check_equilibrium(inst, *names_of(inst, state))
 
 
 def brute_force_equilibrium(inst: MarketInstance) -> Equilibrium:
@@ -186,19 +207,19 @@ def brute_force_equilibrium(inst: MarketInstance) -> Equilibrium:
         raise ValueError(
             f"instance too large for enumeration: n={stats.n}, m={stats.m}"
         )
-    edges = inst.edges()
-    passing: list[tuple[set[Edge], MarketState, Certificate]] = []
+    edges = range(len(inst.edge_names))
+    passing: list[tuple[tuple[int, ...], MarketState, Certificate]] = []
     subsets = itertools.chain.from_iterable(
         itertools.combinations(edges, size) for size in range(len(edges) + 1)
     )
     for subset in subsets:
         try:
-            state = basic_solution(inst, components_of_edges(inst, set(subset)))
+            state = basic_solution(inst, components_of_edges(inst, subset))
         except (SupportError, GenericityError):
             continue
         cert = certify_state(inst, state)
         if cert.ok:
-            passing.append((set(subset), state, cert))
+            passing.append((subset, state, cert))
     if len(passing) != 1:
         raise GenericityError(
             f"{len(passing)} supports pass the equilibrium check;"
@@ -246,10 +267,12 @@ def check_genericity(inst: MarketInstance, state: MarketState) -> GenericityRepo
     for comp in components:
         count = sum(1 for b in comp.buyers if view.signs[b] == 0)
         if count:
-            critical[component_key(comp)] = count
+            critical[component_key(inst, comp)] = count
     report = GenericityReport(
         is_forest=cycle is None,
-        offending_cycle=None if cycle is None else tuple(cycle),
+        offending_cycle=(
+            None if cycle is None else tuple(inst.edge_names[e] for e in cycle)
+        ),
         critical_buyers_per_component=MappingProxyType(critical),
     )
     state.views[_GENERICITY] = (view.version, report)

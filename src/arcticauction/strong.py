@@ -32,15 +32,13 @@ from arcticauction.graph import (
     MarketState,
     abundant_edges,
     bang_per_buck_view,
-    buyer_node,
     component_key,
     components_of_edges,
     edge_event,
-    good_node,
     path_to,
     reach,
 )
-from arcticauction.oracle import Certificate, Equilibrium, check_equilibrium
+from arcticauction.oracle import Certificate, Equilibrium, check_equilibrium, names_of
 from arcticauction.rational import Q, ZERO, reduced
 from arcticauction.trace import PhaseTrace, RestartRecord
 from arcticauction.weak import (
@@ -86,18 +84,19 @@ def fertile_components(
 
 
 def commit_refund(
-    inst: MarketInstance, state: MarketState, buyer: str, amount: Fraction
+    inst: MarketInstance, state: MarketState, buyer: int, amount: Fraction
 ) -> None:
     """Irrevocably book part of a critical buyer's cash as refund.
 
     Only legal at bang-per-buck exactly one; prices, spending, and hence
     the equality graph and abundant set are untouched.
     """
+    name = inst.buyers[buyer]
     if bang_per_buck_view(inst, state).signs[buyer] != 0:
-        raise SolverError(f"commit at {buyer} without bang-per-buck one")
+        raise SolverError(f"commit at {name} without bang-per-buck one")
     cash = state.effective_cash(inst, buyer)
     if amount < 0 or amount > cash:
-        raise SolverError(f"commit of {amount} exceeds cash {cash} at {buyer}")
+        raise SolverError(f"commit of {amount} exceeds cash {cash} at {name}")
     state.add_refund(buyer, amount)
 
 
@@ -132,13 +131,14 @@ def special_price(
     """
     if root_component.is_singleton():
         raise SolverError(
-            f"cannot raise prices on singleton {component_key(root_component)}"
+            f"cannot raise prices on singleton {component_key(inst, root_component)}"
         )
     n = len(inst.buyers) + len(inst.goods)
     state = MarketState(
-        prices=dict(ss.market.prices),
+        inst,
+        prices=list(ss.market.prices),
         spending=dict(ss.market.spending),
-        refunds=dict(ss.market.refunds),
+        refunds=ss.market.refunds,
     )
     prices = state.prices
     abundant = {e for comp in components for e in comp.edges}
@@ -180,10 +180,8 @@ def special_price(
         # canonically first edge
         event = edge_event(inst, view, tree.buyers, tree.good_set)
         if event is not None:
-            num, den, (b, g) = event
-            candidates.append(
-                (Q(num, den), 1, (inst.buyer_pos[b], inst.good_pos[g]), "edge", (b, g))
-            )
+            num, den, e = event
+            candidates.append((Q(num, den), 1, (e,), "edge", e))
         # (2) root surplus reaches the target
         q2 = (root_budget - target) / root_goods_price
         candidates.append((q2, 2, (), "target", None))
@@ -196,12 +194,14 @@ def special_price(
                 comp_price + root_goods_price / barrier_scale
             )
             if q >= 1:
-                candidates.append((q, 3, (component_key(comp),), "barrier", comp))
+                candidates.append(
+                    (q, 3, (component_key(inst, comp),), "barrier", comp)
+                )
         # (4) an active buyer with positive cash turns critical
         for b in tree.buyers:
             if view.signs[b] >= 0 and state.effective_cash(inst, b) > 0:
                 alpha = reduced(*view.best_pair(b))
-                candidates.append((alpha, 4, (inst.buyer_pos[b],), "critical", b))
+                candidates.append((alpha, 4, (b,), "critical", b))
 
         q, _, _, kind, subject = min(
             candidates, key=lambda c: (c[0], c[1], c[2])
@@ -248,7 +248,7 @@ def get_parameter(
         else:
             b = comp.buyers[0]
             value = market.effective_cash(inst, b) if signs[b] > 0 else ZERO
-        per_component[component_key(comp)] = value
+        per_component[component_key(inst, comp)] = value
     return max(per_component.values()), per_component
 
 
@@ -258,12 +258,13 @@ def get_prices(
     components: list[Component],
     new_delta: Fraction,
     trace: PhaseTrace,
-) -> tuple[dict[str, Fraction], dict[str, Fraction], dict[str, Fraction]]:
+) -> tuple[list[Fraction], list[Fraction], dict[str, Fraction]]:
     """Coordinatewise maxima of the per-component price-raising runs.
 
     Components already at surplus ``new_delta`` or below (and singletons)
-    stay at the baseline.  Returns the merged prices and refunds plus each
-    run's own root surplus for invariant checking.
+    stay at the baseline.  Returns the merged prices (by good) and refunds
+    (by buyer) plus each run's own root surplus, by component key, for
+    invariant checking.
     """
     states: list[MarketState] = []
     run_surplus: dict[str, Fraction] = {}
@@ -274,18 +275,16 @@ def get_prices(
             state, iterations = special_price(inst, ss, components, comp, new_delta)
             trace.special_price_iterations.append(iterations)
         states.append(state)
-        run_surplus[component_key(comp)] = comp.surplus(inst, state)
-    merged_prices = {g: max(s.prices[g] for s in states) for g in inst.goods}
-    merged_refunds = {
-        b: max(s.refunds.get(b, ZERO) for s in states) for b in inst.buyers
-    }
+        run_surplus[component_key(inst, comp)] = comp.surplus(inst, state)
+    merged_prices = [max(prices) for prices in zip(*(s.prices for s in states))]
+    merged_refunds = [max(refunds) for refunds in zip(*(s.refunds for s in states))]
     return merged_prices, merged_refunds, run_surplus
 
 
 def get_allocations(
     inst: MarketInstance,
-    new_prices: dict[str, Fraction],
-    new_refunds: dict[str, Fraction],
+    new_prices: list[Fraction],
+    new_refunds: list[Fraction],
     components: list[Component],
 ) -> dict[Edge, Fraction]:
     """Rebuild spending as the unique tree flow on the abundant forest.
@@ -300,14 +299,14 @@ def get_allocations(
     for comp in components:
         if comp.is_singleton():
             continue
-        supply = {b: inst.budgets[b] - new_refunds.get(b, ZERO) for b in comp.buyers}
+        supply = {b: inst.budget[b] - new_refunds[b] for b in comp.buyers}
         demand = {g: new_prices[g] for g in comp.goods}
         tau = sum(supply.values(), ZERO) - sum(demand.values(), ZERO)
         supply[comp.buyers[0]] -= max(ZERO, tau)
         demand[comp.goods[0]] += min(ZERO, tau)
-        for edge, value in solve_tree_flow(comp, supply, demand).items():
+        for edge, value in solve_tree_flow(inst, comp, supply, demand).items():
             if value < 0:
-                raise SolverError(f"negative tree flow on {edge}")
+                raise SolverError(f"negative tree flow on {inst.edge_names[edge]}")
             if value != 0:
                 spending[edge] = value
     return spending
@@ -352,13 +351,13 @@ def make_fertile(
             inst, ss, components, new_scale, trace
         )
         spending = get_allocations(inst, new_prices, new_refunds, components)
-        state = MarketState(prices=new_prices, spending=spending, refunds=new_refunds)
+        state = MarketState(inst, new_prices, spending, new_refunds)
         _assert_restart_invariants(inst, ss, components, state, new_scale, run_surplus)
         ss.market = state
         ss.delta = new_scale
         ss.exempt_edges = set(spending)
         ss.allowed_deficit = {}
-        for g in inst.goods:
+        for g in range(len(inst.goods)):
             backorder = state.backorder(g)
             if backorder < 0:
                 ss.allowed_deficit[g] = -backorder
@@ -400,24 +399,26 @@ def _assert_restart_invariants(
         value = comp.surplus(inst, state)
         if value < floor:
             raise SolverError(
-                f"restart surplus {value} below {floor} at {component_key(comp)}"
+                f"restart surplus {value} below {floor}"
+                f" at {component_key(inst, comp)}"
             )
     for comp in components:
         if comp.is_singleton():
             continue
         expected = min(comp.surplus(inst, ss.market), new_scale)
-        got = run_surplus[component_key(comp)]
+        got = run_surplus[component_key(inst, comp)]
         if got != expected:
             raise SolverError(
                 f"run surplus {got} != min(old surplus, new scale) {expected}"
-                f" at {component_key(comp)}"
+                f" at {component_key(inst, comp)}"
             )
     threshold = 3 * n * new_scale
     for comp in components:
         for edge in comp.edges:
             if state.spending.get(edge, ZERO) <= threshold:
                 raise SolverError(
-                    f"old abundant edge {edge} not kept above {threshold}"
+                    f"old abundant edge {inst.edge_names[edge]}"
+                    f" not kept above {threshold}"
                 )
 
 
@@ -441,25 +442,24 @@ def _repair_deficits(
     graph connects to them.
     """
     market = ss.market
+    n_buyers = len(inst.buyers)
     comp_of_good = {g: comp for comp in components for g in comp.goods}
-    deficits = [g for g in inst.goods if market.backorder_pair(g)[0] < 0]
+    deficits = [g for g in range(len(inst.goods)) if market.backorder_pair(g)[0] < 0]
     for g in deficits:
         forward, backward = bang_per_buck_view(inst, market).edges, returnable_edges(ss)
-        target = good_node(g)
+        target = n_buyers + g
         sources = [
-            name
-            for kind, name in reach(inst, [target], backward, forward)
-            if kind == "B" and market.cash_term(inst, name) >= 1
+            node
+            for node in reach(inst, [target], backward, forward)
+            if node < n_buyers and market.cash_term(inst, node) >= 1
         ]
         if not sources:
             continue
-        root = min(
-            sources, key=lambda b: (b not in comp_of_good[g].buyers, inst.buyer_pos[b])
-        )
+        root = min(sources, key=lambda b: (b not in comp_of_good[g].buyers, b))
         phi_before = potential(inst, ss)
-        tree = reach(inst, [buyer_node(root)], forward, backward)
-        _augment(ss, path_to(tree, target))
-        record_step(inst, ss, trace, phase, "restart_repair", g, phi_before)
+        tree = reach(inst, [root], forward, backward)
+        _augment(inst, ss, path_to(tree, target))
+        record_step(inst, ss, trace, phase, "restart_repair", inst.goods[g], phi_before)
         ss.allowed_deficit.pop(g, None)
 
 
@@ -468,30 +468,28 @@ def _termination_candidate(
 ) -> tuple[MarketState, Certificate] | None:
     """Basic solution of the abundant support, given as its ``forest``, if
     it certifies as an equilibrium of the compressed instance."""
-    effective = {
-        b: ss.market.effective_budget(inst, b) for b in inst.buyers
-    }
+    effective = [ss.market.effective_budget(inst, b) for b in range(len(inst.buyers))]
     try:
         candidate = basic_solution(inst, forest, effective)
     except SupportError:
         return None
     certificate = check_equilibrium(
-        inst,
-        candidate.prices,
-        candidate.spending,
-        candidate.refunds,
-        budgets=effective,
+        inst, *names_of(inst, candidate), budgets=dict(zip(inst.buyers, effective))
     )
     if not certificate.ok:
         return None
     return candidate, certificate
 
 
-def _note_abundant(trace: PhaseTrace, phase: int, edges: set[Edge]) -> None:
-    """Record newly discovered abundant edges as progress events."""
-    for edge in sorted(edges - trace.abundant_discovered):
+def _note_abundant(
+    inst: MarketInstance, trace: PhaseTrace, phase: int, edges: set[Edge]
+) -> None:
+    """Record newly discovered abundant edges as progress events, sorted by
+    (buyer id, good id)."""
+    found = edges - trace.abundant_discovered
+    for edge in sorted(inst.edge_names[e] for e in found):
         trace.progress_events.append((phase, "abundant_edge", str(edge)))
-    trace.abundant_discovered |= edges
+    trace.abundant_discovered |= found
 
 
 def phase_budget(n: int) -> int:
@@ -510,22 +508,22 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     n = stats.n
     ss = initialize(inst)
     threshold = ss.delta
-    trace = PhaseTrace(algorithm="strong")
+    trace = PhaseTrace(algorithm="strong", edge_names=inst.edge_names)
     budget = phase_budget(n)
-    singleton_crossed: set[str] = set()
+    singleton_crossed: set[int] = set()
 
     phase = 0
     entry = "init"
     while phase <= budget:
         mark = start_phase(inst, ss, stats, trace, phase, entry)
-        _note_abundant(trace, phase, mark.abundant_start)
+        _note_abundant(inst, trace, phase, mark.abundant_start)
         run_inner_loop(inst, ss, trace, phase)
         trace.end_phase(ss.market.spending)
         if entry != "restart":
-            check_phase_invariants(n, mark)
+            check_phase_invariants(inst, n, mark)
 
         abundant = abundant_edges(ss.market, n)
-        _note_abundant(trace, phase, abundant)
+        _note_abundant(inst, trace, phase, abundant)
         forest = components_of_edges(inst, abundant)
         components = forest.components
         signs = bang_per_buck_view(inst, ss.market).signs
@@ -534,24 +532,20 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
                 b = comp.buyers[0]
                 if b not in singleton_crossed and signs[b] <= 0:
                     singleton_crossed.add(b)
-                    trace.progress_events.append((phase, "buyer_uninterested", b))
+                    trace.progress_events.append(
+                        (phase, "buyer_uninterested", inst.buyers[b])
+                    )
 
         finished = _termination_candidate(inst, ss, forest)
         if finished is not None:
             candidate, _ = finished
-            total_refunds = {
-                b: candidate.refunds.get(b, ZERO)
-                + ss.market.refunds.get(b, ZERO)
-                for b in inst.buyers
-            }
+            total_refunds = [
+                a + b for a, b in zip(candidate.refunds, ss.market.refunds)
+            ]
             final = MarketState(
-                prices=candidate.prices,
-                spending=candidate.spending,
-                refunds=total_refunds,
+                inst, candidate.prices, candidate.spending, total_refunds
             )
-            certificate = check_equilibrium(
-                inst, final.prices, final.spending, final.refunds
-            )
+            certificate = check_equilibrium(inst, *names_of(inst, final))
             if not certificate.ok:
                 raise SolverError(
                     "final state fails certification: "

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from arcticauction.core import format_rational
 
-Edge = tuple[str, str]
+Edge = int  # an edge id of the instance
 
 
 @dataclass
@@ -51,7 +51,8 @@ class TraceRow:
 
 @dataclass
 class PhaseMark:
-    """One scaling phase: entry transition, scale, and state snapshots."""
+    """One scaling phase: entry transition, scale, and state snapshots, by
+    edge id."""
 
     index: int
     delta: Fraction
@@ -62,14 +63,16 @@ class PhaseMark:
     spending_end: dict[Edge, Fraction] | None = None
     iterations: int = 0
 
-    def to_doc(self) -> dict:
+    def to_doc(self, edge_names: tuple[tuple[str, str], ...]) -> dict:
+        """The phase line; its abundant edges are named by ``edge_names``
+        and sorted by (buyer id, good id)."""
         return {
             "phase": self.index,
             "delta": format_rational(self.delta),
             "entry": self.entry,
             "phi_start": self.potential_start,
             "iterations": self.iterations,
-            "abundant_edges": sorted(self.abundant_start),
+            "abundant_edges": sorted(edge_names[e] for e in self.abundant_start),
         }
 
 
@@ -95,9 +98,11 @@ class RestartRecord:
 
 @dataclass
 class PhaseTrace:
-    """Full record of one solver run."""
+    """Full record of one solver run.  Edges are kept by id, and
+    ``edge_names`` (the instance's) names them in the trace lines."""
 
     algorithm: str
+    edge_names: tuple[tuple[str, str], ...] = ()
     rows: list[TraceRow] = field(default_factory=list)
     phases: list[PhaseMark] = field(default_factory=list)
     restarts: list[RestartRecord] = field(default_factory=list)
@@ -169,7 +174,7 @@ class PhaseTrace:
         for phase, kind, subject in self.progress_events:
             progress_by_phase.setdefault(phase, []).append((kind, subject))
         for mark in self.phases:
-            yield {"event": "phase", **mark.to_doc()}
+            yield {"event": "phase", **mark.to_doc(self.edge_names)}
             for kind, subject in progress_by_phase.get(mark.index, []):
                 yield {
                     "event": "progress",

@@ -20,6 +20,7 @@ A buyer's consecutive refund steps are booked and checked as one call.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -27,16 +28,17 @@ from arcticauction.basic import basic_solution, recover_support
 from arcticauction.core import InstanceStats, MarketInstance, ceil_log2, compute_stats
 from arcticauction.errors import GenericityError, SolverError
 from arcticauction.graph import (
-    RESCALED,
+    BUYERS,
+    EDGES,
+    GOODS,
+    PRICES,
     Edge,
     MarketState,
     Node,
     abundant_edges,
     bang_per_buck_view,
-    buyer_node,
     components_of_edges,
     edge_event,
-    good_node,
     path_to,
     reach,
 )
@@ -50,10 +52,11 @@ class ScalingState:
 
     ``delta`` is the market's scale (``market.unit``): the market counts
     spending and refunds in units of it, and setting ``delta`` recounts
-    them (halving doubles every count).  ``initial_prices`` are frozen at
-    initialization; the backorder bounds only apply to goods whose price
-    has been raised above them.  ``exempt_edges`` and ``allowed_deficit``
-    start empty; only the strongly polynomial solver's compressed restart
+    them (halving doubles every count).  ``initial_prices`` (a list by
+    good) are frozen at initialization; the backorder bounds only apply to
+    goods whose price has been raised above them.  ``exempt_edges`` (edge
+    ids) and ``allowed_deficit`` (by good) start empty; only the strongly
+    polynomial solver's compressed restart
     (:func:`~arcticauction.strong.make_fertile`) sets them: exempt edges
     carry values that are not multiples of ``delta`` (the fixed parts of
     the rebuilt state, which need residual capacity ``delta`` to serve as
@@ -75,13 +78,13 @@ class ScalingState:
         self,
         market: MarketState,
         delta: Fraction,
-        initial_prices: dict[str, Fraction],
+        initial_prices: list[Fraction],
     ) -> None:
         self.market = market
         market.rescale(delta)
         self.initial_prices = initial_prices
         self.exempt_edges: set[Edge] = set()
-        self.allowed_deficit: dict[str, Fraction] = {}
+        self.allowed_deficit: dict[int, Fraction] = {}
 
     @property
     def delta(self) -> Fraction:
@@ -107,22 +110,24 @@ def initialize(inst: MarketInstance) -> ScalingState:
     unsold forever.
     """
     stats = compute_stats(inst)
-    prices: dict[str, Fraction] = {}
-    row_total = {
-        b: sum((inst.utilities[(b, g)] for g in inst.goods_of(b)), ZERO)
-        for b in inst.buyers
-    }
-    for g in inst.goods:
-        best = max(
+    utility, edge_buyer = inst.utility, inst.edge_buyer
+    row_total = [
+        sum((utility[e] for e in edges), ZERO) for edges in inst.buyer_edges
+    ]
+    prices = [
+        max(
             min(
-                inst.utilities[(b, g)] * inst.budgets[b] / (stats.n * row_total[b]),
-                inst.utilities[(b, g)] / 2,
+                utility[e]
+                * inst.budget[edge_buyer[e]]
+                / (stats.n * row_total[edge_buyer[e]]),
+                utility[e] / 2,
             )
-            for b in inst.buyers_of(g)
+            for e in edges
         )
-        prices[g] = best
-    market = MarketState(prices=prices, spending={}, refunds={})
-    return ScalingState(market=market, delta=stats.e_max, initial_prices=dict(prices))
+        for edges in inst.good_edges
+    ]
+    market = MarketState(inst, prices)
+    return ScalingState(market=market, delta=stats.e_max, initial_prices=list(prices))
 
 
 _RETURNABLE = "returnable"
@@ -142,15 +147,15 @@ def returnable_edges(ss: ScalingState) -> set[Edge]:
     """
     market = ss.market
     exempt = ss.exempt_edges
-    touched = market.changes(_RETURNABLE, ss.delta)
+    touched = market.changes(_RETURNABLE, EDGES, ss.delta)
     if touched is None:
         view = market.views[_RETURNABLE] = set()
         edges: Iterable[Edge] = [*market.edge_fixed, *market.edge_units]
     else:
         view = market.views[_RETURNABLE]
-        edges = [e for kind, e in touched if kind == "edge"]
-        if RESCALED in touched:
-            edges.extend(exempt)
+        edges = touched.edges
+        if touched.rescaled:
+            edges = edges | exempt
     for e in edges:
         if (
             market.spending_sign(e, 1) >= 0
@@ -187,26 +192,18 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
     the whole state, so the report is always that of a full sweep.
     """
     market = ss.market
-    touched = market.changes(_FEASIBLE, ss.delta)
+    touched = market.changes(_FEASIBLE, BUYERS | GOODS | EDGES | PRICES, ss.delta)
     # the bang-per-buck view's version at the last pass; None after a violation
     passed = market.views.get(_FEASIBLE)
     if touched is not None and passed is not None:
-        buyers: list[str] = []
-        goods: list[str] = []
-        edges: set[Edge] = set()
-        near_repriced: set[str] = set()  # buyers next to a re-priced good
-        for kind, item in touched:
-            if kind == "buyer":
-                buyers.append(item)
-            elif kind == "edge":
-                edges.add(item)
-            elif kind != "scale":
-                goods.append(item)
-                if kind == "price":
-                    near_repriced.update(inst.buyers_of(item))
-        if RESCALED in touched:
-            goods = list(inst.goods)
-        if not _violations(inst, ss, buyers, goods, edges):
+        repriced = touched.prices
+        goods: Iterable[int] = touched.goods | repriced
+        if touched.rescaled:
+            goods = range(len(inst.goods))
+        # buyers next to a re-priced good
+        edge_buyer, good_edges = inst.edge_buyer, inst.good_edges
+        near_repriced = {edge_buyer[e] for g in repriced for e in good_edges[g]}
+        if not _violations(inst, ss, touched.buyers, goods, touched.edges):
             if not near_repriced:
                 return (True, [])
             view = bang_per_buck_view(inst, market)
@@ -215,7 +212,9 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
             ):
                 market.views[_FEASIBLE] = view.version
                 return (True, [])
-    violations = _violations(inst, ss, inst.buyers, inst.goods, market.spending)
+    violations = _violations(
+        inst, ss, range(len(inst.buyers)), range(len(inst.goods)), market.spending
+    )
     market.views[_FEASIBLE] = (
         None if violations else bang_per_buck_view(inst, market).version
     )
@@ -226,27 +225,28 @@ def _spending_on_equality_graph(
     inst: MarketInstance,
     market: MarketState,
     eq_edges: set[Edge],
-    buyers: Iterable[str],
+    buyers: Iterable[int],
 ) -> bool:
     """Whether every spending edge of ``buyers`` is in ``eq_edges``."""
     units, fixed = market.edge_units, market.edge_fixed
     return all(
-        (b, g) in eq_edges
+        e in eq_edges
         for b in buyers
-        for g in inst.goods_of(b)
-        if (b, g) in units or (b, g) in fixed
+        for e in inst.buyer_edges[b]
+        if e in units or e in fixed
     )
 
 
 def _violations(
     inst: MarketInstance,
     ss: ScalingState,
-    buyers: Iterable[str],
-    goods: Iterable[str],
+    buyers: Iterable[int],
+    goods: Iterable[int],
     edges: Iterable[Edge],
 ) -> list[str]:
     """Feasibility violations of the given buyers, goods and edges, in the
-    order given; edges without spending are skipped.
+    order given, each naming its buyer, good or edge by id; edges without
+    spending are skipped.
 
     Each test compares counts or cross-multiplies integer pairs; a
     rational is built only for a deficit allowance or a report.  A buyer's
@@ -259,36 +259,40 @@ def _violations(
     terms = _cash_terms(inst, ss).terms
     for b in buyers:
         if market.refund_sign(b) < 0:
-            violations.append(f"negative refund at buyer {b}")
+            violations.append(f"negative refund at buyer {inst.buyers[b]}")
         if terms[b] < 0:
-            violations.append(f"negative effective cash at buyer {b}")
+            violations.append(f"negative effective cash at buyer {inst.buyers[b]}")
     delta = ss.delta
     dn, dd = delta.numerator, delta.denominator
     for g in goods:
         price = market.prices[g]
         if price < 0:
-            violations.append(f"negative price at good {g}")
+            violations.append(f"negative price at good {inst.goods[g]}")
         if price > ss.initial_prices[g]:
             num, den = market.backorder_pair(g)
             allowed = ss.allowed_deficit.get(g)
             if market.backorder(g) < -allowed if allowed else num < 0:
                 violations.append(
-                    f"backorder {market.backorder(g)} below bound at good {g}"
+                    f"backorder {market.backorder(g)} below bound"
+                    f" at good {inst.goods[g]}"
                 )
             if num * dd > dn * den:
                 violations.append(
-                    f"backorder {market.backorder(g)} above delta at good {g}"
+                    f"backorder {market.backorder(g)} above delta"
+                    f" at good {inst.goods[g]}"
                 )
     eq_edges: set[Edge] | None = None
     for edge in edges:
         sign = market.spending_sign(edge, 0)
         if sign < 0:
-            violations.append(f"negative spending on {edge}")
+            violations.append(f"negative spending on {inst.edge_names[edge]}")
         elif sign > 0:
             if eq_edges is None:
                 eq_edges = bang_per_buck_view(inst, market).edges
             if edge not in eq_edges:
-                violations.append(f"spending off equality graph on {edge}")
+                violations.append(
+                    f"spending off equality graph on {inst.edge_names[edge]}"
+                )
             fixed = market.edge_fixed.get(edge)
             if (
                 fixed
@@ -296,20 +300,23 @@ def _violations(
                 and (fixed.numerator * delta.denominator)
                 % (fixed.denominator * delta.numerator)
             ):
-                violations.append(f"spending on {edge} not a multiple of delta")
+                violations.append(
+                    f"spending on {inst.edge_names[edge]} not a multiple of delta"
+                )
     return violations
 
 
 class _CashTerms:
-    """``floor(cash / delta)`` of every buyer at one scale, their sum, and
-    the buyers whose term is positive (cash at least ``delta``)."""
+    """``floor(cash / delta)`` of every buyer at one scale (a list by
+    buyer), their sum, and the buyers whose term is positive (cash at
+    least ``delta``)."""
 
     __slots__ = ("terms", "total", "holding")
 
-    def __init__(self) -> None:
-        self.terms: dict[str, int] = {}
+    def __init__(self, n_buyers: int) -> None:
+        self.terms = [0] * n_buyers
         self.total = 0
-        self.holding: set[str] = set()
+        self.holding: set[int] = set()
 
 
 _CASH_TERMS = "cash_terms"
@@ -319,19 +326,19 @@ def _cash_terms(inst: MarketInstance, ss: ScalingState) -> _CashTerms:
     """The potential's terms, recomputed for the buyers touched since the
     last call; for every buyer after a change of scale or market."""
     market = ss.market
-    touched = market.changes(_CASH_TERMS, ss.delta)
+    touched = market.changes(_CASH_TERMS, BUYERS, ss.delta)
     if touched is None:
-        view = market.views[_CASH_TERMS] = _CashTerms()
-        buyers: Iterable[str] = inst.buyers
+        view = market.views[_CASH_TERMS] = _CashTerms(len(inst.buyers))
+        buyers: Iterable[int] = range(len(inst.buyers))
     else:
         view = market.views[_CASH_TERMS]
-        if RESCALED in touched:
-            buyers = inst.buyers
+        if touched.rescaled:
+            buyers = range(len(inst.buyers))
         else:
-            buyers = [b for kind, b in touched if kind == "buyer"]
+            buyers = touched.buyers
     for b in buyers:
         term = market.cash_term(inst, b)
-        view.total += term - view.terms.get(b, 0)
+        view.total += term - view.terms[b]
         view.terms[b] = term
         if term > 0:
             view.holding.add(b)
@@ -340,9 +347,9 @@ def _cash_terms(inst: MarketInstance, ss: ScalingState) -> _CashTerms:
     return view
 
 
-def _buyers_holding_delta(inst: MarketInstance, ss: ScalingState) -> list[str]:
+def _buyers_holding_delta(inst: MarketInstance, ss: ScalingState) -> list[int]:
     """Buyers with effective cash at least ``delta``, in canonical order."""
-    return sorted(_cash_terms(inst, ss).holding, key=inst.buyer_pos.__getitem__)
+    return sorted(_cash_terms(inst, ss).holding)
 
 
 def is_delta_optimal(inst: MarketInstance, ss: ScalingState) -> bool:
@@ -364,10 +371,11 @@ class SearchTree:
     ``backward`` edges; its nodes are the active set.  A price-and-augment
     round searches from its root buyer over the returnable edges, and the
     restart's price raiser from a component over the abundant forest.
-    ``buyers`` and ``goods`` list the active set in canonical order,
-    ``good_set`` holds the goods again, and ``inflow`` each active good's
-    :meth:`MarketState.inflow_pair`.  A price raise moves prices only, so
-    the pairs stay valid until the next search.
+    ``buyers`` and ``goods`` list the active set in canonical order (goods
+    by good index, not node), ``good_set`` holds the goods again, and
+    ``inflow`` each active good's :meth:`MarketState.inflow_pair`, in the
+    order of ``goods``.  A price raise moves prices only, so the pairs
+    stay valid until the next search.
     """
 
     __slots__ = ("parent", "buyers", "goods", "good_set", "inflow")
@@ -381,14 +389,13 @@ class SearchTree:
     ) -> None:
         eq_edges = bang_per_buck_view(inst, market).edges
         self.parent = reach(inst, roots, eq_edges, backward)
-        self.buyers: list[str] = []
-        self.goods: list[str] = []
-        for kind, name in self.parent:
-            (self.buyers if kind == "B" else self.goods).append(name)
-        self.buyers.sort(key=inst.buyer_pos.__getitem__)
-        self.goods.sort(key=inst.good_pos.__getitem__)
+        n_buyers = len(inst.buyers)
+        nodes = sorted(self.parent)
+        split = bisect_left(nodes, n_buyers)
+        self.buyers = nodes[:split]
+        self.goods = [node - n_buyers for node in nodes[split:]]
         self.good_set = set(self.goods)
-        self.inflow = {g: market.inflow_pair(g) for g in self.goods}
+        self.inflow = [market.inflow_pair(g) for g in self.goods]
 
     def terminal(self, inst: MarketInstance, market: MarketState) -> Node | None:
         """The first critical buyer, else the first exhausted good, in
@@ -396,13 +403,12 @@ class SearchTree:
         signs = bang_per_buck_view(inst, market).signs
         for b in self.buyers:
             if signs[b] == 0:
-                return buyer_node(b)
+                return b
         prices = market.prices
-        for g in self.goods:
-            n, d = self.inflow[g]
+        for g, (n, d) in zip(self.goods, self.inflow):
             price = prices[g]
             if n * price.denominator <= price.numerator * d:
-                return good_node(g)
+                return len(inst.buyers) + g
         return None
 
 
@@ -438,11 +444,9 @@ def update_price_star(
     view = bang_per_buck_view(inst, market)
     signs = view.signs
     prices = market.prices
-    inflow = tree.inflow
     # each candidate is an unnormalized pair (numerator, positive denominator)
     good_pairs: list[tuple[int, int]] = []
-    for g in tree.goods:
-        n, d = inflow[g]
+    for g, (n, d) in zip(tree.goods, tree.inflow):
         price = prices[g]
         good_pairs.append((n * price.denominator, d * price.numerator))
     buyers = [b for b in tree.buyers if signs[b] > 0]
@@ -467,31 +471,32 @@ def update_price_star(
     tied = event is not None and event[0] * d == n * event[1]
     for b, (cn, cd) in zip(buyers, buyer_pairs):
         if cn * d == n * cd:
-            return tied, buyer_node(b)
+            return tied, b
     for g, (cn, cd) in zip(tree.goods, good_pairs):
         if cn * d == n * cd:
-            return tied, good_node(g)
+            return tied, len(inst.buyers) + g
     return tied, None
 
 
-def _augment(ss: ScalingState, path: list[Node]) -> None:
+def _augment(inst: MarketInstance, ss: ScalingState, path: list[Node]) -> None:
     """Shift one unit of ``delta`` along a residual path (forward +,
     backward -)."""
+    n_buyers = len(inst.buyers)
     for a, b in zip(path, path[1:]):
-        if a[0] == "B" and b[0] == "G":
-            ss.market.add_spending_units((a[1], b[1]), 1)
-        elif a[0] == "G" and b[0] == "B":
-            ss.market.add_spending_units((b[1], a[1]), -1)
+        if a < n_buyers <= b:
+            ss.market.add_spending_units(inst.pair_edge[(a, b - n_buyers)], 1)
+        elif b < n_buyers <= a:
+            ss.market.add_spending_units(inst.pair_edge[(b, a - n_buyers)], -1)
         else:
             raise SolverError("augmenting path does not alternate sides")
 
 
 def price_and_augment(
-    inst: MarketInstance, ss: ScalingState, root: str
+    inst: MarketInstance, ss: ScalingState, root: int
 ) -> tuple[str, str]:
     """One price-raise-and-augment round from ``root``, a buyer with cash
     at least ``delta`` and bang-per-buck above one; returns (step kind,
-    subject).
+    subject id).
 
     Prices on the root's active set rise until some active buyer becomes
     critical or some active good stops being oversubscribed; one unit of
@@ -502,26 +507,25 @@ def price_and_augment(
     :func:`update_price_star`).
     """
     market = ss.market
-    start = buyer_node(root)
     # a price raise moves prices only, so the returnable edges stay the same
     returnable = returnable_edges(ss)
-    tree = SearchTree(inst, market, [start], returnable)
+    tree = SearchTree(inst, market, [root], returnable)
     terminal = tree.terminal(inst, market)
     while terminal is None:
         tied, terminal = update_price_star(inst, ss, tree)
         if tied:
-            tree = SearchTree(inst, market, [start], returnable)
+            tree = SearchTree(inst, market, [root], returnable)
             terminal = tree.terminal(inst, market)
 
-    _augment(ss, path_to(tree.parent, terminal))
-    kind, name = terminal
-    if kind == "B":
-        market.add_refund_units(name, 1)
-        return "augment_buyer", name
-    return "augment_good", name
+    _augment(inst, ss, path_to(tree.parent, terminal))
+    n_buyers = len(inst.buyers)
+    if terminal < n_buyers:
+        market.add_refund_units(terminal, 1)
+        return "augment_buyer", inst.buyers[terminal]
+    return "augment_good", inst.goods[terminal - n_buyers]
 
 
-def refund_step(inst: MarketInstance, ss: ScalingState, buyer: str) -> int:
+def refund_step(inst: MarketInstance, ss: ScalingState, buyer: int) -> int:
     """Book a weakly-uninterested buyer's run of refund steps; return its
     length.
 
@@ -537,7 +541,7 @@ def refund_step(inst: MarketInstance, ss: ScalingState, buyer: str) -> int:
     steps = _cash_terms(inst, ss).terms[buyer]
     if view.signs[buyer] > 0 or steps < 1:
         raise SolverError(
-            f"refund step preconditions violated at {buyer}:"
+            f"refund step preconditions violated at {inst.buyers[buyer]}:"
             f" bang-per-buck {reduced(*view.best_pair(buyer))},"
             f" cash {market.effective_cash(inst, buyer)}"
         )
@@ -548,14 +552,14 @@ def refund_step(inst: MarketInstance, ss: ScalingState, buyer: str) -> int:
 def inner_step(inst: MarketInstance, ss: ScalingState) -> tuple[str, str, int]:
     """One inner-loop iteration: refund step if possible, else augment.
 
-    Returns (step kind, subject, number of steps); only a run of refund
-    steps is longer than one.
+    Returns (step kind, subject id, number of steps); only a run of
+    refund steps is longer than one.
     """
     signs = bang_per_buck_view(inst, ss.market).signs
     holding = _buyers_holding_delta(inst, ss)
     for b in holding:
         if signs[b] <= 0:
-            return "refund", b, refund_step(inst, ss, b)
+            return "refund", inst.buyers[b], refund_step(inst, ss, b)
     if not holding:
         raise SolverError("no eligible root buyer for price-and-augment")
     # every buyer holding delta is above one: the first is the root
@@ -576,15 +580,13 @@ def halve_and_repair(inst: MarketInstance, ss: ScalingState) -> None:
     market = ss.market
     ss.delta = half = ss.delta / 2
     hn, hd = half.numerator, half.denominator
-    for g in inst.goods:
+    for g, edges in enumerate(inst.good_edges):
         num, den = market.backorder_pair(g)
         if num * hd > hn * den:
-            donors = [
-                b for b in inst.buyers_of(g) if market.spending_sign((b, g), 1) >= 0
-            ]
-            if not donors:
-                raise SolverError(f"oversubscribed good {g} has no donor")
-            market.add_spending_units((donors[0], g), -1)
+            donor = next((e for e in edges if market.spending_sign(e, 1) >= 0), None)
+            if donor is None:
+                raise SolverError(f"oversubscribed good {inst.goods[g]} has no donor")
+            market.add_spending_units(donor, -1)
 
 
 def start_phase(
@@ -615,11 +617,12 @@ def start_phase(
     if trace.phases:
         missing = trace.phases[-1].abundant_start - abundant
         if missing:
-            raise SolverError(f"abundant edges lost: {sorted(missing)}")
+            lost = sorted(inst.edge_names[e] for e in missing)
+            raise SolverError(f"abundant edges lost: {lost}")
     return trace.begin_phase(phase, ss.delta, entry, phi, ss.market.spending, abundant)
 
 
-def check_phase_invariants(n: int, mark: PhaseMark) -> None:
+def check_phase_invariants(inst: MarketInstance, n: int, mark: PhaseMark) -> None:
     """Drift bound of an ended phase: no edge moved more than ``n * delta``.
 
     The snapshots share the value objects of the state's rational
@@ -634,7 +637,9 @@ def check_phase_invariants(n: int, mark: PhaseMark) -> None:
         if after is not before:
             change = abs(after - before)
             if change > drift_bound:
-                raise SolverError(f"edge {edge} drifted {change} > {drift_bound}")
+                raise SolverError(
+                    f"edge {inst.edge_names[edge]} drifted {change} > {drift_bound}"
+                )
 
 
 def record_step(
@@ -705,7 +710,7 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     """
     stats = compute_stats(inst)
     ss = initialize(inst)
-    trace = PhaseTrace(algorithm="weak")
+    trace = PhaseTrace(algorithm="weak", edge_names=inst.edge_names)
     stop_below = Q(1, 8 * stats.n) / stats.d_bound
     last_phase = max_phases(stats)
 
@@ -716,7 +721,7 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
         trace.abundant_discovered |= mark.abundant_start
         run_inner_loop(inst, ss, trace, phase)
         trace.end_phase(ss.market.spending)
-        check_phase_invariants(stats.n, mark)
+        check_phase_invariants(inst, stats.n, mark)
 
         if ss.delta < stop_below:
             support = recover_support(ss.market, stats.n)

@@ -14,17 +14,20 @@ from fractions import Fraction
 
 from arcticauction.core import MarketInstance
 from arcticauction.errors import GenericityError
-from arcticauction.graph import Edge, Node, buyer_node, edge_key, good_node
 from arcticauction.rational import ONE
+
+Node = int  # buyer i, or good j as B + j, as in arcticauction.graph
+Edge = tuple[str, str]  # (buyer id, good id)
 
 
 @dataclass
 class AuxNetwork:
     """Weighted digraph whose best path products match price ratios.
 
-    Forward arcs carry the utility, backward arcs (only on abundant edges)
-    its reciprocal; at any feasible state no directed cycle multiplies to
-    more than one, so best path products are well defined.
+    Forward arcs carry the utility, backward arcs (only on abundant edges,
+    named by id strings) its reciprocal; at any feasible state no directed
+    cycle multiplies to more than one, so best path products are well
+    defined.  Nodes are numbered as in the solvers' graph.
     """
 
     inst: MarketInstance
@@ -33,12 +36,16 @@ class AuxNetwork:
     @classmethod
     def build(cls, inst: MarketInstance, abundant: set[Edge]) -> "AuxNetwork":
         arcs: list[tuple[Node, Node, Fraction]] = []
-        for (b, g), u in sorted(
-            inst.utilities.items(), key=lambda kv: edge_key(inst, kv[0])
-        ):
-            arcs.append((buyer_node(b), good_node(g), u))
-        for b, g in sorted(abundant, key=lambda e: edge_key(inst, e)):
-            arcs.append((good_node(g), buyer_node(b), 1 / inst.utilities[(b, g)]))
+        n_buyers = len(inst.buyers)
+        nodes = [
+            (inst.edge_buyer[e], n_buyers + inst.edge_good[e])
+            for e in range(len(inst.edge_names))
+        ]
+        for e, (b, g) in enumerate(nodes):
+            arcs.append((b, g, inst.utility[e]))
+        for e in sorted(inst.edge_id[edge] for edge in abundant):
+            b, g = nodes[e]
+            arcs.append((g, b, 1 / inst.utility[e]))
         return cls(inst=inst, arcs=arcs)
 
     def node_count(self) -> int:

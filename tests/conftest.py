@@ -28,27 +28,78 @@ def make_instance(budgets, utilities) -> MarketInstance:
     )
 
 
-def priced(prices) -> MarketState:
+# The solvers run on the instance's index (buyer, good and edge ids as
+# ints); these helpers let a test name things by id strings instead.
+
+
+def state_of(inst: MarketInstance, prices, spending=(), refunds=()) -> MarketState:
+    """A state from amounts keyed by id strings: ``prices`` by good (every
+    good), ``spending`` by (buyer, good), ``refunds`` by buyer (absent
+    ones zero)."""
+    spending, refunds = dict(spending), dict(refunds)
+    return MarketState(
+        inst,
+        [Fraction(prices[g]) for g in inst.goods],
+        {inst.edge_id[e]: Fraction(v) for e, v in spending.items()},
+        [Fraction(refunds.get(b, 0)) for b in inst.buyers],
+    )
+
+
+def priced(inst: MarketInstance, prices) -> MarketState:
     """A state with the given prices and no spending or refunds; its first
     bang-per-buck view call computes every ratio afresh."""
-    return MarketState(prices=dict(prices), spending={}, refunds={})
+    return state_of(inst, prices)
+
+
+def edge_ids(inst: MarketInstance, edges) -> set:
+    """Edges named (buyer, good) as edge ids."""
+    return {inst.edge_id[e] for e in edges}
+
+
+def edge_names(inst: MarketInstance, ids) -> set:
+    """Edge ids as (buyer, good) names."""
+    return {inst.edge_names[e] for e in ids}
+
+
+def buyer_node(inst: MarketInstance, buyer: str) -> int:
+    return inst.buyer_pos[buyer]
+
+
+def good_node(inst: MarketInstance, good: str) -> int:
+    return len(inst.buyers) + inst.good_pos[good]
+
+
+def prices_of(inst: MarketInstance, state: MarketState) -> dict:
+    """The state's prices by good id."""
+    return dict(zip(inst.goods, state.prices))
+
+
+def spending_of(inst: MarketInstance, state: MarketState) -> dict:
+    """The state's non-zero spending by (buyer, good)."""
+    return {inst.edge_names[e]: v for e, v in state.spending.items()}
+
+
+def refunds_of(inst: MarketInstance, state: MarketState) -> dict:
+    """The state's non-zero refunds by buyer id."""
+    return {b: r for b, r in zip(inst.buyers, state.refunds) if r}
 
 
 def alphas_of(inst: MarketInstance, state: MarketState) -> dict:
     """Every buyer's best bang-per-buck, normalized from the pairs of the
     state's bang-per-buck view."""
     view = bang_per_buck_view(inst, state)
-    return {b: Fraction(*view.best_pair(b)) for b in inst.buyers}
+    return {b: Fraction(*view.best_pair(k)) for k, b in enumerate(inst.buyers)}
 
 
 def alphas_at(inst: MarketInstance, prices) -> dict:
     """Every buyer's bang-per-buck at ``prices``, read off a fresh view."""
-    return alphas_of(inst, priced(prices))
+    return alphas_of(inst, priced(inst, prices))
 
 
 def equality_graph_at(inst: MarketInstance, prices) -> set:
-    """The equality graph at ``prices``, read off a fresh view."""
-    return bang_per_buck_view(inst, priced(prices)).edges
+    """The equality graph at ``prices``, as (buyer, good) names, read off a
+    fresh view."""
+    return edge_names(inst, bang_per_buck_view(inst, priced(inst, prices)).edges)
 
 
 def wide_instance(seed, n_range=(10, 20), max_exp=14):
@@ -118,15 +169,15 @@ def check_step_lines(trace) -> None:
 
 @pytest.fixture
 def phase_starts(monkeypatch):
-    """Copies of ``ss.market.prices`` and ``ss.market.refunds`` at each
-    phase start of the solver runs in a test, in order, collected by
-    wrapping ``start_phase`` where both solvers call it."""
+    """Copies of ``ss.market.prices`` and ``ss.market.refunds``, by id
+    string, at each phase start of the solver runs in a test, in order,
+    collected by wrapping ``start_phase`` where both solvers call it."""
     starts: list[tuple[dict, dict]] = []
     original = weak.start_phase
 
     def recording(inst, ss, *args):
         mark = original(inst, ss, *args)
-        starts.append((dict(ss.market.prices), dict(ss.market.refunds)))
+        starts.append((prices_of(inst, ss.market), refunds_of(inst, ss.market)))
         return mark
 
     for module in (weak, strong):

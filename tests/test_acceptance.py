@@ -165,14 +165,13 @@ def test_criterion_5_support_recovery(oracle_suite):
         final = next(m for m in trace.phases if m.delta < stop_below)
         assert final is trace.phases[-1]
         threshold = 4 * stats.n * final.delta
-        recovered = {
-            e for e, v in final.spending_start.items() if v > threshold
-        }
+        names = outcome.perturbed.edge_names
+        spending = {names[e]: v for e, v in final.spending_start.items()}
+        recovered = {e for e, v in spending.items() if v > threshold}
         assert recovered == set(oracle.spending), "support mismatch"
-        for e in set(final.spending_start) | set(oracle.spending):
+        for e in set(spending) | set(oracle.spending):
             gap = abs(
-                oracle.spending.get(e, Fraction(0))
-                - final.spending_start.get(e, Fraction(0))
+                oracle.spending.get(e, Fraction(0)) - spending.get(e, Fraction(0))
             )
             assert gap < threshold, f"edge {e} further than 4*n*delta from limit"
         checked += 1
@@ -209,9 +208,9 @@ def certification_suite():
             if len(aux_samples) < 50:
                 for mark in trace.phases:
                     if mark.abundant_start and len(aux_samples) < 50:
-                        aux_samples.append(
-                            (outcome.perturbed, frozenset(mark.abundant_start))
-                        )
+                        names = outcome.perturbed.edge_names
+                        abundant = frozenset(names[e] for e in mark.abundant_start)
+                        aux_samples.append((outcome.perturbed, abundant))
             for mark in trace.phases:
                 if mark.entry == "restart":
                     post_restart_phis.append((mark.potential_start, stats.n))

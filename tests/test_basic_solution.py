@@ -13,9 +13,27 @@ from arcticauction.basic import (
     solve_tree_flow,
 )
 from arcticauction.errors import GenericityError, SolverError
-from arcticauction.graph import MarketState, components_of_edges
+from arcticauction.graph import components_of_edges
 
-from conftest import make_instance
+from conftest import (
+    edge_ids,
+    make_instance,
+    prices_of,
+    spending_of,
+    state_of,
+)
+
+
+def solve(inst, support, budgets=None):
+    """``basic_solution`` of a support named by (buyer, good), returned as
+    prices, spending and refunds by id strings."""
+    state = basic_solution(
+        inst,
+        components_of_edges(inst, edge_ids(inst, support)),
+        None if budgets is None else [Fraction(budgets[b]) for b in inst.buyers],
+    )
+    refunds = dict(zip(inst.buyers, state.refunds))
+    return prices_of(inst, state), spending_of(inst, state), refunds
 
 
 class TestBasicSolution:
@@ -23,19 +41,19 @@ class TestBasicSolution:
         # budget 1 against utility 2: selling the good at the budget keeps
         # bang-per-buck 2 >= 1, so the budget-balanced case stands
         inst = make_instance({"b1": 1}, {("b1", "g1"): 2})
-        state = basic_solution(inst, components_of_edges(inst, {("b1", "g1")}))
-        assert state.prices == {"g1": 1}
-        assert state.spending == {("b1", "g1"): 1}
-        assert state.refunds["b1"] == 0
+        prices, spending, refunds = solve(inst, {("b1", "g1")})
+        assert prices == {"g1": 1}
+        assert spending == {("b1", "g1"): 1}
+        assert refunds["b1"] == 0
 
     def test_anchored_single_edge(self):
         # budget 3: the budget-balanced solve would price at 3 and push
         # bang-per-buck to 2/3 < 1, so the buyer anchors at price 2
         inst = make_instance({"b1": 3}, {("b1", "g1"): 2})
-        state = basic_solution(inst, components_of_edges(inst, {("b1", "g1")}))
-        assert state.prices == {"g1": 2}
-        assert state.spending == {("b1", "g1"): 2}
-        assert state.refunds["b1"] == 1
+        prices, spending, refunds = solve(inst, {("b1", "g1")})
+        assert prices == {"g1": 2}
+        assert spending == {("b1", "g1"): 2}
+        assert refunds["b1"] == 1
 
     def test_two_buyers_one_good(self):
         # by hand: clearing x11 + x21 = p, full budgets x11 = x21 = 1,
@@ -43,12 +61,10 @@ class TestBasicSolution:
         inst = make_instance(
             {"b1": 1, "b2": 1}, {("b1", "g1"): 3, ("b2", "g1"): 3}
         )
-        state = basic_solution(
-            inst, components_of_edges(inst, {("b1", "g1"), ("b2", "g1")})
-        )
-        assert state.prices == {"g1": 2}
-        assert state.spending == {("b1", "g1"): 1, ("b2", "g1"): 1}
-        assert all(v == 0 for v in state.refunds.values())
+        prices, spending, refunds = solve(inst, {("b1", "g1"), ("b2", "g1")})
+        assert prices == {"g1": 2}
+        assert spending == {("b1", "g1"): 1, ("b2", "g1"): 1}
+        assert all(v == 0 for v in refunds.values())
 
     def test_solution_satisfies_definition(self):
         # re-verify every defining condition independently of the solver
@@ -57,27 +73,21 @@ class TestBasicSolution:
             {("b1", "g1"): 2, ("b1", "g2"): 6, ("b2", "g2"): 3},
         )
         support = {("b1", "g1"), ("b1", "g2"), ("b2", "g2")}
-        state = basic_solution(inst, components_of_edges(inst, support))
+        prices, spending, refunds = solve(inst, support)
         # equal bang-per-buck on each buyer's support edges
-        r1 = [
-            inst.utilities[e] / state.prices[e[1]] for e in support if e[0] == "b1"
-        ]
+        r1 = [inst.utilities[e] / prices[e[1]] for e in support if e[0] == "b1"]
         assert len(set(r1)) == 1
         # zero off support (everything in the sparse map is on support)
-        assert set(state.spending) <= support
+        assert set(spending) <= support
         # budget identities and non-anchor refunds
         for b in inst.buyers:
-            spent = sum(
-                (v for (i, _), v in state.spending.items() if i == b), Fraction(0)
-            )
-            assert state.refunds[b] == inst.budgets[b] - spent
-            assert state.refunds[b] >= 0
+            spent = sum((v for (i, _), v in spending.items() if i == b), Fraction(0))
+            assert refunds[b] == inst.budgets[b] - spent
+            assert refunds[b] >= 0
         # market clearing
         for g in inst.goods:
-            inflow = sum(
-                (v for (_, j), v in state.spending.items() if j == g), Fraction(0)
-            )
-            assert inflow == state.prices[g]
+            inflow = sum((v for (_, j), v in spending.items() if j == g), Fraction(0))
+            assert inflow == prices[g]
 
     def test_deterministic(self):
         inst = make_instance(
@@ -85,17 +95,13 @@ class TestBasicSolution:
             {("b1", "g1"): 2, ("b1", "g2"): 6, ("b2", "g2"): 3},
         )
         support = {("b1", "g1"), ("b1", "g2"), ("b2", "g2")}
-        first = basic_solution(inst, components_of_edges(inst, support))
-        second = basic_solution(inst, components_of_edges(inst, support))
-        assert first.prices == second.prices
-        assert first.spending == second.spending
-        assert first.refunds == second.refunds
+        assert solve(inst, support) == solve(inst, support)
 
     def test_isolated_good_fails(self):
         inst = make_instance({"b1": 1}, {("b1", "g1"): 1, ("b1", "g2"): 1})
         with pytest.raises(SupportError):
             # g2 left without a buyer
-            basic_solution(inst, components_of_edges(inst, {("b1", "g1")}))
+            solve(inst, {("b1", "g1")})
 
     def test_cycle_rejected(self):
         inst = make_instance(
@@ -103,94 +109,94 @@ class TestBasicSolution:
             {("b1", "g1"): 2, ("b1", "g2"): 4, ("b2", "g1"): 3, ("b2", "g2"): 6},
         )
         with pytest.raises(GenericityError):
-            basic_solution(
-                inst,
-                components_of_edges(
-                    inst, {("b1", "g1"), ("b1", "g2"), ("b2", "g1"), ("b2", "g2")}
-                ),
-            )
+            solve(inst, {("b1", "g1"), ("b1", "g2"), ("b2", "g1"), ("b2", "g2")})
 
     def test_singleton_buyer_fully_refunded(self):
         inst = make_instance(
             {"b1": 5, "b2": 1}, {("b1", "g1"): 1, ("b2", "g1"): 9}
         )
-        state = basic_solution(inst, components_of_edges(inst, {("b2", "g1")}))
-        assert state.refunds["b1"] == 5
-        assert state.spending == {("b2", "g1"): 1}
+        _, spending, refunds = solve(inst, {("b2", "g1")})
+        assert refunds["b1"] == 5
+        assert spending == {("b2", "g1"): 1}
 
     def test_effective_budgets_override(self):
         inst = make_instance({"b1": 3}, {("b1", "g1"): 2})
-        state = basic_solution(
-            inst, components_of_edges(inst, {("b1", "g1")}), {"b1": Fraction(1)}
-        )
-        assert state.prices == {"g1": 1}
-        assert state.refunds["b1"] == 0
+        prices, _, refunds = solve(inst, {("b1", "g1")}, {"b1": 1})
+        assert prices == {"g1": 1}
+        assert refunds["b1"] == 0
 
 
 class TestRecoverSupport:
+    inst = make_instance({"b1": 10}, {("b1", "g1"): 1})
+
     def test_boundary_excluded(self):
-        state = MarketState(
-            prices={"g1": Fraction(1)},
-            spending={("b1", "g1"): Fraction(8)},  # exactly 4*n*delta
-            refunds={},
-        )
+        # exactly 4*n*delta
+        state = state_of(self.inst, {"g1": 1}, {("b1", "g1"): 8})
         state.rescale(Fraction(1))
         assert recover_support(state, 2) == set()
 
     def test_above_boundary_included(self):
-        state = MarketState(
-            prices={"g1": Fraction(1)},
-            spending={("b1", "g1"): Fraction(9)},
-            refunds={},
-        )
+        state = state_of(self.inst, {"g1": 1}, {("b1", "g1"): 9})
         state.rescale(Fraction(1))
-        assert recover_support(state, 2) == {("b1", "g1")}
+        assert recover_support(state, 2) == edge_ids(self.inst, {("b1", "g1")})
 
 
 def tree_component(edges):
-    """The walker's component of a connected bipartite edge list."""
+    """The walker's component of a connected bipartite edge list, and its
+    instance."""
     inst = make_instance(
         {b: 1 for b, _ in edges}, {edge: 1 for edge in edges}
     )
-    (comp,) = components_of_edges(inst, set(edges)).components
-    return comp
+    (comp,) = components_of_edges(inst, edge_ids(inst, edges)).components
+    return inst, comp
 
 
-def assert_flow_meets_data(comp, flows, supply, demand):
-    assert list(flows) == list(comp.edges)
-    for b in comp.buyers:
+def tree_flow(inst, comp, supply, demand):
+    """``solve_tree_flow`` on data and flows keyed by id strings."""
+    flows = solve_tree_flow(
+        inst,
+        comp,
+        {inst.buyer_pos[b]: v for b, v in supply.items()},
+        {inst.good_pos[g]: v for g, v in demand.items()},
+    )
+    return {inst.edge_names[e]: v for e, v in flows.items()}
+
+
+def assert_flow_meets_data(inst, comp, flows, supply, demand):
+    assert list(flows) == [inst.edge_names[e] for e in comp.edges]
+    for b in supply:
         assert sum((v for e, v in flows.items() if e[0] == b), Fraction(0)) == supply[b]
-    for g in comp.goods:
+    for g in demand:
         assert sum((v for e, v in flows.items() if e[1] == g), Fraction(0)) == demand[g]
 
 
 class TestSolveTreeFlow:
     def test_single_edge(self):
-        comp = tree_component([("b1", "g1")])
-        flows = solve_tree_flow(comp, {"b1": Fraction(5)}, {"g1": Fraction(5)})
+        inst, comp = tree_component([("b1", "g1")])
+        flows = tree_flow(inst, comp, {"b1": Fraction(5)}, {"g1": Fraction(5)})
         assert flows == {("b1", "g1"): 5}
 
     def test_star(self):
-        comp = tree_component([("b1", "g1"), ("b1", "g2")])
+        inst, comp = tree_component([("b1", "g1"), ("b1", "g2")])
         supply = {"b1": Fraction(5)}
         demand = {"g1": Fraction(2), "g2": Fraction(3)}
-        flows = solve_tree_flow(comp, supply, demand)
+        flows = tree_flow(inst, comp, supply, demand)
         assert flows == {("b1", "g1"): 2, ("b1", "g2"): 3}
-        assert_flow_meets_data(comp, flows, supply, demand)
+        assert_flow_meets_data(inst, comp, flows, supply, demand)
 
     def test_unbalanced_data_raises(self):
-        comp = tree_component([("b1", "g1"), ("b2", "g1")])
+        inst, comp = tree_component([("b1", "g1"), ("b2", "g1")])
         supply = {"b1": Fraction(1), "b2": Fraction(1)}
         with pytest.raises(SolverError, match="unbalanced"):
-            solve_tree_flow(comp, supply, {"g1": Fraction(3)})
+            tree_flow(inst, comp, supply, {"g1": Fraction(3)})
 
     def test_cycle_raises(self):
-        comp = tree_component(
+        inst, comp = tree_component(
             [("b1", "g1"), ("b1", "g2"), ("b2", "g1"), ("b2", "g2")]
         )
         supply = {"b1": Fraction(1), "b2": Fraction(1)}
         with pytest.raises(SolverError, match="not a tree"):
-            solve_tree_flow(comp, supply, {"g1": Fraction(1), "g2": Fraction(1)})
+            tree_flow(inst, comp, supply, {"g1": Fraction(1), "g2": Fraction(1)})
 
 
 def _tree_strategy():
@@ -242,11 +248,11 @@ def test_tree_flow_stability(data):
     # node's equation exactly and moves by at most half the total variation
     # of the node data
     buyers, goods, edges, (s1, d1), (s2, d2) = data
-    comp = tree_component(edges)
-    f1 = solve_tree_flow(comp, s1, d1)
-    f2 = solve_tree_flow(comp, s2, d2)
-    assert_flow_meets_data(comp, f1, s1, d1)
-    assert_flow_meets_data(comp, f2, s2, d2)
+    inst, comp = tree_component(edges)
+    f1 = tree_flow(inst, comp, s1, d1)
+    f2 = tree_flow(inst, comp, s2, d2)
+    assert_flow_meets_data(inst, comp, f1, s1, d1)
+    assert_flow_meets_data(inst, comp, f2, s2, d2)
     variation = sum((abs(s1[b] - s2[b]) for b in buyers), Fraction(0)) + sum(
         (abs(d1[g] - d2[g]) for g in goods), Fraction(0)
     )

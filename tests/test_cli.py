@@ -504,6 +504,24 @@ INPUT_ERRORS = {
         goods=["1.0"], utilities=[["b1", 1.0, "2"]]
     ),
     "verify_nested_100000_deep": nested_arrays("verify"),
+    # usage errors are input errors too: exit 2 means no generic perturbation
+    "usage_solve_without_input": lambda *_: ["solve"],
+    "usage_solve_seed_not_an_integer": lambda instance_file, _: [
+        "solve",
+        "--input",
+        str(instance_file),
+        "--seed",
+        "abc",
+    ],
+    # read as an option, not as the value of --perturb
+    "usage_solve_perturb_negative": lambda instance_file, _: [
+        "solve",
+        "--input",
+        str(instance_file),
+        "--perturb",
+        "-1/2",
+    ],
+    "usage_unknown_command": lambda *_: ["frobnicate"],
 }
 
 
@@ -513,3 +531,9 @@ def test_input_error_exits_one(case, instance_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage:")

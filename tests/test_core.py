@@ -268,10 +268,32 @@ def test_instance_is_frozen_with_adjacency_in_document_order():
         {("b1", "g2"): 1, ("b2", "g1"): 1, ("b1", "g1"): 1},
     )
     assert inst.goods == ("g2", "g1")
-    assert inst.goods_of("b1") == ("g2", "g1")
-    assert inst.goods_of("b2") == ("g1",)
-    assert inst.buyers_of("g1") == ("b2", "b1")
-    assert inst.buyers_of("g2") == ("b1",)
+    # edge ids in canonical (buyer, good) document order
+    assert inst.edge_names == (("b2", "g1"), ("b1", "g2"), ("b1", "g1"))
+    assert inst.edges() == list(inst.edge_names)
+    assert all(inst.edge_id[edge] == e for e, edge in enumerate(inst.edge_names))
+
+    def named(edges):
+        return [inst.edge_names[e] for e in edges]
+
+    # b2 and g2 come first: each buyer's goods and each good's buyers
+    assert [named(edges) for edges in inst.buyer_edges] == [
+        [("b2", "g1")],
+        [("b1", "g2"), ("b1", "g1")],
+    ]
+    assert [named(edges) for edges in inst.good_edges] == [
+        [("b1", "g2")],
+        [("b2", "g1"), ("b1", "g1")],
+    ]
+    for e, (b, g) in enumerate(inst.edge_names):
+        assert (inst.edge_buyer[e], inst.edge_good[e]) == (
+            inst.buyer_pos[b],
+            inst.good_pos[g],
+        )
+        assert inst.pair_edge[(inst.edge_buyer[e], inst.edge_good[e])] == e
+        assert inst.utility[e] == inst.utilities[(b, g)]
+        assert inst.utility_pair[e] == (inst.utility[e].numerator, inst.utility[e].denominator)
+    assert inst.budget == (inst.budgets["b2"], inst.budgets["b1"])
     with pytest.raises(dataclasses.FrozenInstanceError):
         inst.buyers = ("b1",)
 

@@ -10,22 +10,27 @@ from hypothesis import strategies as st
 
 from arcticauction.core import MarketInstance
 from arcticauction.graph import (
-    MarketState,
     abundant_edges,
     bang_per_buck_view,
-    buyer_node,
     component_key,
     components_of_edges,
     edge_event,
-    edge_key,
-    good_node,
     path_to,
     reach,
 )
 from arcticauction.randgen import random_instance
 from arcticauction.weak import ScalingState, returnable_edges
 
-from conftest import alphas_at, equality_graph_at, make_instance
+from conftest import (
+    alphas_at,
+    buyer_node,
+    edge_ids,
+    edge_names,
+    equality_graph_at,
+    good_node,
+    make_instance,
+    state_of,
+)
 
 
 @pytest.fixture
@@ -76,39 +81,45 @@ class TestEdgeEvent:
                 ("b2", "g4"): 1,
             },
         )
-        prices = {g: Fraction(1) for g in inst.goods}
-        return inst, MarketState(prices=prices, spending={}, refunds={})
+        return inst, state_of(inst, {g: 1 for g in inst.goods})
+
+    def event(self, inst, view, buyers, active):
+        """``edge_event`` on buyers and goods named by id strings."""
+        return edge_event(
+            inst,
+            view,
+            [inst.buyer_pos[b] for b in buyers],
+            {inst.good_pos[g] for g in active},
+        )
 
     def test_smallest_multiplier_as_pair(self):
         inst, state = self.market()
-        state.scale_prices(["g4"], Fraction(2, 3))
+        state.scale_prices([inst.good_pos["g4"]], Fraction(2, 3))
         view = bang_per_buck_view(inst, state)
-        num, den, edge = edge_event(inst, view, ["b1", "b2"], {"g1"})
+        num, den, edge = self.event(inst, view, ["b1", "b2"], {"g1"})
         # b2's ratio on g4 rose to 3/2, so her event 2 / (3/2) comes first
-        assert (Fraction(num, den), edge) == (Fraction(4, 3), ("b2", "g4"))
+        assert (Fraction(num, den), inst.edge_names[edge]) == (
+            Fraction(4, 3),
+            ("b2", "g4"),
+        )
 
     def test_ties_go_to_the_first_buyer_then_the_first_good(self):
         inst, state = self.market()
         view = bang_per_buck_view(inst, state)
         # goods in document order are g1, g3, g2, g4
-        assert edge_event(inst, view, ["b1", "b2"], {"g1"})[2] == ("b1", "g3")
-        assert edge_event(inst, view, ["b2"], {"g1"})[2] == ("b2", "g4")
+        first = self.event(inst, view, ["b1", "b2"], {"g1"})[2]
+        assert inst.edge_names[first] == ("b1", "g3")
+        assert inst.edge_names[self.event(inst, view, ["b2"], {"g1"})[2]] == ("b2", "g4")
 
     def test_no_inactive_good(self):
         inst, state = self.market()
         view = bang_per_buck_view(inst, state)
-        assert edge_event(inst, view, ["b2"], {"g1", "g4"}) is None
-
-
-def canonical_key(inst, node):
-    """Buyers first, then goods, each in document order."""
-    kind, name = node
-    return (0, inst.buyer_pos[name]) if kind == "B" else (1, inst.good_pos[name])
+        assert self.event(inst, view, ["b2"], {"g1", "g4"}) is None
 
 
 def residual_tree(inst, state, roots):
     """The solvers' residual search: backward arcs on positive spending."""
-    ss = ScalingState(market=state, delta=Fraction(1), initial_prices=dict(state.prices))
+    ss = ScalingState(market=state, delta=Fraction(1), initial_prices=list(state.prices))
     return reach(
         inst, roots, bang_per_buck_view(inst, state).edges, returnable_edges(ss)
     )
@@ -118,7 +129,7 @@ def delta_residual_tree(inst, state, n, delta, roots):
     """The price raiser's search: backward arcs on abundant edges only."""
     state.rescale(delta)
     return reach(
-        inst, roots, equality_graph_at(inst, state.prices), abundant_edges(state, n)
+        inst, roots, bang_per_buck_view(inst, state).edges, abundant_edges(state, n)
     )
 
 
@@ -130,32 +141,25 @@ def out_arcs(tree, node):
 
 class TestResidualNetwork:
     def test_no_spending_no_backward(self, two_goods):
-        state = MarketState(
-            prices={"g1": Fraction(1), "g2": Fraction(2)}, spending={}, refunds={}
-        )
-        goods = [good_node("g1"), good_node("g2")]
-        assert set(residual_tree(two_goods, state, goods)) == set(goods)
+        inst = two_goods
+        state = state_of(inst, {"g1": 1, "g2": 2})
+        goods = [good_node(inst, "g1"), good_node(inst, "g2")]
+        assert set(residual_tree(inst, state, goods)) == set(goods)
 
     def test_positive_spending_gives_backward_arc(self, two_goods):
-        state = MarketState(
-            prices={"g1": Fraction(1), "g2": Fraction(2)},
-            spending={("b1", "g2"): Fraction(1, 2)},
-            refunds={},
-        )
-        tree = residual_tree(two_goods, state, [good_node("g2")])
-        assert tree[buyer_node("b1")] == good_node("g2")
+        inst = two_goods
+        state = state_of(inst, {"g1": 1, "g2": 2}, {("b1", "g2"): Fraction(1, 2)})
+        tree = residual_tree(inst, state, [good_node(inst, "g2")])
+        assert tree[buyer_node(inst, "b1")] == good_node(inst, "g2")
 
     def test_arc_count(self, two_goods):
-        state = MarketState(
-            prices={"g1": Fraction(1), "g2": Fraction(3)},
-            spending={("b1", "g1"): Fraction(1, 4)},
-            refunds={},
-        )
-        nodes = [buyer_node("b1"), good_node("g1"), good_node("g2")]
+        inst = two_goods
+        state = state_of(inst, {"g1": 1, "g2": 3}, {("b1", "g1"): Fraction(1, 4)})
+        nodes = [buyer_node(inst, "b1"), good_node(inst, "g1"), good_node(inst, "g2")]
         arcs = [
             (node, v)
             for node in nodes
-            for v in out_arcs(residual_tree(two_goods, state, [node]), node)
+            for v in out_arcs(residual_tree(inst, state, [node]), node)
         ]
         assert len(arcs) == 2 + 1
 
@@ -163,61 +167,63 @@ class TestResidualNetwork:
 class TestDeltaResidualNetwork:
     def setup_state(self, x):
         inst = make_instance({"b1": 10}, {("b1", "g1"): 2})
-        state = MarketState(
-            prices={"g1": Fraction(1)},
-            spending={("b1", "g1"): x},
-            refunds={},
-        )
-        return inst, state
+        return inst, state_of(inst, {"g1": 1}, {("b1", "g1"): x})
 
     def test_threshold_inclusive(self):
         inst, state = self.setup_state(Fraction(6))  # 3*n*delta = 6
-        tree = delta_residual_tree(inst, state, 2, Fraction(1), [good_node("g1")])
-        assert buyer_node("b1") in tree
+        roots = [good_node(inst, "g1")]
+        tree = delta_residual_tree(inst, state, 2, Fraction(1), roots)
+        assert buyer_node(inst, "b1") in tree
 
     def test_below_threshold_excluded(self):
         inst, state = self.setup_state(Fraction(5))
-        tree = delta_residual_tree(inst, state, 2, Fraction(1), [good_node("g1")])
-        assert buyer_node("b1") not in tree
+        roots = [good_node(inst, "g1")]
+        tree = delta_residual_tree(inst, state, 2, Fraction(1), roots)
+        assert buyer_node(inst, "b1") not in tree
 
     def test_halving_delta_grows_arcs(self):
         inst, state = self.setup_state(Fraction(5))
-        tree = delta_residual_tree(inst, state, 2, Fraction(1, 2), [good_node("g1")])
-        assert buyer_node("b1") in tree
+        roots = [good_node(inst, "g1")]
+        tree = delta_residual_tree(inst, state, 2, Fraction(1, 2), roots)
+        assert buyer_node(inst, "b1") in tree
+
+
+def reach_named(inst, roots, forward, backward):
+    """``reach`` from buyers and goods named by id strings, over edge sets
+    named by (buyer, good)."""
+    return reach(inst, roots, edge_ids(inst, forward), edge_ids(inst, backward))
 
 
 class TestActiveSet:
     def test_no_arcs(self):
         inst = make_instance({"b1": 1}, {("b1", "g1"): 1})
-        roots = [buyer_node("b1")]
-        assert reach(inst, roots, set(), set()) == {buyer_node("b1"): None}
+        roots = [buyer_node(inst, "b1")]
+        assert reach(inst, roots, set(), set()) == {buyer_node(inst, "b1"): None}
 
     def test_chain(self):
         inst = make_instance(
             {"b1": 1, "b2": 1}, {("b1", "g1"): 1, ("b2", "g1"): 1}
         )
-        tree = reach(inst, [buyer_node("b1")], {("b1", "g1")}, {("b2", "g1")})
-        assert tree == {
-            buyer_node("b1"): None,
-            good_node("g1"): buyer_node("b1"),
-            buyer_node("b2"): good_node("g1"),
-        }
+        b1, b2, g1 = (buyer_node(inst, "b1"), buyer_node(inst, "b2"), good_node(inst, "g1"))
+        tree = reach_named(inst, [b1], {("b1", "g1")}, {("b2", "g1")})
+        assert tree == {b1: None, g1: b1, b2: g1}
 
     def test_idempotent(self):
         inst = make_instance(
             {"b1": 1, "b2": 1}, {("b1", "g1"): 1, ("b2", "g1"): 1}
         )
         forward, backward = {("b1", "g1")}, {("b2", "g1")}
-        once = reach(inst, [buyer_node("b1")], forward, backward)
-        roots = sorted(once, key=lambda v: canonical_key(inst, v))
-        assert set(reach(inst, roots, forward, backward)) == set(once)
+        once = reach_named(inst, [buyer_node(inst, "b1")], forward, backward)
+        roots = sorted(once)  # canonical order
+        assert set(reach_named(inst, roots, forward, backward)) == set(once)
 
     def test_monotone_in_arcs(self):
         inst = make_instance(
             {"b1": 1, "b2": 1}, {("b1", "g1"): 1, ("b2", "g1"): 1}
         )
-        small = reach(inst, [buyer_node("b1")], {("b1", "g1")}, set())
-        large = reach(inst, [buyer_node("b1")], {("b1", "g1")}, {("b2", "g1")})
+        root = buyer_node(inst, "b1")
+        small = reach_named(inst, [root], {("b1", "g1")}, set())
+        large = reach_named(inst, [root], {("b1", "g1")}, {("b2", "g1")})
         assert set(small) <= set(large)
 
     def test_bfs_path_deterministic(self):
@@ -225,36 +231,36 @@ class TestActiveSet:
             {"b1": 1, "b2": 1},
             {("b1", "g1"): 1, ("b1", "g2"): 1, ("b2", "g1"): 1, ("b2", "g2"): 1},
         )
-        tree = reach(
+        b1, b2 = buyer_node(inst, "b1"), buyer_node(inst, "b2")
+        tree = reach_named(
             inst,
-            [buyer_node("b1")],
+            [b1],
             {("b1", "g1"), ("b1", "g2"), ("b2", "g2")},
             {("b2", "g1"), ("b2", "g2")},
         )
         # two shortest paths exist; canonical order picks the one through g1
-        assert path_to(tree, buyer_node("b2")) == [
-            buyer_node("b1"),
-            good_node("g1"),
-            buyer_node("b2"),
-        ]
+        assert path_to(tree, b2) == [b1, good_node(inst, "g1"), b2]
         with pytest.raises(ValueError):
-            path_to(reach(inst, [buyer_node("b1")], set(), set()), buyer_node("b2"))
+            path_to(reach(inst, [b1], set(), set()), b2)
 
 
 def reference_reach(inst, roots, forward, backward):
     """The search ``reach`` replaced: arcs copied into adjacency lists
-    sorted by canonical key, roots sorted the same way.  Returns the
-    reached set and the predecessor map of the non-root nodes."""
+    sorted by canonical key (the node number), roots sorted the same way.
+    Returns the reached set and the predecessor map of the non-root nodes."""
+    n_buyers = len(inst.buyers)
     adjacency = {}
-    for b, g in forward:
-        adjacency.setdefault(buyer_node(b), []).append(good_node(g))
-    for b, g in backward:
-        adjacency.setdefault(good_node(g), []).append(buyer_node(b))
+    for e in forward:
+        b, g = inst.edge_buyer[e], n_buyers + inst.edge_good[e]
+        adjacency.setdefault(b, []).append(g)
+    for e in backward:
+        b, g = inst.edge_buyer[e], n_buyers + inst.edge_good[e]
+        adjacency.setdefault(g, []).append(b)
     for targets in adjacency.values():
-        targets.sort(key=lambda v: canonical_key(inst, v))
+        targets.sort()
     seen = set(roots)
     parent = {}
-    queue = deque(sorted(roots, key=lambda v: canonical_key(inst, v)))
+    queue = deque(sorted(roots))
     while queue:
         node = queue.popleft()
         for nxt in adjacency.get(node, []):
@@ -282,9 +288,9 @@ def test_reach_matches_sorted_adjacency_search(n, seed, data):
         utilities=base.utilities,
     )
     edges = sorted(inst.utilities)
-    forward = data.draw(st.sets(st.sampled_from(edges)))
-    backward = data.draw(st.sets(st.sampled_from(edges)))
-    nodes = [buyer_node(b) for b in inst.buyers] + [good_node(g) for g in inst.goods]
+    forward = edge_ids(inst, data.draw(st.sets(st.sampled_from(edges))))
+    backward = edge_ids(inst, data.draw(st.sets(st.sampled_from(edges))))
+    nodes = list(range(len(inst.buyers) + len(inst.goods)))
     picked = data.draw(st.sets(st.sampled_from(nodes), min_size=1))
     roots = [v for v in nodes if v in picked]  # canonical order
 
@@ -298,14 +304,21 @@ def test_reach_matches_sorted_adjacency_search(n, seed, data):
         assert path[0] in picked and path[-1] == node
 
 
+def named(inst, comp):
+    """A component's buyers, goods and edges by id strings."""
+    return (
+        tuple(inst.buyers[b] for b in comp.buyers),
+        tuple(inst.goods[g] for g in comp.goods),
+        tuple(inst.edge_names[e] for e in comp.edges),
+    )
+
+
 class TestComponents:
     def test_all_singletons(self):
         inst = make_instance(
             {"b1": 1, "b2": 1}, {("b1", "g1"): 1, ("b2", "g2"): 1}
         )
-        state = MarketState(
-            prices={"g1": Fraction(1), "g2": Fraction(1)}, spending={}, refunds={}
-        )
+        state = state_of(inst, {"g1": 1, "g2": 1})
         state.rescale(Fraction(1))
         comps = components_of_edges(inst, abundant_edges(state, 4))[0]
         assert len(comps) == 4
@@ -315,17 +328,13 @@ class TestComponents:
         inst = make_instance(
             {"b1": 30, "b2": 1}, {("b1", "g1"): 1, ("b2", "g2"): 1}
         )
-        state = MarketState(
-            prices={"g1": Fraction(1), "g2": Fraction(1)},
-            spending={("b1", "g1"): Fraction(20)},
-            refunds={},
-        )
+        state = state_of(inst, {"g1": 1, "g2": 1}, {("b1", "g1"): Fraction(20)})
         state.rescale(Fraction(1))
         comps = components_of_edges(inst, abundant_edges(state, 4))[0]
         sizes = sorted(len(c.buyers) + len(c.goods) for c in comps)
         assert sizes == [1, 1, 2]
         pair = next(c for c in comps if not c.is_singleton())
-        assert pair.buyers == ("b1",) and pair.goods == ("g1",)
+        assert named(inst, pair)[:2] == (("b1",), ("g1",))
 
     def test_forest_component_count(self):
         # on a forest, every abundant edge merges two components
@@ -333,10 +342,10 @@ class TestComponents:
             {"b1": 100, "b2": 100},
             {("b1", "g1"): 1, ("b1", "g2"): 1, ("b2", "g2"): 1},
         )
-        state = MarketState(
-            prices={"g1": Fraction(1), "g2": Fraction(1)},
-            spending={("b1", "g1"): Fraction(50), ("b1", "g2"): Fraction(50)},
-            refunds={},
+        state = state_of(
+            inst,
+            {"g1": 1, "g2": 1},
+            {("b1", "g1"): Fraction(50), ("b1", "g2"): Fraction(50)},
         )
         n = 4
         state.rescale(Fraction(1))
@@ -375,14 +384,12 @@ def test_abundant_edges_stay_equality_under_uniform_component_scaling():
         {("b1", "g1"): 2, ("b1", "g2"): 4, ("b2", "g3"): 1},
     )
     prices = {"g1": Fraction(1), "g2": Fraction(2), "g3": Fraction(1)}
-    state = MarketState(
-        prices=dict(prices),
-        spending={("b1", "g1"): Fraction(3), ("b1", "g2"): Fraction(3)},
-        refunds={},
+    state = state_of(
+        inst, prices, {("b1", "g1"): Fraction(3), ("b1", "g2"): Fraction(3)}
     )
     n = 5
     state.rescale(Fraction(1, 100))
-    component_edges = abundant_edges(state, n)
+    component_edges = edge_names(inst, abundant_edges(state, n))
     assert component_edges == {("b1", "g1"), ("b1", "g2")}
     assert component_edges <= equality_graph_at(inst, prices)
     for factor in (Fraction(3, 2), Fraction(4)):
@@ -398,7 +405,7 @@ class TestComponentsOfEdges:
             {"b1": 1, "b2": 1},
             {("b1", "g1"): 1, ("b1", "g2"): 1, ("b2", "g1"): 1, ("b2", "g2"): 1},
         )
-        edges = set(inst.utilities)
+        edges = set(range(len(inst.edge_names)))
         comps, cycle = components_of_edges(inst, edges)
         assert len(comps) == 1
         assert cycle is not None and len(cycle) == 4
@@ -415,16 +422,19 @@ class TestComponentsOfEdges:
                 ("b3", "g3"): 1,
             },
         )
-        edges = {("b3", "g3"), ("b3", "g1"), ("b2", "g3")}
+        edges = edge_ids(inst, {("b3", "g3"), ("b3", "g1"), ("b2", "g3")})
         comps, cycle = components_of_edges(inst, edges)
         assert cycle is None
-        assert [component_key(c) for c in comps] == ["B:b1", "B:b2", "G:g2"]
+        assert [component_key(inst, c) for c in comps] == ["B:b1", "B:b2", "G:g2"]
         assert comps[0].edges == comps[2].edges == ()
-        assert comps[1].buyers == ("b2", "b3") and comps[1].goods == ("g1", "g3")
-        assert comps[1].edges == (("b2", "g3"), ("b3", "g1"), ("b3", "g3"))
+        assert named(inst, comps[1]) == (
+            ("b2", "b3"),
+            ("g1", "g3"),
+            (("b2", "g3"), ("b3", "g1"), ("b3", "g3")),
+        )
 
 
-def union_find_partition(nodes, edges):
+def union_find_partition(inst, nodes, edges):
     """Reference: connected components by union-find, as a set of node sets."""
     parent = {}
 
@@ -433,8 +443,9 @@ def union_find_partition(nodes, edges):
             x = parent[x]
         return x
 
-    for b, g in edges:
-        rb, rg = find(buyer_node(b)), find(good_node(g))
+    for e in edges:
+        b, g = inst.edge_buyer[e], len(inst.buyers) + inst.edge_good[e]
+        rb, rg = find(b), find(g)
         if rb != rg:
             parent[rb] = rg
     groups = {}
@@ -454,25 +465,29 @@ def test_walker_matches_union_find(n_buyers, n_goods, data):
     goods = [f"g{j}" for j in range(n_goods)]
     pairs = [(b, g) for b in buyers for g in goods]
     inst = make_instance({b: 1 for b in buyers}, {pair: 1 for pair in pairs})
-    edges = data.draw(st.sets(st.sampled_from(pairs)))
+    edges = edge_ids(inst, data.draw(st.sets(st.sampled_from(pairs))))
     comps, cycle = components_of_edges(inst, edges)
 
-    nodes = [buyer_node(b) for b in buyers] + [good_node(g) for g in goods]
-    assert {frozenset(c.nodes()) for c in comps} == union_find_partition(nodes, edges)
-    firsts = [canonical_key(inst, c.nodes()[0]) for c in comps]
+    def ends(e):
+        return {inst.edge_buyer[e], n_buyers + inst.edge_good[e]}
+
+    nodes = list(range(n_buyers + n_goods))
+    assert {frozenset(c.nodes()) for c in comps} == union_find_partition(
+        inst, nodes, edges
+    )
+    firsts = [c.nodes()[0] for c in comps]
     assert firsts == sorted(firsts)
     for comp in comps:
-        assert list(comp.edges) == sorted(comp.edges, key=lambda e: edge_key(inst, e))
-        assert all(b in comp.buyers and g in comp.goods for b, g in comp.edges)
+        assert list(comp.edges) == sorted(comp.edges)
+        assert all(ends(e) <= set(comp.nodes()) for e in comp.edges)
         # the recorded spanning tree: every node once, rooted at the smallest
         # node, each later node joined by its edge to a node listed earlier
         tree_nodes = [node for node, _ in comp.tree]
-        assert sorted(tree_nodes) == sorted(comp.nodes())
+        assert sorted(tree_nodes) == comp.nodes()
         assert comp.tree[0] == (comp.nodes()[0], None)
         for k, (node, edge) in enumerate(comp.tree[1:], start=1):
-            ends = {buyer_node(edge[0]), good_node(edge[1])}
-            assert edge in edges and node in ends
-            assert (ends - {node}) <= set(tree_nodes[:k])
+            assert edge in edges and node in ends(edge)
+            assert (ends(edge) - {node}) <= set(tree_nodes[:k])
         if cycle is None:
             assert sorted(edge for _, edge in comp.tree[1:]) == sorted(comp.edges)
     assert sorted(e for c in comps for e in c.edges) == sorted(edges)
@@ -482,7 +497,7 @@ def test_walker_matches_union_find(n_buyers, n_goods, data):
         # a closed walk over E: distinct edges of E, consecutive ones sharing
         # a node, every node on it met exactly twice
         assert len(set(cycle)) == len(cycle) >= 4 and set(cycle) <= edges
-        ends = [{buyer_node(b), good_node(g)} for b, g in cycle]
-        for here, there in zip(ends, ends[1:] + ends[:1]):
+        cycle_ends = [ends(e) for e in cycle]
+        for here, there in zip(cycle_ends, cycle_ends[1:] + cycle_ends[:1]):
             assert here & there
-        assert set(Counter(node for end in ends for node in end).values()) == {2}
+        assert set(Counter(node for end in cycle_ends for node in end).values()) == {2}

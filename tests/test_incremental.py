@@ -29,12 +29,7 @@ import pytest
 
 from arcticauction import strong, weak
 from arcticauction.core import PerturbationConfig, default_magnitude, perturb
-from arcticauction.graph import (
-    RESCALED,
-    MarketState,
-    bang_per_buck_view,
-    reach,
-)
+from arcticauction.graph import MarketState, bang_per_buck_view, reach
 from arcticauction.oracle import check_genericity
 from arcticauction.randgen import random_instance
 from arcticauction.rational import Q
@@ -47,10 +42,20 @@ from arcticauction.weak import (
 )
 
 import test_weak
-from conftest import alphas_of, lean_sigma, make_instance, wide_instance
+from conftest import (
+    alphas_of,
+    edge_names,
+    lean_sigma,
+    make_instance,
+    prices_of,
+    refunds_of,
+    spending_of,
+    state_of,
+    wide_instance,
+)
 
 
-# --- direct recomputations from the raw state --------------------------------
+# --- direct recomputations from the raw state, by id strings -----------------
 
 
 def amount(market, units, fixed):
@@ -59,29 +64,33 @@ def amount(market, units, fixed):
     return value + units * market.unit if units else value
 
 
-def raw_spending(market):
+def raw_spending(inst, market):
     """Every edge's spending, from its count and fixed part."""
     edges = {**market.edge_fixed, **market.edge_units}
     return {
-        e: amount(market, market.edge_units.get(e, 0), market.edge_fixed.get(e))
+        inst.edge_names[e]: amount(
+            market, market.edge_units.get(e, 0), market.edge_fixed.get(e)
+        )
         for e in edges
     }
 
 
-def raw_refunds(market):
-    """Every booked refund, from its count and fixed part."""
-    buyers = {**market.refund_fixed, **market.refund_units}
-    return {
-        b: amount(market, market.refund_units.get(b, 0), market.refund_fixed.get(b))
-        for b in buyers
+def raw_refunds(inst, market):
+    """Every non-zero refund, from its count and fixed part."""
+    refunds = {
+        b: amount(market, market.refund_units[k], market.refund_fixed[k])
+        for k, b in enumerate(inst.buyers)
     }
+    return {b: r for b, r in refunds.items() if r}
 
 
 def direct_cash(inst, market, buyer):
     spent = sum(
-        (v for (b, _), v in raw_spending(market).items() if b == buyer), Fraction(0)
+        (v for (b, _), v in raw_spending(inst, market).items() if b == buyer),
+        Fraction(0),
     )
-    return inst.budgets[buyer] - raw_refunds(market).get(buyer, Fraction(0)) - spent
+    refund = raw_refunds(inst, market).get(buyer, Fraction(0))
+    return inst.budgets[buyer] - refund - spent
 
 
 def direct_potential(inst, ss):
@@ -102,11 +111,12 @@ def direct_equality_graph(inst, prices):
     return {(b, g) for (b, g), u in inst.utilities.items() if u / prices[g] == alphas[b]}
 
 
-def direct_returnable(ss):
+def direct_returnable(inst, ss):
+    exempt = edge_names(inst, ss.exempt_edges)
     return {
         e
-        for e, v in raw_spending(ss.market).items()
-        if v > 0 and (e not in ss.exempt_edges or v >= ss.delta)
+        for e, v in raw_spending(inst, ss.market).items()
+        if v > 0 and (e not in exempt or v >= ss.delta)
     }
 
 
@@ -114,15 +124,16 @@ def direct_sign(value):
     return (value > 0) - (value < 0)
 
 
-def fresh_copy(ss):
+def fresh_copy(inst, ss):
     """The same state in new objects, so its first check is a full sweep."""
     market = MarketState(
-        prices=dict(ss.market.prices),
-        spending=dict(ss.market.spending),
-        refunds=dict(ss.market.refunds),
+        inst,
+        list(ss.market.prices),
+        dict(ss.market.spending),
+        ss.market.refunds,
     )
     copy = ScalingState(
-        market=market, delta=Fraction(ss.delta), initial_prices=dict(ss.initial_prices)
+        market=market, delta=Fraction(ss.delta), initial_prices=list(ss.initial_prices)
     )
     copy.exempt_edges = set(ss.exempt_edges)
     copy.allowed_deficit = dict(ss.allowed_deficit)
@@ -134,22 +145,24 @@ def assert_values_match(inst, ss):
     buyer, no edge holds zero, and each buyer's and good's count and fixed
     sums are those of its edges, with the rational sums to match."""
     market = ss.market
-    spending = raw_spending(market)
-    assert market.spending == spending
+    spending = raw_spending(inst, market)
+    assert spending_of(inst, market) == spending
     assert 0 not in spending.values()
-    assert market.refunds == raw_refunds(market)
+    assert refunds_of(inst, market) == raw_refunds(inst, market)
     for side, units, fixed, rational in (
         (0, market.spent_units, market.spent_fixed, market.spent_by),
         (1, market.inflow_units, market.inflow_fixed, market.inflow),
     ):
-        for node in inst.goods if side else inst.buyers:
-            edges = [e for e in spending if e[side] == node]
-            assert units.get(node, 0) == sum(market.edge_units.get(e, 0) for e in edges)
-            assert fixed.get(node, 0) == sum(
+        for k, node in enumerate(inst.goods if side else inst.buyers):
+            edges = [inst.edge_id[e] for e in spending if e[side] == node]
+            assert units[k] == sum(market.edge_units.get(e, 0) for e in edges)
+            assert fixed[k] == sum(
                 (market.edge_fixed.get(e, Fraction(0)) for e in edges), Fraction(0)
             )
-            assert rational(node) == sum((spending[e] for e in edges), Fraction(0))
-    for g in inst.goods:
+            assert rational(k) == sum(
+                (spending[inst.edge_names[e]] for e in edges), Fraction(0)
+            )
+    for g in range(len(inst.goods)):
         assert Fraction(*market.inflow_pair(g)) == market.inflow(g)
 
 
@@ -161,21 +174,22 @@ def assert_cash_terms_match(inst, ss):
 
 
 def assert_bang_per_buck_matches(inst, ss):
-    prices = ss.market.prices
+    prices = prices_of(inst, ss.market)
     alphas = direct_alphas(inst, prices)
     view = bang_per_buck_view(inst, ss.market)
-    assert view.signs == {b: direct_sign(a - 1) for b, a in alphas.items()}
+    assert view.signs == [direct_sign(alphas[b] - 1) for b in inst.buyers]
     assert alphas_of(inst, ss.market) == alphas
-    assert view.edges == direct_equality_graph(inst, prices)
-    assert check_genericity(inst, ss.market) == check_genericity(inst, fresh_copy(ss).market)
+    assert edge_names(inst, view.edges) == direct_equality_graph(inst, prices)
+    fresh = fresh_copy(inst, ss).market
+    assert check_genericity(inst, ss.market) == check_genericity(inst, fresh)
 
 
 def assert_returnable_matches(inst, ss):
-    assert returnable_edges(ss) == direct_returnable(ss)
+    assert edge_names(inst, returnable_edges(ss)) == direct_returnable(inst, ss)
 
 
 def assert_feasibility_matches(inst, ss):
-    assert is_delta_feasible(inst, ss) == is_delta_feasible(inst, fresh_copy(ss))
+    assert is_delta_feasible(inst, ss) == is_delta_feasible(inst, fresh_copy(inst, ss))
 
 
 # each view of the market state, under the name it keeps its pending items
@@ -260,22 +274,29 @@ def test_views_match_through_a_compressed_restart(checked_steps, checked_halving
 # --- every price raise against the Q multiplier formula -----------------------
 
 
+def names_of_nodes(inst, nodes):
+    """The buyers and goods among the graph nodes ``nodes``, by id
+    strings, each in canonical order."""
+    n_buyers = len(inst.buyers)
+    buyers = [inst.buyers[v] for v in sorted(nodes) if v < n_buyers]
+    goods = [inst.goods[v - n_buyers] for v in sorted(nodes) if v >= n_buyers]
+    return buyers, goods
+
+
 def reference_multiplier(inst, ss, active):
     """The smallest event multiplier of a price raise, each candidate a
     ``Q``: a new equality edge, an active good's backorder reaching zero,
     an active buyer's bang-per-buck reaching one."""
-    prices = ss.market.prices
+    prices = prices_of(inst, ss.market)
     alphas = direct_alphas(inst, prices)
-    active_buyers = [name for kind, name in active if kind == "B"]
-    active_goods = {name for kind, name in active if kind == "G"}
+    active_buyers, active_goods = names_of_nodes(inst, active)
     inflow = {g: Fraction(0) for g in inst.goods}
-    for (_, g), v in raw_spending(ss.market).items():
+    for (_, g), v in raw_spending(inst, ss.market).items():
         inflow[g] += v
     candidates = [
-        alphas[b] * prices[g] / inst.utilities[(b, g)]
-        for b in active_buyers
-        for g in inst.goods_of(b)
-        if g not in active_goods
+        alphas[b] * prices[g] / u
+        for (b, g), u in inst.utilities.items()
+        if b in active_buyers and g not in active_goods
     ]
     candidates += [inflow[g] / prices[g] for g in active_goods]
     candidates += [alphas[b] for b in active_buyers if alphas[b] > 1]
@@ -291,10 +312,10 @@ def checked_price_raises(monkeypatch):
     original = weak.update_price_star
 
     def checked(inst, ss, tree):
-        before = dict(ss.market.prices)
+        before = prices_of(inst, ss.market)
         q, active_goods = reference_multiplier(inst, ss, tree.parent)
         result = original(inst, ss, tree)
-        assert ss.market.prices == {
+        assert prices_of(inst, ss.market) == {
             g: p * q if g in active_goods else p for g, p in before.items()
         }
         seen.append(q)
@@ -338,22 +359,17 @@ def rescanned_terminal(inst, ss, active):
     """The terminal a full rescan of ``active`` finds, from direct
     recomputations: the first buyer at bang-per-buck one, else the first
     good whose backorder is at most zero, each in canonical order."""
-    prices = ss.market.prices
+    prices = prices_of(inst, ss.market)
     alphas = direct_alphas(inst, prices)
-    critical = sorted(
-        (name for kind, name in active if kind == "B" and alphas[name] == 1),
-        key=inst.buyer_pos.__getitem__,
-    )
+    buyers, goods = names_of_nodes(inst, active)
+    critical = [b for b in buyers if alphas[b] == 1]
     if critical:
-        return ("B", critical[0])
+        return inst.buyer_pos[critical[0]]
     inflow = {g: Fraction(0) for g in inst.goods}
-    for (_, g), v in raw_spending(ss.market).items():
+    for (_, g), v in raw_spending(inst, ss.market).items():
         inflow[g] += v
-    exhausted = sorted(
-        (name for kind, name in active if kind == "G" and inflow[name] <= prices[name]),
-        key=inst.good_pos.__getitem__,
-    )
-    return ("G", exhausted[0]) if exhausted else None
+    exhausted = [g for g in goods if inflow[g] <= prices[g]]
+    return len(inst.buyers) + inst.good_pos[exhausted[0]] if exhausted else None
 
 
 @pytest.fixture
@@ -370,14 +386,11 @@ def kept_trees(monkeypatch):
     def checked(inst, ss, tree):
         active = tree.parent
         assert list(fresh_tree(inst, ss, active).items()) == list(active.items())
-        assert tree.buyers == sorted(
-            (name for kind, name in active if kind == "B"), key=inst.buyer_pos.__getitem__
-        )
-        assert tree.goods == sorted(
-            (name for kind, name in active if kind == "G"), key=inst.good_pos.__getitem__
-        )
+        buyers, goods = names_of_nodes(inst, active)
+        assert [inst.buyers[b] for b in tree.buyers] == buyers
+        assert [inst.goods[g] for g in tree.goods] == goods
         assert tree.good_set == set(tree.goods)
-        assert tree.inflow == {g: ss.market.inflow_pair(g) for g in tree.goods}
+        assert tree.inflow == [ss.market.inflow_pair(g) for g in tree.goods]
         assert rescanned_terminal(inst, ss, active) is None
         tied, terminal = original(inst, ss, tree)
         assert terminal == rescanned_terminal(inst, ss, active)
@@ -435,20 +448,22 @@ def rescan_market(price_type):
         {"b1": 4, "b2": 4},
         {("b1", "g1"): 4, ("b1", "g2"): 2, ("b1", "g3"): 3, ("b2", "g2"): 1},
     )
-    market = MarketState(
-        prices={"g1": price_type(2), "g2": price_type(2), "g3": price_type(3)},
-        spending={},
-        refunds={},
-    )
-    assert bang_per_buck_view(inst, market).rows["b1"] == (("b1", "g1"),)
+    market = MarketState(inst, [price_type(2), price_type(2), price_type(3)])
+    assert row_of(inst, market, "b1") == (("b1", "g1"),)
     return inst, market
 
 
+def row_of(inst, market, buyer):
+    """A buyer's row in the market's view, by (buyer, good) names."""
+    row = bang_per_buck_view(inst, market).rows[inst.buyer_pos[buyer]]
+    return tuple(inst.edge_names[e] for e in row)
+
+
 def assert_view_is_direct(inst, market):
-    assert alphas_of(inst, market) == direct_alphas(inst, market.prices)
-    assert bang_per_buck_view(inst, market).edges == direct_equality_graph(
-        inst, market.prices
-    )
+    prices = prices_of(inst, market)
+    assert alphas_of(inst, market) == direct_alphas(inst, prices)
+    edges = bang_per_buck_view(inst, market).edges
+    assert edge_names(inst, edges) == direct_equality_graph(inst, prices)
 
 
 PRICE_TYPES = [int, Fraction, Q]
@@ -457,35 +472,32 @@ PRICE_TYPES = [int, Fraction, Q]
 @pytest.mark.parametrize("price_type", PRICE_TYPES)
 def test_raising_a_good_off_the_row_rescans_nothing(price_type):
     inst, market = rescan_market(price_type)
-    row = bang_per_buck_view(inst, market).rows["b1"]
-    market.scale_prices(["g2"], Fraction(2))
-    view = bang_per_buck_view(inst, market)
-    assert view.rows["b1"] == (("b1", "g1"),)
+    row = bang_per_buck_view(inst, market).rows[0]
+    market.scale_prices([inst.good_pos["g2"]], Fraction(2))
+    assert row_of(inst, market, "b1") == (("b1", "g1"),)
     # b1 was not rescanned: a rescan builds a new row, and this is the
     # very tuple built before
-    assert view.rows["b1"] is row
+    assert bang_per_buck_view(inst, market).rows[0] is row
     assert_view_is_direct(inst, market)
 
 
 @pytest.mark.parametrize("price_type", PRICE_TYPES)
 def test_lowering_a_good_off_the_row_to_a_tie_grows_the_row(price_type):
     inst, market = rescan_market(price_type)
-    market.scale_prices(["g2"], Fraction(1, 2))
-    view = bang_per_buck_view(inst, market)
-    assert view.rows["b1"] == (("b1", "g1"), ("b1", "g2"))
-    assert Fraction(*view.best_pair("b1")) == 2
+    market.scale_prices([inst.good_pos["g2"]], Fraction(1, 2))
+    assert row_of(inst, market, "b1") == (("b1", "g1"), ("b1", "g2"))
+    assert Fraction(*bang_per_buck_view(inst, market).best_pair(0)) == 2
     assert_view_is_direct(inst, market)
 
 
 @pytest.mark.parametrize("price_type", PRICE_TYPES)
 def test_lowering_a_good_past_the_best_makes_it_the_row(price_type):
     inst, market = rescan_market(price_type)
-    market.scale_prices(["g2"], Fraction(1, 2))
+    market.scale_prices([inst.good_pos["g2"]], Fraction(1, 2))
     assert_view_is_direct(inst, market)
-    market.scale_prices(["g2"], Fraction(1, 2))
-    view = bang_per_buck_view(inst, market)
-    assert view.rows["b1"] == (("b1", "g2"),)
-    assert Fraction(*view.best_pair("b1")) == 4
+    market.scale_prices([inst.good_pos["g2"]], Fraction(1, 2))
+    assert row_of(inst, market, "b1") == (("b1", "g2"),)
+    assert Fraction(*bang_per_buck_view(inst, market).best_pair(0)) == 4
     assert_view_is_direct(inst, market)
 
 
@@ -493,22 +505,32 @@ def test_lowering_a_good_past_the_best_makes_it_the_row(price_type):
 
 
 def pending_items(market, view):
-    """The items ``view`` has not seen yet."""
-    return market._pending[view][1]
+    """The items ``view`` has not seen yet, as (kind, id) pairs, kind by
+    kind, and the mark ``rescaled`` of a halving."""
+    pending = market._pending[view]
+    items = [
+        (kind, item)
+        for kind, items in (
+            ("edge", pending.edges),
+            ("buyer", pending.buyers),
+            ("good", pending.goods),
+            ("price", pending.prices),
+        )
+        for item in sorted(items or ())
+    ]
+    return items + ["rescaled"] * pending.rescaled
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_views_catch_up_over_any_number_of_mutations(seed):
     rng = random.Random(100 + seed)
     inst = random_instance(rng.randint(4, 8), rng)
-    edges = inst.edges()
+    edges = range(len(inst.edge_names))
     market = MarketState(
-        prices={g: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for g in inst.goods},
-        spending={},
-        refunds={},
+        inst, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in inst.goods]
     )
-    ss = ScalingState(market=market, delta=Fraction(1, 4), initial_prices={})
-    ss.initial_prices = dict(market.prices)
+    ss = ScalingState(market=market, delta=Fraction(1, 4), initial_prices=[])
+    ss.initial_prices = list(market.prices)
     # every item a mutator can touch, and the mark of a halving, once
     distinct = len(inst.buyers) + 2 * len(inst.goods) + len(edges) + 1
     assert_views_match(inst, ss)
@@ -521,9 +543,10 @@ def test_views_catch_up_over_any_number_of_mutations(seed):
             # every amount is a count of at least one unit
             market.add_spending_units(rng.choice(sorted(market.spending)), -1)
         elif move == 2:
-            market.add_refund(rng.choice(inst.buyers), Fraction(rng.randint(0, 2), 8))
+            buyer = rng.randrange(len(inst.buyers))
+            market.add_refund(buyer, Fraction(rng.randint(0, 2), 8))
         else:
-            goods = rng.sample(inst.goods, rng.randint(1, len(inst.goods)))
+            goods = rng.sample(range(len(inst.goods)), rng.randint(1, len(inst.goods)))
             market.scale_prices(goods, Fraction(rng.randint(1, 6), rng.randint(1, 6)))
         if step % 50 == 49:
             ss.delta = ss.delta / 2
@@ -547,23 +570,24 @@ def test_views_catch_up_over_counts_fixed_parts_and_halvings(seed):
     # that double every count; the fixed part of 1/3 no scale divides
     rng = random.Random(400 + seed)
     inst = random_instance(rng.randint(4, 8), rng)
-    edges = inst.edges()
-    prices = {g: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for g in inst.goods}
+    edges = range(len(inst.edge_names))
+    prices = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in inst.goods]
     fixed = rng.sample(edges, 3)
     market = MarketState(
-        prices=dict(prices),
-        spending={
+        inst,
+        list(prices),
+        {
             fixed[0]: Fraction(1, 3),
             **{e: Fraction(rng.randint(1, 3), 8) for e in fixed[1:]},
         },
-        refunds={inst.buyers[0]: Fraction(1, 8)},
+        [Fraction(1, 8)] + [Fraction(0)] * (len(inst.buyers) - 1),
     )
     ss = ScalingState(market=market, delta=Fraction(1, 2), initial_prices=prices)
     assert_views_match(inst, ss)
     zeroed_fixed = 0
     for step in range(240):
         edge = rng.choice(edges)
-        spending = raw_spending(market).get(edge, Fraction(0))
+        spending = raw_spending(inst, market).get(inst.edge_names[edge], Fraction(0))
         count = spending / ss.delta
         move = rng.randrange(5)
         if move == 0:
@@ -575,18 +599,18 @@ def test_views_catch_up_over_counts_fixed_parts_and_halvings(seed):
             market.add_spending_units(edge, -count.numerator)
             assert not market.has_spending(edge)
         elif move == 3:
-            buyer = rng.choice(inst.buyers)
+            buyer = rng.randrange(len(inst.buyers))
             if rng.random() < 0.5:
                 market.add_refund_units(buyer, rng.randint(0, 2))
             else:
                 market.add_refund(buyer, Fraction(rng.randint(0, 2), 8))
         else:
-            goods = rng.sample(inst.goods, rng.randint(1, len(inst.goods)))
+            goods = rng.sample(range(len(inst.goods)), rng.randint(1, len(inst.goods)))
             market.scale_prices(goods, Fraction(rng.randint(1, 6), rng.randint(1, 6)))
         if step % 60 == 59:
-            before = raw_spending(market), raw_refunds(market)
+            before = raw_spending(inst, market), raw_refunds(inst, market)
             ss.delta = ss.delta / 2
-            assert (raw_spending(market), raw_refunds(market)) == before
+            assert (raw_spending(inst, market), raw_refunds(inst, market)) == before
         if rng.random() < 0.3:
             for view in [view for view in VIEW_CHECKS if rng.random() < 0.5]:
                 VIEW_CHECKS[view](inst, ss)
@@ -594,21 +618,30 @@ def test_views_catch_up_over_counts_fixed_parts_and_halvings(seed):
     assert_views_match(inst, ss)
 
 
+# the kinds of item each view reads, and so is handed
+VIEW_KINDS = {
+    "values": {"edge"},
+    "cash_terms": {"buyer"},
+    "bang_per_buck": {"price"},
+    "returnable": {"edge"},
+    "feasible": {"edge", "buyer", "good", "price"},
+}
+
+
 def test_pending_items_are_cleared_once_each_view_caught_up():
+    # each view is handed only the kinds of item it reads
     inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
     ss = ScalingState(
-        market=MarketState(prices={"g1": Fraction(1)}, spending={}, refunds={}),
-        delta=Fraction(1),
-        initial_prices={"g1": Fraction(1)},
+        market=state_of(inst, {"g1": 1}), delta=Fraction(1), initial_prices=[Fraction(1)]
     )
     assert_views_match(inst, ss)
-    ss.market.add_spending_units(("b1", "g1"), 1)
-    ss.market.add_refund("b1", Fraction(1))
-    for view in VIEW_CHECKS:
-        assert list(pending_items(ss.market, view)) == [
-            ("edge", ("b1", "g1")),
-            ("buyer", "b1"),
-            ("good", "g1"),
+    ss.market.add_spending_units(inst.edge_id[("b1", "g1")], 1)
+    ss.market.add_refund(0, Fraction(1))
+    ss.market.scale_prices([0], Fraction(2))
+    touched = [("edge", 0), ("buyer", 0), ("good", 0), ("price", 0)]
+    for view, kinds in VIEW_KINDS.items():
+        assert pending_items(ss.market, view) == [
+            item for item in touched if item[0] in kinds
         ]
     assert_returnable_matches(inst, ss)
     assert not pending_items(ss.market, "returnable")
@@ -624,15 +657,11 @@ def test_pending_items_are_cleared_once_each_view_caught_up():
 def checked_state(inst, prices, spending, delta, initial=None):
     """A feasible state whose feasibility check has run once, so the next
     check is incremental."""
-    market = MarketState(
-        prices={g: Fraction(v) for g, v in prices.items()},
-        spending={e: Fraction(v) for e, v in spending.items()},
-        refunds={},
-    )
+    initial = initial or prices
     ss = ScalingState(
-        market=market,
+        market=state_of(inst, prices, spending),
         delta=Fraction(delta),
-        initial_prices={g: Fraction(v) for g, v in (initial or prices).items()},
+        initial_prices=[Fraction(initial[g]) for g in inst.goods],
     )
     assert is_delta_feasible(inst, ss) == (True, [])
     return ss
@@ -642,7 +671,7 @@ def assert_reported_like_full_sweep(inst, ss, expected):
     ok, violations = is_delta_feasible(inst, ss)
     assert not ok
     assert expected in violations
-    assert (ok, violations) == is_delta_feasible(inst, fresh_copy(ss))
+    assert (ok, violations) == is_delta_feasible(inst, fresh_copy(inst, ss))
     # a second call on the unchanged state reports the same again
     assert is_delta_feasible(inst, ss) == (ok, violations)
 
@@ -651,15 +680,11 @@ def test_non_multiple_spending_on_touched_edge():
     # only a state built from dicts holds a fixed part no count can mend
     inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g2"): 2})
     ss = ScalingState(
-        market=MarketState(
-            prices={"g1": Fraction(1), "g2": Fraction(1)},
-            spending={("b1", "g1"): Fraction(1, 2)},
-            refunds={},
-        ),
+        market=state_of(inst, {"g1": 1, "g2": 1}, {("b1", "g1"): Fraction(1, 2)}),
         delta=Fraction(1),
-        initial_prices={"g1": Fraction(1), "g2": Fraction(1)},
+        initial_prices=[Fraction(1), Fraction(1)],
     )
-    ss.market.add_spending_units(("b1", "g1"), 1)
+    ss.market.add_spending_units(inst.edge_id[("b1", "g1")], 1)
     assert_reported_like_full_sweep(
         inst, ss, "spending on ('b1', 'g1') not a multiple of delta"
     )
@@ -685,7 +710,7 @@ def test_price_raise_takes_untouched_spending_edge_off_equality_graph():
     inst, ss = two_buyer_market()
     # raising g1 leaves b1's spending on g1 off her best ratio; no mutator
     # touched that edge, only the price of its good
-    ss.market.scale_prices(["g1"], Fraction(2))
+    ss.market.scale_prices([inst.good_pos["g1"]], Fraction(2))
     assert_reported_like_full_sweep(
         inst, ss, "spending off equality graph on ('b1', 'g1')"
     )
@@ -695,7 +720,7 @@ def test_price_change_at_another_good_of_the_buyer():
     inst, ss = two_buyer_market()
     # cheaper g2 lifts b1's best ratio, so her spending on g1, whose price
     # did not move, leaves the equality graph
-    ss.market.scale_prices(["g2"], Fraction(1, 2))
+    ss.market.scale_prices([inst.good_pos["g2"]], Fraction(1, 2))
     assert_reported_like_full_sweep(
         inst, ss, "spending off equality graph on ('b1', 'g1')"
     )
@@ -704,14 +729,14 @@ def test_price_change_at_another_good_of_the_buyer():
 def test_raised_good_backorder_drops_below_bound_by_spending():
     inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
     ss = checked_state(inst, {"g1": 2}, {("b1", "g1"): 2}, delta=1, initial={"g1": 1})
-    ss.market.add_spending_units(("b1", "g1"), -1)
+    ss.market.add_spending_units(inst.edge_id[("b1", "g1")], -1)
     assert_reported_like_full_sweep(inst, ss, "backorder -1 below bound at good g1")
 
 
 def test_raised_good_backorder_drops_below_bound_by_price():
     inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
     ss = checked_state(inst, {"g1": 2}, {("b1", "g1"): 2}, delta=1, initial={"g1": 1})
-    ss.market.scale_prices(["g1"], Fraction(3, 2))
+    ss.market.scale_prices([inst.good_pos["g1"]], Fraction(3, 2))
     assert_reported_like_full_sweep(inst, ss, "backorder -1 below bound at good g1")
 
 
@@ -721,7 +746,7 @@ def test_halving_leaves_a_raised_good_above_the_new_scale():
     # a halving with no repair: the backorder of 1 passed at delta 1
     ss.delta = Fraction(1, 2)
     # a rescale by a whole factor is no start-over, just a mark
-    assert list(pending_items(ss.market, "feasible")) == [RESCALED]
+    assert pending_items(ss.market, "feasible") == ["rescaled"]
     assert_reported_like_full_sweep(inst, ss, "backorder 1 above delta at good g1")
 
 
@@ -729,21 +754,21 @@ def test_halving_makes_an_exempt_edge_returnable():
     # an exempt edge gives back delta only while it holds a whole unit: 3/4
     # does not at delta 1, and does at delta 1/2; no mutator touches it
     inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g2"): 2})
-    prices = {"g1": Fraction(1), "g2": Fraction(1)}
     ss = ScalingState(
-        market=MarketState(
-            prices=dict(prices),
-            spending={("b1", "g1"): Fraction(3), ("b2", "g2"): Fraction(3, 4)},
-            refunds={},
+        market=state_of(
+            inst,
+            {"g1": 1, "g2": 1},
+            {("b1", "g1"): Fraction(3), ("b2", "g2"): Fraction(3, 4)},
         ),
         delta=Fraction(1),
-        initial_prices=prices,
+        initial_prices=[Fraction(1), Fraction(1)],
     )
-    ss.exempt_edges = {("b2", "g2")}
-    assert returnable_edges(ss) == {("b1", "g1")}
+    ss.exempt_edges = {inst.edge_id[("b2", "g2")]}
+    assert edge_names(inst, returnable_edges(ss)) == {("b1", "g1")}
     ss.delta = Fraction(1, 2)
-    assert list(pending_items(ss.market, "returnable")) == [RESCALED]
-    assert returnable_edges(ss) == {("b1", "g1"), ("b2", "g2")} == direct_returnable(ss)
+    assert pending_items(ss.market, "returnable") == ["rescaled"]
+    returnable = edge_names(inst, returnable_edges(ss))
+    assert returnable == {("b1", "g1"), ("b2", "g2")} == direct_returnable(inst, ss)
 
 
 def test_sign_change_with_the_same_row_gives_a_fresh_genericity_report():
@@ -753,18 +778,18 @@ def test_sign_change_with_the_same_row_gives_a_fresh_genericity_report():
     ss = checked_state(inst, {"g1": 1}, {}, delta=1)
     before = check_genericity(inst, ss.market)
     assert before.ok and not before.critical_buyers_per_component
-    row = bang_per_buck_view(inst, ss.market).rows["b1"]
-    ss.market.scale_prices(["g1"], Fraction(2))
+    row = bang_per_buck_view(inst, ss.market).rows[0]
+    ss.market.scale_prices([inst.good_pos["g1"]], Fraction(2))
     after = check_genericity(inst, ss.market)
-    assert bang_per_buck_view(inst, ss.market).rows["b1"] == row
+    assert bang_per_buck_view(inst, ss.market).rows[0] == row
     assert dict(after.critical_buyers_per_component) == {"B:b1": 1}
-    assert after == check_genericity(inst, fresh_copy(ss).market)
+    assert after == check_genericity(inst, fresh_copy(inst, ss).market)
 
 
 def test_genericity_report_is_reused_only_by_its_own_state():
     inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
-    above = MarketState(prices={"g1": Fraction(1)}, spending={}, refunds={})
-    at_one = MarketState(prices={"g1": Fraction(2)}, spending={}, refunds={})
+    above = state_of(inst, {"g1": 1})
+    at_one = state_of(inst, {"g1": 2})
     report = check_genericity(inst, above)
     # nothing moved: the very same report again
     assert check_genericity(inst, above) is report
@@ -779,9 +804,7 @@ def test_genericity_report_cannot_be_changed():
         {"b1": 4, "b2": 4},
         {("b1", "g1"): 1, ("b1", "g2"): 1, ("b2", "g1"): 1, ("b2", "g2"): 1},
     )
-    state = MarketState(
-        prices={"g1": Fraction(1, 2), "g2": Fraction(1, 2)}, spending={}, refunds={}
-    )
+    state = state_of(inst, {"g1": Fraction(1, 2), "g2": Fraction(1, 2)})
     report = check_genericity(inst, state)
     assert not report.is_forest and report.offending_cycle
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -195,7 +195,7 @@ class TestCheckGenericity:
             {"b1": 1, "b2": 1},
             {("b1", "g1"): 2, ("b1", "g2"): 5, ("b2", "g1"): 3},
         )
-        report = check_genericity(inst, priced({"g1": Fraction(1), "g2": Fraction(7, 3)}))
+        report = check_genericity(inst, priced(inst, {"g1": Fraction(1), "g2": Fraction(7, 3)}))
         assert report.ok
         assert report.is_forest
 
@@ -206,7 +206,7 @@ class TestCheckGenericity:
             {"b1": 1, "b2": 1},
             {("b1", "g1"): 2, ("b1", "g2"): 4, ("b2", "g1"): 3, ("b2", "g2"): 6},
         )
-        report = check_genericity(inst, priced({"g1": Fraction(1), "g2": Fraction(2)}))
+        report = check_genericity(inst, priced(inst, {"g1": Fraction(1), "g2": Fraction(2)}))
         assert not report.is_forest
         assert report.offending_cycle is not None
         assert len(report.offending_cycle) == 4
@@ -215,8 +215,8 @@ class TestCheckGenericity:
         inst = make_instance(
             {"b1": 1, "b2": 1}, {("b1", "g1"): 2, ("b2", "g1"): 2}
         )
-        one = check_genericity(inst, priced({"g1": Fraction(4)}))
+        one = check_genericity(inst, priced(inst, {"g1": Fraction(4)}))
         assert one.ok  # nobody critical
-        both = check_genericity(inst, priced({"g1": Fraction(2)}))
+        both = check_genericity(inst, priced(inst, {"g1": Fraction(2)}))
         assert not both.ok  # two critical buyers share a component
         assert max(both.critical_buyers_per_component.values()) == 2

@@ -6,12 +6,7 @@ import pytest
 
 from arcticauction.core import PerturbationConfig, ceil_log2, compute_stats, perturb
 from arcticauction.errors import SolverError
-from arcticauction.graph import (
-    MarketState,
-    bang_per_buck_view,
-    buyer_node,
-    good_node,
-)
+from arcticauction.graph import bang_per_buck_view
 from arcticauction.oracle import brute_force_equilibrium
 from arcticauction.trace import PhaseMark, PhaseTrace, TraceRow
 from arcticauction.weak import (
@@ -34,23 +29,27 @@ from arcticauction.weak import (
 
 from conftest import (
     alphas_of,
+    buyer_node,
     check_nondecreasing,
     check_step_lines,
+    edge_ids,
+    edge_names,
+    good_node,
     lean_sigma,
     make_instance,
+    prices_of,
+    refunds_of,
+    spending_of,
+    state_of,
 )
 
 
 def scaling_state(inst, prices, spending, refunds, delta, initial=None):
-    market = MarketState(
-        prices={g: Fraction(v) for g, v in prices.items()},
-        spending={e: Fraction(v) for e, v in spending.items()},
-        refunds={b: Fraction(v) for b, v in refunds.items()},
-    )
+    initial = initial or prices
     return ScalingState(
-        market=market,
+        market=state_of(inst, prices, spending, refunds),
         delta=Fraction(delta),
-        initial_prices={g: Fraction(v) for g, v in (initial or prices).items()},
+        initial_prices=[Fraction(initial[g]) for g in inst.goods],
     )
 
 
@@ -60,10 +59,10 @@ class TestInitialize:
         # the utility caps, and the scale starts at the largest budget
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2, ("b1", "g2"): 6})
         ss = initialize(inst)
-        assert ss.market.prices == {"g1": Fraction(1, 3), "g2": Fraction(1)}
+        assert prices_of(inst, ss.market) == {"g1": Fraction(1, 3), "g2": Fraction(1)}
         assert ss.delta == 4
-        assert ss.market.spending == {}
-        assert ss.market.refunds == {}
+        assert spending_of(inst, ss.market) == {}
+        assert refunds_of(inst, ss.market) == {}
 
     def test_two_buyers_take_max(self):
         inst = make_instance(
@@ -72,7 +71,7 @@ class TestInitialize:
         ss = initialize(inst)
         # supports: b1 gives 2*1/(3*2) = 1/3, b2 gives 2*2/(3*2) = 2/3,
         # both under the utility cap, so the larger one wins
-        assert ss.market.prices["g1"] == Fraction(2, 3)
+        assert prices_of(inst, ss.market)["g1"] == Fraction(2, 3)
 
     def test_two_buyers_capped_by_utility(self):
         inst = make_instance(
@@ -80,7 +79,7 @@ class TestInitialize:
         )
         ss = initialize(inst)
         # supports 4/3 and 8/3 both exceed the utility cap u/2 = 1
-        assert ss.market.prices["g1"] == Fraction(1)
+        assert prices_of(inst, ss.market)["g1"] == Fraction(1)
 
     def test_initial_state_feasible_with_small_potential(self):
         inst = make_instance(
@@ -96,7 +95,7 @@ class TestInitialize:
         # the equilibrium price 2 and the good could never sell
         inst = make_instance({"b1": 10}, {("b1", "g1"): 2})
         ss = initialize(inst)
-        assert ss.market.prices["g1"] == Fraction(1)
+        assert prices_of(inst, ss.market)["g1"] == Fraction(1)
 
 
 class TestFeasibility:
@@ -164,7 +163,7 @@ class TestPotential:
 
 def active_tree(inst, ss, root):
     """The root buyer's residual search tree, as price_and_augment gets it."""
-    return SearchTree(inst, ss.market, [buyer_node(root)], returnable_edges(ss))
+    return SearchTree(inst, ss.market, [buyer_node(inst, root)], returnable_edges(ss))
 
 
 class TestUpdatePriceStar:
@@ -177,9 +176,9 @@ class TestUpdatePriceStar:
         )
         assert update_price_star(inst, ss, active_tree(inst, ss, "b1")) == (
             False,
-            buyer_node("b1"),
+            buyer_node(inst, "b1"),
         )
-        assert ss.market.prices["g1"] == 3
+        assert prices_of(inst, ss.market)["g1"] == 3
         assert alphas_of(inst, ss.market)["b1"] == 1
 
     def test_backorder_zero_event(self):
@@ -188,10 +187,10 @@ class TestUpdatePriceStar:
         ss = scaling_state(inst, {"g1": 1}, {("b1", "g1"): 2}, {}, delta=1)
         assert update_price_star(inst, ss, active_tree(inst, ss, "b1")) == (
             False,
-            good_node("g1"),
+            good_node(inst, "g1"),
         )
-        assert ss.market.prices["g1"] == 2
-        assert ss.market.backorder("g1") == 0
+        assert prices_of(inst, ss.market)["g1"] == 2
+        assert ss.market.backorder(inst.good_pos["g1"]) == 0
 
     def test_new_equality_edge_event(self):
         # bang-per-buck 3 on the active good, ratio 2 on the inactive one:
@@ -208,8 +207,8 @@ class TestUpdatePriceStar:
         )
         # the tie needs a new search; the raised tree has no terminal
         assert update_price_star(inst, ss, active_tree(inst, ss, "b1")) == (True, None)
-        assert ss.market.prices == {"g1": Fraction(3, 2), "g2": Fraction(1)}
-        assert ("b1", "g2") in bang_per_buck_view(inst, ss.market).edges
+        assert prices_of(inst, ss.market) == {"g1": Fraction(3, 2), "g2": Fraction(1)}
+        assert inst.edge_id[("b1", "g2")] in bang_per_buck_view(inst, ss.market).edges
 
 
 class TestPriceAndAugment:
@@ -222,14 +221,14 @@ class TestPriceAndAugment:
         ss = scaling_state(
             inst, {"g1": 1, "g2": 1}, {}, {"b2": Fraction(7, 2)}, delta=1
         )
-        before_g2 = ss.market.backorder("g2")
+        before_g2 = ss.market.backorder(inst.good_pos["g2"])
         phi_before = potential(inst, ss)
-        kind, subject = price_and_augment(inst, ss, "b1")
+        kind, subject = price_and_augment(inst, ss, inst.buyer_pos["b1"])
         assert (kind, subject) == ("augment_good", "g1")
-        assert ss.market.backorder("g1") == -1 + 1
-        assert ss.market.backorder("g2") == before_g2
+        assert ss.market.backorder(inst.good_pos["g1"]) == -1 + 1
+        assert ss.market.backorder(inst.good_pos["g2"]) == before_g2
         assert potential(inst, ss) == phi_before - 1
-        assert ss.market.effective_cash(inst, "b2") == Fraction(1, 2)
+        assert ss.market.effective_cash(inst, inst.buyer_pos["b2"]) == Fraction(1, 2)
 
     def test_buyer_terminal_keeps_backorders(self):
         # b2 is critical (bang-per-buck exactly 1) and reachable through
@@ -244,16 +243,16 @@ class TestPriceAndAugment:
             {"b2": 6},
             delta=1,
         )
-        backorders = {g: ss.market.backorder(g) for g in inst.goods}
+        backorders = [ss.market.backorder(g) for g in range(len(inst.goods))]
         phi_before = potential(inst, ss)
-        kind, subject = price_and_augment(inst, ss, "b1")
+        kind, subject = price_and_augment(inst, ss, inst.buyer_pos["b1"])
         assert (kind, subject) == ("augment_buyer", "b2")
-        assert ss.market.refunds["b2"] == 7
-        assert {g: ss.market.backorder(g) for g in inst.goods} == backorders
+        assert refunds_of(inst, ss.market)["b2"] == 7
+        assert [ss.market.backorder(g) for g in range(len(inst.goods))] == backorders
         assert potential(inst, ss) == phi_before - 1
         # the unit moved along b1 -> g1 -> b2
-        assert ss.market.spending[("b1", "g1")] == 1
-        assert ss.market.spending[("b2", "g1")] == 1
+        assert spending_of(inst, ss.market)[("b1", "g1")] == 1
+        assert spending_of(inst, ss.market)[("b2", "g1")] == 1
 
 
 class TestPriceRaiseTies:
@@ -266,9 +265,9 @@ class TestPriceRaiseTies:
         inst = make_instance({"b1": 4, "b2": 2}, {("b1", "g1"): 4, ("b2", "g1"): 2})
         ss = scaling_state(inst, {"g1": 1}, {("b2", "g1"): 2}, {}, delta=1)
         assert inner_step(inst, ss) == ("augment_buyer", "b2", 1)
-        assert ss.market.prices == {"g1": 2}
-        assert ss.market.spending == {("b1", "g1"): 1, ("b2", "g1"): 1}
-        assert ss.market.refunds == {"b2": 1}
+        assert prices_of(inst, ss.market) == {"g1": 2}
+        assert spending_of(inst, ss.market) == {("b1", "g1"): 1, ("b2", "g1"): 1}
+        assert refunds_of(inst, ss.market) == {"b2": 1}
 
     def test_two_critical_buyers_go_to_the_first_in_document_order(self):
         # the search reaches b2 before b3, but b3 comes first in the
@@ -281,14 +280,14 @@ class TestPriceRaiseTies:
             inst, {"g1": 1, "g2": 1}, {("b2", "g1"): 3, ("b3", "g2"): 3}, {}, delta=1
         )
         assert inner_step(inst, ss) == ("augment_buyer", "b3", 1)
-        assert ss.market.prices == {"g1": 2, "g2": 2}
-        assert ss.market.spending == {
+        assert prices_of(inst, ss.market) == {"g1": 2, "g2": 2}
+        assert spending_of(inst, ss.market) == {
             ("b1", "g1"): 1,
             ("b2", "g1"): 2,
             ("b2", "g2"): 1,
             ("b3", "g2"): 2,
         }
-        assert ss.market.refunds == {"b3": 1}
+        assert refunds_of(inst, ss.market) == {"b3": 1}
 
     def test_two_exhausted_goods_go_to_the_first_in_document_order(self):
         # the search reaches g2 before g1, but g1 comes first in the
@@ -300,8 +299,8 @@ class TestPriceRaiseTies:
             inst, {"g1": 1, "g2": 1}, {("b2", "g1"): 2, ("b2", "g2"): 2}, {}, delta=1
         )
         assert inner_step(inst, ss) == ("augment_good", "g1", 1)
-        assert ss.market.prices == {"g1": 2, "g2": 2}
-        assert ss.market.spending == {
+        assert prices_of(inst, ss.market) == {"g1": 2, "g2": 2}
+        assert spending_of(inst, ss.market) == {
             ("b1", "g2"): 1,
             ("b2", "g1"): 3,
             ("b2", "g2"): 1,
@@ -316,51 +315,51 @@ class TestPriceRaiseTies:
         )
         ss = scaling_state(inst, {"g1": 1, "g2": 1}, {("b2", "g2"): 2}, {}, delta=1)
         assert inner_step(inst, ss) == ("augment_good", "g1", 1)
-        assert ss.market.prices == {"g1": 1, "g2": 2}
-        assert ss.market.spending == {("b1", "g1"): 1, ("b2", "g2"): 2}
+        assert prices_of(inst, ss.market) == {"g1": 1, "g2": 2}
+        assert spending_of(inst, ss.market) == {("b1", "g1"): 1, ("b2", "g2"): 2}
 
 
 class TestRefundStep:
     def test_cash_drops_by_delta(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
         ss = scaling_state(inst, {"g1": 2}, {}, {"b1": 3}, delta=1)
-        assert refund_step(inst, ss, "b1") == 1
-        assert ss.market.effective_cash(inst, "b1") == 0
-        assert ss.market.refunds["b1"] == 4
+        assert refund_step(inst, ss, inst.buyer_pos["b1"]) == 1
+        assert ss.market.effective_cash(inst, inst.buyer_pos["b1"]) == 0
+        assert refunds_of(inst, ss.market)["b1"] == 4
 
     def test_other_buyers_untouched_and_potential_drop(self):
         inst = make_instance(
             {"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g1"): 8}
         )
         ss = scaling_state(inst, {"g1": 2}, {}, {}, delta=1)
-        cash_b2 = ss.market.effective_cash(inst, "b2")
+        cash_b2 = ss.market.effective_cash(inst, inst.buyer_pos["b2"])
         phi = potential(inst, ss)
         # cash 4 at delta 1: a run of four refund steps, booked at once
-        assert refund_step(inst, ss, "b1") == 4
-        assert ss.market.effective_cash(inst, "b2") == cash_b2
+        assert refund_step(inst, ss, inst.buyer_pos["b1"]) == 4
+        assert ss.market.effective_cash(inst, inst.buyer_pos["b2"]) == cash_b2
         assert potential(inst, ss) == phi - 4
 
     def test_books_floor_of_cash_over_delta(self):
         # cash 23/6 at delta 1/2: floor(23/3) = 7 steps, 1/3 left over
         inst = make_instance({"b1": Fraction(23, 6)}, {("b1", "g1"): 2})
         ss = scaling_state(inst, {"g1": 2}, {}, {}, delta=Fraction(1, 2))
-        assert refund_step(inst, ss, "b1") == 7
-        assert ss.market.refunds["b1"] == Fraction(7, 2)
-        assert ss.market.effective_cash(inst, "b1") == Fraction(1, 3)
+        assert refund_step(inst, ss, inst.buyer_pos["b1"]) == 7
+        assert refunds_of(inst, ss.market)["b1"] == Fraction(7, 2)
+        assert ss.market.effective_cash(inst, inst.buyer_pos["b1"]) == Fraction(1, 3)
         assert is_delta_optimal(inst, ss)
 
     def test_precondition_enforced(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
         ss = scaling_state(inst, {"g1": 2}, {}, {}, delta=1)
         with pytest.raises(SolverError, match="bang-per-buck 4, cash 4"):
-            refund_step(inst, ss, "b1")  # bang-per-buck is 4 > 1
+            refund_step(inst, ss, inst.buyer_pos["b1"])  # bang-per-buck is 4 > 1
 
     def test_cash_below_delta_rejected(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
         ss = scaling_state(inst, {"g1": 2}, {}, {"b1": Fraction(7, 2)}, delta=1)
         with pytest.raises(SolverError):
-            refund_step(inst, ss, "b1")  # cash 1/2 < delta
-        assert ss.market.refunds["b1"] == Fraction(7, 2)
+            refund_step(inst, ss, inst.buyer_pos["b1"])  # cash 1/2 < delta
+        assert refunds_of(inst, ss.market)["b1"] == Fraction(7, 2)
 
     def test_inner_step_reports_the_run(self):
         inst = make_instance(
@@ -419,10 +418,10 @@ class TestHalveAndRepair:
             delta=1,
             initial={"g1": 1},
         )
-        assert ss.market.backorder("g1") == 1
+        assert ss.market.backorder(inst.good_pos["g1"]) == 1
         halve_and_repair(inst, ss)
         assert ss.delta == Fraction(1, 2)
-        assert ss.market.backorder("g1") == Fraction(1, 2)
+        assert ss.market.backorder(inst.good_pos["g1"]) == Fraction(1, 2)
         ok, violations = is_delta_feasible(inst, ss)
         assert ok, violations
 
@@ -436,9 +435,9 @@ class TestHalveAndRepair:
             delta=1,
             initial={"g1": 1},
         )
-        assert ss.market.backorder("g1") == Fraction(1, 2)
+        assert ss.market.backorder(inst.good_pos["g1"]) == Fraction(1, 2)
         halve_and_repair(inst, ss)
-        assert ss.market.spending[("b1", "g1")] == 4
+        assert spending_of(inst, ss.market)[("b1", "g1")] == 4
 
     def test_repaired_variable_stays_positive(self):
         inst = make_instance({"b1": 8}, {("b1", "g1"): 2})
@@ -451,7 +450,7 @@ class TestHalveAndRepair:
             initial={"g1": 1},
         )
         halve_and_repair(inst, ss)
-        assert ss.market.spending[("b1", "g1")] == Fraction(7, 2) > 0
+        assert spending_of(inst, ss.market)[("b1", "g1")] == Fraction(7, 2) > 0
 
 
     def test_donor_holding_exactly_the_new_scale_gives_it_back(self):
@@ -467,7 +466,7 @@ class TestHalveAndRepair:
             initial={"g1": 1},
         )
         halve_and_repair(inst, ss)
-        assert ss.market.spending == {("b2", "g1"): Fraction(9, 2)}
+        assert spending_of(inst, ss.market) == {("b2", "g1"): Fraction(9, 2)}
 
 
 class TestReturnableEdges:
@@ -480,36 +479,39 @@ class TestReturnableEdges:
             {},
             delta=1,
         )
-        ss.exempt_edges = {("b1", "g1"), ("b2", "g1")}
-        assert returnable_edges(ss) == {("b2", "g1")}
+        ss.exempt_edges = edge_ids(inst, {("b1", "g1"), ("b2", "g1")})
+        assert edge_names(inst, returnable_edges(ss)) == {("b2", "g1")}
         # halved, the scale is exactly b1's spending
         ss.delta = Fraction(1, 2)
-        assert returnable_edges(ss) == {("b1", "g1"), ("b2", "g1")}
-        ss.market.add_spending_units(("b2", "g1"), -2)
-        assert returnable_edges(ss) == {("b1", "g1")}
+        assert edge_names(inst, returnable_edges(ss)) == {("b1", "g1"), ("b2", "g1")}
+        ss.market.add_spending_units(inst.edge_id[("b2", "g1")], -2)
+        assert edge_names(inst, returnable_edges(ss)) == {("b1", "g1")}
 
 
 class TestPhaseInvariants:
+    inst = make_instance({"b1": 1, "b2": 1}, {("b1", "g1"): 1, ("b2", "g1"): 1})
+
     def mark(self, start, end):
+        edge_id = self.inst.edge_id
         return PhaseMark(
             index=0,
             delta=Fraction(1, 2),
             entry="halve",
             potential_start=0,
-            spending_start={e: Fraction(v) for e, v in start.items()},
+            spending_start={edge_id[e]: Fraction(v) for e, v in start.items()},
             abundant_start=set(),
-            spending_end={e: Fraction(v) for e, v in end.items()},
+            spending_end={edge_id[e]: Fraction(v) for e, v in end.items()},
         )
 
     def test_drift_up_to_n_delta_passes(self):
         # n * delta = 3/2: one edge rises by exactly that, another vanishes
         mark = self.mark({("b1", "g1"): 1, ("b2", "g1"): 1}, {("b1", "g1"): "5/2"})
-        check_phase_invariants(3, mark)
+        check_phase_invariants(self.inst, 3, mark)
 
     def test_drift_above_n_delta_raises(self):
         mark = self.mark({("b1", "g1"): 1}, {("b1", "g1"): 1, ("b2", "g1"): 2})
         with pytest.raises(SolverError, match="drifted 2 > 3/2"):
-            check_phase_invariants(3, mark)
+            check_phase_invariants(self.inst, 3, mark)
 
 
 class TestStartPhase:
