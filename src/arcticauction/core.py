@@ -117,8 +117,7 @@ class MarketInstance:
     its (numerator, denominator), and ``budget`` each buyer's budget.
     ``buyer_edges[i]`` lists buyer ``i``'s edges (a contiguous run of ids,
     by good) and ``good_edges[j]`` good ``j``'s edges (by buyer).
-    ``edge_id`` maps an edge's names to its id and ``pair_edge`` its
-    (buyer, good) positions.
+    ``edge_id`` maps an edge's names to its id.
     """
 
     buyers: tuple[str, ...]
@@ -131,9 +130,6 @@ class MarketInstance:
         init=False, repr=False, compare=False
     )
     edge_id: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
-    pair_edge: dict[tuple[int, int], int] = field(
-        init=False, repr=False, compare=False
-    )
     edge_buyer: tuple[int, ...] = field(init=False, repr=False, compare=False)
     edge_good: tuple[int, ...] = field(init=False, repr=False, compare=False)
     utility: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
@@ -178,7 +174,6 @@ class MarketInstance:
         derived = {
             "edge_names": names,
             "edge_id": dict(zip(names, range(len(names)))),
-            "pair_edge": dict(zip(zip(edge_buyer, edge_good), range(len(names)))),
             "edge_buyer": edge_buyer,
             "edge_good": edge_good,
             "utility": utility,

@@ -92,8 +92,10 @@ class Changes:
         return out
 
 
-# what a view gets when nothing was touched since its last call
-_NOTHING = Changes(BUYERS | GOODS | EDGES | PRICES, None)
+# what a view gets when nothing was touched since its last call; shared by
+# every view, so its sets are frozen
+_NOTHING = Changes(0, None)
+_NOTHING.buyers = _NOTHING.goods = _NOTHING.edges = _NOTHING.prices = frozenset()
 
 
 _VALUES = "values"

@@ -33,9 +33,9 @@ from arcticauction.graph import (
     component_key,
     components_of_edges,
 )
+from arcticauction.rational import ZERO, reduced
 
 Edge = tuple[str, str]  # (buyer id, good id)
-from arcticauction.rational import ZERO, reduced
 
 BRUTE_FORCE_MAX_EDGES = 12
 BRUTE_FORCE_MAX_NODES = 8

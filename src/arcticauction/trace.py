@@ -102,7 +102,7 @@ class PhaseTrace:
     ``edge_names`` (the instance's) names them in the trace lines."""
 
     algorithm: str
-    edge_names: tuple[tuple[str, str], ...] = ()
+    edge_names: tuple[tuple[str, str], ...]
     rows: list[TraceRow] = field(default_factory=list)
     phases: list[PhaseMark] = field(default_factory=list)
     restarts: list[RestartRecord] = field(default_factory=list)

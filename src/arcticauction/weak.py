@@ -482,13 +482,18 @@ def _augment(inst: MarketInstance, ss: ScalingState, path: list[Node]) -> None:
     """Shift one unit of ``delta`` along a residual path (forward +,
     backward -)."""
     n_buyers = len(inst.buyers)
+    buyer_edges, edge_good = inst.buyer_edges, inst.edge_good
     for a, b in zip(path, path[1:]):
         if a < n_buyers <= b:
-            ss.market.add_spending_units(inst.pair_edge[(a, b - n_buyers)], 1)
+            buyer, good, units = a, b - n_buyers, 1
         elif b < n_buyers <= a:
-            ss.market.add_spending_units(inst.pair_edge[(b, a - n_buyers)], -1)
+            buyer, good, units = b, a - n_buyers, -1
         else:
             raise SolverError("augmenting path does not alternate sides")
+        # the buyer's edges are a run of ids sorted by good
+        run = buyer_edges[buyer]
+        edge = bisect_left(edge_good, good, run[0], run[-1] + 1)
+        ss.market.add_spending_units(edge, units)
 
 
 def price_and_augment(

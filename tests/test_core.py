@@ -290,8 +290,10 @@ def test_instance_is_frozen_with_adjacency_in_document_order():
             inst.buyer_pos[b],
             inst.good_pos[g],
         )
-        assert inst.pair_edge[(inst.edge_buyer[e], inst.edge_good[e])] == e
         assert inst.utility[e] == inst.utilities[(b, g)]
+    for run in inst.buyer_edges:  # a run of ids, by good
+        assert list(run) == list(range(run[0], run[-1] + 1))
+        assert [inst.edge_good[e] for e in run] == sorted(inst.edge_good[e] for e in run)
         assert inst.utility_pair[e] == (inst.utility[e].numerator, inst.utility[e].denominator)
     assert inst.budget == (inst.budgets["b2"], inst.budgets["b1"])
     with pytest.raises(dataclasses.FrozenInstanceError):

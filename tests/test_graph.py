@@ -471,20 +471,28 @@ def test_walker_matches_union_find(n_buyers, n_goods, data):
     def ends(e):
         return {inst.edge_buyer[e], n_buyers + inst.edge_good[e]}
 
+    def members(comp):
+        # the component's nodes as its buyer and good lists give them
+        return [*comp.buyers, *(n_buyers + g for g in comp.goods)]
+
     nodes = list(range(n_buyers + n_goods))
-    assert {frozenset(c.nodes()) for c in comps} == union_find_partition(
+    assert {frozenset(members(c)) for c in comps} == union_find_partition(
         inst, nodes, edges
     )
-    firsts = [c.nodes()[0] for c in comps]
+    firsts = [members(c)[0] for c in comps]
     assert firsts == sorted(firsts)
     for comp in comps:
+        assert list(comp.buyers) == sorted(comp.buyers)
+        assert list(comp.goods) == sorted(comp.goods)
         assert list(comp.edges) == sorted(comp.edges)
-        assert all(ends(e) <= set(comp.nodes()) for e in comp.edges)
+        for e in comp.edges:
+            assert inst.edge_buyer[e] in comp.buyers
+            assert inst.edge_good[e] in comp.goods
         # the recorded spanning tree: every node once, rooted at the smallest
         # node, each later node joined by its edge to a node listed earlier
         tree_nodes = [node for node, _ in comp.tree]
-        assert sorted(tree_nodes) == comp.nodes()
-        assert comp.tree[0] == (comp.nodes()[0], None)
+        assert sorted(tree_nodes) == members(comp) == comp.nodes()
+        assert comp.tree[0] == (members(comp)[0], None)
         for k, (node, edge) in enumerate(comp.tree[1:], start=1):
             assert edge in edges and node in ends(edge)
             assert (ends(edge) - {node}) <= set(tree_nodes[:k])

@@ -342,7 +342,7 @@ def repair_rows(inst, ss, forest_edges):
     """Run the deficit repair on a restarted state whose abundant forest
     has ``forest_edges``; return the (kind, subject) of its trace rows."""
     comps = components_of_edges(inst, edge_ids(inst, forest_edges)).components
-    trace = PhaseTrace("strong")
+    trace = PhaseTrace("strong", inst.edge_names)
     trace.begin_phase(0, ss.delta, "restart", 0, ss.market.spending, set())
     _repair_deficits(inst, ss, comps, trace, 0)
     return [(r.kind, r.subject) for r in trace.rows]
@@ -422,7 +422,7 @@ class TestGetPrices:
         inst = make_instance({"b1": 1}, {("b1", "g1"): 8})
         ss = scaling_state(inst, {"g1": Fraction(1, 4)}, {}, {}, delta=64)
         comps = components_of(inst, ss)
-        trace = PhaseTrace("strong")
+        trace = PhaseTrace("strong", inst.edge_names)
         prices, refunds, _ = get_prices(inst, ss, comps, Fraction(1), trace)
         assert prices == ss.market.prices
         assert refunds == [0]
@@ -443,7 +443,7 @@ class TestGetPrices:
             delta=Fraction(1, 12),
         )
         comps = components_of(inst, ss)
-        trace = PhaseTrace("strong")
+        trace = PhaseTrace("strong", inst.edge_names)
         prices, refunds, run_surplus = get_prices(
             inst, ss, comps, Fraction(1, 2), trace
         )
@@ -505,7 +505,7 @@ class TestMakeFertile:
             lambda *a, **k: (ss.delta / n, {}),
         )
         market, delta = ss.market, ss.delta
-        trace = PhaseTrace("strong")
+        trace = PhaseTrace("strong", inst.edge_names)
         record = make_fertile(inst, ss, comps, trace, 3)
         assert record.branch == "delayed"
         assert record.delta_after == record.delta_before == delta == ss.delta
@@ -529,7 +529,7 @@ class TestMakeFertile:
         n = compute_stats(inst).n
         assert not fertile_components(inst, ss, comps)
         market = ss.market
-        trace = PhaseTrace("strong")
+        trace = PhaseTrace("strong", inst.edge_names)
         record = make_fertile(inst, ss, comps, trace, 0)
         assert record.branch == "compressed"
         assert record.delta_before == 64
@@ -552,7 +552,7 @@ class TestMakeFertile:
         ss.initial_prices[g1] = ss.market.prices[g1]
         comps = components_of(inst, ss)
         market = ss.market
-        record = make_fertile(inst, ss, comps, PhaseTrace("strong"), 0)
+        record = make_fertile(inst, ss, comps, PhaseTrace("strong", inst.edge_names), 0)
         assert record.branch == "delayed"
         assert max(record.surpluses.values()) == 0
         assert ss.market is market

@@ -374,7 +374,7 @@ class TestRefundStep:
 
 class TestTraceRuns:
     def trace_with_rows(self):
-        trace = PhaseTrace(algorithm="weak")
+        trace = PhaseTrace(algorithm="weak", edge_names=())
         trace.begin_phase(0, Fraction(1, 2), "init", 5, {}, set())
         trace.add_row(TraceRow(0, Fraction(1, 2), "augment_good", "g1", 5, 4))
         trace.add_row(TraceRow(0, Fraction(1, 2), "refund", "b2", 4, 1, steps=3))
@@ -520,7 +520,7 @@ class TestStartPhase:
 
     def start(self, entry):
         ss = scaling_state(self.inst, {"g1": 1}, {}, {}, delta=1)
-        trace = PhaseTrace(algorithm="strong")
+        trace = PhaseTrace(algorithm="strong", edge_names=self.inst.edge_names)
         return start_phase(self.inst, ss, compute_stats(self.inst), trace, 3, entry)
 
     @pytest.mark.parametrize("entry", ["init", "halve", "delayed"])
