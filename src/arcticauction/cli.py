@@ -28,6 +28,10 @@ from arcticauction.errors import SolverError
 from arcticauction.oracle import Certificate, Equilibrium, check_equilibrium
 
 
+# the solvers whose results a document can hold
+ALGORITHMS = ("weak", "strong")
+
+
 def equilibrium_doc(inst: MarketInstance, eq: Equilibrium) -> dict:
     """The result document's equilibrium section; edge rows come in
     canonical (buyer, good) document order."""
@@ -128,6 +132,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results = dict(doc["results"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed solution document ({exc})") from exc
+    if not results:
+        raise InstanceError("solution document has no results to verify")
+    for name in results:
+        if name not in ALGORITHMS:
+            raise InstanceError(f"results for unknown algorithm {name!r}")
     target = perturb(inst, PerturbationConfig(magnitude=sigma, seed=seed))
 
     all_ok = True
@@ -202,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("--input", required=True, help="instance JSON path")
     solve.add_argument(
-        "--algorithm", choices=["weak", "strong", "both"], default="both"
+        "--algorithm", choices=[*ALGORITHMS, "both"], default="both"
     )
     solve.add_argument("--output", help="write the result document here")
     solve.add_argument("--trace", help="write a JSON-lines step trace here")

@@ -13,8 +13,8 @@ output (:func:`component_key`).
 The free functions on edge sets are pure.  Bang-per-buck and the equality
 graph come from one place, the state view (:func:`bang_per_buck_view`):
 it keeps its data on the :class:`MarketState` and updates it in place
-from the goods whose prices the state's mutators changed since its last
-call, and a fresh state's first call computes it all.  The solvers, the
+from the price scaling the state's mutators made since its last call,
+and a fresh state's first call computes it all.  The solvers, the
 genericity check and the certifier all read it.
 
 Inside the view a ratio ``u / p`` is the unnormalized integer pair
@@ -25,11 +25,14 @@ best pair is the ratio of the first edge of her row (her equality edges),
 and the view keeps its sign against one: the equilibrium conditions and
 the steps' tests compare bang-per-buck only with one, so only a caller
 that needs the value itself (the restart's price raise, a report)
-normalizes the best pair to a ``Q``, by one gcd.  When a good is
-re-priced, each of its buyers is rescanned only if the good is in her
-row or its new ratio is at least her best: otherwise every ratio in her
-row is unchanged and still strictly above the re-priced one, so her best
-and her row are exactly as before, whichever way the price moved.  The
+normalizes the best pair to a ``Q``, by one gcd.  The solvers' price
+raise multiplies a whole set of goods by one factor above one, which
+divides every ratio into the set by that factor and keeps their order:
+after one such scaling a buyer with no row edge into the set keeps her
+row, a row partly inside it only drops those edges, and a row wholly
+inside it keeps its edges and is compared only with the buyer's edges
+to other goods, which may tie or pass its lowered best and then rescan
+her.  Any other price change rebuilds the view.  The
 price raise's edge event (:func:`edge_event`) reads the same pairs.  The
 residual search (:func:`reach`) builds no graph of its own: it walks the
 instance's adjacency and keeps the arcs whose edges lie in the sets the
@@ -60,10 +63,13 @@ BUYERS, GOODS, EDGES, PRICES = 1, 2, 4, 8
 
 class Changes:
     """What the mutators touched since a view last asked: one set of ids
-    for each kind the view reads (None for the others), and whether a
-    rescale by a whole factor happened meanwhile."""
+    for each kind the view reads (None for the others), whether a rescale
+    by a whole factor happened meanwhile, and, for a view of re-priced
+    goods, the factor of the price scaling since (None when there was
+    none, 0 after two or more, which no single scaling of a positive price
+    has)."""
 
-    __slots__ = ("scale", "buyers", "goods", "edges", "prices", "rescaled")
+    __slots__ = ("scale", "buyers", "goods", "edges", "prices", "rescaled", "factor")
 
     def __init__(self, kinds: int, scale: Fraction | None) -> None:
         self.scale = scale
@@ -72,11 +78,17 @@ class Changes:
         self.edges: set[int] | None = set() if kinds & EDGES else None
         self.prices: set[int] | None = set() if kinds & PRICES else None
         self.rescaled = False
+        self.factor: Fraction | None = None
 
     def take(self) -> Changes:
         """The items so far, handed over; this object starts empty again."""
         if not (
-            self.rescaled or self.buyers or self.goods or self.edges or self.prices
+            self.rescaled
+            or self.buyers
+            or self.goods
+            or self.edges
+            or self.prices
+            or self.factor is not None
         ):
             return _NOTHING
         out = Changes(0, self.scale)
@@ -89,6 +101,7 @@ class Changes:
         if self.prices is not None:
             out.prices, self.prices = self.prices, set()
         out.rescaled, self.rescaled = self.rescaled, False
+        out.factor, self.factor = self.factor, None
         return out
 
 
@@ -115,18 +128,30 @@ class MarketState:
     amounts set from rationals (the amounts a state is built from, and
     :meth:`add_refund`).  Halving the scale doubles every count.  The
     per-step tests compare counts and cross-multiply integer pairs
-    (:meth:`cash_term`, :meth:`spending_sign`, and the unnormalized pairs
-    (numerator, positive denominator) of :meth:`inflow_pair` and
+    (:meth:`spending_sign`, and the unnormalized pairs (numerator,
+    positive denominator) of :meth:`inflow_pair` and
     :meth:`backorder_pair`) instead of building rationals.  The count and
     fixed containers are read-only outside the mutators; an edge is in
     ``edge_units`` or ``edge_fixed`` only while its spending is non-zero.
+
+    Once the state has a scale it also keeps the potential's terms: every
+    buyer's ``floor(effective cash / unit)`` in ``cash_terms`` (a list by
+    buyer), their sum ``cash_total`` and the buyers whose term is positive
+    (cash at least one unit) in ``holding``.  A term is the floor of the
+    buyer's fixed parts over the unit minus the buyer's counts, and
+    :meth:`add_spending_units` and :meth:`add_refund_units` move the cash
+    by whole units, so they move the term by exactly the units they book,
+    also when an edge empties and its fixed part, then a whole number of
+    units, moves into the counts' place.  Only a new fixed refund
+    (:meth:`add_refund`) or a new unit recomputes a term
+    (:meth:`cash_term`).  All three are read-only outside the mutators.
 
     ``spending`` (by edge) and ``refunds`` (by buyer) are read-only
     rational views.  Mutate the state only through the mutators: each adds
     what it touched to the pending items of every view that reads that
     kind, and the derived views (bang-per-buck, the equality graph, the
-    solvers' potential and feasibility checks) catch up from their own
-    pending items through :meth:`changes` instead of re-deriving
+    solvers' feasibility check and returnable edges) catch up from their
+    own pending items through :meth:`changes` instead of re-deriving
     everything.  A view keeps its data in ``views`` under its own name.
     """
 
@@ -138,6 +163,7 @@ class MarketState:
         refunds: list[Fraction] | None = None,
     ) -> None:
         n_buyers, n_goods = len(inst.buyers), len(inst.goods)
+        self._budget = inst.budget
         self._edge_buyer = inst.edge_buyer
         self._edge_good = inst.edge_good
         self.prices = prices
@@ -150,6 +176,10 @@ class MarketState:
         self.inflow_fixed = [ZERO] * n_goods
         self.refund_units = [0] * n_buyers
         self.refund_fixed = [ZERO] * n_buyers if refunds is None else list(refunds)
+        # the potential's terms, kept from the first rescale on
+        self.cash_terms: list[int] = []
+        self.cash_total = 0
+        self.holding: set[int] = set()
         self.views: dict[str, object] = {}
         # per view: what the mutators touched since its last changes() call
         self._pending: dict[str, Changes] = {}
@@ -246,10 +276,10 @@ class MarketState:
     def refund_sign(self, buyer: int) -> int:
         return self._sign(self.refund_units[buyer], self.refund_fixed[buyer])
 
-    def cash_term(self, inst: MarketInstance, buyer: int) -> int:
-        """``floor(effective cash / unit)``: the fixed parts' floor minus
-        the buyer's counts."""
-        free = inst.budget[buyer]
+    def cash_term(self, buyer: int) -> int:
+        """``floor(effective cash / unit)`` computed afresh: the fixed parts'
+        floor minus the buyer's counts (``cash_terms`` keeps it)."""
+        free = self._budget[buyer]
         refund = self.refund_fixed[buyer]
         if refund:
             free = free - refund
@@ -272,6 +302,20 @@ class MarketState:
         pd = price.denominator
         return (n * pd - price.numerator * d, d * pd)
 
+    def _set_term(self, buyer: int, term: int) -> None:
+        self.cash_total += term - self.cash_terms[buyer]
+        self.cash_terms[buyer] = term
+        if term > 0:
+            self.holding.add(buyer)
+        else:
+            self.holding.discard(buyer)
+
+    def _count_terms(self) -> None:
+        """Every buyer's term afresh, at a new unit."""
+        self.cash_terms = terms = [self.cash_term(b) for b in range(len(self._budget))]
+        self.cash_total = sum(terms)
+        self.holding = {b for b, term in enumerate(terms) if term > 0}
+
     # --- mutators ---------------------------------------------------------
 
     def add_spending_units(self, edge: Edge, count: int) -> None:
@@ -286,6 +330,7 @@ class MarketState:
         b, g = self._edge_buyer[edge], self._edge_good[edge]
         self.spent_units[b] += count
         self.inflow_units[g] += count
+        self._set_term(b, self.cash_terms[b] - count)
         if sign:
             if units:
                 self.edge_units[edge] = units
@@ -309,31 +354,39 @@ class MarketState:
 
     def add_refund_units(self, buyer: int, count: int) -> None:
         self.refund_units[buyer] += count
+        self._set_term(buyer, self.cash_terms[buyer] - count)
         for pending in self._watch_buyers:
             pending.buyers.add(buyer)
 
     def add_refund(self, buyer: int, amount: Fraction) -> None:
         self.refund_fixed[buyer] += amount
+        if self.unit is not None:
+            self._set_term(buyer, self.cash_term(buyer))
         for pending in self._watch_buyers:
             pending.buyers.add(buyer)
 
     def scale_prices(self, goods: Iterable[int], factor: Fraction) -> None:
+        """Multiply the prices of ``goods`` (iterated twice) by ``factor``;
+        each view of re-priced goods gets the goods and the factor."""
         prices = self.prices
         for g in goods:
             prices[g] *= factor
         for pending in self._watch_prices:
             pending.prices.update(goods)
+            pending.factor = factor if pending.factor is None else ZERO
 
     def rescale(self, unit: Fraction) -> None:
         """Count in ``unit`` from now on.  Every count is multiplied by the
         old unit over the new one, which must be a whole number while any
-        count is non-zero.  Amounts, prices and rows do not change, so no
-        buyer, good or edge is touched; after a whole factor each view that
-        read the old unit is marked ``rescaled`` and gets the new unit as
-        its scale (see :meth:`changes`)."""
+        count is non-zero, and every cash term is recomputed.  Amounts,
+        prices and rows do not change, so no buyer, good or edge is
+        touched; after a whole factor each view that read the old unit is
+        marked ``rescaled`` and gets the new unit as its scale (see
+        :meth:`changes`)."""
         old = self.unit
         if old is None:
             self.unit = unit
+            self._count_terms()
             return
         factor = old / unit
         if factor.denominator == 1:
@@ -351,6 +404,7 @@ class MarketState:
         elif self.edge_units or any(self.refund_units):
             raise ValueError(f"cannot recount units of {old} in units of {unit}")
         self.unit = unit
+        self._count_terms()
 
     def changes(
         self, view: str, kinds: int, scale: Fraction | None = None
@@ -415,44 +469,92 @@ _BANG_PER_BUCK = "bang_per_buck"
 
 
 def bang_per_buck_view(inst: MarketInstance, state: MarketState) -> BangPerBuckView:
-    """The state's bang-per-buck view, updated for the buyers whose best
-    can have changed since the last call (all buyers on the first call)."""
+    """The state's bang-per-buck view, caught up with the prices.
+
+    After one price scaling by a factor above one since the last call only
+    what that scaling can change is looked at again (see
+    :func:`_follow_raise`), and a factor of one changes nothing.  The first
+    call, and any other price change since the last call (two scalings, or
+    one by a factor below one, neither of which the solvers make),
+    recomputes every ratio and rescans every buyer; the view is the same
+    object throughout, and its ``version`` keeps counting."""
     touched = state.changes(_BANG_PER_BUCK, PRICES)
-    prices = state.prices
     if touched is None:
         view = state.views[_BANG_PER_BUCK] = BangPerBuckView(inst)
-        price_pairs = [(p.numerator, p.denominator) for p in prices]
-        ratios = view.ratios
-        for (un, ud), g in zip(inst.utility_pair, inst.edge_good):
-            pn, pd = price_pairs[g]
-            ratios.append((un * pd, ud * pn))
-        buyers: Iterable[int] = range(len(inst.buyers))
     else:
         view = state.views[_BANG_PER_BUCK]
-        if not touched.prices:
+        factor = touched.factor
+        if not touched.prices or factor == 1:
             return view
-        utility_pairs = inst.utility_pair
-        edge_buyer = inst.edge_buyer
-        ratios = view.ratios
-        rows = view.rows
-        buyers = set()
-        for g in touched.prices:
-            price = prices[g]
-            pn, pd = price.numerator, price.denominator
-            for e in inst.good_edges[g]:
-                un, ud = utility_pairs[e]
-                ratios[e] = n, d = (un * pd, ud * pn)
+        if factor > 1:
+            _follow_raise(inst, state, view, touched.prices)
+            return view
+    price_pairs = [(p.numerator, p.denominator) for p in state.prices]
+    ratios = view.ratios
+    ratios.clear()
+    for (un, ud), g in zip(inst.utility_pair, inst.edge_good):
+        pn, pd = price_pairs[g]
+        ratios.append((un * pd, ud * pn))
+    _rescan(inst, view, range(len(inst.buyers)))
+    return view
+
+
+def _follow_raise(
+    inst: MarketInstance, state: MarketState, view: BangPerBuckView, goods: set[int]
+) -> None:
+    """Catch the view up with one scaling of ``goods`` by a factor above
+    one, which divides the ratio of every edge into ``goods`` by it.
+
+    A buyer with no row edge into ``goods`` keeps her row and sign: her
+    other edges into them were below her best and only fall.  A row partly
+    inside drops its edges into ``goods`` and keeps its best and sign.  A
+    row wholly inside keeps its edges, which still tie and still lead every
+    other edge into ``goods``; only her edges to other goods can reach the
+    lowered best, and one that ties or passes it rescans her.  Otherwise
+    only her sign is recomputed.
+    """
+    prices = state.prices
+    utility_pairs, buyer_edges = inst.utility_pair, inst.buyer_edges
+    edge_buyer, edge_good = inst.edge_buyer, inst.edge_good
+    ratios, rows, signs, eq_edges = view.ratios, view.rows, view.signs, view.edges
+    # each buyer with a row edge into goods, and how many of her row edges
+    # lead there
+    hit: dict[int, int] = {}
+    for g in goods:
+        price = prices[g]
+        pn, pd = price.numerator, price.denominator
+        for e in inst.good_edges[g]:
+            un, ud = utility_pairs[e]
+            ratios[e] = (un * pd, ud * pn)
+            if e in eq_edges:
                 b = edge_buyer[e]
-                if b in buyers:
-                    continue
-                row = rows[b]
-                # the row's ratios are as at the last rescan unless one of
-                # its goods was re-priced, which rescans b anyway
-                best_n, best_d = ratios[row[0]]
-                if e in row or n * best_d >= best_n * d:
-                    buyers.add(b)
-        if not buyers:
-            return view
+                hit[b] = hit.get(b, 0) + 1
+    rescan = []
+    for b, inside in hit.items():
+        row = rows[b]
+        if inside < len(row):
+            rows[b] = tuple(e for e in row if edge_good[e] not in goods)
+            eq_edges.difference_update([e for e in row if edge_good[e] in goods])
+            view.version += 1
+            continue
+        best_n, best_d = ratios[row[0]]
+        for e in buyer_edges[b]:
+            if edge_good[e] not in goods:
+                n, d = ratios[e]
+                if n * best_d >= best_n * d:
+                    rescan.append(b)
+                    break
+        else:
+            sign = (best_n > best_d) - (best_n < best_d)
+            if sign != signs[b]:
+                signs[b] = sign
+                view.version += 1
+    if rescan:
+        _rescan(inst, view, rescan)
+
+
+def _rescan(inst: MarketInstance, view: BangPerBuckView, buyers: Iterable[int]) -> None:
+    """Each buyer's row and sign afresh from the view's ratios."""
     ratios = view.ratios
     for b in buyers:
         best_n, best_d = 0, 1
@@ -476,7 +578,6 @@ def bang_per_buck_view(inst: MarketInstance, state: MarketState) -> BangPerBuckV
             view.edges.difference_update(old or ())
             view.edges.update(row)
             view.version += 1
-    return view
 
 
 def edge_event(

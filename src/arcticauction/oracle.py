@@ -7,13 +7,16 @@ bang-per-buck and the equality graph are computed; the checks read its
 equality edges and each buyer's sign against one, and normalize a best
 ratio only to report it.  The genericity check reads the solver's live
 view, and walks the graph again only after the view's rows or signs
-changed; the certifier takes prices, spending and refunds keyed by id
-strings and builds a :class:`~arcticauction.graph.MarketState` of its
-own, whose first view call computes every ratio afresh from the prices
-it is given.  So a certified answer is checked against the market
-definition rather than against the steps of the algorithm that produced
-it.  :class:`Equilibrium`, the certificate and the genericity report
-name buyers, goods and edges by their id strings.
+changed.  The certifier checks a :class:`~arcticauction.graph.MarketState`
+on the dense index (:func:`certify_state`, which the solvers call), or
+prices, spending and refunds keyed by id strings
+(:func:`check_equilibrium`, which ``verify`` calls); either way it reads
+the equality graph off a new state of its own, whose first view call
+computes every ratio afresh from the prices it is given.  So a certified
+answer is checked against the market definition rather than against the
+steps of the algorithm that produced it.  :class:`Equilibrium`, the
+certificate and the genericity report name buyers, goods and edges by
+their id strings.
 """
 
 from __future__ import annotations
@@ -94,6 +97,36 @@ class Equilibrium:
         )
 
 
+def certify_state(
+    inst: MarketInstance, state: MarketState, budgets: list[Fraction] | None = None
+) -> Certificate:
+    """Check the equilibrium conditions of a state exactly; failures
+    become entries.
+
+    ``budgets`` (a list by buyer) overrides the instance budgets when
+    certifying against a compressed instance (budgets reduced by committed
+    refunds).  Besides the definitional conditions (budgets exhausted,
+    goods cleared, spending on best bang-per-buck edges, refund
+    complementarity) this also checks buyer optimality -- no spending
+    below bang-per-buck one -- which rules out spurious fixed points the
+    four literal conditions admit.  The equality graph is that of a new
+    state holding only the prices, so it is computed afresh from them.
+    Spending is reported in the state's order (the order it was built
+    from).
+    """
+    budget = inst.budget if budgets is None else budgets
+    refunds = state.refunds
+    names, edge_buyer = inst.edge_names, inst.edge_buyer
+    return _certificate(
+        inst,
+        state.prices,
+        refunds,
+        [budget[b] - refunds[b] - state.spent_by(b) for b in range(len(inst.buyers))],
+        [state.backorder(g) for g in range(len(inst.goods))],
+        [(names[e], e, edge_buyer[e], v) for e, v in state.spending.items()],
+    )
+
+
 def check_equilibrium(
     inst: MarketInstance,
     prices: dict[str, Fraction],
@@ -101,95 +134,86 @@ def check_equilibrium(
     refunds: dict[str, Fraction],
     budgets: dict[str, Fraction] | None = None,
 ) -> Certificate:
-    """Check the equilibrium conditions exactly; failures become entries.
+    """The checks of :func:`certify_state` on prices, spending and refunds
+    keyed by id strings, as a result document gives them.
 
-    ``budgets`` overrides the instance budgets when certifying against a
-    compressed instance (budgets reduced by committed refunds).  Besides
-    the definitional conditions (budgets exhausted, goods cleared, spending
-    on best bang-per-buck edges, refund complementarity) this also checks
-    buyer optimality -- no spending below bang-per-buck one -- which rules
-    out spurious fixed points the four literal conditions admit.
-
-    Raises :class:`ValueError` when a good lacks a positive price or a
-    spending entry names an unknown buyer: such a triple is no candidate.
+    Spending may name a pair the instance has no utility for, which counts
+    like any spending and is never on the equality graph.  Raises
+    :class:`ValueError` when a good lacks a positive price or a spending
+    entry names an unknown buyer: such a triple is no candidate.
     """
-    eff = inst.budgets if budgets is None else budgets
     for g in inst.goods:
         if prices.get(g, ZERO) <= 0:
             raise ValueError(f"non-positive price for good {g}")
+    buyer_pos, good_pos, edge_id = inst.buyer_pos, inst.good_pos, inst.edge_id
     for b, _ in spending:
-        if b not in inst.buyer_pos:
+        if b not in buyer_pos:
             raise ValueError(f"spending by unknown buyer {b}")
 
-    conditions: list[Condition] = []
-    spent = dict.fromkeys(inst.buyers, ZERO)
-    inflow = dict.fromkeys(inst.goods, ZERO)
-    for (b, g), value in spending.items():
-        spent[b] += value
-        if g in inflow:
-            inflow[g] += value
+    budget = inst.budget if budgets is None else [budgets[b] for b in inst.buyers]
+    price_list = [prices[g] for g in inst.goods]
+    refund_list = [refunds.get(b, ZERO) for b in inst.buyers]
+    cash = [budget[k] - r for k, r in enumerate(refund_list)]
+    backorders = [-p for p in price_list]
+    entries = []
+    for edge, value in spending.items():
+        b, g = edge
+        k = buyer_pos[b]
+        cash[k] -= value
+        if g in good_pos:
+            backorders[good_pos[g]] += value
+        entries.append((edge, edge_id.get(edge), k, value))
+    return _certificate(inst, price_list, refund_list, cash, backorders, entries)
 
+
+def _certificate(
+    inst: MarketInstance,
+    prices: list[Fraction],
+    refunds: list[Fraction],
+    cash: list[Fraction],
+    backorders: list[Fraction],
+    spending: list[tuple[Edge, int | None, int, Fraction]],
+) -> Certificate:
+    """The certificate of a candidate given by index: prices by good,
+    refunds and leftover cash by buyer, backorders by good, and each
+    spending entry as (names, edge id or None, buyer, value)."""
     refund_ok = Condition("refunds_nonnegative")
     cash_ok = Condition("budgets_exhausted")
-    for b in inst.buyers:
-        r = refunds.get(b, ZERO)
+    for b, r, left in zip(inst.buyers, refunds, cash):
         if r < 0:
             refund_ok.violations.append(f"buyer {b}: refund {r}")
-        cash = eff[b] - r - spent[b]
-        if cash != 0:
-            cash_ok.violations.append(f"buyer {b}: leftover cash {cash}")
-    conditions.append(refund_ok)
-    conditions.append(cash_ok)
+        if left != 0:
+            cash_ok.violations.append(f"buyer {b}: leftover cash {left}")
 
     clearing = Condition("market_clearing")
-    for g in inst.goods:
-        backorder = inflow[g] - prices[g]
+    for g, backorder in zip(inst.goods, backorders):
         if backorder != 0:
             clearing.violations.append(f"good {g}: backorder {backorder}")
-    conditions.append(clearing)
 
-    view = bang_per_buck_view(inst, MarketState(inst, [prices[g] for g in inst.goods]))
+    view = bang_per_buck_view(inst, MarketState(inst, list(prices)))
     support = Condition("spending_on_equality_edges")
     optimality = Condition("buyer_optimality")
-    for edge, value in spending.items():
+    for edge, e, b, value in spending:
         if value < 0:
             support.violations.append(f"edge {edge}: negative spending {value}")
-        if value > 0 and inst.edge_id.get(edge) not in view.edges:
+        if value > 0 and e not in view.edges:
             support.violations.append(f"edge {edge}: spending off equality graph")
-        if value > 0 and view.signs[inst.buyer_pos[edge[0]]] < 0:
+        if value > 0 and view.signs[b] < 0:
             optimality.violations.append(
                 f"edge {edge}: spending at bang-per-buck below one"
             )
-    conditions.append(support)
 
     complementarity = Condition("refund_complementarity")
-    for k, b in enumerate(inst.buyers):
-        r = refunds.get(b, ZERO)
+    for k, (b, r) in enumerate(zip(inst.buyers, refunds)):
         if r > 0 and view.signs[k] > 0:
             complementarity.violations.append(
                 f"buyer {b}: refund {r} with bang-per-buck"
                 f" {reduced(*view.best_pair(k))} > 1"
             )
-    conditions.append(complementarity)
-    conditions.append(optimality)
 
-    return Certificate(conditions=conditions)
-
-
-def names_of(
-    inst: MarketInstance, state: MarketState
-) -> tuple[dict[str, Fraction], dict[Edge, Fraction], dict[str, Fraction]]:
-    """A state's prices, spending and refunds keyed by id strings."""
-    names = inst.edge_names
-    return (
-        dict(zip(inst.goods, state.prices)),
-        {names[e]: v for e, v in state.spending.items()},
-        dict(zip(inst.buyers, state.refunds)),
+    return Certificate(
+        conditions=[refund_ok, cash_ok, clearing, support, complementarity, optimality]
     )
-
-
-def certify_state(inst: MarketInstance, state: MarketState) -> Certificate:
-    return check_equilibrium(inst, *names_of(inst, state))
 
 
 def brute_force_equilibrium(inst: MarketInstance) -> Equilibrium:

@@ -38,7 +38,7 @@ from arcticauction.graph import (
     path_to,
     reach,
 )
-from arcticauction.oracle import Certificate, Equilibrium, check_equilibrium, names_of
+from arcticauction.oracle import Certificate, Equilibrium, certify_state
 from arcticauction.rational import Q, ZERO, reduced
 from arcticauction.trace import PhaseTrace, RestartRecord
 from arcticauction.weak import (
@@ -451,7 +451,7 @@ def _repair_deficits(
         sources = [
             node
             for node in reach(inst, [target], backward, forward)
-            if node < n_buyers and market.cash_term(inst, node) >= 1
+            if node < n_buyers and market.cash_terms[node] >= 1
         ]
         if not sources:
             continue
@@ -473,9 +473,7 @@ def _termination_candidate(
         candidate = basic_solution(inst, forest, effective)
     except SupportError:
         return None
-    certificate = check_equilibrium(
-        inst, *names_of(inst, candidate), budgets=dict(zip(inst.buyers, effective))
-    )
+    certificate = certify_state(inst, candidate, effective)
     if not certificate.ok:
         return None
     return candidate, certificate
@@ -545,7 +543,7 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
             final = MarketState(
                 inst, candidate.prices, candidate.spending, total_refunds
             )
-            certificate = check_equilibrium(inst, *names_of(inst, final))
+            certificate = certify_state(inst, final)
             if not certificate.ok:
                 raise SolverError(
                     "final state fails certification: "

@@ -16,6 +16,12 @@ Each inner step lowers the integer potential (the sum of
 a compressed restart starts with potential at most ``n``; both facts are
 asserted at run time, and together they bound the phase by ``n`` steps.
 A buyer's consecutive refund steps are booked and checked as one call.
+
+The potential's terms are kept by the market state itself: a step books
+whole units of ``delta``, and moves its buyer's term by exactly the units
+it books, so reading the potential or the buyers holding ``delta`` costs
+no division.  A price raise multiplies its whole active set by one factor,
+and the bang-per-buck view catches up from that one scaling alone.
 """
 
 from __future__ import annotations
@@ -63,12 +69,13 @@ class ScalingState:
     backward arcs), and flagged goods may temporarily hold a small
     negative backorder until one augmentation repairs them.
 
-    The feasibility check, the potential and the returnable edges keep
-    data on ``market`` that reads ``delta``: each passes ``delta`` as the
-    scale to :meth:`MarketState.changes`, so replacing ``market``, or
-    ``delta`` by anything but a whole fraction of it, makes their next
-    call start over, and dividing ``delta`` by a whole number (halving)
-    makes each repeat only its tests that read the scale.  The other
+    The market keeps the potential's terms at its own scale, ``delta``.
+    The feasibility check and the returnable edges keep data on ``market``
+    that reads ``delta``: each passes ``delta`` as the scale to
+    :meth:`MarketState.changes`, so replacing ``market``, or ``delta`` by
+    anything but a whole fraction of it, makes their next call start over,
+    and dividing ``delta`` by a whole number (halving) makes each repeat
+    only its tests that read the scale.  The other
     fields change only together with ``market``, or, for
     ``allowed_deficit``, at a good a mutator touched since the last check
     (as the deficit repair does).
@@ -200,16 +207,16 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
         goods: Iterable[int] = touched.goods | repriced
         if touched.rescaled:
             goods = range(len(inst.goods))
-        # buyers next to a re-priced good
-        edge_buyer, good_edges = inst.edge_buyer, inst.good_edges
-        near_repriced = {edge_buyer[e] for g in repriced for e in good_edges[g]}
         if not _violations(inst, ss, touched.buyers, goods, touched.edges):
-            if not near_repriced:
+            if not repriced:
                 return (True, [])
             view = bang_per_buck_view(inst, market)
-            if view.version == passed or _spending_on_equality_graph(
-                inst, market, view.edges, near_repriced
-            ):
+            if view.version == passed:
+                return (True, [])
+            # the buyers next to a re-priced good
+            edge_buyer, good_edges = inst.edge_buyer, inst.good_edges
+            near = {edge_buyer[e] for g in repriced for e in good_edges[g]}
+            if _spending_on_equality_graph(inst, market, view.edges, near):
                 market.views[_FEASIBLE] = view.version
                 return (True, [])
     violations = _violations(
@@ -250,13 +257,14 @@ def _violations(
 
     Each test compares counts or cross-multiplies integer pairs; a
     rational is built only for a deficit allowance or a report.  A buyer's
-    cash is negative exactly when her potential term is.  A spending of
+    cash is negative exactly when her potential term, which the market
+    keeps, is.  A spending of
     ``count * delta + fixed`` is a multiple of ``delta`` exactly when its
     fixed part is.
     """
     violations: list[str] = []
     market = ss.market
-    terms = _cash_terms(inst, ss).terms
+    terms = market.cash_terms
     for b in buyers:
         if market.refund_sign(b) < 0:
             violations.append(f"negative refund at buyer {inst.buyers[b]}")
@@ -306,60 +314,20 @@ def _violations(
     return violations
 
 
-class _CashTerms:
-    """``floor(cash / delta)`` of every buyer at one scale (a list by
-    buyer), their sum, and the buyers whose term is positive (cash at
-    least ``delta``)."""
-
-    __slots__ = ("terms", "total", "holding")
-
-    def __init__(self, n_buyers: int) -> None:
-        self.terms = [0] * n_buyers
-        self.total = 0
-        self.holding: set[int] = set()
-
-
-_CASH_TERMS = "cash_terms"
-
-
-def _cash_terms(inst: MarketInstance, ss: ScalingState) -> _CashTerms:
-    """The potential's terms, recomputed for the buyers touched since the
-    last call; for every buyer after a change of scale or market."""
-    market = ss.market
-    touched = market.changes(_CASH_TERMS, BUYERS, ss.delta)
-    if touched is None:
-        view = market.views[_CASH_TERMS] = _CashTerms(len(inst.buyers))
-        buyers: Iterable[int] = range(len(inst.buyers))
-    else:
-        view = market.views[_CASH_TERMS]
-        if touched.rescaled:
-            buyers = range(len(inst.buyers))
-        else:
-            buyers = touched.buyers
-    for b in buyers:
-        term = market.cash_term(inst, b)
-        view.total += term - view.terms[b]
-        view.terms[b] = term
-        if term > 0:
-            view.holding.add(b)
-        else:
-            view.holding.discard(b)
-    return view
-
-
 def _buyers_holding_delta(inst: MarketInstance, ss: ScalingState) -> list[int]:
     """Buyers with effective cash at least ``delta``, in canonical order."""
-    return sorted(_cash_terms(inst, ss).holding)
+    return sorted(ss.market.holding)
 
 
 def is_delta_optimal(inst: MarketInstance, ss: ScalingState) -> bool:
     """All effective cash strictly below the scale."""
-    return not _cash_terms(inst, ss).holding
+    return not ss.market.holding
 
 
 def potential(inst: MarketInstance, ss: ScalingState) -> int:
-    """Sum over buyers of ``floor(cash / delta)``; drops by one per step."""
-    return _cash_terms(inst, ss).total
+    """Sum over buyers of ``floor(cash / delta)``; drops by one per step.
+    The market keeps it (:class:`~arcticauction.graph.MarketState`)."""
+    return ss.market.cash_total
 
 
 class SearchTree:
@@ -543,7 +511,7 @@ def refund_step(inst: MarketInstance, ss: ScalingState, buyer: int) -> int:
     """
     market = ss.market
     view = bang_per_buck_view(inst, market)
-    steps = _cash_terms(inst, ss).terms[buyer]
+    steps = market.cash_terms[buyer]
     if view.signs[buyer] > 0 or steps < 1:
         raise SolverError(
             f"refund step preconditions violated at {inst.buyers[buyer]}:"

@@ -459,6 +459,11 @@ INPUT_ERRORS = {
     "verify_certificate_pass_false": edited_solution(
         lambda doc: doc["results"]["weak"]["certificate"].update({"pass": False})
     ),
+    "verify_results_empty": edited_solution(lambda doc: doc.update(results={})),
+    # a section under a name no solver has, copied from the weak one
+    "verify_unknown_algorithm": edited_solution(
+        lambda doc: doc["results"].update(bogus=doc["results"]["weak"])
+    ),
     "verify_sigma_above_bound": edited_solution(
         lambda doc: doc["perturbation"].update(sigma="1")
     ),

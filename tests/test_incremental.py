@@ -1,9 +1,10 @@
 """Incremental views of the market state against direct recomputations.
 
-The rational spending and refunds, the potential, the optimality test,
-bang-per-buck with its signs against one, the equality graph, the
-returnable edges and the feasibility check each catch up from the items
-the state's mutators touched since that view last read them.  These tests
+The rational spending and refunds, bang-per-buck with its signs against
+one, the equality graph, the returnable edges and the feasibility check
+each catch up from the items the state's mutators touched since that
+view last read them, and the mutators keep the potential's terms
+themselves.  These tests
 recompute each of them from the raw state (each amount a count of the
 scale plus a fixed part) after every solver step, right after every
 halving, and after random mutation sequences in which each view is read
@@ -18,7 +19,9 @@ solvers is checked against the multiplier formula written with ``Q``
 arithmetic, and every residual search tree a raise keeps against a fresh
 search: its cached inflow pairs against the state's, and the terminal the
 raise names against a rescan of the tree.  Named cases pin when a
-re-priced good rescans a buyer.
+re-priced good rescans a buyer, how the view follows one price raise
+and when it rebuilds, and how the kept terms follow fixed parts and
+rescales.
 """
 
 import dataclasses
@@ -27,7 +30,7 @@ from fractions import Fraction
 
 import pytest
 
-from arcticauction import strong, weak
+from arcticauction import graph, strong, weak
 from arcticauction.core import PerturbationConfig, default_magnitude, perturb
 from arcticauction.graph import MarketState, bang_per_buck_view, reach
 from arcticauction.oracle import check_genericity
@@ -167,7 +170,13 @@ def assert_values_match(inst, ss):
 
 
 def assert_cash_terms_match(inst, ss):
-    assert potential(inst, ss) == direct_potential(inst, ss)
+    """The market's kept terms are those of each buyer's cash, and the
+    potential and optimality test read them."""
+    market = ss.market
+    terms = [direct_cash(inst, market, b) // ss.delta for b in inst.buyers]
+    assert market.cash_terms == terms
+    assert market.holding == {b for b, term in enumerate(terms) if term > 0}
+    assert potential(inst, ss) == direct_potential(inst, ss) == sum(terms)
     assert is_delta_optimal(inst, ss) == all(
         direct_cash(inst, ss.market, b) < ss.delta for b in inst.buyers
     )
@@ -193,10 +202,10 @@ def assert_feasibility_matches(inst, ss):
 
 
 # each view of the market state, under the name it keeps its pending items
-# in, with the check that reads it and compares it with its reference
+# in, with the check that reads it and compares it with its reference; the
+# cash terms are no such view, since the mutators keep them
 VIEW_CHECKS = {
     "values": assert_values_match,
-    "cash_terms": assert_cash_terms_match,
     "bang_per_buck": assert_bang_per_buck_matches,
     "returnable": assert_returnable_matches,
     "feasible": assert_feasibility_matches,
@@ -204,6 +213,7 @@ VIEW_CHECKS = {
 
 
 def assert_views_match(inst, ss):
+    assert_cash_terms_match(inst, ss)
     for check in VIEW_CHECKS.values():
         check(inst, ss)
 
@@ -501,6 +511,189 @@ def test_lowering_a_good_past_the_best_makes_it_the_row(price_type):
     assert_view_is_direct(inst, market)
 
 
+# --- one price scaling, followed without a full rescan -------------------------
+
+
+@pytest.fixture
+def rescans(monkeypatch):
+    """Every call of the view's full rescan, as the list of buyer ids it
+    rescanned."""
+    calls = []
+    original = graph._rescan
+
+    def spy(inst, view, buyers):
+        buyers = list(buyers)
+        calls.append([inst.buyers[b] for b in buyers])
+        original(inst, view, buyers)
+
+    monkeypatch.setattr(graph, "_rescan", spy)
+    return calls
+
+
+def scaling_market():
+    """b1 is indifferent between g1 and g2 (ratio 2) and values g3 less
+    (ratio 1); b2's best good is g3 (ratio 2) above g4 (ratio 1); b3
+    values only g4 (ratio 2)."""
+    inst = make_instance(
+        {"b1": 4, "b2": 4, "b3": 4},
+        {
+            ("b1", "g1"): 2,
+            ("b1", "g2"): 2,
+            ("b1", "g3"): 1,
+            ("b2", "g3"): 2,
+            ("b2", "g4"): 1,
+            ("b3", "g4"): 2,
+        },
+    )
+    market = state_of(inst, {"g1": 1, "g2": 1, "g3": 1, "g4": 1})
+    assert row_of(inst, market, "b1") == (("b1", "g1"), ("b1", "g2"))
+    return inst, market
+
+
+def scale(inst, market, goods, factor):
+    """Scale the named goods' prices, then poll the view; returns the rows
+    before, by buyer position, and the version before."""
+    view = bang_per_buck_view(inst, market)
+    rows, version = list(view.rows), view.version
+    market.scale_prices([inst.good_pos[g] for g in goods], Fraction(factor))
+    bang_per_buck_view(inst, market)
+    return rows, version
+
+
+def test_a_raise_by_one_changes_nothing(rescans):
+    inst, market = scaling_market()
+    ratios = list(bang_per_buck_view(inst, market).ratios)
+    rows, version = scale(inst, market, ["g1", "g3", "g4"], 1)
+    view = bang_per_buck_view(inst, market)
+    assert all(new is old for new, old in zip(view.rows, rows))
+    assert view.version == version and view.ratios == ratios
+    assert rescans == [["b1", "b2", "b3"]]  # the first call only
+    assert_view_is_direct(inst, market)
+
+
+def test_a_row_partly_inside_drops_its_scaled_edges(rescans):
+    inst, market = scaling_market()
+    rows, version = scale(inst, market, ["g1"], 2)
+    view = bang_per_buck_view(inst, market)
+    assert row_of(inst, market, "b1") == (("b1", "g2"),)
+    assert view.signs[0] == 1 and Fraction(*view.best_pair(0)) == 2
+    # b2 and b3 have no edge into g1
+    assert view.rows[1] is rows[1] and view.rows[2] is rows[2]
+    assert view.version == version + 1
+    assert rescans == [["b1", "b2", "b3"]]
+    assert_view_is_direct(inst, market)
+
+
+@pytest.mark.parametrize(
+    "factor, row, sign, rescanned",
+    [
+        # g3's ratio 2 falls to 4/3, still above b2's g4 (ratio 1)
+        (Fraction(3, 2), (("b2", "g3"),), 1, []),
+        # it falls to 1 and ties g4
+        (2, (("b2", "g3"), ("b2", "g4")), 0, [["b2"]]),
+        # it falls to 1/2, and g4 passes it
+        (4, (("b2", "g4"),), 0, [["b2"]]),
+    ],
+)
+def test_a_row_wholly_inside_is_compared_with_the_other_goods(
+    rescans, factor, row, sign, rescanned
+):
+    inst, market = scaling_market()
+    rows, _ = scale(inst, market, ["g3"], factor)
+    view = bang_per_buck_view(inst, market)
+    assert row_of(inst, market, "b2") == row
+    assert view.signs[1] == sign
+    # b1's row does not reach g3, and b3 has no edge into it
+    assert view.rows[0] is rows[0] and view.rows[2] is rows[2]
+    assert rescans == [["b1", "b2", "b3"], *rescanned]
+    assert_view_is_direct(inst, market)
+
+
+def test_a_raise_brings_a_buyer_to_bang_per_buck_one(rescans):
+    # b3's only good g4 goes from ratio 2 to 1; b2's row (g3) lies outside
+    inst, market = scaling_market()
+    rows, version = scale(inst, market, ["g4"], 2)
+    view = bang_per_buck_view(inst, market)
+    assert view.rows[2] is rows[2] and view.signs[2] == 0
+    assert view.rows[1] is rows[1] and view.signs[1] == 1
+    assert view.version == version + 1
+    assert rescans == [["b1", "b2", "b3"]]
+    assert dict(check_genericity(inst, market).critical_buyers_per_component) == {
+        "B:b3": 1
+    }
+    assert_view_is_direct(inst, market)
+
+
+@pytest.mark.parametrize(
+    "scalings",
+    [
+        # two raises before a poll
+        [(["g1"], 2), (["g4"], 3)],
+        [(["g3"], 2), (["g3"], 2)],
+        # a price cut
+        [(["g3"], Fraction(1, 2))],
+    ],
+)
+def test_any_other_price_change_rebuilds_the_view(rescans, scalings):
+    inst, market = scaling_market()
+    view = bang_per_buck_view(inst, market)
+    version = view.version
+    for goods, factor in scalings:
+        market.scale_prices([inst.good_pos[g] for g in goods], Fraction(factor))
+    assert bang_per_buck_view(inst, market) is view
+    assert rescans == [["b1", "b2", "b3"]] * 2
+    assert view.version > version
+    assert_view_is_direct(inst, market)
+    # a later single raise is followed again, with no full rescan
+    market.scale_prices([inst.good_pos["g2"]], Fraction(2))
+    bang_per_buck_view(inst, market)
+    assert ["b1", "b2", "b3"] not in rescans[2:]
+    assert_view_is_direct(inst, market)
+
+
+def assert_terms_direct(inst, market):
+    terms = [direct_cash(inst, market, b) // market.unit for b in inst.buyers]
+    assert market.cash_terms == terms
+    assert market.cash_total == sum(terms)
+    assert market.holding == {b for b, term in enumerate(terms) if term > 0}
+    assert terms == [market.cash_term(b) for b in range(len(inst.buyers))]
+
+
+def test_cash_terms_follow_fixed_parts_and_rescales():
+    inst = make_instance({"b1": 4, "b2": 3}, {("b1", "g1"): 2, ("b2", "g2"): 2})
+    edge = inst.edge_id[("b1", "g1")]
+    market = state_of(inst, {"g1": 1, "g2": 1}, {("b1", "g1"): Fraction(1, 2)})
+    assert market.cash_terms == [] and market.cash_total == 0
+    market.rescale(Fraction(1, 4))
+    assert market.cash_terms == [14, 12]
+    assert_terms_direct(inst, market)
+    # a fixed refund: b2 keeps 1/3, less than a unit
+    market.add_refund(1, Fraction(8, 3))
+    assert market.cash_terms[1] == 1
+    assert_terms_direct(inst, market)
+    # the edge empties through its count, which drops its fixed part; the
+    # term still moves by the units booked
+    market.add_spending_units(edge, -2)
+    assert not market.has_spending(edge)
+    assert market.cash_terms[0] == 16
+    assert_terms_direct(inst, market)
+    # whole units move the terms by what they book
+    market.add_spending_units(edge, 3)
+    market.add_refund_units(1, 1)
+    assert market.cash_terms == [13, 0] and market.holding == {0}
+    assert_terms_direct(inst, market)
+    # a whole rescale doubles the counts, and b2's 1/12 is still no unit
+    market.rescale(Fraction(1, 8))
+    assert market.cash_terms == [26, 0]
+    assert_terms_direct(inst, market)
+    # a non-whole rescale, with no count left
+    market.add_spending_units(edge, -6)
+    market.add_refund_units(1, -2)
+    market.rescale(Fraction(1, 3))
+    assert market.cash_terms == [12, 1]
+    assert_terms_direct(inst, market)
+
+
 # --- random mutation sequences, views read at random moments ------------------
 
 
@@ -550,6 +743,7 @@ def test_views_catch_up_over_any_number_of_mutations(seed):
             market.scale_prices(goods, Fraction(rng.randint(1, 6), rng.randint(1, 6)))
         if step % 50 == 49:
             ss.delta = ss.delta / 2
+        assert_cash_terms_match(inst, ss)
         if rng.random() < 0.3:
             # views catch up at different moments: each is read or not
             polled = [view for view in VIEW_CHECKS if rng.random() < 0.5]
@@ -611,6 +805,7 @@ def test_views_catch_up_over_counts_fixed_parts_and_halvings(seed):
             before = raw_spending(inst, market), raw_refunds(inst, market)
             ss.delta = ss.delta / 2
             assert (raw_spending(inst, market), raw_refunds(inst, market)) == before
+        assert_cash_terms_match(inst, ss)
         if rng.random() < 0.3:
             for view in [view for view in VIEW_CHECKS if rng.random() < 0.5]:
                 VIEW_CHECKS[view](inst, ss)
@@ -621,7 +816,6 @@ def test_views_catch_up_over_counts_fixed_parts_and_halvings(seed):
 # the kinds of item each view reads, and so is handed
 VIEW_KINDS = {
     "values": {"edge"},
-    "cash_terms": {"buyer"},
     "bang_per_buck": {"price"},
     "returnable": {"edge"},
     "feasible": {"edge", "buyer", "good", "price"},
