@@ -132,7 +132,6 @@ def check_equilibrium(
     prices: dict[str, Fraction],
     spending: dict[Edge, Fraction],
     refunds: dict[str, Fraction],
-    budgets: dict[str, Fraction] | None = None,
 ) -> Certificate:
     """The checks of :func:`certify_state` on prices, spending and refunds
     keyed by id strings, as a result document gives them.
@@ -150,10 +149,9 @@ def check_equilibrium(
         if b not in buyer_pos:
             raise ValueError(f"spending by unknown buyer {b}")
 
-    budget = inst.budget if budgets is None else [budgets[b] for b in inst.buyers]
     price_list = [prices[g] for g in inst.goods]
     refund_list = [refunds.get(b, ZERO) for b in inst.buyers]
-    cash = [budget[k] - r for k, r in enumerate(refund_list)]
+    cash = [inst.budget[k] - r for k, r in enumerate(refund_list)]
     backorders = [-p for p in price_list]
     entries = []
     for edge, value in spending.items():
