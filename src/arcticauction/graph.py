@@ -11,11 +11,10 @@ goods).  Id strings appear only where a caller names something for
 output (:func:`component_key`).
 
 The free functions on edge sets are pure.  Bang-per-buck and the equality
-graph come from one place, the state view (:func:`bang_per_buck_view`):
-it keeps its data on the :class:`MarketState` and updates it in place
-from the price scaling the state's mutators made since its last call,
-and a fresh state's first call computes it all.  The solvers, the
-genericity check and the certifier all read it.
+graph come from one place, the state's view
+(:attr:`MarketState.bang_per_buck`): a state builds it on the first read
+and from then on updates it in place at each price scaling.  The solvers,
+the genericity check and the certifier all read it.
 
 Inside the view a ratio ``u / p`` is the unnormalized integer pair
 ``(u.numerator * p.denominator, u.denominator * p.numerator)``; prices
@@ -32,11 +31,11 @@ after one such scaling a buyer with no row edge into the set keeps her
 row, a row partly inside it only drops those edges, and a row wholly
 inside it keeps its edges and is compared only with the buyer's edges
 to other goods, which may tie or pass its lowered best and then rescan
-her.  Any other price change rebuilds the view.  The
-price raise's edge event (:func:`edge_event`) reads the same pairs.  The
-residual search (:func:`reach`) builds no graph of its own: it walks the
-instance's adjacency and keeps the arcs whose edges lie in the sets the
-caller passes.  The spending thresholds (:func:`abundant_edges`, and
+her.  A factor of one changes nothing, and one below one rebuilds the
+view.  The price raise's edge event (:func:`edge_event`) reads the same
+pairs.  The residual search (:func:`reach`) builds no graph of its own:
+it walks the instance's adjacency and keeps the arcs whose edges lie in
+the sets the caller passes.  The spending thresholds (:func:`abundant_edges`, and
 :func:`~arcticauction.basic.recover_support`) count in the state's own
 scale.  Every traversal runs in canonical (document) order, which makes
 the solvers deterministic.
@@ -55,63 +54,41 @@ from arcticauction.rational import ZERO
 Node = int  # buyer i, or good j as B + j
 Edge = int  # an edge id of the instance
 
-# the kinds of item a view reads (see MarketState.changes): buyers whose
-# amounts changed, goods whose inflow changed, edges whose spending
-# changed, and goods whose price changed
-BUYERS, GOODS, EDGES, PRICES = 1, 2, 4, 8
-
-
 class Changes:
-    """What the mutators touched since a view last asked: one set of ids
-    for each kind the view reads (None for the others), whether a rescale
-    by a whole factor happened meanwhile, and, for a view of re-priced
-    goods, the factor of the price scaling since (None when there was
-    none, 0 after two or more, which no single scaling of a positive price
-    has)."""
+    """What the mutators touched since a view last asked: the buyers whose
+    amounts changed, the goods whose inflow changed, the edges whose
+    spending changed and the goods whose price changed, one set of ids
+    each, and whether a rescale by a whole factor happened meanwhile."""
 
-    __slots__ = ("scale", "buyers", "goods", "edges", "prices", "rescaled", "factor")
+    __slots__ = ("buyers", "goods", "edges", "prices", "rescaled")
 
-    def __init__(self, kinds: int, scale: Fraction | None) -> None:
-        self.scale = scale
-        self.buyers: set[int] | None = set() if kinds & BUYERS else None
-        self.goods: set[int] | None = set() if kinds & GOODS else None
-        self.edges: set[int] | None = set() if kinds & EDGES else None
-        self.prices: set[int] | None = set() if kinds & PRICES else None
+    def __init__(self) -> None:
+        self.buyers: set[int] = set()
+        self.goods: set[int] = set()
+        self.edges: set[int] = set()
+        self.prices: set[int] = set()
         self.rescaled = False
-        self.factor: Fraction | None = None
 
     def take(self) -> Changes:
         """The items so far, handed over; this object starts empty again."""
         if not (
-            self.rescaled
-            or self.buyers
-            or self.goods
-            or self.edges
-            or self.prices
-            or self.factor is not None
+            self.rescaled or self.buyers or self.goods or self.edges or self.prices
         ):
             return _NOTHING
-        out = Changes(0, self.scale)
-        if self.buyers is not None:
-            out.buyers, self.buyers = self.buyers, set()
-        if self.goods is not None:
-            out.goods, self.goods = self.goods, set()
-        if self.edges is not None:
-            out.edges, self.edges = self.edges, set()
-        if self.prices is not None:
-            out.prices, self.prices = self.prices, set()
+        # the new object's empty sets take the place of the ones handed over
+        out = Changes()
+        out.buyers, self.buyers = self.buyers, out.buyers
+        out.goods, self.goods = self.goods, out.goods
+        out.edges, self.edges = self.edges, out.edges
+        out.prices, self.prices = self.prices, out.prices
         out.rescaled, self.rescaled = self.rescaled, False
-        out.factor, self.factor = self.factor, None
         return out
 
 
 # what a view gets when nothing was touched since its last call; shared by
 # every view, so its sets are frozen
-_NOTHING = Changes(0, None)
+_NOTHING = Changes()
 _NOTHING.buyers = _NOTHING.goods = _NOTHING.edges = _NOTHING.prices = frozenset()
-
-
-_VALUES = "values"
 
 
 class MarketState:
@@ -147,12 +124,15 @@ class MarketState:
     (:meth:`cash_term`).  All three are read-only outside the mutators.
 
     ``spending`` (by edge) and ``refunds`` (by buyer) are read-only
-    rational views.  Mutate the state only through the mutators: each adds
-    what it touched to the pending items of every view that reads that
-    kind, and the derived views (bang-per-buck, the equality graph, the
-    solvers' feasibility check and returnable edges) catch up from their
-    own pending items through :meth:`changes` instead of re-deriving
-    everything.  A view keeps its data in ``views`` under its own name.
+    rational views, and ``bang_per_buck`` the state's
+    :class:`BangPerBuckView`.  Mutate the state only through the mutators,
+    which keep the state's own derived data current: the rational spending
+    of each edge they touch is refreshed on the next read, and every price
+    scaling updates the bang-per-buck view in place once it has been
+    read.  A view the solvers keep outside the state (their feasibility
+    check and returnable edges) catches up from the items the mutators
+    touched since its last call of :meth:`changes` instead of re-deriving
+    everything, and keeps its data in ``views`` under its own name.
     """
 
     def __init__(
@@ -163,6 +143,7 @@ class MarketState:
         refunds: list[Fraction] | None = None,
     ) -> None:
         n_buyers, n_goods = len(inst.buyers), len(inst.goods)
+        self._inst = inst
         self._budget = inst.budget
         self._edge_buyer = inst.edge_buyer
         self._edge_good = inst.edge_good
@@ -183,11 +164,10 @@ class MarketState:
         self.views: dict[str, object] = {}
         # per view: what the mutators touched since its last changes() call
         self._pending: dict[str, Changes] = {}
-        # per kind: the pending items of every view that reads it
-        self._watch_buyers: list[Changes] = []
-        self._watch_goods: list[Changes] = []
-        self._watch_edges: list[Changes] = []
-        self._watch_prices: list[Changes] = []
+        # the same pending items, as a list for the mutators
+        self._watchers: list[Changes] = []
+        # built on first read, then kept current by scale_prices
+        self._bang_per_buck: BangPerBuckView | None = None
         # every amount given is a fixed part, kept as given (a state built
         # from amounts may hold negative spending, which the checks report)
         for e, value in (spending or {}).items():
@@ -196,9 +176,10 @@ class MarketState:
                 self.edge_fixed[e] = value
                 self.spent_fixed[b] += value
                 self.inflow_fixed[g] += value
-        # the rational spending starts out current
+        # the rational spending starts out current; the mutators list the
+        # edges whose value it must refresh
         self._spending = dict(self.edge_fixed)
-        self.changes(_VALUES, EDGES)
+        self._stale: set[Edge] = set()
 
     # --- rational reads ---------------------------------------------------
 
@@ -212,15 +193,26 @@ class MarketState:
     def spending(self) -> dict[Edge, Fraction]:
         """Every non-zero spending as a rational, by edge, updated in
         place."""
-        touched = self.changes(_VALUES, EDGES)
-        for e in touched.edges:
+        for e in self._stale:
             if self.has_spending(e):
                 self._spending[e] = self._value(
                     self.edge_units.get(e, 0), self.edge_fixed.get(e)
                 )
             else:
                 self._spending.pop(e, None)
+        self._stale.clear()
         return self._spending
+
+    @property
+    def bang_per_buck(self) -> BangPerBuckView:
+        """The state's bang-per-buck view, built on the first read; every
+        price scaling after that updates it in place (see
+        :meth:`scale_prices`), so it is the same object throughout."""
+        view = self._bang_per_buck
+        if view is None:
+            view = self._bang_per_buck = BangPerBuckView(self._inst)
+            _rebuild(self._inst, self.prices, view)
+        return view
 
     @property
     def refunds(self) -> list[Fraction]:
@@ -239,11 +231,11 @@ class MarketState:
     def refund(self, buyer: int) -> Fraction:
         return self._value(self.refund_units[buyer], self.refund_fixed[buyer])
 
-    def effective_budget(self, inst: MarketInstance, buyer: int) -> Fraction:
-        return inst.budget[buyer] - self.refund(buyer)
+    def effective_budget(self, buyer: int) -> Fraction:
+        return self._budget[buyer] - self.refund(buyer)
 
-    def effective_cash(self, inst: MarketInstance, buyer: int) -> Fraction:
-        return self.effective_budget(inst, buyer) - self.spent_by(buyer)
+    def effective_cash(self, buyer: int) -> Fraction:
+        return self.effective_budget(buyer) - self.spent_by(buyer)
 
     def backorder(self, good: int) -> Fraction:
         return self.inflow(good) - self.prices[good]
@@ -345,51 +337,53 @@ class MarketState:
             if fixed:
                 self.spent_fixed[b] -= fixed
                 self.inflow_fixed[g] -= fixed
-        for pending in self._watch_edges:
+        self._stale.add(edge)
+        for pending in self._watchers:
             pending.edges.add(edge)
-        for pending in self._watch_buyers:
             pending.buyers.add(b)
-        for pending in self._watch_goods:
             pending.goods.add(g)
 
     def add_refund_units(self, buyer: int, count: int) -> None:
         self.refund_units[buyer] += count
         self._set_term(buyer, self.cash_terms[buyer] - count)
-        for pending in self._watch_buyers:
+        for pending in self._watchers:
             pending.buyers.add(buyer)
 
     def add_refund(self, buyer: int, amount: Fraction) -> None:
         self.refund_fixed[buyer] += amount
         if self.unit is not None:
             self._set_term(buyer, self.cash_term(buyer))
-        for pending in self._watch_buyers:
+        for pending in self._watchers:
             pending.buyers.add(buyer)
 
-    def scale_prices(self, goods: Iterable[int], factor: Fraction) -> None:
-        """Multiply the prices of ``goods`` (iterated twice) by ``factor``;
-        each view of re-priced goods gets the goods and the factor."""
+    def scale_prices(self, goods: set[int], factor: Fraction) -> None:
+        """Multiply the prices of ``goods`` by ``factor``; each view gets the
+        goods as re-priced.  Once read, the bang-per-buck view follows a
+        factor above one (:func:`_follow_raise`), keeps itself on a factor
+        of one, and is rebuilt on any other."""
         prices = self.prices
         for g in goods:
             prices[g] *= factor
-        for pending in self._watch_prices:
+        for pending in self._watchers:
             pending.prices.update(goods)
-            pending.factor = factor if pending.factor is None else ZERO
+        view = self._bang_per_buck
+        if view is not None and factor != 1:
+            if factor > 1:
+                _follow_raise(self._inst, prices, view, goods)
+            else:
+                _rebuild(self._inst, prices, view)
 
     def rescale(self, unit: Fraction) -> None:
         """Count in ``unit`` from now on.  Every count is multiplied by the
         old unit over the new one, which must be a whole number while any
         count is non-zero, and every cash term is recomputed.  Amounts,
         prices and rows do not change, so no buyer, good or edge is
-        touched; after a whole factor each view that read the old unit is
-        marked ``rescaled`` and gets the new unit as its scale (see
-        :meth:`changes`)."""
+        touched: after a whole factor each view is marked ``rescaled``,
+        and after the first unit or any other factor every view starts over
+        (see :meth:`changes`)."""
         old = self.unit
-        if old is None:
-            self.unit = unit
-            self._count_terms()
-            return
-        factor = old / unit
-        if factor.denominator == 1:
+        factor = None if old is None else old / unit
+        if factor is not None and factor.denominator == 1:
             k = factor.numerator
             edge_units = self.edge_units
             for e in edge_units:
@@ -397,46 +391,32 @@ class MarketState:
             self.spent_units = [k * u for u in self.spent_units]
             self.inflow_units = [k * u for u in self.inflow_units]
             self.refund_units = [k * u for u in self.refund_units]
-            for pending in self._pending.values():
-                if pending.scale is old:
-                    pending.rescaled = True
-                    pending.scale = unit
-        elif self.edge_units or any(self.refund_units):
-            raise ValueError(f"cannot recount units of {old} in units of {unit}")
+            for pending in self._watchers:
+                pending.rescaled = True
+        else:
+            if old is not None and (self.edge_units or any(self.refund_units)):
+                raise ValueError(f"cannot recount units of {old} in units of {unit}")
+            self._pending.clear()
+            self._watchers.clear()
         self.unit = unit
         self._count_terms()
 
-    def changes(
-        self, view: str, kinds: int, scale: Fraction | None = None
-    ) -> Changes | None:
-        """The items of ``kinds`` (the same on every call of a view)
-        touched since ``view`` last asked, each once, in a set per kind;
-        None when the view must start over: on its first call, and
-        when ``scale`` is not the object it passed last time or the unit a
-        rescale by a whole factor moved it to.  Such a rescale leaves the
-        mark ``rescaled``: amounts, prices and rows are as before, and only
-        the tests that read the scale itself need repeating.  A rescale by
-        any other factor (possible only while every count is zero) leaves
-        the view's scale behind, so its next call starts over.
+    def changes(self, view: str) -> Changes | None:
+        """The items touched since ``view`` last asked, each once, in a set
+        per kind; None when the view must start over: on its first call,
+        and on its first call after a rescale to the first unit or by a
+        factor that is not whole (possible only while every count is
+        zero).  A rescale by a whole factor (a halving) leaves the mark
+        ``rescaled`` instead: amounts, prices and rows are as before, and
+        only the tests that read the scale itself need repeating.
 
         A view's pending items never hold an item twice and are handed over
         whole, so they stay bounded by the size of the market.
         """
         pending = self._pending.get(view)
         if pending is None:
-            self._pending[view] = pending = Changes(kinds, scale)
-            for kind, watchers in (
-                (BUYERS, self._watch_buyers),
-                (GOODS, self._watch_goods),
-                (EDGES, self._watch_edges),
-                (PRICES, self._watch_prices),
-            ):
-                if kinds & kind:
-                    watchers.append(pending)
-            return None
-        if pending.scale is not scale:
-            pending.take()
-            pending.scale = scale
+            self._pending[view] = pending = Changes()
+            self._watchers.append(pending)
             return None
         return pending.take()
 
@@ -465,44 +445,23 @@ class BangPerBuckView:
         return self.ratios[self.rows[buyer][0]]
 
 
-_BANG_PER_BUCK = "bang_per_buck"
-
-
-def bang_per_buck_view(inst: MarketInstance, state: MarketState) -> BangPerBuckView:
-    """The state's bang-per-buck view, caught up with the prices.
-
-    After one price scaling by a factor above one since the last call only
-    what that scaling can change is looked at again (see
-    :func:`_follow_raise`), and a factor of one changes nothing.  The first
-    call, and any other price change since the last call (two scalings, or
-    one by a factor below one, neither of which the solvers make),
-    recomputes every ratio and rescans every buyer; the view is the same
-    object throughout, and its ``version`` keeps counting."""
-    touched = state.changes(_BANG_PER_BUCK, PRICES)
-    if touched is None:
-        view = state.views[_BANG_PER_BUCK] = BangPerBuckView(inst)
-    else:
-        view = state.views[_BANG_PER_BUCK]
-        factor = touched.factor
-        if not touched.prices or factor == 1:
-            return view
-        if factor > 1:
-            _follow_raise(inst, state, view, touched.prices)
-            return view
-    price_pairs = [(p.numerator, p.denominator) for p in state.prices]
+def _rebuild(
+    inst: MarketInstance, prices: list[Fraction], view: BangPerBuckView
+) -> None:
+    """Every ratio afresh from ``prices``, then every buyer's row and sign."""
+    price_pairs = [(p.numerator, p.denominator) for p in prices]
     ratios = view.ratios
     ratios.clear()
     for (un, ud), g in zip(inst.utility_pair, inst.edge_good):
         pn, pd = price_pairs[g]
         ratios.append((un * pd, ud * pn))
     _rescan(inst, view, range(len(inst.buyers)))
-    return view
 
 
 def _follow_raise(
-    inst: MarketInstance, state: MarketState, view: BangPerBuckView, goods: set[int]
+    inst: MarketInstance, prices: list[Fraction], view: BangPerBuckView, goods: set[int]
 ) -> None:
-    """Catch the view up with one scaling of ``goods`` by a factor above
+    """Update the view after one scaling of ``goods`` by a factor above
     one, which divides the ratio of every edge into ``goods`` by it.
 
     A buyer with no row edge into ``goods`` keeps her row and sign: her
@@ -513,7 +472,6 @@ def _follow_raise(
     lowered best, and one that ties or passes it rescans her.  Otherwise
     only her sign is recomputed.
     """
-    prices = state.prices
     utility_pairs, buyer_edges = inst.utility_pair, inst.buyer_edges
     edge_buyer, edge_good = inst.edge_buyer, inst.edge_good
     ratios, rows, signs, eq_edges = view.ratios, view.rows, view.signs, view.edges
@@ -590,8 +548,8 @@ def edge_event(
     from one of ``buyers`` to a good outside ``active_goods``, as an
     unnormalized pair, and that edge; None when there is no such edge.
 
-    ``view`` is the caller's current :func:`bang_per_buck_view` of the
-    state.  The multiplier of edge ``(b, g)`` is ``best_b / ratio_bg``.
+    ``view`` is the state's current bang-per-buck view
+    (:attr:`MarketState.bang_per_buck`).  The multiplier of edge ``(b, g)`` is ``best_b / ratio_bg``.
     ``buyers`` come in canonical order, and ties go to the first of them,
     then to the smallest good position.
     """
@@ -686,11 +644,11 @@ class Component:
         """The component's nodes in canonical order."""
         return sorted(node for node, _ in self.tree)
 
-    def surplus(self, inst: MarketInstance, state: MarketState) -> Fraction:
+    def surplus(self, state: MarketState) -> Fraction:
         """Effective budgets of the component's buyers minus its good prices."""
         total = ZERO
         for b in self.buyers:
-            total += state.effective_budget(inst, b)
+            total += state.effective_budget(b)
         for g in self.goods:
             total -= state.prices[g]
         return total

@@ -2,7 +2,7 @@
 
 The checks share three things with the scaling solvers: the basic tree
 solve, the forest walker (``graph.components_of_edges``) and the state's
-bang-per-buck view (``graph.bang_per_buck_view``), the one place
+bang-per-buck view (``MarketState.bang_per_buck``), the one place
 bang-per-buck and the equality graph are computed; the checks read its
 equality edges and each buyer's sign against one, and normalize a best
 ratio only to report it.  The genericity check reads the solver's live
@@ -11,10 +11,10 @@ changed.  The certifier checks a :class:`~arcticauction.graph.MarketState`
 on the dense index (:func:`certify_state`, which the solvers call), or
 prices, spending and refunds keyed by id strings
 (:func:`check_equilibrium`, which ``verify`` calls); either way it reads
-the equality graph off a new state of its own, whose first view call
-computes every ratio afresh from the prices it is given.  So a certified
-answer is checked against the market definition rather than against the
-steps of the algorithm that produced it.  :class:`Equilibrium`, the
+the equality graph off a new state of its own, whose first read of the
+view computes every ratio afresh from the prices it is given.  So a
+certified answer is checked against the market definition rather than
+against the steps of the algorithm that produced it.  :class:`Equilibrium`, the
 certificate and the genericity report name buyers, goods and edges by
 their id strings.
 """
@@ -32,7 +32,6 @@ from arcticauction.core import MarketInstance, compute_stats
 from arcticauction.errors import GenericityError
 from arcticauction.graph import (
     MarketState,
-    bang_per_buck_view,
     component_key,
     components_of_edges,
 )
@@ -188,7 +187,7 @@ def _certificate(
         if backorder != 0:
             clearing.violations.append(f"good {g}: backorder {backorder}")
 
-    view = bang_per_buck_view(inst, MarketState(inst, list(prices)))
+    view = MarketState(inst, list(prices)).bang_per_buck
     support = Condition("spending_on_equality_edges")
     optimality = Condition("buyer_optimality")
     for edge, e, b, value in spending:
@@ -280,7 +279,7 @@ def check_genericity(inst: MarketInstance, state: MarketState) -> GenericityRepo
     state's last report was made at, that report is returned again; a new
     state, or any change of a buyer's row or sign, walks the graph anew.
     """
-    view = bang_per_buck_view(inst, state)
+    view = state.bang_per_buck
     last = state.views.get(_GENERICITY)
     if last is not None and last[0] == view.version:
         return last[1]

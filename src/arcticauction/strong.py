@@ -31,7 +31,6 @@ from arcticauction.graph import (
     Forest,
     MarketState,
     abundant_edges,
-    bang_per_buck_view,
     component_key,
     components_of_edges,
     edge_event,
@@ -70,15 +69,15 @@ def fertile_components(
     """
     n = len(inst.buyers) + len(inst.goods)
     margin = ss.delta / (3 * n * n)
-    signs = bang_per_buck_view(inst, ss.market).signs
+    signs = ss.market.bang_per_buck.signs
     out: list[tuple[Component, str]] = []
     for comp in components:
         if comp.is_singleton() and comp.buyers:
             b = comp.buyers[0]
-            if signs[b] > 0 and ss.market.effective_cash(inst, b) > margin:
+            if signs[b] > 0 and ss.market.effective_cash(b) > margin:
                 out.append((comp, "singleton_cash"))
                 continue
-        if comp.surplus(inst, ss.market) <= -margin:
+        if comp.surplus(ss.market) <= -margin:
             out.append((comp, "negative_surplus"))
     return out
 
@@ -92,9 +91,9 @@ def commit_refund(
     the equality graph and abundant set are untouched.
     """
     name = inst.buyers[buyer]
-    if bang_per_buck_view(inst, state).signs[buyer] != 0:
+    if state.bang_per_buck.signs[buyer] != 0:
         raise SolverError(f"commit at {name} without bang-per-buck one")
-    cash = state.effective_cash(inst, buyer)
+    cash = state.effective_cash(buyer)
     if amount < 0 or amount > cash:
         raise SolverError(f"commit of {amount} exceeds cash {cash} at {name}")
     state.add_refund(buyer, amount)
@@ -112,8 +111,9 @@ def special_price(
 
     Runs on a private copy of the market state, so ``ss`` is untouched:
     spending stays frozen, and only the copy's prices and refunds move,
-    seen through the same incremental bang-per-buck view as the inner
-    steps.  Each iteration reads the active set off one
+    seen through the copy's own bang-per-buck view, which its price raises
+    keep current as the inner steps' raises keep the market's.  Each
+    iteration reads the active set off one
     :class:`~arcticauction.weak.SearchTree` from the root component's
     nodes, whose backward arcs are the edges of ``components``, the
     abundant forest of ``ss``.  Four events can end an iteration: a new
@@ -148,18 +148,18 @@ def special_price(
     max_iterations = n + len(inst.buyers)
     iterations = 0
     while True:
-        root_surplus = root_component.surplus(inst, state)
+        root_surplus = root_component.surplus(state)
         if root_surplus <= target:
             break
         barrier = -root_surplus / barrier_scale
-        surpluses = [comp.surplus(inst, state) for comp in components]
+        surpluses = [comp.surplus(state) for comp in components]
         if any(value <= barrier for value in surpluses):
             break
         if iterations >= max_iterations:
             raise SolverError("price raising exceeded its iteration bound")
         iterations += 1
 
-        view = bang_per_buck_view(inst, state)
+        view = state.bang_per_buck
         tree = SearchTree(inst, state, roots, abundant)
         active_buyer_set = set(tree.buyers)
         for comp in components:
@@ -199,7 +199,7 @@ def special_price(
                 )
         # (4) an active buyer with positive cash turns critical
         for b in tree.buyers:
-            if view.signs[b] >= 0 and state.effective_cash(inst, b) > 0:
+            if view.signs[b] >= 0 and state.effective_cash(b) > 0:
                 alpha = reduced(*view.best_pair(b))
                 candidates.append((alpha, 4, (b,), "critical", b))
 
@@ -212,13 +212,13 @@ def special_price(
 
         if kind == "critical":
             b = subject
-            root_surplus = root_component.surplus(inst, state)
+            root_surplus = root_component.surplus(state)
             if b in root_component.buyers:
                 slack = root_surplus - target
             else:
                 container = next(c for c in components if b in c.buyers)
-                slack = container.surplus(inst, state) + root_surplus / barrier_scale
-            commit_refund(inst, state, b, min(state.effective_cash(inst, b), slack))
+                slack = container.surplus(state) + root_surplus / barrier_scale
+            commit_refund(inst, state, b, min(state.effective_cash(b), slack))
 
     return state, iterations
 
@@ -238,16 +238,16 @@ def get_parameter(
     """
     per_component: dict[str, Fraction] = {}
     market = ss.market
-    signs = bang_per_buck_view(inst, market).signs
+    signs = market.bang_per_buck.signs
     for comp in components:
         if not comp.is_singleton():
             state, _ = special_price(inst, ss, components, comp, ZERO)
-            value = comp.surplus(inst, state)
+            value = comp.surplus(state)
         elif comp.goods:
-            value = comp.surplus(inst, market)
+            value = comp.surplus(market)
         else:
             b = comp.buyers[0]
-            value = market.effective_cash(inst, b) if signs[b] > 0 else ZERO
+            value = market.effective_cash(b) if signs[b] > 0 else ZERO
         per_component[component_key(inst, comp)] = value
     return max(per_component.values()), per_component
 
@@ -269,13 +269,13 @@ def get_prices(
     states: list[MarketState] = []
     run_surplus: dict[str, Fraction] = {}
     for comp in components:
-        if comp.is_singleton() or comp.surplus(inst, ss.market) <= new_delta:
+        if comp.is_singleton() or comp.surplus(ss.market) <= new_delta:
             state = ss.market
         else:
             state, iterations = special_price(inst, ss, components, comp, new_delta)
             trace.special_price_iterations.append(iterations)
         states.append(state)
-        run_surplus[component_key(inst, comp)] = comp.surplus(inst, state)
+        run_surplus[component_key(inst, comp)] = comp.surplus(state)
     merged_prices = [max(prices) for prices in zip(*(s.prices for s in states))]
     merged_refunds = [max(refunds) for refunds in zip(*(s.refunds for s in states))]
     return merged_prices, merged_refunds, run_surplus
@@ -396,7 +396,7 @@ def _assert_restart_invariants(
     for comp in components:
         if not comp.buyers:
             continue
-        value = comp.surplus(inst, state)
+        value = comp.surplus(state)
         if value < floor:
             raise SolverError(
                 f"restart surplus {value} below {floor}"
@@ -405,7 +405,7 @@ def _assert_restart_invariants(
     for comp in components:
         if comp.is_singleton():
             continue
-        expected = min(comp.surplus(inst, ss.market), new_scale)
+        expected = min(comp.surplus(ss.market), new_scale)
         got = run_surplus[component_key(inst, comp)]
         if got != expected:
             raise SolverError(
@@ -446,7 +446,7 @@ def _repair_deficits(
     comp_of_good = {g: comp for comp in components for g in comp.goods}
     deficits = [g for g in range(len(inst.goods)) if market.backorder_pair(g)[0] < 0]
     for g in deficits:
-        forward, backward = bang_per_buck_view(inst, market).edges, returnable_edges(ss)
+        forward, backward = market.bang_per_buck.edges, returnable_edges(ss)
         target = n_buyers + g
         sources = [
             node
@@ -468,7 +468,7 @@ def _termination_candidate(
 ) -> tuple[MarketState, Certificate] | None:
     """Basic solution of the abundant support, given as its ``forest``, if
     it certifies as an equilibrium of the compressed instance."""
-    effective = [ss.market.effective_budget(inst, b) for b in range(len(inst.buyers))]
+    effective = [ss.market.effective_budget(b) for b in range(len(inst.buyers))]
     try:
         candidate = basic_solution(inst, forest, effective)
     except SupportError:
@@ -524,7 +524,7 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
         _note_abundant(inst, trace, phase, abundant)
         forest = components_of_edges(inst, abundant)
         components = forest.components
-        signs = bang_per_buck_view(inst, ss.market).signs
+        signs = ss.market.bang_per_buck.signs
         for comp in components:
             if comp.is_singleton() and comp.buyers:
                 b = comp.buyers[0]

@@ -21,7 +21,8 @@ The potential's terms are kept by the market state itself: a step books
 whole units of ``delta``, and moves its buyer's term by exactly the units
 it books, so reading the potential or the buyers holding ``delta`` costs
 no division.  A price raise multiplies its whole active set by one factor,
-and the bang-per-buck view catches up from that one scaling alone.
+and the market's bang-per-buck view follows that one scaling as it
+happens.
 """
 
 from __future__ import annotations
@@ -34,15 +35,10 @@ from arcticauction.basic import basic_solution, recover_support
 from arcticauction.core import InstanceStats, MarketInstance, ceil_log2, compute_stats
 from arcticauction.errors import GenericityError, SolverError
 from arcticauction.graph import (
-    BUYERS,
-    EDGES,
-    GOODS,
-    PRICES,
     Edge,
     MarketState,
     Node,
     abundant_edges,
-    bang_per_buck_view,
     components_of_edges,
     edge_event,
     path_to,
@@ -69,14 +65,14 @@ class ScalingState:
     backward arcs), and flagged goods may temporarily hold a small
     negative backorder until one augmentation repairs them.
 
-    The market keeps the potential's terms at its own scale, ``delta``.
-    The feasibility check and the returnable edges keep data on ``market``
-    that reads ``delta``: each passes ``delta`` as the scale to
-    :meth:`MarketState.changes`, so replacing ``market``, or ``delta`` by
-    anything but a whole fraction of it, makes their next call start over,
-    and dividing ``delta`` by a whole number (halving) makes each repeat
-    only its tests that read the scale.  The other
-    fields change only together with ``market``, or, for
+    The market keeps the potential's terms at its own scale, ``delta``,
+    and its bang-per-buck view current with its prices.  The feasibility
+    check and the returnable edges keep data on ``market`` that reads
+    ``delta`` and catch up through :meth:`MarketState.changes`: replacing
+    ``market``, or ``delta`` by anything but a whole fraction of it, makes
+    their next call start over, and dividing ``delta`` by a whole number
+    (halving) makes each repeat only its tests that read the scale.  The
+    other fields change only together with ``market``, or, for
     ``allowed_deficit``, at a good a mutator touched since the last check
     (as the deficit repair does).
     """
@@ -154,7 +150,7 @@ def returnable_edges(ss: ScalingState) -> set[Edge]:
     """
     market = ss.market
     exempt = ss.exempt_edges
-    touched = market.changes(_RETURNABLE, EDGES, ss.delta)
+    touched = market.changes(_RETURNABLE)
     if touched is None:
         view = market.views[_RETURNABLE] = set()
         edges: Iterable[Edge] = [*market.edge_fixed, *market.edge_units]
@@ -199,7 +195,7 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
     the whole state, so the report is always that of a full sweep.
     """
     market = ss.market
-    touched = market.changes(_FEASIBLE, BUYERS | GOODS | EDGES | PRICES, ss.delta)
+    touched = market.changes(_FEASIBLE)
     # the bang-per-buck view's version at the last pass; None after a violation
     passed = market.views.get(_FEASIBLE)
     if touched is not None and passed is not None:
@@ -210,7 +206,7 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
         if not _violations(inst, ss, touched.buyers, goods, touched.edges):
             if not repriced:
                 return (True, [])
-            view = bang_per_buck_view(inst, market)
+            view = market.bang_per_buck
             if view.version == passed:
                 return (True, [])
             # the buyers next to a re-priced good
@@ -223,7 +219,7 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
         inst, ss, range(len(inst.buyers)), range(len(inst.goods)), market.spending
     )
     market.views[_FEASIBLE] = (
-        None if violations else bang_per_buck_view(inst, market).version
+        None if violations else market.bang_per_buck.version
     )
     return (not violations, violations)
 
@@ -296,7 +292,7 @@ def _violations(
             violations.append(f"negative spending on {inst.edge_names[edge]}")
         elif sign > 0:
             if eq_edges is None:
-                eq_edges = bang_per_buck_view(inst, market).edges
+                eq_edges = market.bang_per_buck.edges
             if edge not in eq_edges:
                 violations.append(
                     f"spending off equality graph on {inst.edge_names[edge]}"
@@ -312,11 +308,6 @@ def _violations(
                     f"spending on {inst.edge_names[edge]} not a multiple of delta"
                 )
     return violations
-
-
-def _buyers_holding_delta(inst: MarketInstance, ss: ScalingState) -> list[int]:
-    """Buyers with effective cash at least ``delta``, in canonical order."""
-    return sorted(ss.market.holding)
 
 
 def is_delta_optimal(inst: MarketInstance, ss: ScalingState) -> bool:
@@ -355,7 +346,7 @@ class SearchTree:
         roots: list[Node],
         backward: set[Edge],
     ) -> None:
-        eq_edges = bang_per_buck_view(inst, market).edges
+        eq_edges = market.bang_per_buck.edges
         self.parent = reach(inst, roots, eq_edges, backward)
         n_buyers = len(inst.buyers)
         nodes = sorted(self.parent)
@@ -368,7 +359,7 @@ class SearchTree:
     def terminal(self, inst: MarketInstance, market: MarketState) -> Node | None:
         """The first critical buyer, else the first exhausted good, in
         canonical order; None while there is neither."""
-        signs = bang_per_buck_view(inst, market).signs
+        signs = market.bang_per_buck.signs
         for b in self.buyers:
             if signs[b] == 0:
                 return b
@@ -409,7 +400,7 @@ def update_price_star(
     after the raise finds.
     """
     market = ss.market
-    view = bang_per_buck_view(inst, market)
+    view = market.bang_per_buck
     signs = view.signs
     prices = market.prices
     # each candidate is an unnormalized pair (numerator, positive denominator)
@@ -435,7 +426,7 @@ def update_price_star(
     # means the tree is stale, and would repeat for ever
     if n <= d:
         raise SolverError(f"stopping event at multiplier {q} <= 1")
-    market.scale_prices(tree.goods, q)
+    market.scale_prices(tree.good_set, q)
     tied = event is not None and event[0] * d == n * event[1]
     for b, (cn, cd) in zip(buyers, buyer_pairs):
         if cn * d == n * cd:
@@ -510,13 +501,13 @@ def refund_step(inst: MarketInstance, ss: ScalingState, buyer: int) -> int:
     of each step of the run.
     """
     market = ss.market
-    view = bang_per_buck_view(inst, market)
+    view = market.bang_per_buck
     steps = market.cash_terms[buyer]
     if view.signs[buyer] > 0 or steps < 1:
         raise SolverError(
             f"refund step preconditions violated at {inst.buyers[buyer]}:"
             f" bang-per-buck {reduced(*view.best_pair(buyer))},"
-            f" cash {market.effective_cash(inst, buyer)}"
+            f" cash {market.effective_cash(buyer)}"
         )
     market.add_refund_units(buyer, steps)
     return steps
@@ -528,8 +519,9 @@ def inner_step(inst: MarketInstance, ss: ScalingState) -> tuple[str, str, int]:
     Returns (step kind, subject id, number of steps); only a run of
     refund steps is longer than one.
     """
-    signs = bang_per_buck_view(inst, ss.market).signs
-    holding = _buyers_holding_delta(inst, ss)
+    signs = ss.market.bang_per_buck.signs
+    # the buyers holding delta, in canonical order
+    holding = sorted(ss.market.holding)
     for b in holding:
         if signs[b] <= 0:
             return "refund", inst.buyers[b], refund_step(inst, ss, b)

@@ -9,7 +9,7 @@ import pytest
 
 from arcticauction import strong, weak
 from arcticauction.core import MarketInstance, compute_stats
-from arcticauction.graph import MarketState, bang_per_buck_view
+from arcticauction.graph import MarketState
 from arcticauction.randgen import random_instance
 
 
@@ -47,7 +47,7 @@ def state_of(inst: MarketInstance, prices, spending=(), refunds=()) -> MarketSta
 
 def priced(inst: MarketInstance, prices) -> MarketState:
     """A state with the given prices and no spending or refunds; its first
-    bang-per-buck view call computes every ratio afresh."""
+    read of the bang-per-buck view computes every ratio afresh."""
     return state_of(inst, prices)
 
 
@@ -87,7 +87,7 @@ def refunds_of(inst: MarketInstance, state: MarketState) -> dict:
 def alphas_of(inst: MarketInstance, state: MarketState) -> dict:
     """Every buyer's best bang-per-buck, normalized from the pairs of the
     state's bang-per-buck view."""
-    view = bang_per_buck_view(inst, state)
+    view = state.bang_per_buck
     return {b: Fraction(*view.best_pair(k)) for k, b in enumerate(inst.buyers)}
 
 
@@ -99,7 +99,7 @@ def alphas_at(inst: MarketInstance, prices) -> dict:
 def equality_graph_at(inst: MarketInstance, prices) -> set:
     """The equality graph at ``prices``, as (buyer, good) names, read off a
     fresh view."""
-    return edge_names(inst, bang_per_buck_view(inst, priced(inst, prices)).edges)
+    return edge_names(inst, priced(inst, prices).bang_per_buck.edges)
 
 
 def wide_instance(seed, n_range=(10, 20), max_exp=14):

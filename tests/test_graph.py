@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from arcticauction.core import MarketInstance
 from arcticauction.graph import (
     abundant_edges,
-    bang_per_buck_view,
     component_key,
     components_of_edges,
     edge_event,
@@ -95,7 +94,7 @@ class TestEdgeEvent:
     def test_smallest_multiplier_as_pair(self):
         inst, state = self.market()
         state.scale_prices([inst.good_pos["g4"]], Fraction(2, 3))
-        view = bang_per_buck_view(inst, state)
+        view = state.bang_per_buck
         num, den, edge = self.event(inst, view, ["b1", "b2"], {"g1"})
         # b2's ratio on g4 rose to 3/2, so her event 2 / (3/2) comes first
         assert (Fraction(num, den), inst.edge_names[edge]) == (
@@ -105,7 +104,7 @@ class TestEdgeEvent:
 
     def test_ties_go_to_the_first_buyer_then_the_first_good(self):
         inst, state = self.market()
-        view = bang_per_buck_view(inst, state)
+        view = state.bang_per_buck
         # goods in document order are g1, g3, g2, g4
         first = self.event(inst, view, ["b1", "b2"], {"g1"})[2]
         assert inst.edge_names[first] == ("b1", "g3")
@@ -113,24 +112,20 @@ class TestEdgeEvent:
 
     def test_no_inactive_good(self):
         inst, state = self.market()
-        view = bang_per_buck_view(inst, state)
+        view = state.bang_per_buck
         assert self.event(inst, view, ["b2"], {"g1", "g4"}) is None
 
 
 def residual_tree(inst, state, roots):
     """The solvers' residual search: backward arcs on positive spending."""
     ss = ScalingState(market=state, delta=Fraction(1), initial_prices=list(state.prices))
-    return reach(
-        inst, roots, bang_per_buck_view(inst, state).edges, returnable_edges(ss)
-    )
+    return reach(inst, roots, state.bang_per_buck.edges, returnable_edges(ss))
 
 
 def delta_residual_tree(inst, state, n, delta, roots):
     """The price raiser's search: backward arcs on abundant edges only."""
     state.rescale(delta)
-    return reach(
-        inst, roots, bang_per_buck_view(inst, state).edges, abundant_edges(state, n)
-    )
+    return reach(inst, roots, state.bang_per_buck.edges, abundant_edges(state, n))
 
 
 def out_arcs(tree, node):

@@ -1,13 +1,12 @@
 """Incremental views of the market state against direct recomputations.
 
-The rational spending and refunds, bang-per-buck with its signs against
-one, the equality graph, the returnable edges and the feasibility check
-each catch up from the items the state's mutators touched since that
-view last read them, and the mutators keep the potential's terms
-themselves.  These tests
-recompute each of them from the raw state (each amount a count of the
-scale plus a fixed part) after every solver step, right after every
-halving, and after random mutation sequences in which each view is read
+The state's mutators keep the rational spending, bang-per-buck with its
+signs against one, the equality graph and the potential's terms current
+themselves, and the returnable edges and the feasibility check catch up
+from the items the mutators touched since that view last read them.
+These tests recompute each of them from the raw state (each amount a
+count of the scale plus a fixed part) after every solver step, right
+after every halving, and after random mutation sequences in which each view is read
 at its own moments, and drive bad changes through the mutators and
 through halvings (a rescale by a whole factor, which each view follows
 instead of starting over) to check that the incremental feasibility check
@@ -32,7 +31,7 @@ import pytest
 
 from arcticauction import graph, strong, weak
 from arcticauction.core import PerturbationConfig, default_magnitude, perturb
-from arcticauction.graph import MarketState, bang_per_buck_view, reach
+from arcticauction.graph import MarketState, reach
 from arcticauction.oracle import check_genericity
 from arcticauction.randgen import random_instance
 from arcticauction.rational import Q
@@ -185,7 +184,7 @@ def assert_cash_terms_match(inst, ss):
 def assert_bang_per_buck_matches(inst, ss):
     prices = prices_of(inst, ss.market)
     alphas = direct_alphas(inst, prices)
-    view = bang_per_buck_view(inst, ss.market)
+    view = ss.market.bang_per_buck
     assert view.signs == [direct_sign(alphas[b] - 1) for b in inst.buyers]
     assert alphas_of(inst, ss.market) == alphas
     assert edge_names(inst, view.edges) == direct_equality_graph(inst, prices)
@@ -201,15 +200,19 @@ def assert_feasibility_matches(inst, ss):
     assert is_delta_feasible(inst, ss) == is_delta_feasible(inst, fresh_copy(inst, ss))
 
 
-# each view of the market state, under the name it keeps its pending items
-# in, with the check that reads it and compares it with its reference; the
-# cash terms are no such view, since the mutators keep them
+# each view of the market state, with the check that reads it and compares
+# it with its reference; the cash terms are no such view, since the
+# mutators keep them
 VIEW_CHECKS = {
     "values": assert_values_match,
     "bang_per_buck": assert_bang_per_buck_matches,
     "returnable": assert_returnable_matches,
     "feasible": assert_feasibility_matches,
 }
+
+# the views the solvers keep outside the state, under the names they keep
+# their pending items in; each is handed every kind of item
+PULLED_VIEWS = ("returnable", "feasible")
 
 
 def assert_views_match(inst, ss):
@@ -360,9 +363,7 @@ def test_price_raises_match_reference_in_wide_markets(seed, checked_price_raises
 def fresh_tree(inst, ss, active):
     """A fresh residual search from the roots of ``active``."""
     roots = [node for node, parent in active.items() if parent is None]
-    return reach(
-        inst, roots, bang_per_buck_view(inst, ss.market).edges, returnable_edges(ss)
-    )
+    return reach(inst, roots, ss.market.bang_per_buck.edges, returnable_edges(ss))
 
 
 def rescanned_terminal(inst, ss, active):
@@ -465,14 +466,14 @@ def rescan_market(price_type):
 
 def row_of(inst, market, buyer):
     """A buyer's row in the market's view, by (buyer, good) names."""
-    row = bang_per_buck_view(inst, market).rows[inst.buyer_pos[buyer]]
+    row = market.bang_per_buck.rows[inst.buyer_pos[buyer]]
     return tuple(inst.edge_names[e] for e in row)
 
 
 def assert_view_is_direct(inst, market):
     prices = prices_of(inst, market)
     assert alphas_of(inst, market) == direct_alphas(inst, prices)
-    edges = bang_per_buck_view(inst, market).edges
+    edges = market.bang_per_buck.edges
     assert edge_names(inst, edges) == direct_equality_graph(inst, prices)
 
 
@@ -482,12 +483,12 @@ PRICE_TYPES = [int, Fraction, Q]
 @pytest.mark.parametrize("price_type", PRICE_TYPES)
 def test_raising_a_good_off_the_row_rescans_nothing(price_type):
     inst, market = rescan_market(price_type)
-    row = bang_per_buck_view(inst, market).rows[0]
+    row = market.bang_per_buck.rows[0]
     market.scale_prices([inst.good_pos["g2"]], Fraction(2))
     assert row_of(inst, market, "b1") == (("b1", "g1"),)
     # b1 was not rescanned: a rescan builds a new row, and this is the
     # very tuple built before
-    assert bang_per_buck_view(inst, market).rows[0] is row
+    assert market.bang_per_buck.rows[0] is row
     assert_view_is_direct(inst, market)
 
 
@@ -496,7 +497,7 @@ def test_lowering_a_good_off_the_row_to_a_tie_grows_the_row(price_type):
     inst, market = rescan_market(price_type)
     market.scale_prices([inst.good_pos["g2"]], Fraction(1, 2))
     assert row_of(inst, market, "b1") == (("b1", "g1"), ("b1", "g2"))
-    assert Fraction(*bang_per_buck_view(inst, market).best_pair(0)) == 2
+    assert Fraction(*market.bang_per_buck.best_pair(0)) == 2
     assert_view_is_direct(inst, market)
 
 
@@ -507,7 +508,7 @@ def test_lowering_a_good_past_the_best_makes_it_the_row(price_type):
     assert_view_is_direct(inst, market)
     market.scale_prices([inst.good_pos["g2"]], Fraction(1, 2))
     assert row_of(inst, market, "b1") == (("b1", "g2"),)
-    assert Fraction(*bang_per_buck_view(inst, market).best_pair(0)) == 4
+    assert Fraction(*market.bang_per_buck.best_pair(0)) == 4
     assert_view_is_direct(inst, market)
 
 
@@ -530,10 +531,10 @@ def rescans(monkeypatch):
     return calls
 
 
-def scaling_market():
+def unread_scaling_market():
     """b1 is indifferent between g1 and g2 (ratio 2) and values g3 less
     (ratio 1); b2's best good is g3 (ratio 2) above g4 (ratio 1); b3
-    values only g4 (ratio 2)."""
+    values only g4 (ratio 2).  The market's view is not read yet."""
     inst = make_instance(
         {"b1": 4, "b2": 4, "b3": 4},
         {
@@ -545,26 +546,30 @@ def scaling_market():
             ("b3", "g4"): 2,
         },
     )
-    market = state_of(inst, {"g1": 1, "g2": 1, "g3": 1, "g4": 1})
+    return inst, state_of(inst, {"g1": 1, "g2": 1, "g3": 1, "g4": 1})
+
+
+def scaling_market():
+    """The market of :func:`unread_scaling_market`, its view read once."""
+    inst, market = unread_scaling_market()
     assert row_of(inst, market, "b1") == (("b1", "g1"), ("b1", "g2"))
     return inst, market
 
 
 def scale(inst, market, goods, factor):
-    """Scale the named goods' prices, then poll the view; returns the rows
-    before, by buyer position, and the version before."""
-    view = bang_per_buck_view(inst, market)
+    """Scale the named goods' prices; returns the view's rows before, by
+    buyer position, and its version before."""
+    view = market.bang_per_buck
     rows, version = list(view.rows), view.version
-    market.scale_prices([inst.good_pos[g] for g in goods], Fraction(factor))
-    bang_per_buck_view(inst, market)
+    market.scale_prices({inst.good_pos[g] for g in goods}, Fraction(factor))
     return rows, version
 
 
 def test_a_raise_by_one_changes_nothing(rescans):
     inst, market = scaling_market()
-    ratios = list(bang_per_buck_view(inst, market).ratios)
+    ratios = list(market.bang_per_buck.ratios)
     rows, version = scale(inst, market, ["g1", "g3", "g4"], 1)
-    view = bang_per_buck_view(inst, market)
+    view = market.bang_per_buck
     assert all(new is old for new, old in zip(view.rows, rows))
     assert view.version == version and view.ratios == ratios
     assert rescans == [["b1", "b2", "b3"]]  # the first call only
@@ -574,7 +579,7 @@ def test_a_raise_by_one_changes_nothing(rescans):
 def test_a_row_partly_inside_drops_its_scaled_edges(rescans):
     inst, market = scaling_market()
     rows, version = scale(inst, market, ["g1"], 2)
-    view = bang_per_buck_view(inst, market)
+    view = market.bang_per_buck
     assert row_of(inst, market, "b1") == (("b1", "g2"),)
     assert view.signs[0] == 1 and Fraction(*view.best_pair(0)) == 2
     # b2 and b3 have no edge into g1
@@ -600,7 +605,7 @@ def test_a_row_wholly_inside_is_compared_with_the_other_goods(
 ):
     inst, market = scaling_market()
     rows, _ = scale(inst, market, ["g3"], factor)
-    view = bang_per_buck_view(inst, market)
+    view = market.bang_per_buck
     assert row_of(inst, market, "b2") == row
     assert view.signs[1] == sign
     # b1's row does not reach g3, and b3 has no edge into it
@@ -613,7 +618,7 @@ def test_a_raise_brings_a_buyer_to_bang_per_buck_one(rescans):
     # b3's only good g4 goes from ratio 2 to 1; b2's row (g3) lies outside
     inst, market = scaling_market()
     rows, version = scale(inst, market, ["g4"], 2)
-    view = bang_per_buck_view(inst, market)
+    view = market.bang_per_buck
     assert view.rows[2] is rows[2] and view.signs[2] == 0
     assert view.rows[1] is rows[1] and view.signs[1] == 1
     assert view.version == version + 1
@@ -627,7 +632,7 @@ def test_a_raise_brings_a_buyer_to_bang_per_buck_one(rescans):
 @pytest.mark.parametrize(
     "scalings",
     [
-        # two raises before a poll
+        # two raises between reads, each followed as it is made
         [(["g1"], 2), (["g4"], 3)],
         [(["g3"], 2), (["g3"], 2)],
         # a price cut
@@ -635,19 +640,34 @@ def test_a_raise_brings_a_buyer_to_bang_per_buck_one(rescans):
     ],
 )
 def test_any_other_price_change_rebuilds_the_view(rescans, scalings):
+    # only a price cut rebuilds the view: every ratio, then a rescan of
+    # every buyer; any number of raises is followed one at a time
     inst, market = scaling_market()
-    view = bang_per_buck_view(inst, market)
+    view = market.bang_per_buck
     version = view.version
     for goods, factor in scalings:
-        market.scale_prices([inst.good_pos[g] for g in goods], Fraction(factor))
-    assert bang_per_buck_view(inst, market) is view
-    assert rescans == [["b1", "b2", "b3"]] * 2
+        market.scale_prices({inst.good_pos[g] for g in goods}, Fraction(factor))
+    assert market.bang_per_buck is view
+    cut = any(factor < 1 for _, factor in scalings)
+    assert rescans[0] == ["b1", "b2", "b3"]
+    assert (["b1", "b2", "b3"] in rescans[1:]) == cut
     assert view.version > version
     assert_view_is_direct(inst, market)
     # a later single raise is followed again, with no full rescan
-    market.scale_prices([inst.good_pos["g2"]], Fraction(2))
-    bang_per_buck_view(inst, market)
-    assert ["b1", "b2", "b3"] not in rescans[2:]
+    seen = len(rescans)
+    market.scale_prices({inst.good_pos["g2"]}, Fraction(2))
+    assert ["b1", "b2", "b3"] not in rescans[seen:]
+    assert_view_is_direct(inst, market)
+
+
+def test_a_raise_before_the_first_read_is_left_to_it(rescans):
+    # a state whose view was never read builds it on the first read, from
+    # the prices as they are then; a raise before that rescans nothing
+    inst, market = unread_scaling_market()
+    market.scale_prices({inst.good_pos["g1"]}, Fraction(2))
+    assert rescans == []
+    assert row_of(inst, market, "b1") == (("b1", "g2"),)
+    assert rescans == [["b1", "b2", "b3"]]
     assert_view_is_direct(inst, market)
 
 
@@ -709,7 +729,7 @@ def pending_items(market, view):
             ("good", pending.goods),
             ("price", pending.prices),
         )
-        for item in sorted(items or ())
+        for item in sorted(items)
     ]
     return items + ["rescaled"] * pending.rescaled
 
@@ -727,7 +747,7 @@ def test_views_catch_up_over_any_number_of_mutations(seed):
     # every item a mutator can touch, and the mark of a halving, once
     distinct = len(inst.buyers) + 2 * len(inst.goods) + len(edges) + 1
     assert_views_match(inst, ss)
-    assert set(market._pending) == set(VIEW_CHECKS)
+    assert set(market._pending) == set(PULLED_VIEWS)
     for step in range(300):
         move = rng.randrange(4)
         if move == 0:
@@ -750,8 +770,9 @@ def test_views_catch_up_over_any_number_of_mutations(seed):
             for view in polled:
                 VIEW_CHECKS[view](inst, ss)
             for view in polled:
-                assert not pending_items(market, view)
-        for view in VIEW_CHECKS:
+                if view in PULLED_VIEWS:
+                    assert not pending_items(market, view)
+        for view in PULLED_VIEWS:
             # a view's pending items never hold an item twice
             assert len(pending_items(market, view)) <= distinct
     assert_views_match(inst, ss)
@@ -813,17 +834,8 @@ def test_views_catch_up_over_counts_fixed_parts_and_halvings(seed):
     assert_views_match(inst, ss)
 
 
-# the kinds of item each view reads, and so is handed
-VIEW_KINDS = {
-    "values": {"edge"},
-    "bang_per_buck": {"price"},
-    "returnable": {"edge"},
-    "feasible": {"edge", "buyer", "good", "price"},
-}
-
-
 def test_pending_items_are_cleared_once_each_view_caught_up():
-    # each view is handed only the kinds of item it reads
+    # each pulled view is handed every kind of item, and clears only its own
     inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
     ss = ScalingState(
         market=state_of(inst, {"g1": 1}), delta=Fraction(1), initial_prices=[Fraction(1)]
@@ -831,18 +843,15 @@ def test_pending_items_are_cleared_once_each_view_caught_up():
     assert_views_match(inst, ss)
     ss.market.add_spending_units(inst.edge_id[("b1", "g1")], 1)
     ss.market.add_refund(0, Fraction(1))
-    ss.market.scale_prices([0], Fraction(2))
+    ss.market.scale_prices({0}, Fraction(2))
     touched = [("edge", 0), ("buyer", 0), ("good", 0), ("price", 0)]
-    for view, kinds in VIEW_KINDS.items():
-        assert pending_items(ss.market, view) == [
-            item for item in touched if item[0] in kinds
-        ]
+    for view in PULLED_VIEWS:
+        assert pending_items(ss.market, view) == touched
     assert_returnable_matches(inst, ss)
     assert not pending_items(ss.market, "returnable")
-    for view in VIEW_CHECKS:
-        assert bool(pending_items(ss.market, view)) == (view != "returnable")
+    assert pending_items(ss.market, "feasible") == touched
     assert_views_match(inst, ss)
-    assert not any(pending_items(ss.market, view) for view in VIEW_CHECKS)
+    assert not any(pending_items(ss.market, view) for view in PULLED_VIEWS)
 
 
 # --- fault injection through the public mutators ------------------------------
@@ -972,10 +981,10 @@ def test_sign_change_with_the_same_row_gives_a_fresh_genericity_report():
     ss = checked_state(inst, {"g1": 1}, {}, delta=1)
     before = check_genericity(inst, ss.market)
     assert before.ok and not before.critical_buyers_per_component
-    row = bang_per_buck_view(inst, ss.market).rows[0]
+    row = ss.market.bang_per_buck.rows[0]
     ss.market.scale_prices([inst.good_pos["g1"]], Fraction(2))
     after = check_genericity(inst, ss.market)
-    assert bang_per_buck_view(inst, ss.market).rows[0] == row
+    assert ss.market.bang_per_buck.rows[0] == row
     assert dict(after.critical_buyers_per_component) == {"B:b1": 1}
     assert after == check_genericity(inst, fresh_copy(inst, ss).market)
 
@@ -988,7 +997,7 @@ def test_genericity_report_is_reused_only_by_its_own_state():
     # nothing moved: the very same report again
     assert check_genericity(inst, above) is report
     # a new state, whose view has the same version, gets its own report
-    assert bang_per_buck_view(inst, at_one).version == bang_per_buck_view(inst, above).version
+    assert at_one.bang_per_buck.version == above.bang_per_buck.version
     assert dict(check_genericity(inst, at_one).critical_buyers_per_component) == {"B:b1": 1}
     assert not check_genericity(inst, above).critical_buyers_per_component
 
@@ -1008,6 +1017,23 @@ def test_genericity_report_cannot_be_changed():
     with pytest.raises(AttributeError):
         report.offending_cycle.clear()
     assert check_genericity(inst, state) is report
+
+
+def test_a_non_whole_rescale_makes_both_views_start_over():
+    inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g2"): 2})
+    ss = checked_state(inst, {"g1": 1, "g2": 1}, {("b2", "g2"): 1}, delta=1)
+    returnable = returnable_edges(ss)
+    assert set(ss.market._pending) == set(PULLED_VIEWS)
+    ss.delta = Fraction(3, 4)
+    # no pending items are kept, not even a mark: each view's next call is
+    # its first
+    assert not ss.market._pending
+    assert returnable_edges(ss) is not returnable
+    assert edge_names(inst, returnable_edges(ss)) == direct_returnable(inst, ss)
+    assert_reported_like_full_sweep(
+        inst, ss, "spending on ('b2', 'g2') not a multiple of delta"
+    )
+    assert set(ss.market._pending) == set(PULLED_VIEWS)
 
 
 def test_change_of_scale_sweeps_everything():

@@ -80,13 +80,13 @@ class TestSurplus:
         ss = scaling_state(inst, {"g1": 1}, {}, {"b1": 2}, delta=1)
         comps = components_of(inst, ss)
         buyer_comp = next(c for c in comps if buyers_of(inst, c) == ("b1",))
-        assert buyer_comp.surplus(inst, ss.market) == 3
+        assert buyer_comp.surplus(ss.market) == 3
 
     def test_singleton_good(self):
         inst = make_instance({"b1": 5}, {("b1", "g1"): 1})
         ss = scaling_state(inst, {"g1": Fraction(7, 2)}, {}, {}, delta=1)
         good_comp = next(c for c in components_of(inst, ss) if c.goods)
-        assert good_comp.surplus(inst, ss.market) == Fraction(-7, 2)
+        assert good_comp.surplus(ss.market) == Fraction(-7, 2)
 
     def test_mixed_component(self):
         inst = make_instance({"b1": 3}, {("b1", "g1"): 2})
@@ -94,7 +94,7 @@ class TestSurplus:
             inst, {"g1": 1}, {("b1", "g1"): Fraction(1)}, {}, delta=Fraction(1, 12)
         )
         comp = next(c for c in components_of(inst, ss) if not c.is_singleton())
-        assert comp.surplus(inst, ss.market) == 2
+        assert comp.surplus(ss.market) == 2
 
 
 class TestFertileComponents:
@@ -139,7 +139,7 @@ class TestCommitRefund:
     def test_full_cash_commit(self):
         inst, state = self.make()
         commit_refund(inst, state, inst.buyer_pos["b1"], Fraction(3))
-        assert state.effective_cash(inst, inst.buyer_pos["b1"]) == 0
+        assert state.effective_cash(inst.buyer_pos["b1"]) == 0
         assert prices_of(inst, state) == {"g1": 2}
         assert spending_of(inst, state) == {("b1", "g1"): 1}
 
@@ -149,9 +149,9 @@ class TestCommitRefund:
             market=state, delta=Fraction(1, 100), initial_prices=list(state.prices)
         )
         comp = next(c for c in components_of(inst, ss) if not c.is_singleton())
-        before = comp.surplus(inst, state)
+        before = comp.surplus(state)
         commit_refund(inst, state, inst.buyer_pos["b1"], Fraction(1))
-        assert comp.surplus(inst, state) == before - 1
+        assert comp.surplus(state) == before - 1
 
     def test_requires_critical_buyer(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
@@ -168,7 +168,7 @@ class TestSpecialPrice:
         )
         comps = components_of(inst, ss)
         comp = next(c for c in comps if not c.is_singleton())
-        assert comp.surplus(inst, ss.market) == -1 <= 0
+        assert comp.surplus(ss.market) == -1 <= 0
         state, iterations = special_price(inst, ss, comps, comp, Fraction(0))
         assert state.prices == ss.market.prices
         assert state.refunds == ss.market.refunds
@@ -186,7 +186,7 @@ class TestSpecialPrice:
         state, iterations = special_price(inst, ss, comps, comp, Fraction(0))
         assert prices_of(inst, state)["g1"] == 3
         assert iterations == 1
-        assert comp.surplus(inst, state) == 0
+        assert comp.surplus(state) == 0
 
     def test_exit_cases_are_exhaustive(self):
         # at exit, either the root surplus reached the target with every
@@ -208,8 +208,8 @@ class TestSpecialPrice:
         root = next(c for c in comps if inst.buyer_pos["b1"] in c.buyers)
         target = Fraction(0)
         state, _ = special_price(inst, ss, comps, root, target)
-        s_root = root.surplus(inst, state)
-        others = [c.surplus(inst, state) for c in comps]
+        s_root = root.surplus(state)
+        others = [c.surplus(state) for c in comps]
         barrier = -s_root / (2 * n * n)
         case_target = s_root == target and all(
             s >= -target / (2 * n * n) for s in others
@@ -229,7 +229,7 @@ class TestSpecialPrice:
         state, _ = special_price(inst, ss, comps, comp, Fraction(0))
         # critical at q=2 commits the remaining cash 5, surplus = 6-5-2p = ...
         assert refunds_of(inst, state)["b1"] > 0
-        assert comp.surplus(inst, state) == 0
+        assert comp.surplus(state) == 0
 
     # root {b1, g1}: budget 10, price 2, surplus 8; b1 turns critical at
     # q = 5 and the root surplus reaches 0 at q = 5.  A component that no
@@ -254,7 +254,7 @@ class TestSpecialPrice:
         state, iterations = special_price(inst, ss, comps, root, Fraction(0))
         assert iterations == 1
         assert prices_of(inst, state) == {"g1": 6, "g2": Fraction(9, 8)}
-        assert other.surplus(inst, state) == -root.surplus(inst, state) / 32
+        assert other.surplus(state) == -root.surplus(state) / 32
 
     def test_stops_at_a_lone_buyers_barrier(self):
         # b3 holds no good and a refund 1/8 above the budget: surplus -1/8;
@@ -275,7 +275,7 @@ class TestSpecialPrice:
         state, iterations = special_price(inst, ss, comps, root, Fraction(0))
         assert iterations == 1
         assert prices_of(inst, state) == {"g1": Fraction(31, 4)}
-        assert lone.surplus(inst, state) == -root.surplus(inst, state) / 18
+        assert lone.surplus(state) == -root.surplus(state) / 18
 
     def test_singleton_root_rejected(self):
         # a singleton's surplus does not move with prices: its callers read
@@ -476,7 +476,7 @@ class TestGetAllocations:
         spending = get_allocations(inst, list(ss.market.prices), [Fraction(0)], comps)
         assert edge_named(inst, spending) == {("b1", "g1"): 2, ("b1", "g2"): 2}
         state = MarketState(inst, ss.market.prices, spending, [Fraction(0)])
-        assert state.effective_cash(inst, inst.buyer_pos["b1"]) == 1
+        assert state.effective_cash(inst.buyer_pos["b1"]) == 1
 
     def test_negative_surplus_at_good_root(self):
         inst, ss, comps = self.base(Fraction(7, 2))
@@ -662,11 +662,11 @@ class TestSpecialPriceMonotonicity:
         )
         comps = components_of(inst, ss)
         root = next(c for c in comps if inst.buyer_pos["b1"] in c.buyers)
-        before = root.surplus(inst, ss.market)
+        before = root.surplus(ss.market)
         state, _ = special_price(inst, ss, comps, root, Fraction(0))
         assert all(p >= q for p, q in zip(state.prices, ss.market.prices))
         assert all(r >= s for r, s in zip(state.refunds, ss.market.refunds))
-        assert root.surplus(inst, state) <= before
+        assert root.surplus(state) <= before
 
 
 class TestStrongMonotonicity:

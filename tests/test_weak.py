@@ -6,7 +6,6 @@ import pytest
 
 from arcticauction.core import PerturbationConfig, ceil_log2, compute_stats, perturb
 from arcticauction.errors import SolverError
-from arcticauction.graph import bang_per_buck_view
 from arcticauction.oracle import brute_force_equilibrium
 from arcticauction.trace import PhaseMark, PhaseTrace, TraceRow
 from arcticauction.weak import (
@@ -208,7 +207,7 @@ class TestUpdatePriceStar:
         # the tie needs a new search; the raised tree has no terminal
         assert update_price_star(inst, ss, active_tree(inst, ss, "b1")) == (True, None)
         assert prices_of(inst, ss.market) == {"g1": Fraction(3, 2), "g2": Fraction(1)}
-        assert inst.edge_id[("b1", "g2")] in bang_per_buck_view(inst, ss.market).edges
+        assert inst.edge_id[("b1", "g2")] in ss.market.bang_per_buck.edges
 
 
 class TestPriceAndAugment:
@@ -228,7 +227,7 @@ class TestPriceAndAugment:
         assert ss.market.backorder(inst.good_pos["g1"]) == -1 + 1
         assert ss.market.backorder(inst.good_pos["g2"]) == before_g2
         assert potential(inst, ss) == phi_before - 1
-        assert ss.market.effective_cash(inst, inst.buyer_pos["b2"]) == Fraction(1, 2)
+        assert ss.market.effective_cash(inst.buyer_pos["b2"]) == Fraction(1, 2)
 
     def test_buyer_terminal_keeps_backorders(self):
         # b2 is critical (bang-per-buck exactly 1) and reachable through
@@ -324,7 +323,7 @@ class TestRefundStep:
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
         ss = scaling_state(inst, {"g1": 2}, {}, {"b1": 3}, delta=1)
         assert refund_step(inst, ss, inst.buyer_pos["b1"]) == 1
-        assert ss.market.effective_cash(inst, inst.buyer_pos["b1"]) == 0
+        assert ss.market.effective_cash(inst.buyer_pos["b1"]) == 0
         assert refunds_of(inst, ss.market)["b1"] == 4
 
     def test_other_buyers_untouched_and_potential_drop(self):
@@ -332,11 +331,11 @@ class TestRefundStep:
             {"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g1"): 8}
         )
         ss = scaling_state(inst, {"g1": 2}, {}, {}, delta=1)
-        cash_b2 = ss.market.effective_cash(inst, inst.buyer_pos["b2"])
+        cash_b2 = ss.market.effective_cash(inst.buyer_pos["b2"])
         phi = potential(inst, ss)
         # cash 4 at delta 1: a run of four refund steps, booked at once
         assert refund_step(inst, ss, inst.buyer_pos["b1"]) == 4
-        assert ss.market.effective_cash(inst, inst.buyer_pos["b2"]) == cash_b2
+        assert ss.market.effective_cash(inst.buyer_pos["b2"]) == cash_b2
         assert potential(inst, ss) == phi - 4
 
     def test_books_floor_of_cash_over_delta(self):
@@ -345,7 +344,7 @@ class TestRefundStep:
         ss = scaling_state(inst, {"g1": 2}, {}, {}, delta=Fraction(1, 2))
         assert refund_step(inst, ss, inst.buyer_pos["b1"]) == 7
         assert refunds_of(inst, ss.market)["b1"] == Fraction(7, 2)
-        assert ss.market.effective_cash(inst, inst.buyer_pos["b1"]) == Fraction(1, 3)
+        assert ss.market.effective_cash(inst.buyer_pos["b1"]) == Fraction(1, 3)
         assert is_delta_optimal(inst, ss)
 
     def test_precondition_enforced(self):
