@@ -207,4 +207,4 @@ def recover_support(state: MarketState, n: int) -> set[Edge]:
     support of the equilibrium.
     """
     units = 4 * n
-    return {e for e in state.spending if state.spending_sign(e, units) > 0}
+    return {e for e in state.spending_edges if state.spending_sign(e, units) > 0}

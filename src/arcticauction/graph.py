@@ -37,8 +37,9 @@ pairs.  The residual search (:func:`reach`) builds no graph of its own:
 it walks the instance's adjacency and keeps the arcs whose edges lie in
 the sets the caller passes.  The spending thresholds (:func:`abundant_edges`, and
 :func:`~arcticauction.basic.recover_support`) count in the state's own
-scale.  Every traversal runs in canonical (document) order, which makes
-the solvers deterministic.
+scale and read its counts and fixed parts, not its rational spending.
+Every traversal runs in canonical (document) order, which makes the
+solvers deterministic.
 """
 
 from __future__ import annotations
@@ -123,6 +124,13 @@ class MarketState:
     (:meth:`add_refund`) or a new unit recomputes a term
     (:meth:`cash_term`).  All three are read-only outside the mutators.
 
+    ``moved`` (a list by edge) holds each edge's net units booked by
+    :meth:`add_spending_units` since the last :meth:`reset_moved`.  That
+    mutator moves spending by whole units only, so while the unit stands
+    still an edge's spending has changed by exactly ``moved[e] * unit``
+    since then, also when the edge empties: its value then drops to zero
+    by exactly the units booked.
+
     ``spending`` (by edge) and ``refunds`` (by buyer) are read-only
     rational views, and ``bang_per_buck`` the state's
     :class:`BangPerBuckView`.  Mutate the state only through the mutators,
@@ -161,6 +169,7 @@ class MarketState:
         self.cash_terms: list[int] = []
         self.cash_total = 0
         self.holding: set[int] = set()
+        self.moved = [0] * len(inst.edge_names)
         self.views: dict[str, object] = {}
         # per view: what the mutators touched since its last changes() call
         self._pending: dict[str, Changes] = {}
@@ -221,6 +230,11 @@ class MarketState:
 
     def has_spending(self, edge: Edge) -> bool:
         return edge in self.edge_units or edge in self.edge_fixed
+
+    @property
+    def spending_edges(self) -> set[Edge]:
+        """Every edge with non-zero spending, in a new set."""
+        return self.edge_units.keys() | self.edge_fixed.keys()
 
     def spent_by(self, buyer: int) -> Fraction:
         return self._value(self.spent_units[buyer], self.spent_fixed[buyer])
@@ -320,6 +334,7 @@ class MarketState:
         if sign < 0:
             raise ValueError(f"negative spending on edge {edge}")
         b, g = self._edge_buyer[edge], self._edge_good[edge]
+        self.moved[edge] += count
         self.spent_units[b] += count
         self.inflow_units[g] += count
         self._set_term(b, self.cash_terms[b] - count)
@@ -342,6 +357,10 @@ class MarketState:
             pending.edges.add(edge)
             pending.buyers.add(b)
             pending.goods.add(g)
+
+    def reset_moved(self) -> None:
+        """Count every edge's moved units from zero again."""
+        self.moved = [0] * len(self.moved)
 
     def add_refund_units(self, buyer: int, count: int) -> None:
         self.refund_units[buyer] += count
@@ -617,7 +636,7 @@ def abundant_edges(state: MarketState, n: int) -> set[Edge]:
     """Edges carrying at least ``3 * n`` units of the state's scale
     (inclusive); the state must have a scale."""
     units = 3 * n
-    return {e for e in state.spending if state.spending_sign(e, units) >= 0}
+    return {e for e in state.spending_edges if state.spending_sign(e, units) >= 0}
 
 
 @dataclass

@@ -516,9 +516,8 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
         mark = start_phase(inst, ss, stats, trace, phase, entry)
         _note_abundant(inst, trace, phase, mark.abundant_start)
         run_inner_loop(inst, ss, trace, phase)
-        trace.end_phase(ss.market.spending)
         if entry != "restart":
-            check_phase_invariants(inst, n, mark)
+            check_phase_invariants(inst, n, ss.market)
 
         abundant = abundant_edges(ss.market, n)
         _note_abundant(inst, trace, phase, abundant)

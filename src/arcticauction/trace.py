@@ -1,12 +1,14 @@
 """Structured per-phase trace of a solver run.
 
-Each outer round (a scaling phase) gets a :class:`PhaseMark` with start and
-end snapshots of the spending vector, and each inner-loop call gets a
-:class:`TraceRow` recording the potential before and after; a buyer's run
-of refund steps is one row, which :meth:`PhaseTrace.iter_lines` yields as
-one line per step, building each line only when it is asked for.  The
-acceptance suite replays these records to verify the potential, drift,
-and abundance disciplines independently of the in-run assertions.
+Each outer round (a scaling phase) gets a :class:`PhaseMark` with its
+scale, starting potential and abundant edges, and each inner-loop call
+gets a :class:`TraceRow` recording the potential before and after; a
+buyer's run of refund steps is one row, which :meth:`PhaseTrace.iter_lines`
+yields as one line per step, building each line only when it is asked
+for.  The acceptance suite replays these records to verify the potential
+and abundance disciplines independently of the in-run assertions; the
+per-phase drift is checked in the run from the state's moved units, and
+the tests replay it from spending snapshots they take themselves.
 """
 
 from __future__ import annotations
@@ -51,16 +53,14 @@ class TraceRow:
 
 @dataclass
 class PhaseMark:
-    """One scaling phase: entry transition, scale, and state snapshots, by
-    edge id."""
+    """One scaling phase: entry transition, scale, starting potential, and
+    the abundant edges at its start, by edge id."""
 
     index: int
     delta: Fraction
     entry: str  # init | halve | restart | delayed
     potential_start: int
-    spending_start: dict[Edge, Fraction]
     abundant_start: set[Edge]
-    spending_end: dict[Edge, Fraction] | None = None
     iterations: int = 0
 
     def to_doc(self, edge_names: tuple[tuple[str, str], ...]) -> dict:
@@ -127,27 +127,11 @@ class PhaseTrace:
         return sum(1 for r in self.restarts if r.branch == "compressed")
 
     def begin_phase(
-        self,
-        index: int,
-        delta: Fraction,
-        entry: str,
-        potential: int,
-        spending: dict[Edge, Fraction],
-        abundant: set[Edge],
+        self, index: int, delta: Fraction, entry: str, phi: int, abundant: set[Edge]
     ) -> PhaseMark:
-        mark = PhaseMark(
-            index=index,
-            delta=delta,
-            entry=entry,
-            potential_start=potential,
-            spending_start=dict(spending),
-            abundant_start=set(abundant),
-        )
+        mark = PhaseMark(index, delta, entry, phi, set(abundant))
         self.phases.append(mark)
         return mark
-
-    def end_phase(self, spending: dict[Edge, Fraction]) -> None:
-        self.phases[-1].spending_end = dict(spending)
 
     def add_row(self, row: TraceRow) -> None:
         self.rows.append(row)

@@ -153,7 +153,7 @@ def returnable_edges(ss: ScalingState) -> set[Edge]:
     touched = market.changes(_RETURNABLE)
     if touched is None:
         view = market.views[_RETURNABLE] = set()
-        edges: Iterable[Edge] = [*market.edge_fixed, *market.edge_units]
+        edges: Iterable[Edge] = market.spending_edges
     else:
         view = market.views[_RETURNABLE]
         edges = touched.edges
@@ -172,6 +172,8 @@ def returnable_edges(ss: ScalingState) -> set[Edge]:
 
 
 _FEASIBLE = "feasible"
+# the scale at which a halving's own pass found every good feasible
+_HALVED = "halved"
 
 
 def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, list[str]]:
@@ -183,8 +185,13 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
     goods get every check, and so do touched edges.  After a halving every
     good is checked too, for its ``backorder <= delta`` bound: amounts,
     prices and rows are unchanged, and a multiple of ``delta`` stays a
-    multiple of a whole fraction of it.  A spending edge of a buyer next to
-    a re-priced good gets only the equality-graph test, because a price
+    multiple of a whole fraction of it.  That is left out when
+    :func:`halve_and_repair` already ran this check's goods test on every
+    good it did not repair and all passed: it records the scale it
+    reached, the record holds only while ``delta`` is that very scale, and
+    the goods it repaired, like every good touched or re-priced since, are
+    in the touched sets.  A spending edge of a buyer next to a re-priced
+    good gets only the equality-graph test, because a price
     change can take it off the equality graph but cannot change anything
     else the check reads: its value is the same as when it last passed (a
     new value touches the edge), so its sign and multiple-of-delta tests
@@ -201,7 +208,7 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
     if touched is not None and passed is not None:
         repriced = touched.prices
         goods: Iterable[int] = touched.goods | repriced
-        if touched.rescaled:
+        if touched.rescaled and market.views.get(_HALVED) is not market.unit:
             goods = range(len(inst.goods))
         if not _violations(inst, ss, touched.buyers, goods, touched.edges):
             if not repriced:
@@ -215,12 +222,11 @@ def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, lis
             if _spending_on_equality_graph(inst, market, view.edges, near):
                 market.views[_FEASIBLE] = view.version
                 return (True, [])
+    edges = sorted(market.spending_edges)
     violations = _violations(
-        inst, ss, range(len(inst.buyers)), range(len(inst.goods)), market.spending
+        inst, ss, range(len(inst.buyers)), range(len(inst.goods)), edges
     )
-    market.views[_FEASIBLE] = (
-        None if violations else market.bang_per_buck.version
-    )
+    market.views[_FEASIBLE] = None if violations else market.bang_per_buck.version
     return (not violations, violations)
 
 
@@ -266,25 +272,9 @@ def _violations(
             violations.append(f"negative refund at buyer {inst.buyers[b]}")
         if terms[b] < 0:
             violations.append(f"negative effective cash at buyer {inst.buyers[b]}")
-    delta = ss.delta
-    dn, dd = delta.numerator, delta.denominator
     for g in goods:
-        price = market.prices[g]
-        if price < 0:
-            violations.append(f"negative price at good {inst.goods[g]}")
-        if price > ss.initial_prices[g]:
-            num, den = market.backorder_pair(g)
-            allowed = ss.allowed_deficit.get(g)
-            if market.backorder(g) < -allowed if allowed else num < 0:
-                violations.append(
-                    f"backorder {market.backorder(g)} below bound"
-                    f" at good {inst.goods[g]}"
-                )
-            if num * dd > dn * den:
-                violations.append(
-                    f"backorder {market.backorder(g)} above delta"
-                    f" at good {inst.goods[g]}"
-                )
+        violations += _good_faults(inst, ss, g)
+    delta = ss.delta
     eq_edges: set[Edge] | None = None
     for edge in edges:
         sign = market.spending_sign(edge, 0)
@@ -308,6 +298,37 @@ def _violations(
                     f"spending on {inst.edge_names[edge]} not a multiple of delta"
                 )
     return violations
+
+
+def _good_faults(
+    inst: MarketInstance,
+    ss: ScalingState,
+    g: int,
+    pair: tuple[int, int] | None = None,
+) -> list[str]:
+    """The feasibility check's tests of good ``g``, whose backorder is the
+    unnormalized ``pair`` (the market's :meth:`~MarketState.backorder_pair`
+    when None): a negative price, and on a good raised above its initial
+    price a backorder below its bound (zero, or minus the good's deficit
+    allowance) or above ``delta``.  Returns the violations found."""
+    market = ss.market
+    price = market.prices[g]
+    faults = []
+    if price < 0:
+        faults.append(f"negative price at good {inst.goods[g]}")
+    if price > ss.initial_prices[g]:
+        num, den = pair or market.backorder_pair(g)
+        allowed = ss.allowed_deficit.get(g)
+        if market.backorder(g) < -allowed if allowed else num < 0:
+            faults.append(
+                f"backorder {market.backorder(g)} below bound at good {inst.goods[g]}"
+            )
+        delta = market.unit
+        if num * delta.denominator > delta.numerator * den:
+            faults.append(
+                f"backorder {market.backorder(g)} above delta at good {inst.goods[g]}"
+            )
+    return faults
 
 
 def is_delta_optimal(inst: MarketInstance, ss: ScalingState) -> bool:
@@ -537,14 +558,24 @@ def halve_and_repair(inst: MarketInstance, ss: ScalingState) -> None:
 
     Halving doubles every count of the market.  For each good
     oversubscribed beyond the halved scale, the canonically smallest buyer
-    with at least one unit of spending on it gives that unit back.  The
-    repaired state is feasible at the new scale.
+    with at least one unit of spending on it gives that unit back, which
+    lowers the backorder by exactly the new scale.
+
+    A state feasible before the halving has, after the repair, a backorder
+    between 0 and the new scale on every raised good.  The same pass over
+    the goods runs the feasibility check's goods test on every good it
+    does not repair (a repaired good is touched, so the next check tests
+    it anyway), and if every one passes it records the new scale on the
+    market: the next :func:`is_delta_feasible` then re-tests only the
+    goods touched since instead of all of them.  Any failure leaves no
+    record, and that check then tests every good itself.
     """
     if not is_delta_optimal(inst, ss):
         raise SolverError("halving requires an optimal state")
     market = ss.market
     ss.delta = half = ss.delta / 2
     hn, hd = half.numerator, half.denominator
+    passed = True
     for g, edges in enumerate(inst.good_edges):
         num, den = market.backorder_pair(g)
         if num * hd > hn * den:
@@ -552,6 +583,10 @@ def halve_and_repair(inst: MarketInstance, ss: ScalingState) -> None:
             if donor is None:
                 raise SolverError(f"oversubscribed good {inst.goods[g]} has no donor")
             market.add_spending_units(donor, -1)
+        else:
+            passed = passed and not _good_faults(inst, ss, g, (num, den))
+    if passed:
+        market.views[_HALVED] = half
 
 
 def start_phase(
@@ -571,7 +606,8 @@ def start_phase(
     abundant.  The potential check is the phase's step bound: each step
     lowers the potential by exactly one (:func:`record_step`) and no
     feasible state has negative cash, so a phase it admits takes at most
-    ``n`` steps.
+    ``n`` steps.  The market counts the units each edge moves from here
+    on, for :func:`check_phase_invariants`.
     """
     if not check_genericity(inst, ss.market).ok:
         raise GenericityError(f"degenerate prices at phase {phase}")
@@ -584,27 +620,28 @@ def start_phase(
         if missing:
             lost = sorted(inst.edge_names[e] for e in missing)
             raise SolverError(f"abundant edges lost: {lost}")
-    return trace.begin_phase(phase, ss.delta, entry, phi, ss.market.spending, abundant)
+    ss.market.reset_moved()
+    return trace.begin_phase(phase, ss.delta, entry, phi, abundant)
 
 
-def check_phase_invariants(inst: MarketInstance, n: int, mark: PhaseMark) -> None:
+def check_phase_invariants(inst: MarketInstance, n: int, market: MarketState) -> None:
     """Drift bound of an ended phase: no edge moved more than ``n * delta``.
 
-    The snapshots share the value objects of the state's rational
-    spending, which gets a new value only for an edge a mutator touched,
-    so an edge whose value is the very object it started with did not move
-    and its drift is not computed.
+    Inside a phase only :meth:`MarketState.add_spending_units` moves
+    spending, and always by whole units of the phase's scale, which stands
+    still until the phase ends.  So each edge's spending changed by
+    exactly its net units moved since :func:`start_phase` (the market's
+    ``moved``) times ``delta``, exempt edges included: an emptied edge's
+    value drops to zero by exactly the units booked.  The bound is then
+    ``n`` units, tested on the integer counts; a rational is built only
+    for a report.
     """
-    drift_bound = n * mark.delta
-    start, end = mark.spending_start, mark.spending_end or {}
-    for edge in start.keys() | end.keys():
-        before, after = start.get(edge, ZERO), end.get(edge, ZERO)
-        if after is not before:
-            change = abs(after - before)
-            if change > drift_bound:
-                raise SolverError(
-                    f"edge {inst.edge_names[edge]} drifted {change} > {drift_bound}"
-                )
+    for edge, units in enumerate(market.moved):
+        if abs(units) > n:
+            raise SolverError(
+                f"edge {inst.edge_names[edge]} drifted"
+                f" {abs(units) * market.unit} > {n * market.unit}"
+            )
 
 
 def record_step(
@@ -685,8 +722,7 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
         mark = start_phase(inst, ss, stats, trace, phase, entry)
         trace.abundant_discovered |= mark.abundant_start
         run_inner_loop(inst, ss, trace, phase)
-        trace.end_phase(ss.market.spending)
-        check_phase_invariants(inst, stats.n, mark)
+        check_phase_invariants(inst, stats.n, ss.market)
 
         if ss.delta < stop_below:
             support = recover_support(ss.market, stats.n)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -183,6 +184,55 @@ def phase_starts(monkeypatch):
     for module in (weak, strong):
         monkeypatch.setattr(module, "start_phase", recording)
     return starts
+
+
+class SpendingSnapshots:
+    """Copies of ``ss.market.spending``, by edge id, at each phase start
+    and end of the solver runs while it is installed, collected by
+    wrapping ``start_phase`` and ``run_inner_loop`` where both solvers call
+    them.  The solvers keep no such copies: their drift check counts the
+    units each edge moves, and these snapshots let a test replay it."""
+
+    def __init__(self, monkeypatch):
+        self._runs: dict[int, tuple[object, list]] = {}
+        start, inner = weak.start_phase, weak.run_inner_loop
+
+        def starting(inst, ss, stats, trace, *args):
+            mark = start(inst, ss, stats, trace, *args)
+            run = self._runs.setdefault(id(trace), (trace, []))[1]
+            run.append([dict(ss.market.spending), None])
+            return mark
+
+        def ending(inst, ss, trace, phase):
+            inner(inst, ss, trace, phase)
+            self._runs[id(trace)][1][-1][1] = dict(ss.market.spending)
+
+        for module in (weak, strong):
+            monkeypatch.setattr(module, "start_phase", starting)
+            monkeypatch.setattr(module, "run_inner_loop", ending)
+
+    def of(self, trace) -> list:
+        """The (start, end) spending of each phase of ``trace``, in order;
+        the end is None for a phase whose inner loop did not finish."""
+        return [tuple(pair) for pair in self._runs[id(trace)][1]]
+
+    def clear(self) -> None:
+        """Forget every run recorded so far."""
+        self._runs.clear()
+
+
+@contextlib.contextmanager
+def recorded_spending():
+    """:class:`SpendingSnapshots` installed for the ``with`` block, for
+    fixtures wider than one test."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        yield SpendingSnapshots(monkeypatch)
+
+
+@pytest.fixture
+def phase_spending(monkeypatch):
+    """:class:`SpendingSnapshots` of the solver runs in a test."""
+    return SpendingSnapshots(monkeypatch)
 
 
 @pytest.fixture

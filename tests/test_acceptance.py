@@ -43,7 +43,7 @@ from arcticauction.randgen import random_instance
 from arcticauction.trace import PhaseTrace
 
 from auxnet import AuxNetwork, assert_cycle_bound
-from conftest import check_step_lines, lean_sigma
+from conftest import check_step_lines, lean_sigma, recorded_spending
 
 
 def wide_instance(n: int, rng: random.Random) -> MarketInstance:
@@ -89,18 +89,17 @@ def check_potential_discipline(trace: PhaseTrace, n: int) -> None:
             )
 
 
-def check_drift_and_abundance(trace: PhaseTrace, n: int) -> None:
-    """Criterion 4 checks for one run."""
-    for mark in trace.phases:
-        if mark.entry == "restart" or mark.spending_end is None:
+def check_drift_and_abundance(trace: PhaseTrace, spending: list, n: int) -> None:
+    """Criterion 4 checks for one run; ``spending`` holds each phase's
+    (start, end) spending snapshots (``conftest.SpendingSnapshots``)."""
+    assert len(spending) == len(trace.phases)
+    for mark, (start, end) in zip(trace.phases, spending):
+        if mark.entry == "restart" or end is None:
             continue
         bound = n * mark.delta
-        edges = set(mark.spending_start) | set(mark.spending_end)
+        edges = set(start) | set(end)
         for e in edges:
-            change = abs(
-                mark.spending_end.get(e, Fraction(0))
-                - mark.spending_start.get(e, Fraction(0))
-            )
+            change = abs(end.get(e, Fraction(0)) - start.get(e, Fraction(0)))
             assert change <= bound, f"edge {e} drifted {change} > {bound}"
     for prev, nxt in zip(trace.phases, trace.phases[1:]):
         missing = prev.abundant_start - nxt.abundant_start
@@ -113,33 +112,39 @@ def check_drift_and_abundance(trace: PhaseTrace, n: int) -> None:
 @pytest.fixture(scope="module")
 def oracle_suite():
     """200 random perturbed instances, all three solvers, plus the data
-    criterion 5 needs from each weak run, with the CPU and the wall-clock
-    seconds the suite took."""
+    criterion 5 needs from each weak run (the spending at the start of its
+    last phase, one per run), with the CPU and the wall-clock seconds the
+    suite took."""
     rng = random.Random(20240601)
     runs = []
+    final_spending = []
     started_cpu, started_wall = time.process_time(), time.perf_counter()
     trial = 0
-    while len(runs) < 200:
-        trial += 1
-        n = rng.randint(2, 8)
-        inst = random_instance(n, rng, max_edges=12)
-        outcome = solve_instance(
-            inst, "both", magnitude=lean_sigma(inst), seed=1000 + trial
-        )
-        try:
-            oracle = brute_force_equilibrium(outcome.perturbed)
-        except GenericityError:
-            continue  # degenerate perturbation; extremely rare
-        runs.append((outcome, oracle))
+    with recorded_spending() as snapshots:
+        while len(runs) < 200:
+            trial += 1
+            n = rng.randint(2, 8)
+            inst = random_instance(n, rng, max_edges=12)
+            outcome = solve_instance(
+                inst, "both", magnitude=lean_sigma(inst), seed=1000 + trial
+            )
+            weak_spending = snapshots.of(outcome.results["weak"][1])
+            snapshots.clear()
+            try:
+                oracle = brute_force_equilibrium(outcome.perturbed)
+            except GenericityError:
+                continue  # degenerate perturbation; extremely rare
+            runs.append((outcome, oracle))
+            final_spending.append(weak_spending[-1][0])
     cpu = time.process_time() - started_cpu
     wall = time.perf_counter() - started_wall
-    return runs, cpu, wall
+    return runs, cpu, wall, final_spending
 
 
 def test_criterion_1_oracle_equivalence(oracle_suite):
     # timed in CPU seconds of this process, so load from other processes on
     # the host does not count against the limit
-    runs, cpu, wall = oracle_suite
+    runs, cpu, wall, _ = oracle_suite
     assert len(runs) == 200
     for outcome, oracle in runs:
         weak_eq, _ = outcome.results["weak"]
@@ -156,9 +161,9 @@ def test_criterion_1_oracle_equivalence(oracle_suite):
 
 
 def test_criterion_5_support_recovery(oracle_suite):
-    runs, _, _ = oracle_suite
+    runs, _, _, final_spending = oracle_suite
     checked = 0
-    for outcome, oracle in runs:
+    for (outcome, oracle), final_start in zip(runs, final_spending, strict=True):
         _, trace = outcome.results["weak"]
         stats = compute_stats(outcome.perturbed)
         stop_below = Fraction(1, 8 * stats.n) / stats.d_bound
@@ -166,7 +171,7 @@ def test_criterion_5_support_recovery(oracle_suite):
         assert final is trace.phases[-1]
         threshold = 4 * stats.n * final.delta
         names = outcome.perturbed.edge_names
-        spending = {names[e]: v for e, v in final.spending_start.items()}
+        spending = {names[e]: v for e, v in final_start.items()}
         recovered = {e for e, v in spending.items() if v > threshold}
         assert recovered == set(oracle.spending), "support mismatch"
         for e in set(spending) | set(oracle.spending):
@@ -191,38 +196,40 @@ def certification_suite():
     summaries = []
     aux_samples = []
     post_restart_phis = []
-    for trial in range(1000):
-        n = rng.randint(4, 20)
-        inst = (
-            wide_instance(n, rng) if trial % 5 == 0 else random_instance(n, rng)
-        )
-        stats = compute_stats(inst)
-        algorithm = "both" if stats.n <= 8 and stats.m <= 12 else "strong"
-        outcome = solve_instance(
-            inst, algorithm, magnitude=lean_sigma(inst), seed=5000 + trial
-        )
-        for name, (eq, trace) in outcome.results.items():
-            assert eq.certificate.ok, (trial, name, eq.certificate.failed())
-            check_potential_discipline(trace, stats.n)
-            check_drift_and_abundance(trace, stats.n)
-            if len(aux_samples) < 50:
+    with recorded_spending() as snapshots:
+        for trial in range(1000):
+            n = rng.randint(4, 20)
+            inst = (
+                wide_instance(n, rng) if trial % 5 == 0 else random_instance(n, rng)
+            )
+            stats = compute_stats(inst)
+            algorithm = "both" if stats.n <= 8 and stats.m <= 12 else "strong"
+            outcome = solve_instance(
+                inst, algorithm, magnitude=lean_sigma(inst), seed=5000 + trial
+            )
+            for name, (eq, trace) in outcome.results.items():
+                assert eq.certificate.ok, (trial, name, eq.certificate.failed())
+                check_potential_discipline(trace, stats.n)
+                check_drift_and_abundance(trace, snapshots.of(trace), stats.n)
+                if len(aux_samples) < 50:
+                    for mark in trace.phases:
+                        if mark.abundant_start and len(aux_samples) < 50:
+                            names = outcome.perturbed.edge_names
+                            abundant = frozenset(names[e] for e in mark.abundant_start)
+                            aux_samples.append((outcome.perturbed, abundant))
                 for mark in trace.phases:
-                    if mark.abundant_start and len(aux_samples) < 50:
-                        names = outcome.perturbed.edge_names
-                        abundant = frozenset(names[e] for e in mark.abundant_start)
-                        aux_samples.append((outcome.perturbed, abundant))
-            for mark in trace.phases:
-                if mark.entry == "restart":
-                    post_restart_phis.append((mark.potential_start, stats.n))
-        summaries.append(
-            {
-                "n": stats.n,
-                "algorithms": sorted(outcome.results),
-                "restarts": outcome.results[
-                    "strong" if "strong" in outcome.results else "weak"
-                ][1].restart_count,
-            }
-        )
+                    if mark.entry == "restart":
+                        post_restart_phis.append((mark.potential_start, stats.n))
+            summaries.append(
+                {
+                    "n": stats.n,
+                    "algorithms": sorted(outcome.results),
+                    "restarts": outcome.results[
+                        "strong" if "strong" in outcome.results else "weak"
+                    ][1].restart_count,
+                }
+            )
+            snapshots.clear()
     return summaries, aux_samples, post_restart_phis
 
 

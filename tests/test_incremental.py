@@ -37,6 +37,7 @@ from arcticauction.randgen import random_instance
 from arcticauction.rational import Q
 from arcticauction.weak import (
     ScalingState,
+    halve_and_repair,
     is_delta_feasible,
     is_delta_optimal,
     potential,
@@ -951,6 +952,72 @@ def test_halving_leaves_a_raised_good_above_the_new_scale():
     # a rescale by a whole factor is no start-over, just a mark
     assert pending_items(ss.market, "feasible") == ["rescaled"]
     assert_reported_like_full_sweep(inst, ss, "backorder 1 above delta at good g1")
+
+
+def test_refund_units_beyond_the_cash_are_reported_like_a_full_sweep():
+    # b1 holds 2 units of cash; booking 3 refund units drives it negative,
+    # and only the mutator's notice of b1 makes the next check look at her
+    inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
+    ss = checked_state(inst, {"g1": 2}, {("b1", "g1"): 2}, delta=1, initial={"g1": 1})
+    ss.market.add_refund_units(0, 3)
+    assert_reported_like_full_sweep(inst, ss, "negative effective cash at buyer b1")
+
+
+def halving_market():
+    """An optimal state at delta 1 whose feasibility check has run: g1
+    is raised with backorder 1, which a halving repairs; g2 is raised with
+    backorder 0, and g3 is not raised and undersold by 1."""
+    inst = make_instance(
+        {"b1": 3, "b2": 2, "b3": 1},
+        {("b1", "g1"): 4, ("b2", "g2"): 4, ("b3", "g3"): 4},
+    )
+    ss = checked_state(
+        inst,
+        {"g1": 2, "g2": 2, "g3": 2},
+        {("b1", "g1"): 3, ("b2", "g2"): 2, ("b3", "g3"): 1},
+        delta=1,
+        initial={"g1": 1, "g2": 1, "g3": 2},
+    )
+    return inst, ss
+
+
+def test_a_clean_halving_leaves_the_next_check_only_the_touched_goods(monkeypatch):
+    inst, ss = halving_market()
+    halve_and_repair(inst, ss)
+    assert spending_of(inst, ss.market)[("b1", "g1")] == Fraction(5, 2)
+    tested = []
+    good_faults = weak._good_faults
+
+    def spy(inst, ss, g, pair=None):
+        tested.append(inst.goods[g])
+        return good_faults(inst, ss, g, pair)
+
+    monkeypatch.setattr(weak, "_good_faults", spy)
+    assert is_delta_feasible(inst, ss) == (True, [])
+    # the halving tested g2 and g3 itself; g1, which it repaired, is touched
+    assert tested == ["g1"]
+    assert is_delta_feasible(inst, fresh_copy(inst, ss)) == (True, [])
+
+
+def test_a_halving_that_finds_a_bad_good_leaves_every_good_to_the_check():
+    inst, ss = halving_market()
+    # fault injection: g3 turns raised behind the check's back, with its
+    # backorder of -1, and no mutator touches it; the halving's own goods
+    # test, not the theory of a feasible state, decides what is skipped
+    ss.initial_prices[inst.good_pos["g3"]] = Fraction(1)
+    halve_and_repair(inst, ss)
+    assert_reported_like_full_sweep(inst, ss, "backorder -1 below bound at good g3")
+
+
+def test_the_halving_record_ends_with_its_scale():
+    inst, ss = halving_market()
+    halve_and_repair(inst, ss)
+    assert is_delta_feasible(inst, ss) == (True, [])
+    # a further halving with no repair leaves g1's backorder of 1/2 above
+    # the new scale; the record of the last halving does not cover it
+    ss.delta = Fraction(1, 4)
+    assert pending_items(ss.market, "feasible") == ["rescaled"]
+    assert_reported_like_full_sweep(inst, ss, "backorder 1/2 above delta at good g1")
 
 
 def test_halving_makes_an_exempt_edge_returnable():

@@ -196,9 +196,10 @@ def non_q(values, where):
     return [f"{where}: {v!r}" for v in values if type(v) is not Q]
 
 
-def all_numbers_are_q(eq, trace, starts):
-    """Every number of a result, of its trace and of its phase-start
-    prices and refunds that is not ``Q``."""
+def all_numbers_are_q(eq, trace, starts, spending):
+    """Every number of a result, of its trace, of its phase-start prices
+    and refunds and of its phase start and end spending that is not
+    ``Q``."""
     bad = []
     for label, mapping in (
         ("prices", eq.prices),
@@ -207,13 +208,10 @@ def all_numbers_are_q(eq, trace, starts):
         ("quantities", eq.quantities),
     ):
         bad += non_q(mapping.values(), label)
-    for mark in trace.phases:
+    for mark, (start, end) in zip(trace.phases, spending, strict=True):
         where = f"phase {mark.index}"
         bad += non_q([mark.delta], where)
-        for label, snapshot in (
-            ("spending_start", mark.spending_start),
-            ("spending_end", mark.spending_end or {}),
-        ):
+        for label, snapshot in (("spending_start", start), ("spending_end", end or {})):
             bad += non_q(snapshot.values(), f"{where} {label}")
     for index, (prices, refunds) in enumerate(starts):
         bad += non_q(prices.values(), f"phase {index} prices_start")
@@ -227,21 +225,23 @@ def all_numbers_are_q(eq, trace, starts):
 
 
 @pytest.mark.parametrize("solver", [run_weak, run_strong], ids=["weak", "strong"])
-def test_solver_numbers_are_q_on_a_random_market(solver, phase_starts):
+def test_solver_numbers_are_q_on_a_random_market(solver, phase_starts, phase_spending):
     rng = random.Random(5)
     inst = random_instance(6, rng)
     inst = perturb(inst, PerturbationConfig(magnitude=lean_sigma(inst), seed=5))
     eq, trace = solver(inst)
     assert trace.phases and trace.rows
     assert len(phase_starts) == trace.phase_count
-    assert all_numbers_are_q(eq, trace, phase_starts) == []
+    spending = phase_spending.of(trace)
+    assert all_numbers_are_q(eq, trace, phase_starts, spending) == []
 
 
-def test_solver_numbers_are_q_through_a_compressed_restart(phase_starts):
+def test_solver_numbers_are_q_through_a_compressed_restart(phase_starts, phase_spending):
     inst = wide_instance(14)
     inst = perturb(inst, PerturbationConfig(magnitude=default_magnitude(inst), seed=0))
     eq, trace = run_strong(inst)
     assert trace.restart_count >= 1
     assert any(mark.entry == "restart" for mark in trace.phases)
     assert len(phase_starts) == trace.phase_count
-    assert all_numbers_are_q(eq, trace, phase_starts) == []
+    spending = phase_spending.of(trace)
+    assert all_numbers_are_q(eq, trace, phase_starts, spending) == []

@@ -343,7 +343,7 @@ def repair_rows(inst, ss, forest_edges):
     has ``forest_edges``; return the (kind, subject) of its trace rows."""
     comps = components_of_edges(inst, edge_ids(inst, forest_edges)).components
     trace = PhaseTrace("strong", inst.edge_names)
-    trace.begin_phase(0, ss.delta, "restart", 0, ss.market.spending, set())
+    trace.begin_phase(0, ss.delta, "restart", 0, set())
     _repair_deficits(inst, ss, comps, trace, 0)
     return [(r.kind, r.subject) for r in trace.rows]
 
@@ -603,13 +603,13 @@ class TestRunStrong:
         assert eq.refunds == oracle.refunds
 
     # Known defect: on these complete 3 x 3 wide-budget markets, which weak
-    # solves in about 0.1 s, strong raises instead.  On 198 and 281 the
-    # restarted state is infeasible ("backorder ... below bound"): the
-    # deficit repair drops a good's allowed deficit after one delta-sized
-    # augmentation while its backorder is still negative.  On 364 strong
-    # exceeds its phase budget.
+    # solves in about 0.1 s, strong raises instead.  On 198, 281, 492 and
+    # 503 the restarted state is infeasible ("backorder ... below bound"):
+    # the deficit repair drops a good's allowed deficit after one
+    # delta-sized augmentation while its backorder is still negative.  On
+    # 364 strong exceeds its phase budget.
     @pytest.mark.xfail(strict=True, raises=SolverError)
-    @pytest.mark.parametrize("seed", [198, 281, 364])
+    @pytest.mark.parametrize("seed", [198, 281, 364, 492, 503])
     def test_matches_weak_on_wide_three_by_three(self, seed):
         inst = wide_instance(seed, (6, 14))
         weak_eq, _ = solve_instance(inst, "weak", seed=0).results["weak"]
@@ -645,6 +645,13 @@ class TestRunStrong:
     @pytest.mark.xfail(strict=True, raises=SolverError)
     def test_certifies_random_34_2008(self):
         solve_instance(random_instance(34, random.Random(2008)), "strong", seed=7)
+
+    # Known defect (ROADMAP item 1): the same refund_complementarity failure
+    # on a wide-budget market at perturbation seed 7, which weak certifies
+    # (at seed 0 strong certifies it after a 92,804-step refund tail).
+    @pytest.mark.xfail(strict=True, raises=SolverError)
+    def test_certifies_wide_9_at_perturbation_seed_7(self):
+        solve_instance(wide_instance(9), "strong", seed=7)
 
 
 class TestSpecialPriceMonotonicity:

@@ -7,7 +7,7 @@ import pytest
 from arcticauction.core import PerturbationConfig, ceil_log2, compute_stats, perturb
 from arcticauction.errors import SolverError
 from arcticauction.oracle import brute_force_equilibrium
-from arcticauction.trace import PhaseMark, PhaseTrace, TraceRow
+from arcticauction.trace import PhaseTrace, TraceRow
 from arcticauction.weak import (
     ScalingState,
     SearchTree,
@@ -374,7 +374,7 @@ class TestRefundStep:
 class TestTraceRuns:
     def trace_with_rows(self):
         trace = PhaseTrace(algorithm="weak", edge_names=())
-        trace.begin_phase(0, Fraction(1, 2), "init", 5, {}, set())
+        trace.begin_phase(0, Fraction(1, 2), "init", 5, set())
         trace.add_row(TraceRow(0, Fraction(1, 2), "augment_good", "g1", 5, 4))
         trace.add_row(TraceRow(0, Fraction(1, 2), "refund", "b2", 4, 1, steps=3))
         return trace
@@ -488,29 +488,66 @@ class TestReturnableEdges:
 
 
 class TestPhaseInvariants:
-    inst = make_instance({"b1": 1, "b2": 1}, {("b1", "g1"): 1, ("b2", "g1"): 1})
+    # n = 3 and delta = 1/2, so the drift bound n * delta = 3/2 is 3 units
+    inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 1, ("b2", "g1"): 1})
 
-    def mark(self, start, end):
-        edge_id = self.inst.edge_id
-        return PhaseMark(
-            index=0,
-            delta=Fraction(1, 2),
-            entry="halve",
-            potential_start=0,
-            spending_start={edge_id[e]: Fraction(v) for e, v in start.items()},
-            abundant_start=set(),
-            spending_end={edge_id[e]: Fraction(v) for e, v in end.items()},
-        )
+    def moved(self, start, moves):
+        """The market of a phase that starts at ``start`` spending (amounts
+        as fixed parts, by edge name) and books ``moves`` (units, by edge
+        name, in order)."""
+        ss = scaling_state(self.inst, {"g1": 1}, start, {}, delta=Fraction(1, 2))
+        ss.market.reset_moved()
+        for e, units in moves:
+            ss.market.add_spending_units(self.inst.edge_id[e], units)
+        return ss.market
 
     def test_drift_up_to_n_delta_passes(self):
         # n * delta = 3/2: one edge rises by exactly that, another vanishes
-        mark = self.mark({("b1", "g1"): 1, ("b2", "g1"): 1}, {("b1", "g1"): "5/2"})
-        check_phase_invariants(self.inst, 3, mark)
+        market = self.moved(
+            {("b1", "g1"): 1, ("b2", "g1"): 1}, [(("b1", "g1"), 3), (("b2", "g1"), -2)]
+        )
+        assert spending_of(self.inst, market) == {("b1", "g1"): Fraction(5, 2)}
+        check_phase_invariants(self.inst, 3, market)
 
     def test_drift_above_n_delta_raises(self):
-        mark = self.mark({("b1", "g1"): 1}, {("b1", "g1"): 1, ("b2", "g1"): 2})
+        market = self.moved({("b1", "g1"): 1}, [(("b2", "g1"), 4)])
         with pytest.raises(SolverError, match="drifted 2 > 3/2"):
-            check_phase_invariants(self.inst, 3, mark)
+            check_phase_invariants(self.inst, 3, market)
+
+    @pytest.mark.parametrize("units", [4, -4])
+    def test_one_edge_moving_n_plus_one_units_raises(self, units):
+        market = self.moved({("b1", "g1"): 2}, [(("b1", "g1"), units)])
+        with pytest.raises(SolverError, match=r"\('b1', 'g1'\) drifted 2 > 3/2"):
+            check_phase_invariants(self.inst, 3, market)
+
+    def test_moves_that_cancel_do_not_drift(self):
+        market = self.moved({}, [(("b1", "g1"), 4), (("b1", "g1"), -4)])
+        check_phase_invariants(self.inst, 3, market)
+
+    @pytest.mark.parametrize("fixed, drift", [("3/2", None), ("5/2", "5/2")])
+    def test_an_emptied_fixed_part_drifts_by_the_units_booked(self, fixed, drift):
+        # a fixed part, as a restart installs on exempt edges, empties
+        # through counts once the scale divides it, and drifts by exactly
+        # the units that takes
+        count = Fraction(fixed) / Fraction(1, 2)
+        market = self.moved(
+            {("b1", "g1"): Fraction(fixed)}, [(("b1", "g1"), -int(count))]
+        )
+        assert spending_of(self.inst, market) == {}
+        if drift is None:
+            check_phase_invariants(self.inst, 3, market)
+        else:
+            with pytest.raises(SolverError, match=f"drifted {drift} > 3/2"):
+                check_phase_invariants(self.inst, 3, market)
+
+    def test_start_phase_counts_moves_afresh(self):
+        inst = make_instance({"b1": 1}, {("b1", "g1"): 2})
+        ss = scaling_state(inst, {"g1": 1}, {("b1", "g1"): 1}, {}, delta=1)
+        ss.market.add_spending_units(0, -1)
+        assert ss.market.moved == [-1]
+        trace = PhaseTrace(algorithm="weak", edge_names=inst.edge_names)
+        start_phase(inst, ss, compute_stats(inst), trace, 0, "init")
+        assert ss.market.moved == [0]
 
 
 class TestStartPhase:
