@@ -31,7 +31,8 @@ class InstanceError(ValueError):
     solution document, or a command-line value."""
 
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+# ASCII digits only: \d would match any Unicode decimal digit
+_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 
 def ceil_log2(value: Fraction) -> int:
@@ -49,7 +50,8 @@ def ceil_log2(value: Fraction) -> int:
 
 
 def parse_rational(value: object) -> Q:
-    """Parse an exact rational from an int or a ``"p"`` / ``"p/q"`` string.
+    """Parse an exact rational from an int or a ``"p"`` / ``"p/q"`` string
+    of ASCII digits.
 
     Floats are rejected: accepting them would silently launder binary
     rounding error into the exact-arithmetic pipeline.

@@ -343,8 +343,8 @@ def potential(inst: MarketInstance, ss: ScalingState) -> int:
 
 
 class SearchTree:
-    """One residual search of a price raise, summed up for the raises that
-    follow it.
+    """One residual search of a price raise, summed up for the raise that
+    follows it.
 
     ``parent`` is the :func:`~arcticauction.graph.reach` forest of
     ``roots`` (in canonical order) along the equality edges and the
@@ -353,12 +353,17 @@ class SearchTree:
     restart's price raiser from a component over the abundant forest.
     ``buyers`` and ``goods`` list the active set in canonical order (goods
     by good index, not node), ``good_set`` holds the goods again, and
-    ``inflow`` each active good's :meth:`MarketState.inflow_pair`, in the
-    order of ``goods``.  A price raise moves prices only, so the pairs
-    stay valid until the next search.
+    ``pairs`` each active good's inflow over its price as an unnormalized
+    integer pair ``(inflow_num * price_den, inflow_den * price_num)``, in
+    the order of ``goods``: the good is exhausted when the first is at most
+    the second, and the pair is the multiplier at which a raise exhausts
+    it.  The pairs hold at the prices of the search only, and a tree is
+    raised at most once: a raise whose edge event does not tie names its
+    terminal and ends the round, and one whose edge event ties is followed
+    by a new search (see :func:`price_and_augment`).
     """
 
-    __slots__ = ("parent", "buyers", "goods", "good_set", "inflow")
+    __slots__ = ("parent", "buyers", "goods", "good_set", "pairs")
 
     def __init__(
         self,
@@ -375,19 +380,24 @@ class SearchTree:
         self.buyers = nodes[:split]
         self.goods = [node - n_buyers for node in nodes[split:]]
         self.good_set = set(self.goods)
-        self.inflow = [market.inflow_pair(g) for g in self.goods]
+        prices = market.prices
+        self.pairs = []
+        for g in self.goods:
+            n, d = market.inflow_pair(g)
+            price = prices[g]
+            self.pairs.append((n * price.denominator, d * price.numerator))
 
     def terminal(self, inst: MarketInstance, market: MarketState) -> Node | None:
-        """The first critical buyer, else the first exhausted good, in
-        canonical order; None while there is neither."""
+        """The first critical buyer, else the first exhausted good (one
+        whose pair's first entry is at most its second), in canonical
+        order; None while there is neither.  Read it before the tree's
+        raise: the pairs hold at the prices of the search."""
         signs = market.bang_per_buck.signs
         for b in self.buyers:
             if signs[b] == 0:
                 return b
-        prices = market.prices
-        for g, (n, d) in zip(self.goods, self.inflow):
-            price = prices[g]
-            if n * price.denominator <= price.numerator * d:
+        for g, (n, d) in zip(self.goods, self.pairs):
+            if n <= d:
                 return len(inst.buyers) + g
         return None
 
@@ -400,14 +410,18 @@ def update_price_star(
     the raise reached.
 
     ``tree`` is the search of the current state that
-    :func:`price_and_augment` made; its nodes are the active set, and none
-    of them is a terminal.  Candidate events, each an exact root of a
-    linear equation in the multiplier ``q``: a new equality edge from an
+    :func:`price_and_augment` made and has not raised yet; its nodes are
+    the active set, and none of them is a terminal.  Candidate events, each
+    an exact root of a linear equation in the multiplier ``q``: an active
+    buyer's bang-per-buck reaching one, an active good's backorder reaching
+    zero (the tree's pair of the good), or a new equality edge from an
     active buyer to an inactive good
-    (:func:`~arcticauction.graph.edge_event`), an active good's backorder
-    reaching zero, or an active buyer's bang-per-buck reaching one.
-    Candidates are compared as integer pairs by cross-multiplication; only
-    the winner becomes a ``Q``, by one gcd.  Prices are updated in place.
+    (:func:`~arcticauction.graph.edge_event`).  One pass over them, in that
+    order and each kind in canonical order, compares integer pairs by
+    cross-multiplication: a candidate below the winner so far replaces it,
+    one that ties it keeps the earlier one, and the edge event's tie is
+    noted.  Only the winner becomes a ``Q``, by one gcd.  Prices are
+    updated in place.
 
     Every equality edge of an active buyer leads to an active good, and a
     raise below the edge event's multiplier scales all of them alike and
@@ -423,24 +437,24 @@ def update_price_star(
     market = ss.market
     view = market.bang_per_buck
     signs = view.signs
-    prices = market.prices
-    # each candidate is an unnormalized pair (numerator, positive denominator)
-    good_pairs: list[tuple[int, int]] = []
-    for g, (n, d) in zip(tree.goods, tree.inflow):
-        price = prices[g]
-        good_pairs.append((n * price.denominator, d * price.numerator))
-    buyers = [b for b in tree.buyers if signs[b] > 0]
-    buyer_pairs = [view.best_pair(b) for b in buyers]
-    candidates = good_pairs + buyer_pairs
+    n_buyers = len(inst.buyers)
+    # each candidate is an unnormalized pair (numerator, positive
+    # denominator) and the terminal it names; the edge event names none
+    candidates = [(view.best_pair(b), b) for b in tree.buyers if signs[b] > 0]
+    candidates += [(pair, n_buyers + g) for g, pair in zip(tree.goods, tree.pairs)]
     event = edge_event(inst, view, tree.buyers, tree.good_set)
     if event is not None:
-        candidates.append(event[:2])
+        candidates.append((event[:2], None))
     if not candidates:
         raise SolverError("price raise has no stopping event")
-    n, d = candidates[0]
-    for cn, cd in candidates[1:]:
-        if cn * d < n * cd:
-            n, d = cn, cd
+    (n, d), terminal = candidates[0]
+    tied = terminal is None
+    for (cn, cd), node in candidates[1:]:
+        left, right = cn * d, n * cd
+        if left < right:
+            n, d, terminal, tied = cn, cd, node, node is None
+        elif left == right and node is None:
+            tied = True
     q = reduced(n, d)
     # the search tree holds every equality edge of the active buyers and no
     # exhausted good, so every candidate exceeds one; a raise by one or less
@@ -448,14 +462,7 @@ def update_price_star(
     if n <= d:
         raise SolverError(f"stopping event at multiplier {q} <= 1")
     market.scale_prices(tree.good_set, q)
-    tied = event is not None and event[0] * d == n * event[1]
-    for b, (cn, cd) in zip(buyers, buyer_pairs):
-        if cn * d == n * cd:
-            return tied, b
-    for g, (cn, cd) in zip(tree.goods, good_pairs):
-        if cn * d == n * cd:
-            return tied, len(inst.buyers) + g
-    return tied, None
+    return tied, terminal
 
 
 def _augment(inst: MarketInstance, ss: ScalingState, path: list[Node]) -> None:

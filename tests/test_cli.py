@@ -491,6 +491,11 @@ INPUT_ERRORS = {
     "solve_utilities_null": edited_instance(utilities=None),
     "solve_empty_lists": edited_instance(buyers=[], goods=[], utilities=[]),
     "solve_top_level_array": instance_text(json.dumps([ONE_EDGE])),
+    # digits outside ASCII, which int() would read as 3/4 and 1/2
+    "solve_budget_arabic_indic_digits": edited_instance(
+        buyers=[{"id": "b1", "budget": "٣/٤"}]
+    ),
+    "solve_utility_fullwidth_digit": edited_instance(utilities=[["b1", "g1", "1/２"]]),
     "solve_budget_zero_denominator": edited_instance(
         buyers=[{"id": "b1", "budget": "3/0"}]
     ),

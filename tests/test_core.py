@@ -34,7 +34,11 @@ class TestParseRational:
     def test_negative(self):
         assert parse_rational("-5") == Fraction(-5)
 
-    @pytest.mark.parametrize("bad", [1.5, "1.5", "a/b", "1/0", None, True])
+    # the last three are Arabic-Indic and fullwidth digits, which int()
+    # would read
+    @pytest.mark.parametrize(
+        "bad", [1.5, "1.5", "a/b", "1/0", None, True, "٣/٤", "１", "1/２"]
+    )
     def test_rejects(self, bad):
         with pytest.raises(InstanceError):
             parse_rational(bad)

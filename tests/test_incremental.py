@@ -16,8 +16,9 @@ immutable report while the view's version stands still, must report the
 same on a fresh copy of the state.  Every price raise of both
 solvers is checked against the multiplier formula written with ``Q``
 arithmetic, and every residual search tree a raise keeps against a fresh
-search: its cached inflow pairs against the state's, and the terminal the
-raise names against a rescan of the tree.  Named cases pin when a
+search: its kept inflow-over-price pairs against a fresh computation
+from the state, each tree raised once only, and the terminal the raise
+names against a rescan of the tree.  Named cases pin when a
 re-priced good rescans a buyer, how the view follows one price raise
 and when it rebuilds, and how the kept terms follow fixed parts and
 rescales.
@@ -297,6 +298,14 @@ def names_of_nodes(inst, nodes):
     return buyers, goods
 
 
+def raw_inflow(inst, market):
+    """Every good's inflow by id, summed from the raw spending."""
+    inflow = {g: Fraction(0) for g in inst.goods}
+    for (_, g), v in raw_spending(inst, market).items():
+        inflow[g] += v
+    return inflow
+
+
 def reference_multiplier(inst, ss, active):
     """The smallest event multiplier of a price raise, each candidate a
     ``Q``: a new equality edge, an active good's backorder reaching zero,
@@ -304,9 +313,7 @@ def reference_multiplier(inst, ss, active):
     prices = prices_of(inst, ss.market)
     alphas = direct_alphas(inst, prices)
     active_buyers, active_goods = names_of_nodes(inst, active)
-    inflow = {g: Fraction(0) for g in inst.goods}
-    for (_, g), v in raw_spending(inst, ss.market).items():
-        inflow[g] += v
+    inflow = raw_inflow(inst, ss.market)
     candidates = [
         alphas[b] * prices[g] / u
         for (b, g), u in inst.utilities.items()
@@ -377,32 +384,50 @@ def rescanned_terminal(inst, ss, active):
     critical = [b for b in buyers if alphas[b] == 1]
     if critical:
         return inst.buyer_pos[critical[0]]
-    inflow = {g: Fraction(0) for g in inst.goods}
-    for (_, g), v in raw_spending(inst, ss.market).items():
-        inflow[g] += v
+    inflow = raw_inflow(inst, ss.market)
     exhausted = [g for g in goods if inflow[g] <= prices[g]]
     return len(inst.buyers) + inst.good_pos[exhausted[0]] if exhausted else None
 
 
+def good_pairs(market, goods):
+    """Each good's inflow over its price as the unnormalized pair
+    ``(inflow_num * price_den, inflow_den * price_num)``, afresh."""
+    pairs = []
+    for g in goods:
+        n, d = market.inflow_pair(g)
+        price = market.prices[g]
+        pairs.append((n * price.denominator, d * price.numerator))
+    return pairs
+
+
 @pytest.fixture
 def kept_trees(monkeypatch):
-    """Each price raise of either solver gets the residual search tree of
-    the current state, summed up in canonical order with the state's
-    inflow pairs of its goods and no terminal, and names the terminal a
-    rescan of that tree finds after the raise; after a raise that reports
-    no edge-event tie a fresh search from the same roots returns the same
-    parent map, in the same order.  Yields, per raise, whether it tied."""
+    """Each price raise of either solver gets a residual search tree of
+    the current state that no raise got before, summed up in canonical
+    order with its goods' inflow-over-price pairs at the current prices
+    and no terminal, and names the terminal a rescan of that tree finds
+    after the raise; after a raise that reports no edge-event tie a fresh
+    search from the same roots returns the same parent map, in the same
+    order.  Yields, per raise, whether it tied."""
     ties = []
+    # every tree raised so far, by id; holding them keeps the ids unique
+    raised = {}
     original = weak.update_price_star
 
     def checked(inst, ss, tree):
+        assert id(tree) not in raised
+        raised[id(tree)] = tree
         active = tree.parent
         assert list(fresh_tree(inst, ss, active).items()) == list(active.items())
         buyers, goods = names_of_nodes(inst, active)
         assert [inst.buyers[b] for b in tree.buyers] == buyers
         assert [inst.goods[g] for g in tree.goods] == goods
         assert tree.good_set == set(tree.goods)
-        assert tree.inflow == [ss.market.inflow_pair(g) for g in tree.goods]
+        assert tree.pairs == good_pairs(ss.market, tree.goods)
+        inflow, prices = raw_inflow(inst, ss.market), prices_of(inst, ss.market)
+        assert [Fraction(*pair) for pair in tree.pairs] == [
+            inflow[g] / prices[g] for g in goods
+        ]
         assert rescanned_terminal(inst, ss, active) is None
         tied, terminal = original(inst, ss, tree)
         assert terminal == rescanned_terminal(inst, ss, active)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from arcticauction import weak
 from arcticauction.core import PerturbationConfig, ceil_log2, compute_stats, perturb
 from arcticauction.errors import SolverError
 from arcticauction.oracle import brute_force_equilibrium
@@ -257,7 +258,10 @@ class TestPriceAndAugment:
 class TestPriceRaiseTies:
     """Raises whose winning multiplier several events reach at once: the
     step goes to the first critical buyer in canonical order, else to the
-    first exhausted good; a tied edge event searches again first."""
+    first exhausted good; a tied edge event searches again first.  A raise
+    whose edge event ties names the buyer or good it ties as well.  Each
+    case calls the solver through the module, so a wrapper installed on
+    ``weak.update_price_star`` sees its raises."""
 
     def test_critical_buyer_beats_exhausted_good(self):
         # at q = 2, b2's bang-per-buck reaches one and g1's backorder zero
@@ -316,6 +320,34 @@ class TestPriceRaiseTies:
         assert inner_step(inst, ss) == ("augment_good", "g1", 1)
         assert prices_of(inst, ss.market) == {"g1": 1, "g2": 2}
         assert spending_of(inst, ss.market) == {("b1", "g1"): 1, ("b2", "g2"): 2}
+
+    def test_edge_event_tying_an_exhausted_good_names_the_good(self):
+        # at q = 2 g1's backorder reaches zero and b1's edge to g2 (ratio
+        # 2 against her best 4) joins the equality graph
+        inst = make_instance({"b1": 16}, {("b1", "g1"): 4, ("b1", "g2"): 2})
+        ss = scaling_state(inst, {"g1": 1, "g2": 1}, {("b1", "g1"): 2}, {}, delta=1)
+        assert weak.update_price_star(inst, ss, active_tree(inst, ss, "b1")) == (
+            True,
+            good_node(inst, "g1"),
+        )
+        assert prices_of(inst, ss.market) == {"g1": 2, "g2": 1}
+        assert inst.edge_id[("b1", "g2")] in ss.market.bang_per_buck.edges
+
+    def test_edge_event_tying_a_critical_buyer_names_the_buyer(self):
+        # at q = 2 b2's bang-per-buck reaches one and b1's edge to g2 joins
+        # the equality graph; g1's backorder and b1's bang-per-buck wait
+        # for q = 4
+        inst = make_instance(
+            {"b1": 16, "b2": 5}, {("b1", "g1"): 4, ("b1", "g2"): 2, ("b2", "g1"): 2}
+        )
+        ss = scaling_state(inst, {"g1": 1, "g2": 1}, {("b2", "g1"): 4}, {}, delta=1)
+        assert weak.update_price_star(inst, ss, active_tree(inst, ss, "b1")) == (
+            True,
+            buyer_node(inst, "b2"),
+        )
+        assert prices_of(inst, ss.market) == {"g1": 2, "g2": 1}
+        assert alphas_of(inst, ss.market) == {"b1": 2, "b2": 1}
+        assert inst.edge_id[("b1", "g2")] in ss.market.bang_per_buck.edges
 
 
 class TestRefundStep:
