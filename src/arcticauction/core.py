@@ -33,6 +33,9 @@ class InstanceError(ValueError):
 
 # ASCII digits only: \d would match any Unicode decimal digit
 _RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
+# the whitespace a rational string may carry around it: ASCII only, since
+# str.strip() with no argument also strips Unicode spaces and separators
+_ASCII_SPACE = " \t\n\r\v\f"
 
 
 def ceil_log2(value: Fraction) -> int:
@@ -51,7 +54,7 @@ def ceil_log2(value: Fraction) -> int:
 
 def parse_rational(value: object) -> Q:
     """Parse an exact rational from an int or a ``"p"`` / ``"p/q"`` string
-    of ASCII digits.
+    of ASCII digits, with optional ASCII whitespace around it.
 
     Floats are rejected: accepting them would silently launder binary
     rounding error into the exact-arithmetic pipeline.
@@ -61,7 +64,7 @@ def parse_rational(value: object) -> Q:
     if isinstance(value, int):
         return Q(value)
     if isinstance(value, str):
-        match = _RATIONAL_RE.match(value.strip())
+        match = _RATIONAL_RE.match(value.strip(_ASCII_SPACE))
         if match is None:
             raise InstanceError(f"not a rational: {value!r}")
         try:

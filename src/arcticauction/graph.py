@@ -56,10 +56,11 @@ Node = int  # buyer i, or good j as B + j
 Edge = int  # an edge id of the instance
 
 class Changes:
-    """What the mutators touched since a view last asked: the buyers whose
-    amounts changed, the goods whose inflow changed, the edges whose
-    spending changed and the goods whose price changed, one set of ids
-    each, and whether a rescale by a whole factor happened meanwhile."""
+    """What the mutators touched since the last passing feasibility check:
+    the buyers whose amounts changed, the goods whose inflow changed, the
+    edges whose spending changed and the goods whose price changed, one set
+    of ids each, and whether a rescale by a whole factor happened
+    meanwhile."""
 
     __slots__ = ("buyers", "goods", "edges", "prices", "rescaled")
 
@@ -69,27 +70,6 @@ class Changes:
         self.edges: set[int] = set()
         self.prices: set[int] = set()
         self.rescaled = False
-
-    def take(self) -> Changes:
-        """The items so far, handed over; this object starts empty again."""
-        if not (
-            self.rescaled or self.buyers or self.goods or self.edges or self.prices
-        ):
-            return _NOTHING
-        # the new object's empty sets take the place of the ones handed over
-        out = Changes()
-        out.buyers, self.buyers = self.buyers, out.buyers
-        out.goods, self.goods = self.goods, out.goods
-        out.edges, self.edges = self.edges, out.edges
-        out.prices, self.prices = self.prices, out.prices
-        out.rescaled, self.rescaled = self.rescaled, False
-        return out
-
-
-# what a view gets when nothing was touched since its last call; shared by
-# every view, so its sets are frozen
-_NOTHING = Changes()
-_NOTHING.buyers = _NOTHING.goods = _NOTHING.edges = _NOTHING.prices = frozenset()
 
 
 class MarketState:
@@ -137,10 +117,41 @@ class MarketState:
     which keep the state's own derived data current: the rational spending
     of each edge they touch is refreshed on the next read, and every price
     scaling updates the bang-per-buck view in place once it has been
-    read.  A view the solvers keep outside the state (their feasibility
-    check and returnable edges) catches up from the items the mutators
-    touched since its last call of :meth:`changes` instead of re-deriving
-    everything, and keeps its data in ``views`` under its own name.
+    read.
+
+    The state is also the whole state of the scaling solvers, and ``unit``
+    their scale ``delta``.  ``initial_prices`` (a list by good) are the
+    prices the state was built with, unless a solver sets them; the
+    backorder bounds apply only to goods whose price has been raised above
+    them.  ``exempt_edges`` (edge ids) and ``allowed_deficit`` (by good)
+    start empty; only the strongly polynomial solver's compressed restart
+    (:func:`~arcticauction.strong.make_fertile`) sets them, on the rebuilt
+    state before its first unit: exempt edges carry values that are not
+    multiples of the unit (the fixed parts of the rebuilt state, which
+    need a whole unit to serve as backward arcs), and flagged goods may
+    hold a small negative backorder until one augmentation repairs them.
+    After that ``allowed_deficit`` changes only at a good a mutator touches
+    (as the deficit repair does).
+
+    ``returnable`` holds the edges whose spending can give one unit back,
+    the good -> buyer arcs of the residual graph: positive spending, and at
+    least one unit on an exempt edge.  The mutators keep it:
+    :meth:`add_spending_units` re-tests the one edge it moves, a rescale by
+    a whole factor re-tests the exempt edges, the only ones whose test
+    reads the unit, and the first unit or a rescale by any other factor
+    builds it afresh from all spending, which is why the exempt edges must
+    be set before the first unit.  It is updated in place; copy it to keep
+    a snapshot.
+
+    ``changes`` is the feasibility check's dirty record (:class:`Changes`):
+    each mutator adds what it touches, and a rescale by a whole factor sets
+    its mark ``rescaled``.  None, which a state starts with and a rescale
+    by any other factor sets, means that the next check sweeps everything.
+    The check replaces the record after each pass
+    (:func:`~arcticauction.weak.is_delta_feasible`) and keeps the
+    bang-per-buck view's version of that pass in ``checked_version``.
+    ``genericity`` holds the genericity check's last version and report
+    (:func:`~arcticauction.oracle.check_genericity`).
     """
 
     def __init__(
@@ -170,11 +181,13 @@ class MarketState:
         self.cash_total = 0
         self.holding: set[int] = set()
         self.moved = [0] * len(inst.edge_names)
-        self.views: dict[str, object] = {}
-        # per view: what the mutators touched since its last changes() call
-        self._pending: dict[str, Changes] = {}
-        # the same pending items, as a list for the mutators
-        self._watchers: list[Changes] = []
+        self.initial_prices = list(prices)
+        self.exempt_edges: set[Edge] = set()
+        self.allowed_deficit: dict[int, Fraction] = {}
+        self.returnable: set[Edge] = set()
+        self.changes: Changes | None = None
+        self.checked_version = 0
+        self.genericity: tuple[int, object] | None = None
         # built on first read, then kept current by scale_prices
         self._bang_per_buck: BangPerBuckView | None = None
         # every amount given is a fixed part, kept as given (a state built
@@ -353,10 +366,15 @@ class MarketState:
                 self.spent_fixed[b] -= fixed
                 self.inflow_fixed[g] -= fixed
         self._stale.add(edge)
-        for pending in self._watchers:
-            pending.edges.add(edge)
-            pending.buyers.add(b)
-            pending.goods.add(g)
+        if sign and (edge not in self.exempt_edges or self._sign(units - 1, fixed) >= 0):
+            self.returnable.add(edge)
+        else:
+            self.returnable.discard(edge)
+        changes = self.changes
+        if changes is not None:
+            changes.edges.add(edge)
+            changes.buyers.add(b)
+            changes.goods.add(g)
 
     def reset_moved(self) -> None:
         """Count every edge's moved units from zero again."""
@@ -365,26 +383,26 @@ class MarketState:
     def add_refund_units(self, buyer: int, count: int) -> None:
         self.refund_units[buyer] += count
         self._set_term(buyer, self.cash_terms[buyer] - count)
-        for pending in self._watchers:
-            pending.buyers.add(buyer)
+        if self.changes is not None:
+            self.changes.buyers.add(buyer)
 
     def add_refund(self, buyer: int, amount: Fraction) -> None:
         self.refund_fixed[buyer] += amount
         if self.unit is not None:
             self._set_term(buyer, self.cash_term(buyer))
-        for pending in self._watchers:
-            pending.buyers.add(buyer)
+        if self.changes is not None:
+            self.changes.buyers.add(buyer)
 
     def scale_prices(self, goods: set[int], factor: Fraction) -> None:
-        """Multiply the prices of ``goods`` by ``factor``; each view gets the
-        goods as re-priced.  Once read, the bang-per-buck view follows a
-        factor above one (:func:`_follow_raise`), keeps itself on a factor
-        of one, and is rebuilt on any other."""
+        """Multiply the prices of ``goods`` by ``factor``; the record of
+        changes gets the goods as re-priced.  Once read, the bang-per-buck
+        view follows a factor above one (:func:`_follow_raise`), keeps
+        itself on a factor of one, and is rebuilt on any other."""
         prices = self.prices
         for g in goods:
             prices[g] *= factor
-        for pending in self._watchers:
-            pending.prices.update(goods)
+        if self.changes is not None:
+            self.changes.prices.update(goods)
         view = self._bang_per_buck
         if view is not None and factor != 1:
             if factor > 1:
@@ -397,12 +415,18 @@ class MarketState:
         old unit over the new one, which must be a whole number while any
         count is non-zero, and every cash term is recomputed.  Amounts,
         prices and rows do not change, so no buyer, good or edge is
-        touched: after a whole factor each view is marked ``rescaled``,
-        and after the first unit or any other factor every view starts over
-        (see :meth:`changes`)."""
+        touched: after a whole factor only the exempt edges' returnable
+        test is repeated and the record of changes is marked ``rescaled``,
+        and after the first unit or any other factor the returnable edges
+        are found afresh and the record is dropped (the next feasibility
+        check sweeps everything)."""
         old = self.unit
         factor = None if old is None else old / unit
-        if factor is not None and factor.denominator == 1:
+        whole = factor is not None and factor.denominator == 1
+        if not whole and old is not None and (self.edge_units or any(self.refund_units)):
+            raise ValueError(f"cannot recount units of {old} in units of {unit}")
+        self.unit = unit
+        if whole:
             k = factor.numerator
             edge_units = self.edge_units
             for e in edge_units:
@@ -410,34 +434,25 @@ class MarketState:
             self.spent_units = [k * u for u in self.spent_units]
             self.inflow_units = [k * u for u in self.inflow_units]
             self.refund_units = [k * u for u in self.refund_units]
-            for pending in self._watchers:
-                pending.rescaled = True
+            returnable = self.returnable
+            for e in self.exempt_edges:
+                if self._can_return(e):
+                    returnable.add(e)
+                else:
+                    returnable.discard(e)
+            if self.changes is not None:
+                self.changes.rescaled = True
         else:
-            if old is not None and (self.edge_units or any(self.refund_units)):
-                raise ValueError(f"cannot recount units of {old} in units of {unit}")
-            self._pending.clear()
-            self._watchers.clear()
-        self.unit = unit
+            self.returnable = {e for e in self.spending_edges if self._can_return(e)}
+            self.changes = None
         self._count_terms()
 
-    def changes(self, view: str) -> Changes | None:
-        """The items touched since ``view`` last asked, each once, in a set
-        per kind; None when the view must start over: on its first call,
-        and on its first call after a rescale to the first unit or by a
-        factor that is not whole (possible only while every count is
-        zero).  A rescale by a whole factor (a halving) leaves the mark
-        ``rescaled`` instead: amounts, prices and rows are as before, and
-        only the tests that read the scale itself need repeating.
-
-        A view's pending items never hold an item twice and are handed over
-        whole, so they stay bounded by the size of the market.
-        """
-        pending = self._pending.get(view)
-        if pending is None:
-            self._pending[view] = pending = Changes()
-            self._watchers.append(pending)
-            return None
-        return pending.take()
+    def _can_return(self, edge: Edge) -> bool:
+        """Whether the edge's spending can give one unit back: at least one
+        unit on an exempt edge, and any positive amount on another."""
+        if edge in self.exempt_edges:
+            return self.spending_sign(edge, 1) >= 0
+        return self.spending_sign(edge, 0) > 0
 
 
 class BangPerBuckView:

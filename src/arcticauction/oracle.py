@@ -267,9 +267,6 @@ class GenericityReport:
         )
 
 
-_GENERICITY = "genericity"
-
-
 def check_genericity(inst: MarketInstance, state: MarketState) -> GenericityReport:
     """Verify the equality graph at the state's prices is a forest with at
     most one critical buyer per connected component.
@@ -280,7 +277,7 @@ def check_genericity(inst: MarketInstance, state: MarketState) -> GenericityRepo
     state, or any change of a buyer's row or sign, walks the graph anew.
     """
     view = state.bang_per_buck
-    last = state.views.get(_GENERICITY)
+    last = state.genericity
     if last is not None and last[0] == view.version:
         return last[1]
     components, cycle = components_of_edges(inst, view.edges)
@@ -296,5 +293,5 @@ def check_genericity(inst: MarketInstance, state: MarketState) -> GenericityRepo
         ),
         critical_buyers_per_component=MappingProxyType(critical),
     )
-    state.views[_GENERICITY] = (view.version, report)
+    state.genericity = (view.version, report)
     return report

@@ -41,7 +41,6 @@ from arcticauction.oracle import Certificate, Equilibrium, certify_state
 from arcticauction.rational import Q, ZERO, reduced
 from arcticauction.trace import PhaseTrace, RestartRecord
 from arcticauction.weak import (
-    ScalingState,
     SearchTree,
     _augment,
     check_phase_invariants,
@@ -50,7 +49,6 @@ from arcticauction.weak import (
     is_delta_feasible,
     potential,
     record_step,
-    returnable_edges,
     run_inner_loop,
     start_phase,
 )
@@ -58,7 +56,7 @@ from arcticauction.weak import (
 
 def fertile_components(
     inst: MarketInstance,
-    ss: ScalingState,
+    market: MarketState,
     components: list[Component],
 ) -> list[tuple[Component, str]]:
     """Components guaranteed to force progress at the current scale.
@@ -68,16 +66,16 @@ def fertile_components(
     qualifies once its surplus is at most ``-delta / (3 n^2)``.
     """
     n = len(inst.buyers) + len(inst.goods)
-    margin = ss.delta / (3 * n * n)
-    signs = ss.market.bang_per_buck.signs
+    margin = market.unit / (3 * n * n)
+    signs = market.bang_per_buck.signs
     out: list[tuple[Component, str]] = []
     for comp in components:
         if comp.is_singleton() and comp.buyers:
             b = comp.buyers[0]
-            if signs[b] > 0 and ss.market.effective_cash(b) > margin:
+            if signs[b] > 0 and market.effective_cash(b) > margin:
                 out.append((comp, "singleton_cash"))
                 continue
-        if comp.surplus(ss.market) <= -margin:
+        if comp.surplus(market) <= -margin:
             out.append((comp, "negative_surplus"))
     return out
 
@@ -101,7 +99,7 @@ def commit_refund(
 
 def special_price(
     inst: MarketInstance,
-    ss: ScalingState,
+    market: MarketState,
     components: list[Component],
     root_component: Component,
     target: Fraction,
@@ -109,14 +107,14 @@ def special_price(
     """Raise prices on the root component's active set until its surplus
     falls to ``target`` or some component nears the barrier.
 
-    Runs on a private copy of the market state, so ``ss`` is untouched:
+    Runs on a private copy of the market state, so ``market`` is untouched:
     spending stays frozen, and only the copy's prices and refunds move,
     seen through the copy's own bang-per-buck view, which its price raises
     keep current as the inner steps' raises keep the market's.  Each
     iteration reads the active set off one
     :class:`~arcticauction.weak.SearchTree` from the root component's
     nodes, whose backward arcs are the edges of ``components``, the
-    abundant forest of ``ss``.  Four events can end an iteration: a new
+    abundant forest of ``market``.  Four events can end an iteration: a new
     equality edge from an active buyer to an inactive good (the active set
     then grows), the root surplus reaching the target, some component's
     surplus reaching the barrier ``-root surplus / (2 n^2)``, or an active
@@ -136,9 +134,9 @@ def special_price(
     n = len(inst.buyers) + len(inst.goods)
     state = MarketState(
         inst,
-        prices=list(ss.market.prices),
-        spending=dict(ss.market.spending),
-        refunds=ss.market.refunds,
+        prices=list(market.prices),
+        spending=dict(market.spending),
+        refunds=market.refunds,
     )
     prices = state.prices
     abundant = {e for comp in components for e in comp.edges}
@@ -225,7 +223,7 @@ def special_price(
 
 def get_parameter(
     inst: MarketInstance,
-    ss: ScalingState,
+    market: MarketState,
     components: list[Component],
 ) -> tuple[Fraction, dict[str, Fraction]]:
     """Next scale: the largest component surplus reachable by price raising.
@@ -237,11 +235,10 @@ def get_parameter(
     surplus it stops at.
     """
     per_component: dict[str, Fraction] = {}
-    market = ss.market
     signs = market.bang_per_buck.signs
     for comp in components:
         if not comp.is_singleton():
-            state, _ = special_price(inst, ss, components, comp, ZERO)
+            state, _ = special_price(inst, market, components, comp, ZERO)
             value = comp.surplus(state)
         elif comp.goods:
             value = comp.surplus(market)
@@ -254,7 +251,7 @@ def get_parameter(
 
 def get_prices(
     inst: MarketInstance,
-    ss: ScalingState,
+    market: MarketState,
     components: list[Component],
     new_delta: Fraction,
     trace: PhaseTrace,
@@ -269,10 +266,10 @@ def get_prices(
     states: list[MarketState] = []
     run_surplus: dict[str, Fraction] = {}
     for comp in components:
-        if comp.is_singleton() or comp.surplus(ss.market) <= new_delta:
-            state = ss.market
+        if comp.is_singleton() or comp.surplus(market) <= new_delta:
+            state = market
         else:
-            state, iterations = special_price(inst, ss, components, comp, new_delta)
+            state, iterations = special_price(inst, market, components, comp, new_delta)
             trace.special_price_iterations.append(iterations)
         states.append(state)
         run_surplus[component_key(inst, comp)] = comp.surplus(state)
@@ -314,24 +311,27 @@ def get_allocations(
 
 def make_fertile(
     inst: MarketInstance,
-    ss: ScalingState,
+    market: MarketState,
     components: list[Component],
     trace: PhaseTrace,
     phase: int,
-) -> RestartRecord:
-    """Restart subroutine for an optimal, non-fertile state.
+) -> tuple[MarketState, RestartRecord]:
+    """Restart subroutine for an optimal, non-fertile state; returns the
+    state to go on with and the restart's record.
 
-    If the next scale is still large relative to the current one, keep the
-    state and just lower the threshold (a new abundant edge is then due
-    within a logarithmic number of phases).  Otherwise jump to the small
-    scale: rebuild prices, refunds, and a tree-flow allocation, check the
-    restart invariants, and install the rebuilt state into ``ss``, its
-    spending exempt from the multiple-of-delta rule and its backorders
-    allowed as deficits.  Either way the decision is booked in the trace.
+    If the next scale is still large relative to the current one, keep
+    ``market`` and just lower the threshold (a new abundant edge is then
+    due within a logarithmic number of phases).  Otherwise jump to the
+    small scale: rebuild prices, refunds, and a tree-flow allocation, check
+    the restart invariants, and return the rebuilt state, with the initial
+    prices of ``market``, its spending exempt from the multiple-of-delta
+    rule and its backorders allowed as deficits, all set before its first
+    unit, the small scale.  Either way the decision is booked in the
+    trace.
     """
     n = len(inst.buyers) + len(inst.goods)
-    delta = ss.delta
-    new_scale, per_component = get_parameter(inst, ss, components)
+    delta = market.unit
+    new_scale, per_component = get_parameter(inst, market, components)
     # A zero scale can happen while the support is still unresolved: critical
     # buyers' commitments can absorb every component surplus entirely.  A
     # jump to scale zero is meaningless, so keep halving under a lowered
@@ -348,19 +348,19 @@ def make_fertile(
         )
     else:
         new_prices, new_refunds, run_surplus = get_prices(
-            inst, ss, components, new_scale, trace
+            inst, market, components, new_scale, trace
         )
         spending = get_allocations(inst, new_prices, new_refunds, components)
         state = MarketState(inst, new_prices, spending, new_refunds)
-        _assert_restart_invariants(inst, ss, components, state, new_scale, run_surplus)
-        ss.market = state
-        ss.delta = new_scale
-        ss.exempt_edges = set(spending)
-        ss.allowed_deficit = {}
+        _assert_restart_invariants(inst, market, components, state, new_scale, run_surplus)
+        state.initial_prices = market.initial_prices
+        state.exempt_edges = set(spending)
         for g in range(len(inst.goods)):
             backorder = state.backorder(g)
             if backorder < 0:
-                ss.allowed_deficit[g] = -backorder
+                state.allowed_deficit[g] = -backorder
+        state.rescale(new_scale)
+        market = state
         record = RestartRecord(
             phase=phase,
             branch="compressed",
@@ -370,19 +370,19 @@ def make_fertile(
             surpluses=run_surplus,
         )
     trace.restarts.append(record)
-    return record
+    return market, record
 
 
 def _assert_restart_invariants(
     inst: MarketInstance,
-    ss: ScalingState,
+    market: MarketState,
     components: list[Component],
     state: MarketState,
     new_scale: Fraction,
     run_surplus: dict[str, Fraction],
 ) -> None:
     """Promised restart guarantees, checked on the rebuilt ``state`` before
-    it replaces ``ss.market``.
+    it replaces ``market``.
 
     The surplus floor ``-delta' / n^2`` holds for every component with a
     buyer; a singleton good's surplus is just the negative of its price,
@@ -405,7 +405,7 @@ def _assert_restart_invariants(
     for comp in components:
         if comp.is_singleton():
             continue
-        expected = min(comp.surplus(ss.market), new_scale)
+        expected = min(comp.surplus(market), new_scale)
         got = run_surplus[component_key(inst, comp)]
         if got != expected:
             raise SolverError(
@@ -424,7 +424,7 @@ def _assert_restart_invariants(
 
 def _repair_deficits(
     inst: MarketInstance,
-    ss: ScalingState,
+    market: MarketState,
     components: list[Component],
     trace: PhaseTrace,
     phase: int,
@@ -441,12 +441,11 @@ def _repair_deficits(
     reach yet stay flagged and are repaired by the ordinary steps once the
     graph connects to them.
     """
-    market = ss.market
     n_buyers = len(inst.buyers)
     comp_of_good = {g: comp for comp in components for g in comp.goods}
     deficits = [g for g in range(len(inst.goods)) if market.backorder_pair(g)[0] < 0]
     for g in deficits:
-        forward, backward = market.bang_per_buck.edges, returnable_edges(ss)
+        forward, backward = market.bang_per_buck.edges, market.returnable
         target = n_buyers + g
         sources = [
             node
@@ -456,19 +455,19 @@ def _repair_deficits(
         if not sources:
             continue
         root = min(sources, key=lambda b: (b not in comp_of_good[g].buyers, b))
-        phi_before = potential(inst, ss)
+        phi_before = potential(inst, market)
         tree = reach(inst, [root], forward, backward)
-        _augment(inst, ss, path_to(tree, target))
-        record_step(inst, ss, trace, phase, "restart_repair", inst.goods[g], phi_before)
-        ss.allowed_deficit.pop(g, None)
+        _augment(inst, market, path_to(tree, target))
+        record_step(inst, market, trace, phase, "restart_repair", inst.goods[g], phi_before)
+        market.allowed_deficit.pop(g, None)
 
 
 def _termination_candidate(
-    inst: MarketInstance, ss: ScalingState, forest: Forest
+    inst: MarketInstance, market: MarketState, forest: Forest
 ) -> tuple[MarketState, Certificate] | None:
     """Basic solution of the abundant support, given as its ``forest``, if
     it certifies as an equilibrium of the compressed instance."""
-    effective = [ss.market.effective_budget(b) for b in range(len(inst.buyers))]
+    effective = [market.effective_budget(b) for b in range(len(inst.buyers))]
     try:
         candidate = basic_solution(inst, forest, effective)
     except SupportError:
@@ -504,8 +503,8 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     """
     stats = compute_stats(inst)
     n = stats.n
-    ss = initialize(inst)
-    threshold = ss.delta
+    market = initialize(inst)
+    threshold = market.unit
     trace = PhaseTrace(algorithm="strong", edge_names=inst.edge_names)
     budget = phase_budget(n)
     singleton_crossed: set[int] = set()
@@ -513,17 +512,17 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     phase = 0
     entry = "init"
     while phase <= budget:
-        mark = start_phase(inst, ss, stats, trace, phase, entry)
+        mark = start_phase(inst, market, stats, trace, phase, entry)
         _note_abundant(inst, trace, phase, mark.abundant_start)
-        run_inner_loop(inst, ss, trace, phase)
+        run_inner_loop(inst, market, trace, phase)
         if entry != "restart":
-            check_phase_invariants(inst, n, ss.market)
+            check_phase_invariants(inst, n, market)
 
-        abundant = abundant_edges(ss.market, n)
+        abundant = abundant_edges(market, n)
         _note_abundant(inst, trace, phase, abundant)
         forest = components_of_edges(inst, abundant)
         components = forest.components
-        signs = ss.market.bang_per_buck.signs
+        signs = market.bang_per_buck.signs
         for comp in components:
             if comp.is_singleton() and comp.buyers:
                 b = comp.buyers[0]
@@ -533,11 +532,11 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
                         (phase, "buyer_uninterested", inst.buyers[b])
                     )
 
-        finished = _termination_candidate(inst, ss, forest)
+        finished = _termination_candidate(inst, market, forest)
         if finished is not None:
             candidate, _ = finished
             total_refunds = [
-                a + b for a, b in zip(candidate.refunds, ss.market.refunds)
+                a + b for a, b in zip(candidate.refunds, market.refunds)
             ]
             final = MarketState(
                 inst, candidate.prices, candidate.spending, total_refunds
@@ -550,20 +549,20 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
                 )
             return Equilibrium.from_state(inst, final, certificate), trace
 
-        fertile = fertile_components(inst, ss, components)
-        if not fertile and ss.delta <= threshold:
-            record = make_fertile(inst, ss, components, trace, phase)
+        fertile = fertile_components(inst, market, components)
+        if not fertile and market.unit <= threshold:
+            market, record = make_fertile(inst, market, components, trace, phase)
             threshold = record.threshold
             if record.branch == "delayed":
                 entry = "delayed"
             else:
-                _repair_deficits(inst, ss, components, trace, phase)
-                ok, violations = is_delta_feasible(inst, ss)
+                _repair_deficits(inst, market, components, trace, phase)
+                ok, violations = is_delta_feasible(inst, market)
                 if not ok:
                     raise SolverError(f"restarted state infeasible: {violations}")
                 entry = "restart"
         else:
-            halve_and_repair(inst, ss)
+            halve_and_repair(inst, market)
             entry = "halve"
         phase += 1
 

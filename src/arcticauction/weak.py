@@ -29,12 +29,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
-from fractions import Fraction
 
 from arcticauction.basic import basic_solution, recover_support
 from arcticauction.core import InstanceStats, MarketInstance, ceil_log2, compute_stats
 from arcticauction.errors import GenericityError, SolverError
 from arcticauction.graph import (
+    Changes,
     Edge,
     MarketState,
     Node,
@@ -49,56 +49,7 @@ from arcticauction.rational import Q, ZERO, reduced
 from arcticauction.trace import PhaseMark, PhaseTrace, TraceRow
 
 
-class ScalingState:
-    """Mutable solver state: the market triple plus the scaling context.
-
-    ``delta`` is the market's scale (``market.unit``): the market counts
-    spending and refunds in units of it, and setting ``delta`` recounts
-    them (halving doubles every count).  ``initial_prices`` (a list by
-    good) are frozen at initialization; the backorder bounds only apply to
-    goods whose price has been raised above them.  ``exempt_edges`` (edge
-    ids) and ``allowed_deficit`` (by good) start empty; only the strongly
-    polynomial solver's compressed restart
-    (:func:`~arcticauction.strong.make_fertile`) sets them: exempt edges
-    carry values that are not multiples of ``delta`` (the fixed parts of
-    the rebuilt state, which need residual capacity ``delta`` to serve as
-    backward arcs), and flagged goods may temporarily hold a small
-    negative backorder until one augmentation repairs them.
-
-    The market keeps the potential's terms at its own scale, ``delta``,
-    and its bang-per-buck view current with its prices.  The feasibility
-    check and the returnable edges keep data on ``market`` that reads
-    ``delta`` and catch up through :meth:`MarketState.changes`: replacing
-    ``market``, or ``delta`` by anything but a whole fraction of it, makes
-    their next call start over, and dividing ``delta`` by a whole number
-    (halving) makes each repeat only its tests that read the scale.  The
-    other fields change only together with ``market``, or, for
-    ``allowed_deficit``, at a good a mutator touched since the last check
-    (as the deficit repair does).
-    """
-
-    def __init__(
-        self,
-        market: MarketState,
-        delta: Fraction,
-        initial_prices: list[Fraction],
-    ) -> None:
-        self.market = market
-        market.rescale(delta)
-        self.initial_prices = initial_prices
-        self.exempt_edges: set[Edge] = set()
-        self.allowed_deficit: dict[int, Fraction] = {}
-
-    @property
-    def delta(self) -> Fraction:
-        return self.market.unit
-
-    @delta.setter
-    def delta(self, value: Fraction) -> None:
-        self.market.rescale(value)
-
-
-def initialize(inst: MarketInstance) -> ScalingState:
+def initialize(inst: MarketInstance) -> MarketState:
     """Coarsest-scale start: zero spending, zero refunds, low prices.
 
     The initial scale is the largest budget.  Initial prices must sit below
@@ -130,103 +81,58 @@ def initialize(inst: MarketInstance) -> ScalingState:
         for edges in inst.good_edges
     ]
     market = MarketState(inst, prices)
-    return ScalingState(market=market, delta=stats.e_max, initial_prices=list(prices))
+    market.rescale(stats.e_max)
+    return market
 
 
-_RETURNABLE = "returnable"
-
-
-def returnable_edges(ss: ScalingState) -> set[Edge]:
-    """Edges whose spending can give ``delta`` back, the good -> buyer arcs
-    of the residual graph: positive, and at least ``delta`` on an exempt
-    edge.
-
-    Only the edges the market's mutators touched since the last call are
-    tested again, and after a halving (a rescale by a whole factor) the
-    exempt edges too, the only ones whose test reads ``delta``.  Replacing
-    ``ss.market`` (and with it ``ss.exempt_edges``), or ``ss.delta`` by
-    any other value, makes the next call test all of spending.  The set is
-    the view itself, updated in place; copy it to keep a snapshot.
-    """
-    market = ss.market
-    exempt = ss.exempt_edges
-    touched = market.changes(_RETURNABLE)
-    if touched is None:
-        view = market.views[_RETURNABLE] = set()
-        edges: Iterable[Edge] = market.spending_edges
-    else:
-        view = market.views[_RETURNABLE]
-        edges = touched.edges
-        if touched.rescaled:
-            edges = edges | exempt
-    for e in edges:
-        if (
-            market.spending_sign(e, 1) >= 0
-            if e in exempt
-            else market.spending_sign(e, 0) > 0
-        ):
-            view.add(e)
-        else:
-            view.discard(e)
-    return view
-
-
-_FEASIBLE = "feasible"
-# the scale at which a halving's own pass found every good feasible
-_HALVED = "halved"
-
-
-def is_delta_feasible(inst: MarketInstance, ss: ScalingState) -> tuple[bool, list[str]]:
+def is_delta_feasible(inst: MarketInstance, market: MarketState) -> tuple[bool, list[str]]:
     """Check all feasibility conditions exactly; collect violations.
 
-    After a passing check on the same market object, at the same scale or
-    one a halving (a rescale by a whole factor) reached, only what the
-    market's mutators touched since is checked again: touched buyers and
-    goods get every check, and so do touched edges.  After a halving every
-    good is checked too, for its ``backorder <= delta`` bound: amounts,
-    prices and rows are unchanged, and a multiple of ``delta`` stays a
-    multiple of a whole fraction of it.  That is left out when
-    :func:`halve_and_repair` already ran this check's goods test on every
-    good it did not repair and all passed: it records the scale it
-    reached, the record holds only while ``delta`` is that very scale, and
-    the goods it repaired, like every good touched or re-priced since, are
-    in the touched sets.  A spending edge of a buyer next to a re-priced
-    good gets only the equality-graph test, because a price
-    change can take it off the equality graph but cannot change anything
-    else the check reads: its value is the same as when it last passed (a
-    new value touches the edge), so its sign and multiple-of-delta tests
-    would only repeat a pass.  Even that test is skipped while the
-    bang-per-buck view's ``version`` is the one of the last pass, since
-    then no row has changed.  Everything else is unchanged and passed
-    before.  Any other call, and any call that finds a violation, sweeps
-    the whole state, so the report is always that of a full sweep.
+    After a passing check, only what the market's mutators touched since,
+    its record of changes (``market.changes``), is checked again: touched
+    buyers and goods get every check, and so do touched edges.  After a
+    halving (a rescale by a whole factor, which marks the record
+    ``rescaled``) every good is checked too, for its ``backorder <= delta``
+    bound: amounts, prices and rows are unchanged, and a multiple of
+    ``delta`` stays a multiple of a whole fraction of it.  That is left out
+    when :func:`halve_and_repair` already ran this check's goods test on
+    every good it did not repair and all passed: it then clears the mark,
+    which the next rescale sets again, and the goods it repaired, like
+    every good touched or re-priced since, are in the record.  A spending
+    edge of a buyer next to a re-priced good gets only the equality-graph
+    test, because a price change can take it off the equality graph but
+    cannot change anything else the check reads: its value is the same as
+    when it last passed (a new value touches the edge), so its sign and
+    multiple-of-delta tests would only repeat a pass.  Even that test is
+    skipped while the bang-per-buck view's ``version`` is the one of the
+    last pass (``market.checked_version``), since then no row has changed.
+    Everything else is unchanged and passed before.  With no record (a new
+    state, a rescale by any other factor, or a check that found a
+    violation) the check sweeps the whole state, so the report is always
+    that of a full sweep.  A pass starts a new, empty record.
     """
-    market = ss.market
-    touched = market.changes(_FEASIBLE)
-    # the bang-per-buck view's version at the last pass; None after a violation
-    passed = market.views.get(_FEASIBLE)
-    if touched is not None and passed is not None:
+    touched = market.changes
+    if touched is not None:
         repriced = touched.prices
         goods: Iterable[int] = touched.goods | repriced
-        if touched.rescaled and market.views.get(_HALVED) is not market.unit:
+        if touched.rescaled:
             goods = range(len(inst.goods))
-        if not _violations(inst, ss, touched.buyers, goods, touched.edges):
-            if not repriced:
-                return (True, [])
+        if not _violations(inst, market, touched.buyers, goods, touched.edges):
             view = market.bang_per_buck
-            if view.version == passed:
-                return (True, [])
-            # the buyers next to a re-priced good
-            edge_buyer, good_edges = inst.edge_buyer, inst.good_edges
-            near = {edge_buyer[e] for g in repriced for e in good_edges[g]}
-            if _spending_on_equality_graph(inst, market, view.edges, near):
-                market.views[_FEASIBLE] = view.version
+            if (
+                not repriced
+                or view.version == market.checked_version
+                or _spending_on_equality_graph(inst, market, view.edges, repriced)
+            ):
+                market.changes = Changes()
+                market.checked_version = view.version
                 return (True, [])
     edges = sorted(market.spending_edges)
     violations = _violations(
-        inst, ss, range(len(inst.buyers)), range(len(inst.goods)), edges
+        inst, market, range(len(inst.buyers)), range(len(inst.goods)), edges
     )
-    market.views[_FEASIBLE] = None if violations else market.bang_per_buck.version
+    market.changes = None if violations else Changes()
+    market.checked_version = market.bang_per_buck.version
     return (not violations, violations)
 
 
@@ -234,13 +140,16 @@ def _spending_on_equality_graph(
     inst: MarketInstance,
     market: MarketState,
     eq_edges: set[Edge],
-    buyers: Iterable[int],
+    repriced: Iterable[int],
 ) -> bool:
-    """Whether every spending edge of ``buyers`` is in ``eq_edges``."""
+    """Whether every spending edge of a buyer next to a ``repriced`` good
+    is in ``eq_edges``."""
+    edge_buyer, good_edges = inst.edge_buyer, inst.good_edges
+    near = {edge_buyer[e] for g in repriced for e in good_edges[g]}
     units, fixed = market.edge_units, market.edge_fixed
     return all(
         e in eq_edges
-        for b in buyers
+        for b in near
         for e in inst.buyer_edges[b]
         if e in units or e in fixed
     )
@@ -248,7 +157,7 @@ def _spending_on_equality_graph(
 
 def _violations(
     inst: MarketInstance,
-    ss: ScalingState,
+    market: MarketState,
     buyers: Iterable[int],
     goods: Iterable[int],
     edges: Iterable[Edge],
@@ -265,7 +174,6 @@ def _violations(
     fixed part is.
     """
     violations: list[str] = []
-    market = ss.market
     terms = market.cash_terms
     for b in buyers:
         if market.refund_sign(b) < 0:
@@ -273,8 +181,8 @@ def _violations(
         if terms[b] < 0:
             violations.append(f"negative effective cash at buyer {inst.buyers[b]}")
     for g in goods:
-        violations += _good_faults(inst, ss, g)
-    delta = ss.delta
+        violations += _good_faults(inst, market, g)
+    delta = market.unit
     eq_edges: set[Edge] | None = None
     for edge in edges:
         sign = market.spending_sign(edge, 0)
@@ -290,7 +198,7 @@ def _violations(
             fixed = market.edge_fixed.get(edge)
             if (
                 fixed
-                and edge not in ss.exempt_edges
+                and edge not in market.exempt_edges
                 and (fixed.numerator * delta.denominator)
                 % (fixed.denominator * delta.numerator)
             ):
@@ -302,7 +210,7 @@ def _violations(
 
 def _good_faults(
     inst: MarketInstance,
-    ss: ScalingState,
+    market: MarketState,
     g: int,
     pair: tuple[int, int] | None = None,
 ) -> list[str]:
@@ -311,14 +219,13 @@ def _good_faults(
     when None): a negative price, and on a good raised above its initial
     price a backorder below its bound (zero, or minus the good's deficit
     allowance) or above ``delta``.  Returns the violations found."""
-    market = ss.market
     price = market.prices[g]
     faults = []
     if price < 0:
         faults.append(f"negative price at good {inst.goods[g]}")
-    if price > ss.initial_prices[g]:
+    if price > market.initial_prices[g]:
         num, den = pair or market.backorder_pair(g)
-        allowed = ss.allowed_deficit.get(g)
+        allowed = market.allowed_deficit.get(g)
         if market.backorder(g) < -allowed if allowed else num < 0:
             faults.append(
                 f"backorder {market.backorder(g)} below bound at good {inst.goods[g]}"
@@ -331,15 +238,15 @@ def _good_faults(
     return faults
 
 
-def is_delta_optimal(inst: MarketInstance, ss: ScalingState) -> bool:
+def is_delta_optimal(inst: MarketInstance, market: MarketState) -> bool:
     """All effective cash strictly below the scale."""
-    return not ss.market.holding
+    return not market.holding
 
 
-def potential(inst: MarketInstance, ss: ScalingState) -> int:
+def potential(inst: MarketInstance, market: MarketState) -> int:
     """Sum over buyers of ``floor(cash / delta)``; drops by one per step.
     The market keeps it (:class:`~arcticauction.graph.MarketState`)."""
-    return ss.market.cash_total
+    return market.cash_total
 
 
 class SearchTree:
@@ -403,7 +310,7 @@ class SearchTree:
 
 
 def update_price_star(
-    inst: MarketInstance, ss: ScalingState, tree: SearchTree
+    inst: MarketInstance, market: MarketState, tree: SearchTree
 ) -> tuple[bool, Node | None]:
     """Scale active-good prices by the smallest multiplier firing an event;
     return whether the edge event tied that multiplier, and the terminal
@@ -434,7 +341,6 @@ def update_price_star(
     order, else the first tying good, else None: what a rescan of the tree
     after the raise finds.
     """
-    market = ss.market
     view = market.bang_per_buck
     signs = view.signs
     n_buyers = len(inst.buyers)
@@ -465,7 +371,7 @@ def update_price_star(
     return tied, terminal
 
 
-def _augment(inst: MarketInstance, ss: ScalingState, path: list[Node]) -> None:
+def _augment(inst: MarketInstance, market: MarketState, path: list[Node]) -> None:
     """Shift one unit of ``delta`` along a residual path (forward +,
     backward -)."""
     n_buyers = len(inst.buyers)
@@ -480,11 +386,11 @@ def _augment(inst: MarketInstance, ss: ScalingState, path: list[Node]) -> None:
         # the buyer's edges are a run of ids sorted by good
         run = buyer_edges[buyer]
         edge = bisect_left(edge_good, good, run[0], run[-1] + 1)
-        ss.market.add_spending_units(edge, units)
+        market.add_spending_units(edge, units)
 
 
 def price_and_augment(
-    inst: MarketInstance, ss: ScalingState, root: int
+    inst: MarketInstance, market: MarketState, root: int
 ) -> tuple[str, str]:
     """One price-raise-and-augment round from ``root``, a buyer with cash
     at least ``delta`` and bang-per-buck above one; returns (step kind,
@@ -498,18 +404,17 @@ def price_and_augment(
     and each raise names the one it reached (see
     :func:`update_price_star`).
     """
-    market = ss.market
     # a price raise moves prices only, so the returnable edges stay the same
-    returnable = returnable_edges(ss)
+    returnable = market.returnable
     tree = SearchTree(inst, market, [root], returnable)
     terminal = tree.terminal(inst, market)
     while terminal is None:
-        tied, terminal = update_price_star(inst, ss, tree)
+        tied, terminal = update_price_star(inst, market, tree)
         if tied:
             tree = SearchTree(inst, market, [root], returnable)
             terminal = tree.terminal(inst, market)
 
-    _augment(inst, ss, path_to(tree.parent, terminal))
+    _augment(inst, market, path_to(tree.parent, terminal))
     n_buyers = len(inst.buyers)
     if terminal < n_buyers:
         market.add_refund_units(terminal, 1)
@@ -517,7 +422,7 @@ def price_and_augment(
     return "augment_good", inst.goods[terminal - n_buyers]
 
 
-def refund_step(inst: MarketInstance, ss: ScalingState, buyer: int) -> int:
+def refund_step(inst: MarketInstance, market: MarketState, buyer: int) -> int:
     """Book a weakly-uninterested buyer's run of refund steps; return its
     length.
 
@@ -528,7 +433,6 @@ def refund_step(inst: MarketInstance, ss: ScalingState, buyer: int) -> int:
     most one, cash at least ``delta``) together with that ``k`` imply those
     of each step of the run.
     """
-    market = ss.market
     view = market.bang_per_buck
     steps = market.cash_terms[buyer]
     if view.signs[buyer] > 0 or steps < 1:
@@ -541,26 +445,26 @@ def refund_step(inst: MarketInstance, ss: ScalingState, buyer: int) -> int:
     return steps
 
 
-def inner_step(inst: MarketInstance, ss: ScalingState) -> tuple[str, str, int]:
+def inner_step(inst: MarketInstance, market: MarketState) -> tuple[str, str, int]:
     """One inner-loop iteration: refund step if possible, else augment.
 
     Returns (step kind, subject id, number of steps); only a run of
     refund steps is longer than one.
     """
-    signs = ss.market.bang_per_buck.signs
+    signs = market.bang_per_buck.signs
     # the buyers holding delta, in canonical order
-    holding = sorted(ss.market.holding)
+    holding = sorted(market.holding)
     for b in holding:
         if signs[b] <= 0:
-            return "refund", inst.buyers[b], refund_step(inst, ss, b)
+            return "refund", inst.buyers[b], refund_step(inst, market, b)
     if not holding:
         raise SolverError("no eligible root buyer for price-and-augment")
     # every buyer holding delta is above one: the first is the root
-    kind, subject = price_and_augment(inst, ss, holding[0])
+    kind, subject = price_and_augment(inst, market, holding[0])
     return kind, subject, 1
 
 
-def halve_and_repair(inst: MarketInstance, ss: ScalingState) -> None:
+def halve_and_repair(inst: MarketInstance, market: MarketState) -> None:
     """Halve the scale; bleed backorders above the new scale back down.
 
     Halving doubles every count of the market.  For each good
@@ -572,15 +476,16 @@ def halve_and_repair(inst: MarketInstance, ss: ScalingState) -> None:
     between 0 and the new scale on every raised good.  The same pass over
     the goods runs the feasibility check's goods test on every good it
     does not repair (a repaired good is touched, so the next check tests
-    it anyway), and if every one passes it records the new scale on the
-    market: the next :func:`is_delta_feasible` then re-tests only the
-    goods touched since instead of all of them.  Any failure leaves no
-    record, and that check then tests every good itself.
+    it anyway), and if every one passes it clears the ``rescaled`` mark
+    the halving left on the market's record of changes: the next
+    :func:`is_delta_feasible` then re-tests only the goods touched since
+    instead of all of them.  Any failure leaves the mark, and that check
+    then tests every good itself.
     """
-    if not is_delta_optimal(inst, ss):
+    if not is_delta_optimal(inst, market):
         raise SolverError("halving requires an optimal state")
-    market = ss.market
-    ss.delta = half = ss.delta / 2
+    half = market.unit / 2
+    market.rescale(half)
     hn, hd = half.numerator, half.denominator
     passed = True
     for g, edges in enumerate(inst.good_edges):
@@ -591,14 +496,14 @@ def halve_and_repair(inst: MarketInstance, ss: ScalingState) -> None:
                 raise SolverError(f"oversubscribed good {inst.goods[g]} has no donor")
             market.add_spending_units(donor, -1)
         else:
-            passed = passed and not _good_faults(inst, ss, g, (num, den))
-    if passed:
-        market.views[_HALVED] = half
+            passed = passed and not _good_faults(inst, market, g, (num, den))
+    if passed and market.changes is not None:
+        market.changes.rescaled = False
 
 
 def start_phase(
     inst: MarketInstance,
-    ss: ScalingState,
+    market: MarketState,
     stats: InstanceStats,
     trace: PhaseTrace,
     phase: int,
@@ -616,19 +521,19 @@ def start_phase(
     ``n`` steps.  The market counts the units each edge moves from here
     on, for :func:`check_phase_invariants`.
     """
-    if not check_genericity(inst, ss.market).ok:
+    if not check_genericity(inst, market).ok:
         raise GenericityError(f"degenerate prices at phase {phase}")
-    phi = potential(inst, ss)
+    phi = potential(inst, market)
     if entry != "restart" and phi > stats.n:
         raise SolverError(f"phase {phase} starts with potential {phi} > n")
-    abundant = abundant_edges(ss.market, stats.n)
+    abundant = abundant_edges(market, stats.n)
     if trace.phases:
         missing = trace.phases[-1].abundant_start - abundant
         if missing:
             lost = sorted(inst.edge_names[e] for e in missing)
             raise SolverError(f"abundant edges lost: {lost}")
-    ss.market.reset_moved()
-    return trace.begin_phase(phase, ss.delta, entry, phi, abundant)
+    market.reset_moved()
+    return trace.begin_phase(phase, market.unit, entry, phi, abundant)
 
 
 def check_phase_invariants(inst: MarketInstance, n: int, market: MarketState) -> None:
@@ -653,7 +558,7 @@ def check_phase_invariants(inst: MarketInstance, n: int, market: MarketState) ->
 
 def record_step(
     inst: MarketInstance,
-    ss: ScalingState,
+    market: MarketState,
     trace: PhaseTrace,
     phase: int,
     kind: str,
@@ -663,7 +568,7 @@ def record_step(
 ) -> None:
     """Check that ``steps`` steps of one kind and subject lowered the
     potential by exactly ``steps``, one per step; trace them as one row."""
-    phi_after = potential(inst, ss)
+    phi_after = potential(inst, market)
     if phi_after != phi_before - steps:
         raise SolverError(
             f"potential moved {phi_before} -> {phi_after} in {steps} {kind} step(s)"
@@ -671,7 +576,7 @@ def record_step(
     trace.add_row(
         TraceRow(
             phase=phase,
-            delta=ss.delta,
+            delta=market.unit,
             kind=kind,
             subject=subject,
             phi_before=phi_before,
@@ -682,7 +587,7 @@ def record_step(
 
 
 def run_inner_loop(
-    inst: MarketInstance, ss: ScalingState, trace: PhaseTrace, phase: int
+    inst: MarketInstance, market: MarketState, trace: PhaseTrace, phase: int
 ) -> None:
     """Drive the state to optimality, asserting the potential discipline.
 
@@ -695,11 +600,11 @@ def run_inner_loop(
     a value that is still non-negative, so if the end state is feasible,
     so is every state of the run.
     """
-    while not is_delta_optimal(inst, ss):
-        phi_before = potential(inst, ss)
-        kind, subject, steps = inner_step(inst, ss)
-        record_step(inst, ss, trace, phase, kind, subject, phi_before, steps)
-        ok, violations = is_delta_feasible(inst, ss)
+    while not is_delta_optimal(inst, market):
+        phi_before = potential(inst, market)
+        kind, subject, steps = inner_step(inst, market)
+        record_step(inst, market, trace, phase, kind, subject, phi_before, steps)
+        ok, violations = is_delta_feasible(inst, market)
         if not ok:
             raise SolverError(f"infeasible after {kind} at {subject}: {violations}")
 
@@ -718,7 +623,7 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     :class:`SolverError` on any internal invariant violation.
     """
     stats = compute_stats(inst)
-    ss = initialize(inst)
+    market = initialize(inst)
     trace = PhaseTrace(algorithm="weak", edge_names=inst.edge_names)
     stop_below = Q(1, 8 * stats.n) / stats.d_bound
     last_phase = max_phases(stats)
@@ -726,13 +631,13 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     phase = 0
     entry = "init"
     while True:
-        mark = start_phase(inst, ss, stats, trace, phase, entry)
+        mark = start_phase(inst, market, stats, trace, phase, entry)
         trace.abundant_discovered |= mark.abundant_start
-        run_inner_loop(inst, ss, trace, phase)
-        check_phase_invariants(inst, stats.n, ss.market)
+        run_inner_loop(inst, market, trace, phase)
+        check_phase_invariants(inst, stats.n, market)
 
-        if ss.delta < stop_below:
-            support = recover_support(ss.market, stats.n)
+        if market.unit < stop_below:
+            support = recover_support(market, stats.n)
             final = basic_solution(inst, components_of_edges(inst, support))
             certificate = certify_state(inst, final)
             if not certificate.ok:
@@ -742,7 +647,7 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
                 )
             return Equilibrium.from_state(inst, final, certificate), trace
 
-        halve_and_repair(inst, ss)
+        halve_and_repair(inst, market)
         phase += 1
         entry = "halve"
         if phase > last_phase:

@@ -46,6 +46,28 @@ def state_of(inst: MarketInstance, prices, spending=(), refunds=()) -> MarketSta
     )
 
 
+def scaled_state(
+    inst: MarketInstance,
+    prices,
+    spending=(),
+    refunds=(),
+    delta=1,
+    initial=None,
+    exempt=(),
+) -> MarketState:
+    """A solver state from amounts keyed by id strings, as :func:`state_of`
+    builds it, with the ``initial`` prices by good (``prices`` when None)
+    and the ``exempt`` edges by (buyer, good), counting in units of
+    ``delta``: it gets its first unit once the exempt edges are set, as a
+    restart's state does."""
+    market = state_of(inst, prices, spending, refunds)
+    if initial is not None:
+        market.initial_prices = [Fraction(initial[g]) for g in inst.goods]
+    market.exempt_edges = edge_ids(inst, exempt)
+    market.rescale(Fraction(delta))
+    return market
+
+
 def priced(inst: MarketInstance, prices) -> MarketState:
     """A state with the given prices and no spending or refunds; its first
     read of the bang-per-buck view computes every ratio afresh."""
@@ -170,15 +192,15 @@ def check_step_lines(trace) -> None:
 
 @pytest.fixture
 def phase_starts(monkeypatch):
-    """Copies of ``ss.market.prices`` and ``ss.market.refunds``, by id
+    """Copies of ``market.prices`` and ``market.refunds``, by id
     string, at each phase start of the solver runs in a test, in order,
     collected by wrapping ``start_phase`` where both solvers call it."""
     starts: list[tuple[dict, dict]] = []
     original = weak.start_phase
 
-    def recording(inst, ss, *args):
-        mark = original(inst, ss, *args)
-        starts.append((prices_of(inst, ss.market), refunds_of(inst, ss.market)))
+    def recording(inst, market, *args):
+        mark = original(inst, market, *args)
+        starts.append((prices_of(inst, market), refunds_of(inst, market)))
         return mark
 
     for module in (weak, strong):
@@ -187,7 +209,7 @@ def phase_starts(monkeypatch):
 
 
 class SpendingSnapshots:
-    """Copies of ``ss.market.spending``, by edge id, at each phase start
+    """Copies of ``market.spending``, by edge id, at each phase start
     and end of the solver runs while it is installed, collected by
     wrapping ``start_phase`` and ``run_inner_loop`` where both solvers call
     them.  The solvers keep no such copies: their drift check counts the
@@ -197,15 +219,15 @@ class SpendingSnapshots:
         self._runs: dict[int, tuple[object, list]] = {}
         start, inner = weak.start_phase, weak.run_inner_loop
 
-        def starting(inst, ss, stats, trace, *args):
-            mark = start(inst, ss, stats, trace, *args)
+        def starting(inst, market, stats, trace, *args):
+            mark = start(inst, market, stats, trace, *args)
             run = self._runs.setdefault(id(trace), (trace, []))[1]
-            run.append([dict(ss.market.spending), None])
+            run.append([dict(market.spending), None])
             return mark
 
-        def ending(inst, ss, trace, phase):
-            inner(inst, ss, trace, phase)
-            self._runs[id(trace)][1][-1][1] = dict(ss.market.spending)
+        def ending(inst, market, trace, phase):
+            inner(inst, market, trace, phase)
+            self._runs[id(trace)][1][-1][1] = dict(market.spending)
 
         for module in (weak, strong):
             monkeypatch.setattr(module, "start_phase", starting)

@@ -496,6 +496,10 @@ INPUT_ERRORS = {
         buyers=[{"id": "b1", "budget": "٣/٤"}]
     ),
     "solve_utility_fullwidth_digit": edited_instance(utilities=[["b1", "g1", "1/２"]]),
+    # whitespace outside ASCII, which str.strip() would remove
+    "solve_budget_no_break_space": edited_instance(
+        buyers=[{"id": "b1", "budget": "\u00a03"}]
+    ),
     "solve_budget_zero_denominator": edited_instance(
         buyers=[{"id": "b1", "budget": "3/0"}]
     ),

@@ -34,14 +34,35 @@ class TestParseRational:
     def test_negative(self):
         assert parse_rational("-5") == Fraction(-5)
 
-    # the last three are Arabic-Indic and fullwidth digits, which int()
-    # would read
+    # "٣/٤", "１" and "1/２" are Arabic-Indic and fullwidth digits, which
+    # int() would read; the last four carry whitespace outside ASCII (a
+    # no-break space, an ideographic space, a line separator and a file
+    # separator), which str.strip() would remove
     @pytest.mark.parametrize(
-        "bad", [1.5, "1.5", "a/b", "1/0", None, True, "٣/٤", "１", "1/２"]
+        "bad",
+        [
+            1.5,
+            "1.5",
+            "a/b",
+            "1/0",
+            None,
+            True,
+            "٣/٤",
+            "１",
+            "1/２",
+            "\xa03",
+            "3\u3000",
+            "\u20281/2",
+            "3\x1c",
+        ],
     )
     def test_rejects(self, bad):
         with pytest.raises(InstanceError):
             parse_rational(bad)
+
+    def test_accepts_ascii_whitespace_around_the_number(self):
+        assert parse_rational(" 3 ") == 3
+        assert parse_rational("\t-1/2\n") == Fraction(-1, 2)
 
     def test_roundtrip(self):
         for v in [Fraction(3), Fraction(-7, 2), Fraction(0)]:

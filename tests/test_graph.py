@@ -18,7 +18,6 @@ from arcticauction.graph import (
     reach,
 )
 from arcticauction.randgen import random_instance
-from arcticauction.weak import ScalingState, returnable_edges
 
 from conftest import (
     alphas_at,
@@ -118,8 +117,8 @@ class TestEdgeEvent:
 
 def residual_tree(inst, state, roots):
     """The solvers' residual search: backward arcs on positive spending."""
-    ss = ScalingState(market=state, delta=Fraction(1), initial_prices=list(state.prices))
-    return reach(inst, roots, state.bang_per_buck.edges, returnable_edges(ss))
+    state.rescale(Fraction(1))
+    return reach(inst, roots, state.bang_per_buck.edges, state.returnable)
 
 
 def delta_residual_tree(inst, state, n, delta, roots):

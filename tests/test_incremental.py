@@ -1,19 +1,19 @@
 """Incremental views of the market state against direct recomputations.
 
 The state's mutators keep the rational spending, bang-per-buck with its
-signs against one, the equality graph and the potential's terms current
-themselves, and the returnable edges and the feasibility check catch up
-from the items the mutators touched since that view last read them.
+signs against one, the equality graph, the potential's terms and the
+returnable edges current themselves, and the feasibility check catches up
+from the state's record of what the mutators touched since its last pass.
 These tests recompute each of them from the raw state (each amount a
 count of the scale plus a fixed part) after every solver step, right
 after every halving, and after random mutation sequences in which each view is read
 at its own moments, and drive bad changes through the mutators and
-through halvings (a rescale by a whole factor, which each view follows
-instead of starting over) to check that the incremental feasibility check
-reports exactly what a full sweep reports.  The genericity check, which
-reads the solver's live bang-per-buck view and hands out its last
-immutable report while the view's version stands still, must report the
-same on a fresh copy of the state.  Every price raise of both
+through halvings (a rescale by a whole factor, which the returnable edges
+and the record follow instead of starting over) to check that the
+incremental feasibility check reports exactly what a full sweep reports.
+The genericity check, which reads the solver's live bang-per-buck view
+and hands out its last immutable report while the view's version stands
+still, must report the same on a fresh copy of the state.  Every price raise of both
 solvers is checked against the multiplier formula written with ``Q``
 arithmetic, and every residual search tree a raise keeps against a fresh
 search: its kept inflow-over-price pairs against a fresh computation
@@ -37,12 +37,10 @@ from arcticauction.oracle import check_genericity
 from arcticauction.randgen import random_instance
 from arcticauction.rational import Q
 from arcticauction.weak import (
-    ScalingState,
     halve_and_repair,
     is_delta_feasible,
     is_delta_optimal,
     potential,
-    returnable_edges,
 )
 
 import test_weak
@@ -53,6 +51,7 @@ from conftest import (
     make_instance,
     prices_of,
     refunds_of,
+    scaled_state,
     spending_of,
     state_of,
     wide_instance,
@@ -97,10 +96,8 @@ def direct_cash(inst, market, buyer):
     return inst.budgets[buyer] - refund - spent
 
 
-def direct_potential(inst, ss):
-    return sum(
-        (direct_cash(inst, ss.market, b) // ss.delta for b in inst.buyers), 0
-    )
+def direct_potential(inst, market):
+    return sum((direct_cash(inst, market, b) // market.unit for b in inst.buyers), 0)
 
 
 def direct_alphas(inst, prices):
@@ -115,12 +112,12 @@ def direct_equality_graph(inst, prices):
     return {(b, g) for (b, g), u in inst.utilities.items() if u / prices[g] == alphas[b]}
 
 
-def direct_returnable(inst, ss):
-    exempt = edge_names(inst, ss.exempt_edges)
+def direct_returnable(inst, market):
+    exempt = edge_names(inst, market.exempt_edges)
     return {
         e
-        for e, v in raw_spending(inst, ss.market).items()
-        if v > 0 and (e not in exempt or v >= ss.delta)
+        for e, v in raw_spending(inst, market).items()
+        if v > 0 and (e not in exempt or v >= market.unit)
     }
 
 
@@ -128,27 +125,21 @@ def direct_sign(value):
     return (value > 0) - (value < 0)
 
 
-def fresh_copy(inst, ss):
-    """The same state in new objects, so its first check is a full sweep."""
-    market = MarketState(
-        inst,
-        list(ss.market.prices),
-        dict(ss.market.spending),
-        ss.market.refunds,
-    )
-    copy = ScalingState(
-        market=market, delta=Fraction(ss.delta), initial_prices=list(ss.initial_prices)
-    )
-    copy.exempt_edges = set(ss.exempt_edges)
-    copy.allowed_deficit = dict(ss.allowed_deficit)
+def fresh_copy(inst, market):
+    """The same state in new objects, so its returnable edges are found
+    afresh and its first check is a full sweep."""
+    copy = MarketState(inst, list(market.prices), dict(market.spending), market.refunds)
+    copy.initial_prices = list(market.initial_prices)
+    copy.exempt_edges = set(market.exempt_edges)
+    copy.allowed_deficit = dict(market.allowed_deficit)
+    copy.rescale(market.unit)
     return copy
 
 
-def assert_values_match(inst, ss):
+def assert_values_match(inst, market):
     """The rational views are ``count * delta + fixed`` of every edge and
     buyer, no edge holds zero, and each buyer's and good's count and fixed
     sums are those of its edges, with the rational sums to match."""
-    market = ss.market
     spending = raw_spending(inst, market)
     assert spending_of(inst, market) == spending
     assert 0 not in spending.values()
@@ -170,41 +161,43 @@ def assert_values_match(inst, ss):
         assert Fraction(*market.inflow_pair(g)) == market.inflow(g)
 
 
-def assert_cash_terms_match(inst, ss):
+def assert_cash_terms_match(inst, market):
     """The market's kept terms are those of each buyer's cash, and the
     potential and optimality test read them."""
-    market = ss.market
-    terms = [direct_cash(inst, market, b) // ss.delta for b in inst.buyers]
+    terms = [direct_cash(inst, market, b) // market.unit for b in inst.buyers]
     assert market.cash_terms == terms
     assert market.holding == {b for b, term in enumerate(terms) if term > 0}
-    assert potential(inst, ss) == direct_potential(inst, ss) == sum(terms)
-    assert is_delta_optimal(inst, ss) == all(
-        direct_cash(inst, ss.market, b) < ss.delta for b in inst.buyers
+    assert potential(inst, market) == direct_potential(inst, market) == sum(terms)
+    assert is_delta_optimal(inst, market) == all(
+        direct_cash(inst, market, b) < market.unit for b in inst.buyers
     )
 
 
-def assert_bang_per_buck_matches(inst, ss):
-    prices = prices_of(inst, ss.market)
+def assert_bang_per_buck_matches(inst, market):
+    prices = prices_of(inst, market)
     alphas = direct_alphas(inst, prices)
-    view = ss.market.bang_per_buck
+    view = market.bang_per_buck
     assert view.signs == [direct_sign(alphas[b] - 1) for b in inst.buyers]
-    assert alphas_of(inst, ss.market) == alphas
+    assert alphas_of(inst, market) == alphas
     assert edge_names(inst, view.edges) == direct_equality_graph(inst, prices)
-    fresh = fresh_copy(inst, ss).market
-    assert check_genericity(inst, ss.market) == check_genericity(inst, fresh)
+    fresh = fresh_copy(inst, market)
+    assert check_genericity(inst, market) == check_genericity(inst, fresh)
 
 
-def assert_returnable_matches(inst, ss):
-    assert edge_names(inst, returnable_edges(ss)) == direct_returnable(inst, ss)
+def assert_returnable_matches(inst, market):
+    returnable = edge_names(inst, market.returnable)
+    assert returnable == direct_returnable(inst, market)
+    assert returnable == edge_names(inst, fresh_copy(inst, market).returnable)
 
 
-def assert_feasibility_matches(inst, ss):
-    assert is_delta_feasible(inst, ss) == is_delta_feasible(inst, fresh_copy(inst, ss))
+def assert_feasibility_matches(inst, market):
+    fresh = fresh_copy(inst, market)
+    assert is_delta_feasible(inst, market) == is_delta_feasible(inst, fresh)
 
 
 # each view of the market state, with the check that reads it and compares
-# it with its reference; the cash terms are no such view, since the
-# mutators keep them
+# it with its reference; the cash terms, which nearly every mutation moves,
+# are compared after each one instead
 VIEW_CHECKS = {
     "values": assert_values_match,
     "bang_per_buck": assert_bang_per_buck_matches,
@@ -212,15 +205,11 @@ VIEW_CHECKS = {
     "feasible": assert_feasibility_matches,
 }
 
-# the views the solvers keep outside the state, under the names they keep
-# their pending items in; each is handed every kind of item
-PULLED_VIEWS = ("returnable", "feasible")
 
-
-def assert_views_match(inst, ss):
-    assert_cash_terms_match(inst, ss)
+def assert_views_match(inst, market):
+    assert_cash_terms_match(inst, market)
     for check in VIEW_CHECKS.values():
-        check(inst, ss)
+        check(inst, market)
 
 
 # --- differential: both solvers, checked after every step and halving --------
@@ -233,9 +222,9 @@ def checked_steps(monkeypatch):
     kinds = []
     original = weak.record_step
 
-    def checked(inst, ss, trace, phase, kind, subject, phi_before, steps=1):
-        original(inst, ss, trace, phase, kind, subject, phi_before, steps)
-        assert_views_match(inst, ss)
+    def checked(inst, market, trace, phase, kind, subject, phi_before, steps=1):
+        original(inst, market, trace, phase, kind, subject, phi_before, steps)
+        assert_views_match(inst, market)
         kinds.append(kind)
 
     monkeypatch.setattr(weak, "record_step", checked)
@@ -250,10 +239,10 @@ def checked_halvings(monkeypatch):
     scales = []
     original = weak.halve_and_repair
 
-    def checked(inst, ss):
-        original(inst, ss)
-        assert_views_match(inst, ss)
-        scales.append(ss.delta)
+    def checked(inst, market):
+        original(inst, market)
+        assert_views_match(inst, market)
+        scales.append(market.unit)
 
     monkeypatch.setattr(weak, "halve_and_repair", checked)
     monkeypatch.setattr(strong, "halve_and_repair", checked)
@@ -306,14 +295,14 @@ def raw_inflow(inst, market):
     return inflow
 
 
-def reference_multiplier(inst, ss, active):
+def reference_multiplier(inst, market, active):
     """The smallest event multiplier of a price raise, each candidate a
     ``Q``: a new equality edge, an active good's backorder reaching zero,
     an active buyer's bang-per-buck reaching one."""
-    prices = prices_of(inst, ss.market)
+    prices = prices_of(inst, market)
     alphas = direct_alphas(inst, prices)
     active_buyers, active_goods = names_of_nodes(inst, active)
-    inflow = raw_inflow(inst, ss.market)
+    inflow = raw_inflow(inst, market)
     candidates = [
         alphas[b] * prices[g] / u
         for (b, g), u in inst.utilities.items()
@@ -332,11 +321,11 @@ def checked_price_raises(monkeypatch):
     seen = []
     original = weak.update_price_star
 
-    def checked(inst, ss, tree):
-        before = prices_of(inst, ss.market)
-        q, active_goods = reference_multiplier(inst, ss, tree.parent)
-        result = original(inst, ss, tree)
-        assert prices_of(inst, ss.market) == {
+    def checked(inst, market, tree):
+        before = prices_of(inst, market)
+        q, active_goods = reference_multiplier(inst, market, tree.parent)
+        result = original(inst, market, tree)
+        assert prices_of(inst, market) == {
             g: p * q if g in active_goods else p for g, p in before.items()
         }
         seen.append(q)
@@ -368,23 +357,23 @@ def test_price_raises_match_reference_in_wide_markets(seed, checked_price_raises
 # --- every residual search tree a price raise keeps ---------------------------
 
 
-def fresh_tree(inst, ss, active):
+def fresh_tree(inst, market, active):
     """A fresh residual search from the roots of ``active``."""
     roots = [node for node, parent in active.items() if parent is None]
-    return reach(inst, roots, ss.market.bang_per_buck.edges, returnable_edges(ss))
+    return reach(inst, roots, market.bang_per_buck.edges, market.returnable)
 
 
-def rescanned_terminal(inst, ss, active):
+def rescanned_terminal(inst, market, active):
     """The terminal a full rescan of ``active`` finds, from direct
     recomputations: the first buyer at bang-per-buck one, else the first
     good whose backorder is at most zero, each in canonical order."""
-    prices = prices_of(inst, ss.market)
+    prices = prices_of(inst, market)
     alphas = direct_alphas(inst, prices)
     buyers, goods = names_of_nodes(inst, active)
     critical = [b for b in buyers if alphas[b] == 1]
     if critical:
         return inst.buyer_pos[critical[0]]
-    inflow = raw_inflow(inst, ss.market)
+    inflow = raw_inflow(inst, market)
     exhausted = [g for g in goods if inflow[g] <= prices[g]]
     return len(inst.buyers) + inst.good_pos[exhausted[0]] if exhausted else None
 
@@ -414,25 +403,25 @@ def kept_trees(monkeypatch):
     raised = {}
     original = weak.update_price_star
 
-    def checked(inst, ss, tree):
+    def checked(inst, market, tree):
         assert id(tree) not in raised
         raised[id(tree)] = tree
         active = tree.parent
-        assert list(fresh_tree(inst, ss, active).items()) == list(active.items())
+        assert list(fresh_tree(inst, market, active).items()) == list(active.items())
         buyers, goods = names_of_nodes(inst, active)
         assert [inst.buyers[b] for b in tree.buyers] == buyers
         assert [inst.goods[g] for g in tree.goods] == goods
         assert tree.good_set == set(tree.goods)
-        assert tree.pairs == good_pairs(ss.market, tree.goods)
-        inflow, prices = raw_inflow(inst, ss.market), prices_of(inst, ss.market)
+        assert tree.pairs == good_pairs(market, tree.goods)
+        inflow, prices = raw_inflow(inst, market), prices_of(inst, market)
         assert [Fraction(*pair) for pair in tree.pairs] == [
             inflow[g] / prices[g] for g in goods
         ]
-        assert rescanned_terminal(inst, ss, active) is None
-        tied, terminal = original(inst, ss, tree)
-        assert terminal == rescanned_terminal(inst, ss, active)
+        assert rescanned_terminal(inst, market, active) is None
+        tied, terminal = original(inst, market, tree)
+        assert terminal == rescanned_terminal(inst, market, active)
         if not tied:
-            assert list(fresh_tree(inst, ss, active).items()) == list(active.items())
+            assert list(fresh_tree(inst, market, active).items()) == list(active.items())
         ties.append(tied)
         return tied, terminal
 
@@ -743,21 +732,24 @@ def test_cash_terms_follow_fixed_parts_and_rescales():
 # --- random mutation sequences, views read at random moments ------------------
 
 
-def pending_items(market, view):
-    """The items ``view`` has not seen yet, as (kind, id) pairs, kind by
-    kind, and the mark ``rescaled`` of a halving."""
-    pending = market._pending[view]
+def record_items(market):
+    """The items in the market's record of changes, as (kind, id) pairs,
+    kind by kind, and the mark ``rescaled`` of a halving; None when there
+    is no record, so that the next feasibility check sweeps everything."""
+    record = market.changes
+    if record is None:
+        return None
     items = [
         (kind, item)
         for kind, items in (
-            ("edge", pending.edges),
-            ("buyer", pending.buyers),
-            ("good", pending.goods),
-            ("price", pending.prices),
+            ("edge", record.edges),
+            ("buyer", record.buyers),
+            ("good", record.goods),
+            ("price", record.prices),
         )
         for item in sorted(items)
     ]
-    return items + ["rescaled"] * pending.rescaled
+    return items + ["rescaled"] * record.rescaled
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -768,12 +760,11 @@ def test_views_catch_up_over_any_number_of_mutations(seed):
     market = MarketState(
         inst, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in inst.goods]
     )
-    ss = ScalingState(market=market, delta=Fraction(1, 4), initial_prices=[])
-    ss.initial_prices = list(market.prices)
+    market.rescale(Fraction(1, 4))
     # every item a mutator can touch, and the mark of a halving, once
     distinct = len(inst.buyers) + 2 * len(inst.goods) + len(edges) + 1
-    assert_views_match(inst, ss)
-    assert set(market._pending) == set(PULLED_VIEWS)
+    assert record_items(market) is None
+    assert_views_match(inst, market)
     for step in range(300):
         move = rng.randrange(4)
         if move == 0:
@@ -788,27 +779,29 @@ def test_views_catch_up_over_any_number_of_mutations(seed):
             goods = rng.sample(range(len(inst.goods)), rng.randint(1, len(inst.goods)))
             market.scale_prices(goods, Fraction(rng.randint(1, 6), rng.randint(1, 6)))
         if step % 50 == 49:
-            ss.delta = ss.delta / 2
-        assert_cash_terms_match(inst, ss)
+            market.rescale(market.unit / 2)
+        assert_cash_terms_match(inst, market)
         if rng.random() < 0.3:
             # views catch up at different moments: each is read or not
             polled = [view for view in VIEW_CHECKS if rng.random() < 0.5]
             for view in polled:
-                VIEW_CHECKS[view](inst, ss)
-            for view in polled:
-                if view in PULLED_VIEWS:
-                    assert not pending_items(market, view)
-        for view in PULLED_VIEWS:
-            # a view's pending items never hold an item twice
-            assert len(pending_items(market, view)) <= distinct
-    assert_views_match(inst, ss)
+                VIEW_CHECKS[view](inst, market)
+            if "feasible" in polled:
+                # a pass leaves an empty record, a violation none
+                passed = is_delta_feasible(inst, market)[0]
+                assert record_items(market) == ([] if passed else None)
+        # the record never holds an item twice
+        assert len(record_items(market) or ()) <= distinct
+    assert_views_match(inst, market)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_views_catch_up_over_counts_fixed_parts_and_halvings(seed):
     # counts on edges with and without a fixed part, edges with a fixed
     # part zeroed through their count once a scale divides it, and halvings
-    # that double every count; the fixed part of 1/3 no scale divides
+    # that double every count; the fixed part of 1/3 no scale divides; on
+    # even seeds the fixed-part edges are exempt, so their returnable test
+    # reads the scale, and steps move them across one unit both ways
     rng = random.Random(400 + seed)
     inst = random_instance(rng.randint(4, 8), rng)
     edges = range(len(inst.edge_names))
@@ -823,17 +816,23 @@ def test_views_catch_up_over_counts_fixed_parts_and_halvings(seed):
         },
         [Fraction(1, 8)] + [Fraction(0)] * (len(inst.buyers) - 1),
     )
-    ss = ScalingState(market=market, delta=Fraction(1, 2), initial_prices=prices)
-    assert_views_match(inst, ss)
+    exempt = seed % 2 == 0
+    if exempt:
+        market.exempt_edges = set(fixed)
+    market.rescale(Fraction(1, 2))
+    assert_views_match(inst, market)
     zeroed_fixed = 0
+    # the steps that take an exempt edge from over one unit to under one
+    below_one_unit = 0
     for step in range(240):
         edge = rng.choice(edges)
         spending = raw_spending(inst, market).get(inst.edge_names[edge], Fraction(0))
-        count = spending / ss.delta
+        count = spending / market.unit
         move = rng.randrange(5)
         if move == 0:
             market.add_spending_units(edge, rng.randint(1, 3))
-        elif move == 1 and spending >= ss.delta:
+        elif move == 1 and spending >= market.unit:
+            below_one_unit += edge in market.exempt_edges and 1 < count < 2
             market.add_spending_units(edge, -1)
         elif move == 2 and spending and count.denominator == 1:
             zeroed_fixed += edge in market.edge_fixed
@@ -850,34 +849,38 @@ def test_views_catch_up_over_counts_fixed_parts_and_halvings(seed):
             market.scale_prices(goods, Fraction(rng.randint(1, 6), rng.randint(1, 6)))
         if step % 60 == 59:
             before = raw_spending(inst, market), raw_refunds(inst, market)
-            ss.delta = ss.delta / 2
+            market.rescale(market.unit / 2)
             assert (raw_spending(inst, market), raw_refunds(inst, market)) == before
-        assert_cash_terms_match(inst, ss)
+        assert_cash_terms_match(inst, market)
         if rng.random() < 0.3:
             for view in [view for view in VIEW_CHECKS if rng.random() < 0.5]:
-                VIEW_CHECKS[view](inst, ss)
+                VIEW_CHECKS[view](inst, market)
     assert market.edge_units and market.edge_fixed and zeroed_fixed
-    assert_views_match(inst, ss)
+    assert bool(below_one_unit) == exempt
+    assert_views_match(inst, market)
 
 
-def test_pending_items_are_cleared_once_each_view_caught_up():
-    # each pulled view is handed every kind of item, and clears only its own
+def test_the_record_holds_each_kind_of_item_until_a_check_passes():
+    # the record is handed every kind of item, and only a passing check
+    # clears it; the returnable edges are current without being read
     inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
-    ss = ScalingState(
-        market=state_of(inst, {"g1": 1}), delta=Fraction(1), initial_prices=[Fraction(1)]
-    )
-    assert_views_match(inst, ss)
-    ss.market.add_spending_units(inst.edge_id[("b1", "g1")], 1)
-    ss.market.add_refund(0, Fraction(1))
-    ss.market.scale_prices({0}, Fraction(2))
+    # g1 is not raised above its initial price even once doubled
+    market = scaled_state(inst, {"g1": 1}, initial={"g1": 2})
+    # no check has run: the first one sweeps everything
+    assert record_items(market) is None
+    assert_views_match(inst, market)
+    assert record_items(market) == []
+    market.add_spending_units(inst.edge_id[("b1", "g1")], 1)
+    assert edge_names(inst, market.returnable) == {("b1", "g1")}
+    market.add_refund(0, Fraction(1))
+    market.scale_prices({0}, Fraction(2))
     touched = [("edge", 0), ("buyer", 0), ("good", 0), ("price", 0)]
-    for view in PULLED_VIEWS:
-        assert pending_items(ss.market, view) == touched
-    assert_returnable_matches(inst, ss)
-    assert not pending_items(ss.market, "returnable")
-    assert pending_items(ss.market, "feasible") == touched
-    assert_views_match(inst, ss)
-    assert not any(pending_items(ss.market, view) for view in PULLED_VIEWS)
+    assert record_items(market) == touched
+    assert_returnable_matches(inst, market)
+    assert record_items(market) == touched
+    assert_views_match(inst, market)
+    assert is_delta_feasible(inst, market) == (True, [])
+    assert record_items(market) == []
 
 
 # --- fault injection through the public mutators ------------------------------
@@ -886,36 +889,27 @@ def test_pending_items_are_cleared_once_each_view_caught_up():
 def checked_state(inst, prices, spending, delta, initial=None):
     """A feasible state whose feasibility check has run once, so the next
     check is incremental."""
-    initial = initial or prices
-    ss = ScalingState(
-        market=state_of(inst, prices, spending),
-        delta=Fraction(delta),
-        initial_prices=[Fraction(initial[g]) for g in inst.goods],
-    )
-    assert is_delta_feasible(inst, ss) == (True, [])
-    return ss
+    market = scaled_state(inst, prices, spending, delta=delta, initial=initial)
+    assert is_delta_feasible(inst, market) == (True, [])
+    return market
 
 
-def assert_reported_like_full_sweep(inst, ss, expected):
-    ok, violations = is_delta_feasible(inst, ss)
+def assert_reported_like_full_sweep(inst, market, expected):
+    ok, violations = is_delta_feasible(inst, market)
     assert not ok
     assert expected in violations
-    assert (ok, violations) == is_delta_feasible(inst, fresh_copy(inst, ss))
+    assert (ok, violations) == is_delta_feasible(inst, fresh_copy(inst, market))
     # a second call on the unchanged state reports the same again
-    assert is_delta_feasible(inst, ss) == (ok, violations)
+    assert is_delta_feasible(inst, market) == (ok, violations)
 
 
 def test_non_multiple_spending_on_touched_edge():
     # only a state built from dicts holds a fixed part no count can mend
     inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g2"): 2})
-    ss = ScalingState(
-        market=state_of(inst, {"g1": 1, "g2": 1}, {("b1", "g1"): Fraction(1, 2)}),
-        delta=Fraction(1),
-        initial_prices=[Fraction(1), Fraction(1)],
-    )
-    ss.market.add_spending_units(inst.edge_id[("b1", "g1")], 1)
+    market = scaled_state(inst, {"g1": 1, "g2": 1}, {("b1", "g1"): Fraction(1, 2)})
+    market.add_spending_units(inst.edge_id[("b1", "g1")], 1)
     assert_reported_like_full_sweep(
-        inst, ss, "spending on ('b1', 'g1') not a multiple of delta"
+        inst, market, "spending on ('b1', 'g1') not a multiple of delta"
     )
 
 
@@ -925,67 +919,67 @@ def two_buyer_market():
         {"b1": 4, "b2": 4},
         {("b1", "g1"): 2, ("b1", "g2"): 2, ("b2", "g1"): 1, ("b2", "g3"): 1},
     )
-    ss = checked_state(
+    market = checked_state(
         inst,
         {"g1": 1, "g2": 1, "g3": 1},
         {("b1", "g1"): 1, ("b1", "g2"): 1, ("b2", "g3"): 1},
         delta=1,
         initial={"g1": 4, "g2": 4, "g3": 4},
     )
-    return inst, ss
+    return inst, market
 
 
 def test_price_raise_takes_untouched_spending_edge_off_equality_graph():
-    inst, ss = two_buyer_market()
+    inst, market = two_buyer_market()
     # raising g1 leaves b1's spending on g1 off her best ratio; no mutator
     # touched that edge, only the price of its good
-    ss.market.scale_prices([inst.good_pos["g1"]], Fraction(2))
+    market.scale_prices([inst.good_pos["g1"]], Fraction(2))
     assert_reported_like_full_sweep(
-        inst, ss, "spending off equality graph on ('b1', 'g1')"
+        inst, market, "spending off equality graph on ('b1', 'g1')"
     )
 
 
 def test_price_change_at_another_good_of_the_buyer():
-    inst, ss = two_buyer_market()
+    inst, market = two_buyer_market()
     # cheaper g2 lifts b1's best ratio, so her spending on g1, whose price
     # did not move, leaves the equality graph
-    ss.market.scale_prices([inst.good_pos["g2"]], Fraction(1, 2))
+    market.scale_prices([inst.good_pos["g2"]], Fraction(1, 2))
     assert_reported_like_full_sweep(
-        inst, ss, "spending off equality graph on ('b1', 'g1')"
+        inst, market, "spending off equality graph on ('b1', 'g1')"
     )
 
 
 def test_raised_good_backorder_drops_below_bound_by_spending():
     inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
-    ss = checked_state(inst, {"g1": 2}, {("b1", "g1"): 2}, delta=1, initial={"g1": 1})
-    ss.market.add_spending_units(inst.edge_id[("b1", "g1")], -1)
-    assert_reported_like_full_sweep(inst, ss, "backorder -1 below bound at good g1")
+    market = checked_state(inst, {"g1": 2}, {("b1", "g1"): 2}, delta=1, initial={"g1": 1})
+    market.add_spending_units(inst.edge_id[("b1", "g1")], -1)
+    assert_reported_like_full_sweep(inst, market, "backorder -1 below bound at good g1")
 
 
 def test_raised_good_backorder_drops_below_bound_by_price():
     inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
-    ss = checked_state(inst, {"g1": 2}, {("b1", "g1"): 2}, delta=1, initial={"g1": 1})
-    ss.market.scale_prices([inst.good_pos["g1"]], Fraction(3, 2))
-    assert_reported_like_full_sweep(inst, ss, "backorder -1 below bound at good g1")
+    market = checked_state(inst, {"g1": 2}, {("b1", "g1"): 2}, delta=1, initial={"g1": 1})
+    market.scale_prices([inst.good_pos["g1"]], Fraction(3, 2))
+    assert_reported_like_full_sweep(inst, market, "backorder -1 below bound at good g1")
 
 
 def test_halving_leaves_a_raised_good_above_the_new_scale():
     inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
-    ss = checked_state(inst, {"g1": 2}, {("b1", "g1"): 3}, delta=1, initial={"g1": 1})
+    market = checked_state(inst, {"g1": 2}, {("b1", "g1"): 3}, delta=1, initial={"g1": 1})
     # a halving with no repair: the backorder of 1 passed at delta 1
-    ss.delta = Fraction(1, 2)
+    market.rescale(Fraction(1, 2))
     # a rescale by a whole factor is no start-over, just a mark
-    assert pending_items(ss.market, "feasible") == ["rescaled"]
-    assert_reported_like_full_sweep(inst, ss, "backorder 1 above delta at good g1")
+    assert record_items(market) == ["rescaled"]
+    assert_reported_like_full_sweep(inst, market, "backorder 1 above delta at good g1")
 
 
 def test_refund_units_beyond_the_cash_are_reported_like_a_full_sweep():
     # b1 holds 2 units of cash; booking 3 refund units drives it negative,
     # and only the mutator's notice of b1 makes the next check look at her
     inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
-    ss = checked_state(inst, {"g1": 2}, {("b1", "g1"): 2}, delta=1, initial={"g1": 1})
-    ss.market.add_refund_units(0, 3)
-    assert_reported_like_full_sweep(inst, ss, "negative effective cash at buyer b1")
+    market = checked_state(inst, {"g1": 2}, {("b1", "g1"): 2}, delta=1, initial={"g1": 1})
+    market.add_refund_units(0, 3)
+    assert_reported_like_full_sweep(inst, market, "negative effective cash at buyer b1")
 
 
 def halving_market():
@@ -996,89 +990,89 @@ def halving_market():
         {"b1": 3, "b2": 2, "b3": 1},
         {("b1", "g1"): 4, ("b2", "g2"): 4, ("b3", "g3"): 4},
     )
-    ss = checked_state(
+    market = checked_state(
         inst,
         {"g1": 2, "g2": 2, "g3": 2},
         {("b1", "g1"): 3, ("b2", "g2"): 2, ("b3", "g3"): 1},
         delta=1,
         initial={"g1": 1, "g2": 1, "g3": 2},
     )
-    return inst, ss
+    return inst, market
 
 
 def test_a_clean_halving_leaves_the_next_check_only_the_touched_goods(monkeypatch):
-    inst, ss = halving_market()
-    halve_and_repair(inst, ss)
-    assert spending_of(inst, ss.market)[("b1", "g1")] == Fraction(5, 2)
+    inst, market = halving_market()
+    halve_and_repair(inst, market)
+    assert spending_of(inst, market)[("b1", "g1")] == Fraction(5, 2)
     tested = []
     good_faults = weak._good_faults
 
-    def spy(inst, ss, g, pair=None):
+    def spy(inst, market, g, pair=None):
         tested.append(inst.goods[g])
-        return good_faults(inst, ss, g, pair)
+        return good_faults(inst, market, g, pair)
 
     monkeypatch.setattr(weak, "_good_faults", spy)
-    assert is_delta_feasible(inst, ss) == (True, [])
+    assert is_delta_feasible(inst, market) == (True, [])
     # the halving tested g2 and g3 itself; g1, which it repaired, is touched
     assert tested == ["g1"]
-    assert is_delta_feasible(inst, fresh_copy(inst, ss)) == (True, [])
+    assert is_delta_feasible(inst, fresh_copy(inst, market)) == (True, [])
 
 
 def test_a_halving_that_finds_a_bad_good_leaves_every_good_to_the_check():
-    inst, ss = halving_market()
+    inst, market = halving_market()
     # fault injection: g3 turns raised behind the check's back, with its
     # backorder of -1, and no mutator touches it; the halving's own goods
     # test, not the theory of a feasible state, decides what is skipped
-    ss.initial_prices[inst.good_pos["g3"]] = Fraction(1)
-    halve_and_repair(inst, ss)
-    assert_reported_like_full_sweep(inst, ss, "backorder -1 below bound at good g3")
+    market.initial_prices[inst.good_pos["g3"]] = Fraction(1)
+    halve_and_repair(inst, market)
+    assert_reported_like_full_sweep(inst, market, "backorder -1 below bound at good g3")
 
 
 def test_the_halving_record_ends_with_its_scale():
-    inst, ss = halving_market()
-    halve_and_repair(inst, ss)
-    assert is_delta_feasible(inst, ss) == (True, [])
+    inst, market = halving_market()
+    halve_and_repair(inst, market)
+    # the halving's own goods test passed, and cleared its mark
+    assert "rescaled" not in record_items(market)
+    assert is_delta_feasible(inst, market) == (True, [])
     # a further halving with no repair leaves g1's backorder of 1/2 above
-    # the new scale; the record of the last halving does not cover it
-    ss.delta = Fraction(1, 4)
-    assert pending_items(ss.market, "feasible") == ["rescaled"]
-    assert_reported_like_full_sweep(inst, ss, "backorder 1/2 above delta at good g1")
+    # the new scale; the pass of the last halving does not cover it
+    market.rescale(Fraction(1, 4))
+    assert record_items(market) == ["rescaled"]
+    assert_reported_like_full_sweep(inst, market, "backorder 1/2 above delta at good g1")
 
 
 def test_halving_makes_an_exempt_edge_returnable():
     # an exempt edge gives back delta only while it holds a whole unit: 3/4
     # does not at delta 1, and does at delta 1/2; no mutator touches it
     inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g2"): 2})
-    ss = ScalingState(
-        market=state_of(
-            inst,
-            {"g1": 1, "g2": 1},
-            {("b1", "g1"): Fraction(3), ("b2", "g2"): Fraction(3, 4)},
-        ),
-        delta=Fraction(1),
-        initial_prices=[Fraction(1), Fraction(1)],
+    market = scaled_state(
+        inst,
+        {"g1": 1, "g2": 1},
+        {("b1", "g1"): Fraction(3), ("b2", "g2"): Fraction(3, 4)},
+        exempt={("b2", "g2")},
     )
-    ss.exempt_edges = {inst.edge_id[("b2", "g2")]}
-    assert edge_names(inst, returnable_edges(ss)) == {("b1", "g1")}
-    ss.delta = Fraction(1, 2)
-    assert pending_items(ss.market, "returnable") == ["rescaled"]
-    returnable = edge_names(inst, returnable_edges(ss))
-    assert returnable == {("b1", "g1"), ("b2", "g2")} == direct_returnable(inst, ss)
+    returnable = market.returnable
+    assert edge_names(inst, returnable) == {("b1", "g1")}
+    market.rescale(Fraction(1, 2))
+    # a whole factor re-tests the exempt edges in place
+    assert market.returnable is returnable
+    names = edge_names(inst, returnable)
+    assert names == {("b1", "g1"), ("b2", "g2")} == direct_returnable(inst, market)
 
 
 def test_sign_change_with_the_same_row_gives_a_fresh_genericity_report():
     # b1 values only g1, so doubling its price keeps her row and only moves
     # her bang-per-buck from 2 to exactly 1: she becomes critical
     inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
-    ss = checked_state(inst, {"g1": 1}, {}, delta=1)
-    before = check_genericity(inst, ss.market)
+    market = checked_state(inst, {"g1": 1}, {}, delta=1)
+    before = check_genericity(inst, market)
     assert before.ok and not before.critical_buyers_per_component
-    row = ss.market.bang_per_buck.rows[0]
-    ss.market.scale_prices([inst.good_pos["g1"]], Fraction(2))
-    after = check_genericity(inst, ss.market)
-    assert ss.market.bang_per_buck.rows[0] == row
+    row = market.bang_per_buck.rows[0]
+    market.scale_prices([inst.good_pos["g1"]], Fraction(2))
+    after = check_genericity(inst, market)
+    assert market.bang_per_buck.rows[0] == row
     assert dict(after.critical_buyers_per_component) == {"B:b1": 1}
-    assert after == check_genericity(inst, fresh_copy(inst, ss).market)
+    assert after == check_genericity(inst, fresh_copy(inst, market))
 
 
 def test_genericity_report_is_reused_only_by_its_own_state():
@@ -1113,26 +1107,27 @@ def test_genericity_report_cannot_be_changed():
 
 def test_a_non_whole_rescale_makes_both_views_start_over():
     inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g2"): 2})
-    ss = checked_state(inst, {"g1": 1, "g2": 1}, {("b2", "g2"): 1}, delta=1)
-    returnable = returnable_edges(ss)
-    assert set(ss.market._pending) == set(PULLED_VIEWS)
-    ss.delta = Fraction(3, 4)
-    # no pending items are kept, not even a mark: each view's next call is
-    # its first
-    assert not ss.market._pending
-    assert returnable_edges(ss) is not returnable
-    assert edge_names(inst, returnable_edges(ss)) == direct_returnable(inst, ss)
+    market = checked_state(inst, {"g1": 1, "g2": 1}, {("b2", "g2"): 1}, delta=1)
+    returnable = market.returnable
+    assert record_items(market) == []
+    market.rescale(Fraction(3, 4))
+    # no record is kept, not even a mark, so the next check sweeps
+    # everything, and the returnable edges are found afresh
+    assert record_items(market) is None
+    assert market.returnable is not returnable
+    assert edge_names(inst, market.returnable) == direct_returnable(inst, market)
     assert_reported_like_full_sweep(
-        inst, ss, "spending on ('b2', 'g2') not a multiple of delta"
+        inst, market, "spending on ('b2', 'g2') not a multiple of delta"
     )
-    assert set(ss.market._pending) == set(PULLED_VIEWS)
+    # a check that finds a violation leaves no record either
+    assert record_items(market) is None
 
 
 def test_change_of_scale_sweeps_everything():
     inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g2"): 2})
-    ss = checked_state(inst, {"g1": 1, "g2": 1}, {("b2", "g2"): 1}, delta=1)
+    market = checked_state(inst, {"g1": 1, "g2": 1}, {("b2", "g2"): 1}, delta=1)
     # nothing is touched, but the untouched spending is no multiple of 3/4
-    ss.delta = Fraction(3, 4)
+    market.rescale(Fraction(3, 4))
     assert_reported_like_full_sweep(
-        inst, ss, "spending on ('b2', 'g2') not a multiple of delta"
+        inst, market, "spending on ('b2', 'g2') not a multiple of delta"
     )

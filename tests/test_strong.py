@@ -31,7 +31,7 @@ from arcticauction.strong import (
     special_price,
 )
 from arcticauction.trace import PhaseTrace
-from arcticauction.weak import ScalingState, max_phases, run_weak
+from arcticauction.weak import max_phases, run_weak
 
 from auxnet import AuxNetwork, assert_cycle_bound, max_multiplier
 from conftest import (
@@ -46,19 +46,11 @@ from conftest import (
     make_instance,
     prices_of,
     refunds_of,
+    scaled_state,
     spending_of,
     state_of,
     wide_instance,
 )
-
-
-def scaling_state(inst, prices, spending, refunds, delta, initial=None):
-    initial = initial or prices
-    return ScalingState(
-        market=state_of(inst, prices, spending, refunds),
-        delta=Fraction(delta),
-        initial_prices=[Fraction(initial[g]) for g in inst.goods],
-    )
 
 
 def buyers_of(inst, comp):
@@ -69,39 +61,39 @@ def goods_of(inst, comp):
     return tuple(inst.goods[g] for g in comp.goods)
 
 
-def components_of(inst, ss):
+def components_of(inst, market):
     n = len(inst.buyers) + len(inst.goods)
-    return components_of_edges(inst, abundant_edges(ss.market, n))[0]
+    return components_of_edges(inst, abundant_edges(market, n))[0]
 
 
 class TestSurplus:
     def test_singleton_buyer(self):
         inst = make_instance({"b1": 5, "b2": 1}, {("b1", "g1"): 1, ("b2", "g1"): 1})
-        ss = scaling_state(inst, {"g1": 1}, {}, {"b1": 2}, delta=1)
-        comps = components_of(inst, ss)
+        market = scaled_state(inst, {"g1": 1}, {}, {"b1": 2}, delta=1)
+        comps = components_of(inst, market)
         buyer_comp = next(c for c in comps if buyers_of(inst, c) == ("b1",))
-        assert buyer_comp.surplus(ss.market) == 3
+        assert buyer_comp.surplus(market) == 3
 
     def test_singleton_good(self):
         inst = make_instance({"b1": 5}, {("b1", "g1"): 1})
-        ss = scaling_state(inst, {"g1": Fraction(7, 2)}, {}, {}, delta=1)
-        good_comp = next(c for c in components_of(inst, ss) if c.goods)
-        assert good_comp.surplus(ss.market) == Fraction(-7, 2)
+        market = scaled_state(inst, {"g1": Fraction(7, 2)}, {}, {}, delta=1)
+        good_comp = next(c for c in components_of(inst, market) if c.goods)
+        assert good_comp.surplus(market) == Fraction(-7, 2)
 
     def test_mixed_component(self):
         inst = make_instance({"b1": 3}, {("b1", "g1"): 2})
-        ss = scaling_state(
+        market = scaled_state(
             inst, {"g1": 1}, {("b1", "g1"): Fraction(1)}, {}, delta=Fraction(1, 12)
         )
-        comp = next(c for c in components_of(inst, ss) if not c.is_singleton())
-        assert comp.surplus(ss.market) == 2
+        comp = next(c for c in components_of(inst, market) if not c.is_singleton())
+        assert comp.surplus(market) == 2
 
 
 class TestFertileComponents:
     def test_singleton_buyer_with_cash(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
-        ss = scaling_state(inst, {"g1": 1}, {}, {"b1": 3}, delta=1)
-        fert = fertile_components(inst, ss, components_of(inst, ss))
+        market = scaled_state(inst, {"g1": 1}, {}, {"b1": 3}, delta=1)
+        fert = fertile_components(inst, market, components_of(inst, market))
         assert [(buyers_of(inst, c), reason) for c, reason in fert if c.buyers] == [
             (("b1",), "singleton_cash")
         ]
@@ -109,8 +101,8 @@ class TestFertileComponents:
     def test_critical_singleton_not_fertile(self):
         # bang-per-buck exactly one misses the strict requirement
         inst = make_instance({"b1": 4}, {("b1", "g1"): 1})
-        ss = scaling_state(inst, {"g1": 1}, {}, {"b1": 3}, delta=1)
-        fert = fertile_components(inst, ss, components_of(inst, ss))
+        market = scaled_state(inst, {"g1": 1}, {}, {"b1": 3}, delta=1)
+        fert = fertile_components(inst, market, components_of(inst, market))
         assert all(not c.buyers for c, _ in fert)
 
     def test_boundary_surplus_inclusive(self):
@@ -118,8 +110,8 @@ class TestFertileComponents:
         inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
         n = 2
         price = Fraction(1, 3 * n * n)
-        ss = scaling_state(inst, {"g1": price}, {}, {"b1": 4}, delta=1)
-        fert = fertile_components(inst, ss, components_of(inst, ss))
+        market = scaled_state(inst, {"g1": price}, {}, {"b1": 4}, delta=1)
+        fert = fertile_components(inst, market, components_of(inst, market))
         assert any(
             goods_of(inst, c) == ("g1",) and reason == "negative_surplus"
             for c, reason in fert
@@ -145,10 +137,8 @@ class TestCommitRefund:
 
     def test_surplus_drops_by_committed_amount(self):
         inst, state = self.make()
-        ss = ScalingState(
-            market=state, delta=Fraction(1, 100), initial_prices=list(state.prices)
-        )
-        comp = next(c for c in components_of(inst, ss) if not c.is_singleton())
+        state.rescale(Fraction(1, 100))
+        comp = next(c for c in components_of(inst, state) if not c.is_singleton())
         before = comp.surplus(state)
         commit_refund(inst, state, inst.buyer_pos["b1"], Fraction(1))
         assert comp.surplus(state) == before - 1
@@ -163,27 +153,27 @@ class TestCommitRefund:
 class TestSpecialPrice:
     def test_returns_unchanged_when_at_target(self):
         inst = make_instance({"b1": 1}, {("b1", "g1"): 4})
-        ss = scaling_state(
+        market = scaled_state(
             inst, {"g1": 2}, {("b1", "g1"): Fraction(1)}, {}, delta=Fraction(1, 100)
         )
-        comps = components_of(inst, ss)
+        comps = components_of(inst, market)
         comp = next(c for c in comps if not c.is_singleton())
-        assert comp.surplus(ss.market) == -1 <= 0
-        state, iterations = special_price(inst, ss, comps, comp, Fraction(0))
-        assert state.prices == ss.market.prices
-        assert state.refunds == ss.market.refunds
+        assert comp.surplus(market) == -1 <= 0
+        state, iterations = special_price(inst, market, comps, comp, Fraction(0))
+        assert state.prices == market.prices
+        assert state.refunds == market.refunds
         assert iterations == 0
 
     def test_whole_market_run_triples_prices(self):
         # one component holding every node, budget 3 against price 1 with no
         # critical buyer en route: the target event fires at q = 3
         inst = make_instance({"b1": 3}, {("b1", "g1"): 4})
-        ss = scaling_state(
+        market = scaled_state(
             inst, {"g1": 1}, {("b1", "g1"): Fraction(1)}, {}, delta=Fraction(1, 12)
         )
-        comps = components_of(inst, ss)
+        comps = components_of(inst, market)
         comp = next(c for c in comps if not c.is_singleton())
-        state, iterations = special_price(inst, ss, comps, comp, Fraction(0))
+        state, iterations = special_price(inst, market, comps, comp, Fraction(0))
         assert prices_of(inst, state)["g1"] == 3
         assert iterations == 1
         assert comp.surplus(state) == 0
@@ -196,18 +186,18 @@ class TestSpecialPrice:
             {"b1": 40, "b2": 1},
             {("b1", "g1"): 4, ("b1", "g2"): 1, ("b2", "g2"): 2},
         )
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": 1, "g2": Fraction(1, 3)},
             {("b1", "g1"): Fraction(2), ("b2", "g2"): Fraction(1, 3)},
             {},
             delta=Fraction(1, 100),
         )
-        comps = components_of(inst, ss)
+        comps = components_of(inst, market)
         n = compute_stats(inst).n
         root = next(c for c in comps if inst.buyer_pos["b1"] in c.buyers)
         target = Fraction(0)
-        state, _ = special_price(inst, ss, comps, root, target)
+        state, _ = special_price(inst, market, comps, root, target)
         s_root = root.surplus(state)
         others = [c.surplus(state) for c in comps]
         barrier = -s_root / (2 * n * n)
@@ -221,12 +211,12 @@ class TestSpecialPrice:
         # the buyer hits bang-per-buck one before the surplus target, so her
         # cash is committed and the run continues past the critical point
         inst = make_instance({"b1": 6}, {("b1", "g1"): 2})
-        ss = scaling_state(
+        market = scaled_state(
             inst, {"g1": 1}, {("b1", "g1"): Fraction(1)}, {}, delta=Fraction(1, 12)
         )
-        comps = components_of(inst, ss)
+        comps = components_of(inst, market)
         comp = next(c for c in comps if not c.is_singleton())
-        state, _ = special_price(inst, ss, comps, comp, Fraction(0))
+        state, _ = special_price(inst, market, comps, comp, Fraction(0))
         # critical at q=2 commits the remaining cash 5, surplus = 6-5-2p = ...
         assert refunds_of(inst, state)["b1"] > 0
         assert comp.surplus(state) == 0
@@ -242,7 +232,7 @@ class TestSpecialPrice:
         inst = make_instance(
             {"b1": 10, "b2": 1}, {("b1", "g1"): 10, ("b2", "g2"): 1}
         )
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": 2, "g2": Fraction(9, 8)},
             {("b1", "g1"): 2, ("b2", "g2"): 1},
@@ -251,7 +241,7 @@ class TestSpecialPrice:
         )
         comps = components_of_edges(inst, edge_ids(inst, {("b1", "g1"), ("b2", "g2")})).components
         root, other = comps
-        state, iterations = special_price(inst, ss, comps, root, Fraction(0))
+        state, iterations = special_price(inst, market, comps, root, Fraction(0))
         assert iterations == 1
         assert prices_of(inst, state) == {"g1": 6, "g2": Fraction(9, 8)}
         assert other.surplus(state) == -root.surplus(state) / 32
@@ -262,7 +252,7 @@ class TestSpecialPrice:
         inst = make_instance(
             {"b1": 10, "b3": 1}, {("b1", "g1"): 10, ("b3", "g1"): 1}
         )
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": 2},
             {("b1", "g1"): 2},
@@ -272,7 +262,7 @@ class TestSpecialPrice:
         comps = components_of_edges(inst, edge_ids(inst, {("b1", "g1")})).components
         root, lone = comps
         assert buyers_of(inst, lone) == ("b3",) and not lone.goods
-        state, iterations = special_price(inst, ss, comps, root, Fraction(0))
+        state, iterations = special_price(inst, market, comps, root, Fraction(0))
         assert iterations == 1
         assert prices_of(inst, state) == {"g1": Fraction(31, 4)}
         assert lone.surplus(state) == -root.surplus(state) / 18
@@ -281,12 +271,12 @@ class TestSpecialPrice:
         # a singleton's surplus does not move with prices: its callers read
         # it directly, and the raiser refuses it
         inst = make_instance({"b1": 5, "b2": 1}, {("b1", "g1"): 1, ("b2", "g2"): 1})
-        ss = scaling_state(inst, {"g1": 1, "g2": 1}, {}, {}, delta=1)
-        comps = components_of(inst, ss)
+        market = scaled_state(inst, {"g1": 1, "g2": 1}, {}, {}, delta=1)
+        comps = components_of(inst, market)
         assert all(c.is_singleton() for c in comps)
         for comp in comps:
             with pytest.raises(SolverError, match="singleton"):
-                special_price(inst, ss, comps, comp, Fraction(0))
+                special_price(inst, market, comps, comp, Fraction(0))
 
 
 class TestAuxNetwork:
@@ -317,34 +307,34 @@ class TestAuxNetwork:
             {"b1": 12, "b2": 6},
             {("b1", "g1"): 20, ("b1", "g2"): 1, ("b2", "g2"): 3},
         )
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": 1, "g2": Fraction(1, 4)},
             {("b1", "g1"): Fraction(1), ("b2", "g2"): Fraction(1)},
             {},
             delta=Fraction(1, 48),
         )
-        comps = components_of(inst, ss)
+        comps = components_of(inst, market)
         n = compute_stats(inst).n
         root = next(c for c in comps if inst.buyer_pos["b1"] in c.buyers)
         other = next(c for c in comps if inst.buyer_pos["b2"] in c.buyers)
-        state, _ = special_price(inst, ss, comps, root, Fraction(0))
+        state, _ = special_price(inst, market, comps, root, Fraction(0))
         eq = edge_ids(inst, equality_graph_at(inst, prices_of(inst, state)))
-        reached = reach(inst, root.nodes(), eq, abundant_edges(ss.market, n))
+        reached = reach(inst, root.nodes(), eq, abundant_edges(market, n))
         assert set(other.nodes()) <= set(reached), "run must have activated the other component"
-        aux = AuxNetwork.build(inst, edge_names(inst, abundant_edges(ss.market, n)))
+        aux = AuxNetwork.build(inst, edge_names(inst, abundant_edges(market, n)))
         root_good, other_good = (inst.goods[c.goods[0]] for c in (root, other))
         mu = max_multiplier(aux, good_node(inst, root_good), good_node(inst, other_good))
         assert mu == state.prices[other.goods[0]] / state.prices[root.goods[0]]
 
 
-def repair_rows(inst, ss, forest_edges):
+def repair_rows(inst, market, forest_edges):
     """Run the deficit repair on a restarted state whose abundant forest
     has ``forest_edges``; return the (kind, subject) of its trace rows."""
     comps = components_of_edges(inst, edge_ids(inst, forest_edges)).components
     trace = PhaseTrace("strong", inst.edge_names)
-    trace.begin_phase(0, ss.delta, "restart", 0, set())
-    _repair_deficits(inst, ss, comps, trace, 0)
+    trace.begin_phase(0, market.unit, "restart", 0, set())
+    _repair_deficits(inst, market, comps, trace, 0)
     return [(r.kind, r.subject) for r in trace.rows]
 
 
@@ -357,23 +347,23 @@ class TestRepairDeficits:
             {"b1": 2, "b2": 1, "b3": 5},
             {("b2", "g1"): 12, ("b3", "g1"): 12, ("b1", "g2"): 2},
         )
-        ss = scaling_state(
+        market = scaled_state(
             inst, {"g1": 6, "g2": 1}, {("b3", "g1"): 4, ("b1", "g2"): 1}, {}, delta=1
         )
-        ss.allowed_deficit = {inst.good_pos["g1"]: Fraction(2)}
-        rows = repair_rows(inst, ss, {("b3", "g1"), ("b1", "g2")})
+        market.allowed_deficit = {inst.good_pos["g1"]: Fraction(2)}
+        rows = repair_rows(inst, market, {("b3", "g1"), ("b1", "g2")})
         assert rows == [("restart_repair", "g1")]
-        assert spending_of(inst, ss.market) == {("b3", "g1"): 5, ("b1", "g2"): 1}
-        assert ss.allowed_deficit == {}
+        assert spending_of(inst, market) == {("b3", "g1"): 5, ("b1", "g2"): 1}
+        assert market.allowed_deficit == {}
 
     def test_skips_a_buyer_that_cannot_reach_the_good(self):
         # g1, a component of its own, is 1 short; b1 holds delta first but
         # reaches only g2, and b2 reaches g1
         inst = make_instance({"b1": 2, "b2": 1}, {("b2", "g1"): 2, ("b1", "g2"): 2})
-        ss = scaling_state(inst, {"g1": 1, "g2": 1}, {("b1", "g2"): 1}, {}, delta=1)
-        rows = repair_rows(inst, ss, {("b1", "g2")})
+        market = scaled_state(inst, {"g1": 1, "g2": 1}, {("b1", "g2"): 1}, {}, delta=1)
+        rows = repair_rows(inst, market, {("b1", "g2")})
         assert rows == [("restart_repair", "g1")]
-        assert spending_of(inst, ss.market) == {("b1", "g2"): 1, ("b2", "g1"): 1}
+        assert spending_of(inst, market) == {("b1", "g2"): 1, ("b2", "g1"): 1}
 
 
 class TestGetParameter:
@@ -384,15 +374,15 @@ class TestGetParameter:
             {"b1": 1, "b2": 2},
             {("b1", "g1"): 8, ("b2", "g2"): Fraction(1, 8)},
         )
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": Fraction(1, 4), "g2": Fraction(1, 4)},
             {},
             {"b2": Fraction(15, 8)},
             delta=64,
         )
-        comps = components_of(inst, ss)
-        scale, per = get_parameter(inst, ss, comps)
+        comps = components_of(inst, market)
+        scale, per = get_parameter(inst, market, comps)
         assert per["B:b1"] == 1  # bang-per-buck 32 > 1, cash 1
         assert per["B:b2"] == 0  # bang-per-buck 1/2 <= 1
         assert per["G:g1"] == Fraction(-1, 4)
@@ -401,30 +391,30 @@ class TestGetParameter:
 
     def test_nonfertile_singletons_below_margin(self):
         inst = make_instance({"b1": 1, "b2": 2}, {("b1", "g1"): 8, ("b2", "g2"): 1})
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": Fraction(1, 4), "g2": Fraction(1, 4)},
             {},
             {"b2": Fraction(15, 8)},
             delta=64,
         )
-        comps = components_of(inst, ss)
+        comps = components_of(inst, market)
         n = compute_stats(inst).n
-        assert not fertile_components(inst, ss, comps)
-        _, per = get_parameter(inst, ss, comps)
+        assert not fertile_components(inst, market, comps)
+        _, per = get_parameter(inst, market, comps)
         for comp in comps:
             if comp.is_singleton() and comp.buyers:
-                assert per[component_key(inst, comp)] <= ss.delta / (3 * n * n)
+                assert per[component_key(inst, comp)] <= market.unit / (3 * n * n)
 
 
 class TestGetPrices:
     def test_all_baseline(self):
         inst = make_instance({"b1": 1}, {("b1", "g1"): 8})
-        ss = scaling_state(inst, {"g1": Fraction(1, 4)}, {}, {}, delta=64)
-        comps = components_of(inst, ss)
+        market = scaled_state(inst, {"g1": Fraction(1, 4)}, {}, {}, delta=64)
+        comps = components_of(inst, market)
         trace = PhaseTrace("strong", inst.edge_names)
-        prices, refunds, _ = get_prices(inst, ss, comps, Fraction(1), trace)
-        assert prices == ss.market.prices
+        prices, refunds, _ = get_prices(inst, market, comps, Fraction(1), trace)
+        assert prices == market.prices
         assert refunds == [0]
         assert trace.special_price_iterations == []
 
@@ -435,17 +425,17 @@ class TestGetPrices:
             {"b1": 3, "b2": 1},
             {("b1", "g1"): 50, ("b2", "g2"): 1},
         )
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": 1, "g2": Fraction(1, 100)},
             {("b1", "g1"): Fraction(1)},
             {},
             delta=Fraction(1, 12),
         )
-        comps = components_of(inst, ss)
+        comps = components_of(inst, market)
         trace = PhaseTrace("strong", inst.edge_names)
         prices, refunds, run_surplus = get_prices(
-            inst, ss, comps, Fraction(1, 2), trace
+            inst, market, comps, Fraction(1, 2), trace
         )
         assert len(trace.special_price_iterations) == 1
         assert dict(zip(inst.goods, prices)) == {"g1": Fraction(5, 2), "g2": Fraction(1, 100)}
@@ -462,31 +452,31 @@ class TestGetAllocations:
         inst = make_instance(
             {"b1": tau_budget}, {("b1", "g1"): 2, ("b1", "g2"): 2}
         )
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": 2, "g2": 2},
             {("b1", "g1"): Fraction(2), ("b1", "g2"): Fraction(2)},
             {},
             delta=Fraction(1, 100),
         )
-        return inst, ss, components_of(inst, ss)
+        return inst, market, components_of(inst, market)
 
     def test_positive_surplus_at_buyer_root(self):
-        inst, ss, comps = self.base(5)
-        spending = get_allocations(inst, list(ss.market.prices), [Fraction(0)], comps)
+        inst, market, comps = self.base(5)
+        spending = get_allocations(inst, list(market.prices), [Fraction(0)], comps)
         assert edge_named(inst, spending) == {("b1", "g1"): 2, ("b1", "g2"): 2}
-        state = MarketState(inst, ss.market.prices, spending, [Fraction(0)])
+        state = MarketState(inst, market.prices, spending, [Fraction(0)])
         assert state.effective_cash(inst.buyer_pos["b1"]) == 1
 
     def test_negative_surplus_at_good_root(self):
-        inst, ss, comps = self.base(Fraction(7, 2))
-        spending = get_allocations(inst, list(ss.market.prices), [Fraction(0)], comps)
+        inst, market, comps = self.base(Fraction(7, 2))
+        spending = get_allocations(inst, list(market.prices), [Fraction(0)], comps)
         # deficit -1/2 lands on the canonical good root g1
         assert edge_named(inst, spending) == {
             ("b1", "g1"): Fraction(3, 2),
             ("b1", "g2"): 2,
         }
-        state = MarketState(inst, ss.market.prices, spending, [Fraction(0)])
+        state = MarketState(inst, market.prices, spending, [Fraction(0)])
         assert state.backorder(inst.good_pos["g1"]) == Fraction(-1, 2)
         assert state.backorder(inst.good_pos["g2"]) == 0
 
@@ -494,23 +484,23 @@ class TestGetAllocations:
 class TestMakeFertile:
     def test_delayed_branch(self, monkeypatch):
         inst = make_instance({"b1": 1}, {("b1", "g1"): 8})
-        ss = scaling_state(inst, {"g1": Fraction(1, 4)}, {}, {}, delta=64)
-        comps = components_of(inst, ss)
+        market = scaled_state(inst, {"g1": Fraction(1, 4)}, {}, {}, delta=64)
+        comps = components_of(inst, market)
         n = compute_stats(inst).n
         import arcticauction.strong as strong_mod
 
         monkeypatch.setattr(
             strong_mod,
             "get_parameter",
-            lambda *a, **k: (ss.delta / n, {}),
+            lambda *a, **k: (market.unit / n, {}),
         )
-        market, delta = ss.market, ss.delta
+        delta = market.unit
         trace = PhaseTrace("strong", inst.edge_names)
-        record = make_fertile(inst, ss, comps, trace, 3)
+        kept, record = make_fertile(inst, market, comps, trace, 3)
         assert record.branch == "delayed"
-        assert record.delta_after == record.delta_before == delta == ss.delta
+        assert record.delta_after == record.delta_before == delta == kept.unit
         assert record.threshold == delta / Fraction(n) ** 5
-        assert ss.market is market
+        assert kept is market
         assert trace.restarts == [record] and record.phase == 3
 
     def test_compressed_branch(self):
@@ -518,44 +508,45 @@ class TestMakeFertile:
         inst = make_instance(
             {"b1": 1, "b2": 2}, {("b1", "g1"): 8, ("b2", "g2"): 1}
         )
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": Fraction(1, 4), "g2": Fraction(1, 4)},
             {},
             {"b2": Fraction(15, 8)},
             delta=64,
         )
-        comps = components_of(inst, ss)
+        comps = components_of(inst, market)
         n = compute_stats(inst).n
-        assert not fertile_components(inst, ss, comps)
-        market = ss.market
+        assert not fertile_components(inst, market, comps)
         trace = PhaseTrace("strong", inst.edge_names)
-        record = make_fertile(inst, ss, comps, trace, 0)
+        state, record = make_fertile(inst, market, comps, trace, 0)
         assert record.branch == "compressed"
         assert record.delta_before == 64
-        assert record.delta_after == ss.delta == 1 == 64 / Fraction(n) ** 3
+        assert record.delta_after == state.unit == 1 == 64 / Fraction(n) ** 3
         assert record.threshold == Fraction(1) / Fraction(n) ** 5
-        assert ss.market is not market
-        assert ss.exempt_edges == set(ss.market.spending)
+        assert state is not market
+        assert state.exempt_edges == set(state.spending)
+        assert state.initial_prices is market.initial_prices
         assert trace.restarts == [record]
 
     def test_zero_scale_falls_back_to_delayed(self):
         # every buyer uninterested and every singleton good negative: the
         # computed scale is zero and the state must be left unchanged
         inst = make_instance({"b1": 2}, {("b1", "g1"): 1})
-        ss = scaling_state(
+        market = scaled_state(
             inst, {"g1": Fraction(1, 4)}, {}, {"b1": Fraction(15, 8)}, delta=64
         )
         # bang-per-buck 4 > 1... use a higher price to make it uninterested
         g1 = inst.good_pos["g1"]
-        ss.market.scale_prices([g1], Fraction(8))
-        ss.initial_prices[g1] = ss.market.prices[g1]
-        comps = components_of(inst, ss)
-        market = ss.market
-        record = make_fertile(inst, ss, comps, PhaseTrace("strong", inst.edge_names), 0)
+        market.scale_prices([g1], Fraction(8))
+        market.initial_prices[g1] = market.prices[g1]
+        comps = components_of(inst, market)
+        kept, record = make_fertile(
+            inst, market, comps, PhaseTrace("strong", inst.edge_names), 0
+        )
         assert record.branch == "delayed"
         assert max(record.surpluses.values()) == 0
-        assert ss.market is market
+        assert kept is market
 
 
 class TestRunStrong:
@@ -660,19 +651,19 @@ class TestSpecialPriceMonotonicity:
             {"b1": 40, "b2": 1},
             {("b1", "g1"): 4, ("b1", "g2"): 1, ("b2", "g2"): 2},
         )
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": 1, "g2": Fraction(1, 3)},
             {("b1", "g1"): Fraction(2), ("b2", "g2"): Fraction(1, 3)},
             {},
             delta=Fraction(1, 100),
         )
-        comps = components_of(inst, ss)
+        comps = components_of(inst, market)
         root = next(c for c in comps if inst.buyer_pos["b1"] in c.buyers)
-        before = root.surplus(ss.market)
-        state, _ = special_price(inst, ss, comps, root, Fraction(0))
-        assert all(p >= q for p, q in zip(state.prices, ss.market.prices))
-        assert all(r >= s for r, s in zip(state.refunds, ss.market.refunds))
+        before = root.surplus(market)
+        state, _ = special_price(inst, market, comps, root, Fraction(0))
+        assert all(p >= q for p, q in zip(state.prices, market.prices))
+        assert all(r >= s for r, s in zip(state.refunds, market.refunds))
         assert root.surplus(state) <= before
 
 

@@ -10,7 +10,6 @@ from arcticauction.errors import SolverError
 from arcticauction.oracle import brute_force_equilibrium
 from arcticauction.trace import PhaseTrace, TraceRow
 from arcticauction.weak import (
-    ScalingState,
     SearchTree,
     check_phase_invariants,
     halve_and_repair,
@@ -21,7 +20,6 @@ from arcticauction.weak import (
     potential,
     price_and_augment,
     refund_step,
-    returnable_edges,
     run_weak,
     start_phase,
     update_price_star,
@@ -39,18 +37,10 @@ from conftest import (
     make_instance,
     prices_of,
     refunds_of,
+    scaled_state,
     spending_of,
     state_of,
 )
-
-
-def scaling_state(inst, prices, spending, refunds, delta, initial=None):
-    initial = initial or prices
-    return ScalingState(
-        market=state_of(inst, prices, spending, refunds),
-        delta=Fraction(delta),
-        initial_prices=[Fraction(initial[g]) for g in inst.goods],
-    )
 
 
 class TestInitialize:
@@ -58,44 +48,44 @@ class TestInitialize:
         # total utility 8, budget 4, n = 3: supports are (1/3, 1), both below
         # the utility caps, and the scale starts at the largest budget
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2, ("b1", "g2"): 6})
-        ss = initialize(inst)
-        assert prices_of(inst, ss.market) == {"g1": Fraction(1, 3), "g2": Fraction(1)}
-        assert ss.delta == 4
-        assert spending_of(inst, ss.market) == {}
-        assert refunds_of(inst, ss.market) == {}
+        market = initialize(inst)
+        assert prices_of(inst, market) == {"g1": Fraction(1, 3), "g2": Fraction(1)}
+        assert market.unit == 4
+        assert spending_of(inst, market) == {}
+        assert refunds_of(inst, market) == {}
 
     def test_two_buyers_take_max(self):
         inst = make_instance(
             {"b1": 1, "b2": 2}, {("b1", "g1"): 2, ("b2", "g1"): 2}
         )
-        ss = initialize(inst)
+        market = initialize(inst)
         # supports: b1 gives 2*1/(3*2) = 1/3, b2 gives 2*2/(3*2) = 2/3,
         # both under the utility cap, so the larger one wins
-        assert prices_of(inst, ss.market)["g1"] == Fraction(2, 3)
+        assert prices_of(inst, market)["g1"] == Fraction(2, 3)
 
     def test_two_buyers_capped_by_utility(self):
         inst = make_instance(
             {"b1": 4, "b2": 8}, {("b1", "g1"): 2, ("b2", "g1"): 2}
         )
-        ss = initialize(inst)
+        market = initialize(inst)
         # supports 4/3 and 8/3 both exceed the utility cap u/2 = 1
-        assert prices_of(inst, ss.market)["g1"] == Fraction(1)
+        assert prices_of(inst, market)["g1"] == Fraction(1)
 
     def test_initial_state_feasible_with_small_potential(self):
         inst = make_instance(
             {"b1": 4, "b2": 2}, {("b1", "g1"): 2, ("b1", "g2"): 6, ("b2", "g2"): 1}
         )
-        ss = initialize(inst)
-        ok, violations = is_delta_feasible(inst, ss)
+        market = initialize(inst)
+        ok, violations = is_delta_feasible(inst, market)
         assert ok, violations
-        assert potential(inst, ss) <= len(inst.buyers)
+        assert potential(inst, market) <= len(inst.buyers)
 
     def test_budget_heavy_buyer_capped_by_utility(self):
         # without the utility cap the support 2*10/(2*2) = 5 would overshoot
         # the equilibrium price 2 and the good could never sell
         inst = make_instance({"b1": 10}, {("b1", "g1"): 2})
-        ss = initialize(inst)
-        assert prices_of(inst, ss.market)["g1"] == Fraction(1)
+        market = initialize(inst)
+        assert prices_of(inst, market)["g1"] == Fraction(1)
 
 
 class TestFeasibility:
@@ -106,25 +96,25 @@ class TestFeasibility:
 
     def test_non_multiple_spending_rejected(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
-        ss = scaling_state(
+        market = scaled_state(
             inst, {"g1": 1}, {("b1", "g1"): Fraction(1, 2)}, {}, delta=1
         )
-        ok, violations = is_delta_feasible(inst, ss)
+        ok, violations = is_delta_feasible(inst, market)
         assert not ok
         assert any("multiple" in v for v in violations)
 
     def test_unraised_good_may_have_negative_backorder(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
-        ss = scaling_state(inst, {"g1": 1}, {}, {}, delta=1)
-        ok, violations = is_delta_feasible(inst, ss)
+        market = scaled_state(inst, {"g1": 1}, {}, {}, delta=1)
+        ok, violations = is_delta_feasible(inst, market)
         assert ok, violations
 
     def test_raised_good_needs_nonnegative_backorder(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
-        ss = scaling_state(
+        market = scaled_state(
             inst, {"g1": 2}, {}, {}, delta=1, initial={"g1": 1}
         )
-        ok, violations = is_delta_feasible(inst, ss)
+        ok, violations = is_delta_feasible(inst, market)
         assert not ok
         assert any("backorder" in v for v in violations)
 
@@ -132,18 +122,18 @@ class TestFeasibility:
 class TestOptimality:
     def test_all_zero_cash(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
-        ss = scaling_state(inst, {"g1": 1}, {}, {"b1": 4}, delta=1)
-        assert is_delta_optimal(inst, ss)
+        market = scaled_state(inst, {"g1": 1}, {}, {"b1": 4}, delta=1)
+        assert is_delta_optimal(inst, market)
 
     def test_cash_at_delta_not_optimal(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
-        ss = scaling_state(inst, {"g1": 1}, {}, {"b1": 3}, delta=1)
-        assert not is_delta_optimal(inst, ss)
+        market = scaled_state(inst, {"g1": 1}, {}, {"b1": 3}, delta=1)
+        assert not is_delta_optimal(inst, market)
 
     def test_cash_below_delta_optimal(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
-        ss = scaling_state(inst, {"g1": 1}, {}, {"b1": Fraction(31, 10)}, delta=1)
-        assert is_delta_optimal(inst, ss)
+        market = scaled_state(inst, {"g1": 1}, {}, {"b1": Fraction(31, 10)}, delta=1)
+        assert is_delta_optimal(inst, market)
 
 
 class TestPotential:
@@ -152,18 +142,18 @@ class TestPotential:
             {"b1": Fraction(5, 2), "b2": Fraction(3, 10)},
             {("b1", "g1"): 2, ("b2", "g1"): 2},
         )
-        ss = scaling_state(inst, {"g1": 1}, {}, {}, delta=1)
-        assert potential(inst, ss) == 2  # floor(2.5) + floor(0.3)
+        market = scaled_state(inst, {"g1": 1}, {}, {}, delta=1)
+        assert potential(inst, market) == 2  # floor(2.5) + floor(0.3)
 
     def test_zero_when_optimal(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
-        ss = scaling_state(inst, {"g1": 1}, {}, {"b1": Fraction(7, 2)}, delta=1)
-        assert potential(inst, ss) == 0
+        market = scaled_state(inst, {"g1": 1}, {}, {"b1": Fraction(7, 2)}, delta=1)
+        assert potential(inst, market) == 0
 
 
-def active_tree(inst, ss, root):
+def active_tree(inst, market, root):
     """The root buyer's residual search tree, as price_and_augment gets it."""
-    return SearchTree(inst, ss.market, [buyer_node(inst, root)], returnable_edges(ss))
+    return SearchTree(inst, market, [buyer_node(inst, root)], market.returnable)
 
 
 class TestUpdatePriceStar:
@@ -171,26 +161,26 @@ class TestUpdatePriceStar:
         # active good's backorder event sits at q = 4, the buyer's
         # bang-per-buck of 3 fires first
         inst = make_instance({"b1": 8}, {("b1", "g1"): 3})
-        ss = scaling_state(
+        market = scaled_state(
             inst, {"g1": 1}, {("b1", "g1"): 4}, {}, delta=1, initial={"g1": 1}
         )
-        assert update_price_star(inst, ss, active_tree(inst, ss, "b1")) == (
+        assert update_price_star(inst, market, active_tree(inst, market, "b1")) == (
             False,
             buyer_node(inst, "b1"),
         )
-        assert prices_of(inst, ss.market)["g1"] == 3
-        assert alphas_of(inst, ss.market)["b1"] == 1
+        assert prices_of(inst, market)["g1"] == 3
+        assert alphas_of(inst, market)["b1"] == 1
 
     def test_backorder_zero_event(self):
         # inflow twice the price and bang-per-buck far away: q = 2
         inst = make_instance({"b1": 16}, {("b1", "g1"): 12})
-        ss = scaling_state(inst, {"g1": 1}, {("b1", "g1"): 2}, {}, delta=1)
-        assert update_price_star(inst, ss, active_tree(inst, ss, "b1")) == (
+        market = scaled_state(inst, {"g1": 1}, {("b1", "g1"): 2}, {}, delta=1)
+        assert update_price_star(inst, market, active_tree(inst, market, "b1")) == (
             False,
             good_node(inst, "g1"),
         )
-        assert prices_of(inst, ss.market)["g1"] == 2
-        assert ss.market.backorder(inst.good_pos["g1"]) == 0
+        assert prices_of(inst, market)["g1"] == 2
+        assert market.backorder(inst.good_pos["g1"]) == 0
 
     def test_new_equality_edge_event(self):
         # bang-per-buck 3 on the active good, ratio 2 on the inactive one:
@@ -198,7 +188,7 @@ class TestUpdatePriceStar:
         inst = make_instance(
             {"b1": 16}, {("b1", "g1"): 3, ("b1", "g2"): 2}
         )
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": 1, "g2": 1},
             {("b1", "g1"): 2},
@@ -206,9 +196,9 @@ class TestUpdatePriceStar:
             delta=1,
         )
         # the tie needs a new search; the raised tree has no terminal
-        assert update_price_star(inst, ss, active_tree(inst, ss, "b1")) == (True, None)
-        assert prices_of(inst, ss.market) == {"g1": Fraction(3, 2), "g2": Fraction(1)}
-        assert inst.edge_id[("b1", "g2")] in ss.market.bang_per_buck.edges
+        assert update_price_star(inst, market, active_tree(inst, market, "b1")) == (True, None)
+        assert prices_of(inst, market) == {"g1": Fraction(3, 2), "g2": Fraction(1)}
+        assert inst.edge_id[("b1", "g2")] in market.bang_per_buck.edges
 
 
 class TestPriceAndAugment:
@@ -218,17 +208,17 @@ class TestPriceAndAugment:
         inst = make_instance(
             {"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g2"): 2}
         )
-        ss = scaling_state(
+        market = scaled_state(
             inst, {"g1": 1, "g2": 1}, {}, {"b2": Fraction(7, 2)}, delta=1
         )
-        before_g2 = ss.market.backorder(inst.good_pos["g2"])
-        phi_before = potential(inst, ss)
-        kind, subject = price_and_augment(inst, ss, inst.buyer_pos["b1"])
+        before_g2 = market.backorder(inst.good_pos["g2"])
+        phi_before = potential(inst, market)
+        kind, subject = price_and_augment(inst, market, inst.buyer_pos["b1"])
         assert (kind, subject) == ("augment_good", "g1")
-        assert ss.market.backorder(inst.good_pos["g1"]) == -1 + 1
-        assert ss.market.backorder(inst.good_pos["g2"]) == before_g2
-        assert potential(inst, ss) == phi_before - 1
-        assert ss.market.effective_cash(inst.buyer_pos["b2"]) == Fraction(1, 2)
+        assert market.backorder(inst.good_pos["g1"]) == -1 + 1
+        assert market.backorder(inst.good_pos["g2"]) == before_g2
+        assert potential(inst, market) == phi_before - 1
+        assert market.effective_cash(inst.buyer_pos["b2"]) == Fraction(1, 2)
 
     def test_buyer_terminal_keeps_backorders(self):
         # b2 is critical (bang-per-buck exactly 1) and reachable through
@@ -236,23 +226,23 @@ class TestPriceAndAugment:
         inst = make_instance(
             {"b1": 8, "b2": 8}, {("b1", "g1"): 2, ("b2", "g1"): 1}
         )
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": 1},
             {("b2", "g1"): 2},
             {"b2": 6},
             delta=1,
         )
-        backorders = [ss.market.backorder(g) for g in range(len(inst.goods))]
-        phi_before = potential(inst, ss)
-        kind, subject = price_and_augment(inst, ss, inst.buyer_pos["b1"])
+        backorders = [market.backorder(g) for g in range(len(inst.goods))]
+        phi_before = potential(inst, market)
+        kind, subject = price_and_augment(inst, market, inst.buyer_pos["b1"])
         assert (kind, subject) == ("augment_buyer", "b2")
-        assert refunds_of(inst, ss.market)["b2"] == 7
-        assert [ss.market.backorder(g) for g in range(len(inst.goods))] == backorders
-        assert potential(inst, ss) == phi_before - 1
+        assert refunds_of(inst, market)["b2"] == 7
+        assert [market.backorder(g) for g in range(len(inst.goods))] == backorders
+        assert potential(inst, market) == phi_before - 1
         # the unit moved along b1 -> g1 -> b2
-        assert spending_of(inst, ss.market)[("b1", "g1")] == 1
-        assert spending_of(inst, ss.market)[("b2", "g1")] == 1
+        assert spending_of(inst, market)[("b1", "g1")] == 1
+        assert spending_of(inst, market)[("b2", "g1")] == 1
 
 
 class TestPriceRaiseTies:
@@ -266,11 +256,11 @@ class TestPriceRaiseTies:
     def test_critical_buyer_beats_exhausted_good(self):
         # at q = 2, b2's bang-per-buck reaches one and g1's backorder zero
         inst = make_instance({"b1": 4, "b2": 2}, {("b1", "g1"): 4, ("b2", "g1"): 2})
-        ss = scaling_state(inst, {"g1": 1}, {("b2", "g1"): 2}, {}, delta=1)
-        assert inner_step(inst, ss) == ("augment_buyer", "b2", 1)
-        assert prices_of(inst, ss.market) == {"g1": 2}
-        assert spending_of(inst, ss.market) == {("b1", "g1"): 1, ("b2", "g1"): 1}
-        assert refunds_of(inst, ss.market) == {"b2": 1}
+        market = scaled_state(inst, {"g1": 1}, {("b2", "g1"): 2}, {}, delta=1)
+        assert inner_step(inst, market) == ("augment_buyer", "b2", 1)
+        assert prices_of(inst, market) == {"g1": 2}
+        assert spending_of(inst, market) == {("b1", "g1"): 1, ("b2", "g1"): 1}
+        assert refunds_of(inst, market) == {"b2": 1}
 
     def test_two_critical_buyers_go_to_the_first_in_document_order(self):
         # the search reaches b2 before b3, but b3 comes first in the
@@ -279,18 +269,18 @@ class TestPriceRaiseTies:
             {"b1": 4, "b3": 3, "b2": 3},
             {("b1", "g1"): 4, ("b2", "g1"): 2, ("b2", "g2"): 2, ("b3", "g2"): 2},
         )
-        ss = scaling_state(
+        market = scaled_state(
             inst, {"g1": 1, "g2": 1}, {("b2", "g1"): 3, ("b3", "g2"): 3}, {}, delta=1
         )
-        assert inner_step(inst, ss) == ("augment_buyer", "b3", 1)
-        assert prices_of(inst, ss.market) == {"g1": 2, "g2": 2}
-        assert spending_of(inst, ss.market) == {
+        assert inner_step(inst, market) == ("augment_buyer", "b3", 1)
+        assert prices_of(inst, market) == {"g1": 2, "g2": 2}
+        assert spending_of(inst, market) == {
             ("b1", "g1"): 1,
             ("b2", "g1"): 2,
             ("b2", "g2"): 1,
             ("b3", "g2"): 2,
         }
-        assert refunds_of(inst, ss.market) == {"b3": 1}
+        assert refunds_of(inst, market) == {"b3": 1}
 
     def test_two_exhausted_goods_go_to_the_first_in_document_order(self):
         # the search reaches g2 before g1, but g1 comes first in the
@@ -298,12 +288,12 @@ class TestPriceRaiseTies:
         inst = make_instance(
             {"b1": 4, "b2": 4}, {("b2", "g1"): 3, ("b1", "g2"): 4, ("b2", "g2"): 3}
         )
-        ss = scaling_state(
+        market = scaled_state(
             inst, {"g1": 1, "g2": 1}, {("b2", "g1"): 2, ("b2", "g2"): 2}, {}, delta=1
         )
-        assert inner_step(inst, ss) == ("augment_good", "g1", 1)
-        assert prices_of(inst, ss.market) == {"g1": 2, "g2": 2}
-        assert spending_of(inst, ss.market) == {
+        assert inner_step(inst, market) == ("augment_good", "g1", 1)
+        assert prices_of(inst, market) == {"g1": 2, "g2": 2}
+        assert spending_of(inst, market) == {
             ("b1", "g2"): 1,
             ("b2", "g1"): 3,
             ("b2", "g2"): 1,
@@ -316,22 +306,22 @@ class TestPriceRaiseTies:
         inst = make_instance(
             {"b1": 4, "b2": 2}, {("b1", "g1"): 2, ("b1", "g2"): 4, ("b2", "g2"): 8}
         )
-        ss = scaling_state(inst, {"g1": 1, "g2": 1}, {("b2", "g2"): 2}, {}, delta=1)
-        assert inner_step(inst, ss) == ("augment_good", "g1", 1)
-        assert prices_of(inst, ss.market) == {"g1": 1, "g2": 2}
-        assert spending_of(inst, ss.market) == {("b1", "g1"): 1, ("b2", "g2"): 2}
+        market = scaled_state(inst, {"g1": 1, "g2": 1}, {("b2", "g2"): 2}, {}, delta=1)
+        assert inner_step(inst, market) == ("augment_good", "g1", 1)
+        assert prices_of(inst, market) == {"g1": 1, "g2": 2}
+        assert spending_of(inst, market) == {("b1", "g1"): 1, ("b2", "g2"): 2}
 
     def test_edge_event_tying_an_exhausted_good_names_the_good(self):
         # at q = 2 g1's backorder reaches zero and b1's edge to g2 (ratio
         # 2 against her best 4) joins the equality graph
         inst = make_instance({"b1": 16}, {("b1", "g1"): 4, ("b1", "g2"): 2})
-        ss = scaling_state(inst, {"g1": 1, "g2": 1}, {("b1", "g1"): 2}, {}, delta=1)
-        assert weak.update_price_star(inst, ss, active_tree(inst, ss, "b1")) == (
+        market = scaled_state(inst, {"g1": 1, "g2": 1}, {("b1", "g1"): 2}, {}, delta=1)
+        assert weak.update_price_star(inst, market, active_tree(inst, market, "b1")) == (
             True,
             good_node(inst, "g1"),
         )
-        assert prices_of(inst, ss.market) == {"g1": 2, "g2": 1}
-        assert inst.edge_id[("b1", "g2")] in ss.market.bang_per_buck.edges
+        assert prices_of(inst, market) == {"g1": 2, "g2": 1}
+        assert inst.edge_id[("b1", "g2")] in market.bang_per_buck.edges
 
     def test_edge_event_tying_a_critical_buyer_names_the_buyer(self):
         # at q = 2 b2's bang-per-buck reaches one and b1's edge to g2 joins
@@ -340,67 +330,67 @@ class TestPriceRaiseTies:
         inst = make_instance(
             {"b1": 16, "b2": 5}, {("b1", "g1"): 4, ("b1", "g2"): 2, ("b2", "g1"): 2}
         )
-        ss = scaling_state(inst, {"g1": 1, "g2": 1}, {("b2", "g1"): 4}, {}, delta=1)
-        assert weak.update_price_star(inst, ss, active_tree(inst, ss, "b1")) == (
+        market = scaled_state(inst, {"g1": 1, "g2": 1}, {("b2", "g1"): 4}, {}, delta=1)
+        assert weak.update_price_star(inst, market, active_tree(inst, market, "b1")) == (
             True,
             buyer_node(inst, "b2"),
         )
-        assert prices_of(inst, ss.market) == {"g1": 2, "g2": 1}
-        assert alphas_of(inst, ss.market) == {"b1": 2, "b2": 1}
-        assert inst.edge_id[("b1", "g2")] in ss.market.bang_per_buck.edges
+        assert prices_of(inst, market) == {"g1": 2, "g2": 1}
+        assert alphas_of(inst, market) == {"b1": 2, "b2": 1}
+        assert inst.edge_id[("b1", "g2")] in market.bang_per_buck.edges
 
 
 class TestRefundStep:
     def test_cash_drops_by_delta(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
-        ss = scaling_state(inst, {"g1": 2}, {}, {"b1": 3}, delta=1)
-        assert refund_step(inst, ss, inst.buyer_pos["b1"]) == 1
-        assert ss.market.effective_cash(inst.buyer_pos["b1"]) == 0
-        assert refunds_of(inst, ss.market)["b1"] == 4
+        market = scaled_state(inst, {"g1": 2}, {}, {"b1": 3}, delta=1)
+        assert refund_step(inst, market, inst.buyer_pos["b1"]) == 1
+        assert market.effective_cash(inst.buyer_pos["b1"]) == 0
+        assert refunds_of(inst, market)["b1"] == 4
 
     def test_other_buyers_untouched_and_potential_drop(self):
         inst = make_instance(
             {"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g1"): 8}
         )
-        ss = scaling_state(inst, {"g1": 2}, {}, {}, delta=1)
-        cash_b2 = ss.market.effective_cash(inst.buyer_pos["b2"])
-        phi = potential(inst, ss)
+        market = scaled_state(inst, {"g1": 2}, {}, {}, delta=1)
+        cash_b2 = market.effective_cash(inst.buyer_pos["b2"])
+        phi = potential(inst, market)
         # cash 4 at delta 1: a run of four refund steps, booked at once
-        assert refund_step(inst, ss, inst.buyer_pos["b1"]) == 4
-        assert ss.market.effective_cash(inst.buyer_pos["b2"]) == cash_b2
-        assert potential(inst, ss) == phi - 4
+        assert refund_step(inst, market, inst.buyer_pos["b1"]) == 4
+        assert market.effective_cash(inst.buyer_pos["b2"]) == cash_b2
+        assert potential(inst, market) == phi - 4
 
     def test_books_floor_of_cash_over_delta(self):
         # cash 23/6 at delta 1/2: floor(23/3) = 7 steps, 1/3 left over
         inst = make_instance({"b1": Fraction(23, 6)}, {("b1", "g1"): 2})
-        ss = scaling_state(inst, {"g1": 2}, {}, {}, delta=Fraction(1, 2))
-        assert refund_step(inst, ss, inst.buyer_pos["b1"]) == 7
-        assert refunds_of(inst, ss.market)["b1"] == Fraction(7, 2)
-        assert ss.market.effective_cash(inst.buyer_pos["b1"]) == Fraction(1, 3)
-        assert is_delta_optimal(inst, ss)
+        market = scaled_state(inst, {"g1": 2}, {}, {}, delta=Fraction(1, 2))
+        assert refund_step(inst, market, inst.buyer_pos["b1"]) == 7
+        assert refunds_of(inst, market)["b1"] == Fraction(7, 2)
+        assert market.effective_cash(inst.buyer_pos["b1"]) == Fraction(1, 3)
+        assert is_delta_optimal(inst, market)
 
     def test_precondition_enforced(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
-        ss = scaling_state(inst, {"g1": 2}, {}, {}, delta=1)
+        market = scaled_state(inst, {"g1": 2}, {}, {}, delta=1)
         with pytest.raises(SolverError, match="bang-per-buck 4, cash 4"):
-            refund_step(inst, ss, inst.buyer_pos["b1"])  # bang-per-buck is 4 > 1
+            refund_step(inst, market, inst.buyer_pos["b1"])  # bang-per-buck is 4 > 1
 
     def test_cash_below_delta_rejected(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
-        ss = scaling_state(inst, {"g1": 2}, {}, {"b1": Fraction(7, 2)}, delta=1)
+        market = scaled_state(inst, {"g1": 2}, {}, {"b1": Fraction(7, 2)}, delta=1)
         with pytest.raises(SolverError):
-            refund_step(inst, ss, inst.buyer_pos["b1"])  # cash 1/2 < delta
-        assert refunds_of(inst, ss.market)["b1"] == Fraction(7, 2)
+            refund_step(inst, market, inst.buyer_pos["b1"])  # cash 1/2 < delta
+        assert refunds_of(inst, market)["b1"] == Fraction(7, 2)
 
     def test_inner_step_reports_the_run(self):
         inst = make_instance(
             {"b1": 3, "b2": 5}, {("b1", "g1"): 2, ("b2", "g1"): 2}
         )
-        ss = scaling_state(inst, {"g1": 2}, {}, {}, delta=1)
+        market = scaled_state(inst, {"g1": 2}, {}, {}, delta=1)
         # both buyers are at bang-per-buck one; b1 comes first canonically
-        assert inner_step(inst, ss) == ("refund", "b1", 3)
-        assert inner_step(inst, ss) == ("refund", "b2", 5)
-        assert is_delta_optimal(inst, ss)
+        assert inner_step(inst, market) == ("refund", "b1", 3)
+        assert inner_step(inst, market) == ("refund", "b2", 5)
+        assert is_delta_optimal(inst, market)
 
 
 class TestTraceRuns:
@@ -441,7 +431,7 @@ class TestTraceRuns:
 class TestHalveAndRepair:
     def test_backorder_at_delta_repaired(self):
         inst = make_instance({"b1": 8}, {("b1", "g1"): 2})
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": 3},
             {("b1", "g1"): 4},
@@ -449,16 +439,16 @@ class TestHalveAndRepair:
             delta=1,
             initial={"g1": 1},
         )
-        assert ss.market.backorder(inst.good_pos["g1"]) == 1
-        halve_and_repair(inst, ss)
-        assert ss.delta == Fraction(1, 2)
-        assert ss.market.backorder(inst.good_pos["g1"]) == Fraction(1, 2)
-        ok, violations = is_delta_feasible(inst, ss)
+        assert market.backorder(inst.good_pos["g1"]) == 1
+        halve_and_repair(inst, market)
+        assert market.unit == Fraction(1, 2)
+        assert market.backorder(inst.good_pos["g1"]) == Fraction(1, 2)
+        ok, violations = is_delta_feasible(inst, market)
         assert ok, violations
 
     def test_backorder_at_half_untouched(self):
         inst = make_instance({"b1": 8}, {("b1", "g1"): 2})
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": Fraction(7, 2)},
             {("b1", "g1"): 4},
@@ -466,13 +456,13 @@ class TestHalveAndRepair:
             delta=1,
             initial={"g1": 1},
         )
-        assert ss.market.backorder(inst.good_pos["g1"]) == Fraction(1, 2)
-        halve_and_repair(inst, ss)
-        assert spending_of(inst, ss.market)[("b1", "g1")] == 4
+        assert market.backorder(inst.good_pos["g1"]) == Fraction(1, 2)
+        halve_and_repair(inst, market)
+        assert spending_of(inst, market)[("b1", "g1")] == 4
 
     def test_repaired_variable_stays_positive(self):
         inst = make_instance({"b1": 8}, {("b1", "g1"): 2})
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": 3},
             {("b1", "g1"): 4},
@@ -480,15 +470,15 @@ class TestHalveAndRepair:
             delta=1,
             initial={"g1": 1},
         )
-        halve_and_repair(inst, ss)
-        assert spending_of(inst, ss.market)[("b1", "g1")] == Fraction(7, 2) > 0
+        halve_and_repair(inst, market)
+        assert spending_of(inst, market)[("b1", "g1")] == Fraction(7, 2) > 0
 
 
     def test_donor_holding_exactly_the_new_scale_gives_it_back(self):
         # b1's spending, left by a restart, is exactly the halved scale: it
         # is the canonically first donor and gives all of it back
         inst = make_instance({"b1": 1, "b2": 5}, {("b1", "g1"): 2, ("b2", "g1"): 2})
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": 4},
             {("b1", "g1"): Fraction(1, 2), ("b2", "g1"): Fraction(9, 2)},
@@ -496,27 +486,27 @@ class TestHalveAndRepair:
             delta=1,
             initial={"g1": 1},
         )
-        halve_and_repair(inst, ss)
-        assert spending_of(inst, ss.market) == {("b2", "g1"): Fraction(9, 2)}
+        halve_and_repair(inst, market)
+        assert spending_of(inst, market) == {("b2", "g1"): Fraction(9, 2)}
 
 
 class TestReturnableEdges:
     def test_exempt_edge_returns_from_exactly_delta(self):
         inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g1"): 2})
-        ss = scaling_state(
+        market = scaled_state(
             inst,
             {"g1": 2},
             {("b1", "g1"): Fraction(1, 2), ("b2", "g1"): 1},
             {},
             delta=1,
+            exempt={("b1", "g1"), ("b2", "g1")},
         )
-        ss.exempt_edges = edge_ids(inst, {("b1", "g1"), ("b2", "g1")})
-        assert edge_names(inst, returnable_edges(ss)) == {("b2", "g1")}
+        assert edge_names(inst, market.returnable) == {("b2", "g1")}
         # halved, the scale is exactly b1's spending
-        ss.delta = Fraction(1, 2)
-        assert edge_names(inst, returnable_edges(ss)) == {("b1", "g1"), ("b2", "g1")}
-        ss.market.add_spending_units(inst.edge_id[("b2", "g1")], -2)
-        assert edge_names(inst, returnable_edges(ss)) == {("b1", "g1")}
+        market.rescale(Fraction(1, 2))
+        assert edge_names(inst, market.returnable) == {("b1", "g1"), ("b2", "g1")}
+        market.add_spending_units(inst.edge_id[("b2", "g1")], -2)
+        assert edge_names(inst, market.returnable) == {("b1", "g1")}
 
 
 class TestPhaseInvariants:
@@ -527,11 +517,11 @@ class TestPhaseInvariants:
         """The market of a phase that starts at ``start`` spending (amounts
         as fixed parts, by edge name) and books ``moves`` (units, by edge
         name, in order)."""
-        ss = scaling_state(self.inst, {"g1": 1}, start, {}, delta=Fraction(1, 2))
-        ss.market.reset_moved()
+        market = scaled_state(self.inst, {"g1": 1}, start, {}, delta=Fraction(1, 2))
+        market.reset_moved()
         for e, units in moves:
-            ss.market.add_spending_units(self.inst.edge_id[e], units)
-        return ss.market
+            market.add_spending_units(self.inst.edge_id[e], units)
+        return market
 
     def test_drift_up_to_n_delta_passes(self):
         # n * delta = 3/2: one edge rises by exactly that, another vanishes
@@ -574,12 +564,12 @@ class TestPhaseInvariants:
 
     def test_start_phase_counts_moves_afresh(self):
         inst = make_instance({"b1": 1}, {("b1", "g1"): 2})
-        ss = scaling_state(inst, {"g1": 1}, {("b1", "g1"): 1}, {}, delta=1)
-        ss.market.add_spending_units(0, -1)
-        assert ss.market.moved == [-1]
+        market = scaled_state(inst, {"g1": 1}, {("b1", "g1"): 1}, {}, delta=1)
+        market.add_spending_units(0, -1)
+        assert market.moved == [-1]
         trace = PhaseTrace(algorithm="weak", edge_names=inst.edge_names)
-        start_phase(inst, ss, compute_stats(inst), trace, 0, "init")
-        assert ss.market.moved == [0]
+        start_phase(inst, market, compute_stats(inst), trace, 0, "init")
+        assert market.moved == [0]
 
 
 class TestStartPhase:
@@ -587,9 +577,9 @@ class TestStartPhase:
     inst = make_instance({"b1": 5}, {("b1", "g1"): 2})
 
     def start(self, entry):
-        ss = scaling_state(self.inst, {"g1": 1}, {}, {}, delta=1)
+        market = scaled_state(self.inst, {"g1": 1}, {}, {}, delta=1)
         trace = PhaseTrace(algorithm="strong", edge_names=self.inst.edge_names)
-        return start_phase(self.inst, ss, compute_stats(self.inst), trace, 3, entry)
+        return start_phase(self.inst, market, compute_stats(self.inst), trace, 3, entry)
 
     @pytest.mark.parametrize("entry", ["init", "halve", "delayed"])
     def test_potential_above_n_raises(self, entry):
