@@ -111,37 +111,37 @@ class MarketState:
     since then, also when the edge empties: its value then drops to zero
     by exactly the units booked.
 
-    ``spending`` (by edge) and ``refunds`` (by buyer) are read-only
-    rational views, and ``bang_per_buck`` the state's
+    ``spending`` (by edge) and ``refunds`` (by buyer) are rational views
+    built anew on each read, and ``bang_per_buck`` the state's
     :class:`BangPerBuckView`.  Mutate the state only through the mutators,
-    which keep the state's own derived data current: the rational spending
-    of each edge they touch is refreshed on the next read, and every price
-    scaling updates the bang-per-buck view in place once it has been
-    read.
+    which keep the state's own derived data current: every price scaling
+    updates the bang-per-buck view in place once it has been read.
 
     The state is also the whole state of the scaling solvers, and ``unit``
-    their scale ``delta``.  ``initial_prices`` (a list by good) are the
-    prices the state was built with, unless a solver sets them; the
-    backorder bounds apply only to goods whose price has been raised above
-    them.  ``exempt_edges`` (edge ids) and ``allowed_deficit`` (by good)
-    start empty; only the strongly polynomial solver's compressed restart
-    (:func:`~arcticauction.strong.make_fertile`) sets them, on the rebuilt
-    state before its first unit: exempt edges carry values that are not
-    multiples of the unit (the fixed parts of the rebuilt state, which
-    need a whole unit to serve as backward arcs), and flagged goods may
-    hold a small negative backorder until one augmentation repairs them.
-    After that ``allowed_deficit`` changes only at a good a mutator touches
-    (as the deficit repair does).
+    their scale ``delta``.  An edge's spending is a whole number of units
+    plus the fixed part the state was built with: only construction sets a
+    spending fixed part, :meth:`add_spending_units` books an int count, a
+    rescale by a whole factor keeps counts whole, and :meth:`rescale`
+    refuses any other factor while counts exist.  Only the strongly
+    polynomial solver's compressed restart
+    (:func:`~arcticauction.strong.make_fertile`) builds a state whose
+    spending is not whole units of its scale.  ``initial_prices`` (a list
+    by good) are the prices the state was built with, unless a solver sets
+    them; the backorder bounds apply only to goods whose price has been
+    raised above them.  ``allowed_deficit`` (by good) starts empty; only
+    the compressed restart sets it, on the state it builds: flagged goods
+    may hold a small negative backorder until one augmentation repairs
+    them.  After that ``allowed_deficit`` changes only at a good a mutator
+    touches (as the deficit repair does).
 
     ``returnable`` holds the edges whose spending can give one unit back,
-    the good -> buyer arcs of the residual graph: positive spending, and at
-    least one unit on an exempt edge.  The mutators keep it:
-    :meth:`add_spending_units` re-tests the one edge it moves, a rescale by
-    a whole factor re-tests the exempt edges, the only ones whose test
-    reads the unit, and the first unit or a rescale by any other factor
-    builds it afresh from all spending, which is why the exempt edges must
-    be set before the first unit.  It is updated in place; copy it to keep
-    a snapshot.
+    the good -> buyer arcs of the residual graph: the edges with at least
+    one unit, which on an edge without a fixed part is any positive
+    spending.  The mutators keep it: :meth:`add_spending_units` re-tests
+    the one edge it moves, a rescale by a whole factor re-tests the edges
+    with a fixed part, the only ones whose test reads the unit, and the
+    first unit or a rescale by any other factor builds it afresh from all
+    spending.  It is updated in place; copy it to keep a snapshot.
 
     ``changes`` is the feasibility check's dirty record (:class:`Changes`):
     each mutator adds what it touches, and a rescale by a whole factor sets
@@ -182,7 +182,6 @@ class MarketState:
         self.holding: set[int] = set()
         self.moved = [0] * len(inst.edge_names)
         self.initial_prices = list(prices)
-        self.exempt_edges: set[Edge] = set()
         self.allowed_deficit: dict[int, Fraction] = {}
         self.returnable: set[Edge] = set()
         self.changes: Changes | None = None
@@ -198,10 +197,6 @@ class MarketState:
                 self.edge_fixed[e] = value
                 self.spent_fixed[b] += value
                 self.inflow_fixed[g] += value
-        # the rational spending starts out current; the mutators list the
-        # edges whose value it must refresh
-        self._spending = dict(self.edge_fixed)
-        self._stale: set[Edge] = set()
 
     # --- rational reads ---------------------------------------------------
 
@@ -213,17 +208,17 @@ class MarketState:
 
     @property
     def spending(self) -> dict[Edge, Fraction]:
-        """Every non-zero spending as a rational, by edge, updated in
-        place."""
-        for e in self._stale:
-            if self.has_spending(e):
-                self._spending[e] = self._value(
-                    self.edge_units.get(e, 0), self.edge_fixed.get(e)
-                )
-            else:
-                self._spending.pop(e, None)
-        self._stale.clear()
-        return self._spending
+        """Every non-zero spending as a rational, by edge, in a new dict:
+        the edges with a fixed part first, in the order the state was built
+        with, then the others."""
+        units = self.edge_units
+        spending = {
+            e: self._value(units.get(e, 0), fixed) for e, fixed in self.edge_fixed.items()
+        }
+        for e, count in units.items():
+            if e not in spending:
+                spending[e] = self.unit * count
+        return spending
 
     @property
     def bang_per_buck(self) -> BangPerBuckView:
@@ -240,9 +235,6 @@ class MarketState:
     def refunds(self) -> list[Fraction]:
         """Every buyer's refund as a rational, in a new list."""
         return [self.refund(b) for b in range(len(self.refund_units))]
-
-    def has_spending(self, edge: Edge) -> bool:
-        return edge in self.edge_units or edge in self.edge_fixed
 
     @property
     def spending_edges(self) -> set[Edge]:
@@ -365,8 +357,7 @@ class MarketState:
             if fixed:
                 self.spent_fixed[b] -= fixed
                 self.inflow_fixed[g] -= fixed
-        self._stale.add(edge)
-        if sign and (edge not in self.exempt_edges or self._sign(units - 1, fixed) >= 0):
+        if self._sign(units - 1, fixed) >= 0:
             self.returnable.add(edge)
         else:
             self.returnable.discard(edge)
@@ -415,11 +406,11 @@ class MarketState:
         old unit over the new one, which must be a whole number while any
         count is non-zero, and every cash term is recomputed.  Amounts,
         prices and rows do not change, so no buyer, good or edge is
-        touched: after a whole factor only the exempt edges' returnable
-        test is repeated and the record of changes is marked ``rescaled``,
-        and after the first unit or any other factor the returnable edges
-        are found afresh and the record is dropped (the next feasibility
-        check sweeps everything)."""
+        touched: after a whole factor only the returnable test of the edges
+        with a fixed part is repeated and the record of changes is marked
+        ``rescaled``, and after the first unit or any other factor the
+        returnable edges are found afresh and the record is dropped (the
+        next feasibility check sweeps everything)."""
         old = self.unit
         factor = None if old is None else old / unit
         whole = factor is not None and factor.denominator == 1
@@ -435,24 +426,17 @@ class MarketState:
             self.inflow_units = [k * u for u in self.inflow_units]
             self.refund_units = [k * u for u in self.refund_units]
             returnable = self.returnable
-            for e in self.exempt_edges:
-                if self._can_return(e):
+            for e in self.edge_fixed:
+                if self.spending_sign(e, 1) >= 0:
                     returnable.add(e)
                 else:
                     returnable.discard(e)
             if self.changes is not None:
                 self.changes.rescaled = True
         else:
-            self.returnable = {e for e in self.spending_edges if self._can_return(e)}
+            self.returnable = {e for e in self.spending_edges if self.spending_sign(e, 1) >= 0}
             self.changes = None
         self._count_terms()
-
-    def _can_return(self, edge: Edge) -> bool:
-        """Whether the edge's spending can give one unit back: at least one
-        unit on an exempt edge, and any positive amount on another."""
-        if edge in self.exempt_edges:
-            return self.spending_sign(edge, 1) >= 0
-        return self.spending_sign(edge, 0) > 0
 
 
 class BangPerBuckView:

@@ -135,15 +135,22 @@ def check_equilibrium(
     """The checks of :func:`certify_state` on prices, spending and refunds
     keyed by id strings, as a result document gives them.
 
-    Spending may name a pair the instance has no utility for, which counts
-    like any spending and is never on the equality graph.  Raises
-    :class:`ValueError` when a good lacks a positive price or a spending
-    entry names an unknown buyer: such a triple is no candidate.
+    Spending may name a pair of a known buyer and a known good that the
+    instance has no utility for, which counts like any spending and is
+    never on the equality graph.  Raises :class:`ValueError` when prices or
+    spending name an unknown good, refunds or spending an unknown buyer, or
+    a good lacks a positive price: such a triple is no candidate.
     """
+    buyer_pos, good_pos, edge_id = inst.buyer_pos, inst.good_pos, inst.edge_id
+    for g in [*prices, *(g for _, g in spending)]:
+        if g not in good_pos:
+            raise ValueError(f"unknown good {g}")
+    for b in refunds:
+        if b not in buyer_pos:
+            raise ValueError(f"unknown buyer {b}")
     for g in inst.goods:
         if prices.get(g, ZERO) <= 0:
             raise ValueError(f"non-positive price for good {g}")
-    buyer_pos, good_pos, edge_id = inst.buyer_pos, inst.good_pos, inst.edge_id
     for b, _ in spending:
         if b not in buyer_pos:
             raise ValueError(f"spending by unknown buyer {b}")
@@ -157,8 +164,7 @@ def check_equilibrium(
         b, g = edge
         k = buyer_pos[b]
         cash[k] -= value
-        if g in good_pos:
-            backorders[good_pos[g]] += value
+        backorders[good_pos[g]] += value
         entries.append((edge, edge_id.get(edge), k, value))
     return _certificate(inst, price_list, refund_list, cash, backorders, entries)
 

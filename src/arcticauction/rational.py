@@ -8,10 +8,11 @@ numbers.Rational)``), and in a solver that does nothing but exact arithmetic
 those checks cost more than the integer work.  Here an operand whose exact
 type is ``Q``, ``Fraction`` or ``int`` takes a fast path that runs CPython's
 own normalizing formulas and writes the result's two slots directly,
-without a constructor call; the result is a ``Q`` (an int for ``//``, as
-with ``Fraction``).  Any other operand
+without a constructor call; the result is a ``Q``.  Any other operand
 (float, complex, bool, another ``Rational``) goes to ``Fraction``'s method
-and gets exactly what a ``Fraction`` would.
+and gets exactly what a ``Fraction`` would.  Only ``+``, ``-``, ``*`` and
+``/`` have fast paths; ``//``, ``%`` and ``divmod`` are ``Fraction``'s own,
+which return the same values.
 
 :func:`reduced` builds a ``Q`` from an unnormalized integer pair with one
 gcd, for callers that compare ratios as pairs and keep only a winner.
@@ -54,8 +55,8 @@ def reduced(numerator: int, denominator: int) -> Q:
 
 
 # The kernels below take both operands as (numerator, denominator) pairs in
-# lowest terms and are CPython's Fraction._add, _sub, _mul, _div and
-# _floordiv (Knuth, TAOCP 4.5.1): each result is in lowest terms as built.
+# lowest terms and are CPython's Fraction._add, _sub, _mul and _div (Knuth,
+# TAOCP 4.5.1): each result is in lowest terms as built.
 
 
 def _add(na: int, da: int, nb: int, db: int) -> Q:
@@ -109,10 +110,6 @@ def _div(na: int, da: int, nb: int, db: int) -> Q:
     if d < 0:
         n, d = -n, -d
     return _make(n, d)
-
-
-def _floordiv(na: int, da: int, nb: int, db: int) -> int:
-    return (na * db) // (da * nb)
 
 
 def _operators(kernel, forward_fallback, reverse_fallback):
@@ -197,9 +194,6 @@ class Q(Fraction):
     __mul__, __rmul__ = _operators(_mul, Fraction.__mul__, Fraction.__rmul__)
     __truediv__, __rtruediv__ = _operators(
         _div, Fraction.__truediv__, Fraction.__rtruediv__
-    )
-    __floordiv__, __rfloordiv__ = _operators(
-        _floordiv, Fraction.__floordiv__, Fraction.__rfloordiv__
     )
 
 

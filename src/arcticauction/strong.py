@@ -37,7 +37,7 @@ from arcticauction.graph import (
     path_to,
     reach,
 )
-from arcticauction.oracle import Certificate, Equilibrium, certify_state
+from arcticauction.oracle import Equilibrium, certify_state
 from arcticauction.rational import Q, ZERO, reduced
 from arcticauction.trace import PhaseTrace, RestartRecord
 from arcticauction.weak import (
@@ -54,12 +54,13 @@ from arcticauction.weak import (
 )
 
 
-def fertile_components(
+def has_fertile_component(
     inst: MarketInstance,
     market: MarketState,
     components: list[Component],
-) -> list[tuple[Component, str]]:
-    """Components guaranteed to force progress at the current scale.
+) -> bool:
+    """Whether some component is guaranteed to force progress at the
+    current scale.
 
     A singleton buyer qualifies while her bang-per-buck exceeds one and she
     still holds more than ``delta / (3 n^2)`` of cash; any component
@@ -68,16 +69,14 @@ def fertile_components(
     n = len(inst.buyers) + len(inst.goods)
     margin = market.unit / (3 * n * n)
     signs = market.bang_per_buck.signs
-    out: list[tuple[Component, str]] = []
     for comp in components:
         if comp.is_singleton() and comp.buyers:
             b = comp.buyers[0]
             if signs[b] > 0 and market.effective_cash(b) > margin:
-                out.append((comp, "singleton_cash"))
-                continue
+                return True
         if comp.surplus(market) <= -margin:
-            out.append((comp, "negative_surplus"))
-    return out
+            return True
+    return False
 
 
 def commit_refund(
@@ -135,7 +134,7 @@ def special_price(
     state = MarketState(
         inst,
         prices=list(market.prices),
-        spending=dict(market.spending),
+        spending=market.spending,
         refunds=market.refunds,
     )
     prices = state.prices
@@ -324,10 +323,12 @@ def make_fertile(
     due within a logarithmic number of phases).  Otherwise jump to the
     small scale: rebuild prices, refunds, and a tree-flow allocation, check
     the restart invariants, and return the rebuilt state, with the initial
-    prices of ``market``, its spending exempt from the multiple-of-delta
-    rule and its backorders allowed as deficits, all set before its first
-    unit, the small scale.  Either way the decision is booked in the
-    trace.
+    prices of ``market`` and its backorders allowed as deficits, counting
+    in units of the small scale.  Its spending is the one place where
+    amounts that are not whole units of the scale enter a run: each is a
+    fixed part of the rebuilt state, and the steps from then on move whole
+    units only (see :class:`~arcticauction.graph.MarketState`).  Either
+    way the decision is booked in the trace.
     """
     n = len(inst.buyers) + len(inst.goods)
     delta = market.unit
@@ -354,7 +355,6 @@ def make_fertile(
         state = MarketState(inst, new_prices, spending, new_refunds)
         _assert_restart_invariants(inst, market, components, state, new_scale, run_surplus)
         state.initial_prices = market.initial_prices
-        state.exempt_edges = set(spending)
         for g in range(len(inst.goods)):
             backorder = state.backorder(g)
             if backorder < 0:
@@ -413,9 +413,10 @@ def _assert_restart_invariants(
                 f" at {component_key(inst, comp)}"
             )
     threshold = 3 * n * new_scale
+    spending = state.spending
     for comp in components:
         for edge in comp.edges:
-            if state.spending.get(edge, ZERO) <= threshold:
+            if spending.get(edge, ZERO) <= threshold:
                 raise SolverError(
                     f"old abundant edge {inst.edge_names[edge]}"
                     f" not kept above {threshold}"
@@ -464,7 +465,7 @@ def _repair_deficits(
 
 def _termination_candidate(
     inst: MarketInstance, market: MarketState, forest: Forest
-) -> tuple[MarketState, Certificate] | None:
+) -> MarketState | None:
     """Basic solution of the abundant support, given as its ``forest``, if
     it certifies as an equilibrium of the compressed instance."""
     effective = [market.effective_budget(b) for b in range(len(inst.buyers))]
@@ -472,10 +473,9 @@ def _termination_candidate(
         candidate = basic_solution(inst, forest, effective)
     except SupportError:
         return None
-    certificate = certify_state(inst, candidate, effective)
-    if not certificate.ok:
+    if not certify_state(inst, candidate, effective).ok:
         return None
-    return candidate, certificate
+    return candidate
 
 
 def _note_abundant(
@@ -532,9 +532,8 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
                         (phase, "buyer_uninterested", inst.buyers[b])
                     )
 
-        finished = _termination_candidate(inst, market, forest)
-        if finished is not None:
-            candidate, _ = finished
+        candidate = _termination_candidate(inst, market, forest)
+        if candidate is not None:
             total_refunds = [
                 a + b for a, b in zip(candidate.refunds, market.refunds)
             ]
@@ -549,8 +548,7 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
                 )
             return Equilibrium.from_state(inst, final, certificate), trace
 
-        fertile = fertile_components(inst, market, components)
-        if not fertile and market.unit <= threshold:
+        if market.unit <= threshold and not has_fertile_component(inst, market, components):
             market, record = make_fertile(inst, market, components, trace, phase)
             threshold = record.threshold
             if record.branch == "delayed":

@@ -2,8 +2,8 @@
 
 The algorithm maintains a state (prices, spending, refunds) that is
 feasible at granularity ``delta``: spending sits on best bang-per-buck
-edges in multiples of ``delta``, and every raised good is oversubscribed by
-at most ``delta``.  An inner loop pushes each buyer's uncommitted cash
+edges in whole units of ``delta``, and every raised good is oversubscribed
+by at most ``delta``.  An inner loop pushes each buyer's uncommitted cash
 below ``delta`` -- by refunding buyers whose bang-per-buck is at most one
 and by price-raise-then-augment steps for the rest -- and then ``delta``
 halves, with a small repair keeping feasibility.  Once ``delta`` is below
@@ -93,8 +93,7 @@ def is_delta_feasible(inst: MarketInstance, market: MarketState) -> tuple[bool, 
     buyers and goods get every check, and so do touched edges.  After a
     halving (a rescale by a whole factor, which marks the record
     ``rescaled``) every good is checked too, for its ``backorder <= delta``
-    bound: amounts, prices and rows are unchanged, and a multiple of
-    ``delta`` stays a multiple of a whole fraction of it.  That is left out
+    bound: amounts, prices and rows are unchanged.  That is left out
     when :func:`halve_and_repair` already ran this check's goods test on
     every good it did not repair and all passed: it then clears the mark,
     which the next rescale sets again, and the goods it repaired, like
@@ -102,10 +101,10 @@ def is_delta_feasible(inst: MarketInstance, market: MarketState) -> tuple[bool, 
     edge of a buyer next to a re-priced good gets only the equality-graph
     test, because a price change can take it off the equality graph but
     cannot change anything else the check reads: its value is the same as
-    when it last passed (a new value touches the edge), so its sign and
-    multiple-of-delta tests would only repeat a pass.  Even that test is
-    skipped while the bang-per-buck view's ``version`` is the one of the
-    last pass (``market.checked_version``), since then no row has changed.
+    when it last passed (a new value touches the edge), so its sign test
+    would only repeat a pass.  Even that test is skipped while the
+    bang-per-buck view's ``version`` is the one of the last pass
+    (``market.checked_version``), since then no row has changed.
     Everything else is unchanged and passed before.  With no record (a new
     state, a rescale by any other factor, or a check that found a
     violation) the check sweeps the whole state, so the report is always
@@ -169,9 +168,10 @@ def _violations(
     Each test compares counts or cross-multiplies integer pairs; a
     rational is built only for a deficit allowance or a report.  A buyer's
     cash is negative exactly when her potential term, which the market
-    keeps, is.  A spending of
-    ``count * delta + fixed`` is a multiple of ``delta`` exactly when its
-    fixed part is.
+    keeps, is.  No test asks whether spending is a multiple of ``delta``:
+    the market's int counts hold that invariant themselves, since outside
+    the fixed parts a compressed restart builds its state with, spending is
+    whole units of ``delta`` (see :class:`~arcticauction.graph.MarketState`).
     """
     violations: list[str] = []
     terms = market.cash_terms
@@ -182,7 +182,6 @@ def _violations(
             violations.append(f"negative effective cash at buyer {inst.buyers[b]}")
     for g in goods:
         violations += _good_faults(inst, market, g)
-    delta = market.unit
     eq_edges: set[Edge] | None = None
     for edge in edges:
         sign = market.spending_sign(edge, 0)
@@ -194,16 +193,6 @@ def _violations(
             if edge not in eq_edges:
                 violations.append(
                     f"spending off equality graph on {inst.edge_names[edge]}"
-                )
-            fixed = market.edge_fixed.get(edge)
-            if (
-                fixed
-                and edge not in market.exempt_edges
-                and (fixed.numerator * delta.denominator)
-                % (fixed.denominator * delta.numerator)
-            ):
-                violations.append(
-                    f"spending on {inst.edge_names[edge]} not a multiple of delta"
                 )
     return violations
 
@@ -469,8 +458,8 @@ def halve_and_repair(inst: MarketInstance, market: MarketState) -> None:
 
     Halving doubles every count of the market.  For each good
     oversubscribed beyond the halved scale, the canonically smallest buyer
-    with at least one unit of spending on it gives that unit back, which
-    lowers the backorder by exactly the new scale.
+    whose edge to it is returnable (at least one unit of spending) gives
+    that unit back, which lowers the backorder by exactly the new scale.
 
     A state feasible before the halving has, after the repair, a backorder
     between 0 and the new scale on every raised good.  The same pass over
@@ -491,7 +480,7 @@ def halve_and_repair(inst: MarketInstance, market: MarketState) -> None:
     for g, edges in enumerate(inst.good_edges):
         num, den = market.backorder_pair(g)
         if num * hd > hn * den:
-            donor = next((e for e in edges if market.spending_sign(e, 1) >= 0), None)
+            donor = next((e for e in edges if e in market.returnable), None)
             if donor is None:
                 raise SolverError(f"oversubscribed good {inst.goods[g]} has no donor")
             market.add_spending_units(donor, -1)
@@ -543,10 +532,10 @@ def check_phase_invariants(inst: MarketInstance, n: int, market: MarketState) ->
     spending, and always by whole units of the phase's scale, which stands
     still until the phase ends.  So each edge's spending changed by
     exactly its net units moved since :func:`start_phase` (the market's
-    ``moved``) times ``delta``, exempt edges included: an emptied edge's
-    value drops to zero by exactly the units booked.  The bound is then
-    ``n`` units, tested on the integer counts; a rational is built only
-    for a report.
+    ``moved``) times ``delta``, edges with a fixed part included: an
+    emptied edge's value drops to zero by exactly the units booked.  The
+    bound is then ``n`` units, tested on the integer counts; a rational is
+    built only for a report.
     """
     for edge, units in enumerate(market.moved):
         if abs(units) > n:

@@ -53,17 +53,14 @@ def scaled_state(
     refunds=(),
     delta=1,
     initial=None,
-    exempt=(),
 ) -> MarketState:
     """A solver state from amounts keyed by id strings, as :func:`state_of`
-    builds it, with the ``initial`` prices by good (``prices`` when None)
-    and the ``exempt`` edges by (buyer, good), counting in units of
-    ``delta``: it gets its first unit once the exempt edges are set, as a
-    restart's state does."""
+    builds it, with the ``initial`` prices by good (``prices`` when None),
+    counting in units of ``delta``: every amount it is built from is a
+    fixed part, as in a restart's state."""
     market = state_of(inst, prices, spending, refunds)
     if initial is not None:
         market.initial_prices = [Fraction(initial[g]) for g in inst.goods]
-    market.exempt_edges = edge_ids(inst, exempt)
     market.rescale(Fraction(delta))
     return market
 

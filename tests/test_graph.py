@@ -116,7 +116,8 @@ class TestEdgeEvent:
 
 
 def residual_tree(inst, state, roots):
-    """The solvers' residual search: backward arcs on positive spending."""
+    """The solvers' residual search: backward arcs on at least one unit of
+    spending, at a unit of 1."""
     state.rescale(Fraction(1))
     return reach(inst, roots, state.bang_per_buck.edges, state.returnable)
 
@@ -142,13 +143,23 @@ class TestResidualNetwork:
 
     def test_positive_spending_gives_backward_arc(self, two_goods):
         inst = two_goods
-        state = state_of(inst, {"g1": 1, "g2": 2}, {("b1", "g2"): Fraction(1, 2)})
+        state = state_of(inst, {"g1": 1, "g2": 2}, {("b1", "g2"): Fraction(3, 2)})
         tree = residual_tree(inst, state, [good_node(inst, "g2")])
         assert tree[buyer_node(inst, "b1")] == good_node(inst, "g2")
 
+    def test_spending_below_one_unit_gives_no_backward_arc(self, two_goods):
+        # half a unit cannot give one back: an augmenting path through the
+        # arc would drive the spending negative
+        inst = two_goods
+        state = state_of(inst, {"g1": 1, "g2": 2}, {("b1", "g2"): Fraction(1, 2)})
+        tree = residual_tree(inst, state, [good_node(inst, "g2")])
+        assert buyer_node(inst, "b1") not in tree
+        with pytest.raises(ValueError, match="negative spending"):
+            state.add_spending_units(inst.edge_id[("b1", "g2")], -1)
+
     def test_arc_count(self, two_goods):
         inst = two_goods
-        state = state_of(inst, {"g1": 1, "g2": 3}, {("b1", "g1"): Fraction(1, 4)})
+        state = state_of(inst, {"g1": 1, "g2": 3}, {("b1", "g1"): Fraction(5, 4)})
         nodes = [buyer_node(inst, "b1"), good_node(inst, "g1"), good_node(inst, "g2")]
         arcs = [
             (node, v)

@@ -1,11 +1,12 @@
 """Incremental views of the market state against direct recomputations.
 
-The state's mutators keep the rational spending, bang-per-buck with its
-signs against one, the equality graph, the potential's terms and the
-returnable edges current themselves, and the feasibility check catches up
-from the state's record of what the mutators touched since its last pass.
-These tests recompute each of them from the raw state (each amount a
-count of the scale plus a fixed part) after every solver step, right
+The state builds its rational spending on each read, its mutators keep
+bang-per-buck with its signs against one, the equality graph, the
+potential's terms and the returnable edges current themselves, and the
+feasibility check catches up from the state's record of what the mutators
+touched since its last pass.  These tests recompute each of them from the
+raw state (each amount a count of the scale plus a fixed part) after
+every solver step, right
 after every halving, and after random mutation sequences in which each view is read
 at its own moments, and drive bad changes through the mutators and
 through halvings (a rescale by a whole factor, which the returnable edges
@@ -113,12 +114,8 @@ def direct_equality_graph(inst, prices):
 
 
 def direct_returnable(inst, market):
-    exempt = edge_names(inst, market.exempt_edges)
-    return {
-        e
-        for e, v in raw_spending(inst, market).items()
-        if v > 0 and (e not in exempt or v >= market.unit)
-    }
+    """The edges with at least one unit of spending."""
+    return {e for e, v in raw_spending(inst, market).items() if v >= market.unit}
 
 
 def direct_sign(value):
@@ -130,7 +127,6 @@ def fresh_copy(inst, market):
     afresh and its first check is a full sweep."""
     copy = MarketState(inst, list(market.prices), dict(market.spending), market.refunds)
     copy.initial_prices = list(market.initial_prices)
-    copy.exempt_edges = set(market.exempt_edges)
     copy.allowed_deficit = dict(market.allowed_deficit)
     copy.rescale(market.unit)
     return copy
@@ -709,7 +705,7 @@ def test_cash_terms_follow_fixed_parts_and_rescales():
     # the edge empties through its count, which drops its fixed part; the
     # term still moves by the units booked
     market.add_spending_units(edge, -2)
-    assert not market.has_spending(edge)
+    assert edge not in market.spending_edges
     assert market.cash_terms[0] == 16
     assert_terms_direct(inst, market)
     # whole units move the terms by what they book
@@ -752,6 +748,14 @@ def record_items(market):
     return items + ["rescaled"] * record.rescaled
 
 
+def assert_spending_rule(inst, market, built):
+    """Spending is whole units plus the fixed part the state was built
+    with: only the ``built`` edges (ids) may hold a fixed part, and the
+    returnable edges are those with at least one unit."""
+    assert market.edge_fixed.keys() <= built
+    assert edge_names(inst, market.returnable) == direct_returnable(inst, market)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_views_catch_up_over_any_number_of_mutations(seed):
     rng = random.Random(100 + seed)
@@ -781,6 +785,7 @@ def test_views_catch_up_over_any_number_of_mutations(seed):
         if step % 50 == 49:
             market.rescale(market.unit / 2)
         assert_cash_terms_match(inst, market)
+        assert_spending_rule(inst, market, set())
         if rng.random() < 0.3:
             # views catch up at different moments: each is read or not
             polled = [view for view in VIEW_CHECKS if rng.random() < 0.5]
@@ -799,9 +804,10 @@ def test_views_catch_up_over_any_number_of_mutations(seed):
 def test_views_catch_up_over_counts_fixed_parts_and_halvings(seed):
     # counts on edges with and without a fixed part, edges with a fixed
     # part zeroed through their count once a scale divides it, and halvings
-    # that double every count; the fixed part of 1/3 no scale divides; on
-    # even seeds the fixed-part edges are exempt, so their returnable test
-    # reads the scale, and steps move them across one unit both ways
+    # that double every count; the fixed part of 1/3 no scale divides; the
+    # returnable test of a fixed-part edge reads the scale, and steps move
+    # such edges across one unit both ways (once on purpose, then as the
+    # random steps fall)
     rng = random.Random(400 + seed)
     inst = random_instance(rng.randint(4, 8), rng)
     edges = range(len(inst.edge_names))
@@ -816,14 +822,14 @@ def test_views_catch_up_over_counts_fixed_parts_and_halvings(seed):
         },
         [Fraction(1, 8)] + [Fraction(0)] * (len(inst.buyers) - 1),
     )
-    exempt = seed % 2 == 0
-    if exempt:
-        market.exempt_edges = set(fixed)
     market.rescale(Fraction(1, 2))
     assert_views_match(inst, market)
+    # 1/8 to 3/8 is under one unit of 1/2; one more unit takes it over
+    for units in (1, -1):
+        market.add_spending_units(fixed[1], units)
+        assert (fixed[1] in market.returnable) == (units > 0)
+        assert_spending_rule(inst, market, set(fixed))
     zeroed_fixed = 0
-    # the steps that take an exempt edge from over one unit to under one
-    below_one_unit = 0
     for step in range(240):
         edge = rng.choice(edges)
         spending = raw_spending(inst, market).get(inst.edge_names[edge], Fraction(0))
@@ -832,12 +838,11 @@ def test_views_catch_up_over_counts_fixed_parts_and_halvings(seed):
         if move == 0:
             market.add_spending_units(edge, rng.randint(1, 3))
         elif move == 1 and spending >= market.unit:
-            below_one_unit += edge in market.exempt_edges and 1 < count < 2
             market.add_spending_units(edge, -1)
         elif move == 2 and spending and count.denominator == 1:
             zeroed_fixed += edge in market.edge_fixed
             market.add_spending_units(edge, -count.numerator)
-            assert not market.has_spending(edge)
+            assert edge not in market.spending_edges
         elif move == 3:
             buyer = rng.randrange(len(inst.buyers))
             if rng.random() < 0.5:
@@ -852,11 +857,11 @@ def test_views_catch_up_over_counts_fixed_parts_and_halvings(seed):
             market.rescale(market.unit / 2)
             assert (raw_spending(inst, market), raw_refunds(inst, market)) == before
         assert_cash_terms_match(inst, market)
+        assert_spending_rule(inst, market, set(fixed))
         if rng.random() < 0.3:
             for view in [view for view in VIEW_CHECKS if rng.random() < 0.5]:
                 VIEW_CHECKS[view](inst, market)
     assert market.edge_units and market.edge_fixed and zeroed_fixed
-    assert bool(below_one_unit) == exempt
     assert_views_match(inst, market)
 
 
@@ -901,16 +906,6 @@ def assert_reported_like_full_sweep(inst, market, expected):
     assert (ok, violations) == is_delta_feasible(inst, fresh_copy(inst, market))
     # a second call on the unchanged state reports the same again
     assert is_delta_feasible(inst, market) == (ok, violations)
-
-
-def test_non_multiple_spending_on_touched_edge():
-    # only a state built from dicts holds a fixed part no count can mend
-    inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g2"): 2})
-    market = scaled_state(inst, {"g1": 1, "g2": 1}, {("b1", "g1"): Fraction(1, 2)})
-    market.add_spending_units(inst.edge_id[("b1", "g1")], 1)
-    assert_reported_like_full_sweep(
-        inst, market, "spending on ('b1', 'g1') not a multiple of delta"
-    )
 
 
 def two_buyer_market():
@@ -1041,20 +1036,20 @@ def test_the_halving_record_ends_with_its_scale():
     assert_reported_like_full_sweep(inst, market, "backorder 1/2 above delta at good g1")
 
 
-def test_halving_makes_an_exempt_edge_returnable():
-    # an exempt edge gives back delta only while it holds a whole unit: 3/4
-    # does not at delta 1, and does at delta 1/2; no mutator touches it
+def test_halving_makes_a_fixed_part_edge_returnable():
+    # an edge gives back delta only while it holds a whole unit: the fixed
+    # part 3/4 does not at delta 1, and does at delta 1/2; no mutator
+    # touches it
     inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g2"): 2})
     market = scaled_state(
         inst,
         {"g1": 1, "g2": 1},
         {("b1", "g1"): Fraction(3), ("b2", "g2"): Fraction(3, 4)},
-        exempt={("b2", "g2")},
     )
     returnable = market.returnable
     assert edge_names(inst, returnable) == {("b1", "g1")}
     market.rescale(Fraction(1, 2))
-    # a whole factor re-tests the exempt edges in place
+    # a whole factor re-tests the fixed-part edges in place
     assert market.returnable is returnable
     names = edge_names(inst, returnable)
     assert names == {("b1", "g1"), ("b2", "g2")} == direct_returnable(inst, market)
@@ -1105,9 +1100,22 @@ def test_genericity_report_cannot_be_changed():
     assert check_genericity(inst, state) is report
 
 
-def test_a_non_whole_rescale_makes_both_views_start_over():
+def raised_backorder_market():
+    """A feasible state at delta 1 whose check has run: g2 is raised with a
+    backorder of 7/8, within delta 1 but above any scale below it."""
     inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g2"): 2})
-    market = checked_state(inst, {"g1": 1, "g2": 1}, {("b2", "g2"): 1}, delta=1)
+    market = checked_state(
+        inst,
+        {"g1": 1, "g2": 1},
+        {("b2", "g2"): Fraction(15, 8)},
+        delta=1,
+        initial={"g1": 1, "g2": Fraction(1, 2)},
+    )
+    return inst, market
+
+
+def test_a_non_whole_rescale_makes_both_views_start_over():
+    inst, market = raised_backorder_market()
     returnable = market.returnable
     assert record_items(market) == []
     market.rescale(Fraction(3, 4))
@@ -1116,18 +1124,13 @@ def test_a_non_whole_rescale_makes_both_views_start_over():
     assert record_items(market) is None
     assert market.returnable is not returnable
     assert edge_names(inst, market.returnable) == direct_returnable(inst, market)
-    assert_reported_like_full_sweep(
-        inst, market, "spending on ('b2', 'g2') not a multiple of delta"
-    )
+    assert_reported_like_full_sweep(inst, market, "backorder 7/8 above delta at good g2")
     # a check that finds a violation leaves no record either
     assert record_items(market) is None
 
 
 def test_change_of_scale_sweeps_everything():
-    inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g2"): 2})
-    market = checked_state(inst, {"g1": 1, "g2": 1}, {("b2", "g2"): 1}, delta=1)
-    # nothing is touched, but the untouched spending is no multiple of 3/4
+    inst, market = raised_backorder_market()
+    # nothing is touched, but the untouched good's backorder is above 3/4
     market.rescale(Fraction(3, 4))
-    assert_reported_like_full_sweep(
-        inst, market, "spending on ('b2', 'g2') not a multiple of delta"
-    )
+    assert_reported_like_full_sweep(inst, market, "backorder 7/8 above delta at good g2")

@@ -126,6 +126,32 @@ class TestCheckEquilibrium:
         with pytest.raises(ValueError):
             check_equilibrium(inst, {"g1": Fraction(0)}, {}, {})
 
+    # b1 with budget 3 values g1 at 2: price 2, spending 2 and refund 1 is
+    # the equilibrium; each case adds one entry naming an unknown id
+    @pytest.mark.parametrize(
+        "prices, spending, refunds, message",
+        [
+            ({"g9": 5}, {}, {}, "unknown good g9"),
+            ({}, {("b1", "g9"): 0}, {}, "unknown good g9"),
+            ({}, {}, {"b9": 7}, "unknown buyer b9"),
+            ({}, {("b9", "g1"): 0}, {}, "spending by unknown buyer b9"),
+        ],
+        ids=["price_good", "spending_good", "refund_buyer", "spending_buyer"],
+    )
+    def test_rejects_unknown_ids(self, prices, spending, refunds, message):
+        inst = make_instance({"b1": 3}, {("b1", "g1"): 2})
+        args = (
+            {"g1": Fraction(2), **prices},
+            {("b1", "g1"): Fraction(2), **spending},
+            {"b1": Fraction(1), **refunds},
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_equilibrium(inst, *args)
+        # without the unknown entry the candidate certifies
+        assert check_equilibrium(
+            inst, {"g1": Fraction(2)}, {("b1", "g1"): Fraction(2)}, {"b1": Fraction(1)}
+        ).ok
+
 
 class TestBruteForce:
     def test_one_buyer_one_good(self):

@@ -21,7 +21,7 @@ from arcticauction.randgen import random_instance
 from arcticauction.strong import (
     _repair_deficits,
     commit_refund,
-    fertile_components,
+    has_fertile_component,
     get_allocations,
     get_parameter,
     get_prices,
@@ -57,10 +57,6 @@ def buyers_of(inst, comp):
     return tuple(inst.buyers[b] for b in comp.buyers)
 
 
-def goods_of(inst, comp):
-    return tuple(inst.goods[g] for g in comp.goods)
-
-
 def components_of(inst, market):
     n = len(inst.buyers) + len(inst.goods)
     return components_of_edges(inst, abundant_edges(market, n))[0]
@@ -90,32 +86,27 @@ class TestSurplus:
 
 
 class TestFertileComponents:
+    # n = 2 and delta = 1, so the margin delta / (3 n^2) is 1/12; g1 is
+    # priced below it, so the singleton good alone is not fertile
+    def fertile(self, utility, price, refund):
+        inst = make_instance({"b1": 4}, {("b1", "g1"): utility})
+        market = scaled_state(inst, {"g1": price}, {}, {"b1": refund}, delta=1)
+        return has_fertile_component(inst, market, components_of(inst, market))
+
     def test_singleton_buyer_with_cash(self):
-        inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
-        market = scaled_state(inst, {"g1": 1}, {}, {"b1": 3}, delta=1)
-        fert = fertile_components(inst, market, components_of(inst, market))
-        assert [(buyers_of(inst, c), reason) for c, reason in fert if c.buyers] == [
-            (("b1",), "singleton_cash")
-        ]
+        assert self.fertile(8, Fraction(1, 24), 3)
+        # cash of exactly the margin is not more than it
+        assert not self.fertile(8, Fraction(1, 24), 4 - Fraction(1, 12))
 
     def test_critical_singleton_not_fertile(self):
         # bang-per-buck exactly one misses the strict requirement
-        inst = make_instance({"b1": 4}, {("b1", "g1"): 1})
-        market = scaled_state(inst, {"g1": 1}, {}, {"b1": 3}, delta=1)
-        fert = fertile_components(inst, market, components_of(inst, market))
-        assert all(not c.buyers for c, _ in fert)
+        assert not self.fertile(Fraction(1, 24), Fraction(1, 24), 3)
 
     def test_boundary_surplus_inclusive(self):
-        # a good priced exactly delta/(3 n^2) is fertile (<= is inclusive)
-        inst = make_instance({"b1": 4}, {("b1", "g1"): 8})
-        n = 2
-        price = Fraction(1, 3 * n * n)
-        market = scaled_state(inst, {"g1": price}, {}, {"b1": 4}, delta=1)
-        fert = fertile_components(inst, market, components_of(inst, market))
-        assert any(
-            goods_of(inst, c) == ("g1",) and reason == "negative_surplus"
-            for c, reason in fert
-        )
+        # with b1's cash gone, a good priced exactly delta/(3 n^2) is
+        # fertile (<= is inclusive), and one priced below it is not
+        assert self.fertile(8, Fraction(1, 12), 4)
+        assert not self.fertile(8, Fraction(1, 13), 4)
 
 
 class TestCommitRefund:
@@ -400,7 +391,7 @@ class TestGetParameter:
         )
         comps = components_of(inst, market)
         n = compute_stats(inst).n
-        assert not fertile_components(inst, market, comps)
+        assert not has_fertile_component(inst, market, comps)
         _, per = get_parameter(inst, market, comps)
         for comp in comps:
             if comp.is_singleton() and comp.buyers:
@@ -517,7 +508,7 @@ class TestMakeFertile:
         )
         comps = components_of(inst, market)
         n = compute_stats(inst).n
-        assert not fertile_components(inst, market, comps)
+        assert not has_fertile_component(inst, market, comps)
         trace = PhaseTrace("strong", inst.edge_names)
         state, record = make_fertile(inst, market, comps, trace, 0)
         assert record.branch == "compressed"
@@ -525,7 +516,8 @@ class TestMakeFertile:
         assert record.delta_after == state.unit == 1 == 64 / Fraction(n) ** 3
         assert record.threshold == Fraction(1) / Fraction(n) ** 5
         assert state is not market
-        assert state.exempt_edges == set(state.spending)
+        # the rebuilt spending is all fixed parts, each over one unit
+        assert state.spending_edges == state.edge_fixed.keys() == state.returnable
         assert state.initial_prices is market.initial_prices
         assert trace.restarts == [record]
 

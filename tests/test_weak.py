@@ -94,15 +94,6 @@ class TestFeasibility:
         ok, _ = is_delta_feasible(inst, initialize(inst))
         assert ok
 
-    def test_non_multiple_spending_rejected(self):
-        inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
-        market = scaled_state(
-            inst, {"g1": 1}, {("b1", "g1"): Fraction(1, 2)}, {}, delta=1
-        )
-        ok, violations = is_delta_feasible(inst, market)
-        assert not ok
-        assert any("multiple" in v for v in violations)
-
     def test_unraised_good_may_have_negative_backorder(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
         market = scaled_state(inst, {"g1": 1}, {}, {}, delta=1)
@@ -489,9 +480,28 @@ class TestHalveAndRepair:
         halve_and_repair(inst, market)
         assert spending_of(inst, market) == {("b2", "g1"): Fraction(9, 2)}
 
+    def test_donor_below_the_new_scale_is_skipped(self):
+        # b1's 1/4 is positive but no unit of the halved scale, so it is not
+        # returnable and b2, the next buyer, gives the unit back
+        inst = make_instance({"b1": 1, "b2": 5}, {("b1", "g1"): 2, ("b2", "g1"): 2})
+        market = scaled_state(
+            inst,
+            {"g1": 4},
+            {("b1", "g1"): Fraction(1, 4), ("b2", "g1"): Fraction(19, 4)},
+            {},
+            delta=1,
+            initial={"g1": 1},
+        )
+        halve_and_repair(inst, market)
+        assert spending_of(inst, market) == {
+            ("b1", "g1"): Fraction(1, 4),
+            ("b2", "g1"): Fraction(17, 4),
+        }
+        assert is_delta_feasible(inst, market) == (True, [])
+
 
 class TestReturnableEdges:
-    def test_exempt_edge_returns_from_exactly_delta(self):
+    def test_fixed_part_edge_returns_from_exactly_delta(self):
         inst = make_instance({"b1": 4, "b2": 4}, {("b1", "g1"): 2, ("b2", "g1"): 2})
         market = scaled_state(
             inst,
@@ -499,7 +509,6 @@ class TestReturnableEdges:
             {("b1", "g1"): Fraction(1, 2), ("b2", "g1"): 1},
             {},
             delta=1,
-            exempt={("b1", "g1"), ("b2", "g1")},
         )
         assert edge_names(inst, market.returnable) == {("b2", "g1")}
         # halved, the scale is exactly b1's spending
@@ -548,7 +557,7 @@ class TestPhaseInvariants:
 
     @pytest.mark.parametrize("fixed, drift", [("3/2", None), ("5/2", "5/2")])
     def test_an_emptied_fixed_part_drifts_by_the_units_booked(self, fixed, drift):
-        # a fixed part, as a restart installs on exempt edges, empties
+        # a fixed part, as a restart's state holds, empties
         # through counts once the scale divides it, and drifts by exactly
         # the units that takes
         count = Fraction(fixed) / Fraction(1, 2)
