@@ -100,11 +100,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         },
         "results": results,
     }
-    payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.output:
-        _write(args.output, [payload])
-    else:
-        sys.stdout.write(payload)
+    # the trace first: a trace that cannot be written is an input error,
+    # and then no result document is printed
     if args.trace:
         # one line at a time: a long run of refund steps is one trace row
         # but a line per step
@@ -114,6 +111,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
             for line in trace.iter_lines()
         )
         _write(args.trace, lines)
+    payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if args.output:
+        _write(args.output, [payload])
+    else:
+        sys.stdout.write(payload)
     return 0
 
 
@@ -139,7 +141,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise InstanceError(f"results for unknown algorithm {name!r}")
     target = perturb(inst, PerturbationConfig(magnitude=sigma, seed=seed))
 
-    all_ok = True
+    # every result is checked before any verdict is printed, so a document
+    # that is an input error prints none
+    certificates = []
     for name in sorted(results):
         try:
             section = results[name]["equilibrium"]
@@ -160,16 +164,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for (b, g), value in spending.items():
             if quantities[(b, g)] * prices[g] != value:
                 raise InstanceError(f"quantity of {(b, g)} is not spending / price")
-        all_ok = all_ok and cert.ok
+        if stored != certificate_doc(cert):
+            raise InstanceError(f"stored certificate of {name} is not the recomputed one")
+        certificates.append((name, cert))
+    for name, cert in certificates:
         print(f"[{name}] {'PASS' if cert.ok else 'FAIL'}")
         for condition in cert.conditions:
             status = "ok" if condition.ok else "VIOLATED"
             print(f"  {condition.name}: {status}")
             for violation in condition.violations:
                 print(f"    {violation}")
-        if stored != certificate_doc(cert):
-            raise InstanceError(f"stored certificate of {name} is not the recomputed one")
-    return 0 if all_ok else 1
+    return 0 if all(cert.ok for _, cert in certificates) else 1
 
 
 def _edge_rows(rows: list, what: str) -> dict[tuple[str, str], Fraction]:

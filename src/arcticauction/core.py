@@ -200,6 +200,9 @@ class MarketInstance:
         for b in self.buyers:
             if b not in self.budgets or self.budgets[b] <= 0:
                 raise InstanceError(f"non-positive budget for buyer {b}")
+        for b in self.budgets:
+            if b not in self.buyer_pos:
+                raise InstanceError(f"budget for unknown buyer {b}")
         for (b, g), u in self.utilities.items():
             if b not in self.buyer_pos:
                 raise InstanceError(f"utility for unknown buyer {b}")

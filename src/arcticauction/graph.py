@@ -31,11 +31,12 @@ after one such scaling a buyer with no row edge into the set keeps her
 row, a row partly inside it only drops those edges, and a row wholly
 inside it keeps its edges and is compared only with the buyer's edges
 to other goods, which may tie or pass its lowered best and then rescan
-her.  A factor of one changes nothing, and one below one rebuilds the
-view.  The price raise's edge event (:func:`edge_event`) reads the same
-pairs.  The residual search (:func:`reach`) builds no graph of its own:
-it walks the instance's adjacency and keeps the arcs whose edges lie in
-the sets the caller passes.  The spending thresholds (:func:`abundant_edges`, and
+her.  A factor of one changes nothing, and prices never fall: the state
+refuses a factor below one.  The price raise's edge event
+(:func:`edge_event`) reads the same pairs.  The residual search
+(:func:`reach`) builds no graph of its own: it walks the instance's
+adjacency and keeps the arcs whose edges lie in the sets the caller
+passes.  The spending thresholds (:func:`abundant_edges`, and
 :func:`~arcticauction.basic.recover_support`) count in the state's own
 scale and read its counts and fixed parts, not its rational spending.
 Every traversal runs in canonical (document) order, which makes the
@@ -56,19 +57,19 @@ Node = int  # buyer i, or good j as B + j
 Edge = int  # an edge id of the instance
 
 class Changes:
-    """What the mutators touched since the last passing feasibility check:
-    the buyers whose amounts changed, the goods whose inflow changed, the
-    edges whose spending changed and the goods whose price changed, one set
-    of ids each, and whether a rescale by a whole factor happened
-    meanwhile."""
+    """What the mutators moved since the last passing feasibility check,
+    one set of ids each: the buyers whose amounts changed, the goods whose
+    inflow or price changed, the edges whose spending changed and the
+    buyers whose bang-per-buck row or sign a price raise changed; and
+    whether a rescale happened meanwhile."""
 
-    __slots__ = ("buyers", "goods", "edges", "prices", "rescaled")
+    __slots__ = ("buyers", "goods", "edges", "rows", "rescaled")
 
     def __init__(self) -> None:
         self.buyers: set[int] = set()
         self.goods: set[int] = set()
         self.edges: set[int] = set()
-        self.prices: set[int] = set()
+        self.rows: set[int] = set()
         self.rescaled = False
 
 
@@ -83,12 +84,13 @@ class MarketState:
     scale; :meth:`rescale` sets the scale, and the solvers' steps move
     whole units through :meth:`add_spending_units` and
     :meth:`add_refund_units`, so the fixed parts stay zero except for
-    amounts set from rationals (the amounts a state is built from, and
-    :meth:`add_refund`).  Halving the scale doubles every count.  The
-    per-step tests compare counts and cross-multiply integer pairs
-    (:meth:`spending_sign`, and the unnormalized pairs (numerator,
-    positive denominator) of :meth:`inflow_pair` and
-    :meth:`backorder_pair`) instead of building rationals.  The count and
+    amounts set from rationals (the amounts a state is built from, and a
+    refund :meth:`add_refund` books before the first unit).  Halving the
+    scale doubles every count.  The per-step tests compare counts and
+    cross-multiply integer pairs (:meth:`spending_sign`, and the
+    unnormalized pairs (numerator, positive denominator) of
+    :meth:`inflow_pair` and :meth:`backorder_pair`) instead of building
+    rationals.  The count and
     fixed containers are read-only outside the mutators; an edge is in
     ``edge_units`` or ``edge_fixed`` only while its spending is non-zero.
 
@@ -100,9 +102,9 @@ class MarketState:
     :meth:`add_spending_units` and :meth:`add_refund_units` move the cash
     by whole units, so they move the term by exactly the units they book,
     also when an edge empties and its fixed part, then a whole number of
-    units, moves into the counts' place.  Only a new fixed refund
-    (:meth:`add_refund`) or a new unit recomputes a term
-    (:meth:`cash_term`).  All three are read-only outside the mutators.
+    units, moves into the counts' place.  Only a new unit recomputes the
+    terms (:meth:`cash_term`).  All three are read-only outside the
+    mutators.
 
     ``moved`` (a list by edge) holds each edge's net units booked by
     :meth:`add_spending_units` since the last :meth:`reset_moved`.  That
@@ -118,12 +120,15 @@ class MarketState:
     updates the bang-per-buck view in place once it has been read.
 
     The state is also the whole state of the scaling solvers, and ``unit``
-    their scale ``delta``.  An edge's spending is a whole number of units
-    plus the fixed part the state was built with: only construction sets a
-    spending fixed part, :meth:`add_spending_units` books an int count, a
-    rescale by a whole factor keeps counts whole, and :meth:`rescale`
-    refuses any other factor while counts exist.  Only the strongly
-    polynomial solver's compressed restart
+    their scale ``delta``.  The state moves one way only, as the solvers
+    do: prices only rise (:meth:`scale_prices` refuses a factor below one),
+    the scale only divides (after the first unit :meth:`rescale` refuses a
+    factor that is not whole), and a fixed refund (:meth:`add_refund`) is
+    booked only before the first unit.  So an edge's spending is a whole
+    number of units plus the fixed part the state was built with: only
+    construction sets a spending fixed part, :meth:`add_spending_units`
+    books an int count, and a whole factor keeps counts whole.  Only the
+    strongly polynomial solver's compressed restart
     (:func:`~arcticauction.strong.make_fertile`) builds a state whose
     spending is not whole units of its scale.  ``initial_prices`` (a list
     by good) are the prices the state was built with, unless a solver sets
@@ -138,19 +143,18 @@ class MarketState:
     the good -> buyer arcs of the residual graph: the edges with at least
     one unit, which on an edge without a fixed part is any positive
     spending.  The mutators keep it: :meth:`add_spending_units` re-tests
-    the one edge it moves, a rescale by a whole factor re-tests the edges
-    with a fixed part, the only ones whose test reads the unit, and the
-    first unit or a rescale by any other factor builds it afresh from all
-    spending.  It is updated in place; copy it to keep a snapshot.
+    the one edge it moves, the first unit builds it afresh from all
+    spending, and a later rescale adds the edges with a fixed part that
+    now hold a unit (a smaller unit takes none away).  It is updated in
+    place; copy it to keep a snapshot.
 
     ``changes`` is the feasibility check's dirty record (:class:`Changes`):
-    each mutator adds what it touches, and a rescale by a whole factor sets
-    its mark ``rescaled``.  None, which a state starts with and a rescale
-    by any other factor sets, means that the next check sweeps everything.
-    The check replaces the record after each pass
-    (:func:`~arcticauction.weak.is_delta_feasible`) and keeps the
-    bang-per-buck view's version of that pass in ``checked_version``.
-    ``genericity`` holds the genericity check's last version and report
+    each mutator adds what it moves, a price raise the goods it re-priced
+    and the buyers whose row or sign it changed, and a rescale sets its
+    mark ``rescaled``.  None, which a state starts with, means that the
+    next check sweeps everything.  The check replaces the record after each
+    pass (:func:`~arcticauction.weak.is_delta_feasible`).  ``genericity``
+    holds the genericity check's last version and report
     (:func:`~arcticauction.oracle.check_genericity`).
     """
 
@@ -185,7 +189,6 @@ class MarketState:
         self.allowed_deficit: dict[int, Fraction] = {}
         self.returnable: set[Edge] = set()
         self.changes: Changes | None = None
-        self.checked_version = 0
         self.genericity: tuple[int, object] | None = None
         # built on first read, then kept current by scale_prices
         self._bang_per_buck: BangPerBuckView | None = None
@@ -378,46 +381,49 @@ class MarketState:
             self.changes.buyers.add(buyer)
 
     def add_refund(self, buyer: int, amount: Fraction) -> None:
-        self.refund_fixed[buyer] += amount
+        """Add a fixed ``amount`` to the buyer's refund; only before the
+        first unit, from which on the cash terms are kept."""
         if self.unit is not None:
-            self._set_term(buyer, self.cash_term(buyer))
-        if self.changes is not None:
-            self.changes.buyers.add(buyer)
+            raise ValueError(f"fixed refund at buyer {buyer} of a state with a scale")
+        self.refund_fixed[buyer] += amount
 
     def scale_prices(self, goods: set[int], factor: Fraction) -> None:
-        """Multiply the prices of ``goods`` by ``factor``; the record of
-        changes gets the goods as re-priced.  Once read, the bang-per-buck
-        view follows a factor above one (:func:`_follow_raise`), keeps
-        itself on a factor of one, and is rebuilt on any other."""
+        """Multiply the prices of ``goods`` by ``factor``, which must be at
+        least one: prices only rise.  Once read, the bang-per-buck view
+        follows a factor above one (:func:`_follow_raise`) and keeps itself
+        on a factor of one.  The record of changes gets the goods, and the
+        buyers whose row or sign the raise changed."""
+        if factor < 1:
+            raise ValueError(f"price factor {factor} below one")
         prices = self.prices
         for g in goods:
             prices[g] *= factor
-        if self.changes is not None:
-            self.changes.prices.update(goods)
         view = self._bang_per_buck
+        moved = ()
         if view is not None and factor != 1:
-            if factor > 1:
-                _follow_raise(self._inst, prices, view, goods)
-            else:
-                _rebuild(self._inst, prices, view)
+            moved = _follow_raise(self._inst, prices, view, goods)
+        changes = self.changes
+        if changes is not None:
+            changes.goods.update(goods)
+            changes.rows.update(moved)
 
     def rescale(self, unit: Fraction) -> None:
-        """Count in ``unit`` from now on.  Every count is multiplied by the
-        old unit over the new one, which must be a whole number while any
-        count is non-zero, and every cash term is recomputed.  Amounts,
-        prices and rows do not change, so no buyer, good or edge is
-        touched: after a whole factor only the returnable test of the edges
-        with a fixed part is repeated and the record of changes is marked
-        ``rescaled``, and after the first unit or any other factor the
-        returnable edges are found afresh and the record is dropped (the
-        next feasibility check sweeps everything)."""
+        """Count in ``unit`` from now on, and recompute every cash term.
+        The first unit finds the returnable edges afresh.  After it the
+        scale only divides: the old unit over the new one must be a whole
+        number, and every count is multiplied by it.  Amounts, prices and
+        rows do not change, so no buyer, good or edge is touched: only the
+        edges with a fixed part can become returnable, and the record of
+        changes is marked ``rescaled``."""
         old = self.unit
-        factor = None if old is None else old / unit
-        whole = factor is not None and factor.denominator == 1
-        if not whole and old is not None and (self.edge_units or any(self.refund_units)):
-            raise ValueError(f"cannot recount units of {old} in units of {unit}")
-        self.unit = unit
-        if whole:
+        if old is None:
+            self.unit = unit
+            self.returnable = {e for e in self.spending_edges if self.spending_sign(e, 1) >= 0}
+        else:
+            factor = old / unit
+            if factor.denominator != 1:
+                raise ValueError(f"cannot recount units of {old} in units of {unit}")
+            self.unit = unit
             k = factor.numerator
             edge_units = self.edge_units
             for e in edge_units:
@@ -425,17 +431,11 @@ class MarketState:
             self.spent_units = [k * u for u in self.spent_units]
             self.inflow_units = [k * u for u in self.inflow_units]
             self.refund_units = [k * u for u in self.refund_units]
-            returnable = self.returnable
             for e in self.edge_fixed:
                 if self.spending_sign(e, 1) >= 0:
-                    returnable.add(e)
-                else:
-                    returnable.discard(e)
+                    self.returnable.add(e)
             if self.changes is not None:
                 self.changes.rescaled = True
-        else:
-            self.returnable = {e for e in self.spending_edges if self.spending_sign(e, 1) >= 0}
-            self.changes = None
         self._count_terms()
 
 
@@ -478,9 +478,10 @@ def _rebuild(
 
 def _follow_raise(
     inst: MarketInstance, prices: list[Fraction], view: BangPerBuckView, goods: set[int]
-) -> None:
+) -> list[int]:
     """Update the view after one scaling of ``goods`` by a factor above
-    one, which divides the ratio of every edge into ``goods`` by it.
+    one, which divides the ratio of every edge into ``goods`` by it;
+    return the buyers whose row or sign changed.
 
     A buyer with no row edge into ``goods`` keeps her row and sign: her
     other edges into them were below her best and only fall.  A row partly
@@ -505,13 +506,14 @@ def _follow_raise(
             if e in eq_edges:
                 b = edge_buyer[e]
                 hit[b] = hit.get(b, 0) + 1
-    rescan = []
+    moved, rescan = [], []
     for b, inside in hit.items():
         row = rows[b]
         if inside < len(row):
             rows[b] = tuple(e for e in row if edge_good[e] not in goods)
             eq_edges.difference_update([e for e in row if edge_good[e] in goods])
             view.version += 1
+            moved.append(b)
             continue
         best_n, best_d = ratios[row[0]]
         for e in buyer_edges[b]:
@@ -525,13 +527,19 @@ def _follow_raise(
             if sign != signs[b]:
                 signs[b] = sign
                 view.version += 1
+                moved.append(b)
     if rescan:
-        _rescan(inst, view, rescan)
+        moved += _rescan(inst, view, rescan)
+    return moved
 
 
-def _rescan(inst: MarketInstance, view: BangPerBuckView, buyers: Iterable[int]) -> None:
-    """Each buyer's row and sign afresh from the view's ratios."""
+def _rescan(
+    inst: MarketInstance, view: BangPerBuckView, buyers: Iterable[int]
+) -> list[int]:
+    """Each buyer's row and sign afresh from the view's ratios; returns the
+    buyers whose row or sign changed."""
     ratios = view.ratios
+    moved = []
     for b in buyers:
         best_n, best_d = 0, 1
         row = []
@@ -554,6 +562,8 @@ def _rescan(inst: MarketInstance, view: BangPerBuckView, buyers: Iterable[int]) 
             view.edges.difference_update(old or ())
             view.edges.update(row)
             view.version += 1
+            moved.append(b)
+    return moved
 
 
 def edge_event(

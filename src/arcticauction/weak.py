@@ -91,67 +91,44 @@ def is_delta_feasible(inst: MarketInstance, market: MarketState) -> tuple[bool, 
     After a passing check, only what the market's mutators touched since,
     its record of changes (``market.changes``), is checked again: touched
     buyers and goods get every check, and so do touched edges.  After a
-    halving (a rescale by a whole factor, which marks the record
-    ``rescaled``) every good is checked too, for its ``backorder <= delta``
-    bound: amounts, prices and rows are unchanged.  That is left out
-    when :func:`halve_and_repair` already ran this check's goods test on
-    every good it did not repair and all passed: it then clears the mark,
-    which the next rescale sets again, and the goods it repaired, like
-    every good touched or re-priced since, are in the record.  A spending
-    edge of a buyer next to a re-priced good gets only the equality-graph
-    test, because a price change can take it off the equality graph but
-    cannot change anything else the check reads: its value is the same as
-    when it last passed (a new value touches the edge), so its sign test
-    would only repeat a pass.  Even that test is skipped while the
-    bang-per-buck view's ``version`` is the one of the last pass
-    (``market.checked_version``), since then no row has changed.
-    Everything else is unchanged and passed before.  With no record (a new
-    state, a rescale by any other factor, or a check that found a
-    violation) the check sweeps the whole state, so the report is always
-    that of a full sweep.  A pass starts a new, empty record.
+    halving (a rescale, which marks the record ``rescaled``) every good is
+    checked too, for its ``backorder <= delta`` bound: amounts, prices and
+    rows are unchanged.  That is left out when :func:`halve_and_repair`
+    already ran this check's goods test on every good it did not repair
+    and all passed: it then clears the mark, which the next rescale sets
+    again, and the goods it repaired, like every good touched or re-priced
+    since, are in the record.  The spending edges of the buyers whose row
+    or sign a price raise changed (the record's ``rows``) are tested too:
+    a raise can take such an edge off the equality graph, and a buyer
+    whose row did not change keeps all of hers on it.  Everything else is
+    unchanged and passed before.  With no record (a new state, or a check
+    that found a violation) the check sweeps the whole state, so the
+    report is always that of a full sweep.  A pass starts a new, empty
+    record.
     """
     touched = market.changes
     if touched is not None:
-        repriced = touched.prices
-        goods: Iterable[int] = touched.goods | repriced
+        goods: Iterable[int] = touched.goods
         if touched.rescaled:
             goods = range(len(inst.goods))
-        if not _violations(inst, market, touched.buyers, goods, touched.edges):
-            view = market.bang_per_buck
-            if (
-                not repriced
-                or view.version == market.checked_version
-                or _spending_on_equality_graph(inst, market, view.edges, repriced)
-            ):
-                market.changes = Changes()
-                market.checked_version = view.version
-                return (True, [])
+        edges: Iterable[Edge] = touched.edges
+        if touched.rows:
+            units, fixed = market.edge_units, market.edge_fixed
+            edges = touched.edges.union(
+                e
+                for b in touched.rows
+                for e in inst.buyer_edges[b]
+                if e in units or e in fixed
+            )
+        if not _violations(inst, market, touched.buyers, goods, edges):
+            market.changes = Changes()
+            return (True, [])
     edges = sorted(market.spending_edges)
     violations = _violations(
         inst, market, range(len(inst.buyers)), range(len(inst.goods)), edges
     )
     market.changes = None if violations else Changes()
-    market.checked_version = market.bang_per_buck.version
     return (not violations, violations)
-
-
-def _spending_on_equality_graph(
-    inst: MarketInstance,
-    market: MarketState,
-    eq_edges: set[Edge],
-    repriced: Iterable[int],
-) -> bool:
-    """Whether every spending edge of a buyer next to a ``repriced`` good
-    is in ``eq_edges``."""
-    edge_buyer, good_edges = inst.edge_buyer, inst.good_edges
-    near = {edge_buyer[e] for g in repriced for e in good_edges[g]}
-    units, fixed = market.edge_units, market.edge_fixed
-    return all(
-        e in eq_edges
-        for b in near
-        for e in inst.buyer_edges[b]
-        if e in units or e in fixed
-    )
 
 
 def _violations(

@@ -544,7 +544,10 @@ def test_input_error_exits_one(case, instance_file, tmp_path, capsys):
     argv = INPUT_ERRORS[case](instance_file, tmp_path)
     capsys.readouterr()
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    # no verdict is printed for a document that is an input error
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])

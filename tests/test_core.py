@@ -333,3 +333,15 @@ def test_duplicate_good_rejected():
     }
     with pytest.raises(InstanceError, match="duplicate good"):
         instance_from_document(doc)
+
+
+def test_budget_for_unknown_buyer_rejected():
+    # a budget for an id that is no buyer would still raise the largest
+    # budget, the halving solver's first scale
+    with pytest.raises(InstanceError, match="budget for unknown buyer ghost"):
+        MarketInstance(
+            buyers=("b1",),
+            goods=("g1",),
+            budgets={"b1": 3, "ghost": 10**6},
+            utilities={("b1", "g1"): 2},
+        )

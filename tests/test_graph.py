@@ -92,12 +92,14 @@ class TestEdgeEvent:
 
     def test_smallest_multiplier_as_pair(self):
         inst, state = self.market()
-        state.scale_prices([inst.good_pos["g4"]], Fraction(2, 3))
         view = state.bang_per_buck
+        state.scale_prices([inst.good_pos["g1"]], Fraction(5, 4))
+        state.scale_prices([inst.good_pos["g2"], inst.good_pos["g3"]], Fraction(2))
         num, den, edge = self.event(inst, view, ["b1", "b2"], {"g1"})
-        # b2's ratio on g4 rose to 3/2, so her event 2 / (3/2) comes first
+        # both best ratios fell to 8/5 and b1's ratios on g2 and g3 to 1/2,
+        # so b2's event (8/5) / 1 comes before b1's (8/5) / (1/2)
         assert (Fraction(num, den), inst.edge_names[edge]) == (
-            Fraction(4, 3),
+            Fraction(8, 5),
             ("b2", "g4"),
         )
 

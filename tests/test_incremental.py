@@ -6,23 +6,25 @@ potential's terms and the returnable edges current themselves, and the
 feasibility check catches up from the state's record of what the mutators
 touched since its last pass.  These tests recompute each of them from the
 raw state (each amount a count of the scale plus a fixed part) after
-every solver step, right
-after every halving, and after random mutation sequences in which each view is read
-at its own moments, and drive bad changes through the mutators and
-through halvings (a rescale by a whole factor, which the returnable edges
-and the record follow instead of starting over) to check that the
-incremental feasibility check reports exactly what a full sweep reports.
-The genericity check, which reads the solver's live bang-per-buck view
-and hands out its last immutable report while the view's version stands
-still, must report the same on a fresh copy of the state.  Every price raise of both
-solvers is checked against the multiplier formula written with ``Q``
-arithmetic, and every residual search tree a raise keeps against a fresh
-search: its kept inflow-over-price pairs against a fresh computation
-from the state, each tree raised once only, and the terminal the raise
-names against a rescan of the tree.  Named cases pin when a
-re-priced good rescans a buyer, how the view follows one price raise
-and when it rebuilds, and how the kept terms follow fixed parts and
-rescales.
+every solver step, right after every halving, and after random mutation
+sequences in which each view is read at its own moments, and drive bad
+changes through the mutators and through halvings (a rescale, which the
+returnable edges and the record follow) to check that the incremental
+feasibility check reports exactly what a full sweep reports; each price
+raise of a random walk must record exactly the buyers whose row or sign
+it changed.  The genericity check, which reads the solver's live
+bang-per-buck view and hands out its last immutable report while the
+view's version stands still, must report the same on a fresh copy of the
+state.  Every price raise of both solvers is checked against the
+multiplier formula written with ``Q`` arithmetic, and every residual
+search tree a raise keeps against a fresh search: its kept
+inflow-over-price pairs against a fresh computation from the state, each
+tree raised once only, and the terminal the raise names against a rescan
+of the tree.  Named cases pin when a re-priced good rescans a buyer, how
+the view follows one price raise and which buyers it records, how the
+kept terms follow fixed parts and rescales, and that the state refuses
+the moves the solvers never make: a price cut, a rescale by a factor that
+is not whole, and a fixed refund once there is a scale.
 """
 
 import dataclasses
@@ -504,22 +506,22 @@ def test_raising_a_good_off_the_row_rescans_nothing(price_type):
 
 
 @pytest.mark.parametrize("price_type", PRICE_TYPES)
-def test_lowering_a_good_off_the_row_to_a_tie_grows_the_row(price_type):
+def test_a_price_cut_is_refused(price_type):
+    # prices only rise: halving g2's price would tie b1's best, and the
+    # cut is refused before any price, ratio or row moves
     inst, market = rescan_market(price_type)
-    market.scale_prices([inst.good_pos["g2"]], Fraction(1, 2))
-    assert row_of(inst, market, "b1") == (("b1", "g1"), ("b1", "g2"))
-    assert Fraction(*market.bang_per_buck.best_pair(0)) == 2
-    assert_view_is_direct(inst, market)
-
-
-@pytest.mark.parametrize("price_type", PRICE_TYPES)
-def test_lowering_a_good_past_the_best_makes_it_the_row(price_type):
-    inst, market = rescan_market(price_type)
-    market.scale_prices([inst.good_pos["g2"]], Fraction(1, 2))
-    assert_view_is_direct(inst, market)
-    market.scale_prices([inst.good_pos["g2"]], Fraction(1, 2))
-    assert row_of(inst, market, "b1") == (("b1", "g2"),)
-    assert Fraction(*market.bang_per_buck.best_pair(0)) == 4
+    view = market.bang_per_buck
+    prices, ratios, rows, version = (
+        list(market.prices),
+        list(view.ratios),
+        list(view.rows),
+        view.version,
+    )
+    with pytest.raises(ValueError, match="below one"):
+        market.scale_prices([inst.good_pos["g2"]], Fraction(1, 2))
+    assert market.prices == prices and view.ratios == ratios
+    assert all(new is old for new, old in zip(view.rows, rows))
+    assert view.version == version
     assert_view_is_direct(inst, market)
 
 
@@ -536,7 +538,7 @@ def rescans(monkeypatch):
     def spy(inst, view, buyers):
         buyers = list(buyers)
         calls.append([inst.buyers[b] for b in buyers])
-        original(inst, view, buyers)
+        return original(inst, view, buyers)
 
     monkeypatch.setattr(graph, "_rescan", spy)
     return calls
@@ -646,22 +648,20 @@ def test_a_raise_brings_a_buyer_to_bang_per_buck_one(rescans):
         # two raises between reads, each followed as it is made
         [(["g1"], 2), (["g4"], 3)],
         [(["g3"], 2), (["g3"], 2)],
-        # a price cut
-        [(["g3"], Fraction(1, 2))],
     ],
 )
 def test_any_other_price_change_rebuilds_the_view(rescans, scalings):
-    # only a price cut rebuilds the view: every ratio, then a rescan of
-    # every buyer; any number of raises is followed one at a time
+    # prices only rise, so no price change rebuilds the view after its
+    # first read: any number of raises is followed one at a time, with no
+    # rescan of every buyer
     inst, market = scaling_market()
     view = market.bang_per_buck
     version = view.version
     for goods, factor in scalings:
         market.scale_prices({inst.good_pos[g] for g in goods}, Fraction(factor))
     assert market.bang_per_buck is view
-    cut = any(factor < 1 for _, factor in scalings)
     assert rescans[0] == ["b1", "b2", "b3"]
-    assert (["b1", "b2", "b3"] in rescans[1:]) == cut
+    assert ["b1", "b2", "b3"] not in rescans[1:]
     assert view.version > version
     assert_view_is_direct(inst, market)
     # a later single raise is followed again, with no full rescan
@@ -669,6 +669,29 @@ def test_any_other_price_change_rebuilds_the_view(rescans, scalings):
     market.scale_prices({inst.good_pos["g2"]}, Fraction(2))
     assert ["b1", "b2", "b3"] not in rescans[seen:]
     assert_view_is_direct(inst, market)
+
+
+@pytest.mark.parametrize(
+    "goods, factor, moved",
+    [
+        # b1's row (g1, g2) is partly inside, and drops g1
+        (["g1"], 2, {"b1"}),
+        # b2's row (g3) is wholly inside, and stays above g4 at ratio 4/3
+        (["g3"], Fraction(3, 2), set()),
+        # g3 falls to ratio 1 and ties g4: b2 is rescanned
+        (["g3"], 2, {"b2"}),
+        # b3 keeps her row (g4), and her bang-per-buck falls to one
+        (["g4"], 2, {"b3"}),
+    ],
+)
+def test_a_raise_records_the_buyers_whose_row_or_sign_moved(goods, factor, moved):
+    inst, market = scaling_market()
+    market.rescale(Fraction(1))
+    assert is_delta_feasible(inst, market) == (True, [])
+    market.scale_prices({inst.good_pos[g] for g in goods}, Fraction(factor))
+    assert record_items(market) == [("good", inst.good_pos[g]) for g in goods] + [
+        ("row", inst.buyer_pos[b]) for b in sorted(moved)
+    ]
 
 
 def test_a_raise_before_the_first_read_is_left_to_it(rescans):
@@ -695,13 +718,15 @@ def test_cash_terms_follow_fixed_parts_and_rescales():
     edge = inst.edge_id[("b1", "g1")]
     market = state_of(inst, {"g1": 1, "g2": 1}, {("b1", "g1"): Fraction(1, 2)})
     assert market.cash_terms == [] and market.cash_total == 0
-    market.rescale(Fraction(1, 4))
-    assert market.cash_terms == [14, 12]
-    assert_terms_direct(inst, market)
-    # a fixed refund: b2 keeps 1/3, less than a unit
+    # a fixed refund before the first unit: b2 keeps 1/3, less than a unit
     market.add_refund(1, Fraction(8, 3))
-    assert market.cash_terms[1] == 1
+    market.rescale(Fraction(1, 4))
+    assert market.cash_terms == [14, 1]
     assert_terms_direct(inst, market)
+    # once there is a scale, a fixed refund is refused and nothing moves
+    with pytest.raises(ValueError, match="with a scale"):
+        market.add_refund(1, Fraction(1, 3))
+    assert market.refund(1) == Fraction(8, 3) and market.cash_terms == [14, 1]
     # the edge empties through its count, which drops its fixed part; the
     # term still moves by the units booked
     market.add_spending_units(edge, -2)
@@ -717,11 +742,16 @@ def test_cash_terms_follow_fixed_parts_and_rescales():
     market.rescale(Fraction(1, 8))
     assert market.cash_terms == [26, 0]
     assert_terms_direct(inst, market)
-    # a non-whole rescale, with no count left
+    # the scale only divides: with no count left, a unit of 1/3 is still
+    # refused, and a third of the unit is taken
     market.add_spending_units(edge, -6)
     market.add_refund_units(1, -2)
-    market.rescale(Fraction(1, 3))
-    assert market.cash_terms == [12, 1]
+    assert market.cash_terms == [32, 2]
+    with pytest.raises(ValueError, match="cannot recount"):
+        market.rescale(Fraction(1, 3))
+    assert market.unit == Fraction(1, 8) and market.cash_terms == [32, 2]
+    market.rescale(Fraction(1, 24))
+    assert market.cash_terms == [96, 8]
     assert_terms_direct(inst, market)
 
 
@@ -741,11 +771,31 @@ def record_items(market):
             ("edge", record.edges),
             ("buyer", record.buyers),
             ("good", record.goods),
-            ("price", record.prices),
+            ("row", record.rows),
         )
         for item in sorted(items)
     ]
     return items + ["rescaled"] * record.rescaled
+
+
+def raise_prices(inst, market, goods, factor):
+    """Scale ``goods`` by ``factor``: the record of changes must gain in its
+    rows exactly the buyers whose row or sign the raise changed.  A state
+    with no record (its next check sweeps everything) gets an empty one
+    for the raise, and has none again after it."""
+    kept = market.changes
+    record = market.changes = kept or graph.Changes()
+    view = market.bang_per_buck
+    before, recorded = list(zip(view.rows, view.signs)), set(record.rows)
+    market.scale_prices(goods, factor)
+    moved = {b for b, pair in enumerate(zip(view.rows, view.signs)) if pair != before[b]}
+    assert record.rows == recorded | moved
+    market.changes = kept
+
+
+def price_factor(rng):
+    """A random price factor of at least one: prices only rise."""
+    return 1 + Fraction(rng.randint(0, 5), rng.randint(1, 6))
 
 
 def assert_spending_rule(inst, market, built):
@@ -766,7 +816,7 @@ def test_views_catch_up_over_any_number_of_mutations(seed):
     )
     market.rescale(Fraction(1, 4))
     # every item a mutator can touch, and the mark of a halving, once
-    distinct = len(inst.buyers) + 2 * len(inst.goods) + len(edges) + 1
+    distinct = 2 * len(inst.buyers) + len(inst.goods) + len(edges) + 1
     assert record_items(market) is None
     assert_views_match(inst, market)
     for step in range(300):
@@ -777,11 +827,10 @@ def test_views_catch_up_over_any_number_of_mutations(seed):
             # every amount is a count of at least one unit
             market.add_spending_units(rng.choice(sorted(market.spending)), -1)
         elif move == 2:
-            buyer = rng.randrange(len(inst.buyers))
-            market.add_refund(buyer, Fraction(rng.randint(0, 2), 8))
+            market.add_refund_units(rng.randrange(len(inst.buyers)), rng.randint(0, 2))
         else:
             goods = rng.sample(range(len(inst.goods)), rng.randint(1, len(inst.goods)))
-            market.scale_prices(goods, Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+            raise_prices(inst, market, goods, price_factor(rng))
         if step % 50 == 49:
             market.rescale(market.unit / 2)
         assert_cash_terms_match(inst, market)
@@ -844,14 +893,10 @@ def test_views_catch_up_over_counts_fixed_parts_and_halvings(seed):
             market.add_spending_units(edge, -count.numerator)
             assert edge not in market.spending_edges
         elif move == 3:
-            buyer = rng.randrange(len(inst.buyers))
-            if rng.random() < 0.5:
-                market.add_refund_units(buyer, rng.randint(0, 2))
-            else:
-                market.add_refund(buyer, Fraction(rng.randint(0, 2), 8))
+            market.add_refund_units(rng.randrange(len(inst.buyers)), rng.randint(0, 2))
         else:
             goods = rng.sample(range(len(inst.goods)), rng.randint(1, len(inst.goods)))
-            market.scale_prices(goods, Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+            raise_prices(inst, market, goods, price_factor(rng))
         if step % 60 == 59:
             before = raw_spending(inst, market), raw_refunds(inst, market)
             market.rescale(market.unit / 2)
@@ -877,9 +922,10 @@ def test_the_record_holds_each_kind_of_item_until_a_check_passes():
     assert record_items(market) == []
     market.add_spending_units(inst.edge_id[("b1", "g1")], 1)
     assert edge_names(inst, market.returnable) == {("b1", "g1")}
-    market.add_refund(0, Fraction(1))
+    market.add_refund_units(0, 1)
+    # doubling g1 takes b1's bang-per-buck from 2 to 1: her sign changes
     market.scale_prices({0}, Fraction(2))
-    touched = [("edge", 0), ("buyer", 0), ("good", 0), ("price", 0)]
+    touched = [("edge", 0), ("buyer", 0), ("good", 0), ("row", 0)]
     assert record_items(market) == touched
     assert_returnable_matches(inst, market)
     assert record_items(market) == touched
@@ -934,14 +980,32 @@ def test_price_raise_takes_untouched_spending_edge_off_equality_graph():
     )
 
 
-def test_price_change_at_another_good_of_the_buyer():
-    inst, market = two_buyer_market()
-    # cheaper g2 lifts b1's best ratio, so her spending on g1, whose price
-    # did not move, leaves the equality graph
-    market.scale_prices([inst.good_pos["g2"]], Fraction(1, 2))
+def test_price_raise_past_another_good_takes_spending_off_equality_graph():
+    # b1's row (g1) is wholly inside the raise, and g2 passes it: the
+    # rescan leaves her spending on g1 off her new row (g2)
+    inst = make_instance({"b1": 4}, {("b1", "g1"): 2, ("b1", "g2"): 1})
+    market = checked_state(
+        inst, {"g1": 1, "g2": 1}, {("b1", "g1"): 1}, delta=1, initial={"g1": 4, "g2": 4}
+    )
+    market.scale_prices([inst.good_pos["g1"]], Fraction(4))
+    assert record_items(market) == [("good", 0), ("row", 0)]
     assert_reported_like_full_sweep(
         inst, market, "spending off equality graph on ('b1', 'g1')"
     )
+
+
+def test_price_change_at_another_good_of_the_buyer():
+    inst, market = two_buyer_market()
+    # a cheaper g2 would lift b1's best ratio and take her spending on g1,
+    # whose price did not move, off the equality graph; prices only rise,
+    # so the cut is refused and neither the state nor its record moves
+    view = market.bang_per_buck
+    prices, rows = list(market.prices), list(view.rows)
+    with pytest.raises(ValueError, match="below one"):
+        market.scale_prices([inst.good_pos["g2"]], Fraction(1, 2))
+    assert market.prices == prices and view.rows == rows
+    assert record_items(market) == []
+    assert is_delta_feasible(inst, market) == (True, [])
 
 
 def test_raised_good_backorder_drops_below_bound_by_spending():
@@ -963,7 +1027,7 @@ def test_halving_leaves_a_raised_good_above_the_new_scale():
     market = checked_state(inst, {"g1": 2}, {("b1", "g1"): 3}, delta=1, initial={"g1": 1})
     # a halving with no repair: the backorder of 1 passed at delta 1
     market.rescale(Fraction(1, 2))
-    # a rescale by a whole factor is no start-over, just a mark
+    # a rescale is no start-over, just a mark
     assert record_items(market) == ["rescaled"]
     assert_reported_like_full_sweep(inst, market, "backorder 1 above delta at good g1")
 
@@ -1049,7 +1113,7 @@ def test_halving_makes_a_fixed_part_edge_returnable():
     returnable = market.returnable
     assert edge_names(inst, returnable) == {("b1", "g1")}
     market.rescale(Fraction(1, 2))
-    # a whole factor re-tests the fixed-part edges in place
+    # a rescale re-tests the fixed-part edges in place
     assert market.returnable is returnable
     names = edge_names(inst, returnable)
     assert names == {("b1", "g1"), ("b2", "g2")} == direct_returnable(inst, market)
@@ -1114,23 +1178,21 @@ def raised_backorder_market():
     return inst, market
 
 
-def test_a_non_whole_rescale_makes_both_views_start_over():
+def test_a_non_whole_rescale_is_refused():
+    # the scale only divides: 1 over 3/4 is no whole number, so the
+    # rescale is refused before anything moves, though no count exists
     inst, market = raised_backorder_market()
-    returnable = market.returnable
+    assert not market.edge_units and not any(market.refund_units)
+    returnable = set(market.returnable)
+    with pytest.raises(ValueError, match="cannot recount"):
+        market.rescale(Fraction(3, 4))
+    assert market.unit == 1 and market.returnable == returnable
     assert record_items(market) == []
-    market.rescale(Fraction(3, 4))
-    # no record is kept, not even a mark, so the next check sweeps
-    # everything, and the returnable edges are found afresh
-    assert record_items(market) is None
-    assert market.returnable is not returnable
-    assert edge_names(inst, market.returnable) == direct_returnable(inst, market)
-    assert_reported_like_full_sweep(inst, market, "backorder 7/8 above delta at good g2")
-    # a check that finds a violation leaves no record either
-    assert record_items(market) is None
+    assert is_delta_feasible(inst, market) == (True, [])
 
 
 def test_change_of_scale_sweeps_everything():
     inst, market = raised_backorder_market()
-    # nothing is touched, but the untouched good's backorder is above 3/4
-    market.rescale(Fraction(3, 4))
+    # nothing is touched, but the untouched good's backorder is above 1/2
+    market.rescale(Fraction(1, 2))
     assert_reported_like_full_sweep(inst, market, "backorder 7/8 above delta at good g2")

@@ -127,9 +127,11 @@ class TestCommitRefund:
         assert spending_of(inst, state) == {("b1", "g1"): 1}
 
     def test_surplus_drops_by_committed_amount(self):
+        # as in special_price: the components are those of the scaled
+        # market, and the commit goes to an unscaled copy of it
         inst, state = self.make()
-        state.rescale(Fraction(1, 100))
-        comp = next(c for c in components_of(inst, state) if not c.is_singleton())
+        market = scaled_state(inst, {"g1": 2}, {("b1", "g1"): 1}, delta=Fraction(1, 100))
+        comp = next(c for c in components_of(inst, market) if not c.is_singleton())
         before = comp.surplus(state)
         commit_refund(inst, state, inst.buyer_pos["b1"], Fraction(1))
         assert comp.surplus(state) == before - 1
