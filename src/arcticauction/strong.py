@@ -315,45 +315,42 @@ def make_fertile(
     trace: PhaseTrace,
     phase: int,
 ) -> tuple[MarketState, RestartRecord]:
-    """Restart subroutine for an optimal, non-fertile state; returns the
-    state to go on with and the restart's record.
+    """Restart step of phase ``phase``, run on an optimal, non-fertile
+    state; returns the state to go on with and the restart's record.
 
     If the next scale is still large relative to the current one, keep
     ``market`` and just lower the threshold (a new abundant edge is then
-    due within a logarithmic number of phases).  Otherwise jump to the
-    small scale: rebuild prices, refunds, and a tree-flow allocation, check
-    the restart invariants, and return the rebuilt state, with the initial
-    prices of ``market`` and its backorders allowed as deficits, counting
-    in units of the small scale.  Its spending is the one place where
-    amounts that are not whole units of the scale enter a run: each is a
-    fixed part of the rebuilt state, and the steps from then on move whole
-    units only (see :class:`~arcticauction.graph.MarketState`).  Either
-    way the decision is booked in the trace.
+    due within a logarithmic number of phases); the caller halves as at
+    the end of any other phase.  Otherwise jump to the small scale:
+    rebuild prices, refunds, and a tree-flow allocation, check the restart
+    invariants, and install the rebuilt state, with the initial prices of
+    ``market`` and its backorders allowed as deficits, counting in units
+    of the small scale.  Its spending is the one place where amounts that
+    are not whole units of the scale enter a run: each is a fixed part of
+    the rebuilt state, and the steps from then on move whole units only
+    (see :class:`~arcticauction.graph.MarketState`).  The installed state's
+    deficits are then repaired, each repair booked as a step of this
+    phase, and it must be delta-feasible; the caller opens the next phase
+    on it.  Either way the decision is booked in the trace.
     """
     n = len(inst.buyers) + len(inst.goods)
     delta = market.unit
-    new_scale, per_component = get_parameter(inst, market, components)
+    new_scale, surpluses = get_parameter(inst, market, components)
     # A zero scale can happen while the support is still unresolved: critical
     # buyers' commitments can absorb every component surplus entirely.  A
     # jump to scale zero is meaningless, so keep halving under a lowered
     # threshold instead; the termination test ends the run once the abundant
     # support pins the equilibrium.
     if new_scale > delta / (n * n) or new_scale <= 0:
-        record = RestartRecord(
-            phase=phase,
-            branch="delayed",
-            delta_before=delta,
-            delta_after=delta,
-            threshold=delta / n**5,
-            surpluses=per_component,
-        )
+        branch, new_scale = "delayed", delta
     else:
-        new_prices, new_refunds, run_surplus = get_prices(
+        branch = "compressed"
+        new_prices, new_refunds, surpluses = get_prices(
             inst, market, components, new_scale, trace
         )
         spending = get_allocations(inst, new_prices, new_refunds, components)
         state = MarketState(inst, new_prices, spending, new_refunds)
-        _assert_restart_invariants(inst, market, components, state, new_scale, run_surplus)
+        _assert_restart_invariants(inst, market, components, state, new_scale, surpluses)
         state.initial_prices = market.initial_prices
         for g in range(len(inst.goods)):
             backorder = state.backorder(g)
@@ -361,14 +358,18 @@ def make_fertile(
                 state.allowed_deficit[g] = -backorder
         state.rescale(new_scale)
         market = state
-        record = RestartRecord(
-            phase=phase,
-            branch="compressed",
-            delta_before=delta,
-            delta_after=new_scale,
-            threshold=new_scale / n**5,
-            surpluses=run_surplus,
-        )
+        _repair_deficits(inst, market, components, trace, phase)
+        ok, violations = is_delta_feasible(inst, market)
+        if not ok:
+            raise SolverError(f"restarted state infeasible: {violations}")
+    record = RestartRecord(
+        phase=phase,
+        branch=branch,
+        delta_before=delta,
+        delta_after=new_scale,
+        threshold=new_scale / n**5,
+        surpluses=surpluses,
+    )
     trace.restarts.append(record)
     return market, record
 
@@ -430,7 +431,9 @@ def _repair_deficits(
     trace: PhaseTrace,
     phase: int,
 ) -> None:
-    """One augmentation per negative-backorder good after a restart.
+    """One augmentation per negative-backorder good of the state a
+    compressed restart installed, booked as a ``restart_repair`` step of
+    the restart's phase ``phase`` (:func:`make_fertile` calls it).
 
     ``components`` is the restart's abundant forest.  The installed state
     spends only on its edges, each above ``3 n delta``, so it is the
@@ -497,6 +500,14 @@ def phase_budget(n: int) -> int:
 def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     """Run the committed-refund algorithm to a certified equilibrium.
 
+    Each phase runs the inner steps to an optimal state, then the
+    termination test on its abundant forest.  If that fails, the phase
+    ends in a restart when the scale is at the threshold and no component
+    is fertile, and in a halving otherwise.  A compressed restart installs
+    its own state, and the next phase opens on it with entry ``restart``;
+    a delayed restart only lowers the threshold, and its phase halves as
+    well.
+
     The returned refunds combine the committed refunds accumulated along
     the way with the refunds of the final basic solution; the result is
     certified against the original instance before returning.
@@ -548,20 +559,14 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
                 )
             return Equilibrium.from_state(inst, final, certificate), trace
 
+        entry = "halve"
         if market.unit <= threshold and not has_fertile_component(inst, market, components):
             market, record = make_fertile(inst, market, components, trace, phase)
             threshold = record.threshold
-            if record.branch == "delayed":
-                entry = "delayed"
-            else:
-                _repair_deficits(inst, market, components, trace, phase)
-                ok, violations = is_delta_feasible(inst, market)
-                if not ok:
-                    raise SolverError(f"restarted state infeasible: {violations}")
+            if record.branch == "compressed":
                 entry = "restart"
-        else:
+        if entry == "halve":
             halve_and_repair(inst, market)
-            entry = "halve"
         phase += 1
 
     raise SolverError(

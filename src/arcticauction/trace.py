@@ -58,7 +58,7 @@ class PhaseMark:
 
     index: int
     delta: Fraction
-    entry: str  # init | halve | restart | delayed
+    entry: str  # init | halve | restart
     potential_start: int
     abundant_start: set[Edge]
     iterations: int = 0

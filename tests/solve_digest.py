@@ -15,17 +15,19 @@ markets come from this checkout's ``tests/``) and diff the outputs:
     PYTHONPATH=OTHER/src:tests python tests/solve_digest.py > old.txt
     diff old.txt new.txt
 
-The set, 286 calls in all:
+The set, 292 calls in all:
 
 - ``random_instance(4 + s % 9, Random(s))``, s = 0-59, under each solver;
 - ``wide_instance(s, (6, 14))``, s = 400-459, under each solver;
 - ``wide_instance(s)``, s = 0-39, under strong (it passes through the
   compressed restart and its refund tails);
+- ``one_edge_market(k)``, k = 8, 64 and 256, under each solver (every
+  restart strong makes on it is delayed);
 - the markets that exit 3 today (ROADMAP item 1): ``wide_instance(s, (6,
   14))`` for s = 198, 281, 364, 492 and 503 under strong, and
   ``random_instance(34, Random(2008))`` under strong at seed 7.
 
-It is not a test (pytest does not collect it): it takes a few minutes.
+It is not a test (pytest does not collect it): it takes about 45 s.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from arcticauction.randgen import random_instance
 
 from conftest import wide_instance
 from test_cli import instance_doc
+from test_strong import one_edge_market
 
 
 def solves():
@@ -57,6 +60,9 @@ def solves():
             yield f"wide6-14:{s}:{algorithm}", inst, algorithm, 0
     for s in range(40):
         yield f"wide:{s}:strong", wide_instance(s), "strong", 0
+    for k in (8, 64, 256):
+        for algorithm in ("weak", "strong"):
+            yield f"one-edge:{k}:{algorithm}", one_edge_market(k), algorithm, 0
     for s in (198, 281, 364, 492, 503):
         yield f"exit3:wide6-14:{s}:strong", wide_instance(s, (6, 14)), "strong", 0
     yield "exit3:random34-2008:strong", random_instance(34, random.Random(2008)), "strong", 7

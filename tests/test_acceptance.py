@@ -7,12 +7,13 @@ the criteria that inspect the same runs.
 Scoping notes, fixed up front:
 
 * The potential bound ``phi <= n`` and the per-phase iteration bound are
-  stated for ordinary phases: those opened by initialization, by halving,
-  and by a ``delayed`` restart (which keeps the optimal state and starts
-  at potential 0).  A compressed restart legitimately frees non-abundant
-  spending back into buyer cash, so the phase it opens can start with a
-  larger potential.  The per-iteration drop by exactly one is asserted for
-  every iteration of every phase, restarts included.
+  stated for ordinary phases: those opened by initialization and by
+  halving.  A ``delayed`` restart keeps the optimal state and opens no
+  phase: the phase that made it halves.  A compressed restart
+  legitimately frees non-abundant spending back into buyer cash, so the
+  phase it opens can start with a larger potential.  The per-iteration
+  drop by exactly one is asserted for every iteration of every phase,
+  restarts included.
 * The restart surplus floor applies to components containing a buyer; a
   singleton good's surplus equals the negative of its price, which no
   price-raising can lift.
@@ -83,7 +84,7 @@ def check_potential_discipline(trace: PhaseTrace, n: int) -> None:
         )
     check_step_lines(trace)
     for mark in trace.phases:
-        if mark.entry in ("init", "halve", "delayed"):
+        if mark.entry in ("init", "halve"):
             assert mark.potential_start <= n, (
                 f"ordinary phase started at potential {mark.potential_start} > {n}"
             )

@@ -224,7 +224,8 @@ class TestDeterminism:
 
     # SHA-256 of the result document and of the trace.  wide_instance(14)
     # makes a compressed restart and restart_repair steps; wide_instance(33)
-    # runs 16 price-raising iterations over two delayed restarts; the n = 8
+    # runs 16 price-raising iterations over two delayed restarts, each
+    # followed by its phase's halving; the n = 8
     # market under the halving solver runs hundreds of phases whose numbers
     # grow to hundreds of bits; the n = 40 market is a strong_random draw
     # whose price raises stop on new equality edges as well as on
@@ -245,8 +246,8 @@ class TestDeterminism:
                 lambda: wide_instance(33),
                 "strong",
                 (
-                    "f309b7af900c4c4560eaeaba7e7b12b39bb428d5c88e0a6f64cb1b2404bbd9e4",
-                    "5bce4e05f4ca9aabe2d2eb9b3ff637251281e587a68134192a64aa636d4d2eea",
+                    "cdf3b40175dd68857ca4a2e10966a585446a0c51df67dd36a49a36474a010d4a",
+                    "714c01f0c5e9ffbba0b771d76e6b6ba4248ddc21ff08b9e565536574b048d278",
                 ),
             ),
             (

@@ -31,7 +31,7 @@ from arcticauction.strong import (
     special_price,
 )
 from arcticauction.trace import PhaseTrace
-from arcticauction.weak import max_phases, run_weak
+from arcticauction.weak import is_delta_feasible, max_phases, potential, run_weak
 
 from auxnet import AuxNetwork, assert_cycle_bound, max_multiplier
 from conftest import (
@@ -496,8 +496,10 @@ class TestMakeFertile:
         assert kept is market
         assert trace.restarts == [record] and record.phase == 3
 
-    def test_compressed_branch(self):
-        # interested singleton buyer with cash delta/n^3 drives the jump
+    def jump(self):
+        """A market whose restart jumps: an interested singleton buyer with
+        cash delta/n^3 drives it.  Returns the market, its components and
+        a trace with phase 0 open, where the restart books its repairs."""
         inst = make_instance(
             {"b1": 1, "b2": 2}, {("b1", "g1"): 8, ("b2", "g2"): 1}
         )
@@ -509,19 +511,43 @@ class TestMakeFertile:
             delta=64,
         )
         comps = components_of(inst, market)
-        n = compute_stats(inst).n
         assert not has_fertile_component(inst, market, comps)
         trace = PhaseTrace("strong", inst.edge_names)
+        trace.begin_phase(0, market.unit, "halve", potential(inst, market), set())
+        return inst, market, comps, trace
+
+    def test_compressed_branch(self):
+        inst, market, comps, trace = self.jump()
+        n = compute_stats(inst).n
         state, record = make_fertile(inst, market, comps, trace, 0)
         assert record.branch == "compressed"
+        assert is_delta_feasible(inst, state)[0]
+        assert [(r.phase, r.kind) for r in trace.rows] == [(0, "restart_repair")]
         assert record.delta_before == 64
         assert record.delta_after == state.unit == 1 == 64 / Fraction(n) ** 3
         assert record.threshold == Fraction(1) / Fraction(n) ** 5
         assert state is not market
-        # the rebuilt spending is all fixed parts, each over one unit
-        assert state.spending_edges == state.edge_fixed.keys() == state.returnable
+        # no component has an edge, so the rebuilt state spends nothing:
+        # the only spending is the repair's one whole unit to the short g1
+        assert edge_named(inst, state.spending) == {("b1", "g1"): 1}
+        assert not state.edge_fixed
         assert state.initial_prices is market.initial_prices
         assert trace.restarts == [record]
+
+    def test_compressed_branch_checks_the_repaired_state(self, monkeypatch):
+        # a repair that sends two units to g1 where one was due overspends
+        # b1, and the restart itself reports the infeasible state
+        import arcticauction.strong as strong_mod
+
+        inst, market, comps, trace = self.jump()
+        edge = inst.edge_names.index(("b1", "g1"))
+        monkeypatch.setattr(
+            strong_mod,
+            "_repair_deficits",
+            lambda _inst, state, *rest: state.add_spending_units(edge, 2),
+        )
+        with pytest.raises(SolverError, match="restarted state infeasible"):
+            make_fertile(inst, market, comps, trace, 0)
 
     def test_zero_scale_falls_back_to_delayed(self):
         # every buyer uninterested and every singleton good negative: the
@@ -798,9 +824,41 @@ def one_edge_market(k):
     return make_instance({"b": 2**k}, {("b", "g"): 2})
 
 
+@pytest.mark.parametrize(
+    "market, delayed",
+    [(lambda: one_edge_market(64), 12), (lambda: wide_instance(33), 2)],
+    ids=["one_edge_64", "wide33"],
+)
+def test_delayed_restart_halves_in_its_own_phase(monkeypatch, market, delayed):
+    # a delayed restart keeps the state, so it opens no phase of its own:
+    # the phase that made it halves, and the next phase opens at half its
+    # scale; every phase after the first is opened by a halving or by a
+    # compressed restart
+    import arcticauction.strong as strong_mod
+
+    halvings = []
+    halve = strong_mod.halve_and_repair
+
+    def counted(inst, state):
+        halvings.append(state.unit)
+        halve(inst, state)
+
+    monkeypatch.setattr(strong_mod, "halve_and_repair", counted)
+    _, trace = solve_instance(market(), "strong").results["strong"]
+    assert {mark.entry for mark in trace.phases} <= {"init", "halve", "restart"}
+    records = [r for r in trace.restarts if r.branch == "delayed"]
+    assert len(records) == delayed
+    for record in records:
+        after = trace.phases[record.phase + 1]
+        assert after.index == record.phase + 1
+        assert after.entry == "halve"
+        assert after.delta == record.delta_before / 2
+    assert trace.phase_count == 1 + len(halvings) + trace.restart_count
+
+
 # Known defect (ROADMAP items 1 and 4): on the one-edge market strong's
-# phase count grows with the bits of the budget, 12 phases at k = 8 and
-# 310 at k = 256, and every restart it makes is delayed; a budget of
+# phase count grows with the bits of the budget, 11 phases at k = 8 and
+# 259 at k = 256, and every restart it makes is delayed; a budget of
 # 10^200 exceeds its phase budget, while weak certifies it.
 @pytest.mark.xfail(strict=True)
 def test_strong_phase_count_on_one_edge_does_not_grow_with_the_budget_bits():

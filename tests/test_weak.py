@@ -590,7 +590,7 @@ class TestStartPhase:
         trace = PhaseTrace(algorithm="strong", edge_names=self.inst.edge_names)
         return start_phase(self.inst, market, compute_stats(self.inst), trace, 3, entry)
 
-    @pytest.mark.parametrize("entry", ["init", "halve", "delayed"])
+    @pytest.mark.parametrize("entry", ["init", "halve"])
     def test_potential_above_n_raises(self, entry):
         with pytest.raises(SolverError, match="phase 3 starts with potential 5 > n"):
             self.start(entry)
