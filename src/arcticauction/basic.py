@@ -20,9 +20,9 @@ minus that supply.  A case is accepted only when it could be part of an
 equilibrium: spending nonnegative, prices positive, refunds nonnegative,
 and every buyer's support ratio at least one (exactly one for an anchor).
 Without the ratio conditions, a support whose true solution anchors a
-buyer would wrongly accept the budget-balanced solve.  ``recover_support``
-reads a support off a solver state by counting its spending in units of
-the state's own scale.
+buyer would wrongly accept the budget-balanced solve.  The solvers read
+their supports off a state with
+:func:`~arcticauction.graph.abundant_edges`.
 """
 
 from __future__ import annotations
@@ -198,13 +198,3 @@ def basic_solution(
             refunds[b] = refund
     return MarketState(inst, prices, spending, refunds)
 
-
-def recover_support(state: MarketState, n: int) -> set[Edge]:
-    """Edges whose spending strictly exceeds ``4 * n`` units of the state's
-    scale; the state must have a scale.
-
-    Once the scale is below ``1 / (8 * n * d_bound)`` these are exactly the
-    support of the equilibrium.
-    """
-    units = 4 * n
-    return {e for e in state.spending_edges if state.spending_sign(e, units) > 0}

@@ -33,17 +33,10 @@ ALGORITHMS = ("weak", "strong")
 
 
 def equilibrium_doc(inst: MarketInstance, eq: Equilibrium) -> dict:
-    """The result document's equilibrium section; edge rows come in
-    canonical (buyer, good) document order."""
-    edge_id = inst.edge_id
-    spending_rows = [
-        [b, g, format_rational(v)]
-        for (b, g), v in sorted(eq.spending.items(), key=lambda kv: edge_id[kv[0]])
-    ]
-    quantity_rows = [
-        [b, g, format_rational(v)]
-        for (b, g), v in sorted(eq.quantities.items(), key=lambda kv: edge_id[kv[0]])
-    ]
+    """The result document's equilibrium section; edge rows come in the
+    equilibrium's own order, canonical (buyer, good) document order."""
+    spending_rows = [[b, g, format_rational(v)] for (b, g), v in eq.spending.items()]
+    quantity_rows = [[b, g, format_rational(v)] for (b, g), v in eq.quantities.items()]
     return {
         "prices": {g: format_rational(eq.prices[g]) for g in inst.goods},
         "spending": spending_rows,

@@ -36,9 +36,9 @@ refuses a factor below one.  The price raise's edge event
 (:func:`edge_event`) reads the same pairs.  The residual search
 (:func:`reach`) builds no graph of its own: it walks the instance's
 adjacency and keeps the arcs whose edges lie in the sets the caller
-passes.  The spending thresholds (:func:`abundant_edges`, and
-:func:`~arcticauction.basic.recover_support`) count in the state's own
-scale and read its counts and fixed parts, not its rational spending.
+passes.  The spending threshold (:func:`abundant_edges`, which both
+solvers read their supports with) counts in the state's own scale and
+reads its counts and fixed parts, not its rational spending.
 Every traversal runs in canonical (document) order, which makes the
 solvers deterministic.
 """

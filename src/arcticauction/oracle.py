@@ -73,7 +73,8 @@ class Certificate:
 @dataclass
 class Equilibrium:
     """Certified output: prices, spending, refunds, derived quantities,
-    keyed by id strings."""
+    keyed by id strings; spending and quantities come in canonical edge
+    order (by edge id), which :meth:`from_state` sets."""
 
     prices: dict[str, Fraction]
     spending: dict[Edge, Fraction]

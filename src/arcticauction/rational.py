@@ -30,6 +30,7 @@ wrongly.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -55,8 +56,10 @@ def reduced(numerator: int, denominator: int) -> Q:
 
 
 # The kernels below take both operands as (numerator, denominator) pairs in
-# lowest terms and are CPython's Fraction._add, _sub, _mul and _div (Knuth,
-# TAOCP 4.5.1): each result is in lowest terms as built.
+# lowest terms, and each result is in lowest terms as built.  ``_add`` and
+# ``_mul`` are CPython's Fraction._add and _mul (Knuth, TAOCP 4.5.1);
+# ``_sub`` adds the negated operand and ``_div`` multiplies by the
+# reciprocal, which take the same gcds as CPython's _sub and _div.
 
 
 def _add(na: int, da: int, nb: int, db: int) -> Q:
@@ -72,15 +75,7 @@ def _add(na: int, da: int, nb: int, db: int) -> Q:
 
 
 def _sub(na: int, da: int, nb: int, db: int) -> Q:
-    g = gcd(da, db)
-    if g == 1:
-        return _make(na * db - da * nb, da * db)
-    s = da // g
-    t = na * (db // g) - nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return _make(t, s * db)
-    return _make(t // g2, s * (db // g2))
+    return _add(na, da, -nb, db)
 
 
 def _mul(na: int, da: int, nb: int, db: int) -> Q:
@@ -98,18 +93,10 @@ def _mul(na: int, da: int, nb: int, db: int) -> Q:
 def _div(na: int, da: int, nb: int, db: int) -> Q:
     if nb == 0:
         raise ZeroDivisionError(f"Fraction({na}, 0)")
-    g1 = gcd(na, nb)
-    if g1 > 1:
-        na //= g1
-        nb //= g1
-    g2 = gcd(db, da)
-    if g2 > 1:
-        da //= g2
-        db //= g2
-    n, d = na * db, nb * da
-    if d < 0:
-        n, d = -n, -d
-    return _make(n, d)
+    # the reciprocal db / nb with the sign moved to its numerator
+    if nb < 0:
+        return _mul(na, da, -db, -nb)
+    return _mul(na, da, db, nb)
 
 
 def _operators(kernel, forward_fallback, reverse_fallback):
@@ -136,6 +123,22 @@ def _operators(kernel, forward_fallback, reverse_fallback):
     return forward, reverse
 
 
+def _comparison(compare, fallback):
+    """An order comparison running ``compare`` on the cross-multiplied
+    pairs of ``Q``, ``Fraction`` and ``int`` operands and the ``Fraction``
+    method ``fallback`` on any other."""
+
+    def method(a, b):
+        t = type(b)
+        if t is Q or t is Fraction:
+            return compare(a._numerator * b._denominator, a._denominator * b._numerator)
+        if t is int:
+            return compare(a._numerator, a._denominator * b)
+        return fallback(a, b)
+
+    return method
+
+
 class Q(Fraction):
     """An exact rational; see the module docstring."""
 
@@ -151,37 +154,10 @@ class Q(Fraction):
             return a._numerator == b and a._denominator == 1
         return Fraction.__eq__(a, b)
 
-    def __lt__(a, b):
-        t = type(b)
-        if t is Q or t is Fraction:
-            return a._numerator * b._denominator < a._denominator * b._numerator
-        if t is int:
-            return a._numerator < a._denominator * b
-        return Fraction.__lt__(a, b)
-
-    def __le__(a, b):
-        t = type(b)
-        if t is Q or t is Fraction:
-            return a._numerator * b._denominator <= a._denominator * b._numerator
-        if t is int:
-            return a._numerator <= a._denominator * b
-        return Fraction.__le__(a, b)
-
-    def __gt__(a, b):
-        t = type(b)
-        if t is Q or t is Fraction:
-            return a._numerator * b._denominator > a._denominator * b._numerator
-        if t is int:
-            return a._numerator > a._denominator * b
-        return Fraction.__gt__(a, b)
-
-    def __ge__(a, b):
-        t = type(b)
-        if t is Q or t is Fraction:
-            return a._numerator * b._denominator >= a._denominator * b._numerator
-        if t is int:
-            return a._numerator >= a._denominator * b
-        return Fraction.__ge__(a, b)
+    __lt__ = _comparison(operator.lt, Fraction.__lt__)
+    __le__ = _comparison(operator.le, Fraction.__le__)
+    __gt__ = _comparison(operator.gt, Fraction.__gt__)
+    __ge__ = _comparison(operator.ge, Fraction.__ge__)
 
     def __neg__(a):
         return _make(-a._numerator, a._denominator)

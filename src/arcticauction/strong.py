@@ -224,6 +224,7 @@ def get_parameter(
     inst: MarketInstance,
     market: MarketState,
     components: list[Component],
+    trace: PhaseTrace,
 ) -> tuple[Fraction, dict[str, Fraction]]:
     """Next scale: the largest component surplus reachable by price raising.
 
@@ -231,13 +232,14 @@ def get_parameter(
     per-buck above one) and zero afterwards; a singleton good contributes
     its surplus, minus its price, which no price raise moves; every other
     component runs the price raiser at target zero and contributes the
-    surplus it stops at.
+    surplus it stops at.  Each run's iteration count goes to the trace.
     """
     per_component: dict[str, Fraction] = {}
     signs = market.bang_per_buck.signs
     for comp in components:
         if not comp.is_singleton():
-            state, _ = special_price(inst, market, components, comp, ZERO)
+            state, iterations = special_price(inst, market, components, comp, ZERO)
+            trace.special_price_iterations.append(iterations)
             value = comp.surplus(state)
         elif comp.goods:
             value = comp.surplus(market)
@@ -335,7 +337,7 @@ def make_fertile(
     """
     n = len(inst.buyers) + len(inst.goods)
     delta = market.unit
-    new_scale, surpluses = get_parameter(inst, market, components)
+    new_scale, surpluses = get_parameter(inst, market, components, trace)
     # A zero scale can happen while the support is still unresolved: critical
     # buyers' commitments can absorb every component surplus entirely.  A
     # jump to scale zero is meaningless, so keep halving under a lowered

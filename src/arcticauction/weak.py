@@ -8,8 +8,13 @@ below ``delta`` -- by refunding buyers whose bang-per-buck is at most one
 and by price-raise-then-augment steps for the rest -- and then ``delta``
 halves, with a small repair keeping feasibility.  Once ``delta`` is below
 the denominator floor of the instance, the support of the equilibrium is
-exactly the set of edges spending more than ``4 * n * delta``, and the
-equilibrium is recovered from it by a tree solve.
+exactly the set of edges spending more than ``4 * n * delta``.  Each of
+those is abundant (it spends at least ``3 * n * delta``), and every
+abundant edge lies in the support (Orlin's lemma, which the strong
+solver's termination test also rests on), so the two sets are equal
+there: the solver reads the support with the strong solver's rule,
+:func:`~arcticauction.graph.abundant_edges`, and recovers the
+equilibrium from it by a tree solve.
 
 Each inner step lowers the integer potential (the sum of
 ``floor(cash / delta)``) by exactly one, and every phase but one opened by
@@ -30,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable
 
-from arcticauction.basic import basic_solution, recover_support
+from arcticauction.basic import basic_solution
 from arcticauction.core import InstanceStats, MarketInstance, ceil_log2, compute_stats
 from arcticauction.errors import GenericityError, SolverError
 from arcticauction.graph import (
@@ -603,7 +608,7 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
         check_phase_invariants(inst, stats.n, market)
 
         if market.unit < stop_below:
-            support = recover_support(market, stats.n)
+            support = abundant_edges(market, stats.n)
             final = basic_solution(inst, components_of_edges(inst, support))
             certificate = certify_state(inst, final)
             if not certificate.ok:

@@ -107,6 +107,19 @@ def check_drift_and_abundance(trace: PhaseTrace, spending: list, n: int) -> None
         assert not missing, f"abundant edges lost: {missing}"
 
 
+def check_abundance_lemma(inst: MarketInstance, eq, trace: PhaseTrace) -> int:
+    """Every edge a run found abundant is a spending edge of its certified
+    equilibrium (Orlin's lemma: the weak solver's support rule and the
+    strong solver's termination test rest on it); returns how many edges
+    were checked."""
+    names = inst.edge_names
+    for e in trace.abundant_discovered:
+        assert eq.spending.get(names[e], 0) > 0, (
+            f"{trace.algorithm}: abundant edge {names[e]} outside the support"
+        )
+    return len(trace.abundant_discovered)
+
+
 # --- criterion 1 (with criterion 5 piggybacking on the same weak runs) ---
 
 
@@ -187,6 +200,18 @@ def test_criterion_5_support_recovery(oracle_suite):
     )
 
 
+def test_abundant_edges_lie_in_the_support(oracle_suite):
+    runs, _, _, _ = oracle_suite
+    checked = 0
+    for outcome, _ in runs:
+        for eq, trace in outcome.results.values():
+            checked += check_abundance_lemma(outcome.perturbed, eq, trace)
+    print(
+        f"abundance lemma: PASS - {checked} abundant edges, all in the"
+        f" certified support, over {len(runs)} weak and {len(runs)} strong runs"
+    )
+
+
 # --- criteria 2, 3, 4, 7 share the 1000-instance certification suite ---
 
 
@@ -212,6 +237,7 @@ def certification_suite():
                 assert eq.certificate.ok, (trial, name, eq.certificate.failed())
                 check_potential_discipline(trace, stats.n)
                 check_drift_and_abundance(trace, snapshots.of(trace), stats.n)
+                check_abundance_lemma(outcome.perturbed, eq, trace)
                 if len(aux_samples) < 50:
                     for mark in trace.phases:
                         if mark.abundant_start and len(aux_samples) < 50:
@@ -263,8 +289,8 @@ def test_criterion_4_drift_and_abundance(certification_suite):
     restarts = sum(s["restarts"] for s in summaries)
     print(
         f"criterion 4: PASS - per-phase drift <= n*delta and abundance"
-        f" persistence held across the suite ({restarts} compressed restarts"
-        f" exercised)"
+        f" persistence held across the suite, and every abundant edge lay in"
+        f" the certified support ({restarts} compressed restarts exercised)"
     )
     assert len(summaries) == 1000
 

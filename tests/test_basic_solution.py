@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from arcticauction.basic import (
     SupportError,
     basic_solution,
-    recover_support,
     solve_tree_flow,
 )
 from arcticauction.errors import GenericityError, SolverError
@@ -20,7 +19,6 @@ from conftest import (
     make_instance,
     prices_of,
     spending_of,
-    state_of,
 )
 
 
@@ -124,21 +122,6 @@ class TestBasicSolution:
         prices, _, refunds = solve(inst, {("b1", "g1")}, {"b1": 1})
         assert prices == {"g1": 1}
         assert refunds["b1"] == 0
-
-
-class TestRecoverSupport:
-    inst = make_instance({"b1": 10}, {("b1", "g1"): 1})
-
-    def test_boundary_excluded(self):
-        # exactly 4*n*delta
-        state = state_of(self.inst, {"g1": 1}, {("b1", "g1"): 8})
-        state.rescale(Fraction(1))
-        assert recover_support(state, 2) == set()
-
-    def test_above_boundary_included(self):
-        state = state_of(self.inst, {"g1": 1}, {("b1", "g1"): 9})
-        state.rescale(Fraction(1))
-        assert recover_support(state, 2) == edge_ids(self.inst, {("b1", "g1")})
 
 
 def tree_component(edges):

@@ -375,12 +375,15 @@ class TestGetParameter:
             delta=64,
         )
         comps = components_of(inst, market)
-        scale, per = get_parameter(inst, market, comps)
+        trace = PhaseTrace("strong", inst.edge_names)
+        scale, per = get_parameter(inst, market, comps, trace)
         assert per["B:b1"] == 1  # bang-per-buck 32 > 1, cash 1
         assert per["B:b2"] == 0  # bang-per-buck 1/2 <= 1
         assert per["G:g1"] == Fraction(-1, 4)
         assert per["G:g2"] == Fraction(-1, 4)
         assert scale == 1
+        # singletons run no price raiser
+        assert trace.special_price_iterations == []
 
     def test_nonfertile_singletons_below_margin(self):
         inst = make_instance({"b1": 1, "b2": 2}, {("b1", "g1"): 8, ("b2", "g2"): 1})
@@ -394,10 +397,30 @@ class TestGetParameter:
         comps = components_of(inst, market)
         n = compute_stats(inst).n
         assert not has_fertile_component(inst, market, comps)
-        _, per = get_parameter(inst, market, comps)
+        _, per = get_parameter(inst, market, comps, PhaseTrace("strong", inst.edge_names))
         for comp in comps:
             if comp.is_singleton() and comp.buyers:
                 assert per[component_key(inst, comp)] <= market.unit / (3 * n * n)
+
+    def test_runs_are_traced(self, monkeypatch):
+        # every price-raising run counts toward the iteration bound, the
+        # get_parameter runs included: on wide_instance(33) the two delayed
+        # restarts make all the runs, 14 of them in 16 iterations
+        import arcticauction.strong as strong_mod
+
+        runs = []
+        raise_prices = strong_mod.special_price
+
+        def counted(*args):
+            state, iterations = raise_prices(*args)
+            runs.append(iterations)
+            return state, iterations
+
+        monkeypatch.setattr(strong_mod, "special_price", counted)
+        _, trace = solve_instance(wide_instance(33), "strong").results["strong"]
+        assert trace.restart_count == 0
+        assert len(runs) == 14 and sum(runs) == 16
+        assert trace.special_price_iterations == runs
 
 
 class TestGetPrices:
