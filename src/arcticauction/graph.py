@@ -35,10 +35,12 @@ her.  A factor of one changes nothing, and prices never fall: the state
 refuses a factor below one.  The price raise's edge event
 (:func:`edge_event`) reads the same pairs.  The residual search
 (:func:`reach`) builds no graph of its own: it walks the instance's
-adjacency and keeps the arcs whose edges lie in the sets the caller
-passes.  The spending threshold (:func:`abundant_edges`, which both
-solvers read their supports with) counts in the state's own scale and
-reads its counts and fixed parts, not its rational spending.
+adjacency, keeps the arcs whose edges lie in the sets the caller passes,
+and records the edge by which it reached each node, so a path of its
+tree is read off those edges.  The spending threshold
+(:func:`abundant_edges`, which both solvers read their supports with)
+counts in the state's own scale and reads its counts and fixed parts,
+not its rational spending.
 Every traversal runs in canonical (document) order, which makes the
 solvers deterministic.
 """
@@ -113,11 +115,11 @@ class MarketState:
     since then, also when the edge empties: its value then drops to zero
     by exactly the units booked.
 
-    ``spending`` (by edge) and ``refunds`` (by buyer) are rational views
-    built anew on each read, and ``bang_per_buck`` the state's
-    :class:`BangPerBuckView`.  Mutate the state only through the mutators,
-    which keep the state's own derived data current: every price scaling
-    updates the bang-per-buck view in place once it has been read.
+    ``spending`` (by edge, in edge id order) and ``refunds`` (by buyer)
+    are rational views built anew on each read, and ``bang_per_buck`` the
+    state's :class:`BangPerBuckView`.  Mutate the state only through the
+    mutators, which keep the state's own derived data current: every price
+    scaling updates the bang-per-buck view in place once it has been read.
 
     The state is also the whole state of the scaling solvers, and ``unit``
     their scale ``delta``.  The state moves one way only, as the solvers
@@ -154,8 +156,9 @@ class MarketState:
     mark ``rescaled``.  None, which a state starts with, means that the
     next check sweeps everything.  The check replaces the record after each
     pass (:func:`~arcticauction.weak.is_delta_feasible`).  ``genericity``
-    holds the genericity check's last version and report
-    (:func:`~arcticauction.oracle.check_genericity`).
+    holds the genericity check's last report
+    (:func:`~arcticauction.oracle.check_genericity`), or None; a price
+    raise that changes a buyer's row or sign drops it.
     """
 
     def __init__(
@@ -189,7 +192,7 @@ class MarketState:
         self.allowed_deficit: dict[int, Fraction] = {}
         self.returnable: set[Edge] = set()
         self.changes: Changes | None = None
-        self.genericity: tuple[int, object] | None = None
+        self.genericity: object | None = None
         # built on first read, then kept current by scale_prices
         self._bang_per_buck: BangPerBuckView | None = None
         # every amount given is a fixed part, kept as given (a state built
@@ -211,17 +214,13 @@ class MarketState:
 
     @property
     def spending(self) -> dict[Edge, Fraction]:
-        """Every non-zero spending as a rational, by edge, in a new dict:
-        the edges with a fixed part first, in the order the state was built
-        with, then the others."""
-        units = self.edge_units
-        spending = {
-            e: self._value(units.get(e, 0), fixed) for e, fixed in self.edge_fixed.items()
+        """Every non-zero spending as a rational, by edge, in a new dict in
+        edge id order."""
+        units, fixed = self.edge_units, self.edge_fixed
+        return {
+            e: self._value(units.get(e, 0), fixed.get(e))
+            for e in sorted(units.keys() | fixed.keys())
         }
-        for e, count in units.items():
-            if e not in spending:
-                spending[e] = self.unit * count
-        return spending
 
     @property
     def bang_per_buck(self) -> BangPerBuckView:
@@ -392,7 +391,8 @@ class MarketState:
         least one: prices only rise.  Once read, the bang-per-buck view
         follows a factor above one (:func:`_follow_raise`) and keeps itself
         on a factor of one.  The record of changes gets the goods, and the
-        buyers whose row or sign the raise changed."""
+        buyers whose row or sign the raise changed; if there are any, the
+        genericity report is dropped."""
         if factor < 1:
             raise ValueError(f"price factor {factor} below one")
         prices = self.prices
@@ -402,6 +402,8 @@ class MarketState:
         moved = ()
         if view is not None and factor != 1:
             moved = _follow_raise(self._inst, prices, view, goods)
+        if moved:
+            self.genericity = None
         changes = self.changes
         if changes is not None:
             changes.goods.update(goods)
@@ -446,18 +448,15 @@ class BangPerBuckView:
     lists by buyer.  A buyer's best pair is the ratio of the first edge of
     her row; ``signs`` holds its sign against one (1 above, 0 at, -1
     below).  The lists and the set are updated in place; copy one to keep
-    a snapshot.  ``version`` goes up whenever a buyer's row or sign
-    changes, so while it stands still the equality graph and the signs are
-    as they were."""
+    a snapshot."""
 
-    __slots__ = ("ratios", "rows", "signs", "edges", "version")
+    __slots__ = ("ratios", "rows", "signs", "edges")
 
     def __init__(self, inst: MarketInstance) -> None:
         self.ratios: list[tuple[int, int]] = []
         self.rows: list[tuple[Edge, ...] | None] = [None] * len(inst.buyers)
         self.signs: list[int | None] = [None] * len(inst.buyers)
         self.edges: set[Edge] = set()
-        self.version = 0
 
     def best_pair(self, buyer: int) -> tuple[int, int]:
         return self.ratios[self.rows[buyer][0]]
@@ -512,7 +511,6 @@ def _follow_raise(
         if inside < len(row):
             rows[b] = tuple(e for e in row if edge_good[e] not in goods)
             eq_edges.difference_update([e for e in row if edge_good[e] in goods])
-            view.version += 1
             moved.append(b)
             continue
         best_n, best_d = ratios[row[0]]
@@ -526,7 +524,6 @@ def _follow_raise(
             sign = (best_n > best_d) - (best_n < best_d)
             if sign != signs[b]:
                 signs[b] = sign
-                view.version += 1
                 moved.append(b)
     if rescan:
         moved += _rescan(inst, view, rescan)
@@ -561,7 +558,6 @@ def _rescan(
             view.signs[b] = sign
             view.edges.difference_update(old or ())
             view.edges.update(row)
-            view.version += 1
             moved.append(b)
     return moved
 
@@ -598,47 +594,37 @@ def edge_event(
 
 def reach(
     inst: MarketInstance, roots: list[Node], forward: set[Edge], backward: set[Edge]
-) -> dict[Node, Node | None]:
+) -> dict[Node, Edge | None]:
     """Breadth-first search of the residual graph from ``roots``.
 
     Arcs run buyer -> good along ``forward`` edges and good -> buyer along
     ``backward`` edges; both are read straight off the instance's adjacency,
     so with ``roots`` in canonical order (sorted) the search visits in
-    canonical order too.  Returns the predecessor map of the BFS tree: its
-    keys are the reached nodes, and the roots map to None.
+    canonical order too.  Returns the BFS tree as the edge into each node:
+    its keys are the reached nodes, the roots map to None, and the other
+    end of a node's edge is the node it was reached from.
     """
     n_buyers = len(inst.buyers)
     buyer_edges, good_edges = inst.buyer_edges, inst.good_edges
     edge_buyer, edge_good = inst.edge_buyer, inst.edge_good
-    parent: dict[Node, Node | None] = dict.fromkeys(roots)
-    queue = list(parent)
+    tree: dict[Node, Edge | None] = dict.fromkeys(roots)
+    queue = list(tree)
     for node in queue:  # the list grows while it is walked
         if node < n_buyers:
             for e in buyer_edges[node]:
                 if e in forward:
                     nxt = n_buyers + edge_good[e]
-                    if nxt not in parent:
-                        parent[nxt] = node
+                    if nxt not in tree:
+                        tree[nxt] = e
                         queue.append(nxt)
         else:
             for e in good_edges[node - n_buyers]:
                 if e in backward:
                     nxt = edge_buyer[e]
-                    if nxt not in parent:
-                        parent[nxt] = node
+                    if nxt not in tree:
+                        tree[nxt] = e
                         queue.append(nxt)
-    return parent
-
-
-def path_to(parent: dict[Node, Node | None], target: Node) -> list[Node]:
-    """Path of a :func:`reach` tree from its root to ``target`` (inclusive)."""
-    if target not in parent:
-        raise ValueError(f"node {target} unreachable from roots")
-    path = [target]
-    while (prev := parent[path[-1]]) is not None:
-        path.append(prev)
-    path.reverse()
-    return path
+    return tree
 
 
 def abundant_edges(state: MarketState, n: int) -> set[Edge]:

@@ -6,17 +6,17 @@ bang-per-buck view (``MarketState.bang_per_buck``), the one place
 bang-per-buck and the equality graph are computed; the checks read its
 equality edges and each buyer's sign against one, and normalize a best
 ratio only to report it.  The genericity check reads the solver's live
-view, and walks the graph again only after the view's rows or signs
-changed.  The certifier checks a :class:`~arcticauction.graph.MarketState`
-on the dense index (:func:`certify_state`, which the solvers call), or
-prices, spending and refunds keyed by id strings
-(:func:`check_equilibrium`, which ``verify`` calls); either way it reads
-the equality graph off a new state of its own, whose first read of the
-view computes every ratio afresh from the prices it is given.  So a
-certified answer is checked against the market definition rather than
-against the steps of the algorithm that produced it.  :class:`Equilibrium`, the
-certificate and the genericity report name buyers, goods and edges by
-their id strings.
+view, and walks the graph again only after a price raise changed a row
+or a sign.  The certifier checks a
+:class:`~arcticauction.graph.MarketState` on the dense index
+(:func:`certify_state`, which the solvers call), or prices, spending and
+refunds keyed by id strings (:func:`check_equilibrium`, which ``verify``
+calls); either way it reads the equality graph off a new state of its
+own, whose first read of the view computes every ratio afresh from the
+prices it is given.  So a certified answer is checked against the market
+definition rather than against the steps of the algorithm that produced
+it.  :class:`Equilibrium`, the certificate and the genericity report
+name buyers, goods and edges by their id strings.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class Certificate:
 class Equilibrium:
     """Certified output: prices, spending, refunds, derived quantities,
     keyed by id strings; spending and quantities come in canonical edge
-    order (by edge id), which :meth:`from_state` sets."""
+    order (by edge id), the order of the state's spending."""
 
     prices: dict[str, Fraction]
     spending: dict[Edge, Fraction]
@@ -87,7 +87,7 @@ class Equilibrium:
         cls, inst: MarketInstance, state: MarketState, certificate: Certificate
     ) -> "Equilibrium":
         names, edge_good = inst.edge_names, inst.edge_good
-        spending = sorted(state.spending.items())
+        spending = state.spending.items()
         return cls(
             prices=dict(zip(inst.goods, state.prices)),
             spending={names[e]: v for e, v in spending},
@@ -111,8 +111,7 @@ def certify_state(
     below bang-per-buck one -- which rules out spurious fixed points the
     four literal conditions admit.  The equality graph is that of a new
     state holding only the prices, so it is computed afresh from them.
-    Spending is reported in the state's order (the order it was built
-    from).
+    Spending is reported in edge id order.
     """
     budget = inst.budget if budgets is None else budgets
     refunds = state.refunds
@@ -261,7 +260,7 @@ def brute_force_equilibrium(inst: MarketInstance) -> Equilibrium:
 class GenericityReport:
     """Result of checking the two generic-position properties at a price
     vector.  It is immutable, because :func:`check_genericity` hands the
-    same report out again while the state's equality graph stands still."""
+    same report out again until a price raise changes a row or a sign."""
 
     is_forest: bool
     offending_cycle: tuple[Edge, ...] | None
@@ -278,15 +277,15 @@ def check_genericity(inst: MarketInstance, state: MarketState) -> GenericityRepo
     """Verify the equality graph at the state's prices is a forest with at
     most one critical buyer per connected component.
 
-    The report reads only the equality edges and the buyers' signs, so
-    while the ``version`` of the state's bang-per-buck view is the one the
-    state's last report was made at, that report is returned again; a new
-    state, or any change of a buyer's row or sign, walks the graph anew.
+    The report reads only the equality edges and the buyers' signs, so it
+    is kept on the state (``state.genericity``) and returned again while
+    it is set; a price raise that changes a buyer's row or sign drops it
+    (:meth:`~arcticauction.graph.MarketState.scale_prices`), and a new
+    state has none, so either walks the graph anew.
     """
+    if state.genericity is not None:
+        return state.genericity
     view = state.bang_per_buck
-    last = state.genericity
-    if last is not None and last[0] == view.version:
-        return last[1]
     components, cycle = components_of_edges(inst, view.edges)
     critical: dict[str, int] = {}
     for comp in components:
@@ -300,5 +299,5 @@ def check_genericity(inst: MarketInstance, state: MarketState) -> GenericityRepo
         ),
         critical_buyers_per_component=MappingProxyType(critical),
     )
-    state.genericity = (view.version, report)
+    state.genericity = report
     return report

@@ -34,7 +34,6 @@ from arcticauction.graph import (
     component_key,
     components_of_edges,
     edge_event,
-    path_to,
     reach,
 )
 from arcticauction.oracle import Equilibrium, certify_state
@@ -118,10 +117,12 @@ def special_price(
     then grows), the root surplus reaching the target, some component's
     surplus reaching the barrier ``-root surplus / (2 n^2)``, or an active
     buyer with positive cash turning critical, in which case as much of
-    her cash is committed as the target and barrier allow.  A component
-    whose goods are active loses their price sum times the multiplier
-    minus one; one that is inactive or has no goods keeps its surplus,
-    and counts as a price sum of 0 in the same barrier formula.  Runs for
+    her cash is committed as the target and barrier allow.  The smallest
+    multiplier wins, and a tie goes to the event named first here, then to
+    the canonically first component or buyer.  A component whose goods are
+    active loses their price sum times the multiplier minus one; one that
+    is inactive or has no goods keeps its surplus, and counts as a price
+    sum of 0 in the same barrier formula.  Runs for
     at most ``n + |B|`` iterations.  The root must hold a buyer and a
     good: a singleton's surplus does not move with prices, and its callers
     read it directly.  Returns the private state and the iteration count.
@@ -160,29 +161,30 @@ def special_price(
         tree = SearchTree(inst, state, roots, abundant)
         active_buyer_set = set(tree.buyers)
         for comp in components:
-            for side, active_side in (
-                (set(comp.goods), tree.good_set),
-                (set(comp.buyers), active_buyer_set),
+            for side, active in (
+                (comp.goods, tree.good_set),
+                (comp.buyers, active_buyer_set),
             ):
-                touched = side & active_side
-                if touched and touched != side:
+                if len({node in active for node in side}) > 1:
                     raise SolverError("component partially active")
 
         root_goods_price = sum((prices[g] for g in root_component.goods), ZERO)
         root_budget = root_surplus + root_goods_price
 
-        candidates: list[tuple[Fraction, int, tuple, str, object]] = []
-        # (1) new equality edge: active buyer toward an inactive good; the
+        # each candidate is (multiplier, kind, subject), appended in event
+        # order, each kind in canonical order: the first smallest wins, so a
+        # tie goes to the earlier kind, then to the canonically first subject
+        candidates: list[tuple[Fraction, str, object]] = []
+        # new equality edge: active buyer toward an inactive good; the
         # smallest such multiplier is at least 1, and ties go to the
         # canonically first edge
         event = edge_event(inst, view, tree.buyers, tree.good_set)
         if event is not None:
             num, den, e = event
-            candidates.append((Q(num, den), 1, (e,), "edge", e))
-        # (2) root surplus reaches the target
-        q2 = (root_budget - target) / root_goods_price
-        candidates.append((q2, 2, (), "target", None))
-        # (3) some component reaches the barrier
+            candidates.append((Q(num, den), "edge", e))
+        # root surplus reaches the target
+        candidates.append(((root_budget - target) / root_goods_price, "target", None))
+        # some component reaches the barrier
         for comp, comp_surplus in zip(components, surpluses):
             comp_price = ZERO
             if comp.goods and comp.goods[0] in tree.good_set:
@@ -191,18 +193,13 @@ def special_price(
                 comp_price + root_goods_price / barrier_scale
             )
             if q >= 1:
-                candidates.append(
-                    (q, 3, (component_key(inst, comp),), "barrier", comp)
-                )
-        # (4) an active buyer with positive cash turns critical
+                candidates.append((q, "barrier", comp))
+        # an active buyer with positive cash turns critical
         for b in tree.buyers:
             if view.signs[b] >= 0 and state.effective_cash(b) > 0:
-                alpha = reduced(*view.best_pair(b))
-                candidates.append((alpha, 4, (b,), "critical", b))
+                candidates.append((reduced(*view.best_pair(b)), "critical", b))
 
-        q, _, _, kind, subject = min(
-            candidates, key=lambda c: (c[0], c[1], c[2])
-        )
+        q, kind, subject = min(candidates, key=lambda c: c[0])
         if q < 1:
             raise SolverError(f"price-raise event at multiplier {q} < 1")
         state.scale_prices(tree.good_set, q)
@@ -462,8 +459,7 @@ def _repair_deficits(
             continue
         root = min(sources, key=lambda b: (b not in comp_of_good[g].buyers, b))
         phi_before = potential(inst, market)
-        tree = reach(inst, [root], forward, backward)
-        _augment(inst, market, path_to(tree, target))
+        _augment(inst, market, reach(inst, [root], forward, backward), target)
         record_step(inst, market, trace, phase, "restart_repair", inst.goods[g], phi_before)
         market.allowed_deficit.pop(g, None)
 

@@ -46,7 +46,6 @@ from arcticauction.graph import (
     abundant_edges,
     components_of_edges,
     edge_event,
-    path_to,
     reach,
 )
 from arcticauction.oracle import Equilibrium, certify_state, check_genericity
@@ -226,9 +225,10 @@ class SearchTree:
 
     ``parent`` is the :func:`~arcticauction.graph.reach` forest of
     ``roots`` (in canonical order) along the equality edges and the
-    ``backward`` edges; its nodes are the active set.  A price-and-augment
-    round searches from its root buyer over the returnable edges, and the
-    restart's price raiser from a component over the abundant forest.
+    ``backward`` edges, as the edge into each node; its nodes are the
+    active set.  A price-and-augment round searches from its root buyer
+    over the returnable edges, and the restart's price raiser from a
+    component over the abundant forest.
     ``buyers`` and ``goods`` list the active set in canonical order (goods
     by good index, not node), ``good_set`` holds the goods again, and
     ``pairs`` each active good's inflow over its price as an unnormalized
@@ -342,22 +342,24 @@ def update_price_star(
     return tied, terminal
 
 
-def _augment(inst: MarketInstance, market: MarketState, path: list[Node]) -> None:
-    """Shift one unit of ``delta`` along a residual path (forward +,
-    backward -)."""
+def _augment(
+    inst: MarketInstance, market: MarketState, tree: dict[Node, Edge | None], target: Node
+) -> None:
+    """Shift one unit of ``delta`` along the path of a
+    :func:`~arcticauction.graph.reach` tree from its root to ``target``,
+    walked back from the target: an edge into a good (a forward arc) gains
+    one unit, and an edge into a buyer (a backward arc) gives one back."""
+    if target not in tree:
+        raise SolverError(f"node {target} unreachable from roots")
     n_buyers = len(inst.buyers)
-    buyer_edges, edge_good = inst.buyer_edges, inst.edge_good
-    for a, b in zip(path, path[1:]):
-        if a < n_buyers <= b:
-            buyer, good, units = a, b - n_buyers, 1
-        elif b < n_buyers <= a:
-            buyer, good, units = b, a - n_buyers, -1
+    node = target
+    while (edge := tree[node]) is not None:
+        if node < n_buyers:
+            market.add_spending_units(edge, -1)
+            node = n_buyers + inst.edge_good[edge]
         else:
-            raise SolverError("augmenting path does not alternate sides")
-        # the buyer's edges are a run of ids sorted by good
-        run = buyer_edges[buyer]
-        edge = bisect_left(edge_good, good, run[0], run[-1] + 1)
-        market.add_spending_units(edge, units)
+            market.add_spending_units(edge, 1)
+            node = inst.edge_buyer[edge]
 
 
 def price_and_augment(
@@ -385,7 +387,7 @@ def price_and_augment(
             tree = SearchTree(inst, market, [root], returnable)
             terminal = tree.terminal(inst, market)
 
-    _augment(inst, market, path_to(tree.parent, terminal))
+    _augment(inst, market, tree.parent, terminal)
     n_buyers = len(inst.buyers)
     if terminal < n_buyers:
         market.add_refund_units(terminal, 1)

@@ -165,10 +165,10 @@ def check_nondecreasing(starts) -> None:
 
 
 def check_step_lines(trace) -> None:
-    """The step lines of ``trace.to_lines()`` are the trace rows in order:
+    """The step lines of ``trace.iter_lines()`` are the trace rows in order:
     ``row.steps`` lines each, chaining from ``row.phi_before`` down to
     ``row.phi_after`` by one per line."""
-    lines = iter(line for line in trace.to_lines() if line["event"] == "step")
+    lines = iter(line for line in trace.iter_lines() if line["event"] == "step")
     for row in trace.rows:
         phi = row.phi_before
         for _ in range(row.steps):

@@ -14,7 +14,6 @@ from arcticauction.graph import (
     component_key,
     components_of_edges,
     edge_event,
-    path_to,
     reach,
 )
 from arcticauction.randgen import random_instance
@@ -121,19 +120,53 @@ def residual_tree(inst, state, roots):
     """The solvers' residual search: backward arcs on at least one unit of
     spending, at a unit of 1."""
     state.rescale(Fraction(1))
-    return reach(inst, roots, state.bang_per_buck.edges, state.returnable)
+    forward, backward = state.bang_per_buck.edges, state.returnable
+    tree = reach(inst, roots, forward, backward)
+    assert_tree_edges(inst, tree, forward, backward)
+    return tree
 
 
 def delta_residual_tree(inst, state, n, delta, roots):
     """The price raiser's search: backward arcs on abundant edges only."""
     state.rescale(delta)
-    return reach(inst, roots, state.bang_per_buck.edges, abundant_edges(state, n))
+    forward, backward = state.bang_per_buck.edges, abundant_edges(state, n)
+    tree = reach(inst, roots, forward, backward)
+    assert_tree_edges(inst, tree, forward, backward)
+    return tree
 
 
-def out_arcs(tree, node):
+def came_from(inst, tree, node):
+    """The node a :func:`reach` tree reached ``node`` from: the other end
+    of the edge it records for ``node`` (None at a root)."""
+    edge = tree[node]
+    if edge is None:
+        return None
+    n_buyers = len(inst.buyers)
+    if node < n_buyers:
+        return n_buyers + inst.edge_good[edge]
+    return inst.edge_buyer[edge]
+
+
+def assert_tree_edges(inst, tree, forward, backward):
+    """Each reached node records an edge it is one end of, a forward edge
+    into a good and a backward edge into a buyer, whose other end was
+    reached before it; each root records None."""
+    n_buyers = len(inst.buyers)
+    order = {node: k for k, node in enumerate(tree)}
+    for node, edge in tree.items():
+        if edge is None:
+            continue
+        if node < n_buyers:
+            assert inst.edge_buyer[edge] == node and edge in backward
+        else:
+            assert n_buyers + inst.edge_good[edge] == node and edge in forward
+        assert order[came_from(inst, tree, node)] < order[node]
+
+
+def out_arcs(inst, tree, node):
     """Arcs leaving ``node`` in a search rooted at ``node`` alone: its
     neighbours, every one of them first reached from the root."""
-    return [v for v, p in tree.items() if p == node]
+    return [v for v in tree if came_from(inst, tree, v) == node]
 
 
 class TestResidualNetwork:
@@ -147,7 +180,8 @@ class TestResidualNetwork:
         inst = two_goods
         state = state_of(inst, {"g1": 1, "g2": 2}, {("b1", "g2"): Fraction(3, 2)})
         tree = residual_tree(inst, state, [good_node(inst, "g2")])
-        assert tree[buyer_node(inst, "b1")] == good_node(inst, "g2")
+        assert tree[buyer_node(inst, "b1")] == inst.edge_id[("b1", "g2")]
+        assert came_from(inst, tree, buyer_node(inst, "b1")) == good_node(inst, "g2")
 
     def test_spending_below_one_unit_gives_no_backward_arc(self, two_goods):
         # half a unit cannot give one back: an augmenting path through the
@@ -166,7 +200,7 @@ class TestResidualNetwork:
         arcs = [
             (node, v)
             for node in nodes
-            for v in out_arcs(residual_tree(inst, state, [node]), node)
+            for v in out_arcs(inst, residual_tree(inst, state, [node]), node)
         ]
         assert len(arcs) == 2 + 1
 
@@ -197,8 +231,11 @@ class TestDeltaResidualNetwork:
 
 def reach_named(inst, roots, forward, backward):
     """``reach`` from buyers and goods named by id strings, over edge sets
-    named by (buyer, good)."""
-    return reach(inst, roots, edge_ids(inst, forward), edge_ids(inst, backward))
+    named by (buyer, good), with its recorded edges checked."""
+    forward, backward = edge_ids(inst, forward), edge_ids(inst, backward)
+    tree = reach(inst, roots, forward, backward)
+    assert_tree_edges(inst, tree, forward, backward)
+    return tree
 
 
 class TestActiveSet:
@@ -213,7 +250,8 @@ class TestActiveSet:
         )
         b1, b2, g1 = (buyer_node(inst, "b1"), buyer_node(inst, "b2"), good_node(inst, "g1"))
         tree = reach_named(inst, [b1], {("b1", "g1")}, {("b2", "g1")})
-        assert tree == {b1: None, g1: b1, b2: g1}
+        e1, e2 = inst.edge_id[("b1", "g1")], inst.edge_id[("b2", "g1")]
+        assert tree == {b1: None, g1: e1, b2: e2}
 
     def test_idempotent(self):
         inst = make_instance(
@@ -239,16 +277,13 @@ class TestActiveSet:
             {("b1", "g1"): 1, ("b1", "g2"): 1, ("b2", "g1"): 1, ("b2", "g2"): 1},
         )
         b1, b2 = buyer_node(inst, "b1"), buyer_node(inst, "b2")
-        tree = reach_named(
-            inst,
-            [b1],
-            {("b1", "g1"), ("b1", "g2"), ("b2", "g2")},
-            {("b2", "g1"), ("b2", "g2")},
-        )
+        forward = {("b1", "g1"), ("b1", "g2"), ("b2", "g2")}
+        backward = {("b2", "g1"), ("b2", "g2")}
+        tree = reach_named(inst, [b1], forward, backward)
         # two shortest paths exist; canonical order picks the one through g1
-        assert path_to(tree, b2) == [b1, good_node(inst, "g1"), b2]
-        with pytest.raises(ValueError):
-            path_to(reach(inst, [b1], set(), set()), b2)
+        g1 = good_node(inst, "g1")
+        assert came_from(inst, tree, b2) == g1 and came_from(inst, tree, g1) == b1
+        assert b2 not in reach(inst, [b1], set(), set())
 
 
 def reference_reach(inst, roots, forward, backward):
@@ -304,11 +339,9 @@ def test_reach_matches_sorted_adjacency_search(n, seed, data):
     tree = reach(inst, roots, forward, backward)
     seen, parent = reference_reach(inst, roots, forward, backward)
     assert set(tree) == seen
-    assert {v: p for v, p in tree.items() if p is not None} == parent
-    assert all(tree[root] is None for root in roots)
-    for node in tree:
-        path = path_to(tree, node)
-        assert path[0] in picked and path[-1] == node
+    assert {v: came_from(inst, tree, v) for v, e in tree.items() if e is not None} == parent
+    assert [v for v, e in tree.items() if e is None] == roots
+    assert_tree_edges(inst, tree, forward, backward)
 
 
 def named(inst, comp):

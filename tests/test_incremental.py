@@ -13,8 +13,8 @@ returnable edges and the record follow) to check that the incremental
 feasibility check reports exactly what a full sweep reports; each price
 raise of a random walk must record exactly the buyers whose row or sign
 it changed.  The genericity check, which reads the solver's live
-bang-per-buck view and hands out its last immutable report while the
-view's version stands still, must report the same on a fresh copy of the
+bang-per-buck view and hands out its last immutable report until a raise
+changes a row or a sign, must report the same on a fresh copy of the
 state.  Every price raise of both solvers is checked against the
 multiplier formula written with ``Q`` arithmetic, and every residual
 search tree a raise keeps against a fresh search: its kept
@@ -511,17 +511,17 @@ def test_a_price_cut_is_refused(price_type):
     # cut is refused before any price, ratio or row moves
     inst, market = rescan_market(price_type)
     view = market.bang_per_buck
-    prices, ratios, rows, version = (
+    prices, ratios, rows, report = (
         list(market.prices),
         list(view.ratios),
         list(view.rows),
-        view.version,
+        check_genericity(inst, market),
     )
     with pytest.raises(ValueError, match="below one"):
         market.scale_prices([inst.good_pos["g2"]], Fraction(1, 2))
     assert market.prices == prices and view.ratios == ratios
     assert all(new is old for new, old in zip(view.rows, rows))
-    assert view.version == version
+    assert check_genericity(inst, market) is report
     assert_view_is_direct(inst, market)
 
 
@@ -571,33 +571,40 @@ def scaling_market():
 
 def scale(inst, market, goods, factor):
     """Scale the named goods' prices; returns the view's rows before, by
-    buyer position, and its version before."""
-    view = market.bang_per_buck
-    rows, version = list(view.rows), view.version
+    buyer position, and the genericity report before."""
+    rows, report = list(market.bang_per_buck.rows), check_genericity(inst, market)
     market.scale_prices({inst.good_pos[g] for g in goods}, Fraction(factor))
-    return rows, version
+    return rows, report
+
+
+def assert_fresh_report(inst, market, report):
+    """The raise moved a row or a sign: the state dropped ``report``, and
+    the check makes a new one."""
+    assert market.genericity is None
+    assert check_genericity(inst, market) is not report
 
 
 def test_a_raise_by_one_changes_nothing(rescans):
     inst, market = scaling_market()
     ratios = list(market.bang_per_buck.ratios)
-    rows, version = scale(inst, market, ["g1", "g3", "g4"], 1)
+    rows, report = scale(inst, market, ["g1", "g3", "g4"], 1)
     view = market.bang_per_buck
     assert all(new is old for new, old in zip(view.rows, rows))
-    assert view.version == version and view.ratios == ratios
+    assert view.ratios == ratios
+    assert check_genericity(inst, market) is report
     assert rescans == [["b1", "b2", "b3"]]  # the first call only
     assert_view_is_direct(inst, market)
 
 
 def test_a_row_partly_inside_drops_its_scaled_edges(rescans):
     inst, market = scaling_market()
-    rows, version = scale(inst, market, ["g1"], 2)
+    rows, report = scale(inst, market, ["g1"], 2)
     view = market.bang_per_buck
     assert row_of(inst, market, "b1") == (("b1", "g2"),)
     assert view.signs[0] == 1 and Fraction(*view.best_pair(0)) == 2
     # b2 and b3 have no edge into g1
     assert view.rows[1] is rows[1] and view.rows[2] is rows[2]
-    assert view.version == version + 1
+    assert_fresh_report(inst, market, report)
     assert rescans == [["b1", "b2", "b3"]]
     assert_view_is_direct(inst, market)
 
@@ -617,24 +624,29 @@ def test_a_row_wholly_inside_is_compared_with_the_other_goods(
     rescans, factor, row, sign, rescanned
 ):
     inst, market = scaling_market()
-    rows, _ = scale(inst, market, ["g3"], factor)
+    rows, report = scale(inst, market, ["g3"], factor)
     view = market.bang_per_buck
     assert row_of(inst, market, "b2") == row
     assert view.signs[1] == sign
     # b1's row does not reach g3, and b3 has no edge into it
     assert view.rows[0] is rows[0] and view.rows[2] is rows[2]
     assert rescans == [["b1", "b2", "b3"], *rescanned]
+    # b2's row and sign move exactly when she is rescanned
+    if rescanned:
+        assert_fresh_report(inst, market, report)
+    else:
+        assert check_genericity(inst, market) is report
     assert_view_is_direct(inst, market)
 
 
 def test_a_raise_brings_a_buyer_to_bang_per_buck_one(rescans):
     # b3's only good g4 goes from ratio 2 to 1; b2's row (g3) lies outside
     inst, market = scaling_market()
-    rows, version = scale(inst, market, ["g4"], 2)
+    rows, report = scale(inst, market, ["g4"], 2)
     view = market.bang_per_buck
     assert view.rows[2] is rows[2] and view.signs[2] == 0
     assert view.rows[1] is rows[1] and view.signs[1] == 1
-    assert view.version == version + 1
+    assert_fresh_report(inst, market, report)
     assert rescans == [["b1", "b2", "b3"]]
     assert dict(check_genericity(inst, market).critical_buyers_per_component) == {
         "B:b3": 1
@@ -656,13 +668,13 @@ def test_any_other_price_change_rebuilds_the_view(rescans, scalings):
     # rescan of every buyer
     inst, market = scaling_market()
     view = market.bang_per_buck
-    version = view.version
+    report = check_genericity(inst, market)
     for goods, factor in scalings:
         market.scale_prices({inst.good_pos[g] for g in goods}, Fraction(factor))
     assert market.bang_per_buck is view
     assert rescans[0] == ["b1", "b2", "b3"]
     assert ["b1", "b2", "b3"] not in rescans[1:]
-    assert view.version > version
+    assert_fresh_report(inst, market, report)
     assert_view_is_direct(inst, market)
     # a later single raise is followed again, with no full rescan
     seen = len(rescans)
@@ -1141,8 +1153,8 @@ def test_genericity_report_is_reused_only_by_its_own_state():
     report = check_genericity(inst, above)
     # nothing moved: the very same report again
     assert check_genericity(inst, above) is report
-    # a new state, whose view has the same version, gets its own report
-    assert at_one.bang_per_buck.version == above.bang_per_buck.version
+    # a new state has no report, and gets its own
+    assert at_one.genericity is None
     assert dict(check_genericity(inst, at_one).critical_buyers_per_component) == {"B:b1": 1}
     assert not check_genericity(inst, above).critical_buyers_per_component
 

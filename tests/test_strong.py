@@ -260,6 +260,32 @@ class TestSpecialPrice:
         assert prices_of(inst, state) == {"g1": Fraction(31, 4)}
         assert lone.surplus(state) == -root.surplus(state) / 18
 
+    def test_a_tie_goes_to_the_new_edge_before_a_critical_buyer(self):
+        # root {b1, g1}: budget 6, price 2; b1's best bang-per-buck is 2 on
+        # g1, and (b1, g2) has ratio 1.  At q = 2 b1 reaches bang-per-buck
+        # one exactly as (b1, g2) joins the equality graph: the edge event
+        # wins the tie and commits nothing, and the next iteration, with
+        # every good active, commits b1's cash at q = 1 down to the target
+        inst = make_instance(
+            {"b1": 6, "b2": 3},
+            {("b1", "g1"): 4, ("b1", "g2"): 3, ("b2", "g2"): 6},
+        )
+        market = scaled_state(
+            inst,
+            {"g1": 2, "g2": 3},
+            {("b1", "g1"): 2, ("b2", "g2"): 3},
+            {},
+            delta=Fraction(1, 100),
+        )
+        forest = edge_ids(inst, {("b1", "g1"), ("b2", "g2")})
+        comps = components_of_edges(inst, forest).components
+        root = next(c for c in comps if inst.buyer_pos["b1"] in c.buyers)
+        state, iterations = special_price(inst, market, comps, root, Fraction(0))
+        assert iterations == 2
+        assert prices_of(inst, state) == {"g1": 4, "g2": 3}
+        assert refunds_of(inst, state) == {"b1": 2}
+        assert root.surplus(state) == 0
+
     def test_singleton_root_rejected(self):
         # a singleton's surplus does not move with prices: its callers read
         # it directly, and the raiser refuses it
@@ -807,8 +833,8 @@ def test_renaming_ids_changes_nothing_but_the_names(seed):
         other_eq, other_trace = second.results[algorithm]
         assert unnamed(equilibrium_doc(other, other_eq)) == equilibrium_doc(inst, eq)
         assert other_trace.stats_doc() == trace.stats_doc()
-        lines = [line for line in trace.to_lines() if line["event"] == "step"]
-        other_lines = [line for line in other_trace.to_lines() if line["event"] == "step"]
+        lines = [line for line in trace.iter_lines() if line["event"] == "step"]
+        other_lines = [line for line in other_trace.iter_lines() if line["event"] == "step"]
         assert [unnamed(line) for line in other_lines] == lines
         assert len(other_trace.phases) == len(trace.phases)
         for mark, other_mark in zip(trace.phases, other_trace.phases):

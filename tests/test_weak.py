@@ -7,10 +7,12 @@ import pytest
 from arcticauction import weak
 from arcticauction.core import PerturbationConfig, ceil_log2, compute_stats, perturb
 from arcticauction.errors import SolverError
+from arcticauction.graph import reach
 from arcticauction.oracle import brute_force_equilibrium
 from arcticauction.trace import PhaseTrace, TraceRow
 from arcticauction.weak import (
     SearchTree,
+    _augment,
     check_phase_invariants,
     halve_and_repair,
     initialize,
@@ -236,6 +238,41 @@ class TestPriceAndAugment:
         assert spending_of(inst, market)[("b2", "g1")] == 1
 
 
+class TestAugment:
+    def market(self):
+        """b1's only good is g1; b2 ties g1 and g2 and spends 2 on g1, at
+        delta 1.  The search from b1 runs b1 -> g1 -> b2 -> g2, through the
+        backward arc of (b2, g1)."""
+        inst = make_instance(
+            {"b1": 8, "b2": 8}, {("b1", "g1"): 2, ("b2", "g1"): 2, ("b2", "g2"): 2}
+        )
+        market = scaled_state(inst, {"g1": 1, "g2": 1}, {("b2", "g1"): 2}, delta=1)
+        tree = reach(
+            inst, [buyer_node(inst, "b1")], market.bang_per_buck.edges, market.returnable
+        )
+        return inst, market, tree
+
+    def test_one_unit_along_a_backward_arc(self):
+        inst, market, tree = self.market()
+        assert tree[buyer_node(inst, "b2")] == inst.edge_id[("b2", "g1")]
+        _augment(inst, market, tree, good_node(inst, "g2"))
+        # each edge into a good gains one unit, the edge into b2 gives one back
+        moved = {inst.edge_names[e]: units for e, units in enumerate(market.moved) if units}
+        assert moved == {("b1", "g1"): 1, ("b2", "g1"): -1, ("b2", "g2"): 1}
+        assert spending_of(inst, market) == {
+            ("b1", "g1"): 1,
+            ("b2", "g1"): 1,
+            ("b2", "g2"): 1,
+        }
+
+    def test_target_outside_the_tree_is_an_error(self):
+        inst, market, _ = self.market()
+        tree = reach(inst, [buyer_node(inst, "b1")], set(), set())
+        with pytest.raises(SolverError, match="unreachable"):
+            _augment(inst, market, tree, good_node(inst, "g2"))
+        assert not any(market.moved)
+
+
 class TestPriceRaiseTies:
     """Raises whose winning multiplier several events reach at once: the
     step goes to the first critical buyer in canonical order, else to the
@@ -393,7 +430,7 @@ class TestTraceRuns:
         return trace
 
     def test_run_row_expands_to_one_line_per_step(self):
-        lines = self.trace_with_rows().to_lines()
+        lines = self.trace_with_rows().iter_lines()
         steps = [line for line in lines if line["event"] == "step"]
         assert [
             (s["kind"], s["subject"], s["phi_before"], s["phi_after"]) for s in steps
