@@ -23,13 +23,9 @@ from arcticauction.core import (
     perturb,
     PerturbationConfig,
 )
-from arcticauction.driver import GenericityExhausted, solve_instance
+from arcticauction.driver import ALGORITHMS, GenericityExhausted, solve_instance
 from arcticauction.errors import SolverError
 from arcticauction.oracle import Certificate, Equilibrium, check_equilibrium
-
-
-# the solvers whose results a document can hold
-ALGORITHMS = ("weak", "strong")
 
 
 def equilibrium_doc(inst: MarketInstance, eq: Equilibrium) -> dict:

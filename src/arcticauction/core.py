@@ -315,7 +315,7 @@ def perturb(inst: MarketInstance, cfg: PerturbationConfig) -> MarketInstance:
     cfg.validate_for(inst)
     if cfg.magnitude == 0:
         return inst
-    edges = inst.edges()
+    edges = inst.edge_names
     resolution = max(EPSILON_RESOLUTION, 1 << len(edges).bit_length())
     rng = random.Random(cfg.seed)
     numerators = rng.sample(range(1, resolution), len(edges))

@@ -23,6 +23,10 @@ from arcticauction.trace import PhaseTrace
 from arcticauction.weak import run_weak
 
 
+# the solvers, by name; ``both`` runs each of them
+ALGORITHMS = ("weak", "strong")
+
+
 class GenericityExhausted(RuntimeError):
     """Every retry seed produced a degenerate run."""
 
@@ -54,7 +58,7 @@ def solve_instance(
     magnitude zero every seed gives the same instance, so there are no
     retries.
     """
-    if algorithm not in ("weak", "strong", "both"):
+    if algorithm not in (*ALGORITHMS, "both"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if magnitude is None:
         magnitude = default_magnitude(inst)

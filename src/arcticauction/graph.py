@@ -53,6 +53,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from arcticauction.core import MarketInstance
+from arcticauction.errors import SolverError
 from arcticauction.rational import ZERO
 
 Node = int  # buyer i, or good j as B + j
@@ -87,7 +88,7 @@ class MarketState:
     whole units through :meth:`add_spending_units` and
     :meth:`add_refund_units`, so the fixed parts stay zero except for
     amounts set from rationals (the amounts a state is built from, and a
-    refund :meth:`add_refund` books before the first unit).  Halving the
+    refund :meth:`add_refund` commits before the first unit).  Halving the
     scale doubles every count.  The per-step tests compare counts and
     cross-multiply integer pairs (:meth:`spending_sign`, and the
     unnormalized pairs (numerator, positive denominator) of
@@ -122,13 +123,17 @@ class MarketState:
     scaling updates the bang-per-buck view in place once it has been read.
 
     The state is also the whole state of the scaling solvers, and ``unit``
-    their scale ``delta``.  The state moves one way only, as the solvers
-    do: prices only rise (:meth:`scale_prices` refuses a factor below one),
-    the scale only divides (after the first unit :meth:`rescale` refuses a
-    factor that is not whole), and a fixed refund (:meth:`add_refund`) is
-    booked only before the first unit.  So an edge's spending is a whole
-    number of units plus the fixed part the state was built with: only
-    construction sets a spending fixed part, :meth:`add_spending_units`
+    their scale ``delta``.  The state guards its own moves, which go one
+    way only, as the solvers' do: prices only rise (:meth:`scale_prices`
+    refuses a factor below one), the scale only divides (after the first
+    unit :meth:`rescale` refuses a factor that is not whole), spending
+    never goes negative (:meth:`add_spending_units`), and a fixed refund
+    is the checked commitment of :meth:`add_refund`: only before the first
+    unit, at bang-per-buck one, and within the buyer's cash.  A refusal is
+    a :class:`~arcticauction.errors.SolverError`, the solvers' broken
+    invariant, and leaves the state as it was.  So an edge's spending is a
+    whole number of units plus the fixed part the state was built with:
+    only construction sets a spending fixed part, :meth:`add_spending_units`
     books an int count, and a whole factor keeps counts whole.  Only the
     strongly polynomial solver's compressed restart
     (:func:`~arcticauction.strong.make_fertile`) builds a state whose
@@ -145,10 +150,10 @@ class MarketState:
     the good -> buyer arcs of the residual graph: the edges with at least
     one unit, which on an edge without a fixed part is any positive
     spending.  The mutators keep it: :meth:`add_spending_units` re-tests
-    the one edge it moves, the first unit builds it afresh from all
-    spending, and a later rescale adds the edges with a fixed part that
-    now hold a unit (a smaller unit takes none away).  It is updated in
-    place; copy it to keep a snapshot.
+    the one edge it moves, and every new unit adds the edges with a fixed
+    part that now hold a unit (a smaller unit takes none away; at the
+    first unit every edge with spending has only a fixed part).  It is
+    updated in place; copy it to keep a snapshot.
 
     ``changes`` is the feasibility check's dirty record (:class:`Changes`):
     each mutator adds what it moves, a price raise the goods it re-priced
@@ -339,7 +344,7 @@ class MarketState:
         fixed = self.edge_fixed.get(edge)
         sign = self._sign(units, fixed)
         if sign < 0:
-            raise ValueError(f"negative spending on edge {edge}")
+            raise SolverError(f"negative spending on {self._inst.edge_names[edge]}")
         b, g = self._edge_buyer[edge], self._edge_good[edge]
         self.moved[edge] += count
         self.spent_units[b] += count
@@ -380,10 +385,19 @@ class MarketState:
             self.changes.buyers.add(buyer)
 
     def add_refund(self, buyer: int, amount: Fraction) -> None:
-        """Add a fixed ``amount`` to the buyer's refund; only before the
-        first unit, from which on the cash terms are kept."""
+        """Irrevocably book a fixed ``amount`` of a critical buyer's cash as
+        refund: only before the first unit, from which on the cash terms
+        are kept, only at bang-per-buck exactly one, and only an amount
+        between zero and her effective cash.  Prices and spending, and with
+        them the equality graph, are untouched."""
+        name = self._inst.buyers[buyer]
         if self.unit is not None:
-            raise ValueError(f"fixed refund at buyer {buyer} of a state with a scale")
+            raise SolverError(f"fixed refund at buyer {name} of a state with a scale")
+        if self.bang_per_buck.signs[buyer] != 0:
+            raise SolverError(f"commit at {name} without bang-per-buck one")
+        cash = self.effective_cash(buyer)
+        if amount < 0 or amount > cash:
+            raise SolverError(f"commit of {amount} outside 0..{cash} at {name}")
         self.refund_fixed[buyer] += amount
 
     def scale_prices(self, goods: set[int], factor: Fraction) -> None:
@@ -394,7 +408,7 @@ class MarketState:
         buyers whose row or sign the raise changed; if there are any, the
         genericity report is dropped."""
         if factor < 1:
-            raise ValueError(f"price factor {factor} below one")
+            raise SolverError(f"price factor {factor} below one")
         prices = self.prices
         for g in goods:
             prices[g] *= factor
@@ -411,21 +425,17 @@ class MarketState:
 
     def rescale(self, unit: Fraction) -> None:
         """Count in ``unit`` from now on, and recompute every cash term.
-        The first unit finds the returnable edges afresh.  After it the
-        scale only divides: the old unit over the new one must be a whole
-        number, and every count is multiplied by it.  Amounts, prices and
-        rows do not change, so no buyer, good or edge is touched: only the
-        edges with a fixed part can become returnable, and the record of
-        changes is marked ``rescaled``."""
+        After the first unit the scale only divides: the old unit over the
+        new one must be a whole number, and every count is multiplied by
+        it.  Amounts, prices and rows do not change, so no buyer, good or
+        edge is touched: only the edges with a fixed part can become
+        returnable (at the first unit every edge with spending has one),
+        and the record of changes is marked ``rescaled``."""
         old = self.unit
-        if old is None:
-            self.unit = unit
-            self.returnable = {e for e in self.spending_edges if self.spending_sign(e, 1) >= 0}
-        else:
+        if old is not None:
             factor = old / unit
             if factor.denominator != 1:
-                raise ValueError(f"cannot recount units of {old} in units of {unit}")
-            self.unit = unit
+                raise SolverError(f"cannot recount units of {old} in units of {unit}")
             k = factor.numerator
             edge_units = self.edge_units
             for e in edge_units:
@@ -433,11 +443,12 @@ class MarketState:
             self.spent_units = [k * u for u in self.spent_units]
             self.inflow_units = [k * u for u in self.inflow_units]
             self.refund_units = [k * u for u in self.refund_units]
-            for e in self.edge_fixed:
-                if self.spending_sign(e, 1) >= 0:
-                    self.returnable.add(e)
-            if self.changes is not None:
-                self.changes.rescaled = True
+        self.unit = unit
+        for e in self.edge_fixed:
+            if self.spending_sign(e, 1) >= 0:
+                self.returnable.add(e)
+        if self.changes is not None:
+            self.changes.rescaled = True
         self._count_terms()
 
 
@@ -534,7 +545,8 @@ def _rescan(
     inst: MarketInstance, view: BangPerBuckView, buyers: Iterable[int]
 ) -> list[int]:
     """Each buyer's row and sign afresh from the view's ratios; returns the
-    buyers whose row or sign changed."""
+    buyers whose row or sign changed.  No row is empty: the instance
+    rejects a buyer who values no good."""
     ratios = view.ratios
     moved = []
     for b in buyers:
@@ -548,8 +560,6 @@ def _rescan(
                 row = [e]
             elif lhs == rhs:
                 row.append(e)
-        if not row:
-            raise ValueError("buyer values no good")
         sign = (best_n > best_d) - (best_n < best_d)
         row = tuple(row)
         old = view.rows[b]

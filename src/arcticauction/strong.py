@@ -4,11 +4,12 @@ The halving solver needs a number of phases that grows with the bit size
 of the data.  This solver gets by with a data-independent number of phases
 by committing refunds early -- once a buyer's bang-per-buck hits one, part
 of her remaining cash is irrevocably booked as refund and removed from her
-effective budget -- and by a restart subroutine that, whenever the current
-scale stops forcing progress, either promises a new abundant edge within a
-logarithmic number of phases (lowering only a threshold) or jumps straight
-to a much smaller scale with a rebuilt allocation supported on the
-abundant forest.
+effective budget, by the market state's own checked commitment
+(:meth:`~arcticauction.graph.MarketState.add_refund`) -- and by a restart
+subroutine that, whenever the current scale stops forcing progress, either
+promises a new abundant edge within a logarithmic number of phases
+(lowering only a threshold) or jumps straight to a much smaller scale with
+a rebuilt allocation supported on the abundant forest.
 
 Progress is measured in abundant edges (they persist once discovered, and
 the equilibrium support has fewer than ``n`` of them) and in buyers
@@ -78,23 +79,6 @@ def has_fertile_component(
     return False
 
 
-def commit_refund(
-    inst: MarketInstance, state: MarketState, buyer: int, amount: Fraction
-) -> None:
-    """Irrevocably book part of a critical buyer's cash as refund.
-
-    Only legal at bang-per-buck exactly one; prices, spending, and hence
-    the equality graph and abundant set are untouched.
-    """
-    name = inst.buyers[buyer]
-    if state.bang_per_buck.signs[buyer] != 0:
-        raise SolverError(f"commit at {name} without bang-per-buck one")
-    cash = state.effective_cash(buyer)
-    if amount < 0 or amount > cash:
-        raise SolverError(f"commit of {amount} exceeds cash {cash} at {name}")
-    state.add_refund(buyer, amount)
-
-
 def special_price(
     inst: MarketInstance,
     market: MarketState,
@@ -117,15 +101,20 @@ def special_price(
     then grows), the root surplus reaching the target, some component's
     surplus reaching the barrier ``-root surplus / (2 n^2)``, or an active
     buyer with positive cash turning critical, in which case as much of
-    her cash is committed as the target and barrier allow.  The smallest
+    her cash is committed as the target and barrier allow, by the copy's
+    :meth:`~arcticauction.graph.MarketState.add_refund`, which refuses a
+    commitment off bang-per-buck one or beyond her cash.  The smallest
     multiplier wins, and a tie goes to the event named first here, then to
     the canonically first component or buyer.  A component whose goods are
     active loses their price sum times the multiplier minus one; one that
     is inactive or has no goods keeps its surplus, and counts as a price
-    sum of 0 in the same barrier formula.  Runs for
-    at most ``n + |B|`` iterations.  The root must hold a buyer and a
-    good: a singleton's surplus does not move with prices, and its callers
-    read it directly.  Returns the private state and the iteration count.
+    sum of 0 in the same barrier formula.  Every event's multiplier is at
+    least one, and the copy's
+    :meth:`~arcticauction.graph.MarketState.scale_prices` refuses one
+    below it.  Runs for at most ``n + |B|`` iterations.  The root must
+    hold a buyer and a good: a singleton's surplus does not move with
+    prices, and its callers read it directly.  Returns the private state
+    and the iteration count.
     """
     if root_component.is_singleton():
         raise SolverError(
@@ -200,8 +189,6 @@ def special_price(
                 candidates.append((reduced(*view.best_pair(b)), "critical", b))
 
         q, kind, subject = min(candidates, key=lambda c: c[0])
-        if q < 1:
-            raise SolverError(f"price-raise event at multiplier {q} < 1")
         state.scale_prices(tree.good_set, q)
 
         if kind == "critical":
@@ -212,7 +199,7 @@ def special_price(
             else:
                 container = next(c for c in components if b in c.buyers)
                 slack = container.surplus(state) + root_surplus / barrier_scale
-            commit_refund(inst, state, b, min(state.effective_cash(b), slack))
+            state.add_refund(b, min(state.effective_cash(b), slack))
 
     return state, iterations
 
@@ -312,10 +299,10 @@ def make_fertile(
     market: MarketState,
     components: list[Component],
     trace: PhaseTrace,
-    phase: int,
 ) -> tuple[MarketState, RestartRecord]:
-    """Restart step of phase ``phase``, run on an optimal, non-fertile
-    state; returns the state to go on with and the restart's record.
+    """Restart step of the trace's open phase, run on an optimal,
+    non-fertile state; returns the state to go on with and the restart's
+    record, which names that phase.
 
     If the next scale is still large relative to the current one, keep
     ``market`` and just lower the threshold (a new abundant edge is then
@@ -328,7 +315,7 @@ def make_fertile(
     are not whole units of the scale enter a run: each is a fixed part of
     the rebuilt state, and the steps from then on move whole units only
     (see :class:`~arcticauction.graph.MarketState`).  The installed state's
-    deficits are then repaired, each repair booked as a step of this
+    deficits are then repaired, each repair booked as a step of the open
     phase, and it must be delta-feasible; the caller opens the next phase
     on it.  Either way the decision is booked in the trace.
     """
@@ -357,12 +344,12 @@ def make_fertile(
                 state.allowed_deficit[g] = -backorder
         state.rescale(new_scale)
         market = state
-        _repair_deficits(inst, market, components, trace, phase)
+        _repair_deficits(inst, market, components, trace)
         ok, violations = is_delta_feasible(inst, market)
         if not ok:
             raise SolverError(f"restarted state infeasible: {violations}")
     record = RestartRecord(
-        phase=phase,
+        phase=trace.phases[-1].index,
         branch=branch,
         delta_before=delta,
         delta_after=new_scale,
@@ -428,11 +415,10 @@ def _repair_deficits(
     market: MarketState,
     components: list[Component],
     trace: PhaseTrace,
-    phase: int,
 ) -> None:
     """One augmentation per negative-backorder good of the state a
     compressed restart installed, booked as a ``restart_repair`` step of
-    the restart's phase ``phase`` (:func:`make_fertile` calls it).
+    the trace's open phase, the restart's (:func:`make_fertile` calls it).
 
     ``components`` is the restart's abundant forest.  The installed state
     spends only on its edges, each above ``3 n delta``, so it is the
@@ -460,7 +446,7 @@ def _repair_deficits(
         root = min(sources, key=lambda b: (b not in comp_of_good[g].buyers, b))
         phi_before = potential(inst, market)
         _augment(inst, market, reach(inst, [root], forward, backward), target)
-        record_step(inst, market, trace, phase, "restart_repair", inst.goods[g], phi_before)
+        record_step(inst, market, trace, "restart_repair", inst.goods[g], phi_before)
         market.allowed_deficit.pop(g, None)
 
 
@@ -479,12 +465,11 @@ def _termination_candidate(
     return candidate
 
 
-def _note_abundant(
-    inst: MarketInstance, trace: PhaseTrace, phase: int, edges: set[Edge]
-) -> None:
-    """Record newly discovered abundant edges as progress events, sorted by
-    (buyer id, good id)."""
+def _note_abundant(inst: MarketInstance, trace: PhaseTrace, edges: set[Edge]) -> None:
+    """Record newly discovered abundant edges as progress events of the
+    open phase, sorted by (buyer id, good id)."""
     found = edges - trace.abundant_discovered
+    phase = trace.phases[-1].index
     for edge in sorted(inst.edge_names[e] for e in found):
         trace.progress_events.append((phase, "abundant_edge", str(edge)))
     trace.abundant_discovered |= found
@@ -518,17 +503,16 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     budget = phase_budget(n)
     singleton_crossed: set[int] = set()
 
-    phase = 0
     entry = "init"
-    while phase <= budget:
-        mark = start_phase(inst, market, stats, trace, phase, entry)
-        _note_abundant(inst, trace, phase, mark.abundant_start)
-        run_inner_loop(inst, market, trace, phase)
+    while trace.phase_count <= budget:
+        mark = start_phase(inst, market, stats, trace, entry)
+        _note_abundant(inst, trace, mark.abundant_start)
+        run_inner_loop(inst, market, trace)
         if entry != "restart":
             check_phase_invariants(inst, n, market)
 
         abundant = abundant_edges(market, n)
-        _note_abundant(inst, trace, phase, abundant)
+        _note_abundant(inst, trace, abundant)
         forest = components_of_edges(inst, abundant)
         components = forest.components
         signs = market.bang_per_buck.signs
@@ -538,7 +522,7 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
                 if b not in singleton_crossed and signs[b] <= 0:
                     singleton_crossed.add(b)
                     trace.progress_events.append(
-                        (phase, "buyer_uninterested", inst.buyers[b])
+                        (mark.index, "buyer_uninterested", inst.buyers[b])
                     )
 
         candidate = _termination_candidate(inst, market, forest)
@@ -559,13 +543,12 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
 
         entry = "halve"
         if market.unit <= threshold and not has_fertile_component(inst, market, components):
-            market, record = make_fertile(inst, market, components, trace, phase)
+            market, record = make_fertile(inst, market, components, trace)
             threshold = record.threshold
             if record.branch == "compressed":
                 entry = "restart"
         if entry == "halve":
             halve_and_repair(inst, market)
-        phase += 1
 
     raise SolverError(
         f"phase budget {budget} exceeded; an analysis assumption is violated"

@@ -127,13 +127,17 @@ class PhaseTrace:
         return sum(1 for r in self.restarts if r.branch == "compressed")
 
     def begin_phase(
-        self, index: int, delta: Fraction, entry: str, phi: int, abundant: set[Edge]
+        self, delta: Fraction, entry: str, phi: int, abundant: set[Edge]
     ) -> PhaseMark:
-        mark = PhaseMark(index, delta, entry, phi, set(abundant))
+        """Open the next phase, numbered by the phases before it; rows,
+        restarts and progress events from now on name it, as the open
+        phase, until the next one opens."""
+        mark = PhaseMark(len(self.phases), delta, entry, phi, set(abundant))
         self.phases.append(mark)
         return mark
 
     def add_row(self, row: TraceRow) -> None:
+        """Book a row of the open phase and count its steps there."""
         self.rows.append(row)
         self.phases[-1].iterations += row.steps
 

@@ -479,10 +479,11 @@ def start_phase(
     market: MarketState,
     stats: InstanceStats,
     trace: PhaseTrace,
-    phase: int,
     entry: str,
 ) -> PhaseMark:
-    """Phase-start checks of both solvers, then the phase's trace mark.
+    """Phase-start checks of both solvers, then the phase's trace mark,
+    which opens the trace's next phase (:meth:`PhaseTrace.begin_phase`
+    numbers it).
 
     The prices must be generic, every phase must start with potential at
     most ``n`` except one opened by a compressed restart (``entry`` of
@@ -494,6 +495,7 @@ def start_phase(
     ``n`` steps.  The market counts the units each edge moves from here
     on, for :func:`check_phase_invariants`.
     """
+    phase = trace.phase_count
     if not check_genericity(inst, market).ok:
         raise GenericityError(f"degenerate prices at phase {phase}")
     phi = potential(inst, market)
@@ -506,7 +508,7 @@ def start_phase(
             lost = sorted(inst.edge_names[e] for e in missing)
             raise SolverError(f"abundant edges lost: {lost}")
     market.reset_moved()
-    return trace.begin_phase(phase, market.unit, entry, phi, abundant)
+    return trace.begin_phase(market.unit, entry, phi, abundant)
 
 
 def check_phase_invariants(inst: MarketInstance, n: int, market: MarketState) -> None:
@@ -533,14 +535,14 @@ def record_step(
     inst: MarketInstance,
     market: MarketState,
     trace: PhaseTrace,
-    phase: int,
     kind: str,
     subject: str,
     phi_before: int,
     steps: int = 1,
 ) -> None:
     """Check that ``steps`` steps of one kind and subject lowered the
-    potential by exactly ``steps``, one per step; trace them as one row."""
+    potential by exactly ``steps``, one per step; trace them as one row of
+    the trace's open phase."""
     phi_after = potential(inst, market)
     if phi_after != phi_before - steps:
         raise SolverError(
@@ -548,7 +550,7 @@ def record_step(
         )
     trace.add_row(
         TraceRow(
-            phase=phase,
+            phase=trace.phases[-1].index,
             delta=market.unit,
             kind=kind,
             subject=subject,
@@ -559,10 +561,9 @@ def record_step(
     )
 
 
-def run_inner_loop(
-    inst: MarketInstance, market: MarketState, trace: PhaseTrace, phase: int
-) -> None:
-    """Drive the state to optimality, asserting the potential discipline.
+def run_inner_loop(inst: MarketInstance, market: MarketState, trace: PhaseTrace) -> None:
+    """Drive the state to optimality, asserting the potential discipline;
+    the steps are rows of the trace's open phase.
 
     Every row must lower the potential by exactly its number of steps, and
     the state must stay feasible, so no cash goes negative: the potential
@@ -576,7 +577,7 @@ def run_inner_loop(
     while not is_delta_optimal(inst, market):
         phi_before = potential(inst, market)
         kind, subject, steps = inner_step(inst, market)
-        record_step(inst, market, trace, phase, kind, subject, phi_before, steps)
+        record_step(inst, market, trace, kind, subject, phi_before, steps)
         ok, violations = is_delta_feasible(inst, market)
         if not ok:
             raise SolverError(f"infeasible after {kind} at {subject}: {violations}")
@@ -601,12 +602,11 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     stop_below = Q(1, 8 * stats.n) / stats.d_bound
     last_phase = max_phases(stats)
 
-    phase = 0
     entry = "init"
     while True:
-        mark = start_phase(inst, market, stats, trace, phase, entry)
+        mark = start_phase(inst, market, stats, trace, entry)
         trace.abundant_discovered |= mark.abundant_start
-        run_inner_loop(inst, market, trace, phase)
+        run_inner_loop(inst, market, trace)
         check_phase_invariants(inst, stats.n, market)
 
         if market.unit < stop_below:
@@ -621,7 +621,6 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
             return Equilibrium.from_state(inst, final, certificate), trace
 
         halve_and_repair(inst, market)
-        phase += 1
         entry = "halve"
-        if phase > last_phase:
+        if trace.phase_count > last_phase:
             raise SolverError("phase budget exceeded")

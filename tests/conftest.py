@@ -222,8 +222,8 @@ class SpendingSnapshots:
             run.append([dict(market.spending), None])
             return mark
 
-        def ending(inst, market, trace, phase):
-            inner(inst, market, trace, phase)
+        def ending(inst, market, trace):
+            inner(inst, market, trace)
             self._runs[id(trace)][1][-1][1] = dict(market.spending)
 
         for module in (weak, strong):

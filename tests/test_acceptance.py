@@ -32,11 +32,7 @@ from fractions import Fraction
 import pytest
 
 from arcticauction.cli import main
-from arcticauction.core import (
-    MarketInstance,
-    ceil_log2,
-    compute_stats,
-)
+from arcticauction.core import MarketInstance, compute_stats
 from arcticauction.driver import solve_instance
 from arcticauction.errors import GenericityError
 from arcticauction.oracle import brute_force_equilibrium

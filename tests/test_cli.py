@@ -22,7 +22,7 @@ def instance_doc(inst):
         ],
         "goods": list(inst.goods),
         "utilities": [
-            [b, g, format_rational(inst.utilities[(b, g)])] for b, g in inst.edges()
+            [b, g, format_rational(inst.utilities[(b, g)])] for b, g in inst.edge_names
         ],
     }
 
@@ -538,6 +538,23 @@ INPUT_ERRORS = {
     ],
     "usage_unknown_command": lambda *_: ["frobnicate"],
 }
+
+
+@pytest.mark.parametrize("algorithm", ["weak", "strong"])
+def test_a_refused_state_move_exits_three(algorithm, instance_file, capsys, monkeypatch):
+    # a halving that asks the state to count in two thirds of its unit: the
+    # state refuses a scale that does not divide, and that refusal is an
+    # internal solver error, not a traceback
+    from arcticauction import strong, weak
+
+    def bad_halving(inst, market):
+        market.rescale(market.unit * 2 / 3)
+
+    for module in (weak, strong):
+        monkeypatch.setattr(module, "halve_and_repair", bad_halving)
+    argv = ["solve", "--input", str(instance_file), "--algorithm", algorithm]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("internal error: cannot recount units")
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_ERRORS))

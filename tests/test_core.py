@@ -203,7 +203,7 @@ class TestPerturb:
         sigma = Fraction(1, 1000)
         out = perturb(inst, PerturbationConfig(magnitude=sigma, seed=7))
         draws = random.Random(7).sample(range(1, EPSILON_RESOLUTION), 2)
-        for edge, a in zip(inst.edges(), draws):
+        for edge, a in zip(inst.edge_names, draws):
             expected = inst.utilities[edge] * (1 + sigma * Fraction(a, EPSILON_RESOLUTION))
             assert out.utilities[edge] == expected
 

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package, and every module of its tests, uses each
+name it imports.
 
 No linter runs over the sources, so this check stands in for one: a
 deletion that leaves an import behind fails here.  A name the module lists
@@ -13,7 +14,14 @@ import pytest
 
 import arcticauction
 
-MODULES = sorted(Path(arcticauction.__file__).parent.glob("*.py"))
+PACKAGE = Path(arcticauction.__file__).parent
+TESTS = Path(__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+
+
+def _module_id(path: Path) -> str:
+    """A package module by its file name, a test module under ``tests/``."""
+    return path.name if path.parent == PACKAGE else f"tests/{path.name}"
 
 
 def _annotation_names(annotation: ast.expr | None) -> set[str]:
@@ -56,7 +64,7 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

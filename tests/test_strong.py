@@ -20,7 +20,6 @@ from arcticauction.oracle import brute_force_equilibrium
 from arcticauction.randgen import random_instance
 from arcticauction.strong import (
     _repair_deficits,
-    commit_refund,
     has_fertile_component,
     get_allocations,
     get_parameter,
@@ -110,18 +109,21 @@ class TestFertileComponents:
 
 
 class TestCommitRefund:
+    """A commitment is the state's own checked move,
+    :meth:`MarketState.add_refund`."""
+
     def make(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
         return inst, state_of(inst, {"g1": 2}, {("b1", "g1"): 1})
 
     def test_zero_is_identity(self):
         inst, state = self.make()
-        commit_refund(inst, state, inst.buyer_pos["b1"], Fraction(0))
+        state.add_refund(inst.buyer_pos["b1"], Fraction(0))
         assert refunds_of(inst, state) == {}
 
     def test_full_cash_commit(self):
         inst, state = self.make()
-        commit_refund(inst, state, inst.buyer_pos["b1"], Fraction(3))
+        state.add_refund(inst.buyer_pos["b1"], Fraction(3))
         assert state.effective_cash(inst.buyer_pos["b1"]) == 0
         assert prices_of(inst, state) == {"g1": 2}
         assert spending_of(inst, state) == {("b1", "g1"): 1}
@@ -133,14 +135,21 @@ class TestCommitRefund:
         market = scaled_state(inst, {"g1": 2}, {("b1", "g1"): 1}, delta=Fraction(1, 100))
         comp = next(c for c in components_of(inst, market) if not c.is_singleton())
         before = comp.surplus(state)
-        commit_refund(inst, state, inst.buyer_pos["b1"], Fraction(1))
+        state.add_refund(inst.buyer_pos["b1"], Fraction(1))
         assert comp.surplus(state) == before - 1
 
     def test_requires_critical_buyer(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2})
         state = state_of(inst, {"g1": 1})
-        with pytest.raises(SolverError):
-            commit_refund(inst, state, inst.buyer_pos["b1"], Fraction(1))
+        with pytest.raises(SolverError, match="without bang-per-buck one"):
+            state.add_refund(inst.buyer_pos["b1"], Fraction(1))
+
+    @pytest.mark.parametrize("amount", [Fraction(-1, 2), Fraction(7, 2)])
+    def test_refuses_an_amount_outside_the_cash(self, amount):
+        inst, state = self.make()
+        with pytest.raises(SolverError, match=f"commit of {amount} outside 0..3 at b1"):
+            state.add_refund(inst.buyer_pos["b1"], amount)
+        assert refunds_of(inst, state) == {}
 
 
 class TestSpecialPrice:
@@ -352,8 +361,8 @@ def repair_rows(inst, market, forest_edges):
     has ``forest_edges``; return the (kind, subject) of its trace rows."""
     comps = components_of_edges(inst, edge_ids(inst, forest_edges)).components
     trace = PhaseTrace("strong", inst.edge_names)
-    trace.begin_phase(0, market.unit, "restart", 0, set())
-    _repair_deficits(inst, market, comps, trace, 0)
+    trace.begin_phase(market.unit, "restart", 0, set())
+    _repair_deficits(inst, market, comps, trace)
     return [(r.kind, r.subject) for r in trace.rows]
 
 
@@ -538,7 +547,10 @@ class TestMakeFertile:
         )
         delta = market.unit
         trace = PhaseTrace("strong", inst.edge_names)
-        kept, record = make_fertile(inst, market, comps, trace, 3)
+        # the restart is booked at the open phase, the fourth
+        for _ in range(4):
+            trace.begin_phase(delta, "halve", potential(inst, market), set())
+        kept, record = make_fertile(inst, market, comps, trace)
         assert record.branch == "delayed"
         assert record.delta_after == record.delta_before == delta == kept.unit
         assert record.threshold == delta / Fraction(n) ** 5
@@ -562,13 +574,13 @@ class TestMakeFertile:
         comps = components_of(inst, market)
         assert not has_fertile_component(inst, market, comps)
         trace = PhaseTrace("strong", inst.edge_names)
-        trace.begin_phase(0, market.unit, "halve", potential(inst, market), set())
+        trace.begin_phase(market.unit, "halve", potential(inst, market), set())
         return inst, market, comps, trace
 
     def test_compressed_branch(self):
         inst, market, comps, trace = self.jump()
         n = compute_stats(inst).n
-        state, record = make_fertile(inst, market, comps, trace, 0)
+        state, record = make_fertile(inst, market, comps, trace)
         assert record.branch == "compressed"
         assert is_delta_feasible(inst, state)[0]
         assert [(r.phase, r.kind) for r in trace.rows] == [(0, "restart_repair")]
@@ -596,7 +608,7 @@ class TestMakeFertile:
             lambda _inst, state, *rest: state.add_spending_units(edge, 2),
         )
         with pytest.raises(SolverError, match="restarted state infeasible"):
-            make_fertile(inst, market, comps, trace, 0)
+            make_fertile(inst, market, comps, trace)
 
     def test_zero_scale_falls_back_to_delayed(self):
         # every buyer uninterested and every singleton good negative: the
@@ -610,9 +622,9 @@ class TestMakeFertile:
         market.scale_prices([g1], Fraction(8))
         market.initial_prices[g1] = market.prices[g1]
         comps = components_of(inst, market)
-        kept, record = make_fertile(
-            inst, market, comps, PhaseTrace("strong", inst.edge_names), 0
-        )
+        trace = PhaseTrace("strong", inst.edge_names)
+        trace.begin_phase(market.unit, "halve", potential(inst, market), set())
+        kept, record = make_fertile(inst, market, comps, trace)
         assert record.branch == "delayed"
         assert max(record.surpluses.values()) == 0
         assert kept is market

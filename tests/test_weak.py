@@ -32,7 +32,6 @@ from conftest import (
     buyer_node,
     check_nondecreasing,
     check_step_lines,
-    edge_ids,
     edge_names,
     good_node,
     lean_sigma,
@@ -41,7 +40,6 @@ from conftest import (
     refunds_of,
     scaled_state,
     spending_of,
-    state_of,
 )
 
 
@@ -424,7 +422,7 @@ class TestRefundStep:
 class TestTraceRuns:
     def trace_with_rows(self):
         trace = PhaseTrace(algorithm="weak", edge_names=())
-        trace.begin_phase(0, Fraction(1, 2), "init", 5, set())
+        trace.begin_phase(Fraction(1, 2), "init", 5, set())
         trace.add_row(TraceRow(0, Fraction(1, 2), "augment_good", "g1", 5, 4))
         trace.add_row(TraceRow(0, Fraction(1, 2), "refund", "b2", 4, 1, steps=3))
         return trace
@@ -614,7 +612,7 @@ class TestPhaseInvariants:
         market.add_spending_units(0, -1)
         assert market.moved == [-1]
         trace = PhaseTrace(algorithm="weak", edge_names=inst.edge_names)
-        start_phase(inst, market, compute_stats(inst), trace, 0, "init")
+        start_phase(inst, market, compute_stats(inst), trace, "init")
         assert market.moved == [0]
 
 
@@ -625,7 +623,10 @@ class TestStartPhase:
     def start(self, entry):
         market = scaled_state(self.inst, {"g1": 1}, {}, {}, delta=1)
         trace = PhaseTrace(algorithm="strong", edge_names=self.inst.edge_names)
-        return start_phase(self.inst, market, compute_stats(self.inst), trace, 3, entry)
+        # three phases before it: the new one is phase 3
+        for _ in range(3):
+            trace.begin_phase(market.unit, "halve", 0, set())
+        return start_phase(self.inst, market, compute_stats(self.inst), trace, entry)
 
     @pytest.mark.parametrize("entry", ["init", "halve"])
     def test_potential_above_n_raises(self, entry):
