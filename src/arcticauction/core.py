@@ -229,9 +229,10 @@ class InstanceStats:
     """Derived constants of an instance.
 
     ``n`` counts buyers plus goods, ``m`` the positive-utility pairs.
-    ``d_bound`` bounds the denominator of any coordinate of the equilibrium,
-    so every positive equilibrium coordinate exceeds ``1 / d_bound``; the
-    halving solver stops once its scale is safely below that floor.
+    ``d_bound`` exceeds the denominator of every equilibrium price,
+    spending and refund (not of the quantities), so each positive one of
+    them exceeds ``1 / d_bound``; the halving solver stops once its scale
+    is safely below that floor.  :func:`compute_stats` gives the proof.
     """
 
     n: int
@@ -244,11 +245,40 @@ class InstanceStats:
 def compute_stats(inst: MarketInstance) -> InstanceStats:
     """Compute ``n``, ``m``, the extreme data values, and the denominator bound.
 
-    For integral utilities the bound is ``n * u_max**n``.  Rational
-    utilities are first cleared to integers by the lcm ``L`` of their
-    denominators (the perturbation produces such utilities), which scales
-    the bound to ``n * (u_max * L)**n``; with ``L = 1`` this reduces to the
-    integral formula.
+    The bound is ``D = n * L * U**k``: ``L`` is the lcm of the utility and
+    budget denominators (the perturbation makes utilities rational),
+    ``U = u_max * L`` bounds every cleared utility ``L * u``, an integer,
+    and ``k = min(#buyers, #goods - 1)``.  Every equilibrium price,
+    spending and refund has a denominator below ``D``.  The generic
+    support is a forest; take one component ``C`` with buyers ``B_C`` and
+    goods ``G_C``.
+
+    - A lone buyer is refunded its whole budget: the denominator divides
+      ``L``.
+    - Otherwise root the tree at a good.  A buyer with child goods has one
+      parent edge; let ``Delta`` be the product of ``L * u`` over those
+      edges.  At most ``min(|B_C|, |G_C| - 1) <= k`` buyers have children,
+      so ``Delta <= U**k``.
+    - Each price is ``p_root * r_g``, ``r_g`` the product of
+      ``u(b, child) / u(b, parent)`` along the path to ``g``.  Then
+      ``r_g * Delta`` is a product of at most ``k`` cleared utilities: an
+      integer of at most ``U**k``.
+    - If every buyer of ``C`` spends its budget ``E_C`` in total, prices
+      add up to it: ``p_g = E_C * (r_g * Delta) / S`` with the integer
+      ``S = sum(r_g * Delta) <= |G_C| * U**k``, so the denominator
+      divides ``L * S``.
+    - Otherwise a buyer ``a`` of ``C`` keeps a refund, so it is at
+      bang-per-buck one (a generic component has one such buyer at most);
+      rooted at a good ``g_a`` of ``a``, ``p_g = u(a, g_a) * r_g``, and
+      the denominator divides ``L * Delta``.
+    - Spending is the tree flow of these budgets and prices (``a``'s
+      refund is the one unknown), and a refund is a budget minus
+      spending, so both have denominators dividing the same ``L * S`` or
+      ``L * Delta``.
+
+    As ``|G_C| < n``, each denominator is below ``D``, so every positive
+    coordinate exceeds ``1 / D``.  With ``k = 0`` (one good) every
+    denominator divides ``L``.
     """
     n = len(inst.buyers) + len(inst.goods)
     m = len(inst.utilities)
@@ -259,7 +289,8 @@ def compute_stats(inst: MarketInstance) -> InstanceStats:
         lcm_den = math.lcm(lcm_den, u.denominator)
     for e in inst.budgets.values():
         lcm_den = math.lcm(lcm_den, e.denominator)
-    d_bound = Q(n) * (u_max * lcm_den) ** n
+    k = min(len(inst.buyers), len(inst.goods) - 1)
+    d_bound = Q(n * lcm_den) * (u_max * lcm_den) ** k
     return InstanceStats(n=n, m=m, u_max=u_max, e_max=e_max, d_bound=d_bound)
 
 

@@ -623,4 +623,4 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
         halve_and_repair(inst, market)
         entry = "halve"
         if trace.phase_count > last_phase:
-            raise SolverError("phase budget exceeded")
+            raise SolverError(f"phase budget {last_phase} exceeded")

@@ -148,6 +148,59 @@ def kbit_instance(seed, k):
     )
 
 
+# Layouts of :func:`shaped_market`, all within brute-force limits; the
+# denominator bound's exponent min(#buyers, #goods - 1) is small on every
+# layout but "balanced".
+MARKET_LAYOUTS = ("balanced", "one_buyer", "one_good", "two_goods")
+
+
+def shaped_market(layout: str, rational: bool, rng: random.Random) -> MarketInstance:
+    """A complete small market of ``layout``, or a random one for
+    ``balanced``: one buyer valuing 1-6 goods, 1-6 buyers of one good, 2-5
+    buyers of two goods, or ``random_instance`` on 2-8 nodes.  Budgets and
+    utilities are 1-10, divided by 1-6 when ``rational``."""
+    def value() -> Fraction:
+        return Fraction(rng.randint(1, 10), rng.randint(1, 6) if rational else 1)
+
+    if layout == "balanced":
+        base = random_instance(rng.randint(2, 8), rng, max_edges=8)
+        buyers, goods, edges = base.buyers, base.goods, list(base.utilities)
+    else:
+        n_buyers, n_goods = {
+            "one_buyer": (1, rng.randint(1, 6)),
+            "one_good": (rng.randint(1, 6), 1),
+            "two_goods": (rng.randint(2, 5), 2),
+        }[layout]
+        buyers = tuple(f"b{i + 1}" for i in range(n_buyers))
+        goods = tuple(f"g{j + 1}" for j in range(n_goods))
+        edges = [(b, g) for b in buyers for g in goods]
+    return MarketInstance(
+        buyers=buyers,
+        goods=goods,
+        budgets={b: value() for b in buyers},
+        utilities={e: value() for e in edges},
+    )
+
+
+def check_ladder_end(inst: MarketInstance, trace, final_start: dict, oracle) -> None:
+    """Criterion 5 on a halving run of ``inst``: its last phase is the first
+    below ``1 / (8 n D)``, the edges whose spending ``final_start`` (by edge
+    id, at that phase's start) puts above ``4 n delta`` are exactly the
+    support of ``oracle``, and every edge is within ``4 n delta`` of its
+    equilibrium spending."""
+    stats = compute_stats(inst)
+    stop_below = Fraction(1, 8 * stats.n) / stats.d_bound
+    final = next(m for m in trace.phases if m.delta < stop_below)
+    assert final is trace.phases[-1]
+    threshold = 4 * stats.n * final.delta
+    spending = {inst.edge_names[e]: v for e, v in final_start.items()}
+    recovered = {e for e, v in spending.items() if v > threshold}
+    assert recovered == set(oracle.spending), "support mismatch"
+    for e in set(spending) | set(oracle.spending):
+        gap = abs(oracle.spending.get(e, Fraction(0)) - spending.get(e, Fraction(0)))
+        assert gap < threshold, f"edge {e} further than 4*n*delta from limit"
+
+
 def lean_sigma(inst: MarketInstance) -> Fraction:
     """A perturbation magnitude well inside the invariant bound but with a
     small denominator, keeping the halving solver's phase count down."""

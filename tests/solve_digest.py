@@ -27,7 +27,7 @@ The set, 292 calls in all:
   14))`` for s = 198, 281, 364, 492 and 503 under strong, and
   ``random_instance(34, Random(2008))`` under strong at seed 7.
 
-It is not a test (pytest does not collect it): it takes about 45 s.  Its
+It is not a test (pytest does not collect it): it takes about 22 s.  Its
 expected output is ``tests/solve_digest.txt``, which CI diffs against; a
 change that alters outputs on purpose regenerates that file in the same
 commit:

@@ -40,7 +40,7 @@ from arcticauction.randgen import random_instance
 from arcticauction.trace import PhaseTrace
 
 from auxnet import AuxNetwork, assert_cycle_bound
-from conftest import check_step_lines, lean_sigma, recorded_spending
+from conftest import check_ladder_end, check_step_lines, lean_sigma, recorded_spending
 
 
 def wide_instance(n: int, rng: random.Random) -> MarketInstance:
@@ -175,20 +175,7 @@ def test_criterion_5_support_recovery(oracle_suite):
     checked = 0
     for (outcome, oracle), final_start in zip(runs, final_spending, strict=True):
         _, trace = outcome.results["weak"]
-        stats = compute_stats(outcome.perturbed)
-        stop_below = Fraction(1, 8 * stats.n) / stats.d_bound
-        final = next(m for m in trace.phases if m.delta < stop_below)
-        assert final is trace.phases[-1]
-        threshold = 4 * stats.n * final.delta
-        names = outcome.perturbed.edge_names
-        spending = {names[e]: v for e, v in final_start.items()}
-        recovered = {e for e, v in spending.items() if v > threshold}
-        assert recovered == set(oracle.spending), "support mismatch"
-        for e in set(spending) | set(oracle.spending):
-            gap = abs(
-                oracle.spending.get(e, Fraction(0)) - spending.get(e, Fraction(0))
-            )
-            assert gap < threshold, f"edge {e} further than 4*n*delta from limit"
+        check_ladder_end(outcome.perturbed, trace, final_start, oracle)
         checked += 1
     print(
         f"criterion 5: PASS - support recovered exactly at the first phase"

@@ -254,16 +254,16 @@ class TestDeterminism:
                 lambda: random_instance(6, random.Random(0)),
                 "both",
                 (
-                    "2a483d59dfece955cbc972ebb900f2b17823e3e8a68adc688f3a351cb74d8d19",
-                    "8c50d737081cffc202cb1782b43ff52e58f92e9fec0bf187a1d4132d3a5b18ce",
+                    "6464c6788d8c5fd2ccf5a0ad8decb5d4c5dfaba1ec3f879086f09937deb68aee",
+                    "8f96619b1651c7a247714b886dd131a3e45950f5a07964700b0953fa800a8282",
                 ),
             ),
             (
                 lambda: random_instance(8, random.Random(1)),
                 "weak",
                 (
-                    "403ab37bf90eaa85c055e7f33267272d6fe6b91e15faae96d93f61b2bb6e3275",
-                    "74e45883c744aeef4bfa732a5aaee66f7a9e85da635cd6b5996209b522aa0171",
+                    "352dc49e3727b3237d2ac43b7bb0d44c01338166cbc449e81de34de8f5666868",
+                    "d9925a0c0e9dba23d7832991bf9ca2f002eb14d592d7125be5e233f5ac854c4e",
                 ),
             ),
             (
@@ -555,6 +555,17 @@ def test_a_refused_state_move_exits_three(algorithm, instance_file, capsys, monk
     argv = ["solve", "--input", str(instance_file), "--algorithm", algorithm]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("internal error: cannot recount units")
+
+
+def test_weak_phase_budget_error_names_its_bound(instance_file, capsys, monkeypatch):
+    # a ladder cut short of its end: the halving solver names the last
+    # phase it allows, as the strong solver does
+    from arcticauction import weak
+
+    monkeypatch.setattr(weak, "max_phases", lambda stats: 1)
+    argv = ["solve", "--input", str(instance_file), "--algorithm", "weak"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "internal error: phase budget 1 exceeded\n"
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_ERRORS))

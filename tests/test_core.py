@@ -142,13 +142,13 @@ class TestComputeStats:
     def test_d_bound_n2(self):
         inst = make_instance({"b1": 1}, {("b1", "g1"): 2})
         stats = compute_stats(inst)
-        assert stats.d_bound == 2 * 2**2 == 8
+        assert stats.d_bound == 2 == 2 * 1 * 2**0  # n * L * U**k, k = 0
 
     def test_d_bound_n3(self):
         inst = make_instance({"b1": 1}, {("b1", "g1"): 2, ("b1", "g2"): 1})
         stats = compute_stats(inst)
         assert stats.n == 3
-        assert stats.d_bound == 3 * 2**3 == 24
+        assert stats.d_bound == 6 == 3 * 1 * 2**1  # k = min(1, 2 - 1)
 
     def test_counts(self):
         inst = make_instance({"b1": 1}, {("b1", "g1"): 1, ("b1", "g2"): 1})
@@ -157,10 +157,11 @@ class TestComputeStats:
         assert stats.m == 2
 
     def test_rational_utilities_clear_denominators(self):
-        # with fractional utilities the bound uses the lcm-cleared values
+        # with fractional utilities the bound uses the lcm-cleared values:
+        # L = 2, U = 3/2 * 2 and k = 0
         inst = make_instance({"b1": 1}, {("b1", "g1"): Fraction(3, 2)})
         stats = compute_stats(inst)
-        assert stats.d_bound == 2 * Fraction(3, 2) ** 2 * 2**2  # n*(u*L)^n
+        assert stats.d_bound == 4 == 2 * 2 * 3**0  # n * L * U**k
 
 
 class TestPerturb:

@@ -14,7 +14,7 @@ from arcticauction.oracle import (
 )
 from arcticauction.randgen import random_instance
 
-from conftest import make_instance, priced
+from conftest import MARKET_LAYOUTS, lean_sigma, make_instance, priced, shaped_market
 
 
 class TestCheckEquilibrium:
@@ -190,29 +190,35 @@ class TestBruteForce:
             brute_force_equilibrium(inst)
 
     def test_min_positive_coordinate_floor(self):
-        # denominator bound: every positive coordinate of a certified
-        # equilibrium exceeds 1 / d_bound
+        # denominator bound: every positive price, spending and refund of a
+        # brute-forced equilibrium has a denominator below d_bound, so it
+        # exceeds 1 / d_bound; on every layout, integer and rational
         from arcticauction.core import compute_stats
 
         rng = random.Random(17)
-        for _ in range(5):
-            inst = random_instance(rng.randint(2, 6), rng, max_edges=8)
-            pert = perturb(
-                inst, PerturbationConfig(magnitude=Fraction(1, 10**4), seed=1)
-            )
-            try:
-                eq = brute_force_equilibrium(pert)
-            except GenericityError:
-                continue
-            floor = 1 / compute_stats(pert).d_bound
-            values = (
-                list(eq.prices.values())
-                + list(eq.spending.values())
-                + list(eq.refunds.values())
-            )
-            for v in values:
-                if v > 0:
-                    assert v > floor
+        checked = 0
+        for layout in MARKET_LAYOUTS:
+            for rational in (False, True):
+                for _ in range(12):
+                    inst = shaped_market(layout, rational, rng)
+                    pert = perturb(
+                        inst, PerturbationConfig(magnitude=lean_sigma(inst), seed=1)
+                    )
+                    try:
+                        eq = brute_force_equilibrium(pert)
+                    except GenericityError:
+                        continue
+                    d_bound = compute_stats(pert).d_bound
+                    values = (
+                        list(eq.prices.values())
+                        + list(eq.spending.values())
+                        + list(eq.refunds.values())
+                    )
+                    for v in values:
+                        if v > 0:
+                            assert v.denominator < d_bound, (layout, rational, v)
+                    checked += 1
+        assert checked >= 80
 
 
 class TestCheckGenericity:

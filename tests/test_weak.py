@@ -1,12 +1,14 @@
 """The halving-scale solver: initialization, steps, phases, full runs."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from arcticauction import weak
 from arcticauction.core import PerturbationConfig, ceil_log2, compute_stats, perturb
-from arcticauction.errors import SolverError
+from arcticauction.driver import solve_instance
+from arcticauction.errors import GenericityError, SolverError
 from arcticauction.graph import reach
 from arcticauction.oracle import brute_force_equilibrium
 from arcticauction.trace import PhaseTrace, TraceRow
@@ -28,8 +30,10 @@ from arcticauction.weak import (
 )
 
 from conftest import (
+    MARKET_LAYOUTS,
     alphas_of,
     buyer_node,
+    check_ladder_end,
     check_nondecreasing,
     check_step_lines,
     edge_names,
@@ -39,6 +43,7 @@ from conftest import (
     prices_of,
     refunds_of,
     scaled_state,
+    shaped_market,
     spending_of,
 )
 
@@ -665,6 +670,30 @@ class TestRunWeak:
         # the unperturbed answer is p=2, x=(1,1), r=0; perturbation moves it
         # only slightly
         assert abs(eq.prices["g1"] - 2) < Fraction(1, 10)
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+    @pytest.mark.parametrize("layout", MARKET_LAYOUTS)
+    def test_short_ladder_matches_brute_force(self, layout, rational, phase_spending):
+        # the ladder ends below 1 / (8 n D), D = n * L * U**k with k =
+        # min(#buyers, #goods - 1): few buyers or few goods make it short,
+        # and its end must still recover the support (criterion 5)
+        rng = random.Random(2 * MARKET_LAYOUTS.index(layout) + rational)
+        checked = 0
+        for seed in range(8):
+            inst = shaped_market(layout, rational, rng)
+            outcome = solve_instance(inst, "weak", magnitude=lean_sigma(inst), seed=seed)
+            try:
+                oracle = brute_force_equilibrium(outcome.perturbed)
+            except GenericityError:
+                continue
+            eq, trace = outcome.results["weak"]
+            assert eq.prices == oracle.prices
+            assert eq.spending == oracle.spending
+            assert eq.refunds == oracle.refunds
+            final_start = phase_spending.of(trace)[-1][0]
+            check_ladder_end(outcome.perturbed, trace, final_start, oracle)
+            checked += 1
+        assert checked >= 6
 
     def test_trace_discipline(self):
         inst = make_instance({"b1": 3}, {("b1", "g1"): 2, ("b1", "g2"): 1})
