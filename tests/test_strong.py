@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import arcticauction.strong as strong_mod
 from arcticauction.cli import equilibrium_doc
 from arcticauction.core import MarketInstance, PerturbationConfig, compute_stats, perturb
 from arcticauction.driver import solve_instance
@@ -441,8 +442,6 @@ class TestGetParameter:
         # every price-raising run counts toward the iteration bound, the
         # get_parameter runs included: on wide_instance(33) the two delayed
         # restarts make all the runs, 14 of them in 16 iterations
-        import arcticauction.strong as strong_mod
-
         runs = []
         raise_prices = strong_mod.special_price
 
@@ -538,8 +537,6 @@ class TestMakeFertile:
         market = scaled_state(inst, {"g1": Fraction(1, 4)}, {}, {}, delta=64)
         comps = components_of(inst, market)
         n = compute_stats(inst).n
-        import arcticauction.strong as strong_mod
-
         monkeypatch.setattr(
             strong_mod,
             "get_parameter",
@@ -598,8 +595,6 @@ class TestMakeFertile:
     def test_compressed_branch_checks_the_repaired_state(self, monkeypatch):
         # a repair that sends two units to g1 where one was due overspends
         # b1, and the restart itself reports the infeasible state
-        import arcticauction.strong as strong_mod
-
         inst, market, comps, trace = self.jump()
         edge = inst.edge_names.index(("b1", "g1"))
         monkeypatch.setattr(
@@ -724,6 +719,37 @@ class TestRunStrong:
     @pytest.mark.xfail(strict=True, raises=SolverError)
     def test_certifies_wide_9_at_perturbation_seed_7(self):
         solve_instance(wide_instance(9), "strong", seed=7)
+
+    # Known defect (ROADMAP item 1): plain random markets in the benchmark's
+    # size range; each makes one compressed restart, at phase 14 or 15, and
+    # its final state fails refund_complementarity, while weak certifies it.
+    @pytest.mark.xfail(strict=True, raises=SolverError)
+    @pytest.mark.parametrize("n, s", [(60, 3), (70, 25)])
+    def test_certifies_plain_random_market(self, n, s):
+        inst = random_instance(n, random.Random(s))
+        solve_strong_expecting(inst, "final state fails certification")
+
+    # Known defect (ROADMAP item 1): after its compressed restart this
+    # market makes a delayed restart about every 31 phases and never
+    # certifies, so its watchdog, phase_budget(70) = 56,905 phases, would
+    # fire only after more than an hour.  The plain markets of this size
+    # that certify take at most 54 phases; a cap of 200 makes it fail in
+    # about a second.
+    @pytest.mark.xfail(strict=True, raises=SolverError)
+    def test_certifies_random_70_20_within_200_phases(self, monkeypatch):
+        monkeypatch.setattr(strong_mod, "phase_budget", lambda n: 200)
+        inst = random_instance(70, random.Random(20))
+        solve_strong_expecting(inst, "phase budget 200 exceeded")
+
+
+def solve_strong_expecting(inst, message):
+    """Solve ``inst`` under strong at seed 0; a ``SolverError`` it raises
+    must carry ``message``."""
+    try:
+        solve_instance(inst, "strong", seed=0)
+    except SolverError as error:
+        assert message in str(error), error
+        raise
 
 
 class TestSpecialPriceMonotonicity:
@@ -895,8 +921,6 @@ def test_delayed_restart_halves_in_its_own_phase(monkeypatch, market, delayed):
     # the phase that made it halves, and the next phase opens at half its
     # scale; every phase after the first is opened by a halving or by a
     # compressed restart
-    import arcticauction.strong as strong_mod
-
     halvings = []
     halve = strong_mod.halve_and_repair
 
