@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 from arcticauction.core import MarketInstance
 from arcticauction.errors import SolverError
-from arcticauction.rational import ZERO
+from arcticauction.rational import ZERO, Q, as_q, product
 
 Node = int  # buyer i, or good j as B + j
 Edge = int  # an edge id of the instance
@@ -96,6 +96,18 @@ class MarketState:
     rationals.  The count and
     fixed containers are read-only outside the mutators; an edge is in
     ``edge_units`` or ``edge_fixed`` only while its spending is non-zero.
+
+    Every rational the state holds is a :class:`~arcticauction.rational.Q`:
+    its prices, fixed parts and unit.  The constructor converts int or
+    ``Fraction`` prices, spending and refunds once, into containers of its
+    own, and :meth:`rescale` its unit, keeping a value that is already a
+    ``Q`` as it is; :meth:`scale_prices` takes an int or ``Fraction``
+    factor as its integer pair, and every other amount comes from those by
+    ``Q`` arithmetic, which yields a ``Q`` again.  That is what lets the
+    step path (the integer tests here, the bang-per-buck view, and the
+    search tree, the feasibility check and the halving of
+    :mod:`arcticauction.weak`) read the integers straight from the values'
+    slots, which an int lacks.
 
     Once the state has a scale it also keeps the potential's terms: every
     buyer's ``floor(effective cash / unit)`` in ``cash_terms`` (a list by
@@ -169,31 +181,31 @@ class MarketState:
     def __init__(
         self,
         inst: MarketInstance,
-        prices: list[Fraction],
-        spending: dict[Edge, Fraction] | None = None,
-        refunds: list[Fraction] | None = None,
+        prices: Iterable[int | Fraction],
+        spending: dict[Edge, int | Fraction] | None = None,
+        refunds: Iterable[int | Fraction] | None = None,
     ) -> None:
         n_buyers, n_goods = len(inst.buyers), len(inst.goods)
         self._inst = inst
         self._budget = inst.budget
         self._edge_buyer = inst.edge_buyer
         self._edge_good = inst.edge_good
-        self.prices = prices
-        self.unit: Fraction | None = None
+        self.prices = list(map(as_q, prices))
+        self.unit: Q | None = None
         self.edge_units: dict[Edge, int] = {}
-        self.edge_fixed: dict[Edge, Fraction] = {}
+        self.edge_fixed: dict[Edge, Q] = {}
         self.spent_units = [0] * n_buyers
         self.spent_fixed = [ZERO] * n_buyers
         self.inflow_units = [0] * n_goods
         self.inflow_fixed = [ZERO] * n_goods
         self.refund_units = [0] * n_buyers
-        self.refund_fixed = [ZERO] * n_buyers if refunds is None else list(refunds)
+        self.refund_fixed = list(map(as_q, refunds or [ZERO] * n_buyers))
         # the potential's terms, kept from the first rescale on
         self.cash_terms: list[int] = []
         self.cash_total = 0
         self.holding: set[int] = set()
         self.moved = [0] * len(inst.edge_names)
-        self.initial_prices = list(prices)
+        self.initial_prices = list(self.prices)
         self.allowed_deficit: dict[int, Fraction] = {}
         self.returnable: set[Edge] = set()
         self.changes: Changes | None = None
@@ -204,6 +216,7 @@ class MarketState:
         # from amounts may hold negative spending, which the checks report)
         for e, value in (spending or {}).items():
             if value:
+                value = as_q(value)
                 b, g = self._edge_buyer[e], self._edge_good[e]
                 self.edge_fixed[e] = value
                 self.spent_fixed[b] += value
@@ -268,24 +281,25 @@ class MarketState:
 
     # --- integer tests ----------------------------------------------------
 
-    def _pair(self, units: int, fixed: Fraction | None) -> tuple[int, int]:
+    def _pair(self, units: int, fixed: Q | None) -> tuple[int, int]:
         """``units * unit + fixed`` as an unnormalized pair (numerator,
         positive denominator)."""
+        fn, fd = (0, 1) if fixed is None else (fixed._numerator, fixed._denominator)
         if not units:
-            return (fixed.numerator, fixed.denominator) if fixed else (0, 1)
+            return fn, fd
         unit = self.unit
-        if not fixed:
-            return (units * unit.numerator, unit.denominator)
+        if not fn:
+            return units * unit._numerator, unit._denominator
         return (
-            units * unit.numerator * fixed.denominator
-            + fixed.numerator * unit.denominator,
-            unit.denominator * fixed.denominator,
+            units * unit._numerator * fd + fn * unit._denominator,
+            unit._denominator * fd,
         )
 
-    def _sign(self, units: int, fixed: Fraction | None) -> int:
+    def _sign(self, units: int, fixed: Q | None) -> int:
         """Sign of ``units * unit + fixed``."""
-        num = self._pair(units, fixed)[0] if fixed else units
-        return (num > 0) - (num < 0)
+        if fixed is not None and fixed._numerator:
+            units = self._pair(units, fixed)[0]
+        return (units > 0) - (units < 0)
 
     def spending_sign(self, edge: Edge, units: int) -> int:
         """Sign of the edge's spending minus ``units`` units."""
@@ -299,14 +313,14 @@ class MarketState:
         floor minus the buyer's counts (``cash_terms`` keeps it)."""
         free = self._budget[buyer]
         refund = self.refund_fixed[buyer]
-        if refund:
+        if refund._numerator:
             free = free - refund
         spent = self.spent_fixed[buyer]
-        if spent:
+        if spent._numerator:
             free = free - spent
         unit = self.unit
         return (
-            (free.numerator * unit.denominator) // (free.denominator * unit.numerator)
+            (free._numerator * unit._denominator) // (free._denominator * unit._numerator)
             - self.refund_units[buyer]
             - self.spent_units[buyer]
         )
@@ -317,8 +331,8 @@ class MarketState:
     def backorder_pair(self, good: int) -> tuple[int, int]:
         n, d = self.inflow_pair(good)
         price = self.prices[good]
-        pd = price.denominator
-        return (n * pd - price.numerator * d, d * pd)
+        pd = price._denominator
+        return (n * pd - price._numerator * d, d * pd)
 
     def _set_term(self, buyer: int, term: int) -> None:
         self.cash_total += term - self.cash_terms[buyer]
@@ -361,7 +375,7 @@ class MarketState:
             if units:
                 self.spent_units[b] -= units
                 self.inflow_units[g] -= units
-            if fixed:
+            if fixed is not None:
                 self.spent_fixed[b] -= fixed
                 self.inflow_fixed[g] -= fixed
         if self._sign(units - 1, fixed) >= 0:
@@ -400,21 +414,26 @@ class MarketState:
             raise SolverError(f"commit of {amount} outside 0..{cash} at {name}")
         self.refund_fixed[buyer] += amount
 
-    def scale_prices(self, goods: set[int], factor: Fraction) -> None:
-        """Multiply the prices of ``goods`` by ``factor``, which must be at
-        least one: prices only rise.  Once read, the bang-per-buck view
-        follows a factor above one (:func:`_follow_raise`) and keeps itself
-        on a factor of one.  The record of changes gets the goods, and the
-        buyers whose row or sign the raise changed; if there are any, the
-        genericity report is dropped."""
-        if factor < 1:
+    def scale_prices(self, goods: set[int], factor: int | Fraction) -> None:
+        """Multiply the prices of ``goods`` by ``factor`` (an int or a
+        rational), which must be at least one: prices only rise.  Each new
+        price is the product of two integer pairs in lowest terms
+        (:func:`~arcticauction.rational.product`), a ``Q`` again.  Once
+        read, the bang-per-buck view follows a factor above one
+        (:func:`_follow_raise`) and keeps itself on a factor of one.  The
+        record of changes gets the goods, and the buyers whose row or sign
+        the raise changed; if there are any, the genericity report is
+        dropped."""
+        fn, fd = factor.as_integer_ratio()
+        if fn < fd:
             raise SolverError(f"price factor {factor} below one")
         prices = self.prices
         for g in goods:
-            prices[g] *= factor
+            price = prices[g]
+            prices[g] = product(price._numerator, price._denominator, fn, fd)
         view = self._bang_per_buck
         moved = ()
-        if view is not None and factor != 1:
+        if view is not None and fn != fd:
             moved = _follow_raise(self._inst, prices, view, goods)
         if moved:
             self.genericity = None
@@ -431,12 +450,13 @@ class MarketState:
         edge is touched: only the edges with a fixed part can become
         returnable (at the first unit every edge with spending has one),
         and the record of changes is marked ``rescaled``."""
+        unit = as_q(unit)
         old = self.unit
         if old is not None:
             factor = old / unit
-            if factor.denominator != 1:
+            if factor._denominator != 1:
                 raise SolverError(f"cannot recount units of {old} in units of {unit}")
-            k = factor.numerator
+            k = factor._numerator
             edge_units = self.edge_units
             for e in edge_units:
                 edge_units[e] *= k
@@ -477,7 +497,7 @@ def _rebuild(
     inst: MarketInstance, prices: list[Fraction], view: BangPerBuckView
 ) -> None:
     """Every ratio afresh from ``prices``, then every buyer's row and sign."""
-    price_pairs = [(p.numerator, p.denominator) for p in prices]
+    price_pairs = [(p._numerator, p._denominator) for p in prices]
     ratios = view.ratios
     ratios.clear()
     for (un, ud), g in zip(inst.utility_pair, inst.edge_good):
@@ -509,7 +529,7 @@ def _follow_raise(
     hit: dict[int, int] = {}
     for g in goods:
         price = prices[g]
-        pn, pd = price.numerator, price.denominator
+        pn, pd = price._numerator, price._denominator
         for e in inst.good_edges[g]:
             un, ud = utility_pairs[e]
             ratios[e] = (un * pd, ud * pn)

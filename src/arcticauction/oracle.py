@@ -193,7 +193,7 @@ def _certificate(
         if backorder != 0:
             clearing.violations.append(f"good {g}: backorder {backorder}")
 
-    view = MarketState(inst, list(prices)).bang_per_buck
+    view = MarketState(inst, prices).bang_per_buck
     support = Condition("spending_on_equality_edges")
     optimality = Condition("buyer_optimality")
     for edge, e, b, value in spending:

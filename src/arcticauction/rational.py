@@ -15,7 +15,9 @@ and gets exactly what a ``Fraction`` would.  Only ``+``, ``-``, ``*`` and
 which return the same values.
 
 :func:`reduced` builds a ``Q`` from an unnormalized integer pair with one
-gcd, for callers that compare ratios as pairs and keep only a winner.
+gcd, for callers that compare ratios as pairs and keep only a winner, and
+:func:`product` multiplies two pairs in lowest terms by the multiplication
+kernel itself, for a caller that already holds the integers.
 
 Because ``Q`` subclasses ``Fraction`` and overrides the reflected
 operators, ``Fraction op Q`` and ``int op Q`` also land here, so once the
@@ -23,9 +25,15 @@ inputs of a computation are ``Q`` every number derived from them is too.
 ``fractions.Fraction`` itself is not modified.
 
 The fast paths read and write ``Fraction``'s private slots ``_numerator``
-and ``_denominator``; ``tests/test_rational.py`` pins their names, so a
-Python version that renames them fails that test instead of computing
-wrongly.
+and ``_denominator``.  So does the solvers' step path, which reads a
+``Q``'s integers straight from those slots instead of through the
+``numerator`` and ``denominator`` properties: the market state, its
+bang-per-buck view and its price raise (:mod:`arcticauction.graph`, whose
+:class:`~arcticauction.graph.MarketState` holds only ``Q`` for that
+reason), and the search tree, the feasibility check and the halving
+(:mod:`arcticauction.weak`).  ``tests/test_rational.py`` pins the slots'
+names, so a Python version that renames them fails that test instead of
+computing wrongly.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import operator
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["Q", "ZERO", "ONE", "reduced"]
+__all__ = ["Q", "ZERO", "ONE", "as_q", "product", "reduced"]
 
 
 _new = object.__new__
@@ -57,7 +65,7 @@ def reduced(numerator: int, denominator: int) -> Q:
 
 # The kernels below take both operands as (numerator, denominator) pairs in
 # lowest terms, and each result is in lowest terms as built.  ``_add`` and
-# ``_mul`` are CPython's Fraction._add and _mul (Knuth, TAOCP 4.5.1);
+# ``product`` are CPython's Fraction._add and _mul (Knuth, TAOCP 4.5.1);
 # ``_sub`` adds the negated operand and ``_div`` multiplies by the
 # reciprocal, which take the same gcds as CPython's _sub and _div.
 
@@ -78,7 +86,10 @@ def _sub(na: int, da: int, nb: int, db: int) -> Q:
     return _add(na, da, -nb, db)
 
 
-def _mul(na: int, da: int, nb: int, db: int) -> Q:
+def product(na: int, da: int, nb: int, db: int) -> Q:
+    """``na/da * nb/db`` for two pairs in lowest terms with positive
+    denominators, by cross gcds: the ``*`` of two ``Q`` without the
+    operator's dispatch."""
     g1 = gcd(na, db)
     if g1 > 1:
         na //= g1
@@ -95,8 +106,8 @@ def _div(na: int, da: int, nb: int, db: int) -> Q:
         raise ZeroDivisionError(f"Fraction({na}, 0)")
     # the reciprocal db / nb with the sign moved to its numerator
     if nb < 0:
-        return _mul(na, da, -db, -nb)
-    return _mul(na, da, db, nb)
+        return product(na, da, -db, -nb)
+    return product(na, da, db, nb)
 
 
 def _operators(kernel, forward_fallback, reverse_fallback):
@@ -167,7 +178,7 @@ class Q(Fraction):
 
     __add__, __radd__ = _operators(_add, Fraction.__add__, Fraction.__radd__)
     __sub__, __rsub__ = _operators(_sub, Fraction.__sub__, Fraction.__rsub__)
-    __mul__, __rmul__ = _operators(_mul, Fraction.__mul__, Fraction.__rmul__)
+    __mul__, __rmul__ = _operators(product, Fraction.__mul__, Fraction.__rmul__)
     __truediv__, __rtruediv__ = _operators(
         _div, Fraction.__truediv__, Fraction.__rtruediv__
     )
@@ -175,3 +186,8 @@ class Q(Fraction):
 
 ZERO = Q(0)
 ONE = Q(1)
+
+
+def as_q(value: int | Fraction) -> Q:
+    """An int or ``Fraction`` as a ``Q``; a ``Q`` is returned as it is."""
+    return value if type(value) is Q else Q(value)

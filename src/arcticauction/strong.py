@@ -123,7 +123,7 @@ def special_price(
     n = len(inst.buyers) + len(inst.goods)
     state = MarketState(
         inst,
-        prices=list(market.prices),
+        prices=market.prices,
         spending=market.spending,
         refunds=market.refunds,
     )

@@ -189,11 +189,12 @@ def _good_faults(
     when None): a negative price, and on a good raised above its initial
     price a backorder below its bound (zero, or minus the good's deficit
     allowance) or above ``delta``.  Returns the violations found."""
-    price = market.prices[g]
+    price, initial = market.prices[g], market.initial_prices[g]
+    pn, pd = price._numerator, price._denominator
     faults = []
-    if price < 0:
+    if pn < 0:
         faults.append(f"negative price at good {inst.goods[g]}")
-    if price > market.initial_prices[g]:
+    if pn * initial._denominator > initial._numerator * pd:
         num, den = pair or market.backorder_pair(g)
         allowed = market.allowed_deficit.get(g)
         if market.backorder(g) < -allowed if allowed else num < 0:
@@ -201,7 +202,7 @@ def _good_faults(
                 f"backorder {market.backorder(g)} below bound at good {inst.goods[g]}"
             )
         delta = market.unit
-        if num * delta.denominator > delta.numerator * den:
+        if num * delta._denominator > delta._numerator * den:
             faults.append(
                 f"backorder {market.backorder(g)} above delta at good {inst.goods[g]}"
             )
@@ -263,7 +264,7 @@ class SearchTree:
         for g in self.goods:
             n, d = market.inflow_pair(g)
             price = prices[g]
-            self.pairs.append((n * price.denominator, d * price.numerator))
+            self.pairs.append((n * price._denominator, d * price._numerator))
 
     def terminal(self, inst: MarketInstance, market: MarketState) -> Node | None:
         """The first critical buyer, else the first exhausted good (one
@@ -459,7 +460,7 @@ def halve_and_repair(inst: MarketInstance, market: MarketState) -> None:
         raise SolverError("halving requires an optimal state")
     half = market.unit / 2
     market.rescale(half)
-    hn, hd = half.numerator, half.denominator
+    hn, hd = half._numerator, half._denominator
     passed = True
     for g, edges in enumerate(inst.good_edges):
         num, den = market.backorder_pair(g)

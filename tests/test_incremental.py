@@ -526,6 +526,62 @@ def test_a_price_cut_is_refused(price_type):
     assert_view_is_direct(inst, market)
 
 
+def typed_state(inst, number_type):
+    """b1 spends on g1 and g2, b2 on g3 and holds a refund: a state built
+    from prices, spending and refunds of ``number_type``, counting in
+    units of one of that type."""
+    spending = {("b1", "g1"): 1, ("b1", "g2"): 1, ("b2", "g3"): 2}
+    market = MarketState(
+        inst,
+        [number_type(p) for p in (1, 1, 2)],
+        {inst.edge_id[e]: number_type(v) for e, v in spending.items()},
+        [number_type(0), number_type(1)],
+    )
+    market.rescale(number_type(1))
+    return market
+
+
+def held_rationals(market):
+    """Every rational the state holds."""
+    return [
+        *market.prices,
+        *market.initial_prices,
+        *market.edge_fixed.values(),
+        *market.spent_fixed,
+        *market.inflow_fixed,
+        *market.refund_fixed,
+        market.unit,
+    ]
+
+
+@pytest.mark.parametrize("factor", [2, Fraction(3, 2)], ids=["int", "Fraction"])
+@pytest.mark.parametrize("number_type", PRICE_TYPES)
+def test_a_state_holds_only_q(number_type, factor):
+    # the step path reads a rational's integers from its slots, which an
+    # int lacks: the state converts what it is built from, its unit and a
+    # price factor, and then reads and checks exactly what a state built
+    # from Q does
+    inst = make_instance(
+        {"b1": 4, "b2": 4},
+        {("b1", "g1"): 2, ("b1", "g2"): 2, ("b2", "g1"): 1, ("b2", "g3"): 3},
+    )
+    market, reference = typed_state(inst, number_type), typed_state(inst, Q)
+    for state, f in ((market, factor), (reference, Q(factor))):
+        assert is_delta_feasible(inst, state) == (True, [])
+        # the raise takes b1's spending on g1 off her row, and sinks g1's
+        # backorder below zero
+        state.scale_prices([inst.good_pos["g1"]], f)
+        assert all(type(value) is Q for value in held_rationals(state))
+    view, expected = market.bang_per_buck, reference.bang_per_buck
+    assert view.ratios == expected.ratios and view.rows == expected.rows
+    assert view.signs == expected.signs and view.edges == expected.edges
+    report = is_delta_feasible(inst, market)
+    assert not report[0] and report == is_delta_feasible(inst, reference)
+    assert market.cash_terms == reference.cash_terms
+    assert market.spending == reference.spending
+    assert market.refunds == reference.refunds
+
+
 # --- one price scaling, followed without a full rescan -------------------------
 
 
