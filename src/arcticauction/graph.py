@@ -31,7 +31,8 @@ after one such scaling a buyer with no row edge into the set keeps her
 row, a row partly inside it only drops those edges, and a row wholly
 inside it keeps its edges and is compared only with the buyer's edges
 to other goods, which may tie or pass its lowered best and then rescan
-her.  A factor of one changes nothing, and prices never fall: the state
+her; that comparison is left out for a buyer whose raise has already
+shown that her row stands (:meth:`MarketState.scale_prices`).  A factor of one changes nothing, and prices never fall: the state
 refuses a factor below one.  The price raise's edge event
 (:func:`edge_event`) reads the same pairs.  The residual search
 (:func:`reach`) builds no graph of its own: it walks the instance's
@@ -47,7 +48,7 @@ solvers deterministic.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Container, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -414,16 +415,22 @@ class MarketState:
             raise SolverError(f"commit of {amount} outside 0..{cash} at {name}")
         self.refund_fixed[buyer] += amount
 
-    def scale_prices(self, goods: set[int], factor: int | Fraction) -> None:
+    def scale_prices(
+        self, goods: set[int], factor: int | Fraction, settled: Container[int] = ()
+    ) -> None:
         """Multiply the prices of ``goods`` by ``factor`` (an int or a
         rational), which must be at least one: prices only rise.  Each new
         price is the product of two integer pairs in lowest terms
         (:func:`~arcticauction.rational.product`), a ``Q`` again.  Once
         read, the bang-per-buck view follows a factor above one
-        (:func:`_follow_raise`) and keeps itself on a factor of one.  The
-        record of changes gets the goods, and the buyers whose row or sign
-        the raise changed; if there are any, the genericity report is
-        dropped."""
+        (:func:`_follow_raise`) and keeps itself on a factor of one.
+        ``settled`` holds buyers whose rows the caller knows to stand: a
+        row wholly inside ``goods`` that none of the buyer's other edges
+        ties or passes after the raise (the halving solver's untied price
+        raise knows it of its active buyers); the view then recomputes
+        only their signs.  The record of changes gets the goods, and the
+        buyers whose row or sign the raise changed; if there are any, the
+        genericity report is dropped."""
         fn, fd = factor.as_integer_ratio()
         if fn < fd:
             raise SolverError(f"price factor {factor} below one")
@@ -434,7 +441,7 @@ class MarketState:
         view = self._bang_per_buck
         moved = ()
         if view is not None and fn != fd:
-            moved = _follow_raise(self._inst, prices, view, goods)
+            moved = _follow_raise(self._inst, prices, view, goods, settled)
         if moved:
             self.genericity = None
         changes = self.changes
@@ -507,7 +514,11 @@ def _rebuild(
 
 
 def _follow_raise(
-    inst: MarketInstance, prices: list[Fraction], view: BangPerBuckView, goods: set[int]
+    inst: MarketInstance,
+    prices: list[Fraction],
+    view: BangPerBuckView,
+    goods: set[int],
+    settled: Container[int] = (),
 ) -> list[int]:
     """Update the view after one scaling of ``goods`` by a factor above
     one, which divides the ratio of every edge into ``goods`` by it;
@@ -519,7 +530,9 @@ def _follow_raise(
     row wholly inside keeps its edges, which still tie and still lead every
     other edge into ``goods``; only her edges to other goods can reach the
     lowered best, and one that ties or passes it rescans her.  Otherwise
-    only her sign is recomputed.
+    only her sign is recomputed.  A buyer in ``settled``, whose row the
+    caller knows to stand (see :meth:`MarketState.scale_prices`), skips
+    that comparison and has only her sign recomputed.
     """
     utility_pairs, buyer_edges = inst.utility_pair, inst.buyer_edges
     edge_buyer, edge_good = inst.edge_buyer, inst.edge_good
@@ -545,17 +558,16 @@ def _follow_raise(
             moved.append(b)
             continue
         best_n, best_d = ratios[row[0]]
-        for e in buyer_edges[b]:
-            if edge_good[e] not in goods:
-                n, d = ratios[e]
-                if n * best_d >= best_n * d:
-                    rescan.append(b)
-                    break
-        else:
-            sign = (best_n > best_d) - (best_n < best_d)
-            if sign != signs[b]:
-                signs[b] = sign
-                moved.append(b)
+        if b not in settled and any(
+            n * best_d >= best_n * d
+            for n, d in (ratios[e] for e in buyer_edges[b] if edge_good[e] not in goods)
+        ):
+            rescan.append(b)
+            continue
+        sign = (best_n > best_d) - (best_n < best_d)
+        if sign != signs[b]:
+            signs[b] = sign
+            moved.append(b)
     if rescan:
         moved += _rescan(inst, view, rescan)
     return moved
@@ -605,11 +617,13 @@ def edge_event(
     ``view`` is the state's current bang-per-buck view
     (:attr:`MarketState.bang_per_buck`).  The multiplier of edge ``(b, g)`` is ``best_b / ratio_bg``.
     ``buyers`` come in canonical order, and ties go to the first of them,
-    then to the smallest good position.
+    then to the smallest good position.  One running minimum over integer
+    pairs keeps the winner in locals; only it becomes a tuple.
     """
     ratios, rows = view.ratios, view.rows
     edge_good = inst.edge_good
-    event: tuple[int, int, Edge] | None = None
+    # the winner so far; (1, 0) stands for none, which every pair is below
+    event_n, event_d, event_e = 1, 0, None
     for b in buyers:
         best_n, best_d = ratios[rows[b][0]]
         for e in inst.buyer_edges[b]:
@@ -617,9 +631,9 @@ def edge_event(
                 continue
             n, d = ratios[e]
             n, d = best_n * d, best_d * n
-            if event is None or n * event[1] < event[0] * d:
-                event = (n, d, e)
-    return event
+            if n * event_d < event_n * d:
+                event_n, event_d, event_e = n, d, e
+    return None if event_e is None else (event_n, event_d, event_e)
 
 
 def reach(

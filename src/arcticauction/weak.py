@@ -295,51 +295,62 @@ def update_price_star(
     buyer's bang-per-buck reaching one, an active good's backorder reaching
     zero (the tree's pair of the good), or a new equality edge from an
     active buyer to an inactive good
-    (:func:`~arcticauction.graph.edge_event`).  One pass over them, in that
-    order and each kind in canonical order, compares integer pairs by
-    cross-multiplication: a candidate below the winner so far replaces it,
-    one that ties it keeps the earlier one, and the edge event's tie is
-    noted.  Only the winner becomes a ``Q``, by one gcd.  Prices are
-    updated in place.
+    (:func:`~arcticauction.graph.edge_event`).  One running minimum over
+    them, in that order and each kind in canonical order, compares integer
+    pairs by cross-multiplication: a candidate below the winner so far
+    replaces it, one that ties it keeps the earlier one, and the edge
+    event's tie is noted.  No candidate list is built, and only the winner
+    becomes a ``Q``, by one gcd.  Prices are updated in place.
 
     Every equality edge of an active buyer leads to an active good, and a
     raise below the edge event's multiplier scales all of them alike and
     brings no other good level with them, so the equality edges the search
     follows, and with them its tree, change only when the edge event ties
-    the winner.  For the same reason an active buyer's bang-per-buck
-    reaches one exactly when her candidate ties the winner, and an active
-    good, whose backorder was positive, is exhausted exactly when its
-    candidate does.  So the terminal is the first tying buyer in canonical
-    order, else the first tying good, else None: what a rescan of the tree
-    after the raise finds.
+    the winner.  Such an untied raise has also shown that no edge of an
+    active buyer to an inactive good reaches her lowered best, so it tells
+    the view (:meth:`~arcticauction.graph.MarketState.scale_prices`) that
+    those buyers' rows stand and only their signs need recomputing; a tied
+    raise keeps the view's full comparison.  For the same reason an active
+    buyer's bang-per-buck reaches one exactly when her candidate ties the
+    winner, and an active good, whose backorder was positive, is exhausted
+    exactly when its candidate does.  So the terminal is the first tying
+    buyer in canonical order, else the first tying good, else None: what a
+    rescan of the tree after the raise finds.
     """
     view = market.bang_per_buck
-    signs = view.signs
+    ratios, rows, signs = view.ratios, view.rows, view.signs
     n_buyers = len(inst.buyers)
-    # each candidate is an unnormalized pair (numerator, positive
-    # denominator) and the terminal it names; the edge event names none
-    candidates = [(view.best_pair(b), b) for b in tree.buyers if signs[b] > 0]
-    candidates += [(pair, n_buyers + g) for g, pair in zip(tree.goods, tree.pairs)]
+    # the winner so far as an unnormalized pair (numerator, denominator);
+    # (1, 0) stands for no candidate yet, which every candidate is below
+    n, d, terminal = 1, 0, None
+    for b in tree.buyers:
+        if signs[b] > 0:
+            cn, cd = ratios[rows[b][0]]
+            if cn * d < n * cd:
+                n, d, terminal = cn, cd, b
+    for g, (cn, cd) in zip(tree.goods, tree.pairs):
+        if cn * d < n * cd:
+            n, d, terminal = cn, cd, n_buyers + g
+    # the edge event names no terminal
     event = edge_event(inst, view, tree.buyers, tree.good_set)
+    tied = False
     if event is not None:
-        candidates.append((event[:2], None))
-    if not candidates:
-        raise SolverError("price raise has no stopping event")
-    (n, d), terminal = candidates[0]
-    tied = terminal is None
-    for (cn, cd), node in candidates[1:]:
+        cn, cd, _ = event
         left, right = cn * d, n * cd
-        if left < right:
-            n, d, terminal, tied = cn, cd, node, node is None
-        elif left == right and node is None:
+        if left <= right:
             tied = True
+            if left < right:
+                n, d, terminal = cn, cd, None
+    if not d:
+        raise SolverError("price raise has no stopping event")
     q = reduced(n, d)
     # the search tree holds every equality edge of the active buyers and no
     # exhausted good, so every candidate exceeds one; a raise by one or less
     # means the tree is stale, and would repeat for ever
     if n <= d:
         raise SolverError(f"stopping event at multiplier {q} <= 1")
-    market.scale_prices(tree.good_set, q)
+    # a buyer is her own node, so the tree's nodes hold its buyers
+    market.scale_prices(tree.good_set, q, () if tied else tree.parent)
     return tied, terminal
 
 

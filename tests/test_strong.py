@@ -7,7 +7,13 @@ import pytest
 
 import arcticauction.strong as strong_mod
 from arcticauction.cli import equilibrium_doc
-from arcticauction.core import MarketInstance, PerturbationConfig, compute_stats, perturb
+from arcticauction.core import (
+    MarketInstance,
+    PerturbationConfig,
+    compute_stats,
+    default_magnitude,
+    perturb,
+)
 from arcticauction.driver import solve_instance
 from arcticauction.errors import SolverError
 from arcticauction.graph import (
@@ -827,6 +833,53 @@ def test_document_order_does_not_change_the_equilibrium(seed):
         assert other.prices == eq.prices
         assert other.spending == eq.spending
         assert other.refunds == eq.refunds
+
+
+def scaled(inst, t):
+    """The same market with every budget and utility multiplied by ``t``."""
+    return MarketInstance(
+        buyers=inst.buyers,
+        goods=inst.goods,
+        budgets={b: v * t for b, v in inst.budgets.items()},
+        utilities={edge: u * t for edge, u in inst.utilities.items()},
+    )
+
+
+@pytest.mark.parametrize("t", [Fraction(2), Fraction(1, 3), Fraction(7, 5)])
+@pytest.mark.parametrize("seed", range(3))
+def test_scaling_budgets_and_utilities_scales_the_equilibrium(seed, t):
+    """Multiplying every budget and utility by ``t > 0`` multiplies the
+    prices, spending and refunds of both solvers by ``t``.
+
+    The perturbation turns a utility ``u`` into ``u * (1 + sigma * eps)``,
+    with ``eps`` drawn from the seed alone, so one ``sigma`` and one seed
+    turn ``t * u`` into ``t`` times the perturbed ``u``: the perturbed
+    scaled market is the perturbed market scaled.  Take an equilibrium
+    ``(p, x, r)`` of a market and scale it by ``t`` with the market.  Each
+    bang-per-buck ``t * u / (t * p) = u / p`` is unchanged, so every buyer
+    keeps her best goods, her equality edges and her side of one; every
+    good's inflow ``t * sum(x)`` is its new price ``t * p``; and every
+    buyer's spending plus refund is ``t`` times her old budget, the new
+    one.  So ``(t * p, t * x, t * r)`` is an equilibrium of the scaled
+    market, and scaling by ``1 / t`` maps its equilibria back: both
+    markets have one equilibrium each, and each solver certifies it.  The
+    solvers' runs scale alike (the start prices and the ladder of scales
+    follow the budgets), so a degeneracy, and with it a retry, shows up in
+    both markets or in neither.
+    """
+    rng = random.Random(600 + seed)
+    inst = random_instance(4 + seed, rng)
+    other = scaled(inst, t)
+    sigma = min(default_magnitude(inst), default_magnitude(other))
+    first = solve_instance(inst, "both", magnitude=sigma, seed=seed)
+    second = solve_instance(other, "both", magnitude=sigma, seed=seed)
+    assert second.retries_used == first.retries_used
+    for algorithm in ("weak", "strong"):
+        eq, _ = first.results[algorithm]
+        other_eq, _ = second.results[algorithm]
+        assert other_eq.prices == {g: t * p for g, p in eq.prices.items()}
+        assert other_eq.spending == {e: t * v for e, v in eq.spending.items()}
+        assert other_eq.refunds == {b: t * r for b, r in eq.refunds.items()}
 
 
 def renamed(inst):

@@ -196,6 +196,26 @@ class TestUpdatePriceStar:
         assert prices_of(inst, market) == {"g1": Fraction(3, 2), "g2": Fraction(1)}
         assert inst.edge_id[("b1", "g2")] in market.bang_per_buck.edges
 
+    def test_a_tree_raised_twice_is_refused(self):
+        # the market of the edge event: after the first raise b1's edge to
+        # g2 ties her best, so the stale tree's edge event sits at q = 1
+        inst = make_instance({"b1": 16}, {("b1", "g1"): 3, ("b1", "g2"): 2})
+        market = scaled_state(inst, {"g1": 1, "g2": 1}, {("b1", "g1"): 2}, {}, delta=1)
+        tree = active_tree(inst, market, "b1")
+        assert update_price_star(inst, market, tree) == (True, None)
+        with pytest.raises(SolverError, match=r"^stopping event at multiplier 1 <= 1$"):
+            update_price_star(inst, market, tree)
+        assert prices_of(inst, market) == {"g1": Fraction(3, 2), "g2": Fraction(1)}
+
+    def test_an_active_set_without_candidates_is_refused(self):
+        # a search from no roots: no buyer, no good and no edge event
+        inst = make_instance({"b1": 16}, {("b1", "g1"): 3})
+        market = scaled_state(inst, {"g1": 1}, {("b1", "g1"): 2}, {}, delta=1)
+        tree = SearchTree(inst, market, [], market.returnable)
+        with pytest.raises(SolverError, match=r"^price raise has no stopping event$"):
+            update_price_star(inst, market, tree)
+        assert prices_of(inst, market) == {"g1": 1}
+
 
 class TestPriceAndAugment:
     def test_good_terminal_backorder_math(self):
