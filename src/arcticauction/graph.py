@@ -32,8 +32,9 @@ row, a row partly inside it only drops those edges, and a row wholly
 inside it keeps its edges and is compared only with the buyer's edges
 to other goods, which may tie or pass its lowered best and then rescan
 her; that comparison is left out for a buyer whose raise has already
-shown that her row stands (:meth:`MarketState.scale_prices`).  A factor of one changes nothing, and prices never fall: the state
-refuses a factor below one.  The price raise's edge event
+shown that her row stands (:meth:`MarketState.scale_prices`).  A factor
+of one changes nothing, and prices never fall: the state refuses a
+factor below one.  The price raise's edge event
 (:func:`edge_event`) reads the same pairs.  The residual search
 (:func:`reach`) builds no graph of its own: it walks the instance's
 adjacency, keeps the arcs whose edges lie in the sets the caller passes,
@@ -518,7 +519,7 @@ def _follow_raise(
     prices: list[Fraction],
     view: BangPerBuckView,
     goods: set[int],
-    settled: Container[int] = (),
+    settled: Container[int],
 ) -> list[int]:
     """Update the view after one scaling of ``goods`` by a factor above
     one, which divides the ratio of every edge into ``goods`` by it;
