@@ -62,8 +62,6 @@ def _write(path: str, chunks: Iterable[str]) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.max_retries < 0:
-        raise InstanceError(f"--max-retries must be >= 0, not {args.max_retries}")
     inst = load_instance(args.input)
     magnitude = parse_rational(args.perturb) if args.perturb is not None else None
     outcome = solve_instance(

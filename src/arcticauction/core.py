@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from arcticauction.rational import Q
+from arcticauction.rational import Q, as_q, reduced
 
 
 class InstanceError(ValueError):
@@ -75,16 +75,16 @@ def parse_rational(value: object) -> Q:
             raise InstanceError(f"number too long: {exc}") from None
         if den == 0:
             raise InstanceError(f"zero denominator: {value!r}")
-        return Q(num, den)
+        return reduced(num, den)
     raise InstanceError(f"not a rational: {value!r}")
 
 
 def _exact(value: object) -> Q:
-    """An int or ``Fraction`` value as a ``Q``; anything else is no exact
-    rational."""
+    """An int or ``Fraction`` value as a ``Q`` (a ``Q`` as it is); anything
+    else is no exact rational."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise InstanceError(f"not an exact rational: {value!r}")
-    return Q(value)
+    return as_q(value)
 
 
 def _id(value: object) -> str:
@@ -122,7 +122,8 @@ class MarketInstance:
     its (numerator, denominator), and ``budget`` each buyer's budget.
     ``buyer_edges[i]`` lists buyer ``i``'s edges (a contiguous run of ids,
     by good) and ``good_edges[j]`` good ``j``'s edges (by buyer).
-    ``edge_id`` maps an edge's names to its id.
+    ``edge_id`` maps an edge's names to its id.  ``stats`` holds the
+    instance's :class:`InstanceStats`, derived by :func:`compute_stats`.
     """
 
     buyers: tuple[str, ...]
@@ -148,6 +149,7 @@ class MarketInstance:
     good_edges: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    stats: InstanceStats = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("budgets", "utilities"):
@@ -189,6 +191,7 @@ class MarketInstance:
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "stats", compute_stats(self))
 
     def _validate(self) -> None:
         if len(self.buyer_pos) != len(self.buyers):
@@ -244,6 +247,9 @@ class InstanceStats:
 
 def compute_stats(inst: MarketInstance) -> InstanceStats:
     """Compute ``n``, ``m``, the extreme data values, and the denominator bound.
+
+    Every instance derives its stats once, when it is built, and keeps them
+    as ``inst.stats``; the solvers read that field.
 
     The bound is ``D = n * L * U**k``: ``L`` is the lcm of the utility and
     budget denominators (the perturbation makes utilities rational),
@@ -311,7 +317,7 @@ class PerturbationConfig:
             raise InstanceError("perturbation magnitude must be >= 0")
         if self.magnitude == 0:
             return
-        stats = compute_stats(inst)
+        stats = inst.stats
         bound = Q(1, 2 * stats.n * stats.m) / stats.u_max
         if self.magnitude >= bound:
             raise InstanceError(
@@ -322,7 +328,7 @@ class PerturbationConfig:
 
 def default_magnitude(inst: MarketInstance) -> Fraction:
     """Default sigma: the invariant bound ``1/(2*n*m*u_max)`` divided by ``10**6``."""
-    stats = compute_stats(inst)
+    stats = inst.stats
     return Q(1, 2 * stats.n * stats.m * 10**6) / stats.u_max
 
 
@@ -342,6 +348,10 @@ def perturb(inst: MarketInstance, cfg: PerturbationConfig) -> MarketInstance:
     deterministically from ``cfg.seed``, so the same seed always yields the
     same perturbed instance.  Sparsity is preserved exactly and each
     perturbed utility lies strictly between ``u`` and ``u * (1 + sigma)``.
+
+    With ``u = u_n / u_d``, ``sigma = s_n / s_d`` and ``eps = a / R``, the
+    new utility is ``u_n * (s_d * R + s_n * a) / (u_d * s_d * R)``, put in
+    lowest terms by one gcd.
     """
     cfg.validate_for(inst)
     if cfg.magnitude == 0:
@@ -350,10 +360,11 @@ def perturb(inst: MarketInstance, cfg: PerturbationConfig) -> MarketInstance:
     resolution = max(EPSILON_RESOLUTION, 1 << len(edges).bit_length())
     rng = random.Random(cfg.seed)
     numerators = rng.sample(range(1, resolution), len(edges))
+    s_n, s_d = cfg.magnitude.as_integer_ratio()
+    scale = s_d * resolution
     utilities = dict(inst.utilities)
-    for edge, a in zip(edges, numerators):
-        eps = Q(a, resolution)
-        utilities[edge] = inst.utilities[edge] * (1 + cfg.magnitude * eps)
+    for edge, (u_n, u_d), a in zip(edges, inst.utility_pair, numerators):
+        utilities[edge] = reduced(u_n * (scale + s_n * a), u_d * scale)
     return MarketInstance(
         buyers=inst.buyers,
         goods=inst.goods,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from arcticauction.core import (
+    InstanceError,
     MarketInstance,
     PerturbationConfig,
     default_magnitude,
@@ -56,10 +57,13 @@ def solve_instance(
     two equilibria are also cross-checked for exact equality (the perturbed
     instance has a unique equilibrium, so any mismatch is a bug).  At
     magnitude zero every seed gives the same instance, so there are no
-    retries.
+    retries.  A negative ``max_retries`` is an :class:`InstanceError`, as
+    a negative magnitude is.
     """
     if algorithm not in (*ALGORITHMS, "both"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if max_retries < 0:
+        raise InstanceError(f"max_retries must be >= 0, not {max_retries}")
     if magnitude is None:
         magnitude = default_magnitude(inst)
     attempts = max_retries + 1

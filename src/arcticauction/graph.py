@@ -689,6 +689,9 @@ class Component:
     the tree edge that reached it: the root, the component's smallest
     node (its first buyer when it has one), comes first with None, and
     every other node after the node its edge joins it to.
+
+    A component is never changed after the walk builds it: the strong
+    solver hands one forest to every phase whose abundant set is the same.
     """
 
     buyers: tuple[int, ...]

@@ -28,7 +28,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from arcticauction.basic import SupportError, basic_solution
-from arcticauction.core import MarketInstance, compute_stats
+from arcticauction.core import MarketInstance
 from arcticauction.errors import GenericityError
 from arcticauction.graph import (
     MarketState,
@@ -229,7 +229,7 @@ def brute_force_equilibrium(inst: MarketInstance) -> Equilibrium:
     zero or several passing supports mean the instance is degenerate and a
     fresh perturbation is needed.
     """
-    stats = compute_stats(inst)
+    stats = inst.stats
     if stats.m > BRUTE_FORCE_MAX_EDGES or stats.n > BRUTE_FORCE_MAX_NODES:
         raise ValueError(
             f"instance too large for enumeration: n={stats.n}, m={stats.m}"

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from arcticauction.basic import SupportError, basic_solution, solve_tree_flow
-from arcticauction.core import MarketInstance, compute_stats
+from arcticauction.core import MarketInstance
 from arcticauction.errors import SolverError
 from arcticauction.graph import (
     Component,
@@ -491,17 +491,23 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     a delayed restart only lowers the threshold, and its phase halves as
     well.
 
+    The forest is a function of the abundant edge set alone, so a phase
+    whose set equals the last phase's reuses that phase's forest; no step
+    mutates a component.
+
     The returned refunds combine the committed refunds accumulated along
     the way with the refunds of the final basic solution; the result is
     certified against the original instance before returning.
     """
-    stats = compute_stats(inst)
+    stats = inst.stats
     n = stats.n
     market = initialize(inst)
     threshold = market.unit
     trace = PhaseTrace(algorithm="strong", edge_names=inst.edge_names)
     budget = phase_budget(n)
     singleton_crossed: set[int] = set()
+    # the last phase's abundant set and its forest, kept while the set stays
+    forest_edges: set[Edge] | None = None
 
     entry = "init"
     while trace.phase_count <= budget:
@@ -513,7 +519,8 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
 
         abundant = abundant_edges(market, n)
         _note_abundant(inst, trace, abundant)
-        forest = components_of_edges(inst, abundant)
+        if abundant != forest_edges:
+            forest_edges, forest = abundant, components_of_edges(inst, abundant)
         components = forest.components
         signs = market.bang_per_buck.signs
         for comp in components:

@@ -36,7 +36,7 @@ from bisect import bisect_left
 from collections.abc import Iterable
 
 from arcticauction.basic import basic_solution
-from arcticauction.core import InstanceStats, MarketInstance, ceil_log2, compute_stats
+from arcticauction.core import InstanceStats, MarketInstance, ceil_log2
 from arcticauction.errors import GenericityError, SolverError
 from arcticauction.graph import (
     Changes,
@@ -49,7 +49,7 @@ from arcticauction.graph import (
     reach,
 )
 from arcticauction.oracle import Equilibrium, certify_state, check_genericity
-from arcticauction.rational import Q, ZERO, reduced
+from arcticauction.rational import ONE, Q, ZERO, reduced
 from arcticauction.trace import PhaseMark, PhaseTrace, TraceRow
 
 
@@ -66,22 +66,20 @@ def initialize(inst: MarketInstance) -> MarketState:
     utility floor is halved so no buyer starts at bang-per-buck exactly
     one, which would send her straight into refunds and leave the good
     unsold forever.
+
+    The smaller floor ``min(u * budget / (n * total), u / 2)`` is ``u``
+    times the buyer's own factor ``min(budget / (n * total), 1/2)``, so
+    the factor is computed once per buyer and each edge takes one product.
     """
-    stats = compute_stats(inst)
+    stats = inst.stats
     utility, edge_buyer = inst.utility, inst.edge_buyer
-    row_total = [
-        sum((utility[e] for e in edges), ZERO) for edges in inst.buyer_edges
+    half = ONE / 2
+    factor = [
+        min(budget / (stats.n * sum((utility[e] for e in edges), ZERO)), half)
+        for budget, edges in zip(inst.budget, inst.buyer_edges)
     ]
     prices = [
-        max(
-            min(
-                utility[e]
-                * inst.budget[edge_buyer[e]]
-                / (stats.n * row_total[edge_buyer[e]]),
-                utility[e] / 2,
-            )
-            for e in edges
-        )
+        max(utility[e] * factor[edge_buyer[e]] for e in edges)
         for edges in inst.good_edges
     ]
     market = MarketState(inst, prices)
@@ -608,7 +606,7 @@ def run_weak(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     mid-run (the driver retries with a new perturbation seed) and
     :class:`SolverError` on any internal invariant violation.
     """
-    stats = compute_stats(inst)
+    stats = inst.stats
     market = initialize(inst)
     trace = PhaseTrace(algorithm="weak", edge_names=inst.edge_names)
     stop_below = Q(1, 8 * stats.n) / stats.d_bound

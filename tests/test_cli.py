@@ -330,6 +330,20 @@ def test_degenerate_unperturbed_exits_two(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_negative_retries_are_an_input_error(instance_file, capsys):
+    # a caller error, not a genericity verdict: the driver owns the rule,
+    # and the command line exits 1 with its message
+    from arcticauction.core import InstanceError, load_instance
+
+    inst = load_instance(str(instance_file))
+    with pytest.raises(InstanceError, match="max_retries must be >= 0, not -1"):
+        driver.solve_instance(inst, max_retries=-1)
+    assert driver.solve_instance(inst, max_retries=0).retries_used == 0
+    argv = ["solve", "--input", str(instance_file), "--max-retries", "-1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: max_retries must be >= 0, not -1\n"
+
+
 def edited_solution(edit, seed=7):
     """A ``verify`` command line for a weak solution document, solved at
     ``seed``, changed by ``edit``."""

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcticauction.core import (
     EPSILON_RESOLUTION,
@@ -19,6 +21,7 @@ from arcticauction.core import (
     perturb,
 )
 
+from arcticauction.randgen import random_instance
 from arcticauction.rational import Q
 
 from conftest import make_instance
@@ -208,6 +211,48 @@ class TestPerturb:
             expected = inst.utilities[edge] * (1 + sigma * Fraction(a, EPSILON_RESOLUTION))
             assert out.utilities[edge] == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=12),
+        draw_seed=st.integers(min_value=0, max_value=10**6),
+        den_bits=st.integers(min_value=0, max_value=40),
+        sigma_den=st.integers(min_value=2, max_value=10**40),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_utilities_match_fraction_arithmetic_on_the_same_draws(
+        self, n, draw_seed, den_bits, sigma_den, data, seed
+    ):
+        # utilities with denominators of up to 40 bits, and a sigma below
+        # the bound whose denominator may run to 10**40 and more
+        base = random_instance(n, random.Random(draw_seed))
+        rng = random.Random(draw_seed + 1)
+        inst = MarketInstance(
+            buyers=base.buyers,
+            goods=base.goods,
+            budgets=base.budgets,
+            utilities={
+                e: Fraction(u) / rng.randint(1, 2**den_bits)
+                for e, u in base.utilities.items()
+            },
+        )
+        sigma_num = data.draw(st.integers(min_value=1, max_value=sigma_den - 1))
+        stats = compute_stats(inst)
+        bound = Fraction(1, 2 * stats.n * stats.m) / stats.u_max
+        sigma = bound * Fraction(sigma_num, sigma_den)
+        out = perturb(inst, PerturbationConfig(magnitude=sigma, seed=seed))
+        resolution = max(EPSILON_RESOLUTION, 1 << len(inst.edge_names).bit_length())
+        draws = random.Random(seed).sample(range(1, resolution), len(inst.edge_names))
+        expected = {
+            edge: inst.utilities[edge] * (1 + sigma * Fraction(a, resolution))
+            for edge, a in zip(inst.edge_names, draws)
+        }
+        assert out.utilities == expected
+        assert list(out.utilities) == list(inst.utilities)
+        assert all(type(u) is Q for u in out.utilities.values())
+        for e, u in enumerate(out.utility):
+            assert (u.numerator, u.denominator) == out.utility_pair[e]
+
     def test_dense_market_beyond_the_resolution(self):
         # 91 x 91 = 8281 edges, more than EPSILON_RESOLUTION - 1 distinct draws
         buyers = tuple(f"b{k}" for k in range(91))
@@ -324,6 +369,36 @@ def test_instance_is_frozen_with_adjacency_in_document_order():
     assert inst.budget == (inst.budgets["b2"], inst.budgets["b1"])
     with pytest.raises(dataclasses.FrozenInstanceError):
         inst.buyers = ("b1",)
+
+
+def test_stats_are_derived_once_and_leave_equality_and_repr_alone():
+    inst = make_instance({"b1": 4, "b2": 2}, {("b1", "g1"): 2, ("b2", "g1"): Fraction(1, 3)})
+    assert inst.stats == compute_stats(inst)
+    assert inst.stats is inst.stats
+    twin = make_instance({"b1": 4, "b2": 2}, {("b1", "g1"): 2, ("b2", "g1"): Fraction(1, 3)})
+    assert twin == inst and twin.stats is not inst.stats
+    assert repr(inst) == (
+        "MarketInstance(buyers=('b1', 'b2'), goods=('g1',),"
+        " budgets={'b1': Q(4, 1), 'b2': Q(2, 1)},"
+        " utilities={('b1', 'g1'): Q(2, 1), ('b2', 'g1'): Q(1, 3)})"
+    )
+    assert [f.name for f in dataclasses.fields(inst) if f.compare] == [
+        "buyers", "goods", "budgets", "utilities", "buyer_pos", "good_pos"
+    ]
+    assert not any(f.init or f.compare or f.repr for f in dataclasses.fields(inst)
+                   if f.name == "stats")
+    other = make_instance({"b1": 4, "b2": 3}, {("b1", "g1"): 2, ("b2", "g1"): Fraction(1, 3)})
+    assert other != inst
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.stats = compute_stats(other)
+    with pytest.raises(TypeError):
+        MarketInstance(
+            buyers=inst.buyers,
+            goods=inst.goods,
+            budgets=inst.budgets,
+            utilities=inst.utilities,
+            stats=inst.stats,
+        )
 
 
 def test_duplicate_good_rejected():

@@ -107,14 +107,21 @@ def direct_potential(inst, market):
 
 
 def direct_alphas(inst, prices):
-    return {
-        b: max(u / prices[g] for (b2, g), u in inst.utilities.items() if b2 == b)
-        for b in inst.buyers
-    }
+    """Every buyer's best utility-over-price ratio, from one pass over the
+    utilities."""
+    alphas = {}
+    for (b, g), u in inst.utilities.items():
+        ratio = u / prices[g]
+        if b not in alphas or ratio > alphas[b]:
+            alphas[b] = ratio
+    return alphas
 
 
-def direct_equality_graph(inst, prices):
-    alphas = direct_alphas(inst, prices)
+def direct_equality_graph(inst, prices, alphas=None):
+    """The edges at their buyer's best ratio; ``alphas`` are the prices'
+    :func:`direct_alphas`, computed here if not given."""
+    if alphas is None:
+        alphas = direct_alphas(inst, prices)
     return {(b, g) for (b, g), u in inst.utilities.items() if u / prices[g] == alphas[b]}
 
 
@@ -145,19 +152,27 @@ def assert_values_match(inst, market):
     assert spending_of(inst, market) == spending
     assert 0 not in spending.values()
     assert refunds_of(inst, market) == raw_refunds(inst, market)
+    # each node's count, fixed and rational sums over its edges, by side
+    # (buyers, goods), from one pass over the spending edges
+    sums = [
+        [[0, Fraction(0), Fraction(0)] for _ in nodes]
+        for nodes in (inst.buyers, inst.goods)
+    ]
+    for name, value in spending.items():
+        e = inst.edge_id[name]
+        for side, k in ((0, inst.edge_buyer[e]), (1, inst.edge_good[e])):
+            node = sums[side][k]
+            node[0] += market.edge_units.get(e, 0)
+            node[1] += market.edge_fixed.get(e, Fraction(0))
+            node[2] += value
     for side, units, fixed, rational in (
         (0, market.spent_units, market.spent_fixed, market.spent_by),
         (1, market.inflow_units, market.inflow_fixed, market.inflow),
     ):
-        for k, node in enumerate(inst.goods if side else inst.buyers):
-            edges = [inst.edge_id[e] for e in spending if e[side] == node]
-            assert units[k] == sum(market.edge_units.get(e, 0) for e in edges)
-            assert fixed[k] == sum(
-                (market.edge_fixed.get(e, Fraction(0)) for e in edges), Fraction(0)
-            )
-            assert rational(k) == sum(
-                (spending[inst.edge_names[e]] for e in edges), Fraction(0)
-            )
+        for k, (unit_sum, fixed_sum, rational_sum) in enumerate(sums[side]):
+            assert units[k] == unit_sum
+            assert fixed[k] == fixed_sum
+            assert rational(k) == rational_sum
     for g in range(len(inst.goods)):
         assert Fraction(*market.inflow_pair(g)) == market.inflow(g)
 
@@ -175,31 +190,34 @@ def assert_cash_terms_match(inst, market):
     )
 
 
-def assert_bang_per_buck_matches(inst, market):
+def assert_bang_per_buck_matches(inst, market, fresh=None):
     prices = prices_of(inst, market)
     alphas = direct_alphas(inst, prices)
     view = market.bang_per_buck
     assert view.signs == [direct_sign(alphas[b] - 1) for b in inst.buyers]
     assert alphas_of(inst, market) == alphas
-    assert edge_names(inst, view.edges) == direct_equality_graph(inst, prices)
-    fresh = fresh_copy(inst, market)
+    assert edge_names(inst, view.edges) == direct_equality_graph(inst, prices, alphas)
+    fresh = fresh_copy(inst, market) if fresh is None else fresh
     assert check_genericity(inst, market) == check_genericity(inst, fresh)
 
 
-def assert_returnable_matches(inst, market):
+def assert_returnable_matches(inst, market, fresh=None):
     returnable = edge_names(inst, market.returnable)
     assert returnable == direct_returnable(inst, market)
-    assert returnable == edge_names(inst, fresh_copy(inst, market).returnable)
+    fresh = fresh_copy(inst, market) if fresh is None else fresh
+    assert returnable == edge_names(inst, fresh.returnable)
 
 
-def assert_feasibility_matches(inst, market):
-    fresh = fresh_copy(inst, market)
+def assert_feasibility_matches(inst, market, fresh=None):
+    fresh = fresh_copy(inst, market) if fresh is None else fresh
     assert is_delta_feasible(inst, market) == is_delta_feasible(inst, fresh)
 
 
 # each view of the market state, with the check that reads it and compares
 # it with its reference; the cash terms, which nearly every mutation moves,
-# are compared after each one instead
+# are compared after each one instead.  A check given a ``fresh`` copy of
+# the state reads it instead of building its own: only reads touch the
+# copy, and its first feasibility check is a full sweep whenever it runs
 VIEW_CHECKS = {
     "values": assert_values_match,
     "bang_per_buck": assert_bang_per_buck_matches,
@@ -210,8 +228,14 @@ VIEW_CHECKS = {
 
 def assert_views_match(inst, market):
     assert_cash_terms_match(inst, market)
-    for check in VIEW_CHECKS.values():
-        check(inst, market)
+    assert_values_match(inst, market)
+    fresh = fresh_copy(inst, market)
+    for check in (
+        assert_bang_per_buck_matches,
+        assert_returnable_matches,
+        assert_feasibility_matches,
+    ):
+        check(inst, market, fresh)
 
 
 # --- differential: both solvers, checked after every step and halving --------

@@ -758,6 +758,39 @@ def solve_strong_expecting(inst, message):
         raise
 
 
+@pytest.mark.parametrize("seed", [14, 33, 49])
+def test_a_reused_forest_is_the_forest_of_its_phase(seed, monkeypatch):
+    # run_strong walks the abundant forest again only when the abundant
+    # set changes; at every phase the forest it hands the termination test
+    # must equal a fresh walk of that phase's abundant set, so no step may
+    # have mutated a kept component, and on these restarting markets most
+    # phases must have reused the last one
+    walks = []
+    walk = strong_mod.components_of_edges
+
+    def counted(inst, edges):
+        walks.append(1)
+        return walk(inst, edges)
+
+    forests = []
+    candidate = strong_mod._termination_candidate
+
+    def checked(inst, market, forest):
+        assert forest == walk(inst, abundant_edges(market, inst.stats.n))
+        forests.append(forest)
+        return candidate(inst, market, forest)
+
+    monkeypatch.setattr(strong_mod, "components_of_edges", counted)
+    monkeypatch.setattr(strong_mod, "_termination_candidate", checked)
+    inst = wide_instance(seed)
+    inst = perturb(inst, PerturbationConfig(magnitude=default_magnitude(inst), seed=0))
+    _, trace = run_strong(inst)
+    assert trace.restarts  # compressed at 14 and 49, delayed twice at 33
+    assert len(forests) == trace.phase_count
+    reused = sum(a is b for a, b in zip(forests, forests[1:]))
+    assert reused == trace.phase_count - len(walks) > 0
+
+
 class TestSpecialPriceMonotonicity:
     def test_prices_up_root_surplus_down(self):
         inst = make_instance(

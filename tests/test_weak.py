@@ -6,11 +6,18 @@ from fractions import Fraction
 import pytest
 
 from arcticauction import weak
-from arcticauction.core import PerturbationConfig, ceil_log2, compute_stats, perturb
+from arcticauction.core import (
+    MarketInstance,
+    PerturbationConfig,
+    ceil_log2,
+    compute_stats,
+    perturb,
+)
 from arcticauction.driver import solve_instance
 from arcticauction.errors import GenericityError, SolverError
 from arcticauction.graph import reach
 from arcticauction.oracle import brute_force_equilibrium
+from arcticauction.randgen import random_instance
 from arcticauction.trace import PhaseTrace, TraceRow
 from arcticauction.weak import (
     SearchTree,
@@ -91,6 +98,39 @@ class TestInitialize:
         inst = make_instance({"b1": 10}, {("b1", "g1"): 2})
         market = initialize(inst)
         assert prices_of(inst, market)["g1"] == Fraction(1)
+
+
+def reference_start_prices(inst):
+    """Each good's start price: the largest over its buyers of
+    ``min(u * budget / (n * total utility), u / 2)``, per edge, as the
+    :func:`initialize` docstring states it."""
+    n = len(inst.buyers) + len(inst.goods)
+    total = {b: sum(u for (b2, _), u in inst.utilities.items() if b2 == b) for b in inst.buyers}
+    prices = {}
+    for (b, g), u in inst.utilities.items():
+        floor = min(u * inst.budgets[b] / (n * total[b]), u / 2)
+        prices[g] = max(prices.get(g, floor), floor)
+    return prices
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_initialize_matches_the_per_edge_reference(seed):
+    rng = random.Random(seed)
+    inst = random_instance(rng.randint(2, 16), rng)
+    if seed % 2:
+        inst = perturb(inst, PerturbationConfig(magnitude=lean_sigma(inst), seed=seed))
+    if seed % 3 == 0:
+        # budgets from 2^0 to 2^14: some buyers' floors are the budget
+        # share, others the halved utility
+        inst = MarketInstance(
+            buyers=inst.buyers,
+            goods=inst.goods,
+            budgets={b: Fraction(2 ** rng.randint(0, 14)) for b in inst.buyers},
+            utilities=inst.utilities,
+        )
+    market = initialize(inst)
+    assert prices_of(inst, market) == reference_start_prices(inst)
+    assert market.unit == max(inst.budgets.values())
 
 
 class TestFeasibility:
