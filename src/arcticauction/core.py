@@ -317,6 +317,7 @@ class PerturbationConfig:
             raise InstanceError("perturbation magnitude must be >= 0")
         if self.magnitude == 0:
             return
+        _exact(self.magnitude)  # perturb reads its integer ratio
         stats = inst.stats
         bound = Q(1, 2 * stats.n * stats.m) / stats.u_max
         if self.magnitude >= bound:

@@ -202,6 +202,13 @@ class TestPerturb:
         with pytest.raises(InstanceError, match="too large"):
             perturb(inst, cfg)
 
+    def test_a_float_magnitude_is_refused(self):
+        # a float would carry binary rounding error into the utilities
+        inst = make_instance({"b1": 1}, {("b1", "g1"): 2})
+        cfg = PerturbationConfig(magnitude=1e-9, seed=0)
+        with pytest.raises(InstanceError, match="not an exact rational: 1e-09"):
+            perturb(inst, cfg)
+
     def test_offsets_match_the_fixed_resolution_below_its_size(self):
         inst = make_instance({"b1": 4}, {("b1", "g1"): 2, ("b1", "g2"): 6})
         sigma = Fraction(1, 1000)
