@@ -102,12 +102,13 @@ def _price_multipliers(inst: MarketInstance, comp: Component) -> dict[int, Fract
 
 def _component_solution(
     inst: MarketInstance, comp: Component, budgets: tuple[Fraction, ...]
-) -> tuple[dict[int, Fraction], dict[Edge, Fraction], dict[int, Fraction]]:
+) -> tuple[dict[int, Fraction], dict[Edge, Fraction], dict[int, Fraction]] | None:
     """Solve one support component holding a buyer; returns (prices,
-    spending, refunds).
+    spending, refunds), or None when no case is consistent.
 
     Tries the budget-balanced case, then anchor buyers in canonical order.
-    Raises :class:`SupportError` when no case is consistent.
+    A case's tree flow is solved only once its prices pass the ratio
+    test, and an anchor's once its refund is nonnegative.
     """
     buyers, goods, edges = comp.buyers, comp.goods, comp.edges
     if not goods:
@@ -133,9 +134,10 @@ def _component_solution(
     scale = budget_total / mult_total
     if scale > 0:
         prices = {g: multipliers[g] * scale for g in goods}
-        flows = solve_tree_flow(inst, comp, supply, prices)
-        if all(v >= 0 for v in flows.values()) and ratios_at_least_one(prices):
-            return prices, flows, {b: ZERO for b in buyers}
+        if ratios_at_least_one(prices):
+            flows = solve_tree_flow(inst, comp, supply, prices)
+            if all(v >= 0 for v in flows.values()):
+                return prices, flows, {b: ZERO for b in buyers}
 
     # anchored case: some buyer's support ratio is pinned to exactly one,
     # and she spends what the other budgets leave of the prices
@@ -144,23 +146,22 @@ def _component_solution(
         scale = utility[e0] / multipliers[edge_good[e0]]
         prices = {g: multipliers[g] * scale for g in goods}
         spent = sum(prices.values(), ZERO) - (budget_total - budgets[anchor])
-        flows = solve_tree_flow(inst, comp, {**supply, anchor: spent}, prices)
         refund = budgets[anchor] - spent
-        if (
-            all(v >= 0 for v in flows.values())
-            and refund >= 0
-            and ratios_at_least_one(prices, skip=anchor)
-        ):
+        if refund < 0 or not ratios_at_least_one(prices, skip=anchor):
+            continue
+        flows = solve_tree_flow(inst, comp, {**supply, anchor: spent}, prices)
+        if all(v >= 0 for v in flows.values()):
             refunds = {b: ZERO for b in buyers}
             refunds[anchor] = refund
             return prices, flows, refunds
-    raise SupportError("no consistent case for support component")
+    return None
 
 
 def basic_solution(
     inst: MarketInstance,
     forest: Forest,
     effective_budgets: tuple[Fraction, ...] | list[Fraction] | None = None,
+    solved: dict | None = None,
 ) -> MarketState:
     """The unique state determined by a cycle-free support, given as the
     :class:`~arcticauction.graph.Forest` that
@@ -172,6 +173,16 @@ def basic_solution(
     :class:`GenericityError` when the support contains a cycle and
     :class:`SupportError` when it admits no consistent solution, a good
     with no buyer in the support first.
+
+    ``solved``, a dict the caller keeps between calls on one instance,
+    lets a call reuse the component solutions of the last call that got
+    past the buyerless-good check.  A component's solution, or its lack
+    of one (kept as None), is a function of its edges (or its lone node)
+    and its buyers' budgets alone, so it is looked up by those, each
+    budget as its integer pair, which hashes without the modular inverse
+    a ``Fraction``'s hash takes.  Only the components not found are
+    solved, and the call leaves the dict holding its own components only,
+    so it never outgrows one forest.
     """
     budgets = inst.budget if effective_budgets is None else effective_budgets
     components, cycle = forest
@@ -186,15 +197,32 @@ def basic_solution(
             raise SupportError(
                 f"good {inst.goods[comp.goods[0]]} has no buyer in support"
             )
+    solved = {} if solved is None else solved
+    kept: dict = {}
     prices: list[Fraction] = [ZERO] * len(inst.goods)
     spending: dict[Edge, Fraction] = {}
     refunds: list[Fraction] = [ZERO] * len(inst.buyers)
-    for comp in components:
-        c_prices, c_flows, c_refunds = _component_solution(inst, comp, budgets)
-        for g, price in c_prices.items():
-            prices[g] = price
-        spending.update(c_flows)
-        for b, refund in c_refunds.items():
-            refunds[b] = refund
+    try:
+        for comp in components:
+            pairs = tuple(
+                (budgets[b]._numerator, budgets[b]._denominator) for b in comp.buyers
+            )
+            key = (comp.tree[0][0], comp.edges, pairs)
+            if key in solved:
+                solution = solved[key]
+            else:
+                solution = _component_solution(inst, comp, budgets)
+            kept[key] = solution
+            if solution is None:
+                raise SupportError("no consistent case for support component")
+            c_prices, c_flows, c_refunds = solution
+            for g, price in c_prices.items():
+                prices[g] = price
+            spending.update(c_flows)
+            for b, refund in c_refunds.items():
+                refunds[b] = refund
+    finally:
+        solved.clear()
+        solved.update(kept)
     return MarketState(inst, prices, spending, refunds)
 

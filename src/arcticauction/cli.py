@@ -114,12 +114,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError, RecursionError) as exc:
         raise InstanceError(f"cannot read {args.solution}: {exc}") from exc
     try:
-        sigma = parse_rational(doc["perturbation"]["sigma"])
-        seed = doc["perturbation"]["seed"]
+        if not isinstance(doc, dict):
+            raise InstanceError(
+                f"the document must be an object, not {_json_kind(doc)}"
+            )
+        perturbation = _field(doc, "perturbation", "perturbation", dict)
+        sigma = parse_rational(_field(perturbation, "sigma", "perturbation.sigma"))
+        seed = _field(perturbation, "seed", "perturbation.seed")
         if type(seed) is not int:
-            raise TypeError(f"seed {seed!r} is not an integer")
-        results = dict(doc["results"])
-    except (KeyError, TypeError, ValueError) as exc:
+            raise InstanceError(f"seed {seed!r} is not an integer")
+        results = _field(doc, "results", "results", dict)
+    except InstanceError as exc:
         raise InstanceError(f"malformed solution document ({exc})") from exc
     if not results:
         raise InstanceError("solution document has no results to verify")
@@ -132,14 +137,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # that is an input error prints none
     certificates = []
     for name in sorted(results):
+        path = f"results.{name}"
         try:
-            section = results[name]["equilibrium"]
-            stored = results[name]["certificate"]
-            prices = {g: parse_rational(v) for g, v in section["prices"].items()}
-            spending = _edge_rows(section["spending"], "spending")
-            quantities = _edge_rows(section["quantities"], "quantity")
-            refunds = {b: parse_rational(v) for b, v in section["refunds"].items()}
-        except (InstanceError, AttributeError, KeyError, IndexError, TypeError) as exc:
+            result = _field(results, name, path, dict)
+            stored = _field(result, "certificate", f"{path}.certificate")
+            path += ".equilibrium"
+            section = _field(result, "equilibrium", path, dict)
+            prices = _field(section, "prices", f"{path}.prices", dict)
+            prices = {g: parse_rational(v) for g, v in prices.items()}
+            spending = _edge_rows(section, "spending", path)
+            quantities = _edge_rows(section, "quantities", path)
+            refunds = _field(section, "refunds", f"{path}.refunds", dict)
+            refunds = {b: parse_rational(v) for b, v in refunds.items()}
+        except InstanceError as exc:
             raise InstanceError(f"malformed equilibrium section ({exc})") from exc
         try:
             cert = check_equilibrium(target, prices, spending, refunds)
@@ -164,14 +174,55 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(cert.ok for _, cert in certificates) else 1
 
 
-def _edge_rows(rows: list, what: str) -> dict[tuple[str, str], Fraction]:
-    """``[buyer, good, value]`` rows as a dict by edge; a second row for an
-    edge is an input error."""
+_JSON_KINDS = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "a number",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+
+
+def _json_kind(value: object) -> str:
+    return _JSON_KINDS[type(value)]
+
+
+def _field(parent: dict, key: str, path: str, kind: type = object):
+    """``parent[key]``, the solution document's field ``path``, which must
+    be a ``kind`` (a JSON object is a dict, an array a list): a missing
+    field or another shape is an input error that names the field and the
+    shape it needs."""
+    if key not in parent:
+        raise InstanceError(f"missing field {path!r}")
+    value = parent[key]
+    if not isinstance(value, kind):
+        raise InstanceError(
+            f"field {path!r} must be {_JSON_KINDS[kind]}, not {_json_kind(value)}"
+        )
+    return value
+
+
+def _edge_rows(section: dict, key: str, path: str) -> dict[tuple[str, str], Fraction]:
+    """The ``[buyer id, good id, value]`` rows of ``section[key]`` (the
+    field ``path.key``) as a dict by edge; a row of another shape, or a
+    second row for an edge, is an input error."""
+    path = f"{path}.{key}"
     values: dict[tuple[str, str], Fraction] = {}
-    for row in rows:
+    for row in _field(section, key, path, list):
+        if not (
+            isinstance(row, list)
+            and len(row) == 3
+            and isinstance(row[0], str)
+            and isinstance(row[1], str)
+        ):
+            raise InstanceError(
+                f"row {row!r} of {path!r} must be [buyer id, good id, value]"
+            )
         edge = (row[0], row[1])
         if edge in values:
-            raise InstanceError(f"second {what} row for {edge}")
+            raise InstanceError(f"second row for {edge} in {path!r}")
         values[edge] = parse_rational(row[2])
     return values
 

@@ -273,7 +273,12 @@ class MarketState:
         return self._value(self.refund_units[buyer], self.refund_fixed[buyer])
 
     def effective_budget(self, buyer: int) -> Fraction:
-        return self._budget[buyer] - self.refund(buyer)
+        """The buyer's budget minus her refund: the budget itself, with no
+        arithmetic, while she holds no refund."""
+        units, fixed = self.refund_units[buyer], self.refund_fixed[buyer]
+        if not units and not fixed._numerator:
+            return self._budget[buyer]
+        return self._budget[buyer] - self._value(units, fixed)
 
     def effective_cash(self, buyer: int) -> Fraction:
         return self.effective_budget(buyer) - self.spent_by(buyer)

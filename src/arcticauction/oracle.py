@@ -111,19 +111,26 @@ def certify_state(
     below bang-per-buck one -- which rules out spurious fixed points the
     four literal conditions admit.  The equality graph is that of a new
     state holding only the prices, so it is computed afresh from them.
-    Spending is reported in edge id order.
+    Spending is reported in edge id order.  A buyer's leftover cash and a
+    good's backorder are compared first, and subtracted only to report a
+    nonzero difference.
     """
     budget = inst.budget if budgets is None else budgets
-    refunds = state.refunds
+    refunds, prices = state.refunds, state.prices
     names, edge_buyer = inst.edge_names, inst.edge_buyer
     return _certificate(
         inst,
-        state.prices,
+        prices,
         refunds,
-        [budget[b] - refunds[b] - state.spent_by(b) for b in range(len(inst.buyers))],
-        [state.backorder(g) for g in range(len(inst.goods))],
+        [_difference(budget[b] - r, state.spent_by(b)) for b, r in enumerate(refunds)],
+        [_difference(state.inflow(g), p) for g, p in enumerate(prices)],
         [(names[e], e, edge_buyer[e], v) for e, v in state.spending.items()],
     )
+
+
+def _difference(a: Fraction, b: Fraction) -> Fraction:
+    """``a - b``, with no arithmetic when they are equal."""
+    return ZERO if a == b else a - b
 
 
 def check_equilibrium(

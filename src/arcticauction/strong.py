@@ -15,7 +15,9 @@ Progress is measured in abundant edges (they persist once discovered, and
 the equilibrium support has fewer than ``n`` of them) and in buyers
 permanently reaching bang-per-buck one.  Termination is detected by
 recomputing the basic solution of the abundant support each round and
-checking it against the compressed instance's equilibrium conditions.
+checking it against the compressed instance's equilibrium conditions; the
+recomputation solves again only the components whose edges or effective
+budgets moved since the last round.
 """
 
 from __future__ import annotations
@@ -451,13 +453,23 @@ def _repair_deficits(
 
 
 def _termination_candidate(
-    inst: MarketInstance, market: MarketState, forest: Forest
+    inst: MarketInstance, market: MarketState, forest: Forest, solved: dict
 ) -> MarketState | None:
     """Basic solution of the abundant support, given as its ``forest``, if
-    it certifies as an equilibrium of the compressed instance."""
+    it certifies as an equilibrium of the compressed instance.
+
+    The effective budgets are read off ``market``, each buyer's budget as
+    it is while she holds no refund.  ``solved`` is the run's dict of the
+    component solutions of the last test that solved any: one
+    :func:`~arcticauction.basic.basic_solution` call reuses those whose
+    edges and effective budgets are unchanged, solves the others, and
+    leaves the dict holding this forest's components only.  The candidate
+    it builds is certified in full by
+    :func:`~arcticauction.oracle.certify_state` either way.
+    """
     effective = [market.effective_budget(b) for b in range(len(inst.buyers))]
     try:
-        candidate = basic_solution(inst, forest, effective)
+        candidate = basic_solution(inst, forest, effective, solved)
     except SupportError:
         return None
     if not certify_state(inst, candidate, effective).ok:
@@ -493,11 +505,17 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
 
     The forest is a function of the abundant edge set alone, so a phase
     whose set equals the last phase's reuses that phase's forest; no step
-    mutates a component.
+    mutates a component.  The termination test still calls
+    :func:`~arcticauction.basic.basic_solution` once per phase, but that
+    call reuses the component solutions of the last test that solved
+    any, keyed by each component's edges and its buyers' effective
+    budgets, and solves only the components that moved.  The run keeps
+    one forest's solutions at a time, and none outlives the run.
 
     The returned refunds combine the committed refunds accumulated along
     the way with the refunds of the final basic solution; the result is
-    certified against the original instance before returning.
+    certified from scratch against the original instance, with its
+    original budgets, before returning.
     """
     stats = inst.stats
     n = stats.n
@@ -508,6 +526,8 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
     singleton_crossed: set[int] = set()
     # the last phase's abundant set and its forest, kept while the set stays
     forest_edges: set[Edge] | None = None
+    # the component solutions of the last termination test that solved any
+    solved: dict = {}
 
     entry = "init"
     while trace.phase_count <= budget:
@@ -532,7 +552,7 @@ def run_strong(inst: MarketInstance) -> tuple[Equilibrium, PhaseTrace]:
                         (mark.index, "buyer_uninterested", inst.buyers[b])
                     )
 
-        candidate = _termination_candidate(inst, market, forest)
+        candidate = _termination_candidate(inst, market, forest, solved)
         if candidate is not None:
             total_refunds = [
                 a + b for a, b in zip(candidate.refunds, market.refunds)

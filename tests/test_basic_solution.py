@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+
+import arcticauction.basic as basic_mod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,6 +124,53 @@ class TestBasicSolution:
         prices, _, refunds = solve(inst, {("b1", "g1")}, {"b1": 1})
         assert prices == {"g1": 1}
         assert refunds["b1"] == 0
+
+
+def test_a_shared_dict_reuses_the_last_calls_components(monkeypatch):
+    # ``solved`` keys a component by its root, its edges and its buyers'
+    # budgets: each call must give what a fresh call gives, solve only what
+    # moved since the last call, and keep only its own components.  The
+    # lone buyers b2 and b4 have equal budgets, so only their roots tell
+    # them apart, and the b1-b2 component admits no consistent case.
+    inst = make_instance(
+        {"b1": 3, "b2": 3, "b3": 3, "b4": 3},
+        {("b1", "g1"): 1, ("b2", "g1"): 2, ("b3", "g2"): 2, ("b4", "g2"): 5},
+    )
+    solves = []
+    component_solution = basic_mod._component_solution
+
+    def counted(*args):
+        solves.append(1)
+        return component_solution(*args)
+
+    monkeypatch.setattr(basic_mod, "_component_solution", counted)
+    apart = {("b1", "g1"), ("b3", "g2")}
+    joined = apart | {("b2", "g1")}
+    solved = {}
+    for support, b3_budget, moved, kept in [
+        (apart, 3, 4, 4),
+        (apart, 1, 1, 4),
+        (joined, 1, 1, 1),
+        (joined, 1, 0, 1),
+    ]:
+        forest = components_of_edges(inst, edge_ids(inst, support))
+        budgets = [Fraction(3), Fraction(3), Fraction(b3_budget), Fraction(3)]
+        try:
+            fresh = basic_solution(inst, forest, budgets)
+        except SupportError:
+            fresh = None
+        del solves[:]
+        try:
+            reused = basic_solution(inst, forest, budgets, solved)
+        except SupportError:
+            reused = None
+        assert (reused is None) == (fresh is None)
+        if fresh is not None:
+            assert reused.prices == fresh.prices
+            assert reused.spending == fresh.spending
+            assert reused.refunds == fresh.refunds
+        assert len(solves) == moved
+        assert len(solved) == kept
 
 
 def tree_component(edges):

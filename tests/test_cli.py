@@ -482,6 +482,21 @@ INPUT_ERRORS = {
     "verify_sigma_above_bound": edited_solution(
         lambda doc: doc["perturbation"].update(sigma="1")
     ),
+    # shapes that once ended in Python's own exception text; see
+    # VERIFY_SHAPE_ERRORS for the error each names instead
+    "verify_spending_row_short": edited_solution(
+        lambda doc: weak_section(doc)["spending"][0].pop()
+    ),
+    "verify_spending_string": edited_solution(
+        lambda doc: weak_section(doc).update(spending="b1 g1 1")
+    ),
+    "verify_prices_array": edited_solution(
+        lambda doc: weak_section(doc).update(prices=["1"])
+    ),
+    "verify_result_null": edited_solution(lambda doc: doc["results"].update(weak=None)),
+    "verify_perturbation_array": edited_solution(
+        lambda doc: doc.update(perturbation=[doc["perturbation"]])
+    ),
     "verify_seed_float": seed_written_as(1.9),
     "verify_seed_boolean": seed_written_as(True),
     "verify_seed_string": seed_written_as("1"),
@@ -591,6 +606,32 @@ def test_input_error_exits_one(case, instance_file, tmp_path, capsys):
     assert captured.err.startswith("error:")
     # no verdict is printed for a document that is an input error
     assert captured.out == ""
+
+
+# the error each malformed solution document names: the field, by its
+# path in the document, and the shape it needs, not Python's exception text
+VERIFY_SHAPE_ERRORS = {
+    "verify_spending_row_short": "malformed equilibrium section (row ['b1', 'g1'] of"
+    " 'results.weak.equilibrium.spending' must be [buyer id, good id, value])",
+    "verify_spending_string": "malformed equilibrium section (field"
+    " 'results.weak.equilibrium.spending' must be an array, not a string)",
+    "verify_prices_array": "malformed equilibrium section (field"
+    " 'results.weak.equilibrium.prices' must be an object, not an array)",
+    "verify_result_null": "malformed equilibrium section (field 'results.weak'"
+    " must be an object, not null)",
+    "verify_perturbation_array": "malformed solution document (field 'perturbation'"
+    " must be an object, not an array)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_SHAPE_ERRORS))
+def test_a_malformed_solution_names_the_field_and_its_shape(
+    case, instance_file, tmp_path, capsys
+):
+    argv = INPUT_ERRORS[case](instance_file, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {VERIFY_SHAPE_ERRORS[case]}\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])

@@ -93,17 +93,15 @@ def raw_refunds(inst, market):
     return {b: r for b, r in refunds.items() if r}
 
 
-def direct_cash(inst, market):
-    """Every buyer's cash by id, from one read of the raw amounts."""
-    refunds = raw_refunds(inst, market)
+def direct_cash(inst, market, spending=None, refunds=None):
+    """Every buyer's cash by id, from one read of the raw amounts, or from
+    the ``raw_spending`` and ``raw_refunds`` given."""
+    if spending is None:
+        spending, refunds = raw_spending(inst, market), raw_refunds(inst, market)
     cash = {b: inst.budgets[b] - refunds.get(b, Fraction(0)) for b in inst.buyers}
-    for (b, _), v in raw_spending(inst, market).items():
+    for (b, _), v in spending.items():
         cash[b] -= v
     return cash
-
-
-def direct_potential(inst, market):
-    return sum((c // market.unit for c in direct_cash(inst, market).values()), 0)
 
 
 def direct_alphas(inst, prices):
@@ -125,9 +123,12 @@ def direct_equality_graph(inst, prices, alphas=None):
     return {(b, g) for (b, g), u in inst.utilities.items() if u / prices[g] == alphas[b]}
 
 
-def direct_returnable(inst, market):
-    """The edges with at least one unit of spending."""
-    return {e for e, v in raw_spending(inst, market).items() if v >= market.unit}
+def direct_returnable(inst, market, spending=None):
+    """The edges with at least one unit of spending (the ``raw_spending``
+    given, or read here)."""
+    if spending is None:
+        spending = raw_spending(inst, market)
+    return {e for e, v in spending.items() if v >= market.unit}
 
 
 def direct_sign(value):
@@ -144,14 +145,16 @@ def fresh_copy(inst, market):
     return copy
 
 
-def assert_values_match(inst, market):
+def assert_values_match(inst, market, spending=None, refunds=None):
     """The rational views are ``count * delta + fixed`` of every edge and
-    buyer, no edge holds zero, and each buyer's and good's count and fixed
-    sums are those of its edges, with the rational sums to match."""
-    spending = raw_spending(inst, market)
+    buyer (the ``raw_spending`` and ``raw_refunds`` given, or read here),
+    no edge holds zero, and each buyer's and good's count and fixed sums
+    are those of its edges, with the rational sums to match."""
+    if spending is None:
+        spending, refunds = raw_spending(inst, market), raw_refunds(inst, market)
     assert spending_of(inst, market) == spending
     assert 0 not in spending.values()
-    assert refunds_of(inst, market) == raw_refunds(inst, market)
+    assert refunds_of(inst, market) == refunds
     # each node's count, fixed and rational sums over its edges, by side
     # (buyers, goods), from one pass over the spending edges
     sums = [
@@ -177,14 +180,15 @@ def assert_values_match(inst, market):
         assert Fraction(*market.inflow_pair(g)) == market.inflow(g)
 
 
-def assert_cash_terms_match(inst, market):
-    """The market's kept terms are those of each buyer's cash, and the
-    potential and optimality test read them."""
-    cash = direct_cash(inst, market)
+def assert_cash_terms_match(inst, market, spending=None, refunds=None):
+    """The market's kept terms are those of each buyer's cash (from the
+    raw amounts given, or read here), and the potential and optimality
+    test read them."""
+    cash = direct_cash(inst, market, spending, refunds)
     terms = [cash[b] // market.unit for b in inst.buyers]
     assert market.cash_terms == terms
     assert market.holding == {b for b, term in enumerate(terms) if term > 0}
-    assert potential(inst, market) == direct_potential(inst, market) == sum(terms)
+    assert potential(inst, market) == sum(terms)
     assert is_delta_optimal(inst, market) == all(
         cash[b] < market.unit for b in inst.buyers
     )
@@ -201,9 +205,9 @@ def assert_bang_per_buck_matches(inst, market, fresh=None):
     assert check_genericity(inst, market) == check_genericity(inst, fresh)
 
 
-def assert_returnable_matches(inst, market, fresh=None):
+def assert_returnable_matches(inst, market, fresh=None, spending=None):
     returnable = edge_names(inst, market.returnable)
-    assert returnable == direct_returnable(inst, market)
+    assert returnable == direct_returnable(inst, market, spending)
     fresh = fresh_copy(inst, market) if fresh is None else fresh
     assert returnable == edge_names(inst, fresh.returnable)
 
@@ -227,15 +231,14 @@ VIEW_CHECKS = {
 
 
 def assert_views_match(inst, market):
-    assert_cash_terms_match(inst, market)
-    assert_values_match(inst, market)
+    # the raw amounts are read once and shared by the checks that use them
+    spending, refunds = raw_spending(inst, market), raw_refunds(inst, market)
+    assert_cash_terms_match(inst, market, spending, refunds)
+    assert_values_match(inst, market, spending, refunds)
     fresh = fresh_copy(inst, market)
-    for check in (
-        assert_bang_per_buck_matches,
-        assert_returnable_matches,
-        assert_feasibility_matches,
-    ):
-        check(inst, market, fresh)
+    assert_bang_per_buck_matches(inst, market, fresh)
+    assert_returnable_matches(inst, market, fresh, spending)
+    assert_feasibility_matches(inst, market, fresh)
 
 
 # --- differential: both solvers, checked after every step and halving --------

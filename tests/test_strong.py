@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import arcticauction.strong as strong_mod
+from arcticauction.basic import SupportError, basic_solution
 from arcticauction.cli import equilibrium_doc
 from arcticauction.core import (
     MarketInstance,
@@ -23,7 +24,7 @@ from arcticauction.graph import (
     components_of_edges,
     reach,
 )
-from arcticauction.oracle import brute_force_equilibrium
+from arcticauction.oracle import brute_force_equilibrium, certify_state
 from arcticauction.randgen import random_instance
 from arcticauction.strong import (
     _repair_deficits,
@@ -775,10 +776,10 @@ def test_a_reused_forest_is_the_forest_of_its_phase(seed, monkeypatch):
     forests = []
     candidate = strong_mod._termination_candidate
 
-    def checked(inst, market, forest):
+    def checked(inst, market, forest, solved):
         assert forest == walk(inst, abundant_edges(market, inst.stats.n))
         forests.append(forest)
-        return candidate(inst, market, forest)
+        return candidate(inst, market, forest, solved)
 
     monkeypatch.setattr(strong_mod, "components_of_edges", counted)
     monkeypatch.setattr(strong_mod, "_termination_candidate", checked)
@@ -789,6 +790,90 @@ def test_a_reused_forest_is_the_forest_of_its_phase(seed, monkeypatch):
     assert len(forests) == trace.phase_count
     reused = sum(a is b for a, b in zip(forests, forests[1:]))
     assert reused == trace.phase_count - len(walks) > 0
+
+
+def fresh_termination_test(inst, market, forest):
+    """What a termination test that reuses nothing returns: the basic
+    solution of ``forest`` against the effective budgets (or None on a
+    ``SupportError``), and whether ``certify_state`` accepts it."""
+    effective = [market.effective_budget(b) for b in range(len(inst.buyers))]
+    try:
+        state = basic_solution(inst, forest, effective)
+    except SupportError:
+        return None, False
+    return state, certify_state(inst, state, effective).ok
+
+
+def same_state(a, b):
+    return (a.prices, a.spending, a.refunds) == (b.prices, b.spending, b.refunds)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_instance(20, random.Random(4)),
+        lambda: random_instance(30, random.Random(5)),
+        lambda: random_instance(40, random.Random(1)),
+        lambda: wide_instance(14),
+        lambda: wide_instance(49),
+        lambda: wide_instance(185),
+        lambda: wide_instance(33),
+    ],
+    ids=["random-20", "random-30", "random-40", "wide-14", "wide-49", "wide-185", "wide-33"],
+)
+def test_the_reusing_termination_test_matches_a_fresh_one(make, monkeypatch):
+    # run_strong's termination test solves only the components that moved
+    # since its last call; at every phase both the basic solution it hands
+    # to the certifier and its answer (None, or the candidate) must be what
+    # a fresh solve and certification give, and the run must both reuse
+    # and re-solve components
+    inst = make()
+    inst = perturb(inst, PerturbationConfig(magnitude=default_magnitude(inst), seed=0))
+    solve = strong_mod.basic_solution
+    solves = []
+
+    def recorded(inst, forest, effective, solved):
+        last = dict(solved)
+        try:
+            state = solve(inst, forest, effective, solved)
+        except SupportError:
+            state = None
+        # a call that stops at the buyerless-good check leaves ``solved``
+        # as it was; any other leaves the components it looked up
+        looked_up = list(solved) if all(c.buyers for c in forest.components) else []
+        solves.append((state, sum(key in last for key in looked_up), len(looked_up)))
+        if state is None:
+            raise SupportError("as recorded")
+        return state
+
+    candidate = strong_mod._termination_candidate
+    phases = []
+
+    def checked(inst, market, forest, solved):
+        got = candidate(inst, market, forest, solved)
+        state, ok = fresh_termination_test(inst, market, forest)
+        reused, _, _ = solves[-1]
+        assert (reused is None) == (state is None)
+        if state is not None:
+            assert same_state(reused, state)
+        assert (got is not None) == ok
+        if got is not None:
+            assert same_state(got, state)
+        phases.append(ok)
+        return got
+
+    monkeypatch.setattr(strong_mod, "basic_solution", recorded)
+    monkeypatch.setattr(strong_mod, "_termination_candidate", checked)
+    eq, trace = run_strong(inst)
+    assert eq.certificate.ok
+    assert len(phases) == trace.phase_count and phases[-1]
+    # the first call that gets past the buyerless-good check solves every
+    # component; on wide-14 it is the only one
+    calls = sum(1 for _, _, total in solves if total)
+    hits = sum(found for _, found, _ in solves)
+    misses = sum(total - found for _, found, total in solves)
+    assert misses > 0
+    assert (hits > 0) == (calls > 1)
 
 
 class TestSpecialPriceMonotonicity:
