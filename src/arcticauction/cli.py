@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from collections.abc import Iterable
@@ -90,14 +91,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # the trace first: a trace that cannot be written is an input error,
     # and then no result document is printed
     if args.trace:
-        # one line at a time: a long run of refund steps is one trace row
-        # but a line per step
-        lines = (
-            json.dumps({"algorithm": name, **line}, sort_keys=True) + "\n"
-            for name, (_, trace) in sorted(outcome.results.items())
-            for line in trace.iter_lines()
-        )
-        _write(args.trace, lines)
+        # each trace builds its own lines (PhaseTrace.iter_text), and each
+        # line is written as it is built: a run of refund steps is one
+        # trace row but a line per step
+        traces = (trace for _, (_, trace) in sorted(outcome.results.items()))
+        _write(args.trace, itertools.chain.from_iterable(t.iter_text() for t in traces))
     payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.output:
         _write(args.output, [payload])

@@ -35,7 +35,7 @@ from arcticauction.graph import (
     component_key,
     components_of_edges,
 )
-from arcticauction.rational import ZERO, reduced
+from arcticauction.rational import ZERO, as_q, reduced
 
 Edge = tuple[str, str]  # (buyer id, good id)
 
@@ -146,7 +146,8 @@ def check_equilibrium(
     instance has no utility for, which counts like any spending and is
     never on the equality graph.  Raises :class:`ValueError` when prices or
     spending name an unknown good, refunds or spending an unknown buyer, or
-    a good lacks a positive price: such a triple is no candidate.
+    a good lacks a positive price: such a triple is no candidate.  Values
+    may be ints or ``Fraction``; each is read as a ``Q`` once.
     """
     buyer_pos, good_pos, edge_id = inst.buyer_pos, inst.good_pos, inst.edge_id
     for g in [*prices, *(g for _, g in spending)]:
@@ -162,14 +163,15 @@ def check_equilibrium(
         if b not in buyer_pos:
             raise ValueError(f"spending by unknown buyer {b}")
 
-    price_list = [prices[g] for g in inst.goods]
-    refund_list = [refunds.get(b, ZERO) for b in inst.buyers]
+    price_list = [as_q(prices[g]) for g in inst.goods]
+    refund_list = [as_q(refunds.get(b, ZERO)) for b in inst.buyers]
     cash = [inst.budget[k] - r for k, r in enumerate(refund_list)]
     backorders = [-p for p in price_list]
     entries = []
     for edge, value in spending.items():
         b, g = edge
         k = buyer_pos[b]
+        value = as_q(value)
         cash[k] -= value
         backorders[good_pos[g]] += value
         entries.append((edge, edge_id.get(edge), k, value))
@@ -186,36 +188,38 @@ def _certificate(
 ) -> Certificate:
     """The certificate of a candidate given by index: prices by good,
     refunds and leftover cash by buyer, backorders by good, and each
-    spending entry as (names, edge id or None, buyer, value)."""
+    spending entry as (names, edge id or None, buyer, value).  Every
+    value is a ``Fraction`` (a ``Q``), so its sign is its numerator's."""
     refund_ok = Condition("refunds_nonnegative")
     cash_ok = Condition("budgets_exhausted")
     for b, r, left in zip(inst.buyers, refunds, cash):
-        if r < 0:
+        if r._numerator < 0:
             refund_ok.violations.append(f"buyer {b}: refund {r}")
-        if left != 0:
+        if left._numerator:
             cash_ok.violations.append(f"buyer {b}: leftover cash {left}")
 
     clearing = Condition("market_clearing")
     for g, backorder in zip(inst.goods, backorders):
-        if backorder != 0:
+        if backorder._numerator:
             clearing.violations.append(f"good {g}: backorder {backorder}")
 
     view = MarketState(inst, prices).bang_per_buck
     support = Condition("spending_on_equality_edges")
     optimality = Condition("buyer_optimality")
     for edge, e, b, value in spending:
-        if value < 0:
+        sign = value._numerator
+        if sign < 0:
             support.violations.append(f"edge {edge}: negative spending {value}")
-        if value > 0 and e not in view.edges:
+        if sign > 0 and e not in view.edges:
             support.violations.append(f"edge {edge}: spending off equality graph")
-        if value > 0 and view.signs[b] < 0:
+        if sign > 0 and view.signs[b] < 0:
             optimality.violations.append(
                 f"edge {edge}: spending at bang-per-buck below one"
             )
 
     complementarity = Condition("refund_complementarity")
     for k, (b, r) in enumerate(zip(inst.buyers, refunds)):
-        if r > 0 and view.signs[k] > 0:
+        if r._numerator > 0 and view.signs[k] > 0:
             complementarity.violations.append(
                 f"buyer {b}: refund {r} with bang-per-buck"
                 f" {reduced(*view.best_pair(k))} > 1"

@@ -3,16 +3,20 @@
 Each outer round (a scaling phase) gets a :class:`PhaseMark` with its
 scale, starting potential and abundant edges, and each inner-loop call
 gets a :class:`TraceRow` recording the potential before and after; a
-buyer's run of refund steps is one row, which :meth:`PhaseTrace.iter_lines`
-yields as one line per step, building each line only when it is asked
-for.  The acceptance suite replays these records to verify the potential
-and abundance disciplines independently of the in-run assertions; the
+buyer's run of refund steps is one row.  :meth:`PhaseTrace.iter_text` is
+the one writer of the JSONL trace: it yields each line as text, exactly
+as ``json.dumps(..., sort_keys=True)`` writes the line's document, and
+builds a line only when it is asked for, one line per step of a row.
+:meth:`PhaseTrace.iter_lines` reads those lines back as documents.  The
+acceptance suite replays these records to verify the potential and
+abundance disciplines independently of the in-run assertions; the
 per-phase drift is checked in the run from the state's moved units, and
 the tests replay it from spending snapshots they take themselves.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,6 +24,10 @@ from fractions import Fraction
 from arcticauction.core import format_rational
 
 Edge = int  # an edge id of the instance
+
+# the one encoder of the trace lines: json.dumps(..., sort_keys=True) would
+# build a new one per line
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass
@@ -35,20 +43,6 @@ class TraceRow:
     phi_before: int
     phi_after: int
     steps: int = 1
-
-    def iter_docs(self) -> Iterator[dict]:
-        """One document per step, each lowering the potential by one from
-        ``phi_before``."""
-        delta = format_rational(self.delta)
-        for phi in range(self.phi_before, self.phi_before - self.steps, -1):
-            yield {
-                "phase": self.phase,
-                "delta": delta,
-                "kind": self.kind,
-                "subject": self.subject,
-                "phi_before": phi,
-                "phi_after": phi - 1,
-            }
 
 
 @dataclass
@@ -151,9 +145,19 @@ class PhaseTrace:
             "progress_events": len(self.progress_events),
         }
 
-    def iter_lines(self) -> Iterator[dict]:
-        """Row-per-step documents, with phase, restart, and progress markers
-        inlined, each built as it is yielded."""
+    def iter_text(self) -> Iterator[str]:
+        """Every trace line as JSON text ending in a newline, keys sorted,
+        each built as it is yielded: a phase line, its progress lines, one
+        step line per step of each of its rows, then its restart line.
+
+        A row's step lines share all but their two potentials, so the text
+        around those is encoded once per row, and a line is a single
+        format of two integers; the other lines are encoded whole."""
+        encode = _ENCODER.encode
+
+        def line(event: str, doc: dict) -> str:
+            return encode({"algorithm": self.algorithm, "event": event, **doc}) + "\n"
+
         rows_by_phase: dict[int, list[TraceRow]] = {}
         for row in self.rows:
             rows_by_phase.setdefault(row.phase, []).append(row)
@@ -161,20 +165,29 @@ class PhaseTrace:
         progress_by_phase: dict[int, list[tuple[str, str]]] = {}
         for phase, kind, subject in self.progress_events:
             progress_by_phase.setdefault(phase, []).append((kind, subject))
+        algorithm = encode(self.algorithm)
         for mark in self.phases:
-            yield {"event": "phase", **mark.to_doc(self.edge_names)}
+            yield line("phase", mark.to_doc(self.edge_names))
             for kind, subject in progress_by_phase.get(mark.index, []):
-                yield {
-                    "event": "progress",
-                    "phase": mark.index,
-                    "kind": kind,
-                    "subject": subject,
-                }
+                yield line("progress", {"phase": mark.index, "kind": kind, "subject": subject})
             for row in rows_by_phase.get(mark.index, []):
-                for doc in row.iter_docs():
-                    yield {"event": "step", **doc}
+                # the step document's keys in sorted order, as the encoder
+                # writes them
+                head = (
+                    f'{{"algorithm": {algorithm}, "delta": {encode(format_rational(row.delta))},'
+                    f' "event": "step", "kind": {encode(row.kind)}, "phase": {row.phase},'
+                    ' "phi_after": '
+                )
+                tail = f', "subject": {encode(row.subject)}}}\n'
+                for phi in range(row.phi_before, row.phi_before - row.steps, -1):
+                    yield f'{head}{phi - 1}, "phi_before": {phi}{tail}'
             if mark.index in restarts_by_phase:
-                yield {"event": "restart", **restarts_by_phase[mark.index].to_doc()}
+                yield line("restart", restarts_by_phase[mark.index].to_doc())
+
+    def iter_lines(self) -> Iterator[dict]:
+        """The lines of :meth:`iter_text` as documents, each parsed as it
+        is yielded."""
+        return map(json.loads, self.iter_text())
 
     def to_lines(self) -> list[dict]:
         """All of :meth:`iter_lines` in one list."""

@@ -1,14 +1,17 @@
 """Command-line interface: solve, verify, determinism."""
 
+import copy
+import functools
 import hashlib
 import json
+import operator
 import random
 
 import pytest
 
 from arcticauction import driver
 from arcticauction.cli import main
-from arcticauction.core import format_rational
+from arcticauction.core import format_rational, parse_rational
 from arcticauction.randgen import random_instance
 
 from conftest import wide_instance
@@ -195,6 +198,103 @@ class TestVerify:
         assert main(
             ["verify", "--input", str(instance_file), "--solution", str(bad)]
         ) == 1
+
+
+# two buyers and two goods; at seed 3 b1 holds a refund and b2 none
+TWO_BY_TWO = {
+    "buyers": [{"id": "b1", "budget": 3}, {"id": "b2", "budget": "5/2"}],
+    "goods": ["g1", "g2"],
+    "utilities": [["b1", "g1", "2"], ["b1", "g2", "1"], ["b2", "g1", "1"], ["b2", "g2", "3"]],
+}
+
+
+def stated_values(doc):
+    """What a solution document states, read exactly: its perturbation
+    and, per result, its prices, refunds, spending and quantity rows (in
+    order, duplicates kept) and its stored certificate."""
+
+    def rows(field):
+        return [(b, g, parse_rational(v)) for b, g, v in field]
+
+    results = {}
+    for name, result in doc["results"].items():
+        section = result["equilibrium"]
+        results[name] = (
+            {g: parse_rational(v) for g, v in section["prices"].items()},
+            {b: parse_rational(v) for b, v in section["refunds"].items()},
+            rows(section["spending"]),
+            rows(section["quantities"]),
+            result["certificate"],
+        )
+    perturbation = doc["perturbation"]
+    return parse_rational(perturbation["sigma"]), perturbation["seed"], results
+
+
+def single_edits(doc):
+    """Every single edit of one checked field of a solution document, as
+    (what, path, change), where ``change(parent, key)`` edits ``parent[key]``
+    in place for the field at ``path``: each number moved by one, halved
+    and rewritten unreduced, each edge row also dropped and duplicated, the
+    seed moved by one and each certificate flag flipped.  The run
+    statistics and ``retries_used`` are not checked, so not edited."""
+
+    def set_to(value):
+        return lambda parent, key: parent.__setitem__(key, value)
+
+    def duplicate(rows, i):
+        rows.insert(i, rows[i])
+
+    def flip(parent, key):
+        parent[key] = not parent[key]
+
+    def number(path, text):
+        value = parse_rational(text)
+        yield "plus one", path, set_to(format_rational(value + 1))
+        yield "halved", path, set_to(format_rational(value / 2))
+        unreduced = f"{2 * value.numerator}/{2 * value.denominator}"
+        yield f"as {unreduced}", path, set_to(unreduced)
+
+    yield from number(("perturbation", "sigma"), doc["perturbation"]["sigma"])
+    yield "plus one", ("perturbation", "seed"), set_to(doc["perturbation"]["seed"] + 1)
+    for name, result in doc["results"].items():
+        section = ("results", name, "equilibrium")
+        for field in ("prices", "refunds"):
+            for key, text in result["equilibrium"][field].items():
+                yield from number((*section, field, key), text)
+        for field in ("spending", "quantities"):
+            for i, row in enumerate(result["equilibrium"][field]):
+                yield from number((*section, field, i, 2), row[2])
+                yield "dropped", (*section, field, i), list.pop
+                yield "duplicated", (*section, field, i), duplicate
+        flags = [("pass",)]
+        flags += [("conditions", j, "ok") for j in range(len(result["certificate"]["conditions"]))]
+        for flag in flags:
+            yield "flipped", ("results", name, "certificate", *flag), flip
+
+
+def test_every_single_edit_of_a_solution_changes_nothing_or_fails_verify(tmp_path, capsys):
+    """A document ``verify`` accepts states the solved equilibrium: an
+    edit that changes what the document states makes it exit 1, and one
+    that only rewrites a number leaves it passing."""
+    market, out, edited = (tmp_path / name for name in ("market.json", "out.json", "edited.json"))
+    market.write_text(json.dumps(TWO_BY_TWO))
+    solve = ["solve", "--input", str(market), "--algorithm", "both", "--seed", "3"]
+    assert main(solve + ["--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert any(v != "0" for v in doc["results"]["weak"]["equilibrium"]["refunds"].values())
+    verify = ["verify", "--input", str(market), "--solution", str(edited)]
+    outcomes = []
+    for what, path, change in single_edits(doc):
+        changed = copy.deepcopy(doc)
+        parent = functools.reduce(operator.getitem, path[:-1], changed)
+        change(parent, path[-1])
+        edited.write_text(json.dumps(changed))
+        same = stated_values(changed) == stated_values(doc)
+        outcomes.append((f"{'.'.join(map(str, path))} {what}", same, main(verify)))
+    capsys.readouterr()
+    assert [o for o in outcomes if o[2] != (0 if o[1] else 1)] == []
+    # both kinds occur: rewritten numbers and changed values
+    assert {same for _, same, _ in outcomes} == {True, False}
 
 
 class TestDeterminism:

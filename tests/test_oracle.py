@@ -71,7 +71,10 @@ class TestCheckEquilibrium:
         )
         assert "market_clearing" in cert.failed()
 
-    def test_pins_every_condition_and_violation(self):
+    # the candidate's values as ints too: the certifier reads each sign off
+    # a rational, so it converts them, and the certificate is the same
+    @pytest.mark.parametrize("number", [Fraction, int])
+    def test_pins_every_condition_and_violation(self, number):
         # b1 exhausts her budget but holds a refund at bang-per-buck 4 and
         # spends off her best good; b2 has a negative refund and spends at
         # bang-per-buck 1/2; b3 spends on g1, which she does not value, and
@@ -82,14 +85,14 @@ class TestCheckEquilibrium:
         )
         cert = check_equilibrium(
             inst,
-            {"g1": Fraction(1), "g2": Fraction(2)},
+            {"g1": number(1), "g2": number(2)},
             {
-                ("b1", "g2"): Fraction(1),
-                ("b2", "g1"): Fraction(1),
-                ("b3", "g1"): Fraction(1),
-                ("b3", "g2"): Fraction(-1),
+                ("b1", "g2"): number(1),
+                ("b2", "g1"): number(1),
+                ("b3", "g1"): number(1),
+                ("b3", "g2"): number(-1),
             },
-            {"b1": Fraction(1), "b2": Fraction(-1)},
+            {"b1": number(1), "b2": number(-1)},
         )
         assert [(c.name, c.ok, c.violations) for c in cert.conditions] == [
             ("refunds_nonnegative", False, ["buyer b2: refund -1"]),
