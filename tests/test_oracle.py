@@ -71,10 +71,7 @@ class TestCheckEquilibrium:
         )
         assert "market_clearing" in cert.failed()
 
-    # the candidate's values as ints too: the certifier reads each sign off
-    # a rational, so it converts them, and the certificate is the same
-    @pytest.mark.parametrize("number", [Fraction, int])
-    def test_pins_every_condition_and_violation(self, number):
+    def test_pins_every_condition_and_violation(self):
         # b1 exhausts her budget but holds a refund at bang-per-buck 4 and
         # spends off her best good; b2 has a negative refund and spends at
         # bang-per-buck 1/2; b3 spends on g1, which she does not value, and
@@ -85,14 +82,14 @@ class TestCheckEquilibrium:
         )
         cert = check_equilibrium(
             inst,
-            {"g1": number(1), "g2": number(2)},
+            {"g1": Fraction(1), "g2": Fraction(2)},
             {
-                ("b1", "g2"): number(1),
-                ("b2", "g1"): number(1),
-                ("b3", "g1"): number(1),
-                ("b3", "g2"): number(-1),
+                ("b1", "g2"): Fraction(1),
+                ("b2", "g1"): Fraction(1),
+                ("b3", "g1"): Fraction(1),
+                ("b3", "g2"): Fraction(-1),
             },
-            {"b1": number(1), "b2": number(-1)},
+            {"b1": Fraction(1), "b2": Fraction(-1)},
         )
         assert [(c.name, c.ok, c.violations) for c in cert.conditions] == [
             ("refunds_nonnegative", False, ["buyer b2: refund -1"]),
@@ -123,6 +120,24 @@ class TestCheckEquilibrium:
             ),
         ]
         assert not cert.ok
+
+    def test_int_values_give_the_certificate_of_their_fractions(self):
+        # the certifier reads each sign off a rational, so it converts int
+        # values once; the candidate of the test above, which breaks every
+        # condition, certifies the same either way
+        inst = make_instance(
+            {"b1": 2, "b2": 2, "b3": 1},
+            {("b1", "g1"): 4, ("b1", "g2"): 1, ("b2", "g1"): Fraction(1, 2), ("b3", "g2"): 3},
+        )
+        candidate = (
+            {"g1": 1, "g2": 2},
+            {("b1", "g2"): 1, ("b2", "g1"): 1, ("b3", "g1"): 1, ("b3", "g2"): -1},
+            {"b1": 1, "b2": -1},
+        )
+        fractions = [{k: Fraction(v) for k, v in part.items()} for part in candidate]
+        certificate = check_equilibrium(inst, *candidate)
+        assert certificate == check_equilibrium(inst, *fractions)
+        assert len(certificate.failed()) == len(certificate.conditions)
 
     def test_rejects_nonpositive_price(self):
         inst = make_instance({"b1": 2}, {("b1", "g1"): 4})
